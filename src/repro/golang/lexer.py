@@ -7,11 +7,22 @@ comments, and the automatic-semicolon-insertion (ASI) rule — a newline
 terminates a statement when the last token on the line is an identifier, a
 literal, one of ``break continue fallthrough return``, one of ``++ --``, or one
 of ``) ] }``.
+
+Scanning is one compiled master regular expression: each match is optional
+blanks followed by exactly one token, and ``m.lastindex`` names the
+alternative that matched.  Letters and digits are what ``str.isalpha`` and
+``str.isdigit`` say they are; an ASCII source uses the pattern with ASCII
+classes, any other source a pattern built once with the Unicode classes.
+Token positions are interned :class:`Position` objects, shared between
+tokens and AST nodes, which is safe only because positions are immutable.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import functools
+import re
+import sys
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import GoSyntaxError
 from repro.golang.tokens import KEYWORDS, Position, Token, TokenKind
@@ -34,58 +45,116 @@ _ASI_KINDS = {
     TokenKind.RBRACE,
 }
 
-_SIMPLE_OPS = {
-    "+": TokenKind.ADD,
-    "-": TokenKind.SUB,
-    "*": TokenKind.MUL,
-    "/": TokenKind.QUO,
-    "%": TokenKind.REM,
-    "&": TokenKind.AND,
-    "|": TokenKind.OR,
-    "^": TokenKind.XOR,
-    "<": TokenKind.LSS,
-    ">": TokenKind.GTR,
-    "=": TokenKind.ASSIGN,
-    "!": TokenKind.NOT,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "[": TokenKind.LBRACK,
-    "]": TokenKind.RBRACK,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    ",": TokenKind.COMMA,
-    ";": TokenKind.SEMICOLON,
-    ":": TokenKind.COLON,
-    ".": TokenKind.PERIOD,
+# Operator spellings, longest first: the regex alternation, like a greedy
+# scanner, takes the first spelling that matches.
+_OPERATORS = [
+    "<<=", ">>=", "...",
+    "&^", "<-", "++", "--", "==", "!=", "<=", ">=", ":=", "&&", "||", "<<", ">>",
+    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+    "+", "-", "*", "/", "%", "&", "|", "^", "<", ">", "=", "!",
+    "(", ")", "[", "]", "{", "}", ",", ";", ":", ".",
+]
+
+#: Spelling -> (kind, whether a newline after it inserts a semicolon), for
+#: keywords and operators; any other word is an identifier.
+_WORDS: Dict[str, Tuple[TokenKind, bool]] = {
+    text: (kind, kind in _ASI_KINDS) for text, kind in KEYWORDS.items()
+}
+_OPS: Dict[str, Tuple[TokenKind, bool]] = {
+    text: (TokenKind(text), TokenKind(text) in _ASI_KINDS) for text in _OPERATORS
+}
+_IDENTIFIER = (TokenKind.IDENT, True)
+
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"', "'": "'", "0": "\0"}
+_ESCAPE = re.compile(r"\\(.)", re.S)
+
+
+def _unescape(match: re.Match) -> str:
+    return _ESCAPES.get(match[1], match[1])
+
+
+# Master-pattern alternatives, numbered by capture group.  The
+# unexpected-character alternative never matches a blank, and ``\Z`` ends the
+# scan after trailing blanks: a match can never give blanks back and retry,
+# which on trailing blanks would make the scan quadratic.
+(_NEWLINE, _LINE_COMMENT, _BLOCK_COMMENT, _IDENT, _FLOAT, _INT, _STRING, _RAW_STRING,
+ _RUNE, _UNTERMINATED, _OPERATOR, _UNEXPECTED, _END) = range(1, 14)
+
+_MASTER_TEMPLATE = r"""[ \t\r]*(?:
+    (\n)
+  | (//[^\n]*)
+  | (/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
+  | ([{L}]\w*)
+  | ((?:[{D}][{D}_]*)?\.[{D}]+(?:[eE](?:[+-][{D}]*|[{D}]+))?
+     | [{D}][{D}_]*[eE](?:[+-][{D}]*|[{D}]+))
+  | (0[xX][0-9a-fA-F_]*|[{D}][{D}_]*)
+  | ("[^"\\\n]*(?:\\.[^"\\\n]*)*")
+  | (`[^`]*`)
+  | ('(?:\\.|[^\\])')
+  | (["'`]|/\*)
+  | ({OPS})
+  | ([^ \t\r])
+  | (\Z)
+)"""
+
+
+def _compile_master(letters: str, digits: str) -> re.Pattern:
+    ops = "|".join(re.escape(op) for op in _OPERATORS)
+    return re.compile(_MASTER_TEMPLATE.format(L=letters, D=digits, OPS=ops), re.S | re.X)
+
+
+_ASCII_MASTER = _compile_master("A-Za-z_", "0-9")
+
+# Where an unterminated literal's error is reported: after its longest prefix.
+_STRING_PREFIX = re.compile(r'"[^"\\\n]*(?:\\.[^"\\\n]*)*\\?', re.S)
+_RUNE_PREFIX = re.compile(r"'(?:\\.?|.)?", re.S)
+_UNTERMINATED_MESSAGE = {
+    '"': "unterminated string literal",
+    "`": "unterminated raw string literal",
+    "'": "unterminated rune literal",
+    "/*": "unterminated block comment",
 }
 
-# Multi-character operators ordered longest-first so greedy matching is correct.
-_MULTI_OPS = [
-    ("<<=", TokenKind.SHL_ASSIGN),
-    (">>=", TokenKind.SHR_ASSIGN),
-    ("...", TokenKind.ELLIPSIS),
-    ("&^", TokenKind.AND_NOT),
-    ("<-", TokenKind.ARROW),
-    ("++", TokenKind.INC),
-    ("--", TokenKind.DEC),
-    ("==", TokenKind.EQL),
-    ("!=", TokenKind.NEQ),
-    ("<=", TokenKind.LEQ),
-    (">=", TokenKind.GEQ),
-    (":=", TokenKind.DEFINE),
-    ("&&", TokenKind.LAND),
-    ("||", TokenKind.LOR),
-    ("<<", TokenKind.SHL),
-    (">>", TokenKind.SHR),
-    ("+=", TokenKind.ADD_ASSIGN),
-    ("-=", TokenKind.SUB_ASSIGN),
-    ("*=", TokenKind.MUL_ASSIGN),
-    ("/=", TokenKind.QUO_ASSIGN),
-    ("%=", TokenKind.REM_ASSIGN),
-    ("&=", TokenKind.AND_ASSIGN),
-    ("|=", TokenKind.OR_ASSIGN),
-    ("^=", TokenKind.XOR_ASSIGN),
-]
+
+def _char_class(chars: List[str]) -> str:
+    """Regex character-class body matching exactly ``chars`` (sorted)."""
+    parts: List[str] = []
+    start = prev = ord(chars[0])
+    for code in [ord(ch) for ch in chars[1:]] + [-1]:
+        if code != prev + 1:
+            parts.append(re.escape(chr(start)) + ("-" + re.escape(chr(prev)) if prev > start else ""))
+            start = code
+        prev = code
+    return "".join(parts)
+
+
+@functools.cache
+def _unicode_master() -> re.Pattern:
+    """The master pattern with ``str.isalpha``/``str.isdigit`` classes over
+    all of Unicode, built on the first non-ASCII source."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    # Word characters other than "_" and decimal digits: the letters, and
+    # numerics such as "²" or "½" that are not letters.
+    others = re.findall(r"[^\W\d_]", every)
+    letters = [ch for ch in others if ch.isalpha()] + ["_"]
+    digits = re.findall(r"\d", every) + [ch for ch in others if ch.isdigit()]
+    return _compile_master(_char_class(sorted(letters)), _char_class(sorted(digits)))
+
+
+#: Interned positions, shared by every token at the same (line, column).
+#: Bounded so that hostile input cannot grow it without limit.
+_POSITIONS: Dict[Tuple[int, int], Position] = {}
+_POSITIONS_MAX = 1 << 14
+
+
+def _position(line: int, column: int) -> Position:
+    key = (line, column)
+    pos = _POSITIONS.get(key)
+    if pos is None:
+        if len(_POSITIONS) >= _POSITIONS_MAX:
+            _POSITIONS.clear()
+        pos = _POSITIONS[key] = Position(line, column)
+    return pos
 
 
 class Lexer:
@@ -94,225 +163,94 @@ class Lexer:
     def __init__(self, source: str, filename: str = "<source>"):
         self.source = source
         self.filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-        self._tokens: List[Token] = []
-        self._keep_comments = False
-
-    # -- low-level character helpers -------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self.source):
-            return ""
-        return self.source[index]
-
-    def _advance(self) -> str:
-        ch = self.source[self._pos]
-        self._pos += 1
-        if ch == "\n":
-            self._line += 1
-            self._col = 1
-        else:
-            self._col += 1
-        return ch
-
-    def _position(self) -> Position:
-        return Position(self._line, self._col)
-
-    def _error(self, message: str) -> GoSyntaxError:
-        return GoSyntaxError(message, self.filename, self._line, self._col)
-
-    # -- token emission ---------------------------------------------------------------
-
-    def _emit(self, kind: TokenKind, text: str, pos: Position) -> None:
-        self._tokens.append(Token(kind, text, pos))
-
-    def _last_real_token(self) -> Token | None:
-        for token in reversed(self._tokens):
-            if token.kind is not TokenKind.COMMENT:
-                return token
-        return None
-
-    def _maybe_insert_semicolon(self) -> None:
-        last = self._last_real_token()
-        if last is not None and last.kind in _ASI_KINDS:
-            self._emit(TokenKind.SEMICOLON, "\n", Position(self._line, self._col))
-
-    # -- scanning ---------------------------------------------------------------------
 
     def tokenize(self, keep_comments: bool = False) -> List[Token]:
         """Scan the full source and return the token list (ending with EOF)."""
-        self._keep_comments = keep_comments
-        while self._pos < len(self.source):
-            ch = self._peek()
-            if ch == "\n":
-                self._maybe_insert_semicolon()
-                self._advance()
-            elif ch in " \t\r":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                self._scan_line_comment()
-            elif ch == "/" and self._peek(1) == "*":
-                self._scan_block_comment()
-            elif ch.isalpha() or ch == "_":
-                self._scan_identifier()
-            elif ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-                self._scan_number()
-            elif ch == '"':
-                self._scan_string()
-            elif ch == "`":
-                self._scan_raw_string()
-            elif ch == "'":
-                self._scan_char()
-            else:
-                self._scan_operator()
-        self._maybe_insert_semicolon()
-        self._emit(TokenKind.EOF, "", Position(self._line, self._col))
-        return self._tokens
-
-    def _scan_line_comment(self) -> None:
-        pos = self._position()
-        text_chars: List[str] = []
-        while self._pos < len(self.source) and self._peek() != "\n":
-            text_chars.append(self._advance())
-        if self._keep_comments:
-            self._emit(TokenKind.COMMENT, "".join(text_chars), pos)
-
-    def _scan_block_comment(self) -> None:
-        pos = self._position()
-        text_chars: List[str] = [self._advance(), self._advance()]  # consume '/*'
-        saw_newline = False
-        while self._pos < len(self.source):
-            if self._peek() == "*" and self._peek(1) == "/":
-                text_chars.append(self._advance())
-                text_chars.append(self._advance())
+        source = self.source
+        master = _ASCII_MASTER if source.isascii() else _unicode_master()
+        positions = _POSITIONS
+        tokens: List[Token] = []
+        append = tokens.append
+        line, line_start = 1, 0
+        # Whether the last non-comment token lets a newline insert a semicolon.
+        asi = False
+        for m in master.finditer(source):
+            group = m.lastindex
+            if group == _NEWLINE:
+                start = m.end() - 1
+                if asi:
+                    pos = _position(line, start - line_start + 1)
+                    append(Token(TokenKind.SEMICOLON, "\n", pos))
+                    asi = False
+                line += 1
+                line_start = start + 1
+                continue
+            start, end = m.span(group)
+            text = source[start:end]
+            column = start - line_start + 1
+            pos = positions.get((line, column)) or _position(line, column)
+            if group == _IDENT:
+                kind, asi = _WORDS.get(text, _IDENTIFIER)
+            elif group == _OPERATOR:
+                kind, asi = _OPS[text]
+            elif group == _INT:
+                kind, asi = TokenKind.INT, True
+            elif group == _FLOAT:
+                kind, asi = TokenKind.FLOAT, True
+            elif group == _LINE_COMMENT:
+                if keep_comments:
+                    append(Token(TokenKind.COMMENT, text, pos))
+                continue
+            elif group == _UNTERMINATED or group == _UNEXPECTED:
+                raise self._error(text, start)
+            elif group == _END:
                 break
-            if self._peek() == "\n":
-                saw_newline = True
-            text_chars.append(self._advance())
+            else:
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = start + text.rindex("\n") + 1
+                if group == _BLOCK_COMMENT:
+                    if keep_comments:
+                        append(Token(TokenKind.COMMENT, text, pos))
+                    if asi and "\n" in text:
+                        # A block comment containing a newline acts like a newline.
+                        end_pos = _position(line, end - line_start + 1)
+                        append(Token(TokenKind.SEMICOLON, "\n", end_pos))
+                        asi = False
+                    continue
+                asi = True
+                if group == _RUNE:
+                    kind, text = TokenKind.CHAR, text[1:-1]
+                    if len(text) == 2:
+                        text = _ESCAPES.get(text[1], text[1])
+                else:
+                    kind, text = TokenKind.STRING, text[1:-1]
+                    if group == _STRING and "\\" in text:
+                        text = _ESCAPE.sub(_unescape, text)
+            append(Token(kind, text, pos))
+        eof = _position(line, len(source) - line_start + 1)
+        if asi:
+            append(Token(TokenKind.SEMICOLON, "\n", eof))
+        append(Token(TokenKind.EOF, "", eof))
+        return tokens
+
+    def _error(self, text: str, offset: int) -> GoSyntaxError:
+        """The error for the match ``text`` at ``offset``: an unterminated
+        literal or comment, reported where the scan stops, or an unexpected
+        character, reported where it is."""
+        source = self.source
+        message = _UNTERMINATED_MESSAGE.get(text)
+        if message is None:
+            message = f"unexpected character {text!r}"
+        elif text == '"':
+            offset = _STRING_PREFIX.match(source, offset).end()
+        elif text == "'":
+            offset = _RUNE_PREFIX.match(source, offset).end()
         else:
-            raise self._error("unterminated block comment")
-        if self._keep_comments:
-            self._emit(TokenKind.COMMENT, "".join(text_chars), pos)
-        if saw_newline:
-            # A block comment containing a newline acts like a newline for ASI.
-            self._maybe_insert_semicolon()
-
-    def _scan_identifier(self) -> None:
-        pos = self._position()
-        chars: List[str] = []
-        while self._pos < len(self.source) and (self._peek().isalnum() or self._peek() == "_"):
-            chars.append(self._advance())
-        text = "".join(chars)
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        self._emit(kind, text, pos)
-
-    def _scan_number(self) -> None:
-        pos = self._position()
-        chars: List[str] = []
-        is_float = False
-        if self._peek() == "0" and self._peek(1) != "" and self._peek(1) in "xX":
-            chars.append(self._advance())
-            chars.append(self._advance())
-            while self._pos < len(self.source) and (self._peek() in "0123456789abcdefABCDEF_"):
-                chars.append(self._advance())
-            self._emit(TokenKind.INT, "".join(chars), pos)
-            return
-        while self._pos < len(self.source) and (self._peek().isdigit() or self._peek() == "_"):
-            chars.append(self._advance())
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            chars.append(self._advance())
-            while self._pos < len(self.source) and self._peek().isdigit():
-                chars.append(self._advance())
-        next_char = self._peek()
-        after = self._peek(1)
-        if next_char != "" and next_char in "eE" and (
-            after.isdigit() or (after != "" and after in "+-")
-        ):
-            is_float = True
-            chars.append(self._advance())
-            if self._peek() != "" and self._peek() in "+-":
-                chars.append(self._advance())
-            while self._pos < len(self.source) and self._peek().isdigit():
-                chars.append(self._advance())
-        kind = TokenKind.FLOAT if is_float else TokenKind.INT
-        self._emit(kind, "".join(chars), pos)
-
-    def _scan_string(self) -> None:
-        pos = self._position()
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            if self._pos >= len(self.source) or self._peek() == "\n":
-                raise self._error("unterminated string literal")
-            ch = self._advance()
-            if ch == '"':
-                break
-            if ch == "\\":
-                escape = self._advance()
-                chars.append(_decode_escape(escape))
-            else:
-                chars.append(ch)
-        self._emit(TokenKind.STRING, "".join(chars), pos)
-
-    def _scan_raw_string(self) -> None:
-        pos = self._position()
-        self._advance()  # opening backquote
-        chars: List[str] = []
-        while True:
-            if self._pos >= len(self.source):
-                raise self._error("unterminated raw string literal")
-            ch = self._advance()
-            if ch == "`":
-                break
-            chars.append(ch)
-        self._emit(TokenKind.STRING, "".join(chars), pos)
-
-    def _scan_char(self) -> None:
-        pos = self._position()
-        self._advance()  # opening quote
-        if self._pos >= len(self.source):
-            raise self._error("unterminated rune literal")
-        ch = self._advance()
-        if ch == "\\":
-            ch = _decode_escape(self._advance())
-        if self._peek() != "'":
-            raise self._error("unterminated rune literal")
-        self._advance()
-        self._emit(TokenKind.CHAR, ch, pos)
-
-    def _scan_operator(self) -> None:
-        pos = self._position()
-        rest = self.source[self._pos:]
-        for spelling, kind in _MULTI_OPS:
-            if rest.startswith(spelling):
-                for _ in spelling:
-                    self._advance()
-                self._emit(kind, spelling, pos)
-                return
-        ch = self._peek()
-        kind = _SIMPLE_OPS.get(ch)
-        if kind is None:
-            raise self._error(f"unexpected character {ch!r}")
-        self._advance()
-        self._emit(kind, ch, pos)
-
-
-def _decode_escape(escape: str) -> str:
-    """Decode a single-character escape sequence used inside string/rune literals."""
-    mapping = {
-        "n": "\n",
-        "t": "\t",
-        "r": "\r",
-        "\\": "\\",
-        '"': '"',
-        "'": "'",
-        "0": "\0",
-    }
-    return mapping.get(escape, escape)
+            offset = len(source)
+        line = source.count("\n", 0, offset) + 1
+        column = offset - source.rfind("\n", 0, offset)
+        return GoSyntaxError(message, self.filename, line, column)
 
 
 def tokenize(source: str, filename: str = "<source>", keep_comments: bool = False) -> List[Token]:

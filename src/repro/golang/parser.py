@@ -54,6 +54,8 @@ class Parser:
         self.filename = filename
         self.tokens = tokenize(source, filename)
         self.index = 0
+        #: The current token, ``tokens[index]``; :meth:`advance` moves both.
+        self.tok: Token = self.tokens[0]
         # When > 0, a bare `{` following an identifier is NOT treated as a
         # composite literal (mirrors Go's rule for if/for/switch headers).
         self._no_composite = 0
@@ -61,10 +63,6 @@ class Parser:
     # ------------------------------------------------------------------
     # Token-stream helpers
     # ------------------------------------------------------------------
-
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.index]
 
     def peek(self, offset: int = 1) -> Token:
         index = min(self.index + offset, len(self.tokens) - 1)
@@ -77,7 +75,13 @@ class Parser:
         token = self.tok
         if token.kind is not TokenKind.EOF:
             self.index += 1
+            self.tok = self.tokens[self.index]
         return token
+
+    def _seek(self, index: int) -> None:
+        """Move the cursor back to ``index`` (for backtracking)."""
+        self.index = index
+        self.tok = self.tokens[index]
 
     def accept(self, kind: TokenKind) -> Optional[Token]:
         if self.tok.kind is kind:
@@ -116,7 +120,18 @@ class Parser:
     # ------------------------------------------------------------------
 
     def parse_file(self) -> ast.File:
-        """Parse a complete source file."""
+        """Parse a complete source file.
+
+        The parser recurses on every nesting level, so input nested deeper
+        than the interpreter's recursion limit allows raises ``nesting too
+        deep`` at the token reached.
+        """
+        try:
+            return self._parse_file()
+        except RecursionError:
+            raise self.error("nesting too deep") from None
+
+    def _parse_file(self) -> ast.File:
         self.skip_semicolons()
         pos = self.tok.pos
         self.expect(TokenKind.PACKAGE, "package clause")
@@ -325,9 +340,9 @@ class Parser:
                     if self.at(TokenKind.RBRACK):
                         self.advance()
                     else:
-                        self.index = save
+                        self._seek(save)
                 except GoSyntaxError:
-                    self.index = save
+                    self._seek(save)
             return expr
         if kind is TokenKind.MUL:
             self.advance()
@@ -877,7 +892,10 @@ def parse_file(source: str, filename: str = "<source>") -> ast.File:
 def parse_expr(source: str) -> ast.Expr:
     """Parse a single expression (useful in tests and fix strategies)."""
     parser = Parser(source, "<expr>")
-    expr = parser.parse_expression()
+    try:
+        expr = parser.parse_expression()
+    except RecursionError:
+        raise parser.error("nesting too deep") from None
     parser.skip_semicolons()
     if not parser.at(TokenKind.EOF):
         raise parser.error("unexpected trailing tokens after expression")

@@ -175,7 +175,11 @@ PRECEDENCE = {
 
 @dataclass(frozen=True)
 class Position:
-    """A 1-based source position."""
+    """A 1-based source position.
+
+    The lexer interns positions, so one object is shared by every token and
+    AST node at the same place: it must stay immutable.
+    """
 
     line: int = 0
     column: int = 0
@@ -184,9 +188,12 @@ class Position:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     """A single lexical token.
+
+    Not frozen: a frozen dataclass costs several times more to build, and
+    the lexer builds one per token.  Tokens are not shared between parsers.
 
     Attributes
     ----------

@@ -1,5 +1,7 @@
 """Tests for the Go-subset lexer."""
 
+import time
+
 import pytest
 
 from repro.errors import GoSyntaxError
@@ -126,3 +128,27 @@ class TestComments:
     def test_unterminated_string_raises(self):
         with pytest.raises(GoSyntaxError):
             tokenize('s := "oops')
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("source", [
+        "x" + " \t" * 50_000,
+        "/*" + "*a" * 50_000,
+        '"' + "\\a" * 50_000,
+        "1_" * 50_000,
+    ], ids=["trailing-blanks", "open-comment", "open-string", "long-number"])
+    def test_long_input_scans_in_linear_time(self, source):
+        # A master pattern that backtracked into trailing blanks took tens
+        # of seconds on inputs a tenth of this size.
+        start = time.perf_counter()
+        try:
+            tokenize(source)
+        except GoSyntaxError:
+            pass
+        assert time.perf_counter() - start < 2.0
+
+    def test_positions_are_shared_and_immutable(self):
+        first, second = tokenize("a"), tokenize("a")
+        assert first[0].pos is second[0].pos
+        with pytest.raises(AttributeError):
+            first[0].pos.line = 2

@@ -239,3 +239,24 @@ class TestHelpers:
         assert file.find_func("missing") is None
         assert file.find_type("T") is not None
         assert len(file.func_decls()) == 2
+
+
+class TestNesting:
+    """Input nested past the recursion limit is a syntax error, not a crash."""
+
+    @pytest.mark.parametrize("body", [
+        "x := " + "(" * 3000 + "1" + ")" * 3000,
+        "{" * 3000 + "}" * 3000,
+    ], ids=["parentheses", "blocks"])
+    def test_deep_nesting_raises_syntax_error(self, body):
+        with pytest.raises(GoSyntaxError, match="nesting too deep") as caught:
+            parse_file("package p; func f() { " + body + " }")
+        assert caught.value.line == 1 and caught.value.column > 1
+
+    def test_deep_expression_raises_syntax_error(self):
+        with pytest.raises(GoSyntaxError, match="nesting too deep"):
+            parse_expr("(" * 3000 + "1" + ")" * 3000)
+
+    def test_moderate_nesting_still_parses(self):
+        file = parse_file("package p; func f() { x := " + "(" * 50 + "1" + ")" * 50 + " }")
+        assert file.find_func("f") is not None

@@ -189,6 +189,17 @@ class TestServing:
             assert healthy.ok and healthy.payload["passed"]
 
 
+    def test_deeply_nested_source_is_a_build_error(self, config):
+        # Nesting past the parser's recursion limit is reported as a Go
+        # syntax error in the build, not as a RecursionError.
+        nested = "package demo\n\nfunc F() int {\n\treturn " + "(" * 3000 + "1" + ")" * 3000 + "\n}\n"
+        package = GoPackage(name="demo", files=[GoFile("deep.go", nested)])
+        payload = service_core.execute_detect(DetectRequest(package=package, runs=2), config)
+        assert not payload["built"]
+        [error] = payload["build_errors"]
+        assert error.startswith("deep.go:4:") and error.endswith(": nesting too deep")
+
+
 class TestAdmissionControl:
     def test_queue_bound_yields_structured_overloaded(self, config):
         service = DrFixService(config, database=None, max_queue_depth=3, start=False)
