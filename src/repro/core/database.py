@@ -112,8 +112,12 @@ class ExampleDatabase:
     # ------------------------------------------------------------------
 
     def query_code(self, code: str, racy_variable: str = "",
-                   racy_lines: Sequence[int] = ()) -> Optional[QueryResult]:
-        """Retrieve the nearest example for a racy code item."""
+                   racy_lines: Sequence[int] = (),
+                   filename: str = "<source>") -> Optional[QueryResult]:
+        """Retrieve the nearest example for a racy code item.
+
+        ``filename`` names the code's file, so that skeletonizing a whole file
+        reuses the tree the build already parsed."""
         if not code.strip() or len(self.store) == 0:
             return None
         if self.config.use_skeleton:
@@ -121,6 +125,7 @@ class ExampleDatabase:
                 code,
                 racy_lines=racy_lines,
                 racy_variables=[racy_variable] if racy_variable else (),
+                filename=filename,
             ).text
         else:
             key_text = code
@@ -131,7 +136,8 @@ class ExampleDatabase:
     def best_example(self, item: CodeItem) -> Optional[ExampleEntry]:
         """The nearest example for a pipeline code item (or None)."""
         result = self.query_code(
-            item.code, racy_variable=item.racy_variable, racy_lines=item.racy_lines
+            item.code, racy_variable=item.racy_variable, racy_lines=item.racy_lines,
+            filename=item.file_name,
         )
         if result is None:
             return None

@@ -10,7 +10,7 @@ to touch vendored/external code and limits how many files a patch may change.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from repro.core.config import DrFixConfig, FixScope
@@ -127,6 +127,8 @@ class Patcher:
             original_ast = parse_file(original.source, item.file_name)
         except GoSyntaxError as exc:  # pragma: no cover - repository files always parse
             raise PatchError(f"cannot parse original file {item.file_name}: {exc}") from exc
+        # The parsed tree is shared: merge into a copy of its declaration list.
+        original_ast = replace(original_ast, decls=list(original_ast.decls))
         replaced_any = False
         for replacement in replacements:
             for index, decl in enumerate(original_ast.decls):

@@ -83,22 +83,17 @@ class RaceInfoExtractor:
     def __init__(self, package: GoPackage, config: Optional[DrFixConfig] = None):
         self.package = package
         self.config = (config or DrFixConfig()).validated()
-        self._parsed: Dict[str, ast.File] = {}
 
     # ------------------------------------------------------------------
 
     def _parse(self, file_name: str) -> Optional[ast.File]:
-        if file_name in self._parsed:
-            return self._parsed[file_name]
         file = self.package.file(file_name)
         if file is None:
             return None
         try:
-            parsed = parse_file(file.source, file_name)
+            return parse_file(file.source, file_name)
         except GoSyntaxError:
             return None
-        self._parsed[file_name] = parsed
-        return parsed
 
     def _is_external(self, file_name: str) -> bool:
         return any(file_name.startswith(prefix) for prefix in self.config.external_prefixes)

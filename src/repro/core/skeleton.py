@@ -22,7 +22,6 @@ then embedded and used as the retrieval key.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
@@ -195,7 +194,7 @@ class Skeletonizer:
         pieces: List[str] = []
         kept_functions: List[str] = []
         for decl in decls:
-            clone = copy.deepcopy(decl)
+            clone = ast.clone(decl)
             if clone.body is not None:
                 self._prune_block(clone.body, racy_vars)
             renamer.rename_decl(clone)

@@ -176,6 +176,9 @@ def _op_reorder_decls(draft: _Draft, case: RaceCase, rng: random.Random) -> bool
         fixed_ast = parse_file(fixed_source, racy_name)
     except Exception:  # noqa: BLE001 - skip files the parser cannot round-trip
         return False
+    # The parsed trees are shared: permute copies of their declaration lists.
+    racy_ast = replace(racy_ast, decls=list(racy_ast.decls))
+    fixed_ast = replace(fixed_ast, decls=list(fixed_ast.decls))
     func_slots = [i for i, d in enumerate(racy_ast.decls) if isinstance(d, ast.FuncDecl)]
     fixed_slots = [i for i, d in enumerate(fixed_ast.decls) if isinstance(d, ast.FuncDecl)]
     # The racy and fixed files are structurally parallel (same template layout,

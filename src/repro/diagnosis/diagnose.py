@@ -17,7 +17,7 @@ the CLI) can explain the diagnosis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.diagnosis.categories import RaceCategory
 from repro.diagnosis.registry import patterns_for_category
@@ -88,7 +88,6 @@ class RaceDiagnoser:
 
     def __init__(self, package: GoPackage):
         self.package = package
-        self._parsed: Dict[str, Optional[ast.File]] = {}
 
     # ------------------------------------------------------------------
 
@@ -220,16 +219,13 @@ class RaceDiagnoser:
     # -- parsing --------------------------------------------------------------------
 
     def _parse(self, file_name: str) -> Optional[ast.File]:
-        if file_name not in self._parsed:
-            file = self.package.file(file_name)
-            if file is None:
-                self._parsed[file_name] = None
-            else:
-                try:
-                    self._parsed[file_name] = parse_file(file.source, file_name)
-                except GoSyntaxError:
-                    self._parsed[file_name] = None
-        return self._parsed[file_name]
+        file = self.package.file(file_name)
+        if file is None:
+            return None
+        try:
+            return parse_file(file.source, file_name)
+        except GoSyntaxError:
+            return None
 
     # -- rule predicates ------------------------------------------------------------
 

@@ -125,6 +125,7 @@ def skeleton_noise_ablation(context: ExperimentContext) -> Dict[str, float]:
                 case.racy_source(),
                 racy_variable=case.racy_variable,
                 racy_lines=racy_lines,
+                filename=case.racy_file,
             )
             totals[mode] += 1
             if result is not None and result.metadata.get("strategy") == case.fix_strategy:

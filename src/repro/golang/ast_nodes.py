@@ -2,9 +2,14 @@
 
 Every node carries a :class:`~repro.golang.tokens.Position` (``pos``) pointing
 at its first token so that the race detector, the skeletonizer, and the
-patcher can all refer back to source lines.  Nodes are plain dataclasses; the
-tree is mutable on purpose — fix strategies transform programs in place before
-pretty-printing them back to source.
+patcher can all refer back to source lines.  Nodes are plain dataclasses.
+
+Trees returned by :func:`repro.golang.parser.parse_file` are shared between
+every caller that parses the same source, so they are read-only.  Code that
+transforms a program (fix strategies, the skeletonizer) first takes a private
+copy with :func:`clone` and mutates that copy in place before pretty-printing
+it back to source; code that only rearranges a file's top-level declarations
+(the patcher) copies the ``File`` with a fresh ``decls`` list instead.
 """
 
 from __future__ import annotations
@@ -42,6 +47,30 @@ def walk(node: Node) -> Iterator[Node]:
     yield node
     for child in node.children():
         yield from walk(child)
+
+
+def clone(node: Node) -> Node:
+    """A private, mutable copy of ``node``'s tree.
+
+    Every node and list is fresh; the frozen positions and the strings are
+    shared, which is what makes this much cheaper than ``copy.deepcopy``."""
+    copy = object.__new__(type(node))
+    fields = copy.__dict__
+    for name, value in node.__dict__.items():
+        if isinstance(value, Node):
+            value = clone(value)
+        elif isinstance(value, list):
+            value = [_clone_value(item) for item in value]
+        fields[name] = value
+    return copy
+
+
+def _clone_value(value):
+    if isinstance(value, Node):
+        return clone(value)
+    if isinstance(value, list):
+        return [_clone_value(item) for item in value]
+    return value
 
 
 # ---------------------------------------------------------------------------

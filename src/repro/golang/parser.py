@@ -11,6 +11,7 @@ pointers, variadic calls, and type assertions.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional
 
 from repro.errors import GoSyntaxError
@@ -885,8 +886,24 @@ def _as_call(expr: ast.Expr, pos: Position) -> ast.CallExpr:
 
 
 def parse_file(source: str, filename: str = "<source>") -> ast.File:
-    """Parse Go source text into a :class:`repro.golang.ast_nodes.File`."""
+    """Parse Go source text into a :class:`repro.golang.ast_nodes.File`.
+
+    The tree is shared and read-only: every pipeline stage re-reads the same
+    sources, so successful parses are kept in a small process-wide LRU keyed
+    by ``(source, filename)`` (``File.name`` records the filename).  Code that
+    mutates a tree mutates a copy made with :func:`ast_nodes.clone`.  A syntax
+    error is never cached; it raises on every call."""
+    return _parse_shared(source, filename)
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_shared(source: str, filename: str) -> ast.File:
     return Parser(source, filename).parse_file()
+
+
+#: Counters (``hits``, ``misses``, ``currsize``) and reset of the parse cache.
+parse_cache_info = _parse_shared.cache_info
+clear_parse_cache = _parse_shared.cache_clear
 
 
 def parse_expr(source: str) -> ast.Expr:
@@ -903,7 +920,9 @@ def parse_expr(source: str) -> ast.Expr:
 
 
 def parse_stmts(source: str, filename: str = "<stmts>") -> List[ast.Stmt]:
-    """Parse a sequence of statements (wrapped internally in a function body)."""
+    """Parse a sequence of statements (wrapped internally in a function body).
+
+    The statements belong to a shared :func:`parse_file` tree: read-only."""
     wrapped = "package p\nfunc __wrapper__() {\n" + source + "\n}\n"
     file = parse_file(wrapped, filename)
     func = file.find_func("__wrapper__")

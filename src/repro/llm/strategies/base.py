@@ -9,7 +9,6 @@ entire revised code — the response format Dr.Fix's prompt demands.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -78,7 +77,7 @@ class FixStrategy:
 
     @staticmethod
     def clone_scope(scope: ScopeCode) -> ScopeCode:
-        return ScopeCode(file=copy.deepcopy(scope.file), wrapped=scope.wrapped)
+        return ScopeCode(file=ast.clone(scope.file), wrapped=scope.wrapped)
 
     @staticmethod
     def functions(scope: ScopeCode) -> List[ast.FuncDecl]:

@@ -3,7 +3,6 @@ copies, and parallel-test isolation (the RAG-pivotal patterns of Table 4)."""
 
 from __future__ import annotations
 
-import copy
 from typing import List, Optional, Tuple
 
 from repro.diagnosis import examples
@@ -481,7 +480,7 @@ class ParallelTestIsolationStrategy(FixStrategy):
         for node in ast.walk(func.body):
             if isinstance(node, ast.KeyValueExpr) and isinstance(node.value, ast.Ident) \
                     and node.value.name == variable:
-                node.value = copy.deepcopy(init_expr)
+                node.value = ast.clone(init_expr)
 
     def _move_into_closures(self, func: ast.FuncDecl, variable: str, init_expr: ast.Expr) -> None:
         for node in ast.walk(func.body):
@@ -491,7 +490,7 @@ class ParallelTestIsolationStrategy(FixStrategy):
                     if isinstance(arg, ast.FuncLit) and self.references_name(arg.body, variable):
                         fresh = ast.AssignStmt(
                             lhs=[ast.ident(variable)], tok=":=",
-                            rhs=[copy.deepcopy(init_expr)],
+                            rhs=[ast.clone(init_expr)],
                         )
                         insert_at = 0
                         for index, stmt in enumerate(arg.body.stmts):

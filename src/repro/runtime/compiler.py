@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from repro.errors import GoPanic, GoRuntimeError, GoSyntaxError
 from repro.execution import resolve_slicing
 from repro.golang import ast_nodes as ast
-from repro.golang.parser import parse_file
+from repro.golang.parser import clear_parse_cache, parse_cache_info, parse_file
 from repro.golang.slicing import FunctionSlice, slice_function, package_scope_bindings
 from repro.runtime import stdlib
 from repro.runtime.goroutine import Frame, Goroutine, STEP, blocked
@@ -1831,7 +1831,9 @@ class BuiltPackage:
         """Lower the program on first compiled-engine use (thread-safe).
 
         ``slicing`` resolves through :func:`repro.execution.resolve_slicing`
-        (explicit argument, then ``DRFIX_SLICING``, then on)."""
+        (explicit argument, then ``DRFIX_SLICING``, then on).  Nesting the
+        parser accepts can still be too deep to lower; the build then fails
+        with the parser's ``nesting too deep`` error and this returns ``None``."""
         if self.errors:
             return None
         mode = resolve_slicing(slicing)
@@ -1844,14 +1846,31 @@ class BuiltPackage:
                     # cache chain of patched candidates cannot pin every
                     # ancestor program in memory.
                     donor = self._donor_programs.pop(mode, None)
-                    program = CompiledProgram(
-                        self.files, fingerprint=self.fingerprint, slicing=mode,
-                        donor=donor,
-                        reused=self._reused_decl_ids if donor is not None else frozenset())
+                    try:
+                        program = CompiledProgram(
+                            self.files, fingerprint=self.fingerprint, slicing=mode,
+                            donor=donor,
+                            reused=self._reused_decl_ids if donor is not None else frozenset())
+                    except RecursionError:
+                        self.errors = [_nesting_error(self.files)]
+                        return None
                     self._programs[mode] = program
                     if self._cache is not None:
                         self._cache._note_units(program.unit_hits, program.unit_misses)
         return program
+
+
+def _nesting_error(files: List[ast.File]) -> str:
+    """The parser's ``nesting too deep`` error, at the most deeply nested node."""
+    deepest, where = -1, None
+    stack = [(file, file.name, 0) for file in files]
+    while stack:  # iterative: the tree is too deep to recurse over
+        node, file_name, depth = stack.pop()
+        if depth > deepest:
+            deepest, where = depth, (file_name, node.pos)
+        stack.extend((child, file_name, depth + 1) for child in node.children())
+    file_name, pos = where
+    return str(GoSyntaxError("nesting too deep", file_name, pos.line, pos.column))
 
 
 def package_fingerprint(package) -> str:
@@ -2194,6 +2213,7 @@ class ProgramCache:
 
     def stats(self) -> Dict[str, int]:
         """A consistent snapshot of every cache counter (for observability)."""
+        parse = parse_cache_info()
         with self._lock:
             return {
                 "entries": len(self._entries),
@@ -2206,9 +2226,16 @@ class ProgramCache:
                 "derived_builds": self.derived_builds,
                 "unit_hits": self.unit_hits,
                 "unit_misses": self.unit_misses,
+                # The shared parse cache behind every ``parse_file`` call
+                # (named apart from ``hits``/``misses``, which count builds).
+                "parse_hits": parse.hits,
+                "parse_misses": parse.misses,
+                "parse_entries": parse.currsize,
             }
 
     def clear(self) -> None:
+        """Cold-start reset: every build and every shared parse is dropped."""
+        clear_parse_cache()
         with self._lock:
             self._entries.clear()
             self._by_name.clear()

@@ -591,12 +591,16 @@ class GoTestHarness:
         result = PackageRunResult(package=self.package.name)
         result.dedup_enabled = self.dedup
         build = self.build()
+        tests = build.tests
+        entries: List[str] = list(entry_functions) if entry_functions else []
+        if (self.engine is EngineKind.COMPILED and not build.errors
+                and (tests or entries)):
+            # Lower before any run: nesting too deep to lower fails the build.
+            build.ensure_program(self.slicing)
         if build.errors:
             result.build_errors = list(build.errors)
             return result
-        tests = build.tests
         result.tests_discovered = len(tests)
-        entries: List[str] = list(entry_functions) if entry_functions else []
         if not tests and not entries:
             # Nothing to exercise; treat as an empty, passing package.
             return result

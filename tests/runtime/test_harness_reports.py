@@ -1,5 +1,6 @@
 """Tests for the go-test harness and the ThreadSanitizer-format reports."""
 
+from repro.golang.parser import parse_file
 from repro.runtime.harness import GoFile, GoPackage, GoTestHarness, run_package_tests
 from repro.runtime.race_report import RaceReport, call_paths, merge_reports, parse_report
 
@@ -33,6 +34,20 @@ class TestHarness:
         assert not result.built
         assert result.build_errors
         assert "BUILD FAILED" in result.summary()
+
+    def test_nesting_too_deep_to_lower_is_a_build_error(self):
+        # 300 nested blocks parse, but lowering them recurses past the
+        # interpreter's limit: the build fails the way the parser's does.
+        body = "x := 0\n" + "{\n" * 300 + "x++\n" + "}\n" * 300
+        source = ("package deep\n\nimport \"testing\"\n\n"
+                  "func TestDeep(t *testing.T) {\n" + body + "}\n")
+        parse_file(source, "deep_test.go")
+        package = GoPackage(name="deep", files=[GoFile("deep_test.go", source)])
+        for _ in range(2):  # the second run takes the cached, failed build
+            result = run_package_tests(package, runs=2)
+            assert not result.built
+            [error] = result.build_errors
+            assert error.startswith("deep_test.go:") and error.endswith(": nesting too deep")
 
     def test_racy_package_summary_mentions_races(self, listing1_package):
         result = run_package_tests(listing1_package, runs=8)

@@ -205,5 +205,6 @@ class TestIncrementalBuilds:
             "entries", "capacity", "hits", "misses", "evictions",
             "singleflight_waits", "full_builds", "derived_builds",
             "unit_hits", "unit_misses",
+            "parse_hits", "parse_misses", "parse_entries",
         }
         assert expected == set(ProgramCache(capacity=2).stats())

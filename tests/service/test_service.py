@@ -200,6 +200,19 @@ class TestServing:
         assert error.startswith("deep.go:4:") and error.endswith(": nesting too deep")
 
 
+    def test_nesting_too_deep_to_lower_is_a_build_error(self, config):
+        # Nesting the parser accepts but the runtime compiler cannot lower
+        # is a build error too, not a RecursionError.
+        body = "x := 0\n" + "{\n" * 300 + "x++\n" + "}\n" * 300
+        source = ("package demo\n\nimport \"testing\"\n\n"
+                  "func TestDeep(t *testing.T) {\n" + body + "}\n")
+        package = GoPackage(name="demo", files=[GoFile("deep_test.go", source)])
+        payload = service_core.execute_detect(DetectRequest(package=package, runs=2), config)
+        assert not payload["built"]
+        [error] = payload["build_errors"]
+        assert error.startswith("deep_test.go:") and error.endswith(": nesting too deep")
+
+
 class TestAdmissionControl:
     def test_queue_bound_yields_structured_overloaded(self, config):
         service = DrFixService(config, database=None, max_queue_depth=3, start=False)
