@@ -21,9 +21,6 @@ Measures the inner loop every other benchmark sits on top of — repeated
 * **schedule_classes** — total seeded runs vs distinct schedule equivalence
   classes explored (the detector's HB-trace hash), per slicing mode —
   statistics only, the groundwork for schedule-class-aware run budgeting;
-* **incremental** — patch-aware recompilation: full cold build of a
-  multi-function package vs the derived rebuild after a one-function
-  candidate patch (the validator's hot path);
 * **speedup_vs_pr2** — the compiled+cache numbers against the pinned PR 2
   baseline (``benchmarks/baselines/interpreter_pr2.json``, measured from a git
   worktree of that commit on the same machine with the identical workload).
@@ -54,7 +51,7 @@ if str(_SRC) not in sys.path:
 
 from repro.corpus.generator import CorpusConfig, CorpusGenerator  # noqa: E402
 from repro.runtime.compiler import PROGRAM_CACHE  # noqa: E402
-from repro.runtime.harness import GoFile, GoPackage, run_package_tests  # noqa: E402
+from repro.runtime.harness import run_package_tests  # noqa: E402
 
 BASELINE_PATH = Path(__file__).resolve().parent / "baselines" / "interpreter_pr2.json"
 #: The workload mirrors a validator sweep: several harness invocations over
@@ -110,60 +107,6 @@ def _time_build(package) -> tuple[float, float]:
     PROGRAM_CACHE.get_or_build(package)
     warm = (time.perf_counter() - start) * 1000.0
     return cold, warm
-
-
-#: The incremental-compilation workload: a package with many functions where
-#: a candidate patch touches exactly one of them — the validator's hot path.
-_PATCH_FUNCTIONS = 24
-
-
-def _patch_packages() -> tuple[GoPackage, GoPackage]:
-    bodies = []
-    for i in range(_PATCH_FUNCTIONS):
-        bodies.append(
-            f"func Work{i}(n int) int {{\n"
-            f"\ttotal := {i}\n"
-            f"\tfor j := 0; j < n; j++ {{\n"
-            f"\t\ttotal += j\n"
-            f"\t}}\n"
-            f"\treturn total\n"
-            f"}}\n"
-        )
-    base_source = "package candidate\n\n" + "\n".join(bodies)
-    patched_source = base_source.replace("\ttotal := 3\n", "\ttotal := 303\n")
-    assert patched_source != base_source
-    base = GoPackage(name="candidate", files=[GoFile("lib.go", base_source)])
-    patched = GoPackage(name="candidate", files=[GoFile("lib.go", patched_source)])
-    return base, patched
-
-
-def _time_patch_rebuild(trials: int = TRIALS) -> dict:
-    """Full cold build vs patch-aware derived rebuild, best-of-``trials``."""
-    base, patched = _patch_packages()
-    cold_best = float("inf")
-    warm_best = float("inf")
-    # Each trial is a couple of builds (~10 ms), so best-of is cheap: always
-    # take enough trials that one GC pause cannot skew the ratio.
-    for _ in range(max(trials, 10)):
-        PROGRAM_CACHE.clear()
-        start = time.perf_counter()
-        PROGRAM_CACHE.get_or_build(patched).ensure_program()
-        cold_best = min(cold_best, time.perf_counter() - start)
-
-        PROGRAM_CACHE.clear()
-        PROGRAM_CACHE.get_or_build(base).ensure_program()
-        start = time.perf_counter()
-        PROGRAM_CACHE.get_or_build(patched).ensure_program()
-        warm_best = min(warm_best, time.perf_counter() - start)
-    derived = PROGRAM_CACHE.stats()["derived_builds"]
-    PROGRAM_CACHE.clear()
-    return {
-        "functions": _PATCH_FUNCTIONS,
-        "build_cold_ms": round(cold_best * 1000.0, 3),
-        "patch_rebuild_ms": round(warm_best * 1000.0, 3),
-        "speedup": round(cold_best / warm_best, 2) if warm_best else None,
-        "derived_builds_observed": derived,
-    }
 
 
 def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
@@ -283,7 +226,6 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
             "distinct_on": totals["classes_on"],
         },
     }
-    report["incremental"] = _time_patch_rebuild(trials)
     if baseline and totals["baseline_covered_s"]:
         report["totals"]["speedup_vs_pr2"] = round(
             totals["baseline_s"] / totals["baseline_covered_s"], 3)
@@ -330,11 +272,6 @@ def test_bench_interpreter_throughput_smoke():
     classes = totals["schedule_classes"]
     assert 0 < classes["distinct_off"] <= classes["runs"]
     assert 0 < classes["distinct_on"] <= classes["runs"]
-    # Patch-aware recompilation: a one-function candidate patch must rebuild
-    # ≥5× faster than a cold build of the same package.
-    incremental = report["incremental"]
-    assert incremental["derived_builds_observed"] >= 1, incremental
-    assert incremental["speedup"] >= 5.0, incremental
 
 
 def main(argv=None) -> int:
@@ -359,10 +296,6 @@ def main(argv=None) -> int:
     classes = totals["schedule_classes"]
     print(f"schedule classes:       {classes['distinct_on']} distinct / "
           f"{classes['runs']} runs (off: {classes['distinct_off']})")
-    incremental = report["incremental"]
-    print(f"patch-aware recompile:  ×{incremental['speedup']} "
-          f"({incremental['build_cold_ms']} ms cold vs "
-          f"{incremental['patch_rebuild_ms']} ms derived)")
     if "speedup_vs_pr2" in totals:
         print(f"compiled vs PR 2 base:  {totals['speedup_vs_pr2']}x")
     return 0

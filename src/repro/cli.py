@@ -45,7 +45,7 @@ from repro.core.database import ExampleDatabase
 from repro.core.pipeline import DrFix
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.diagnosis import RaceDiagnoser, all_patterns, category_from_value
-from repro.evaluation.executor import JOBS_ENV_VAR, resolve_jobs
+from repro.execution import JOBS_ENV_VAR, resolve_jobs
 from repro.evaluation.experiments import all_experiment_tables
 from repro.evaluation.reporting import render_report
 from repro.evaluation.runner import EvaluationRunner, ExperimentContext
@@ -393,9 +393,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print("program cache: "
           f"{cache_stats['hits']} hits / {cache_stats['misses']} misses, "
           f"{cache_stats['evictions']} evictions, "
-          f"{cache_stats['singleflight_waits']} single-flight waits, "
-          f"{cache_stats['full_builds']} full / {cache_stats['derived_builds']} derived builds, "
-          f"units {cache_stats['unit_hits']} reused / {cache_stats['unit_misses']} compiled")
+          f"{cache_stats['singleflight_waits']} single-flight waits")
     dedup_stats = SCHEDULE_CLASS_REGISTRY.stats()
     print("schedule dedup: "
           f"{dedup_stats['classes_explored']} classes explored, "

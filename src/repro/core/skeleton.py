@@ -29,6 +29,7 @@ from repro.golang import ast_nodes as ast
 from repro.golang.analysis import (
     SYNC_METHOD_NAMES,
     SYNC_PACKAGES,
+    UNIVERSE_NAMES,
     find_enclosing_function,
     names_on_lines,
     node_line_span,
@@ -36,7 +37,6 @@ from repro.golang.analysis import (
 )
 from repro.golang.parser import parse_file
 from repro.golang.printer import print_node
-from repro.golang.symbols import UNIVERSE_NAMES
 
 #: Identifier names never renamed: Go universe names, concurrency packages and
 #: methods, and the handful of stdlib packages whose identity carries signal.

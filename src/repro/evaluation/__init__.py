@@ -2,17 +2,18 @@
 
 * :mod:`repro.evaluation.metrics`    — fix rates, category breakdowns, percentiles;
 * :mod:`repro.evaluation.runner`     — run the pipeline over an evaluation split;
-* :mod:`repro.evaluation.executor`   — serial/thread/process case executors
-  (``--jobs`` / ``DRFIX_JOBS``) with deterministic result ordering;
 * :mod:`repro.evaluation.store`      — the persistent run store: per-case results
   cached on disk by (case id, configuration fingerprint);
 * :mod:`repro.evaluation.ablation`   — the RQ2/RQ3 ablation arms (Figures 3-4, LCA, models);
 * :mod:`repro.evaluation.survey`     — the RQ4 developer-survey table;
 * :mod:`repro.evaluation.experiments`— one function per table/figure;
 * :mod:`repro.evaluation.reporting`  — plain-text/markdown table rendering.
+
+The serial/thread/process case executors (``--jobs`` / ``DRFIX_JOBS``) live in
+:mod:`repro.execution` and are re-exported here.
 """
 
-from repro.evaluation.executor import CaseExecutor, ExecutorKind, resolve_jobs
+from repro.execution import CaseExecutor, ExecutorKind, resolve_jobs
 from repro.evaluation.metrics import FixRate, percentile
 from repro.evaluation.runner import (
     CaseResult,

@@ -4,7 +4,7 @@ The runner is the evaluation engine's hot path.  Three properties make it
 scale without changing any number in the paper's tables:
 
 * **pluggable execution** — cases dispatch through a
-  :class:`~repro.evaluation.executor.CaseExecutor` (serial, thread-pool, or
+  :class:`~repro.execution.CaseExecutor` (serial, thread-pool, or
   process-pool; worker count from an argument, ``DrFixConfig.jobs``, or the
   ``DRFIX_JOBS`` environment variable);
 * **determinism** — results are collected in submission order and every case's
@@ -30,7 +30,7 @@ from repro.core.review import ReviewDecision, ReviewerModel
 from repro.corpus.dataset import Dataset
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.corpus.ground_truth import RaceCase
-from repro.evaluation.executor import CaseExecutor, ExecutorKind, derive_case_seed
+from repro.execution import CaseExecutor, ExecutorKind, derive_case_seed
 from repro.evaluation.metrics import FixRate
 from repro.evaluation.store import RunStore, config_fingerprint, corpus_fingerprint
 

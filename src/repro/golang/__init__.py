@@ -9,9 +9,10 @@ the racy programs in the corpus:
 * :mod:`repro.golang.ast_nodes` — AST node dataclasses with source spans.
 * :mod:`repro.golang.parser` — recursive-descent parser.
 * :mod:`repro.golang.printer` — gofmt-like pretty printer (AST → source).
-* :mod:`repro.golang.symbols` — lexical scopes and capture (free-variable) analysis.
-* :mod:`repro.golang.analysis` — concurrency-construct discovery used by the
-  skeletonizer and the race-info extractor.
+* :mod:`repro.golang.analysis` — concurrency-construct discovery and Go's
+  universe names, used by the skeletonizer and the race-info extractor.
+* :mod:`repro.golang.slicing` — per-function binding analysis that tells the
+  compiler which accesses need no race instrumentation.
 
 The subset covers: package/import/type/var/const/func declarations, methods,
 closures, goroutines, defer, channels (send/receive/select/close), the

@@ -6,16 +6,26 @@ Helpers used by the skeletonizer (Section 4.3), the race-info extractor
 * find concurrency constructs (``go``, channels, ``sync.*``, ``atomic.*``);
 * collect the variable names referenced on given source lines (the racy
   variables of interest);
-* locate the function declaration or closure that encloses a source line;
-* enumerate goroutine-spawn sites.
+* locate the function declaration or closure that encloses a source line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Optional, Set, Tuple
 
 from repro.golang import ast_nodes as ast
+
+#: Identifiers predeclared in Go's universe scope.
+UNIVERSE_NAMES = {
+    "true", "false", "nil", "iota",
+    "append", "cap", "close", "copy", "delete", "len", "make", "new", "panic",
+    "print", "println", "recover",
+    "bool", "byte", "complex64", "complex128", "error", "float32", "float64",
+    "int", "int8", "int16", "int32", "int64", "rune", "string",
+    "uint", "uint8", "uint16", "uint32", "uint64", "uintptr", "any",
+    "_",
+}
 
 #: Selector roots that indicate a synchronization package.
 SYNC_PACKAGES = {"sync", "atomic"}
@@ -139,24 +149,6 @@ def names_on_lines(func: ast.FuncDecl | ast.FuncLit, lines: Iterable[int]) -> Se
     return names
 
 
-def assigned_names(func: ast.FuncDecl | ast.FuncLit) -> Set[str]:
-    """Return every name assigned anywhere inside the function (incl. closures)."""
-    names: Set[str] = set()
-    if func.body is None:
-        return names
-    for node in ast.walk(func.body):
-        if isinstance(node, ast.AssignStmt):
-            for expr in node.lhs:
-                name = ast.base_name(expr)
-                if name:
-                    names.add(name)
-        elif isinstance(node, ast.IncDecStmt):
-            name = ast.base_name(node.x)
-            if name:
-                names.add(name)
-    return names
-
-
 # ---------------------------------------------------------------------------
 # Function lookup by line
 # ---------------------------------------------------------------------------
@@ -191,77 +183,3 @@ def find_enclosing_function(file: ast.File, line: int) -> Optional[EnclosingFunc
                     closure = node
         best = EnclosingFunction(decl=decl, closure=closure)
     return best
-
-
-# ---------------------------------------------------------------------------
-# Goroutine spawn sites
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SpawnSite:
-    """A ``go`` statement together with its enclosing function."""
-
-    func: ast.FuncDecl
-    stmt: ast.GoStmt
-    line: int = 0
-    captured: Set[str] = field(default_factory=set)
-
-
-def find_spawn_sites(file: ast.File) -> List[SpawnSite]:
-    """Return every goroutine creation point in the file."""
-    from repro.golang.symbols import analyze_captures
-
-    sites: List[SpawnSite] = []
-    for decl in file.func_decls():
-        if decl.body is None:
-            continue
-        captures = {id(info.func_lit): info.captured for info in analyze_captures(decl, file)}
-        for node in ast.walk(decl.body):
-            if isinstance(node, ast.GoStmt):
-                captured: Set[str] = set()
-                if isinstance(node.call.fun, ast.FuncLit):
-                    captured = set(captures.get(id(node.call.fun), set()))
-                sites.append(SpawnSite(func=decl, stmt=node, line=node.pos.line, captured=captured))
-    return sites
-
-
-def functions_called(func: ast.FuncDecl | ast.FuncLit) -> Set[str]:
-    """Return the set of function/method names called inside ``func``."""
-    called: Set[str] = set()
-    if func.body is None:
-        return called
-    for node in ast.walk(func.body):
-        if isinstance(node, ast.CallExpr):
-            if isinstance(node.fun, ast.Ident):
-                called.add(node.fun.name)
-            elif isinstance(node.fun, ast.SelectorExpr):
-                called.add(node.fun.sel)
-    return called
-
-
-def build_call_graph(file: ast.File) -> dict[str, Set[str]]:
-    """A name-based call graph: function name → called function names."""
-    graph: dict[str, Set[str]] = {}
-    for decl in file.func_decls():
-        graph[decl.name] = functions_called(decl)
-    return graph
-
-
-def lowest_common_ancestor(
-    call_paths: Tuple[List[str], List[str]],
-) -> Optional[str]:
-    """Return the deepest function appearing in both call paths.
-
-    ``call_paths`` are root-first lists of function names (Fig. 2).  The LCA is
-    the last common prefix element; when the paths diverge immediately the
-    shared root is returned, and ``None`` when there is no common frame at all.
-    """
-    first, second = call_paths
-    lca: Optional[str] = None
-    for a, b in zip(first, second):
-        if a == b:
-            lca = a
-        else:
-            break
-    return lca

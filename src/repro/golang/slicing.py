@@ -1,45 +1,30 @@
-"""Per-function CFG / def-use slicing driving selective instrumentation.
+"""Per-function binding analysis driving selective instrumentation.
 
 The compile-once engine instruments *every* identifier read and write with a
 schedule point and a detector callback, even though most accesses in a typical
 package touch bindings that provably can never be shared between goroutines.
-This module computes, once per parse, which accesses those are:
+This module computes, once per build, which accesses those are.
 
-* **Binding escape analysis** — every identifier occurrence inside a function
-  is resolved to the binding it denotes (mirroring the interpreter's lexical
-  environment chain).  A binding is *pure-local* when it is declared inside
-  its function unit (parameter, receiver, ``:=``, ``var``, range variable),
-  is never captured by a nested closure, and never has its address taken.
-  The cell behind such a binding is reachable by exactly one goroutine (Go
-  closures capture by reference, and pointers are the only other way out), so
-  eliding its schedule point and detector hook can never hide a race.
-* **Per-function CFG + def-use chains** — each function body is lowered to a
-  statement-level control-flow graph (the node-registry idiom of the classic
-  program-slicing tools: numbered nodes, predecessor/successor edges, per-node
-  def/use sets).  Reaching definitions over that graph yield def-use chains,
-  and a taint pass over the chains classifies every node — and hence the
-  function — as *interfering* (can reach a shared symbol: package-level,
-  captured, addressed, or a synchronization construct) or *pure-local*.
+Every identifier occurrence inside a function is resolved to the binding it
+denotes (mirroring the interpreter's lexical environment chain).  A binding is
+*pure-local* when it is declared inside its function unit (parameter,
+receiver, ``:=``, ``var``, range variable), is never captured by a nested
+closure, and never has its address taken.  The cell behind such a binding is
+reachable by exactly one goroutine (Go closures capture by reference, and
+pointers are the only other way out), so eliding its schedule point and
+detector hook can never hide a race.
 
 The compiler consumes :attr:`FunctionSlice.elidable` (identifier-node ids
-whose access instrumentation may be dropped); the CFG classification feeds the
-benchmark/observability stats and the docs.  Elidability is decided purely
-from the binding analysis — the CFG taint is statistics, so CFG imprecision
-can never unsound the elision.
-
-Decisions are function-local by construction (a patch to one function never
-changes another function's slice), which is what lets the incremental build
-path in :mod:`repro.runtime.compiler` reuse slice results per function unit.
+whose access instrumentation may be dropped).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.golang import ast_nodes as ast
-from repro.golang.analysis import expr_mentions_sync, stmt_is_concurrency
-from repro.golang.symbols import UNIVERSE_NAMES
+from repro.golang.analysis import UNIVERSE_NAMES
 
 #: Unit id used for package-scope bindings (no function declares them).
 _PACKAGE_UNIT = 0
@@ -85,208 +70,6 @@ class _Scope:
                 return binding
             scope = scope.parent
         return None
-
-
-# ---------------------------------------------------------------------------
-# CFG (node-registry idiom) + def-use chains
-# ---------------------------------------------------------------------------
-
-
-class CFGNode:
-    """One statement-level node: numbered, linked, with def/use sets."""
-
-    __slots__ = ("rid", "kind", "line", "defs", "uses", "succs", "preds", "sync")
-
-    def __init__(self, rid: int, kind: str, line: int):
-        self.rid = rid
-        self.kind = kind
-        self.line = line
-        self.defs: Set[str] = set()
-        self.uses: Set[str] = set()
-        self.succs: List[int] = []
-        self.preds: List[int] = []
-        #: The node itself is a synchronization construct (``go``, channel
-        #: op, ``sync.*`` call, ``select`` ...).
-        self.sync = False
-
-
-class FunctionCFG:
-    """The registry of one function's CFG nodes."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.nodes: List[CFGNode] = []
-
-    def new_node(self, kind: str, line: int) -> CFGNode:
-        node = CFGNode(len(self.nodes), kind, line)
-        self.nodes.append(node)
-        return node
-
-    def link(self, preds: Iterable[CFGNode], node: CFGNode) -> None:
-        for pred in preds:
-            pred.succs.append(node.rid)
-            node.preds.append(pred.rid)
-
-    # -- dataflow -----------------------------------------------------------------------
-
-    def reaching_definitions(self) -> List[Dict[str, frozenset]]:
-        """Classic forward fixpoint: per node, name → def-node rids reaching it."""
-        n = len(self.nodes)
-        ins: List[Dict[str, frozenset]] = [{} for _ in range(n)]
-        outs: List[Dict[str, frozenset]] = [{} for _ in range(n)]
-        worklist = list(range(n))
-        while worklist:
-            rid = worklist.pop()
-            node = self.nodes[rid]
-            merged: Dict[str, frozenset] = {}
-            for pred in node.preds:
-                for name, rids in outs[pred].items():
-                    prior = merged.get(name)
-                    merged[name] = rids if prior is None else prior | rids
-            ins[rid] = merged
-            out = dict(merged)
-            for name in node.defs:
-                out[name] = frozenset((rid,))
-            if out != outs[rid]:
-                outs[rid] = out
-                worklist.extend(node.succs)
-        return ins
-
-    def du_chains(self) -> Dict[Tuple[int, str], frozenset]:
-        """Def-use chains: (use-node rid, name) → def-node rids that reach it."""
-        ins = self.reaching_definitions()
-        chains: Dict[Tuple[int, str], frozenset] = {}
-        for node in self.nodes:
-            reaching = ins[node.rid]
-            for name in node.uses:
-                rids = reaching.get(name)
-                if rids:
-                    chains[(node.rid, name)] = rids
-        return chains
-
-
-def _stmt_defs(stmt: ast.Stmt) -> Set[str]:
-    """Names (re)defined directly by one statement."""
-    defs: Set[str] = set()
-    if isinstance(stmt, ast.AssignStmt):
-        for target in stmt.lhs:
-            name = ast.base_name(target)
-            if name and name != "_":
-                defs.add(name)
-    elif isinstance(stmt, ast.IncDecStmt):
-        name = ast.base_name(stmt.x)
-        if name and name != "_":
-            defs.add(name)
-    elif isinstance(stmt, ast.DeclStmt):
-        for spec in stmt.decl.specs:
-            if isinstance(spec, ast.ValueSpec):
-                defs.update(n for n in spec.names if n != "_")
-    elif isinstance(stmt, ast.RangeStmt):
-        for var in (stmt.key, stmt.value):
-            name = ast.base_name(var) if var is not None else None
-            if name and name != "_":
-                defs.add(name)
-    return defs
-
-
-def _names_in(node: Optional[ast.Node]) -> Set[str]:
-    if node is None:
-        return set()
-    return {
-        n.name
-        for n in ast.walk(node)
-        if isinstance(n, ast.Ident) and n.name not in UNIVERSE_NAMES
-    }
-
-
-def _emit_cfg(cfg: FunctionCFG, stmts: Iterable[ast.Stmt],
-              preds: List[CFGNode]) -> List[CFGNode]:
-    """Append nodes for ``stmts``, linking from ``preds``; return the exit frontier."""
-    frontier = preds
-    for stmt in stmts:
-        line = stmt.pos.line
-        if isinstance(stmt, ast.BlockStmt):
-            frontier = _emit_cfg(cfg, stmt.stmts, frontier)
-        elif isinstance(stmt, ast.LabeledStmt):
-            frontier = _emit_cfg(cfg, [stmt.stmt], frontier)
-        elif isinstance(stmt, ast.IfStmt):
-            header = cfg.new_node("if", line)
-            header.uses = _names_in(stmt.init) | _names_in(stmt.cond)
-            if stmt.init is not None:
-                header.defs = _stmt_defs(stmt.init)
-            header.sync = expr_mentions_sync(stmt.cond)
-            cfg.link(frontier, header)
-            then_exits = _emit_cfg(cfg, stmt.body.stmts, [header])
-            if stmt.else_ is not None:
-                else_exits = _emit_cfg(cfg, [stmt.else_], [header])
-                frontier = then_exits + else_exits
-            else:
-                frontier = then_exits + [header]
-        elif isinstance(stmt, ast.ForStmt):
-            header = cfg.new_node("for", line)
-            for part in (stmt.init, stmt.post):
-                if part is not None:
-                    header.uses |= _names_in(part)
-                    header.defs |= _stmt_defs(part)
-            header.uses |= _names_in(stmt.cond)
-            cfg.link(frontier, header)
-            body_exits = _emit_cfg(cfg, stmt.body.stmts, [header])
-            for exit_node in body_exits:          # back edge
-                exit_node.succs.append(header.rid)
-                header.preds.append(exit_node.rid)
-            frontier = [header]
-        elif isinstance(stmt, ast.RangeStmt):
-            header = cfg.new_node("range", line)
-            header.uses = _names_in(stmt.x)
-            header.defs = _stmt_defs(stmt)
-            header.sync = expr_mentions_sync(stmt.x)
-            cfg.link(frontier, header)
-            body_exits = _emit_cfg(cfg, stmt.body.stmts, [header])
-            for exit_node in body_exits:          # back edge
-                exit_node.succs.append(header.rid)
-                header.preds.append(exit_node.rid)
-            frontier = [header]
-        elif isinstance(stmt, ast.SwitchStmt):
-            header = cfg.new_node("switch", line)
-            header.uses = _names_in(stmt.init) | _names_in(stmt.tag)
-            if stmt.init is not None:
-                header.defs = _stmt_defs(stmt.init)
-            cfg.link(frontier, header)
-            exits: List[CFGNode] = [header]
-            for case in stmt.cases:
-                exits.extend(_emit_cfg(cfg, case.body, [header]))
-            frontier = exits
-        elif isinstance(stmt, ast.SelectStmt):
-            header = cfg.new_node("select", line)
-            header.sync = True
-            cfg.link(frontier, header)
-            exits = []
-            for case in stmt.cases:
-                case_stmts = ([case.comm] if case.comm is not None else []) + list(case.body)
-                exits.extend(_emit_cfg(cfg, case_stmts, [header]))
-            frontier = exits or [header]
-        else:
-            node = cfg.new_node(type(stmt).__name__, line)
-            node.defs = _stmt_defs(stmt)
-            node.uses = _names_in(stmt) - node.defs if node.defs else _names_in(stmt)
-            node.sync = stmt_is_concurrency(stmt)
-            cfg.link(frontier, node)
-            frontier = [node]
-    return frontier
-
-
-def build_cfg(decl: ast.FuncDecl) -> FunctionCFG:
-    """Build the statement-level CFG for one function declaration."""
-    cfg = FunctionCFG(decl.name)
-    entry = cfg.new_node("entry", decl.pos.line)
-    for group in (decl.type_.params, decl.type_.results):
-        for fld in group:
-            entry.defs.update(n for n in fld.names if n != "_")
-    if decl.recv is not None:
-        entry.defs.update(n for n in decl.recv.names if n != "_")
-    if decl.body is not None:
-        _emit_cfg(cfg, decl.body.stmts, [entry])
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +299,6 @@ class FunctionSlice:
 
     name: str
     file: str
-    #: Can this function's execution reach shared (escaping or package-level)
-    #: symbols or synchronization constructs?
-    interfering: bool
     #: ``id()`` of every identifier node whose access instrumentation
     #: (schedule point + detector hook) may be elided.
     elidable: frozenset
@@ -528,30 +308,6 @@ class FunctionSlice:
     #: Sorted names of this unit's pure-local / shared bindings (diagnostics).
     pure_bindings: Tuple[str, ...] = ()
     shared_bindings: Tuple[str, ...] = ()
-    cfg_nodes: int = 0
-    interfering_nodes: int = 0
-
-
-@dataclass
-class SliceResult:
-    """Aggregated slice facts for one package's files."""
-
-    functions: List[FunctionSlice] = field(default_factory=list)
-    elidable: frozenset = frozenset()
-
-    def stats(self) -> Dict[str, int]:
-        total_sites = sum(f.total_sites for f in self.functions)
-        elidable_sites = sum(f.elidable_sites for f in self.functions)
-        return {
-            "functions": len(self.functions),
-            "pure_local_functions": sum(1 for f in self.functions if not f.interfering),
-            "interfering_functions": sum(1 for f in self.functions if f.interfering),
-            "total_sites": total_sites,
-            "elidable_sites": elidable_sites,
-            "instrumented_sites": total_sites - elidable_sites,
-            "cfg_nodes": sum(f.cfg_nodes for f in self.functions),
-            "interfering_nodes": sum(f.interfering_nodes for f in self.functions),
-        }
 
 
 def package_scope_bindings(files: Iterable[ast.File]) -> _Scope:
@@ -573,31 +329,9 @@ def package_scope_bindings(files: Iterable[ast.File]) -> _Scope:
     return scope
 
 
-def _taint_interfering(cfg: FunctionCFG, shared_names: Set[str]) -> int:
-    """Count CFG nodes that can reach shared state, via the def-use chains.
-
-    A node is directly interfering when it is a synchronization construct or
-    touches a shared name; taint then propagates forward along def-use chains
-    (a local defined from tainted state keeps the region interfering).
-    """
-    chains = cfg.du_chains()
-    tainted: Set[int] = set()
-    for node in cfg.nodes:
-        if node.sync or (node.defs | node.uses) & shared_names:
-            tainted.add(node.rid)
-    changed = True
-    while changed:
-        changed = False
-        for (use_rid, _name), def_rids in chains.items():
-            if use_rid not in tainted and def_rids & tainted:
-                tainted.add(use_rid)
-                changed = True
-    return len(tainted)
-
-
 def slice_function(decl: ast.FuncDecl, file_name: str,
                    package_scope: _Scope) -> FunctionSlice:
-    """Analyze one top-level function: bindings, occurrences, CFG, verdict."""
+    """Analyze one top-level function: resolve its bindings and occurrences."""
     walker = _BindingWalker(package_scope)
     walker.walk_function(decl)
 
@@ -606,50 +340,20 @@ def slice_function(decl: ast.FuncDecl, file_name: str,
         if binding.pure_local
     )
     touched = set(walker.occurrences.values()) | set(walker.bindings)
-    shared_bindings = {b for b in touched if not b.pure_local}
-
-    cfg = build_cfg(decl)
-    shared_names = {b.name for b in shared_bindings}
-    interfering_nodes = _taint_interfering(cfg, shared_names)
-
     return FunctionSlice(
         name=decl.name,
         file=file_name,
-        interfering=bool(shared_bindings) or interfering_nodes > 0,
         elidable=elidable,
         total_sites=len(walker.occurrences),
         elidable_sites=len(elidable),
         pure_bindings=tuple(sorted({b.name for b in touched if b.pure_local})),
-        shared_bindings=tuple(sorted({b.name for b in shared_bindings})),
-        cfg_nodes=len(cfg.nodes),
-        interfering_nodes=interfering_nodes,
+        shared_bindings=tuple(sorted({b.name for b in touched if not b.pure_local})),
     )
-
-
-def analyze_files(files: List[ast.File]) -> SliceResult:
-    """Slice every top-level function of ``files`` (one parsed package)."""
-    package_scope = package_scope_bindings(files)
-    result = SliceResult()
-    parts: List[frozenset] = []
-    for file in files:
-        for decl in file.func_decls():
-            if decl.body is None:
-                continue
-            fslice = slice_function(decl, file.name, package_scope)
-            result.functions.append(fslice)
-            parts.append(fslice.elidable)
-    result.elidable = frozenset().union(*parts) if parts else frozenset()
-    return result
 
 
 __all__ = [
     "Binding",
-    "CFGNode",
-    "FunctionCFG",
     "FunctionSlice",
-    "SliceResult",
-    "analyze_files",
-    "build_cfg",
     "package_scope_bindings",
     "slice_function",
 ]

@@ -46,7 +46,7 @@ from repro.errors import GoPanic, GoRuntimeError, GoSyntaxError
 from repro.execution import resolve_slicing
 from repro.golang import ast_nodes as ast
 from repro.golang.parser import clear_parse_cache, parse_cache_info, parse_file
-from repro.golang.slicing import FunctionSlice, slice_function, package_scope_bindings
+from repro.golang.slicing import slice_function, package_scope_bindings
 from repro.runtime import stdlib
 from repro.runtime.goroutine import Frame, Goroutine, STEP, blocked
 from repro.runtime.interpreter import (
@@ -232,12 +232,9 @@ class _ProgramMeta:
 
     __slots__ = ("bound_names", "imported_names", "elidable")
 
-    def __init__(self, files: List[ast.File], elidable: frozenset = frozenset(),
-                 bound_names: Optional[frozenset] = None):
+    def __init__(self, files: List[ast.File], elidable: frozenset = frozenset()):
         self.elidable = elidable
-        if bound_names is None:
-            bound_names = _bound_names_in(files)
-        self.bound_names = bound_names
+        self.bound_names = _bound_names_in(files)
         self.imported_names = frozenset(
             spec.name or spec.path.split("/")[-1]
             for file in files
@@ -1472,158 +1469,55 @@ def _build_call_plan(func_type: ast.FuncType):
 # ---------------------------------------------------------------------------
 
 
-def _unit_meta_compatible(decl: ast.FuncDecl, old_meta: Optional[_ProgramMeta],
-                          new_meta: Optional[_ProgramMeta]) -> bool:
-    """May ``decl``'s donor lowering be reused under ``new_meta``?
-
-    A lowered closure bakes in per-name meta decisions (``bound_names``
-    membership folds the environment walk away; ``imported_names`` plus
-    stdlib tables fold ``pkg.Member`` selectors to constants).  Reuse is
-    sound iff every identifier that occurs in the unit makes the same
-    decisions under both metas."""
-    if old_meta is None or new_meta is None:
-        return False
-    if (old_meta.bound_names == new_meta.bound_names
-            and old_meta.imported_names == new_meta.imported_names):
-        return True
-    for sub in ast.walk(decl):
-        if isinstance(sub, ast.Ident):
-            name = sub.name
-            if (name in old_meta.bound_names) != (name in new_meta.bound_names):
-                return False
-            if (name in old_meta.imported_names) != (name in new_meta.imported_names):
-                return False
-    return True
-
-
 class CompiledProgram:
     """Parsed files plus the shared code cache, reused across runs.
 
-    ``slicing`` selects the lowering mode: with it on, the per-function slice
-    results (``slices``) feed the meta's elidable set and pure-local accesses
-    lower without schedule points or detector hooks.  A derived build passes
-    the donor program for the same mode plus the set of reused declaration
-    ids: reused functions take their slice result and compiled closures from
-    the donor (``unit_hits``) instead of re-lowering (``unit_misses``)."""
+    ``slicing`` selects the lowering mode: with it on, each function's slice
+    feeds the meta's elidable set and pure-local accesses lower without
+    schedule points or detector hooks."""
 
-    __slots__ = ("files", "tests", "fingerprint", "code", "slicing", "slices",
-                 "unit_hits", "unit_misses", "_unit_keys", "_unit_bound")
+    __slots__ = ("files", "tests", "fingerprint", "code", "slicing")
 
     def __init__(self, files: List[ast.File], fingerprint: str = "",
-                 slicing: bool = False,
-                 donor: "Optional[CompiledProgram]" = None,
-                 reused: frozenset = frozenset()):
+                 slicing: bool = False):
         self.files = list(files)
         self.fingerprint = fingerprint
         self.slicing = slicing
-        self.unit_hits = 0
-        self.unit_misses = 0
         self.code: CodeCache = {}
-        #: Per-function slice results: ``id(decl) -> (decl, FunctionSlice)``
-        #: (the decl is retained so an id can never dangle).
-        self.slices: Dict[int, Tuple[ast.FuncDecl, FunctionSlice]] = {}
-        #: Build-time code-cache keys per function unit: ``id(decl)`` → the
-        #: keys its lowering inserted.  A later derived build copies a reused
-        #: unit's entries by key list instead of walking its subtree.
-        self._unit_keys: Dict[int, Tuple[int, ...]] = {}
         elidable: frozenset = frozenset()
         if slicing:
-            # Slice reuse is sound for reused decls because derivation
-            # requires the donor's non-func segments to be identical — the
-            # package-level bindings the slice depends on cannot differ.
-            donor_slices = donor.slices if donor is not None and donor.slicing else {}
             package_scope = package_scope_bindings(self.files)
-            parts: List[frozenset] = []
-            for file in self.files:
-                for decl in file.func_decls():
-                    if decl.body is None:
-                        continue
-                    entry = donor_slices.get(id(decl)) if id(decl) in reused else None
-                    if entry is not None and entry[0] is decl:
-                        fslice = entry[1]
-                    else:
-                        fslice = slice_function(decl, file.name, package_scope)
-                    self.slices[id(decl)] = (decl, fslice)
-                    parts.append(fslice.elidable)
+            parts = [
+                slice_function(decl, file.name, package_scope).elidable
+                for file in self.files
+                for decl in file.func_decls()
+                if decl.body is not None
+            ]
             if parts:
                 elidable = frozenset().union(*parts)
-        # Bound names per top-level declaration: reused function decls are
-        # the *same node objects* as the donor's, so their contribution is
-        # cached and reused verbatim (mode-independent).
-        self._unit_bound: Dict[int, frozenset] = {}
-        donor_bound = donor._unit_bound if donor is not None else {}
-        bound_parts: List[frozenset] = []
-        for file in self.files:
-            for decl in file.decls:
-                if isinstance(decl, ast.FuncDecl):
-                    names = donor_bound.get(id(decl)) if id(decl) in reused else None
-                    if names is None:
-                        names = _bound_names_in((decl,))
-                    self._unit_bound[id(decl)] = names
-                else:
-                    names = _bound_names_in((decl,))
-                bound_parts.append(names)
-        bound_names = frozenset().union(*bound_parts) if bound_parts else frozenset()
         # Static whole-program facts must be in place before lowering starts.
-        self.code[_META_KEY] = _ProgramMeta(self.files, elidable, bound_names)
+        self.code[_META_KEY] = _ProgramMeta(self.files, elidable)
         self.tests: List[ast.FuncDecl] = [
             decl
             for file in self.files
             for decl in file.func_decls()
             if decl.name.startswith("Test") and decl.recv is None and decl.body is not None
         ]
-        self._warm(donor, reused)
+        self._warm()
 
-    def _warm(self, donor: "Optional[CompiledProgram]", reused: frozenset) -> None:
-        """Lower every function body and global initializer, reusing the
-        donor's compiled closures for unchanged, meta-compatible functions."""
-        donor_code = donor.code if donor is not None else None
-        donor_meta = _meta_of(donor_code) if donor_code is not None else None
-        meta = _meta_of(self.code)
+    def _warm(self) -> None:
+        """Lower every function body and global initializer."""
         code = self.code
-        #: ``(id(decl), start, end)`` insertion-count snapshots around each
-        #: freshly compiled unit; dicts preserve insertion order, so slicing
-        #: ``list(code)`` afterwards recovers exactly that unit's keys.
-        unit_bounds: List[Tuple[int, int, int]] = []
         for file in self.files:
             for decl in file.decls:
                 if isinstance(decl, ast.FuncDecl):
-                    if decl.body is None:
-                        continue
-                    if (donor_code is not None and id(decl) in reused
-                            and donor.slicing == self.slicing
-                            and id(decl.body) in donor_code
-                            and _unit_meta_compatible(decl, donor_meta, meta)):
-                        # Copy every donor entry under this decl's subtree —
-                        # closures, and (on the walk fallback) the call plan
-                        # keyed by the decl's FuncType node.
-                        keys = donor._unit_keys.get(id(decl))
-                        if keys is None:
-                            keys = tuple(
-                                id(sub) for sub in ast.walk(decl)
-                                if (entry := donor_code.get(id(sub))) is not None
-                                and entry[0] is sub
-                            )
-                        for key in keys:
-                            entry = donor_code.get(key)
-                            if entry is not None:
-                                code[key] = entry
-                        self._unit_keys[id(decl)] = keys
-                        self.unit_hits += 1
-                        continue
-                    self.unit_misses += 1
-                    start = len(code)
-                    compile_block(decl.body, code)
-                    unit_bounds.append((id(decl), start, len(code)))
+                    if decl.body is not None:
+                        compile_block(decl.body, code)
                 elif isinstance(decl, ast.GenDecl):
                     for spec in decl.specs:
                         if isinstance(spec, ast.ValueSpec):
                             for expr in spec.values:
                                 compile_expr(expr, code)
-        if unit_bounds:
-            all_keys = list(code)
-            for decl_id, start, end in unit_bounds:
-                self._unit_keys[decl_id] = tuple(all_keys[start:end])
 
 
 class CompiledInterpreter(Interpreter):
@@ -1785,20 +1679,14 @@ class BuiltPackage:
     Lowering is deferred until a compiled-engine run first asks for the
     program, so a tree-only process (``--engine tree``) never pays it; parse
     results and test discovery are shared by both engines.  Programs are kept
-    per slicing mode (the two lowerings differ), and a cache-derived entry
-    carries its donor's programs plus the reused declaration ids so the first
-    ``ensure_program`` call re-lowers only the changed functions."""
+    per slicing mode (the two lowerings differ)."""
 
-    __slots__ = ("fingerprint", "name", "files", "errors", "tests",
-                 "stdlib_generation", "segments", "_programs",
-                 "_donor_programs", "_reused_decl_ids", "_cache", "_lock")
+    __slots__ = ("fingerprint", "files", "errors", "tests",
+                 "stdlib_generation", "_programs", "_lock")
 
     def __init__(self, fingerprint: str, files: List[ast.File], errors: List[str],
-                 stdlib_generation: int, name: str = "",
-                 segments: Optional[tuple] = None,
-                 cache: "Optional[ProgramCache]" = None):
+                 stdlib_generation: int):
         self.fingerprint = fingerprint
-        self.name = name
         self.files = files
         self.errors = errors
         self.tests: List[ast.FuncDecl] = [
@@ -1813,13 +1701,7 @@ class BuiltPackage:
         #: racing the build can only make the entry look stale (a rebuild),
         #: never fresh.
         self.stdlib_generation = stdlib_generation
-        #: Per-file textual segmentation (``None`` when unavailable): the
-        #: basis for deriving a later build of a near-identical source.
-        self.segments = segments
         self._programs: Dict[bool, CompiledProgram] = {}
-        self._donor_programs: Dict[bool, CompiledProgram] = {}
-        self._reused_decl_ids: frozenset = frozenset()
-        self._cache = cache
         self._lock = threading.Lock()
 
     @property
@@ -1842,21 +1724,13 @@ class BuiltPackage:
             with self._lock:
                 program = self._programs.get(mode)
                 if program is None:
-                    # The donor reference is dropped once consumed so a long
-                    # cache chain of patched candidates cannot pin every
-                    # ancestor program in memory.
-                    donor = self._donor_programs.pop(mode, None)
                     try:
                         program = CompiledProgram(
-                            self.files, fingerprint=self.fingerprint, slicing=mode,
-                            donor=donor,
-                            reused=self._reused_decl_ids if donor is not None else frozenset())
+                            self.files, fingerprint=self.fingerprint, slicing=mode)
                     except RecursionError:
                         self.errors = [_nesting_error(self.files)]
                         return None
                     self._programs[mode] = program
-                    if self._cache is not None:
-                        self._cache._note_units(program.unit_hits, program.unit_misses)
         return program
 
 
@@ -1885,149 +1759,6 @@ def package_fingerprint(package) -> str:
     return digest.hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# Source segmentation (the unit boundary of incremental builds)
-# ---------------------------------------------------------------------------
-
-
-class _Segment:
-    """One contiguous run of source lines: a top-level ``func`` or the rest."""
-
-    __slots__ = ("kind", "start", "n_lines", "digest")
-
-    def __init__(self, kind: str, start: int, lines: List[str]):
-        self.kind = kind          # "func" | "other"
-        self.start = start        # 0-based first line index
-        self.n_lines = len(lines)
-        self.digest = hashlib.blake2b(
-            "\n".join(lines).encode("utf-8"), digest_size=16).hexdigest()
-
-
-def _segment_source(source: str) -> Optional[tuple]:
-    """Split a Go source into top-level ``func`` segments and ``other`` runs.
-
-    A purely textual line scanner: it tracks bracket depth outside strings,
-    runes, and comments, starts a ``func`` segment at a top-level line
-    beginning with ``func``, and closes it when the depth returns to zero
-    after the body's opening brace.  Returns ``None`` for unbalanced sources
-    (the caller falls back to a full build — segmentation is an optimization,
-    never a semantic authority: a wrong split only makes the isolated
-    re-parse fail, which also falls back)."""
-    lines = source.split("\n")
-    segments: List[_Segment] = []
-    cur: List[str] = []
-    cur_kind = "other"
-    cur_start = 0
-    depth = 0
-    brace_seen = False
-    in_block = False
-    in_raw = False
-
-    def close(next_start: int) -> None:
-        nonlocal cur, cur_kind, cur_start
-        if cur:
-            segments.append(_Segment(cur_kind, cur_start, cur))
-        cur = []
-        cur_kind = "other"
-        cur_start = next_start
-
-    for i, line in enumerate(lines):
-        if (not in_block and not in_raw and depth == 0
-                and (line.startswith("func ") or line.startswith("func("))):
-            close(i)
-            cur_kind = "func"
-            brace_seen = False
-        if (not in_block and not in_raw and "/" not in line
-                and '"' not in line and "'" not in line and "`" not in line):
-            # Fast path: no comment or string delimiters anywhere on the
-            # line, so bracket counting needs no character scan.  (Only the
-            # end-of-line depth matters: segments close between lines.)
-            depth += (line.count("{") + line.count("(") + line.count("[")
-                      - line.count("}") - line.count(")") - line.count("]"))
-            if "{" in line:
-                brace_seen = True
-            cur.append(line)
-            if (cur_kind == "func" and brace_seen and depth == 0):
-                close(i + 1)
-            continue
-        j = 0
-        n = len(line)
-        while j < n:
-            ch = line[j]
-            if in_block:
-                if ch == "*" and j + 1 < n and line[j + 1] == "/":
-                    in_block = False
-                    j += 2
-                    continue
-                j += 1
-                continue
-            if in_raw:
-                if ch == "`":
-                    in_raw = False
-                j += 1
-                continue
-            if ch == "/" and j + 1 < n and line[j + 1] == "/":
-                break
-            if ch == "/" and j + 1 < n and line[j + 1] == "*":
-                in_block = True
-                j += 2
-                continue
-            if ch == "`":
-                in_raw = True
-                j += 1
-                continue
-            if ch == '"' or ch == "'":
-                quote = ch
-                j += 1
-                while j < n and line[j] != quote:
-                    if line[j] == "\\":
-                        j += 1
-                    j += 1
-                j += 1
-                continue
-            if ch in "{([":
-                depth += 1
-                if ch == "{":
-                    brace_seen = True
-            elif ch in "})]":
-                depth -= 1
-            j += 1
-        cur.append(line)
-        if (cur_kind == "func" and brace_seen and depth == 0
-                and not in_block and not in_raw):
-            close(i + 1)
-    close(len(lines))
-    if depth != 0 or in_block or in_raw:
-        return None
-    return tuple(segments)
-
-
-def _parse_isolated(source: str, file_name: str,
-                    segment: _Segment) -> Optional[ast.FuncDecl]:
-    """Parse exactly one function segment of ``source`` in isolation.
-
-    Every line outside the segment is blanked (except the package clause, so
-    the file still parses); absolute line numbers — and hence every position
-    the lowering bakes into stack frames and access records — stay identical
-    to a whole-file parse."""
-    lines = source.split("\n")
-    keep = range(segment.start, segment.start + segment.n_lines)
-    package_line = -1
-    for i, line in enumerate(lines):
-        if line.startswith("package "):
-            package_line = i
-            break
-    blanked = [
-        line if (i in keep or i == package_line) else ""
-        for i, line in enumerate(lines)
-    ]
-    file_ast = parse_file("\n".join(blanked), file_name)
-    decls = file_ast.decls
-    if len(decls) != 1 or not isinstance(decls[0], ast.FuncDecl):
-        return None
-    return decls[0]
-
-
 class ProgramCache:
     """Process-wide LRU of :class:`BuiltPackage` keyed by source fingerprint.
 
@@ -2048,19 +1779,10 @@ class ProgramCache:
         self._entries: "OrderedDict[str, BuiltPackage]" = OrderedDict()
         #: In-flight builds: fingerprint → event set when the build lands.
         self._building: dict = {}
-        #: Latest error-free build per package name: the donor candidate for
-        #: deriving a near-identical build (a candidate patch) incrementally.
-        self._by_name: Dict[str, str] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.singleflight_waits = 0
-        self.full_builds = 0
-        self.derived_builds = 0
-        #: Per-function lowering counters, reported by ``ensure_program``:
-        #: a unit hit reused a donor function's compiled closures.
-        self.unit_hits = 0
-        self.unit_misses = 0
 
     def get_or_build(self, package) -> BuiltPackage:
         fingerprint = package_fingerprint(package)
@@ -2087,129 +1809,25 @@ class ProgramCache:
             # member lookups, so a registration racing this build must
             # invalidate the entry, not be masked by a post-build read.
             generation = stdlib.generation()
-            entry = None
-            try:
-                entry = self._derive_build(package, fingerprint, generation)
-            except Exception:
-                # Derivation is best-effort: any surprise (parser quirk,
-                # segmentation mismatch) falls back to the full build below.
-                entry = None
-            if entry is not None:
-                with self._lock:
-                    self.derived_builds += 1
-            else:
-                files: List[ast.File] = []
-                errors: List[str] = []
-                for file in package.files:
-                    try:
-                        files.append(parse_file(file.source, file.name))
-                    except GoSyntaxError as exc:
-                        errors.append(str(exc))
-                segments = None
-                if not errors:
-                    per_file = [_segment_source(file.source) for file in package.files]
-                    if all(segs is not None for segs in per_file):
-                        segments = tuple(per_file)
-                entry = BuiltPackage(fingerprint, files, errors, generation,
-                                     name=package.name, segments=segments,
-                                     cache=self)
-                with self._lock:
-                    self.full_builds += 1
+            files: List[ast.File] = []
+            errors: List[str] = []
+            for file in package.files:
+                try:
+                    files.append(parse_file(file.source, file.name))
+                except GoSyntaxError as exc:
+                    errors.append(str(exc))
+            entry = BuiltPackage(fingerprint, files, errors, generation)
             with self._lock:
                 self._entries[fingerprint] = entry
-                if not entry.errors and entry.segments is not None:
-                    self._by_name[package.name] = fingerprint
                 while len(self._entries) > self.capacity:
-                    _evicted_fp, evicted = self._entries.popitem(last=False)
+                    self._entries.popitem(last=False)
                     self.evictions += 1
-                    if self._by_name.get(evicted.name) == evicted.fingerprint:
-                        del self._by_name[evicted.name]
         finally:
             with self._lock:
                 event = self._building.pop(fingerprint, None)
             if event is not None:
                 event.set()
         return entry
-
-    def _derive_build(self, package, fingerprint: str,
-                      generation: int) -> Optional[BuiltPackage]:
-        """Build ``package`` incrementally from the latest build of its name.
-
-        Candidate patches differ from their base package by a few lines in a
-        few functions.  When a donor build exists whose non-``func`` segments
-        are *identical* (same text, same lines) and whose ``func`` segments
-        align one-to-one with the new source's, unchanged functions reuse the
-        donor's parsed declarations (and later, via ``ensure_program``, its
-        compiled closures and slice results); only changed functions are
-        re-parsed, in isolation, at their original line offsets.  Any
-        structural mismatch returns ``None`` and the caller does a full
-        build — the derived parse is bit-identical to a full one by
-        construction (same node positions, same decl order)."""
-        with self._lock:
-            donor_fp = self._by_name.get(package.name)
-            donor = self._entries.get(donor_fp) if donor_fp else None
-        if (donor is None or donor.errors or donor.segments is None
-                or donor.stdlib_generation != generation):
-            return None
-        if [f.name for f in package.files] != [f.name for f in donor.files]:
-            return None
-        new_files: List[ast.File] = []
-        new_segments: List[tuple] = []
-        reused_ids: set = set()
-        for go_file, donor_ast, donor_segs in zip(package.files, donor.files,
-                                                  donor.segments):
-            segs = _segment_source(go_file.source)
-            if segs is None or len(segs) != len(donor_segs):
-                return None
-            if any(s.kind != d.kind for s, d in zip(segs, donor_segs)):
-                return None
-            donor_funcs = donor_ast.func_decls()
-            func_pairs = []
-            for s_new, s_old in zip(segs, donor_segs):
-                if s_old.kind == "other":
-                    # Non-func code (imports, globals, types) must be
-                    # untouched — it is what makes slice results and meta
-                    # decisions transferable.
-                    if s_new.digest != s_old.digest or s_new.start != s_old.start:
-                        return None
-                else:
-                    func_pairs.append((s_new, s_old))
-            if len(func_pairs) != len(donor_funcs):
-                return None
-            new_decls: List[ast.Decl] = []
-            func_index = 0
-            for decl in donor_ast.decls:
-                if isinstance(decl, ast.FuncDecl):
-                    s_new, s_old = func_pairs[func_index]
-                    func_index += 1
-                    if s_new.digest == s_old.digest and s_new.start == s_old.start:
-                        new_decls.append(decl)
-                        reused_ids.add(id(decl))
-                    else:
-                        parsed = _parse_isolated(go_file.source, go_file.name, s_new)
-                        if parsed is None:
-                            return None
-                        new_decls.append(parsed)
-                else:
-                    new_decls.append(decl)
-            new_files.append(ast.File(package=donor_ast.package,
-                                      imports=donor_ast.imports,
-                                      decls=new_decls, name=donor_ast.name,
-                                      pos=donor_ast.pos))
-            new_segments.append(segs)
-        entry = BuiltPackage(fingerprint, new_files, [], generation,
-                             name=package.name, segments=tuple(new_segments),
-                             cache=self)
-        with donor._lock:
-            entry._donor_programs = dict(donor._programs)
-        entry._reused_decl_ids = frozenset(reused_ids)
-        return entry
-
-    def _note_units(self, hits: int, misses: int) -> None:
-        """Fold one program's per-function lowering counters into the cache."""
-        with self._lock:
-            self.unit_hits += hits
-            self.unit_misses += misses
 
     def stats(self) -> Dict[str, int]:
         """A consistent snapshot of every cache counter (for observability)."""
@@ -2222,10 +1840,6 @@ class ProgramCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "singleflight_waits": self.singleflight_waits,
-                "full_builds": self.full_builds,
-                "derived_builds": self.derived_builds,
-                "unit_hits": self.unit_hits,
-                "unit_misses": self.unit_misses,
                 # The shared parse cache behind every ``parse_file`` call
                 # (named apart from ``hits``/``misses``, which count builds).
                 "parse_hits": parse.hits,
@@ -2238,15 +1852,10 @@ class ProgramCache:
         clear_parse_cache()
         with self._lock:
             self._entries.clear()
-            self._by_name.clear()
             self.hits = 0
             self.misses = 0
             self.evictions = 0
             self.singleflight_waits = 0
-            self.full_builds = 0
-            self.derived_builds = 0
-            self.unit_hits = 0
-            self.unit_misses = 0
 
     def __len__(self) -> int:
         with self._lock:

@@ -7,6 +7,8 @@ from repro.core.race_info import RaceInfoExtractor, resolve_function
 from repro.diagnosis import clean_variable_name
 from repro.errors import ConfigError
 from repro.golang.parser import parse_file
+from repro.runtime.harness import GoPackage
+from repro.runtime.race_report import GoroutineTrace, RaceReport, StackFrame
 
 
 class TestConfig:
@@ -58,6 +60,20 @@ class TestRaceInfoExtraction:
         report = err_capture_case.race_report(runs=10)
         info = RaceInfoExtractor(err_capture_case.package, drfix_config).extract(report)
         assert info.lca_function is not None
+
+    def test_find_lca_is_the_deepest_shared_frame(self):
+        def trace(path):
+            # ``path`` is root-first; a trace stores its frames leaf-first.
+            frames = [StackFrame(name, "a.go", 1) for name in reversed(path)]
+            return GoroutineTrace(goroutine_id=1, is_write=True, frames=frames)
+
+        def lca(first, second):
+            report = RaceReport(first=trace(first), second=trace(second))
+            return RaceInfoExtractor(GoPackage(name="p", files=[]))._find_lca(report)
+
+        assert lca(["main", "A", "B"], ["main", "A", "C"]) == ("A", "a.go")
+        assert lca(["main"], ["main"]) == ("main", "a.go")
+        assert lca(["x"], ["y"]) == (None, None)
 
     def test_ordered_items_follow_config_order(self, err_capture_case, drfix_config):
         report = err_capture_case.race_report(runs=10)

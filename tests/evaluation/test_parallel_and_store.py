@@ -13,7 +13,7 @@ import pytest
 from repro.core.config import DrFixConfig
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.errors import ConfigError
-from repro.evaluation.executor import (
+from repro.execution import (
     CaseExecutor,
     ExecutorKind,
     derive_case_seed,
@@ -123,7 +123,7 @@ class TestMapUntilAndNestedBudget:
         assert result == [i * i for i in items]
 
     def test_nested_budget_clamps_executors_constructed_under_it(self, monkeypatch):
-        from repro.evaluation.executor import NESTED_BUDGET_ENV_VAR
+        from repro.execution import NESTED_BUDGET_ENV_VAR
 
         monkeypatch.setenv(NESTED_BUDGET_ENV_VAR, "2")
         assert CaseExecutor(kind="thread", jobs=8).jobs == 2

@@ -1,18 +1,15 @@
-"""Tests for capture analysis and the concurrency-oriented AST helpers."""
+"""Tests for the concurrency-oriented AST helpers."""
 
-from repro.golang import ast_nodes as ast
 from repro.golang.analysis import (
+    UNIVERSE_NAMES,
     block_mentions_concurrency,
-    build_call_graph,
+    expr_mentions_sync,
     find_enclosing_function,
-    find_spawn_sites,
-    lowest_common_ancestor,
     names_on_lines,
     node_line_span,
     stmt_is_concurrency,
 )
-from repro.golang.parser import parse_file, parse_stmts
-from repro.golang.symbols import analyze_captures, declared_names
+from repro.golang.parser import parse_expr, parse_file, parse_stmts
 
 
 CAPTURE_SOURCE = """
@@ -36,39 +33,6 @@ func use(n int) int {
 """
 
 
-class TestCaptureAnalysis:
-    def test_closure_captures_outer_variables(self):
-        file = parse_file(CAPTURE_SOURCE)
-        captures = analyze_captures(file.find_func("Outer"), file)
-        first = captures[0]
-        assert {"total", "limit"} <= first.captured
-        assert "total" in first.assigned_captures
-
-    def test_parameter_is_not_a_capture(self):
-        file = parse_file(CAPTURE_SOURCE)
-        captures = analyze_captures(file.find_func("Outer"), file)
-        second = captures[1]
-        assert "n" not in second.captured
-
-    def test_locally_declared_names_are_not_captures(self):
-        source = (
-            "package p\n\nfunc F() {\n\tgo func() {\n\t\terr := work()\n\t\tuse(err)\n\t}()\n}\n"
-        )
-        file = parse_file(source)
-        captures = analyze_captures(file.find_func("F"), file)
-        assert "err" not in captures[0].captured
-
-    def test_package_level_functions_are_not_captures(self):
-        file = parse_file(CAPTURE_SOURCE)
-        captures = analyze_captures(file.find_func("Outer"), file)
-        assert "use" not in captures[1].captured
-
-    def test_declared_names_in_block(self):
-        stmts = parse_stmts("a := 1\nvar b int\nc = 2")
-        block = ast.BlockStmt(stmts=stmts)
-        assert declared_names(block) == {"a", "b"}
-
-
 class TestConcurrencyAnalysis:
     def test_go_and_send_statements_are_concurrency(self):
         go_stmt, send_stmt, plain = parse_stmts("go f()\nch <- 1\nx := 2")
@@ -88,12 +52,6 @@ class TestConcurrencyAnalysis:
         quiet = parse_file("package p\nfunc G() int {\n\treturn 1\n}\n")
         assert not block_mentions_concurrency(quiet.find_func("G").body)
 
-    def test_spawn_sites_include_captured_names(self):
-        file = parse_file(CAPTURE_SOURCE)
-        sites = find_spawn_sites(file)
-        assert len(sites) == 2
-        assert {"total", "limit"} <= sites[0].captured
-
     def test_find_enclosing_function_resolves_closures(self):
         file = parse_file(CAPTURE_SOURCE)
         # Line 8 is inside the first closure.
@@ -111,15 +69,40 @@ class TestConcurrencyAnalysis:
         low, high = node_line_span(file.find_func("Outer"))
         assert low <= 4 and high >= 12
 
-    def test_call_graph(self):
-        source = (
-            "package p\nfunc A() { B() }\nfunc B() { C(); helper.D() }\nfunc C() {}\n"
-        )
-        graph = build_call_graph(parse_file(source))
-        assert "B" in graph["A"]
-        assert {"C", "D"} <= graph["B"]
 
-    def test_lowest_common_ancestor(self):
-        assert lowest_common_ancestor((["main", "A", "B"], ["main", "A", "C"])) == "A"
-        assert lowest_common_ancestor((["main"], ["main"])) == "main"
-        assert lowest_common_ancestor((["x"], ["y"])) is None
+    def test_defer_is_concurrency_only_for_sync_calls(self):
+        unlock, close = parse_stmts("defer mu.Unlock()\ndefer f.Close()")
+        assert stmt_is_concurrency(unlock)
+        assert not stmt_is_concurrency(close)
+
+    def test_sync_typed_declaration_is_concurrency(self):
+        mutex, plain = parse_stmts("var mu sync.Mutex\nvar n int")
+        assert stmt_is_concurrency(mutex)
+        assert not stmt_is_concurrency(plain)
+
+    def test_channels_and_atomics_mention_sync(self):
+        for source in ("make(chan int)", "<-done", "atomic.LoadInt64(&n)",
+                       "func() { go work() }"):
+            assert expr_mentions_sync(parse_expr(source)), source
+        for source in ("x + 1", "f(a, b)", "func() int { return 1 }"):
+            assert not expr_mentions_sync(parse_expr(source)), source
+        assert not expr_mentions_sync(None)
+
+    def test_find_enclosing_function_outside_closures_and_functions(self):
+        file = parse_file(CAPTURE_SOURCE)
+        # Line 2 is the package clause; line 17 is the body of `use`.
+        assert find_enclosing_function(file, 2) is None
+        enclosing = find_enclosing_function(file, 17)
+        assert enclosing is not None and enclosing.decl.name == "use"
+        assert enclosing.closure is None
+
+
+class TestUniverseNames:
+    def test_builtins_and_predeclared_types_are_universe_names(self):
+        assert {"true", "false", "nil", "iota", "len", "cap", "append", "make",
+                "new", "panic", "recover", "error", "int", "string", "any",
+                "_"} <= UNIVERSE_NAMES
+
+    def test_package_and_user_names_are_not_universe_names(self):
+        assert not {"sync", "atomic", "fmt", "testing", "mu", "wg",
+                    "Mutex"} & UNIVERSE_NAMES

@@ -123,6 +123,34 @@ class TestSingleFlight:
         assert all(entry.errors for entry in results)
         assert cache.misses == 1 and cache.hits == 7
 
+    def test_singleflight_counts_waiters(self):
+        cache = ProgramCache(capacity=8)
+        package = _package("W")
+        barrier = threading.Barrier(4)
+        results = []
+
+        def build():
+            barrier.wait()
+            results.append(cache.get_or_build(package))
+
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len({id(entry) for entry in results}) == 1
+        stats = cache.stats()
+        assert stats["misses"] == 1
+        assert stats["hits"] + stats["singleflight_waits"] == 3
+
+    def test_stats_snapshot_has_every_counter(self):
+        expected = {
+            "entries", "capacity", "hits", "misses", "evictions",
+            "singleflight_waits",
+            "parse_hits", "parse_misses", "parse_entries",
+        }
+        assert expected == set(ProgramCache(capacity=2).stats())
+
 
 class TestBoundsUnderLoad:
     def test_lru_capacity_is_never_exceeded(self):

@@ -153,6 +153,20 @@ class TestCLI:
         assert {"case_id", "category", "expected_race", "mutations"} <= set(record)
         assert list(labels[0].parent.glob("*.go")), "expected case .go files"
 
+    def test_bench_reports_determinism_and_program_cache_counters(self, tmp_path, capsys):
+        import re
+
+        exit_code = main([
+            "bench", "--scale", "0.02", "--jobs", "2", "--executor", "thread",
+            "--cache-dir", str(tmp_path / "store"),
+        ])
+        captured = capsys.readouterr().out
+        assert exit_code == 0
+        assert "determinism: all four runs report" in captured
+        assert re.search(
+            r"^program cache: \d+ hits / [1-9]\d* misses, \d+ evictions, "
+            r"\d+ single-flight waits$", captured, re.MULTILINE)
+
 
 class TestVersion:
     def test_version_subcommand(self, capsys):
