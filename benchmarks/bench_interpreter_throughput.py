@@ -4,8 +4,9 @@ Measures the inner loop every other benchmark sits on top of — repeated
 ``run_package_tests`` invocations over corpus packages — and emits the
 ``BENCH_interpreter.json`` artifact that anchors the perf trajectory:
 
-* **build_cold_ms / build_warm_ms** — parse + lower through a cleared
-  :data:`~repro.runtime.compiler.PROGRAM_CACHE` vs a cache hit;
+* **build_cold_ms / build_warm_ms** — parse through a cleared
+  :data:`~repro.runtime.compiler.PROGRAM_CACHE` vs a cache hit (lowering
+  waits for the runs: each function body lowers on its first call);
 * **tree / compiled / sliced** — wall time and scheduler steps/sec for the
   repeated-run workload (``repeat_calls`` successive harness invocations ×
   ``runs`` seeded runs each, the shape of a validator sweep) on each engine

@@ -10,12 +10,18 @@ transforms a program (fix strategies, the skeletonizer) first takes a private
 copy with :func:`clone` and mutates that copy in place before pretty-printing
 it back to source; code that only rearranges a file's top-level declarations
 (the patcher) copies the ``File`` with a fresh ``decls`` list instead.
+Nothing writes to a tree after parsing: the runtime keeps what it derives
+from a tree in its own caches, keyed by node identity.
+
+The generic walkers (:meth:`Node.children`, :func:`clone`) read each class's
+dataclass fields by name, never the instance dictionary: on CPython 3.11+
+asking for it allocates a GC-tracked dict per node visited.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from dataclasses import dataclass, field, fields as dataclass_fields
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.golang.tokens import Position
 
@@ -33,13 +39,27 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes (used by generic walkers)."""
-        for value in self.__dict__.values():
+        for name in _field_names(type(self)):
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, list):
                 for item in value:
                     if isinstance(item, Node):
                         yield item
+
+
+#: Per node class, its dataclass field names in declaration order, ``pos``
+#: excluded (positions are frozen leaves); filled on first use.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _field_names(cls: type) -> Tuple[str, ...]:
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(
+            f.name for f in dataclass_fields(cls) if f.name != "pos")
+    return names
 
 
 def walk(node: Node) -> Iterator[Node]:
@@ -54,14 +74,18 @@ def clone(node: Node) -> Node:
 
     Every node and list is fresh; the frozen positions and the strings are
     shared, which is what makes this much cheaper than ``copy.deepcopy``."""
-    copy = object.__new__(type(node))
-    fields = copy.__dict__
-    for name, value in node.__dict__.items():
+    cls = type(node)
+    copy = object.__new__(cls)
+    # Attributes are set in ``__init__``'s order, so the copy keeps its
+    # values inline exactly like a parsed node.
+    copy.pos = node.pos
+    for name in _field_names(cls):
+        value = getattr(node, name)
         if isinstance(value, Node):
             value = clone(value)
         elif isinstance(value, list):
             value = [_clone_value(item) for item in value]
-        fields[name] = value
+        setattr(copy, name, value)
     return copy
 
 
@@ -367,24 +391,29 @@ class SelectStmt(Stmt):
 
 @dataclass
 class ForStmt(Stmt):
-    """Three-clause or condition-only ``for`` loop (``for {}`` has all None)."""
+    """Three-clause or condition-only ``for`` loop (``for {}`` has all None).
+    ``label`` names the loop when it is the statement of a
+    :class:`LabeledStmt` (set by the parser)."""
 
     init: Optional[Stmt] = None
     cond: Optional[Expr] = None
     post: Optional[Stmt] = None
     body: BlockStmt = None
+    label: Optional[str] = None
 
 
 @dataclass
 class RangeStmt(Stmt):
     """``for key, value := range x { ... }``; ``tok`` is ``":="`` or ``"="``
-    or ``""`` when no variables are bound."""
+    or ``""`` when no variables are bound.  ``label`` as for
+    :class:`ForStmt`."""
 
     key: Optional[Expr] = None
     value: Optional[Expr] = None
     tok: str = ":="
     x: Expr = None
     body: BlockStmt = None
+    label: Optional[str] = None
 
 
 @dataclass

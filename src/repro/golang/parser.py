@@ -506,7 +506,10 @@ class Parser:
             label = self.advance().text
             self.advance()  # ':'
             self.skip_semicolons()
-            return ast.LabeledStmt(label=label, stmt=self.parse_stmt(), pos=pos)
+            stmt = self.parse_stmt()
+            if isinstance(stmt, (ast.ForStmt, ast.RangeStmt)):
+                stmt.label = label  # what labeled break/continue match against
+            return ast.LabeledStmt(label=label, stmt=stmt, pos=pos)
         stmt = self.parse_simple_stmt()
         self.expect_semi()
         return stmt

@@ -23,7 +23,10 @@ Three layers:
 * :class:`CompiledProgram` — the parsed files plus the shared code cache.  A
   program is built once and reused by every run: each run constructs a fresh
   :class:`CompiledInterpreter` (fresh detector/scheduler/heap) over the same
-  compiled code.
+  compiled code.  Building one computes only the whole-program facts
+  (:class:`_ProgramMeta`); each function body lowers on its first call and
+  each global initializer on its first evaluation, so code no run reaches is
+  never lowered and never joins the long-lived heap.
 * :class:`ProgramCache` — a process-wide LRU keyed by a source fingerprint, so
   repeated harness invocations over the same package (the validator runs
   thousands of them) skip parsing *and* lowering.  Parse failures are cached
@@ -31,7 +34,9 @@ Three layers:
 
 Semantics are bit-identical to the tree-walk by construction and enforced by
 the corpus-wide differential test
-(``tests/runtime/test_compiled_engine_differential.py``).
+(``tests/runtime/test_compiled_engine_differential.py``).  Lowering reads the
+AST and never writes to it, so the shared, read-only trees of
+:func:`~repro.golang.parser.parse_file` stay read-only.
 """
 
 from __future__ import annotations
@@ -214,6 +219,13 @@ def _const_value_of(node: ast.Expr) -> Tuple[bool, Any]:
 #: string can never collide with the integer ``id()`` keys).
 _META_KEY = "__program_meta__"
 
+#: Deepest AST level (a file is level 0) that a program may lower lazily.
+#: Lowering recurses once per level, so a deeper program lowers eagerly at
+#: build time, where running out of stack fails the build (``nesting too
+#: deep``) instead of the run that first calls the deep function.  The
+#: corpora nest at most 14 levels; lowering overflows near 250.
+_LAZY_MAX_DEPTH = 64
+
 
 class _ProgramMeta:
     """Whole-program facts the lowering pass can rely on.
@@ -228,13 +240,16 @@ class _ProgramMeta:
     binding is provably single-goroutine, see :mod:`repro.golang.slicing`);
     the lowering pass drops the schedule point and detector hook on those
     accesses.  Empty when slicing is off.
+
+    ``depth`` is the deepest AST level in the program (see
+    :data:`_LAZY_MAX_DEPTH`).
     """
 
-    __slots__ = ("bound_names", "imported_names", "elidable")
+    __slots__ = ("bound_names", "imported_names", "elidable", "depth")
 
     def __init__(self, files: List[ast.File], elidable: frozenset = frozenset()):
         self.elidable = elidable
-        self.bound_names = _bound_names_in(files)
+        self.bound_names, self.depth = _bound_names_in(files)
         self.imported_names = frozenset(
             spec.name or spec.path.split("/")[-1]
             for file in files
@@ -242,12 +257,16 @@ class _ProgramMeta:
         )
 
 
-def _bound_names_in(roots) -> frozenset:
-    """Every name the subtree(s) can ever bind into an environment."""
+def _bound_names_in(roots) -> Tuple[frozenset, int]:
+    """Every name the subtree(s) can ever bind into an environment, and the
+    deepest level below the roots (which are level 0)."""
     bound: set = set()
-    stack: List[ast.Node] = list(roots)
+    deepest = 0
+    stack: List[Tuple[ast.Node, int]] = [(root, 0) for root in roots]
     while stack:
-        node = stack.pop()
+        node, depth = stack.pop()
+        if depth > deepest:
+            deepest = depth
         if isinstance(node, ast.AssignStmt):
             if node.tok == ":=":
                 for target in node.lhs:
@@ -264,8 +283,9 @@ def _bound_names_in(roots) -> frozenset:
             bound.update(node.names)
         elif isinstance(node, ast.FuncDecl) and node.recv is not None:
             bound.update(node.recv.names)
-        stack.extend(node.children())
-    return frozenset(bound)
+        depth += 1
+        stack.extend((child, depth) for child in node.children())
+    return frozenset(bound), deepest
 
 
 def _meta_of(code: CodeCache) -> Optional[_ProgramMeta]:
@@ -356,7 +376,7 @@ def _build_expr(node: ast.Expr, code: CodeCache) -> Code:
 
         return run_slice
     if isinstance(node, ast.FuncLit):
-        compile_block(node.body, code)  # warm the closure body
+        # The body lowers on the closure's first call (``call_function``).
 
         def run_funclit(interp, goroutine, env):
             if False:  # pragma: no cover - keeps this a generator
@@ -1144,12 +1164,12 @@ def _build_stmt(node: ast.Stmt, code: CodeCache) -> Code:
         needs_scope = node.init is not None or (
             node.post is not None and _declares_inline(node.post))
         cond_is_bool = _always_bool(node.cond) if node.cond is not None else True
+        label = node.label
 
         def run_for(interp, goroutine, env):
             stack = goroutine.stack
             if stack and line:
                 stack[-1].line = line
-            label = getattr(node, "_label", None)
             scope = Environment(parent=env) if needs_scope else env
             if init_code is not None:
                 yield from init_code(interp, goroutine, scope)
@@ -1235,13 +1255,8 @@ def _build_stmt(node: ast.Stmt, code: CodeCache) -> Code:
         return run_send
 
     if isinstance(node, ast.LabeledStmt):
-        inner = node.stmt
         label = node.label
-        # The reference sets ``_label`` on every execution; the value is
-        # static, so attach it once at lowering time — the shared AST then
-        # really is immutable at runtime.
-        setattr(inner, "_label", label)
-        inner_code = compile_stmt(inner, code)
+        inner_code = compile_stmt(node.stmt, code)
 
         def run_labeled(interp, goroutine, env):
             stack = goroutine.stack
@@ -1318,6 +1333,7 @@ def _build_range(node: ast.RangeStmt, code: CodeCache, line: int) -> Code:
     elidable = meta.elidable if meta is not None else frozenset()
     key_elided = key_name is not None and id(node.key) in elidable
     value_elided = value_name is not None and id(node.value) in elidable
+    label = node.label
     key_target = None
     value_target = None
     if not is_define:
@@ -1330,7 +1346,6 @@ def _build_range(node: ast.RangeStmt, code: CodeCache, line: int) -> Code:
         stack = goroutine.stack
         if stack and line:
             stack[-1].line = line
-        label = getattr(node, "_label", None)
         scope = Environment(parent=env)
         container = yield from x_code(interp, goroutine, env)
         # Loop variables have per-loop scope (Go <= 1.21); see the
@@ -1474,14 +1489,25 @@ class CompiledProgram:
 
     ``slicing`` selects the lowering mode: with it on, each function's slice
     feeds the meta's elidable set and pure-local accesses lower without
-    schedule points or detector hooks."""
+    schedule points or detector hooks.
 
-    __slots__ = ("files", "tests", "fingerprint", "code", "slicing")
+    Construction computes the whole-program facts (:class:`_ProgramMeta`)
+    and lowers nothing else: a function body lowers on its first call and a
+    global initializer on its first evaluation, through the compile-on-miss
+    paths of :class:`CompiledInterpreter`.  A program nested deeper than
+    :data:`_LAZY_MAX_DEPTH` lowers everything here instead, so a nest too
+    deep to lower raises ``RecursionError`` at build time.
 
-    def __init__(self, files: List[ast.File], fingerprint: str = "",
-                 slicing: bool = False):
+    The code cache is therefore written at run time, possibly by several
+    threads running the same program.  That was already so for call plans,
+    and it is safe for the same reason: every lowering of a node yields an
+    equivalent closure, so a racing thread that lowers a node again and
+    overwrites the entry changes nothing observable."""
+
+    __slots__ = ("files", "code", "slicing")
+
+    def __init__(self, files: List[ast.File], slicing: bool = False):
         self.files = list(files)
-        self.fingerprint = fingerprint
         self.slicing = slicing
         self.code: CodeCache = {}
         elidable: frozenset = frozenset()
@@ -1496,16 +1522,11 @@ class CompiledProgram:
             if parts:
                 elidable = frozenset().union(*parts)
         # Static whole-program facts must be in place before lowering starts.
-        self.code[_META_KEY] = _ProgramMeta(self.files, elidable)
-        self.tests: List[ast.FuncDecl] = [
-            decl
-            for file in self.files
-            for decl in file.func_decls()
-            if decl.name.startswith("Test") and decl.recv is None and decl.body is not None
-        ]
-        self._warm()
+        meta = self.code[_META_KEY] = _ProgramMeta(self.files, elidable)
+        if meta.depth > _LAZY_MAX_DEPTH:
+            self._lower_all()
 
-    def _warm(self) -> None:
+    def _lower_all(self) -> None:
         """Lower every function body and global initializer."""
         code = self.code
         for file in self.files:
@@ -1676,8 +1697,8 @@ class CompiledInterpreter(Interpreter):
 class BuiltPackage:
     """One cached build: parse results plus (lazily) the compiled programs.
 
-    Lowering is deferred until a compiled-engine run first asks for the
-    program, so a tree-only process (``--engine tree``) never pays it; parse
+    The program is built when a compiled-engine run first asks for it, so a
+    tree-only process (``--engine tree``) never pays for it; parse
     results and test discovery are shared by both engines.  Programs are kept
     per slicing mode (the two lowerings differ)."""
 
@@ -1689,12 +1710,7 @@ class BuiltPackage:
         self.fingerprint = fingerprint
         self.files = files
         self.errors = errors
-        self.tests: List[ast.FuncDecl] = [
-            decl
-            for file in files
-            for decl in file.func_decls()
-            if decl.name.startswith("Test") and decl.recv is None and decl.body is not None
-        ]
+        self.tests = discover_tests(files)
         #: Stdlib-registry generation this build's lowerings captured; a
         #: later :func:`repro.runtime.stdlib.register_package` invalidates it.
         #: Sampled by the builder *before* parsing/lowering so a registration
@@ -1706,11 +1722,11 @@ class BuiltPackage:
 
     @property
     def program(self) -> Optional[CompiledProgram]:
-        """A compiled program, if any lowering has happened (or ``None``)."""
+        """A compiled program, if one has been built (or ``None``)."""
         return self._programs.get(True) or self._programs.get(False)
 
     def ensure_program(self, slicing: "bool | str | None" = None) -> Optional[CompiledProgram]:
-        """Lower the program on first compiled-engine use (thread-safe).
+        """Build the compiled program on first compiled-engine use (thread-safe).
 
         ``slicing`` resolves through :func:`repro.execution.resolve_slicing`
         (explicit argument, then ``DRFIX_SLICING``, then on).  Nesting the
@@ -1725,13 +1741,23 @@ class BuiltPackage:
                 program = self._programs.get(mode)
                 if program is None:
                     try:
-                        program = CompiledProgram(
-                            self.files, fingerprint=self.fingerprint, slicing=mode)
+                        program = CompiledProgram(self.files, slicing=mode)
                     except RecursionError:
                         self.errors = [_nesting_error(self.files)]
                         return None
                     self._programs[mode] = program
         return program
+
+
+def discover_tests(files: List[ast.File]) -> List[ast.FuncDecl]:
+    """The package's test functions, in declaration order: every top-level
+    ``Test*`` function with a body."""
+    return [
+        decl
+        for file in files
+        for decl in file.func_decls()
+        if decl.name.startswith("Test") and decl.recv is None and decl.body is not None
+    ]
 
 
 def _nesting_error(files: List[ast.File]) -> str:

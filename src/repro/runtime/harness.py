@@ -2,11 +2,11 @@
 
 The harness owns the pieces Dr.Fix's validator needs (Section 4.4.1):
 
-* **build** — parse and lower every file of the package through the
-  process-wide :data:`~repro.runtime.compiler.PROGRAM_CACHE` (keyed by source
-  fingerprint, so repeated harness invocations over the same package — the
-  validator runs thousands — parse and compile once); syntax errors become
-  build failures fed back to the model;
+* **build** — parse every file of the package through the process-wide
+  :data:`~repro.runtime.compiler.PROGRAM_CACHE` (keyed by source fingerprint,
+  so repeated harness invocations over the same package — the validator runs
+  thousands — parse once and lower each function once, on its first call);
+  syntax errors become build failures fed back to the model;
 * **engine selection** — each (seed, policy) run executes on the compile-once
   engine by default, or the reference tree-walk with ``engine="tree"``; the
   two are bit-identical (same reports, failures, and output — enforced by the
@@ -54,6 +54,7 @@ from repro.runtime.compiler import (
     PROGRAM_CACHE,
     BuiltPackage,
     CompiledInterpreter,
+    discover_tests,
     package_fingerprint,
 )
 from repro.runtime.goroutine import Goroutine, STEP, blocked
@@ -499,10 +500,11 @@ class GoTestHarness:
     # -- build ---------------------------------------------------------------------------
 
     def build(self) -> BuiltPackage:
-        """Parse + lower the package through the process-wide program cache.
+        """Parse the package through the process-wide program cache.
 
-        The first build of a package pays parsing and lowering once; every
-        later harness (repeat validator sweeps, other threads) gets the cached
+        The first build of a package pays parsing once, and each function's
+        lowering once, on its first call; every later harness (repeat
+        validator sweeps, other threads) gets the cached
         :class:`~repro.runtime.compiler.BuiltPackage` by source fingerprint.
         """
         return PROGRAM_CACHE.get_or_build(self.package)
@@ -511,14 +513,7 @@ class GoTestHarness:
         build = self.build()
         return list(build.files), list(build.errors)
 
-    @staticmethod
-    def discover_tests(files: Sequence[ast.File]) -> List[ast.FuncDecl]:
-        tests = []
-        for file in files:
-            for decl in file.func_decls():
-                if decl.name.startswith("Test") and decl.recv is None and decl.body is not None:
-                    tests.append(decl)
-        return tests
+    discover_tests = staticmethod(discover_tests)
 
     # -- running -------------------------------------------------------------------------
 
@@ -595,7 +590,7 @@ class GoTestHarness:
         entries: List[str] = list(entry_functions) if entry_functions else []
         if (self.engine is EngineKind.COMPILED and not build.errors
                 and (tests or entries)):
-            # Lower before any run: nesting too deep to lower fails the build.
+            # Check nesting before any run: too deep to lower fails the build.
             build.ensure_program(self.slicing)
         if build.errors:
             result.build_errors = list(build.errors)

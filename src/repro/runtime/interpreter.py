@@ -467,9 +467,7 @@ class Interpreter:
             signal = yield from self.exec_select(goroutine, stmt, env)
             return signal
         if isinstance(stmt, ast.LabeledStmt):
-            inner = stmt.stmt
-            setattr(inner, "_label", stmt.label)
-            signal = yield from self.exec_stmt(goroutine, inner, env)
+            signal = yield from self.exec_stmt(goroutine, stmt.stmt, env)
             if isinstance(signal, BreakSignal) and signal.label == stmt.label:
                 return None
             return signal
@@ -664,7 +662,7 @@ class Interpreter:
         return None
 
     def exec_for(self, goroutine: Goroutine, stmt: ast.ForStmt, env: Environment) -> Generator:
-        label = getattr(stmt, "_label", None)
+        label = stmt.label
         scope = env.child()
         if stmt.init is not None:
             yield from self.exec_stmt(goroutine, stmt.init, scope)
@@ -689,7 +687,7 @@ class Interpreter:
 
     def exec_range(self, goroutine: Goroutine, stmt: ast.RangeStmt,
                    env: Environment) -> Generator:
-        label = getattr(stmt, "_label", None)
+        label = stmt.label
         scope = env.child()
         container = yield from self.eval_expr(goroutine, stmt.x, env)
         # Loop variables have per-loop scope (Go <= 1.21); see module docstring.

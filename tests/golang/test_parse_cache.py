@@ -10,7 +10,9 @@ every tree once more when the test ends.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
+import sys
 import threading
 
 import pytest
@@ -25,6 +27,8 @@ from repro.golang import parser
 from repro.golang.parser import parse_cache_info, parse_file
 from repro.golang.printer import print_file
 from repro.runtime.compiler import PROGRAM_CACHE
+from repro.runtime.harness import GoFile, GoPackage
+from repro.testing import reset_addresses, run_outcome
 
 SOURCE = """package demo
 
@@ -44,6 +48,43 @@ func Add(xs []int, total *int) {
 		}(x)
 	}
 	wg.Wait()
+}
+"""
+
+#: Labeled ``break``/``continue`` on three-clause and range loops, nested.
+LABELED_SOURCE = """package labels
+
+import "testing"
+
+func Scan(rows [][]int) int {
+	found := 0
+outer:
+	for i := 0; i < len(rows); i++ {
+	inner:
+		for _, v := range rows[i] {
+			if v < 0 {
+				continue outer
+			}
+			if v == 0 {
+				break inner
+			}
+			if v > 100 {
+				break outer
+			}
+			found += v
+		}
+	}
+	return found
+}
+
+func TestScan(t *testing.T) {
+	done := make(chan int)
+	go func() {
+		rows := [][]int{[]int{1, 2}, []int{3, -1, 50}, []int{4, 0, 9},
+			[]int{5, 200, 7}, []int{8}}
+		done <- Scan(rows)
+	}()
+	println(<-done)
 }
 """
 
@@ -99,6 +140,21 @@ class TestReadOnlyContract:
             DrFix(case.package, config=config, database=database).fix_case(case)
         assert audited_cache["hits"] > 0
 
+    def test_labeled_loops_run_the_same_on_both_engines(self, audited_cache):
+        package = GoPackage(name="labels", files=[GoFile("labels_test.go", LABELED_SOURCE)])
+        outcomes = []
+        for engine in ("compiled", "tree", "compiled"):
+            reset_addresses()
+            outcomes.append(run_outcome(package, seed=3, engine=engine, runs=4))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0]["output"] == ["15"] * 4 and not outcomes[0]["build_errors"]
+        # Labels are parse-time fields; no engine writes one into the tree.
+        tree = parse_file(LABELED_SOURCE, "labels_test.go")
+        assert all(not hasattr(node, "_label") for node in ast.walk(tree))
+        assert [node.label for node in ast.walk(tree)
+                if isinstance(node, (ast.ForStmt, ast.RangeStmt))] == ["outer", "inner"]
+        assert audited_cache["hits"] > 0
+
     def test_mutant_corpus_twice_in_one_process(self, audited_cache):
         def corpus():
             cases = CorpusGenerator(CorpusConfig(seed=515, noise_level=1)) \
@@ -132,6 +188,31 @@ class TestClone:
         assert not mutable_ids(tree) & mutable_ids(copy)
         # The frozen positions are shared, not copied.
         assert copy.decls[0].pos is tree.decls[0].pos
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="instances keep attributes inline from CPython 3.11")
+    def test_walk_and_clone_allocate_no_dicts(self):
+        source = all_templates()[0](7, 1).package.files[0].source
+        # A first tree of the same source fills the per-class field tables.
+        warm = parse_file(source, "warm.go")
+        list(ast.walk(warm))
+        ast.clone(warm)
+        tree = parse_file(source, "fresh.go")
+        assert tree is not warm
+
+        def new_dicts(action):
+            gc.collect()
+            before = {id(o) for o in gc.get_objects() if type(o) is dict}
+            result = action()
+            created = [o for o in gc.get_objects()
+                       if type(o) is dict and id(o) not in before]
+            return result, created
+
+        nodes, created = new_dicts(lambda: list(ast.walk(tree)))
+        assert len(nodes) > 100 and created == []
+        copy, created = new_dicts(lambda: ast.clone(tree))
+        assert created == []
+        assert copy == tree and _fields(copy) == _fields(tree)
 
     def test_mutating_a_clone_leaves_the_shared_tree_alone(self):
         tree = parse_file(SOURCE, "clone.go")

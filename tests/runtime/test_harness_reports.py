@@ -49,6 +49,20 @@ class TestHarness:
             [error] = result.build_errors
             assert error.startswith("deep_test.go:") and error.endswith(": nesting too deep")
 
+    def test_nesting_too_deep_in_an_uncalled_function_is_a_build_error(self):
+        # No test calls ``Deep``, so a run would never lower it: the build
+        # still checks nesting up front and fails the same way.
+        body = "x := 0\n" + "{\n" * 300 + "x++\n" + "}\n" * 300
+        source = ("package deep\n\nimport \"testing\"\n\n"
+                  "func Deep() {\n" + body + "}\n\n"
+                  "func TestShallow(t *testing.T) {\n}\n")
+        package = GoPackage(name="deep", files=[GoFile("uncalled_test.go", source)])
+        for _ in range(2):
+            result = run_package_tests(package, runs=2)
+            assert not result.built
+            [error] = result.build_errors
+            assert error.startswith("uncalled_test.go:") and error.endswith(": nesting too deep")
+
     def test_racy_package_summary_mentions_races(self, listing1_package):
         result = run_package_tests(listing1_package, runs=8)
         assert result.reports

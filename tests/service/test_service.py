@@ -212,6 +212,17 @@ class TestServing:
         [error] = payload["build_errors"]
         assert error.startswith("deep_test.go:") and error.endswith(": nesting too deep")
 
+    def test_nesting_too_deep_in_an_uncalled_function_is_a_build_error(self, config):
+        body = "x := 0\n" + "{\n" * 300 + "x++\n" + "}\n" * 300
+        source = ("package demo\n\nimport \"testing\"\n\n"
+                  "func Deep() {\n" + body + "}\n\n"
+                  "func TestShallow(t *testing.T) {\n}\n")
+        package = GoPackage(name="demo", files=[GoFile("uncalled_test.go", source)])
+        payload = service_core.execute_detect(DetectRequest(package=package, runs=2), config)
+        assert not payload["built"]
+        [error] = payload["build_errors"]
+        assert error.startswith("uncalled_test.go:") and error.endswith(": nesting too deep")
+
 
 class TestAdmissionControl:
     def test_queue_bound_yields_structured_overloaded(self, config):
