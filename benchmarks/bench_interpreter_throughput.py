@@ -19,9 +19,6 @@ Measures the inner loop every other benchmark sits on top of — repeated
   than the compiled arm precisely when slicing is working (fewer schedule
   points per second of less work), so the comparable numbers are the
   wall-clock ratio and the normalized rate;
-* **schedule_classes** — total seeded runs vs distinct schedule equivalence
-  classes explored (the detector's HB-trace hash), per slicing mode —
-  statistics only, the groundwork for schedule-class-aware run budgeting;
 * **speedup_vs_pr2** — the compiled+cache numbers against the pinned PR 2
   baseline (``benchmarks/baselines/interpreter_pr2.json``, measured from a git
   worktree of that commit on the same machine with the identical workload).
@@ -90,14 +87,6 @@ def _time_workload(package, engine: str, trials: int = TRIALS,
     return best, steps
 
 
-def _schedule_class_stats(package, slicing) -> dict:
-    """Total seeded runs vs distinct schedule classes for one sweep."""
-    runs = REPEAT_CALLS * RUNS_PER_CALL
-    result = run_package_tests(package, runs=runs, engine="compiled",
-                               slicing=slicing)
-    return {"runs": result.runs, "distinct": result.schedule_classes}
-
-
 def _time_build(package) -> tuple[float, float]:
     """(cold, warm) build times in milliseconds through the program cache."""
     PROGRAM_CACHE.clear()
@@ -132,8 +121,7 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
         "cases": {},
     }
     totals = {"tree_s": 0.0, "compiled_s": 0.0, "tree_steps": 0, "compiled_steps": 0,
-              "sliced_s": 0.0, "sliced_steps": 0, "class_runs": 0,
-              "classes_off": 0, "classes_on": 0,
+              "sliced_s": 0.0, "sliced_steps": 0,
               "baseline_s": 0.0, "baseline_covered_s": 0.0}
     for case in cases:
         cold_ms, warm_ms = _time_build(case.package)
@@ -142,8 +130,6 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
             case.package, "compiled", trials, slicing="off")
         sliced_s, sliced_steps = _time_workload(
             case.package, "compiled", trials, slicing="on")
-        classes_off = _schedule_class_stats(case.package, "off")
-        classes_on = _schedule_class_stats(case.package, "on")
         entry = {
             "category": str(case.category),
             "build_cold_ms": round(cold_ms, 3),
@@ -178,11 +164,6 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
                 "reduction": round(1.0 - sliced_steps / compiled_steps, 4)
                 if compiled_steps else None,
             },
-            "schedule_classes": {
-                "runs": classes_off["runs"],
-                "distinct_off": classes_off["distinct"],
-                "distinct_on": classes_on["distinct"],
-            },
         }
         totals["tree_s"] += tree_s
         totals["compiled_s"] += compiled_s
@@ -190,9 +171,6 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
         totals["compiled_steps"] += compiled_steps
         totals["sliced_s"] += sliced_s
         totals["sliced_steps"] += sliced_steps
-        totals["class_runs"] += classes_off["runs"]
-        totals["classes_off"] += classes_off["distinct"]
-        totals["classes_on"] += classes_on["distinct"]
         if baseline and case.case_id in baseline.get("cases", {}):
             pr2_s = baseline["cases"][case.case_id]
             entry["pr2_baseline_seconds"] = pr2_s
@@ -221,11 +199,6 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
         "schedule_point_reduction": round(
             1.0 - totals["sliced_steps"] / totals["compiled_steps"], 4)
         if totals["compiled_steps"] else None,
-        "schedule_classes": {
-            "runs": totals["class_runs"],
-            "distinct_off": totals["classes_off"],
-            "distinct_on": totals["classes_on"],
-        },
     }
     if baseline and totals["baseline_covered_s"]:
         report["totals"]["speedup_vs_pr2"] = round(
@@ -270,9 +243,6 @@ def test_bench_interpreter_throughput_smoke():
     # counts; post-elision steps/sec necessarily undercounts it.
     assert totals["sliced_effective_steps_per_sec"] >= \
         totals["sliced_steps_per_sec"], report["totals"]
-    classes = totals["schedule_classes"]
-    assert 0 < classes["distinct_off"] <= classes["runs"]
-    assert 0 < classes["distinct_on"] <= classes["runs"]
 
 
 def main(argv=None) -> int:
@@ -294,9 +264,6 @@ def main(argv=None) -> int:
     print(f"sliced over compiled:   {totals['sliced_over_compiled']}x wall-clock "
           f"({totals['sliced_effective_steps_per_sec']:,} effective steps/s, "
           f"schedule points -{totals['schedule_point_reduction']:.1%})")
-    classes = totals["schedule_classes"]
-    print(f"schedule classes:       {classes['distinct_on']} distinct / "
-          f"{classes['runs']} runs (off: {classes['distinct_off']})")
     if "speedup_vs_pr2" in totals:
         print(f"compiled vs PR 2 base:  {totals['speedup_vs_pr2']}x")
     return 0

@@ -52,7 +52,6 @@ from repro.evaluation.runner import EvaluationRunner, ExperimentContext
 from repro.evaluation.store import RunStore, corpus_fingerprint
 from repro.runtime.compiler import PROGRAM_CACHE
 from repro.runtime.harness import GoFile, GoPackage, run_package_tests
-from repro.runtime.schedule_index import SCHEDULE_CLASS_REGISTRY
 from repro.service import (
     DrFixService,
     Pidfile,
@@ -235,7 +234,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
         stop_on_first_race=args.fail_fast,
         engine=args.engine,
         slicing=args.slicing,
-        dedup=args.dedup,
     )
     print(result.summary())
     diagnoser = RaceDiagnoser(package)
@@ -278,10 +276,8 @@ def cmd_fix(args: argparse.Namespace) -> int:
         config = config.with_engine(args.engine)
     if args.slicing:
         config = config.with_slicing(args.slicing)
-    if args.dedup:
-        config = config.with_dedup(args.dedup)
     detection = run_package_tests(package, runs=args.runs, engine=args.engine,
-                                  slicing=args.slicing, dedup=args.dedup)
+                                  slicing=args.slicing)
     if not detection.reports:
         print("no data race detected; nothing to fix")
         return 0
@@ -394,14 +390,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
           f"{cache_stats['hits']} hits / {cache_stats['misses']} misses, "
           f"{cache_stats['evictions']} evictions, "
           f"{cache_stats['singleflight_waits']} single-flight waits")
-    dedup_stats = SCHEDULE_CLASS_REGISTRY.stats()
-    print("schedule dedup: "
-          f"{dedup_stats['classes_explored']} classes explored, "
-          f"{dedup_stats['runs_deduped']} runs deduped, "
-          f"{dedup_stats['runs_skipped']} runs skipped, "
-          f"{dedup_stats['prefix_rejections']} prefix rejections, "
-          f"{dedup_stats['saturation_stops']} saturation stops, "
-          f"{dedup_stats['indexes']} indexes")
     return 0
 
 
@@ -433,8 +421,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         config = config.with_engine(args.engine)
     if args.slicing:
         config = config.with_slicing(args.slicing)
-    if args.dedup:
-        config = config.with_dedup(args.dedup)
     database: Optional[ExampleDatabase] = None
     if not args.no_rag:
         corpus = CorpusGenerator(CorpusConfig().scaled(args.scale)).generate()
@@ -555,9 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--slicing", choices=["on", "off"], default=None,
                         help="slice-aware instrumentation elision in the "
                              "compiled engine (default: DRFIX_SLICING or on)")
-    detect.add_argument("--dedup", choices=["on", "off"], default=None,
-                        help="schedule-class deduplication across runs "
-                             "(default: DRFIX_DEDUP or on)")
     detect.set_defaults(func=cmd_detect)
 
     fix = sub.add_parser("fix", help="run the Dr.Fix pipeline over a directory of .go files")
@@ -577,9 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     fix.add_argument("--slicing", choices=["on", "off"], default=None,
                      help="slice-aware instrumentation elision in the "
                           "compiled engine (default: DRFIX_SLICING or on)")
-    fix.add_argument("--dedup", choices=["on", "off"], default=None,
-                     help="schedule-class deduplication for detection and "
-                          "validation runs (default: DRFIX_DEDUP or on)")
     fix.set_defaults(func=cmd_fix)
 
     patterns = sub.add_parser(
@@ -662,9 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--slicing", choices=["on", "off"], default=None,
                        help="slice-aware instrumentation elision for served "
                             "runs (default: DRFIX_SLICING or on)")
-    serve.add_argument("--dedup", choices=["on", "off"], default=None,
-                       help="schedule-class deduplication for served runs "
-                            "(default: DRFIX_DEDUP or on)")
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request")
     serve.set_defaults(func=cmd_serve)

@@ -93,18 +93,6 @@ class DrFixConfig:
     #: suite): identical races, failures, and output — only the schedule-point
     #: count differs.
     slicing: str = ""
-    #: Schedule-class deduplication for harness runs: ``""`` resolves the
-    #: default (``DRFIX_DEDUP`` env var, else on), ``"on"`` memoizes explored
-    #: schedule classes and biases PCT change points toward novel schedules,
-    #: ``"off"`` restores the recompute-everything harness.  Detection-
-    #: equivalent (enforced by the dedup ON/OFF equivalence suite): identical
-    #: verdicts, racy-variable sets, and diagnosis categories.
-    dedup: str = ""
-    #: Saturation early-stop for dedup'd harness sweeps: > 0 stops launching
-    #: runs after this many consecutive runs explored no novel schedule class
-    #: and no novel sync-event prefix; 0 (default) always spends the full run
-    #: budget, keeping exact run counts.
-    saturation_after: int = 0
 
     # ------------------------------------------------------------------
 
@@ -128,11 +116,6 @@ class DrFixConfig:
         if self.slicing not in ("", "on", "off"):
             raise ConfigError(
                 f"unknown slicing mode {self.slicing!r} (expected on or off)")
-        if self.dedup not in ("", "on", "off"):
-            raise ConfigError(
-                f"unknown dedup mode {self.dedup!r} (expected on or off)")
-        if self.saturation_after < 0:
-            raise ConfigError("saturation_after must be >= 0")
         return self
 
     # -- experiment-arm constructors (used by the ablation harness) ----------------------
@@ -154,12 +137,6 @@ class DrFixConfig:
 
     def with_slicing(self, slicing: str) -> "DrFixConfig":
         return replace(self, slicing=slicing)
-
-    def with_dedup(self, dedup: str) -> "DrFixConfig":
-        return replace(self, dedup=dedup)
-
-    def with_saturation(self, saturation_after: int) -> "DrFixConfig":
-        return replace(self, saturation_after=saturation_after)
 
     def with_adaptive_runs(self, hit_rate: float = 0.55,
                            confidence: float = 0.999) -> "DrFixConfig":

@@ -188,13 +188,13 @@ class DrFix:
 
     def fix_case(self, case: "RaceCase") -> FixOutcome:
         """Convenience entry point used by the evaluation: detect then fix."""
-        report = case.race_report(runs=self.config.detection_runs,
-                                  seed=self.config.validator_seed)
+        runs, seed = self.config.detection_runs, self.config.validator_seed
+        report = case.race_report(runs=runs, seed=seed)
         if report is None:
             outcome = FixOutcome(bug_hash="")
             outcome.failure_reason = "the race could not be reproduced by the detector"
             return outcome
-        baseline = case.detect().race_hashes()
+        baseline = case.detect(runs=runs, seed=seed).race_hashes()
         return self.fix_report(report, baseline_hashes=baseline)
 
     # ------------------------------------------------------------------

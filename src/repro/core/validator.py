@@ -93,8 +93,6 @@ def _validate_candidate(config: DrFixConfig, bug_hash: str,
         jobs=config.harness_jobs,
         engine=config.engine or None,
         slicing=config.slicing or None,
-        dedup=config.dedup or None,
-        saturation_after=config.saturation_after,
     )
     if not result.built:
         return ValidationResult(

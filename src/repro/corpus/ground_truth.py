@@ -11,7 +11,7 @@ from __future__ import annotations
 import difflib
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.diagnosis.categories import RaceCategory, UnfixedReason
 from repro.runtime.harness import GoPackage, PackageRunResult, run_package_tests
@@ -70,7 +70,10 @@ class RaceCase:
     #: Mutation provenance, in application order (``op(key=value,...)``).
     mutations: List[str] = field(default_factory=list)
     seed: int = 0
-    _detection_cache: Optional[PackageRunResult] = field(default=None, repr=False, compare=False)
+    #: Detection results by ``(runs, seed)``; ``None`` means empty.  Replaced,
+    #: never mutated, so a ``dataclasses.replace`` copy cannot write through.
+    _detection_cache: Optional[Dict[Tuple[int, int], PackageRunResult]] = field(
+        default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Derived properties
@@ -108,10 +111,13 @@ class RaceCase:
     # ------------------------------------------------------------------
 
     def detect(self, runs: int = 10, seed: int = 0, force: bool = False) -> PackageRunResult:
-        """Run the racy package under the detector and cache the result."""
-        if self._detection_cache is None or force:
-            self._detection_cache = run_package_tests(self.package, runs=runs, seed=seed)
-        return self._detection_cache
+        """Run the racy package under the detector, cached per ``(runs, seed)``."""
+        cache = self._detection_cache or {}
+        result = cache.get((runs, seed))
+        if result is None or force:
+            result = run_package_tests(self.package, runs=runs, seed=seed)
+            self._detection_cache = {**cache, (runs, seed): result}
+        return result
 
     def race_report(self, runs: int = 10, seed: int = 0) -> Optional[RaceReport]:
         """The first detected race report for this case (None if not reproduced)."""

@@ -89,6 +89,15 @@ class EvaluationRun:
         return [r for r in self.results if not r.fixed]
 
 
+def case_config(config: DrFixConfig, case: RaceCase) -> DrFixConfig:
+    """``config`` as ``case`` runs under it: with ``per_case_seeds`` on, the
+    validator seed is derived from (``validator_seed``, case id)."""
+    if not config.per_case_seeds:
+        return config
+    return replace(
+        config, validator_seed=derive_case_seed(config.validator_seed, case.case_id))
+
+
 def evaluate_single_case(
     case: RaceCase,
     config: DrFixConfig,
@@ -103,11 +112,7 @@ def evaluate_single_case(
     keeping its randomness independent of execution order.
     """
     reviewer = reviewer if reviewer is not None else ReviewerModel()
-    if config.per_case_seeds:
-        config = replace(
-            config,
-            validator_seed=derive_case_seed(config.validator_seed, case.case_id),
-        )
+    config = case_config(config, case)
     pipeline = DrFix(case.package, config=config, database=database)
     outcome = pipeline.fix_case(case)
     review = None

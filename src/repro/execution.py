@@ -61,8 +61,6 @@ EXECUTOR_ENV_VAR = "DRFIX_EXECUTOR"
 ENGINE_ENV_VAR = "DRFIX_ENGINE"
 #: Environment variable toggling slice-aware instrumentation (``on``/``off``).
 SLICING_ENV_VAR = "DRFIX_SLICING"
-#: Environment variable toggling schedule-class deduplication (``on``/``off``).
-DEDUP_ENV_VAR = "DRFIX_DEDUP"
 #: Per-worker budget exported by an outer executor while it is mapping; inner
 #: executors clamp their worker count to it so nested layers of parallelism
 #: (pipeline × validation × harness) cannot oversubscribe the machine.
@@ -127,26 +125,6 @@ def resolve_slicing(slicing: "bool | str | None" = None) -> bool:
         return _SLICING_NAMES[name]
     except KeyError:
         raise ConfigError(f"unknown slicing mode {name!r} (expected on or off)")
-
-
-def resolve_dedup(dedup: "bool | str | None" = None) -> bool:
-    """Resolve schedule-class deduplication: explicit argument, then
-    ``DRFIX_DEDUP``, then on.
-
-    With dedup on, the harness memoizes each explored schedule class's
-    outcome in the process-wide :data:`~repro.runtime.schedule_index.
-    SCHEDULE_CLASS_REGISTRY` and biases PCT change points away from
-    already-planned signatures; ``off`` is the escape hatch that restores
-    the recompute-everything harness.  Unknown values fail fast, mirroring
-    :func:`resolve_slicing`.
-    """
-    if isinstance(dedup, bool):
-        return dedup
-    name = (dedup or os.environ.get(DEDUP_ENV_VAR, "") or "on").strip().lower()
-    try:
-        return _SLICING_NAMES[name]
-    except KeyError:
-        raise ConfigError(f"unknown dedup mode {name!r} (expected on or off)")
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -371,7 +349,6 @@ __all__ = [
     "CaseExecutor",
     "EngineKind",
     "ExecutorKind",
-    "DEDUP_ENV_VAR",
     "ENGINE_ENV_VAR",
     "JOBS_ENV_VAR",
     "EXECUTOR_ENV_VAR",
@@ -379,7 +356,6 @@ __all__ = [
     "SLICING_ENV_VAR",
     "derive_case_seed",
     "nested_budget",
-    "resolve_dedup",
     "resolve_engine",
     "resolve_jobs",
     "resolve_kind",

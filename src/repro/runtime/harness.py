@@ -38,14 +38,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import GoPanic, GoRuntimeError
 from repro.execution import (
     CaseExecutor,
     EngineKind,
     ExecutorKind,
-    resolve_dedup,
     resolve_engine,
     resolve_slicing,
 )
@@ -55,23 +54,12 @@ from repro.runtime.compiler import (
     BuiltPackage,
     CompiledInterpreter,
     discover_tests,
-    package_fingerprint,
 )
 from repro.runtime.goroutine import Goroutine, STEP, blocked
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.race_detector import RaceDetector
 from repro.runtime.race_report import RaceReport, merge_reports, report_from_race
-from repro.runtime.schedule_index import (
-    SCHEDULE_CLASS_REGISTRY,
-    ClassOutcome,
-    ScheduleClassIndex,
-)
-from repro.runtime.scheduler import (
-    Scheduler,
-    SchedulerPolicy,
-    derive_run_seed,
-    pct_plan_signature,
-)
+from repro.runtime.scheduler import Scheduler, SchedulerPolicy, derive_run_seed
 from repro.runtime.values import FuncValue
 
 
@@ -260,22 +248,13 @@ def _render_message(args: List[Any]) -> str:
 class RunOutcome:
     """The raw result of one (seed, policy) run, before merging.
 
-    Picklable (it crosses the process-executor boundary).  ``deduped`` marks
-    a run whose schedule class was already rendered earlier *in the same
-    harness invocation*: its ``reports`` are empty and the fold substitutes
-    the call-canonical rendering — merge-invisible, because a class's races
-    carry the same bug hashes whichever run of the class rendered them and
-    :func:`~repro.runtime.race_report.merge_reports` keeps first-per-hash.
+    Picklable: it crosses the process-executor boundary.
     """
 
     reports: List[RaceReport]
     failures: List[str]
     output: List[str]
     steps: int
-    class_hash: int
-    prefix_hashes: Tuple[int, ...] = ()
-    pct_rejections: int = 0
-    deduped: bool = False
 
 
 @dataclass
@@ -295,27 +274,8 @@ class PackageRunResult:
     #: Total scheduler steps across all runs (throughput accounting for the
     #: interpreter benchmarks; no effect on results).
     scheduler_steps: int = 0
-    #: Distinct schedule-equivalence classes explored across the runs (count
-    #: of distinct synchronization-trace hashes — see
-    #: :attr:`~repro.runtime.race_detector.RaceDetector.schedule_class_hash`).
-    schedule_classes: int = 0
-    #: How many runs the plan budgeted (``runs`` counts runs that *executed*;
-    #: early exit — first-race stop or dedup saturation — leaves it smaller).
-    runs_attempted: int = 0
-    #: Executed runs whose schedule class was already in the index (dedup
-    #: on only; these runs re-confirmed a known class instead of a new one).
+    #: Always 0; ``e2e_bench/spans.py`` is its only reader.
     runs_deduped: int = 0
-    #: Planned runs never launched because the sweep saturated (dedup on
-    #: with ``saturation_after`` > 0 only).
-    runs_skipped: int = 0
-    #: PCT change-point sets redrawn away from already-planned signatures
-    #: (novelty-guided budget reallocation; dedup on only).
-    prefix_rejections: int = 0
-    #: True when the sweep stopped early because ``saturation_after``
-    #: consecutive runs explored no novel class and no novel prefix.
-    saturation_stopped: bool = False
-    #: Whether schedule-class deduplication was enabled for this invocation.
-    dedup_enabled: bool = False
 
     @property
     def built(self) -> bool:
@@ -324,19 +284,6 @@ class PackageRunResult:
     @property
     def passed(self) -> bool:
         return self.built and not self.test_failures and not self.reports
-
-    def dedup_stats(self) -> Dict[str, Any]:
-        """Dedup accounting for bench/metrics surfaces."""
-        return {
-            "enabled": self.dedup_enabled,
-            "runs_attempted": self.runs_attempted,
-            "runs_executed": self.runs,
-            "runs_deduped": self.runs_deduped,
-            "runs_skipped": self.runs_skipped,
-            "prefix_rejections": self.prefix_rejections,
-            "saturation_stopped": self.saturation_stopped,
-            "schedule_classes": self.schedule_classes,
-        }
 
     def race_hashes(self) -> List[str]:
         return [report.bug_hash() for report in self.reports]
@@ -368,75 +315,6 @@ DEFAULT_POLICIES: Tuple[SchedulerPolicy, ...] = (
 )
 
 
-class _DedupFold:
-    """Per-invocation dedup bookkeeping, applied to outcomes in submission order.
-
-    One :meth:`observe` call per executed run — either as the ``map_until``
-    stop predicate (which the executor invokes on each result in submission
-    order) or from the plain-``map`` fold loop — so index recording, novelty
-    streaks, and counters are identical at any worker count.
-    """
-
-    def __init__(
-        self,
-        index: ScheduleClassIndex,
-        call_memo: Optional[Dict[int, Tuple[RaceReport, ...]]],
-        saturation_after: int,
-        min_runs: int,
-        stop_on_first_race: bool,
-    ):
-        self.index = index
-        self.call_memo = call_memo
-        self.saturation_after = saturation_after
-        self.min_runs = min_runs
-        self.stop_on_first_race = stop_on_first_race
-        #: Effective (post-substitution) reports per observed outcome,
-        #: aligned with the executor's returned prefix.
-        self.effective: List[Sequence[RaceReport]] = []
-        self.novel_classes = 0
-        self.runs_deduped = 0
-        self.prefix_rejections = 0
-        self.streak = 0
-        self.saturated = False
-
-    def _effective_reports(self, outcome: RunOutcome) -> Sequence[RaceReport]:
-        if outcome.deduped and self.call_memo is not None:
-            return self.call_memo.get(outcome.class_hash, ())
-        return outcome.reports
-
-    def observe(self, outcome: RunOutcome) -> bool:
-        """Fold one run in; True ⇒ stop launching further runs."""
-        reports = self._effective_reports(outcome)
-        self.effective.append(reports)
-        novel_class = self.index.record(
-            outcome.class_hash,
-            ClassOutcome(
-                reports=tuple(reports),
-                failures=tuple(outcome.failures),
-                output=tuple(outcome.output),
-                steps=outcome.steps,
-            ),
-        )
-        novel_prefixes = self.index.observe_prefixes(outcome.prefix_hashes)
-        self.prefix_rejections += outcome.pct_rejections
-        if novel_class:
-            self.novel_classes += 1
-        else:
-            self.runs_deduped += 1
-        if novel_class or novel_prefixes:
-            self.streak = 0
-        else:
-            self.streak += 1
-        if (
-            self.saturation_after > 0
-            and self.streak >= self.saturation_after
-            and len(self.effective) >= self.min_runs
-        ):
-            self.saturated = True
-            return True
-        return bool(reports) and self.stop_on_first_race
-
-
 class GoTestHarness:
     """Build and repeatedly run one package's tests under the race detector."""
 
@@ -453,8 +331,6 @@ class GoTestHarness:
         max_output_lines: int = 200,
         engine: "EngineKind | str | None" = None,
         slicing: "bool | str | None" = None,
-        dedup: "bool | str | None" = None,
-        saturation_after: int = 0,
     ):
         self.package = package
         self.runs = runs
@@ -470,19 +346,6 @@ class GoTestHarness:
         #: then ``DRFIX_SLICING``, then on); ``off`` restores the fully
         #: instrumented lowering.  The tree engine ignores it.
         self.slicing = resolve_slicing(slicing)
-        #: Schedule-class deduplication (argument, then ``DRFIX_DEDUP``,
-        #: then on): memoize explored classes in the process-wide registry,
-        #: skip re-rendering for in-call repeats, and bias PCT change points
-        #: away from already-planned signatures.  ``off`` restores the
-        #: recompute-everything harness bit for bit.
-        self.dedup = resolve_dedup(dedup)
-        #: Saturation early-stop: > 0 ⇒ stop launching runs after this many
-        #: consecutive runs with no novel schedule class *and* no novel
-        #: sync-event prefix (dedup on only; the memoized classes are merged
-        #: in so verdicts cover everything the index has explored).  0 (the
-        #: default) never stops early — full-budget sweeps keep their exact
-        #: run counts.
-        self.saturation_after = max(0, saturation_after)
         #: Worker count for the per-seed runs (1 = the inline serial loop;
         #: ``None``/0 resolves ``DRFIX_JOBS``).  Clamped by the nested budget
         #: when a pipeline-level executor is already fanned out.
@@ -531,60 +394,8 @@ class GoTestHarness:
             plan.append((derive_run_seed(self.seed, run_index, policy), policy))
         return plan
 
-    def _plan_specs(self) -> "tuple[List[Tuple[int, SchedulerPolicy, FrozenSet[int]]], List[int]]":
-        """The (seed, policy, avoid-signatures) schedule, fixed up front.
-
-        With dedup on, each PCT run's first-window change-point signature is
-        simulated at plan time (:func:`~repro.runtime.scheduler.
-        pct_plan_signature` — the scheduler's RNG is consumed first by that
-        draw, so the simulation is exact) and folded into the avoid set
-        handed to every *later* PCT run in the same sweep: a later run whose
-        draw lands on an already-planned preemption plan redraws toward
-        unexplored schedule space.  The fold is a pure function of the
-        harness configuration — no execution results feed it — so the plan
-        stays deterministic at any worker count and across repeat
-        invocations (biasing on *executed* cross-call state would make a
-        re-run of the same configuration explore different schedules, which
-        the determinism discipline forbids).
-        """
-        specs: List[Tuple[int, SchedulerPolicy, FrozenSet[int]]] = []
-        avoid: set = set()
-        planned_signatures: List[int] = []
-        for seed, policy in self.plan_runs():
-            if self.dedup and policy is SchedulerPolicy.PCT:
-                frozen = frozenset(avoid)
-                signature, _ = pct_plan_signature(seed, frozen)
-                specs.append((seed, policy, frozen))
-                avoid.add(signature)
-                planned_signatures.append(signature)
-            else:
-                specs.append((seed, policy, frozenset()))
-        return specs, planned_signatures
-
-    def _index_key(self, entries: Sequence[str]) -> tuple:
-        """The registry key: everything that shapes this sweep's schedule space.
-
-        Two invocations share a :class:`ScheduleClassIndex` exactly when they
-        would replay one another's interleavings — same package bytes, base
-        seed, step budget, policy rotation, engine, slicing, and entry
-        functions.  The run *budget* is deliberately absent: a repeat
-        invocation with a different budget still explores the same space,
-        and sharing the index across budgets is what lets repeat validation
-        sweeps saturate early.
-        """
-        return (
-            package_fingerprint(self.package),
-            self.seed,
-            self.max_steps,
-            tuple(p.value for p in self.policies),
-            self.engine.value,
-            self.slicing,
-            tuple(entries),
-        )
-
     def run(self, entry_functions: Optional[Sequence[str]] = None) -> PackageRunResult:
         result = PackageRunResult(package=self.package.name)
-        result.dedup_enabled = self.dedup
         build = self.build()
         tests = build.tests
         entries: List[str] = list(entry_functions) if entry_functions else []
@@ -600,31 +411,14 @@ class GoTestHarness:
             # Nothing to exercise; treat as an empty, passing package.
             return result
 
-        plan, planned_signatures = self._plan_specs()
-        result.runs_attempted = len(plan)
+        plan = self.plan_runs()
         pool = CaseExecutor(kind=self.executor_kind, jobs=self.jobs)
-        index: Optional[ScheduleClassIndex] = None
-        call_memo: Optional[Dict[int, Tuple[RaceReport, ...]]] = None
-        if self.dedup:
-            index = SCHEDULE_CLASS_REGISTRY.get(self._index_key(entries))
-            for signature in planned_signatures:
-                index.note_pct_signature(signature)
-            if pool.kind is ExecutorKind.SERIAL or pool.jobs == 1:
-                # Inline serial execution (the executor's own fast path):
-                # submission order *is* execution order, so a run whose
-                # class already rendered this call can skip re-rendering
-                # and let the fold substitute the call-canonical reports.
-                # Worker-backed runs always render — whether a concurrent
-                # sibling finished first is timing, and results must not be.
-                call_memo = {}
         if pool.kind is not ExecutorKind.PROCESS:
             # Serial and thread backends share the cached build directly:
             # the program is lowered once and every run reuses it (the AST
             # and compiled closures are immutable at runtime, so sharing
             # across threads is safe).
-            runner = lambda spec: self._run_once(
-                build, tests, entries, spec[0], spec[1], spec[2], call_memo=call_memo
-            )
+            runner = lambda spec: self._run_once(build, tests, entries, *spec)
         else:
             # Process workers can't share in-memory programs; they rebuild
             # through their own process-wide cache, so the build is still
@@ -633,38 +427,16 @@ class GoTestHarness:
                 _execute_package_run, self.package, tuple(entries), self.max_steps,
                 self.engine.value, self.slicing,
             )
-        fold: Optional[_DedupFold] = None
-        if index is None:
-            if self.stop_on_first_race:
-                outcomes = pool.map_until(runner, plan, stop=lambda out: bool(out.reports))
-            else:
-                outcomes = pool.map(runner, plan)
+        if self.stop_on_first_race:
+            outcomes = pool.map_until(runner, plan, stop=lambda out: bool(out.reports))
         else:
-            fold = _DedupFold(
-                index,
-                call_memo,
-                saturation_after=self.saturation_after,
-                # Never saturate before every policy had at least one run
-                # (each policy probes the space differently) nor before the
-                # streak window itself is even reachable.
-                min_runs=max(self.saturation_after, len(self.policies)),
-                stop_on_first_race=self.stop_on_first_race,
-            )
-            if self.stop_on_first_race or self.saturation_after > 0:
-                outcomes = pool.map_until(runner, plan, stop=fold.observe)
-            else:
-                outcomes = pool.map(runner, plan)
-                for outcome in outcomes:
-                    fold.observe(outcome)
+            outcomes = pool.map(runner, plan)
 
         all_reports: List[RaceReport] = []
         seen_failures = set(result.test_failures)
-        class_hashes = set()
-        for position, outcome in enumerate(outcomes):
-            run_reports = fold.effective[position] if fold is not None else outcome.reports
-            all_reports.extend(run_reports)
+        for outcome in outcomes:
+            all_reports.extend(outcome.reports)
             result.scheduler_steps += outcome.steps
-            class_hashes.add(outcome.class_hash)
             # Order-preserving dedup via a seen-set (the old ``not in list``
             # scan was quadratic over thousands of runs).
             for failure in outcome.failures:
@@ -675,31 +447,6 @@ class GoTestHarness:
             result.output.extend(kept)
             result.output_lines_truncated += dropped
             result.runs += 1
-        result.schedule_classes = len(class_hashes)
-        if fold is not None:
-            result.runs_deduped = fold.runs_deduped
-            result.prefix_rejections = fold.prefix_rejections
-            if fold.saturated:
-                # The sweep stopped early; fold in every memoized class
-                # outcome so the verdict covers the whole explored space,
-                # not just the pre-saturation prefix.  Executed runs come
-                # first, so in-call reports stay canonical under the
-                # merge's first-per-hash rule.
-                result.saturation_stopped = True
-                result.runs_skipped = len(plan) - len(outcomes)
-                for memo in index.class_outcomes():
-                    all_reports.extend(memo.reports)
-                    for failure in memo.failures:
-                        if failure not in seen_failures:
-                            seen_failures.add(failure)
-                            result.test_failures.append(failure)
-            SCHEDULE_CLASS_REGISTRY.note_sweep(
-                novel_classes=fold.novel_classes,
-                runs_deduped=fold.runs_deduped,
-                runs_skipped=result.runs_skipped,
-                prefix_rejections=fold.prefix_rejections,
-                saturated=fold.saturated,
-            )
         result.reports = merge_reports(all_reports)
         return result
 
@@ -710,12 +457,9 @@ class GoTestHarness:
         entries: Sequence[str],
         seed: int,
         policy: SchedulerPolicy,
-        avoid_signatures: FrozenSet[int] = frozenset(),
-        call_memo: Optional[Dict[int, Tuple[RaceReport, ...]]] = None,
     ) -> RunOutcome:
         detector = RaceDetector()
-        scheduler = Scheduler(seed=seed, policy=policy, max_steps=self.max_steps,
-                              avoid_signatures=avoid_signatures)
+        scheduler = Scheduler(seed=seed, policy=policy, max_steps=self.max_steps)
         program = (build.ensure_program(self.slicing)
                    if self.engine is EngineKind.COMPILED else None)
         if program is not None:
@@ -755,29 +499,10 @@ class GoTestHarness:
         failures.extend(program.failures)
         for root in roots:
             failures.extend(root.collect_failures())
-        class_hash = detector.schedule_class_hash
-        deduped = False
-        if call_memo is not None and class_hash in call_memo:
-            # This schedule class already rendered its reports earlier in
-            # this invocation — skip result recomputation; the fold
-            # substitutes the call-canonical rendering.
-            reports: List[RaceReport] = []
-            deduped = True
-        else:
-            reports = [report_from_race(r, package=self.package.name)
-                       for r in program.races]
-            if call_memo is not None:
-                call_memo[class_hash] = tuple(reports)
-        return RunOutcome(
-            reports=reports,
-            failures=failures,
-            output=program.output,
-            steps=program.steps,
-            class_hash=class_hash,
-            prefix_hashes=detector.prefix_hashes,
-            pct_rejections=scheduler.stats.pct_rejections,
-            deduped=deduped,
-        )
+        reports = [report_from_race(r, package=self.package.name)
+                   for r in program.races]
+        return RunOutcome(reports=reports, failures=failures,
+                          output=program.output, steps=program.steps)
 
 
 def _cap_output(lines: List[str], limit: int) -> Tuple[List[str], int]:
@@ -794,25 +519,22 @@ def _execute_package_run(
     max_steps: int,
     engine: str,
     slicing: bool,
-    spec: Tuple[int, SchedulerPolicy, FrozenSet[int]],
+    spec: Tuple[int, SchedulerPolicy],
 ) -> RunOutcome:
-    """Execute one (seed, policy, avoid-signatures) run in a worker.
+    """Execute one (seed, policy) run in a worker.
 
     Module-level (with picklable arguments) so it can be shipped to
     process-pool workers; the package is rebuilt through the worker's own
     process-wide program cache, so a worker parses and lowers each package
-    once per process instead of once per run.  Dedup bookkeeping (index
-    recording, render skipping) lives with the dispatching harness — the
-    worker only honours the plan-time avoid set.
+    once per process instead of once per run.
     """
-    seed, policy, avoid = spec
     harness = GoTestHarness(package, runs=1, max_steps=max_steps, jobs=1,
                             engine=engine, slicing=slicing)
     build = harness.build()
     if build.errors:  # pragma: no cover - the dispatching harness parsed cleanly
         return RunOutcome(reports=[], failures=list(build.errors), output=[],
-                          steps=0, class_hash=0)
-    return harness._run_once(build, build.tests, list(entries), seed, policy, avoid)
+                          steps=0)
+    return harness._run_once(build, build.tests, list(entries), *spec)
 
 
 def run_package_tests(
@@ -828,8 +550,6 @@ def run_package_tests(
     engine: "EngineKind | str | None" = None,
     slicing: "bool | str | None" = None,
     policies: Sequence[SchedulerPolicy] = DEFAULT_POLICIES,
-    dedup: "bool | str | None" = None,
-    saturation_after: int = 0,
 ) -> PackageRunResult:
     """Convenience wrapper: build ``package`` and run its tests ``runs`` times."""
     harness = GoTestHarness(
@@ -844,7 +564,5 @@ def run_package_tests(
         max_output_lines=max_output_lines,
         engine=engine,
         slicing=slicing,
-        dedup=dedup,
-        saturation_after=saturation_after,
     )
     return harness.run(entry_functions=entry_functions)

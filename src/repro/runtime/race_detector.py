@@ -69,10 +69,6 @@ class RaceRecord:
         return (self.variable, *frames)
 
 
-#: Sync-event prefix hashes are snapshotted at power-of-two event depths;
-#: this caps how many snapshots a very long run retains (2**24 events).
-_MAX_PREFIX_DEPTHS = 24
-
 #: ``read_tid`` sentinel: no reads since the last write.
 _NO_READER = -1
 #: ``read_tid`` sentinel: concurrent readers — the read state is the
@@ -114,64 +110,12 @@ class _LocationState:
         return Epoch(self.write_tid, self.write_clock)
 
 
-#: FNV-1a 64-bit parameters for the schedule-class trace hash.  Arithmetic
-#: (not Python ``hash()``) so the value is stable across processes whatever
-#: ``PYTHONHASHSEED`` the pool workers inherit.
-_FNV_OFFSET = 14695981039346656037
-_FNV_PRIME = 1099511628211
-_FNV_MASK = (1 << 64) - 1
-
-#: Chain tags (disjoint from the event kinds 1-4): a thread chain and a sync
-#: chain with the same numeric key must contribute differently.
-_THREAD_CHAIN = 5
-_SYNC_CHAIN = 6
-_PREFIX_TAG = 7
-_VAR_CHAIN = 8
-
-#: Access-event kinds for the per-variable chains (disjoint from the sync
-#: event kinds 1-4 so a read can never alias a fork in a chain fold).
-_READ_EVENT = 9
-_WRITE_EVENT = 10
-
-
-def _mix(tag: int, key: int, chain: int) -> int:
-    """One chain's commutative contribution to the combined class hash."""
-    h = _FNV_OFFSET
-    for part in (tag, key, chain):
-        h = ((h ^ part) * _FNV_PRIME) & _FNV_MASK
-    return h
-
-
 class RaceDetector:
     """Tracks happens-before and flags conflicting unordered accesses.
 
-    Alongside the clocks, the detector folds every synchronization event
-    (fork/join/release/acquire) **and every unsynchronized memory access**
-    into a **schedule-class hash**.  The hash is a Mazurkiewicz-trace digest
-    over the dependence alphabet race detection actually observes: each sync
-    event is appended (order-sensitively) to the rolling chain of every
-    *participant* it touches — the acting goroutine(s) and the
-    synchronization object — each plain access is appended to the chain of
-    the cell it touches, and the class hash combines the per-chain hashes
-    commutatively (XOR of keyed contributions).  Two interleavings that
-    merely commute **independent** events (no shared goroutine, no shared
-    sync object, no shared cell) therefore hash identically, while
-    reordering two events on the same chain — the reorderings that change
-    happens-before or the reads-from relation — changes the hash.  The
-    per-cell chains matter for soundness, not just precision: two
-    interleavings with identical sync traces can still order conflicting
-    accesses differently, and FastTrack then reports *different access
-    pairs* — a class keyed on sync events alone would let the dedup layer
-    substitute one run's reports for the other's.  Two runs with the same
-    refined hash established the same happens-before edges *and* the same
-    per-variable access orders, so their detection outcomes coincide; the
-    schedule-class dedup layer (:mod:`repro.runtime.schedule_index`)
-    memoizes outcomes by this hash.
-
-    The detector also snapshots the combined hash at power-of-two event
-    depths (:attr:`prefix_hashes`): a run whose every prefix was already seen
-    replayed explored territory end to end — the conservative novelty signal
-    the harness's saturation early-stop consumes."""
+    Pure FastTrack: goroutine and synchronization-object vector clocks, and
+    per-cell write epochs with adaptive read state (see the module
+    docstring).  Nothing else runs on the per-access path."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
@@ -179,88 +123,6 @@ class RaceDetector:
         self._thread_clocks: Dict[int, VectorClock] = {}
         self._locations: Dict[int, _LocationState] = {}
         self._reported_keys: set[Tuple[str, ...]] = set()
-        self._combined_hash = _FNV_OFFSET
-        self._thread_chains: Dict[int, int] = {}
-        self._sync_chains: Dict[int, int] = {}
-        self._var_chains: Dict[int, int] = {}
-        #: Per-run cell numbering by first access: raw addresses advance
-        #: monotonically across runs (the counter is process-global), so two
-        #: executions of the same interleaving only hash identically when
-        #: cells are named by appearance order, like sync objects below.
-        self._var_ids: Dict[int, int] = {}
-        self._event_count = 0
-        self._next_prefix_depth = 1
-        self._prefix_hashes: List[int] = []
-        #: Per-run sync-object numbering: ``id(sync)`` is only stable while
-        #: the object is alive, so each object is pinned for the run's
-        #: duration and numbered by first appearance (deterministic across
-        #: processes, unlike the raw id).
-        self._sync_ids: Dict[int, int] = {}
-        self._sync_pins: List[SyncVar] = []
-
-    @property
-    def schedule_class_hash(self) -> int:
-        """The commutative digest over this run's synchronization chains."""
-        return self._combined_hash
-
-    @property
-    def prefix_hashes(self) -> Tuple[int, ...]:
-        """Class-hash snapshots at power-of-two sync-event depths."""
-        return tuple(self._prefix_hashes)
-
-    def _fold_chain(self, chains: Dict[int, int], tag: int, key: int,
-                    kind: int, a: int, b: int) -> None:
-        old = chains.get(key)
-        h = _FNV_OFFSET if old is None else old
-        for part in (kind, a, b):
-            h = ((h ^ part) * _FNV_PRIME) & _FNV_MASK
-        chains[key] = h
-        combined = self._combined_hash
-        if old is not None:
-            combined ^= _mix(tag, key, old)
-        self._combined_hash = combined ^ _mix(tag, key, h)
-
-    def _note_event(self) -> None:
-        self._event_count += 1
-        if self._event_count == self._next_prefix_depth:
-            if len(self._prefix_hashes) < _MAX_PREFIX_DEPTHS:
-                self._prefix_hashes.append(
-                    _mix(_PREFIX_TAG, self._event_count, self._combined_hash))
-            self._next_prefix_depth <<= 1
-
-    def _trace(self, kind: int, a: int, b: int) -> None:
-        """A fork/join edge between goroutines ``a`` and ``b``."""
-        self._fold_chain(self._thread_chains, _THREAD_CHAIN, a, kind, a, b)
-        self._fold_chain(self._thread_chains, _THREAD_CHAIN, b, kind, a, b)
-        self._note_event()
-
-    def _trace_sync(self, kind: int, tid: int, sid: int) -> None:
-        """A release/acquire edge between goroutine ``tid`` and sync ``sid``."""
-        self._fold_chain(self._thread_chains, _THREAD_CHAIN, tid, kind, tid, sid)
-        self._fold_chain(self._sync_chains, _SYNC_CHAIN, sid, kind, tid, sid)
-        self._note_event()
-
-    def _trace_access(self, kind: int, tid: int, address: int) -> None:
-        """A plain read/write folded into the touched cell's chain.
-
-        Accesses deliberately do not bump :meth:`_note_event`: prefix hashes
-        stay snapshots at *sync-event* depths (the novelty signal the
-        saturation early-stop consumes), though each snapshot digests the
-        access chains folded so far."""
-        vid = self._var_ids.get(address)
-        if vid is None:
-            vid = len(self._var_ids)
-            self._var_ids[address] = vid
-        self._fold_chain(self._var_chains, _VAR_CHAIN, vid, kind, tid, vid)
-
-    def _sync_id(self, sync: SyncVar) -> int:
-        key = id(sync)
-        number = self._sync_ids.get(key)
-        if number is None:
-            number = len(self._sync_pins)
-            self._sync_ids[key] = number
-            self._sync_pins.append(sync)
-        return number
 
     # ------------------------------------------------------------------
     # Goroutine lifecycle
@@ -281,7 +143,6 @@ class RaceDetector:
 
     def on_fork(self, parent_tid: int, child_tid: int) -> None:
         """``go`` statement: the child inherits the parent's knowledge."""
-        self._trace(1, parent_tid, child_tid)
         parent = self.clock_of(parent_tid)
         child = self.clock_of(child_tid)
         child.join(parent)
@@ -290,7 +151,6 @@ class RaceDetector:
 
     def on_join(self, waiter_tid: int, finished_tid: int) -> None:
         """A join edge (e.g. WaitGroup.Wait observing a goroutine's Done)."""
-        self._trace(2, waiter_tid, finished_tid)
         waiter = self.clock_of(waiter_tid)
         finished = self.clock_of(finished_tid)
         waiter.join(finished)
@@ -302,14 +162,12 @@ class RaceDetector:
 
     def on_release(self, tid: int, sync: SyncVar) -> None:
         """Unlock / channel send / WaitGroup.Done / atomic store."""
-        self._trace_sync(3, tid, self._sync_id(sync))
         clock = self.clock_of(tid)
         sync.release(clock)
         clock.increment(tid)
 
     def on_acquire(self, tid: int, sync: SyncVar) -> None:
         """Lock / channel receive / WaitGroup.Wait return / atomic load."""
-        self._trace_sync(4, tid, self._sync_id(sync))
         clock = self.clock_of(tid)
         sync.acquire(clock)
 
@@ -334,7 +192,6 @@ class RaceDetector:
     def on_read(self, tid: int, cell: Cell, record: AccessRecord) -> None:
         if not self.enabled or cell.synchronized:
             return
-        self._trace_access(_READ_EVENT, tid, cell.address)
         clock = self._thread_clocks.get(tid)
         if clock is None:
             clock = self.clock_of(tid)
@@ -375,7 +232,6 @@ class RaceDetector:
     def on_write(self, tid: int, cell: Cell, record: AccessRecord) -> None:
         if not self.enabled or cell.synchronized:
             return
-        self._trace_access(_WRITE_EVENT, tid, cell.address)
         clock = self._thread_clocks.get(tid)
         if clock is None:
             clock = self.clock_of(tid)
@@ -426,13 +282,3 @@ class RaceDetector:
         self._locations.clear()
         self._thread_clocks.clear()
         self._reported_keys.clear()
-        self._combined_hash = _FNV_OFFSET
-        self._thread_chains.clear()
-        self._sync_chains.clear()
-        self._var_chains.clear()
-        self._var_ids.clear()
-        self._event_count = 0
-        self._next_prefix_depth = 1
-        self._prefix_hashes.clear()
-        self._sync_ids.clear()
-        self._sync_pins.clear()

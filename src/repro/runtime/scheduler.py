@@ -15,12 +15,11 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import DeadlockError, GoRuntimeError
 from repro.execution import stable_seed
 from repro.runtime.goroutine import Goroutine, GoroutineState, SchedulePoint
-from repro.runtime.schedule_index import FNV_OFFSET, fnv_fold
 
 
 class SchedulerPolicy(enum.Enum):
@@ -81,77 +80,6 @@ def runs_for_detection_probability(
     return max(1, min(max_runs, needed))
 
 
-#: PCT defaults shared by :class:`Scheduler` and the harness's plan-time
-#: signature simulation (:func:`pct_plan_signature`) — the two must agree or
-#: the planner predicts a different change-point draw than execution makes.
-DEFAULT_PCT_DEPTH = 3
-DEFAULT_PCT_HORIZON = 1_000
-DEFAULT_PCT_MAX_TRIES = 8
-
-
-def change_signature(offsets: Iterable[int]) -> int:
-    """FNV-1a signature of a PCT change-point set (order-insensitive).
-
-    Two PCT runs whose first-window change points coincide start from the
-    same preemption plan; the dedup layer treats that as an already-spent
-    region of schedule space and redraws (:func:`sample_change_points`).
-    """
-    ordered = sorted(offsets)
-    return fnv_fold(FNV_OFFSET, len(ordered), *ordered)
-
-
-def sample_change_points(
-    rng: random.Random,
-    depth: int,
-    horizon: int,
-    avoid: FrozenSet[int] = frozenset(),
-    max_tries: int = DEFAULT_PCT_MAX_TRIES,
-) -> "tuple[frozenset[int], int]":
-    """Sample ``depth - 1`` change-point offsets within one horizon window.
-
-    With an empty ``avoid`` set this makes exactly one draw — bit-identical
-    to the pre-dedup sampler.  Otherwise change-point sets whose
-    :func:`change_signature` is in ``avoid`` are rejected and redrawn, at
-    most ``max_tries`` times (bounded, so a saturated avoid set degrades to
-    the unbiased draw instead of spinning).  Returns ``(offsets,
-    rejections)``; determinism: the draw sequence is a pure function of the
-    RNG state, ``avoid``, and ``max_tries``.
-    """
-    count = min(depth - 1, horizon - 1)
-    if count <= 0:
-        return frozenset(), 0
-    rejections = 0
-    offsets = frozenset(rng.sample(range(1, horizon), count))
-    if avoid:
-        while change_signature(offsets) in avoid and rejections < max_tries:
-            rejections += 1
-            offsets = frozenset(rng.sample(range(1, horizon), count))
-    return offsets, rejections
-
-
-def pct_plan_signature(
-    seed: int,
-    avoid: FrozenSet[int] = frozenset(),
-    depth: int = DEFAULT_PCT_DEPTH,
-    horizon: int = DEFAULT_PCT_HORIZON,
-    max_tries: int = DEFAULT_PCT_MAX_TRIES,
-) -> "tuple[int, int]":
-    """The first-window change-point signature a PCT run with ``seed`` makes.
-
-    A plan-time simulation of :class:`Scheduler`'s constructor draw: the
-    scheduler's RNG is consumed *first* by the initial change-point sample,
-    so replaying that sample against a fresh ``random.Random(seed)``
-    reproduces it exactly — the harness can fold each planned PCT run's
-    signature into the avoid set handed to *later* runs in the same sweep
-    without executing anything.  Returns ``(signature, rejections)``.
-    """
-    rng = random.Random(seed)
-    offsets, rejections = sample_change_points(
-        rng, max(1, depth), max(2, horizon), avoid, max_tries
-    )
-    return change_signature(offsets), rejections
-
-
 #: C-level gid key for the newest/oldest picks (same ordering, same
 #: tie-breaking as the former per-call lambdas).
 _BY_GID = operator.attrgetter("gid")
@@ -162,9 +90,6 @@ class SchedulerStats:
     steps: int = 0
     context_switches: int = 0
     max_live_goroutines: int = 0
-    #: Change-point sets redrawn because their signature was in the avoid
-    #: set (novelty-guided PCT biasing; 0 unless dedup supplied a set).
-    pct_rejections: int = 0
 
 
 class Scheduler:
@@ -175,10 +100,8 @@ class Scheduler:
         seed: int = 0,
         policy: SchedulerPolicy = SchedulerPolicy.RANDOM,
         max_steps: int = 200_000,
-        pct_depth: int = DEFAULT_PCT_DEPTH,
-        pct_horizon: int = DEFAULT_PCT_HORIZON,
-        avoid_signatures: FrozenSet[int] = frozenset(),
-        max_signature_tries: int = DEFAULT_PCT_MAX_TRIES,
+        pct_depth: int = 3,
+        pct_horizon: int = 1_000,
     ):
         self.seed = seed
         self.policy = policy
@@ -209,25 +132,15 @@ class Scheduler:
         self._pct_window_start = 0
         self._pct_change_points: frozenset[int] = frozenset()
         self._pct_low = 0.0
-        #: Change-point signatures to steer away from (novelty-guided dedup);
-        #: empty set ⇒ sampling is bit-identical to the unbiased scheduler.
-        self._pct_avoid = frozenset(avoid_signatures)
-        self.max_signature_tries = max_signature_tries
         if policy is SchedulerPolicy.PCT:
             self._pct_change_points = self._sample_change_points()
 
     def _sample_change_points(self) -> frozenset[int]:
         """Sample d-1 change-point offsets within one ``pct_horizon`` window."""
-        offsets, rejections = sample_change_points(
-            self.random,
-            self.pct_depth,
-            self.pct_horizon,
-            self._pct_avoid,
-            self.max_signature_tries,
-        )
-        if rejections:
-            self.stats.pct_rejections += rejections
-        return offsets
+        count = min(self.pct_depth - 1, self.pct_horizon - 1)
+        if count <= 0:
+            return frozenset()
+        return frozenset(self.random.sample(range(1, self.pct_horizon), count))
 
     # ------------------------------------------------------------------
     # Goroutine management

@@ -178,8 +178,6 @@ def execute_detect(request: ServiceRequest, config: DrFixConfig) -> Dict[str, An
         jobs=config.harness_jobs,
         engine=config.engine or None,
         slicing=config.slicing or None,
-        dedup=config.dedup or None,
-        saturation_after=config.saturation_after,
     )
     return normalize_addresses(detect_payload(request.package, result))
 
@@ -199,8 +197,6 @@ def execute_fix(request: ServiceRequest, config: DrFixConfig,
         jobs=config.harness_jobs,
         engine=config.engine or None,
         slicing=config.slicing or None,
-        dedup=config.dedup or None,
-        saturation_after=config.saturation_after,
     )
     results: List[Dict[str, Any]] = []
     if detection.built:

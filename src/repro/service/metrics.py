@@ -53,11 +53,6 @@ class ServiceMetrics:
     #: misses, single-flight waits, full vs derived builds, per-function unit
     #: reuse) — :meth:`repro.runtime.compiler.ProgramCache.stats`.
     program_cache: Dict[str, int] = field(default_factory=dict)
-    #: Snapshot of the schedule-class dedup registry (classes explored, runs
-    #: deduped/skipped, PCT prefix rejections, saturation stops, live
-    #: indexes) — :meth:`repro.runtime.schedule_index.ScheduleClassRegistry.
-    #: stats`.
-    dedup: Dict[str, int] = field(default_factory=dict)
     #: Sharded-service supervision counters (restarts, retries, breaker trips,
     #: per-shard queue depth) — empty for the in-process service.
     supervisor: Dict[str, Any] = field(default_factory=dict)
@@ -89,7 +84,6 @@ class ServiceMetrics:
             "throughput_rps": round(self.throughput_rps, 3),
             "uptime_seconds": round(self.uptime_seconds, 3),
             "program_cache": dict(self.program_cache),
-            "dedup": dict(self.dedup),
             "supervisor": dict(self.supervisor),
         }
 
@@ -161,10 +155,8 @@ class MetricsRecorder:
         # Imported lazily: the metrics module must stay importable without
         # pulling the whole runtime stack in (and vice versa).
         from repro.runtime.compiler import PROGRAM_CACHE
-        from repro.runtime.schedule_index import SCHEDULE_CLASS_REGISTRY
 
         program_cache = PROGRAM_CACHE.stats()
-        dedup = SCHEDULE_CLASS_REGISTRY.stats()
         with self._lock:
             latencies: List[float] = list(self._latencies_ms)
             uptime = time.monotonic() - self.started_at
@@ -184,7 +176,6 @@ class MetricsRecorder:
                 throughput_rps=self.served / uptime if uptime > 0 else 0.0,
                 uptime_seconds=uptime,
                 program_cache=program_cache,
-                dedup=dedup,
             )
 
 

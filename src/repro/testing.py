@@ -38,19 +38,18 @@ def run_outcome(
     policies: Sequence[SchedulerPolicy] = ALL_POLICIES,
     runs: int = 5,
     slicing: "bool | str | None" = None,
-    dedup: "bool | str | None" = None,
 ) -> Dict[str, object]:
     """One package's full observable outcome for an equivalence comparison.
 
     Deliberately includes everything a user of the harness can see — rendered
     reports (with addresses), failures, output, build errors, run/test
-    counts — and excludes throughput accounting (``scheduler_steps``,
-    ``schedule_classes``): slicing legitimately changes step counts while
-    leaving every observable identical.
+    counts — and excludes throughput accounting (``scheduler_steps``):
+    slicing legitimately changes step counts while leaving every observable
+    identical.
     """
     result = run_package_tests(
         package, runs=runs, seed=seed, engine=engine, policies=policies,
-        slicing=slicing, dedup=dedup,
+        slicing=slicing,
     )
     return {
         "reports": [report.render() for report in result.reports],
@@ -69,8 +68,6 @@ def detection_outcome(
     policies: Sequence[SchedulerPolicy] = ALL_POLICIES,
     runs: int = 5,
     slicing: "bool | str | None" = None,
-    dedup: "bool | str | None" = None,
-    saturation_after: int = 0,
 ) -> Dict[str, object]:
     """One package's detection-level outcome for the slicing ON/OFF suite.
 
@@ -88,7 +85,7 @@ def detection_outcome(
     """
     result = run_package_tests(
         package, runs=runs, seed=seed, engine=engine, policies=policies,
-        slicing=slicing, dedup=dedup, saturation_after=saturation_after,
+        slicing=slicing,
     )
     return {
         "raced": bool(result.reports),

@@ -50,6 +50,14 @@ class TestTemplates:
         assert large.package.total_lines() > small.package.total_lines()
         assert small.racy_variable == large.racy_variable
 
+    def test_detection_cache_is_keyed_by_runs_and_seed(self):
+        case = TEMPLATE_REGISTRY[RaceCategory.CAPTURE_BY_REFERENCE][0](42, 0)
+        assert case.detect(runs=4).runs == 4
+        assert case.detect(runs=10).runs == 10
+        first = case.detect(runs=4, seed=1)
+        assert case.detect(runs=4, seed=1) is first
+        assert case.detect(runs=4) is not first
+
     def test_unfixable_templates_have_reasons(self):
         for template in UNFIXABLE_TEMPLATES:
             case = template(77, 1)
