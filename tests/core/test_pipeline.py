@@ -195,3 +195,27 @@ class TestConcurrentCandidateValidation:
         assert [r.ok for r in results] == [False, True]
         # Batch validation leaves the serial-equivalent accounting to callers.
         assert validator.validations == 0
+
+
+class TestFixCaseDetection:
+    def test_report_and_baseline_use_the_configured_runs_and_seed(self, monkeypatch):
+        from repro.corpus.templates.capture_by_ref import make_err_capture_case
+
+        case = make_err_capture_case(4243, 1)
+        config = DrFixConfig(model="gpt-4o", detection_runs=4, validator_seed=3)
+        drfix = DrFix(case.package, config=config)
+        calls = []
+        detect = case.detect
+
+        def recording_detect(runs=10, seed=0, force=False):
+            calls.append((runs, seed))
+            return detect(runs=runs, seed=seed, force=force)
+
+        baselines = []
+        monkeypatch.setattr(case, "detect", recording_detect)
+        monkeypatch.setattr(drfix, "fix_report", lambda report, baseline_hashes=None:
+                            baselines.append(baseline_hashes))
+        drfix.fix_case(case)
+        assert calls == [(4, 3), (4, 3)]
+        assert baselines == [detect(runs=4, seed=3).race_hashes()]
+        assert detect(runs=4, seed=3).runs == 4

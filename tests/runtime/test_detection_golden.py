@@ -81,6 +81,23 @@ def test_detection_matches_golden(corpus, golden):
     assert not moved, f"detection moved on {len(moved)} sweeps: {moved[:10]}"
 
 
+def test_digest_ignores_set_order():
+    base = {"raced": True, "racy_vars": frozenset({"err", "count"}), "runs": 5}
+    reordered = dict(base, racy_vars=frozenset({"count", "err"}))
+    assert digest(base) == digest(reordered)
+    assert len(digest(base)) == 16
+
+
+@pytest.mark.parametrize("key,value", [
+    ("raced", False),
+    ("racy_vars", frozenset({"err"})),
+    ("runs", 4),
+])
+def test_digest_moves_with_any_observable(key, value):
+    base = {"raced": True, "racy_vars": frozenset({"err", "count"}), "runs": 5}
+    assert digest(dict(base, **{key: value})) != digest(base)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit("usage: test_detection_golden.py --regenerate")
