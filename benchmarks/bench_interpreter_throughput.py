@@ -71,7 +71,7 @@ def _representative_cases(dataset):
 
 
 def _time_workload(package, engine: str, trials: int = TRIALS,
-                   slicing=None) -> tuple[float, int]:
+                   slicing: bool = True) -> tuple[float, int]:
     """Best-of-``trials`` wall time for the repeated-run workload + steps."""
     best = float("inf")
     steps = 0
@@ -127,9 +127,9 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
         cold_ms, warm_ms = _time_build(case.package)
         tree_s, tree_steps = _time_workload(case.package, "tree", trials)
         compiled_s, compiled_steps = _time_workload(
-            case.package, "compiled", trials, slicing="off")
+            case.package, "compiled", trials, slicing=False)
         sliced_s, sliced_steps = _time_workload(
-            case.package, "compiled", trials, slicing="on")
+            case.package, "compiled", trials, slicing=True)
         entry = {
             "category": str(case.category),
             "build_cold_ms": round(cold_ms, 3),

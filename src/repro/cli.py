@@ -17,13 +17,6 @@ per-seed interleaving runs themselves (``--jobs``, ``--fail-fast``), and
 ``fix`` validates the candidate patches of each (location, scope) batch
 concurrently (``--jobs``) — all worker layers share the ``DRFIX_NESTED_BUDGET``
 budget so nesting never oversubscribes the machine.
-
-``detect`` and ``fix`` also accept ``--engine compiled|tree`` (default:
-``DRFIX_ENGINE`` or the compile-once engine): the compiled engine lowers each
-package once into pre-bound closures and reuses the build through the
-process-wide program cache; ``tree`` is the reference tree-walk.  The two are
-bit-identical (enforced by the corpus-wide differential test), so the flag
-only changes speed.
 """
 
 from __future__ import annotations
@@ -232,8 +225,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         executor=args.executor,
         stop_on_first_race=args.fail_fast,
-        engine=args.engine,
-        slicing=args.slicing,
     )
     print(result.summary())
     diagnoser = RaceDiagnoser(package)
@@ -272,12 +263,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
     config = DrFixConfig(model=args.model)
     if args.adaptive_runs:
         config = config.with_adaptive_runs()
-    if args.engine:
-        config = config.with_engine(args.engine)
-    if args.slicing:
-        config = config.with_slicing(args.slicing)
-    detection = run_package_tests(package, runs=args.runs, engine=args.engine,
-                                  slicing=args.slicing)
+    detection = run_package_tests(package, runs=args.runs)
     if not detection.reports:
         print("no data race detected; nothing to fix")
         return 0
@@ -417,10 +403,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 0
     request_timeout = resolve_request_timeout(args.request_timeout)
     config = DrFixConfig(model=args.model)
-    if args.engine:
-        config = config.with_engine(args.engine)
-    if args.slicing:
-        config = config.with_slicing(args.slicing)
     database: Optional[ExampleDatabase] = None
     if not args.no_rag:
         corpus = CorpusGenerator(CorpusConfig().scaled(args.scale)).generate()
@@ -535,12 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, help="execution backend for the runs")
     detect.add_argument("--fail-fast", action="store_true",
                         help="cancel outstanding runs once a race is found")
-    detect.add_argument("--engine", choices=["compiled", "tree"], default=None,
-                        help="interpreter engine (default: DRFIX_ENGINE or the "
-                             "compile-once engine; the engines are bit-identical)")
-    detect.add_argument("--slicing", choices=["on", "off"], default=None,
-                        help="slice-aware instrumentation elision in the "
-                             "compiled engine (default: DRFIX_SLICING or on)")
     detect.set_defaults(func=cmd_detect)
 
     fix = sub.add_parser("fix", help="run the Dr.Fix pipeline over a directory of .go files")
@@ -555,11 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     fix.add_argument("--adaptive-runs", action="store_true",
                      help="derive the validator's run count from a detection-"
                           "probability bound instead of the fixed validator_runs")
-    fix.add_argument("--engine", choices=["compiled", "tree"], default=None,
-                     help="interpreter engine for detection and validation runs")
-    fix.add_argument("--slicing", choices=["on", "off"], default=None,
-                     help="slice-aware instrumentation elision in the "
-                          "compiled engine (default: DRFIX_SLICING or on)")
     fix.set_defaults(func=cmd_fix)
 
     patterns = sub.add_parser(
@@ -637,11 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max requests dispatched per batch (default 4)")
     serve.add_argument("--cache-capacity", type=positive_int, default=256,
                        help="fingerprint result-cache entries (default 256)")
-    serve.add_argument("--engine", choices=["compiled", "tree"], default=None,
-                       help="interpreter engine for served runs")
-    serve.add_argument("--slicing", choices=["on", "off"], default=None,
-                       help="slice-aware instrumentation elision for served "
-                            "runs (default: DRFIX_SLICING or on)")
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request")
     serve.set_defaults(func=cmd_serve)

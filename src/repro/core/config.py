@@ -75,24 +75,6 @@ class DrFixConfig:
     #: validator/detector (1 = serial; 0 resolves from ``DRFIX_JOBS``).
     #: Execution-only: the harness merges run results deterministically.
     harness_jobs: int = 1
-    #: Derive each evaluation case's scheduler/validator seed from
-    #: (``validator_seed``, case id) instead of sharing ``validator_seed``
-    #: verbatim, making per-case randomness independent of execution order.
-    per_case_seeds: bool = False
-    #: Interpreter engine for harness runs: ``""`` resolves the default
-    #: (``DRFIX_ENGINE`` env var, else the compile-once engine), ``"tree"``
-    #: forces the reference tree-walk, ``"compiled"`` forces the compiled
-    #: engine.  Execution-only: the engines are bit-identical (enforced by the
-    #: corpus-wide differential test), so results never depend on this knob.
-    engine: str = ""
-    #: Slice-aware instrumentation for compiled-engine harness runs: ``""``
-    #: resolves the default (``DRFIX_SLICING`` env var, else on), ``"on"``
-    #: elides schedule points and detector hooks on provably single-goroutine
-    #: accesses, ``"off"`` keeps the fully instrumented lowering.  Detection-
-    #: equivalent by construction (enforced by the slicing ON/OFF equivalence
-    #: suite): identical races, failures, and output — only the schedule-point
-    #: count differs.
-    slicing: str = ""
 
     # ------------------------------------------------------------------
 
@@ -110,12 +92,6 @@ class DrFixConfig:
             raise ConfigError("adaptive_hit_rate must be in (0, 1]")
         if not 0.0 < self.adaptive_confidence < 1.0:
             raise ConfigError("adaptive_confidence must be in (0, 1)")
-        if self.engine not in ("", "tree", "compiled"):
-            raise ConfigError(
-                f"unknown engine {self.engine!r} (expected tree or compiled)")
-        if self.slicing not in ("", "on", "off"):
-            raise ConfigError(
-                f"unknown slicing mode {self.slicing!r} (expected on or off)")
         return self
 
     # -- experiment-arm constructors (used by the ablation harness) ----------------------
@@ -126,17 +102,8 @@ class DrFixConfig:
     def with_jobs(self, jobs: int) -> "DrFixConfig":
         return replace(self, jobs=jobs)
 
-    def with_per_case_seeds(self, enabled: bool = True) -> "DrFixConfig":
-        return replace(self, per_case_seeds=enabled)
-
     def with_harness_jobs(self, harness_jobs: int) -> "DrFixConfig":
         return replace(self, harness_jobs=harness_jobs)
-
-    def with_engine(self, engine: str) -> "DrFixConfig":
-        return replace(self, engine=engine)
-
-    def with_slicing(self, slicing: str) -> "DrFixConfig":
-        return replace(self, slicing=slicing)
 
     def with_adaptive_runs(self, hit_rate: float = 0.55,
                            confidence: float = 0.999) -> "DrFixConfig":

@@ -95,15 +95,9 @@ class DrFix:
         client: Optional[LLMClient] = None,
         jobs: Optional[int] = None,
         executor: "ExecutorKind | str | None" = None,
-        engine: Optional[str] = None,
     ):
         self.package = package
         self.config = (config or DrFixConfig()).validated()
-        if engine is not None:
-            # Engine override for the harness runs behind every validation;
-            # execution-only (the engines are bit-identical), so it does not
-            # alter which candidate wins or any recorded metric.
-            self.config = self.config.with_engine(engine).validated()
         self.database = database
         self.extractor = RaceInfoExtractor(package, self.config)
         self.diagnoser = RaceDiagnoser(package)

@@ -91,8 +91,6 @@ def _validate_candidate(config: DrFixConfig, bug_hash: str,
         runs=planned_validator_runs(config),
         seed=config.validator_seed,
         jobs=config.harness_jobs,
-        engine=config.engine or None,
-        slicing=config.slicing or None,
     )
     if not result.built:
         return ValidationResult(

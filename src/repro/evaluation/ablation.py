@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.evaluation.metrics import FixRate, RateComparison
-from repro.evaluation.runner import ExperimentContext, case_config
+from repro.evaluation.runner import ExperimentContext
 
 
 @dataclass
@@ -117,7 +117,7 @@ def skeleton_noise_ablation(context: ExperimentContext) -> Dict[str, float]:
     totals = {"skeleton": 0, "raw": 0}
     hits = {"skeleton": 0, "raw": 0}
     for case in context.dataset.fixable_eval_cases():
-        config = case_config(context.base_config, case)
+        config = context.base_config
         report = case.race_report(runs=config.detection_runs, seed=config.validator_seed)
         racy_lines = report.racy_lines(case.racy_file) if report is not None else []
         for mode, database in (("skeleton", context.skeleton_database),

@@ -19,7 +19,7 @@ scale without changing any number in the paper's tables:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
@@ -30,7 +30,7 @@ from repro.core.review import ReviewDecision, ReviewerModel
 from repro.corpus.dataset import Dataset
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.corpus.ground_truth import RaceCase
-from repro.execution import CaseExecutor, ExecutorKind, derive_case_seed
+from repro.execution import CaseExecutor, ExecutorKind
 from repro.evaluation.metrics import FixRate
 from repro.evaluation.store import RunStore, config_fingerprint, corpus_fingerprint
 
@@ -89,15 +89,6 @@ class EvaluationRun:
         return [r for r in self.results if not r.fixed]
 
 
-def case_config(config: DrFixConfig, case: RaceCase) -> DrFixConfig:
-    """``config`` as ``case`` runs under it: with ``per_case_seeds`` on, the
-    validator seed is derived from (``validator_seed``, case id)."""
-    if not config.per_case_seeds:
-        return config
-    return replace(
-        config, validator_seed=derive_case_seed(config.validator_seed, case.case_id))
-
-
 def evaluate_single_case(
     case: RaceCase,
     config: DrFixConfig,
@@ -107,12 +98,9 @@ def evaluate_single_case(
     """Evaluate one case: detect, fix, review.
 
     Module-level (and with picklable arguments) so it can be shipped to
-    process-pool workers.  With ``config.per_case_seeds`` on, the case's
-    scheduler/validator seed is derived from (``validator_seed``, case id),
-    keeping its randomness independent of execution order.
+    process-pool workers.
     """
     reviewer = reviewer if reviewer is not None else ReviewerModel()
-    config = case_config(config, case)
     pipeline = DrFix(case.package, config=config, database=database)
     outcome = pipeline.fix_case(case)
     review = None

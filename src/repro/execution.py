@@ -57,10 +57,6 @@ R = TypeVar("R")
 JOBS_ENV_VAR = "DRFIX_JOBS"
 #: Environment variable selecting the backend (``serial``/``thread``/``process``).
 EXECUTOR_ENV_VAR = "DRFIX_EXECUTOR"
-#: Environment variable selecting the interpreter engine (``compiled``/``tree``).
-ENGINE_ENV_VAR = "DRFIX_ENGINE"
-#: Environment variable toggling slice-aware instrumentation (``on``/``off``).
-SLICING_ENV_VAR = "DRFIX_SLICING"
 #: Per-worker budget exported by an outer executor while it is mapping; inner
 #: executors clamp their worker count to it so nested layers of parallelism
 #: (pipeline × validation × harness) cannot oversubscribe the machine.
@@ -81,50 +77,13 @@ class EngineKind(enum.Enum):
     ``COMPILED`` is the default: the harness lowers each package once into
     pre-bound closures (see :mod:`repro.runtime.compiler`) and reuses the
     compiled program across every (seed, policy) run.  ``TREE`` is the
-    reference tree-walking interpreter; the corpus-wide differential test
-    asserts the two are bit-identical, and ``--engine tree`` keeps the
-    reference selectable for that harness and for debugging.
+    reference tree-walking interpreter, kept for the corpus-wide differential
+    test; only harness-level arguments select it, so no user-facing flag,
+    environment variable or config field reaches it.
     """
 
     TREE = "tree"
     COMPILED = "compiled"
-
-
-def resolve_engine(engine: "EngineKind | str | None" = None) -> EngineKind:
-    """Resolve the engine: explicit argument, then ``DRFIX_ENGINE``, then
-    the compiled engine."""
-    if isinstance(engine, EngineKind):
-        return engine
-    name = (engine or os.environ.get(ENGINE_ENV_VAR, "") or "compiled").strip().lower()
-    try:
-        return EngineKind(name)
-    except ValueError:
-        raise ConfigError(f"unknown engine {name!r} (expected tree or compiled)")
-
-
-_SLICING_NAMES = {
-    "on": True, "1": True, "true": True, "yes": True,
-    "off": False, "0": False, "false": False, "no": False,
-}
-
-
-def resolve_slicing(slicing: "bool | str | None" = None) -> bool:
-    """Resolve slice-aware instrumentation: explicit argument, then
-    ``DRFIX_SLICING``, then on.
-
-    With slicing on, the compiled engine elides schedule points and detector
-    hooks on accesses the slicer proves single-goroutine (see
-    :mod:`repro.golang.slicing`); ``off`` is the escape hatch that restores
-    the fully instrumented lowering.  Unknown values fail fast, mirroring
-    :func:`resolve_engine` and ``DrFixConfig`` validation.
-    """
-    if isinstance(slicing, bool):
-        return slicing
-    name = (slicing or os.environ.get(SLICING_ENV_VAR, "") or "on").strip().lower()
-    try:
-        return _SLICING_NAMES[name]
-    except KeyError:
-        raise ConfigError(f"unknown slicing mode {name!r} (expected on or off)")
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -237,23 +196,13 @@ def stable_seed(*parts: "int | str") -> int:
     """Hash arbitrary parts into a 31-bit seed: the one seed-derivation recipe.
 
     A pure function of its inputs with no arithmetic structure, so derived
-    seeds never collide the way affine schemes (``base + i·prime``) do.  Both
-    per-case seeds (:func:`derive_case_seed`) and the harness's per-run seeds
-    (:func:`repro.runtime.scheduler.derive_run_seed`) go through here.
+    seeds never collide the way affine schemes (``base + i·prime``) do.  The
+    harness's per-run seeds (:func:`repro.runtime.scheduler.derive_run_seed`)
+    go through here.
     """
     text = "|".join(str(part) for part in parts)
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little") % (2 ** 31)
-
-
-def derive_case_seed(base_seed: int, case_id: str) -> int:
-    """A stable per-case seed: a pure function of the base seed and case id.
-
-    Used when :attr:`repro.core.config.DrFixConfig.per_case_seeds` is on, so
-    that each case's scheduler/validator randomness is independent of every
-    other case and of the order (or parallelism) in which cases execute.
-    """
-    return stable_seed(base_seed, case_id)
 
 
 class CaseExecutor:
@@ -349,17 +298,12 @@ __all__ = [
     "CaseExecutor",
     "EngineKind",
     "ExecutorKind",
-    "ENGINE_ENV_VAR",
     "JOBS_ENV_VAR",
     "EXECUTOR_ENV_VAR",
     "NESTED_BUDGET_ENV_VAR",
-    "SLICING_ENV_VAR",
-    "derive_case_seed",
     "nested_budget",
-    "resolve_engine",
     "resolve_jobs",
     "resolve_kind",
-    "resolve_slicing",
     "shard_worker_budget",
     "stable_seed",
 ]

@@ -16,7 +16,7 @@ its cache without importing the experiment harness.  The rules:
 * a fingerprint is a stable digest of a **canonical JSON form** (dataclasses
   become sorted dicts, enums their values, tuples lists);
 * **execution-only fields** — knobs that change how fast a run executes but
-  never what it computes (``jobs``, ``harness_jobs``, ``engine``) — are
+  never what it computes (``jobs``, ``harness_jobs``) — are
   excluded, so a parallel run hits the entries a serial run wrote;
 * an optional **version** folds a format version into the digest, cleanly
   invalidating old entries when a serialisation changes.
@@ -32,9 +32,8 @@ from typing import Any, Dict, Optional
 #: DrFixConfig fields that change how fast a run executes but not what it
 #: computes.  ``harness_jobs`` qualifies because the harness merges its
 #: per-seed run results in submission order, making the worker count invisible
-#: in the output.  ``engine`` qualifies because the compiled and tree engines
-#: are bit-identical (enforced by the corpus-wide differential test).
-EXECUTION_ONLY_FIELDS = frozenset({"jobs", "harness_jobs", "engine"})
+#: in the output.
+EXECUTION_ONLY_FIELDS = frozenset({"jobs", "harness_jobs"})
 
 
 def canonical(value: Any) -> Any:

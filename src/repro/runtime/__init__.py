@@ -17,8 +17,9 @@ ThreadSanitizer runtime) in the Dr.Fix pipeline.  It provides:
   memory and synchronization operations,
 * :mod:`repro.runtime.compiler` — the compile-once execution engine: an AST
   lowering pass producing pre-bound closures, plus the process-wide program
-  cache keyed by source fingerprint (bit-identical to the tree-walk, several
-  times faster on repeated runs),
+  cache keyed by source fingerprint (its fully instrumented lowering is
+  bit-identical to the tree-walk; the slice-aware one, which every user-facing
+  run uses, elides schedule points and so explores other interleavings),
 * :mod:`repro.runtime.race_report` — ThreadSanitizer-format race reports
   (rendering and parsing) plus the stable bug hash used by the validator,
 * :mod:`repro.runtime.harness` — a ``go test``-style harness that discovers

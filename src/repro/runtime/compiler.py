@@ -32,9 +32,11 @@ Three layers:
   thousands of them) skip parsing *and* lowering.  Parse failures are cached
   too: rebuilding a broken candidate is a dictionary hit.
 
-Semantics are bit-identical to the tree-walk by construction and enforced by
-the corpus-wide differential test
-(``tests/runtime/test_compiled_engine_differential.py``).  Lowering reads the
+With slicing off, semantics are bit-identical to the tree-walk by
+construction and enforced by the corpus-wide differential test
+(``tests/runtime/test_compiled_engine_differential.py``).  Slicing elides
+schedule points, so the production (sliced) lowering draws different seeded
+schedules; both references are test-only.  Lowering reads the
 AST and never writes to it, so the shared, read-only trees of
 :func:`~repro.golang.parser.parse_file` stay read-only.
 """
@@ -48,7 +50,6 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import GoPanic, GoRuntimeError, GoSyntaxError
-from repro.execution import resolve_slicing
 from repro.golang import ast_nodes as ast
 from repro.golang.parser import clear_parse_cache, parse_cache_info, parse_file
 from repro.golang.slicing import slice_function, package_scope_bindings
@@ -1698,7 +1699,7 @@ class BuiltPackage:
     """One cached build: parse results plus (lazily) the compiled programs.
 
     The program is built when a compiled-engine run first asks for it, so a
-    tree-only process (``--engine tree``) never pays for it; parse
+    tree-engine run (a test-only reference) never pays for it; parse
     results and test discovery are shared by both engines.  Programs are kept
     per slicing mode (the two lowerings differ)."""
 
@@ -1725,27 +1726,26 @@ class BuiltPackage:
         """A compiled program, if one has been built (or ``None``)."""
         return self._programs.get(True) or self._programs.get(False)
 
-    def ensure_program(self, slicing: "bool | str | None" = None) -> Optional[CompiledProgram]:
+    def ensure_program(self, slicing: bool = True) -> Optional[CompiledProgram]:
         """Build the compiled program on first compiled-engine use (thread-safe).
 
-        ``slicing`` resolves through :func:`repro.execution.resolve_slicing`
-        (explicit argument, then ``DRFIX_SLICING``, then on).  Nesting the
-        parser accepts can still be too deep to lower; the build then fails
-        with the parser's ``nesting too deep`` error and this returns ``None``."""
+        ``slicing`` picks the slice-aware lowering (the production one) or
+        the fully instrumented reference.  Nesting the parser accepts can
+        still be too deep to lower; the build then fails with the parser's
+        ``nesting too deep`` error and this returns ``None``."""
         if self.errors:
             return None
-        mode = resolve_slicing(slicing)
-        program = self._programs.get(mode)
+        program = self._programs.get(slicing)
         if program is None:
             with self._lock:
-                program = self._programs.get(mode)
+                program = self._programs.get(slicing)
                 if program is None:
                     try:
-                        program = CompiledProgram(self.files, slicing=mode)
+                        program = CompiledProgram(self.files, slicing=slicing)
                     except RecursionError:
                         self.errors = [_nesting_error(self.files)]
                         return None
-                    self._programs[mode] = program
+                    self._programs[slicing] = program
         return program
 
 

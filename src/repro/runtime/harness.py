@@ -7,10 +7,12 @@ The harness owns the pieces Dr.Fix's validator needs (Section 4.4.1):
   so repeated harness invocations over the same package — the validator runs
   thousands — parse once and lower each function once, on its first call);
   syntax errors become build failures fed back to the model;
-* **engine selection** — each (seed, policy) run executes on the compile-once
-  engine by default, or the reference tree-walk with ``engine="tree"``; the
-  two are bit-identical (same reports, failures, and output — enforced by the
-  corpus-wide differential test);
+* **one production engine** — each (seed, policy) run executes on the
+  compile-once engine with slice-aware instrumentation.  The two reference
+  lowerings (the tree-walk, ``engine="tree"``, and the fully instrumented
+  compiled lowering, ``slicing=False``) are reachable only through these
+  harness arguments, for the equivalence suites and the interpreter
+  benchmark; no config field, CLI flag or environment variable selects them;
 * **test discovery** — every top-level ``TestXxx`` function is a test;
 * **testing.T** — ``t.Run`` / ``t.Parallel`` follow Go's semantics: a parallel
   subtest pauses until its parent test function returns, then all parallel
@@ -40,14 +42,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Generator, List, Optional, Sequence, Tuple
 
-from repro.errors import GoPanic, GoRuntimeError
-from repro.execution import (
-    CaseExecutor,
-    EngineKind,
-    ExecutorKind,
-    resolve_engine,
-    resolve_slicing,
-)
+from repro.errors import ConfigError, GoPanic, GoRuntimeError
+from repro.execution import CaseExecutor, EngineKind, ExecutorKind
 from repro.golang import ast_nodes as ast
 from repro.runtime.compiler import (
     PROGRAM_CACHE,
@@ -329,8 +325,8 @@ class GoTestHarness:
         executor: "ExecutorKind | str | None" = None,
         stop_on_first_race: bool = False,
         max_output_lines: int = 200,
-        engine: "EngineKind | str | None" = None,
-        slicing: "bool | str | None" = None,
+        engine: "EngineKind | str" = EngineKind.COMPILED,
+        slicing: bool = True,
     ):
         self.package = package
         self.runs = runs
@@ -340,12 +336,17 @@ class GoTestHarness:
         #: Which interpreter executes each run: the compile-once engine
         #: (default — the package is lowered once via the process-wide
         #: :data:`~repro.runtime.compiler.PROGRAM_CACHE` and reused across
-        #: every (seed, policy) run) or the reference tree-walk.
-        self.engine = resolve_engine(engine)
-        #: Slice-aware instrumentation for compiled-engine runs (argument,
-        #: then ``DRFIX_SLICING``, then on); ``off`` restores the fully
-        #: instrumented lowering.  The tree engine ignores it.
-        self.slicing = resolve_slicing(slicing)
+        #: every (seed, policy) run) or the reference tree-walk.  The one
+        #: place engine names are validated.
+        try:
+            self.engine = EngineKind(engine)
+        except ValueError:
+            raise ConfigError(
+                f"unknown engine {engine!r} (expected tree or compiled)") from None
+        #: Slice-aware instrumentation for compiled-engine runs; ``False``
+        #: selects the fully instrumented reference lowering.  The tree
+        #: engine ignores it.
+        self.slicing = slicing
         #: Worker count for the per-seed runs (1 = the inline serial loop;
         #: ``None``/0 resolves ``DRFIX_JOBS``).  Clamped by the nested budget
         #: when a pipeline-level executor is already fanned out.
@@ -547,8 +548,8 @@ def run_package_tests(
     executor: "ExecutorKind | str | None" = None,
     stop_on_first_race: bool = False,
     max_output_lines: int = 200,
-    engine: "EngineKind | str | None" = None,
-    slicing: "bool | str | None" = None,
+    engine: "EngineKind | str" = EngineKind.COMPILED,
+    slicing: bool = True,
     policies: Sequence[SchedulerPolicy] = DEFAULT_POLICIES,
 ) -> PackageRunResult:
     """Convenience wrapper: build ``package`` and run its tests ``runs`` times."""

@@ -176,8 +176,6 @@ def execute_detect(request: ServiceRequest, config: DrFixConfig) -> Dict[str, An
         runs=request.runs,
         seed=request.seed,
         jobs=config.harness_jobs,
-        engine=config.engine or None,
-        slicing=config.slicing or None,
     )
     return normalize_addresses(detect_payload(request.package, result))
 
@@ -195,8 +193,6 @@ def execute_fix(request: ServiceRequest, config: DrFixConfig,
         runs=request.runs,
         seed=request.seed,
         jobs=config.harness_jobs,
-        engine=config.engine or None,
-        slicing=config.slicing or None,
     )
     results: List[Dict[str, Any]] = []
     if detection.built:

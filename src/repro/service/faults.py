@@ -28,7 +28,7 @@ Grammar — clauses separated by ``;``, fields by ``:``::
 
 Unknown actions or malformed fields fail fast with
 :class:`~repro.errors.ConfigError` — the same discipline as
-``DRFIX_ENGINE``/``DRFIX_SLICING``.
+``DRFIX_JOBS``/``DRFIX_EXECUTOR``.
 """
 
 from __future__ import annotations

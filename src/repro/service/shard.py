@@ -59,6 +59,7 @@ deterministic points.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import multiprocessing
 import os
@@ -641,30 +642,54 @@ class ShardedDrFixService:
                 handle.in_flight_id = None
                 if handle.state is WorkerState.BUSY:
                     handle.state = WorkerState.READY
+            live = entry is not None and not entry.ticket.done()
+            # Identical requests queued behind this one are answered by its
+            # payload before the next dispatch can hand one to the worker.
+            followers = (self._take_identical_locked(entry)
+                         if live and payload is not None else [])
             self._dispatch_locked(shard)
             self._cond.notify_all()
-        if entry is None or entry.ticket.done():
+        if not live:
             # A duplicate response (the request was retried and both
             # incarnations answered) — payloads are deterministic, so
             # whichever response resolved first was already correct.
             return
         if payload is None:
             self._resolve(entry, ResponseStatus.ERROR, detail=detail)
-        else:
-            self.cache.put(entry.key, payload)
-            self._resolve(entry, ResponseStatus.OK, payload=payload)
+            return
+        self.cache.put(entry.key, payload)
+        self._resolve(entry, ResponseStatus.OK, payload=payload)
+        for follower in followers:
+            # Each follower gets a private copy: responses never alias.
+            self._resolve(follower, ResponseStatus.OK,
+                          payload=copy.deepcopy(payload), cached=True)
+
+    def _take_identical_locked(self, leader: _ShardEntry) -> List[_ShardEntry]:
+        """Remove and return the live queued entries with ``leader``'s key."""
+        sq = self._shards[leader.shard]
+        kept: "deque[_ShardEntry]" = deque()
+        followers: List[_ShardEntry] = []
+        for queued in sq.pending:
+            if queued.key == leader.key and not queued.ticket.done():
+                self._entries.pop(queued.ticket.request_id, None)
+                followers.append(queued)
+            else:
+                kept.append(queued)
+        sq.pending = kept
+        return followers
 
     def _resolve(self, entry: _ShardEntry, status: ResponseStatus, *,
-                 payload: Optional[Dict[str, Any]] = None, detail: str = "") -> None:
+                 payload: Optional[Dict[str, Any]] = None, detail: str = "",
+                 cached: bool = False) -> None:
         latency_ms = (time.monotonic() - entry.submitted_at) * 1000.0
-        self.recorder.on_served(latency_ms, cached=False,
+        self.recorder.on_served(latency_ms, cached=cached,
                                 error=status is not ResponseStatus.OK)
         entry.ticket.resolve(ServiceResponse(
             request_id=entry.ticket.request_id,
             kind=entry.ticket.kind,
             status=status,
             payload=payload if payload is not None else {},
-            cached=False,
+            cached=cached,
             detail=detail,
             duration_ms=latency_ms,
         ))

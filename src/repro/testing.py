@@ -11,7 +11,7 @@ only what differs between their arms.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.runtime import memory
 from repro.runtime.harness import GoPackage, run_package_tests
@@ -34,10 +34,10 @@ def reset_addresses() -> None:
 def run_outcome(
     package: GoPackage,
     seed: int,
-    engine: Optional[str] = None,
+    engine: str = "compiled",
     policies: Sequence[SchedulerPolicy] = ALL_POLICIES,
     runs: int = 5,
-    slicing: "bool | str | None" = None,
+    slicing: bool = True,
 ) -> Dict[str, object]:
     """One package's full observable outcome for an equivalence comparison.
 
@@ -64,10 +64,10 @@ def run_outcome(
 def detection_outcome(
     package: GoPackage,
     seed: int,
-    engine: Optional[str] = None,
+    engine: str = "compiled",
     policies: Sequence[SchedulerPolicy] = ALL_POLICIES,
     runs: int = 5,
-    slicing: "bool | str | None" = None,
+    slicing: bool = True,
 ) -> Dict[str, object]:
     """One package's detection-level outcome for the slicing ON/OFF suite.
 

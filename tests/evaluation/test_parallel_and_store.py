@@ -16,7 +16,6 @@ from repro.errors import ConfigError
 from repro.execution import (
     CaseExecutor,
     ExecutorKind,
-    derive_case_seed,
     resolve_jobs,
     resolve_kind,
 )
@@ -40,11 +39,10 @@ def context():
     return ExperimentContext(corpus_config=SMALL_CORPUS)
 
 
-def _run_with(context, jobs, executor, store=None, per_case_seeds=False):
+def _run_with(context, jobs, executor, store=None):
     """Run the full arm on an independent copy of the evaluation cases."""
-    config = context.base_config.with_per_case_seeds(per_case_seeds)
     runner = EvaluationRunner(
-        config, context.skeleton_database, context.reviewer,
+        context.base_config, context.skeleton_database, context.reviewer,
         jobs=jobs, executor=executor, store=store,
     )
     return runner.run(copy.deepcopy(context.dataset.evaluation), label="full")
@@ -90,11 +88,6 @@ class TestExecutor:
         for kind in ("serial", "thread", "process"):
             result = CaseExecutor(kind=kind, jobs=4).map(_square, items)
             assert result == [i * i for i in items]
-
-    def test_case_seed_is_stable_and_case_dependent(self):
-        assert derive_case_seed(0, "case-a") == derive_case_seed(0, "case-a")
-        assert derive_case_seed(0, "case-a") != derive_case_seed(0, "case-b")
-        assert derive_case_seed(0, "case-a") != derive_case_seed(1, "case-a")
 
 
 def _square(value: int) -> int:
@@ -153,11 +146,6 @@ class TestParallelDeterminism:
         assert str(serial.fix_rate()) == str(threaded.fix_rate()) == str(forked.fix_rate())
         assert threaded.executor_label == "thread[4]"
         assert forked.executor_label == "process[4]"
-
-    def test_per_case_seeds_stay_deterministic_in_parallel(self, context):
-        serial = _run_with(context, jobs=1, executor="serial", per_case_seeds=True)
-        parallel = _run_with(context, jobs=4, executor="thread", per_case_seeds=True)
-        assert _signature(serial) == _signature(parallel)
 
     def test_config_jobs_field_feeds_the_runner(self, context):
         runner = EvaluationRunner(

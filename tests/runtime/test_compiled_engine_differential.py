@@ -19,7 +19,6 @@ from functools import partial
 import pytest
 
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
-from repro.execution import EngineKind, resolve_engine
 from repro.runtime.compiler import PROGRAM_CACHE, package_fingerprint
 from repro.runtime.harness import GoFile, GoPackage, run_package_tests
 from repro.testing import reset_addresses as _reset_addresses
@@ -29,7 +28,7 @@ from repro.testing import run_outcome
 # compiled lowering is the one that is bit-identical to the tree-walk
 # (slicing elides schedule points, which legitimately changes seeded
 # schedules; its own equivalence suite is test_slicing_equivalence.py).
-_outcome = partial(run_outcome, slicing="off")
+_outcome = partial(run_outcome, slicing=False)
 
 SEEDS = (0, 11)
 
@@ -140,32 +139,6 @@ func TestPad(t *testing.T) {
             outcomes[engine] = (result.output, result.test_failures, result.build_errors)
         assert outcomes["tree"] == outcomes["compiled"]
         assert not outcomes["tree"][1]  # no failures: extra padded to nil
-
-
-class TestEngineSelection:
-    def test_resolve_engine_defaults_to_compiled(self, monkeypatch):
-        monkeypatch.delenv("DRFIX_ENGINE", raising=False)
-        assert resolve_engine() is EngineKind.COMPILED
-        assert resolve_engine("tree") is EngineKind.TREE
-        assert resolve_engine(EngineKind.TREE) is EngineKind.TREE
-
-    def test_resolve_engine_env_var(self, monkeypatch):
-        monkeypatch.setenv("DRFIX_ENGINE", "tree")
-        assert resolve_engine() is EngineKind.TREE
-
-    def test_resolve_engine_rejects_unknown(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            resolve_engine("jit")
-
-    def test_config_engine_validation(self):
-        from repro.core.config import DrFixConfig
-        from repro.errors import ConfigError
-
-        assert DrFixConfig(engine="tree").validated().engine == "tree"
-        with pytest.raises(ConfigError):
-            DrFixConfig(engine="warp").validated()
 
 
 class TestProgramCache:

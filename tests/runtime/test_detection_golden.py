@@ -62,7 +62,7 @@ def sweep(corpus):
             key = f"{case.case_id}@{seed}"
             assert key not in digests, f"duplicate case id {case.case_id}"
             digests[key] = digest(detection_outcome(
-                case.package, seed, "compiled", runs=runs, slicing="on"))
+                case.package, seed, "compiled", runs=runs, slicing=True))
     return digests
 
 

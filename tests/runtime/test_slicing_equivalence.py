@@ -41,19 +41,19 @@ def _stable(outcome):
     return {key: outcome[key] for key in _STABLE_KEYS}
 
 
-def _sweep(cases, mode, seeds, runs):
+def _sweep(cases, slicing, seeds, runs):
     reset_addresses()
     return [
         (case.case_id, seed,
-         detection_outcome(case.package, seed, "compiled", runs=runs, slicing=mode))
+         detection_outcome(case.package, seed, "compiled", runs=runs, slicing=slicing))
         for case in cases
         for seed in seeds
     ]
 
 
 def _assert_detection_equivalent(cases, seeds, runs):
-    off_rows = _sweep(cases, "off", seeds, runs)
-    on_rows = _sweep(cases, "on", seeds, runs)
+    off_rows = _sweep(cases, False, seeds, runs)
+    on_rows = _sweep(cases, True, seeds, runs)
     failed = defaultdict(lambda: [False, False])
     for (case_id, seed, off), (_, _, on) in zip(off_rows, on_rows):
         assert _stable(off) == _stable(on), (
@@ -95,64 +95,8 @@ class TestSlicingDetectionEquivalence:
     def test_slicing_reduces_schedule_points(self, dataset):
         """The point of the exercise: strictly fewer schedule points ON."""
         cases = (dataset.evaluation + dataset.db_examples)[:12]
-        off_rows = _sweep(cases, "off", (0,), runs=3)
-        on_rows = _sweep(cases, "on", (0,), runs=3)
+        off_rows = _sweep(cases, False, (0,), runs=3)
+        on_rows = _sweep(cases, True, (0,), runs=3)
         off_steps = sum(row[2]["steps"] for row in off_rows)
         on_steps = sum(row[2]["steps"] for row in on_rows)
         assert on_steps < off_steps
-
-
-class TestSlicingSelection:
-    def test_resolve_slicing_defaults_on(self, monkeypatch):
-        from repro.execution import resolve_slicing
-
-        monkeypatch.delenv("DRFIX_SLICING", raising=False)
-        assert resolve_slicing() is True
-        assert resolve_slicing("off") is False
-        assert resolve_slicing("on") is True
-        assert resolve_slicing(False) is False
-        assert resolve_slicing(True) is True
-
-    def test_resolve_slicing_env_var(self, monkeypatch):
-        from repro.execution import SLICING_ENV_VAR, resolve_slicing
-
-        monkeypatch.setenv(SLICING_ENV_VAR, "off")
-        assert resolve_slicing() is False
-        monkeypatch.setenv(SLICING_ENV_VAR, "on")
-        assert resolve_slicing() is True
-
-    def test_resolve_slicing_rejects_unknown(self, monkeypatch):
-        from repro.errors import ConfigError
-        from repro.execution import SLICING_ENV_VAR, resolve_slicing
-
-        with pytest.raises(ConfigError, match=r"\(expected on or off\)"):
-            resolve_slicing("fast")
-        monkeypatch.setenv(SLICING_ENV_VAR, "fast")
-        with pytest.raises(ConfigError, match=r"\(expected on or off\)"):
-            resolve_slicing()
-
-    def test_config_slicing_validation_matches_resolver_message(self):
-        from repro.core.config import DrFixConfig
-        from repro.errors import ConfigError
-        from repro.execution import resolve_slicing
-
-        assert DrFixConfig(slicing="off").validated().slicing == "off"
-        with pytest.raises(ConfigError) as config_err:
-            DrFixConfig(slicing="fast").validated()
-        with pytest.raises(ConfigError) as resolver_err:
-            resolve_slicing("fast")
-        assert str(config_err.value) == str(resolver_err.value)
-
-    def test_engine_env_failure_matches_config_message(self, monkeypatch):
-        """DRFIX_ENGINE=warp fails fast with the config-validation wording."""
-        from repro.core.config import DrFixConfig
-        from repro.errors import ConfigError
-        from repro.execution import ENGINE_ENV_VAR, resolve_engine
-
-        with pytest.raises(ConfigError) as config_err:
-            DrFixConfig(engine="warp").validated()
-        monkeypatch.setenv(ENGINE_ENV_VAR, "warp")
-        with pytest.raises(ConfigError) as env_err:
-            resolve_engine()
-        assert str(config_err.value) == str(env_err.value)
-        assert "(expected tree or compiled)" in str(env_err.value)

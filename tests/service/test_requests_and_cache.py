@@ -52,11 +52,11 @@ class TestRequestModel:
         assert base.cache_key(fp) != base.cache_key(other_fp)
 
     def test_execution_only_knobs_share_a_cache_key(self):
-        # jobs/harness_jobs/engine do not change results, so they must not
+        # jobs/harness_jobs do not change results, so they must not
         # fragment the cache (same discipline as the run store).
         base = DetectRequest(package=_package())
-        serial = config_fingerprint(DrFixConfig(harness_jobs=1, engine="tree"))
-        parallel = config_fingerprint(DrFixConfig(harness_jobs=8, engine="compiled", jobs=4))
+        serial = config_fingerprint(DrFixConfig(harness_jobs=1))
+        parallel = config_fingerprint(DrFixConfig(harness_jobs=8, jobs=4))
         assert base.cache_key(serial) == base.cache_key(parallel)
 
 

@@ -57,7 +57,7 @@ def direct_detect(case, config):
     """What ``drfix detect`` computes, rendered as the service would."""
     result = run_package_tests(
         case.package, runs=RUNS, seed=0,
-        jobs=config.harness_jobs, engine=config.engine or None,
+        jobs=config.harness_jobs,
     )
     return normalize_addresses(detect_payload(case.package, result))
 
@@ -66,7 +66,7 @@ def direct_fix(case, config, database):
     """What ``drfix fix`` computes (fresh pipeline per report), rendered."""
     detection = run_package_tests(
         case.package, runs=RUNS, seed=0,
-        jobs=config.harness_jobs, engine=config.engine or None,
+        jobs=config.harness_jobs,
     )
     results = []
     if detection.built:

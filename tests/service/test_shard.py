@@ -121,6 +121,30 @@ class TestShardWorkerBudget:
 
 
 # ---------------------------------------------------------------------------
+# Identical in-flight requests
+# ---------------------------------------------------------------------------
+
+
+class TestIdenticalQueuedRequests:
+    def test_queued_duplicate_is_answered_from_the_first_result(self):
+        # The delay holds the first request on the worker long enough for
+        # the identical second one to queue behind it on the same shard.
+        service = ShardedDrFixService(workers=1, heartbeat_interval_s=0.02,
+                                      fault_plan="delay:worker=0:ms=300")
+        try:
+            first = service.submit(DetectRequest(package=make_package(11), runs=2))
+            second = service.submit(DetectRequest(package=make_package(11), runs=2))
+            cold, warm = first.result(60), second.result(60)
+            assert cold.ok and not cold.cached
+            assert warm.ok and warm.cached
+            assert warm.payload == cold.payload
+            assert warm.payload is not cold.payload
+            assert service.worker_status()[0]["served"] == 1
+        finally:
+            service.shutdown()
+
+
+# ---------------------------------------------------------------------------
 # Persistent cache
 # ---------------------------------------------------------------------------
 
