@@ -42,7 +42,8 @@ from repro.execution import JOBS_ENV_VAR, resolve_jobs
 from repro.evaluation.experiments import all_experiment_tables
 from repro.evaluation.reporting import render_report
 from repro.evaluation.runner import EvaluationRunner, ExperimentContext
-from repro.evaluation.store import RunStore, corpus_fingerprint
+from repro.evaluation.store import RunStore
+from repro.fingerprint import corpus_fingerprint
 from repro.runtime.compiler import PROGRAM_CACHE
 from repro.runtime.harness import GoFile, GoPackage, run_package_tests
 from repro.service import (
@@ -393,7 +394,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     in-process :class:`DrFixService`.  ``--pidfile`` makes the server a
     well-behaved daemon (no double start, ``--stop`` to drain it), and
     SIGTERM always triggers a graceful drain: stop admitting, finish
-    in-flight requests, flush the cache, remove the pidfile.
+    in-flight requests, remove the pidfile (cache writes are synchronous:
+    nothing to flush).
     """
     if args.stop:
         if not args.pidfile:

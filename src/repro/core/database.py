@@ -9,7 +9,6 @@ mode (no skeletonization) is provided for the Figure 3 ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
 from repro.core.config import DrFixConfig
@@ -142,45 +141,3 @@ class ExampleDatabase:
         if result is None:
             return None
         return self._entries.get(result.item_id)
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def save(self, directory: str | Path) -> None:
-        import json
-
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        self.store.save(directory / "vectors.json")
-        payload = [
-            {
-                "id": entry.example_id,
-                "buggy": entry.buggy_code,
-                "fixed": entry.fixed_code,
-                "skeleton": entry.skeleton,
-                "category": entry.category,
-                "strategy": entry.strategy,
-            }
-            for entry in self._entries.values()
-        ]
-        (directory / "examples.json").write_text(json.dumps(payload))
-
-    @classmethod
-    def load(cls, directory: str | Path, config: Optional[DrFixConfig] = None) -> "ExampleDatabase":
-        import json
-
-        directory = Path(directory)
-        database = cls(config)
-        database.store = VectorStore.load(directory / "vectors.json")
-        payload = json.loads((directory / "examples.json").read_text())
-        for item in payload:
-            database._entries[item["id"]] = ExampleEntry(
-                example_id=item["id"],
-                buggy_code=item["buggy"],
-                fixed_code=item["fixed"],
-                skeleton=item.get("skeleton", ""),
-                category=item.get("category", ""),
-                strategy=item.get("strategy", ""),
-            )
-        return database

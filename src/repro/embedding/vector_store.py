@@ -1,16 +1,12 @@
 """An in-memory exact-nearest-neighbour vector store (ChromaDB substitute).
 
-The store keeps ``(id, vector, document, metadata)`` tuples, answers cosine
-nearest-neighbour queries, and can persist itself to / load itself from a JSON
-file so the example database survives across runs (the paper notes populating
-the database is a one-time activity refreshed periodically).
+The store keeps ``(id, vector, document, metadata)`` tuples and answers cosine
+nearest-neighbour queries.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -176,35 +172,3 @@ class VectorStore:
             QueryResult(item=self._items[candidates[index]], score=float(scores[index]))
             for index in best
         ]
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Persist the store to a JSON file."""
-        payload = {
-            "dimensions": self.dimensions,
-            "items": [
-                {
-                    "id": item.item_id,
-                    "vector": item.vector.tolist(),
-                    "document": item.document,
-                    "metadata": item.metadata,
-                }
-                for item in self._items
-            ],
-        }
-        Path(path).write_text(json.dumps(payload))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "VectorStore":
-        """Load a store previously written by :meth:`save`."""
-        payload = json.loads(Path(path).read_text())
-        store = cls(dimensions=int(payload["dimensions"]))
-        store.add_many(
-            (entry["id"], entry["vector"], entry.get("document", ""),
-             entry.get("metadata", {}))
-            for entry in payload["items"]
-        )
-        return store

@@ -3,7 +3,8 @@
 * :mod:`repro.evaluation.metrics`    — fix rates, category breakdowns, percentiles;
 * :mod:`repro.evaluation.runner`     — run the pipeline over an evaluation split;
 * :mod:`repro.evaluation.store`      — the persistent run store: per-case results
-  cached on disk by (case id, configuration fingerprint);
+  cached by (case id, configuration fingerprint) in a :mod:`repro.store`
+  JSON store;
 * :mod:`repro.evaluation.ablation`   — the RQ2/RQ3 ablation arms (Figures 3-4, LCA, models);
 * :mod:`repro.evaluation.survey`     — the RQ4 developer-survey table;
 * :mod:`repro.evaluation.experiments`— one function per table/figure;
@@ -23,7 +24,8 @@ from repro.evaluation.runner import (
     evaluate_single_case,
 )
 from repro.evaluation.reporting import Table, format_table
-from repro.evaluation.store import RunStore, config_fingerprint, corpus_fingerprint
+from repro.evaluation.store import RunStore
+from repro.fingerprint import config_fingerprint, corpus_fingerprint
 
 __all__ = [
     "CaseExecutor",

@@ -12,8 +12,9 @@ scale without changing any number in the paper's tables:
   run is bit-identical to a serial one;
 * **persistent caching** — when a :class:`~repro.evaluation.store.RunStore` is
   attached, finished :class:`CaseResult`s are written to disk keyed by
-  (case id, configuration fingerprint) and reused across arms, processes, and
-  sessions.
+  (case id, configuration fingerprint), in the versioned JSON format of
+  :mod:`repro.store` that the service result cache shares, and reused across
+  arms, processes, and sessions.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.corpus.ground_truth import RaceCase
 from repro.execution import CaseExecutor, ExecutorKind
 from repro.evaluation.metrics import FixRate
-from repro.evaluation.store import RunStore, config_fingerprint, corpus_fingerprint
+from repro.evaluation.store import RunStore
+from repro.fingerprint import config_fingerprint, corpus_fingerprint
 
 
 @dataclass

@@ -4,63 +4,41 @@ Regenerating the paper's tables runs the same (case, configuration) pairs over
 and over — Table 3, RQ1, Figure 4 and the LCA ablation all need the "full"
 arm, every benchmark session rebuilds it, and ``drfix evaluate`` recomputes
 everything from scratch.  :class:`RunStore` caches each
-:class:`~repro.evaluation.runner.CaseResult` as one JSON file keyed by
+:class:`~repro.evaluation.runner.CaseResult` as one entry of a
+:class:`~repro.store.JsonStore` (the on-disk format the service result cache
+shares) rooted at ``<root>/<namespace>/`` and keyed by
 
-* a **namespace** (by convention the corpus fingerprint, so corpora of
-  different shapes never share entries),
 * the **configuration fingerprint** — a stable hash of every result-affecting
   field of :class:`~repro.core.config.DrFixConfig` (execution-only knobs such
-  as ``jobs`` are excluded: they change wall-clock, not results),
-* the **case id**.
+  as ``jobs`` are excluded: they change wall-clock, not results; see
+  :func:`repro.fingerprint.config_fingerprint`),
+* the **case id**,
 
-Layout on disk::
-
-    <root>/<namespace>/<config-fingerprint>/<case-id>.json
-
-Entries carry a format version; changing the serialisation bumps
-:data:`STORE_VERSION` which changes every fingerprint and cleanly invalidates
-old caches.  Writes are atomic (temp file + ``os.replace``) so concurrent
-workers never observe a torn entry.
+with the namespace by convention the corpus fingerprint, so corpora of
+different shapes never share entries.  The serialised result is the entry's
+payload; changing its shape bumps :data:`STORE_VERSION`, so old entries read
+as misses.  Layout, envelope, miss rule and atomic writes are the store's.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.core.config import DrFixConfig
 from repro.core.patcher import Patch
 from repro.core.pipeline import FixAttempt, FixOutcome
 from repro.core.review import ReviewDecision
 from repro.corpus.ground_truth import RaceCase
 from repro.diagnosis import Diagnosis, category_from_value
-from repro.fingerprint import EXECUTION_ONLY_FIELDS, corpus_fingerprint
-from repro.fingerprint import config_fingerprint as _shared_config_fingerprint
 from repro.runtime.harness import GoFile, GoPackage
+from repro.store import JsonStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports store)
     from repro.evaluation.runner import CaseResult
 
 #: Bump when the serialised shape of a cache entry changes.
-STORE_VERSION = 2
-
-
-# ---------------------------------------------------------------------------
-# Fingerprints
-# ---------------------------------------------------------------------------
-#
-# The canonicalisation and digesting live in the layer-neutral
-# :mod:`repro.fingerprint` (the service result cache keys by the same
-# discipline); the store folds its format version into the config fingerprint
-# so a serialisation bump cleanly invalidates old entries.
-
-
-def config_fingerprint(config: DrFixConfig) -> str:
-    """A stable hash of every result-affecting configuration field."""
-    return _shared_config_fingerprint(config, version=STORE_VERSION)
+STORE_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +85,6 @@ def serialize_case_result(result: "CaseResult") -> Dict[str, Any]:
             "evidence": outcome.diagnosis.evidence,
         }
     return {
-        "version": STORE_VERSION,
-        "case_id": result.case.case_id,
         "reproduced": result.reproduced,
         "review": review,
         "outcome": {
@@ -195,72 +171,34 @@ def deserialize_case_result(data: Dict[str, Any], case: RaceCase) -> "CaseResult
 
 
 class RunStore:
-    """Disk-backed cache of per-case evaluation results."""
+    """Per-case evaluation results in a versioned JSON store."""
 
     def __init__(self, root: "Path | str", namespace: str = "default"):
         self.root = Path(root)
-        self.namespace = namespace
-        self.hits = 0
-        self.misses = 0
+        self.store = JsonStore(self.root / namespace, STORE_VERSION)
 
-    # ------------------------------------------------------------------
+    @property
+    def hits(self) -> int:
+        return self.store.hits
 
-    def _path(self, config_fp: str, case_id: str) -> Path:
-        return self.root / self.namespace / config_fp / f"{case_id}.json"
+    @property
+    def misses(self) -> int:
+        return self.store.misses
 
     def load(self, case: RaceCase, config_fp: str) -> Optional["CaseResult"]:
-        """The cached result for (case, fingerprint), or ``None`` on a miss.
-
-        Unreadable or stale-format entries count as misses and are ignored.
-        """
-        path = self._path(config_fp, case.case_id)
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if data.get("version") != STORE_VERSION or data.get("case_id") != case.case_id:
-            self.misses += 1
-            return None
-        try:
-            result = deserialize_case_result(data, case)
-        except (KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        """The cached result for (case, fingerprint), or ``None`` on a miss."""
+        return self.store.get(f"{config_fp}-{case.case_id}",
+                              lambda data: deserialize_case_result(data, case))
 
     def save(self, result: "CaseResult", config_fp: str) -> Path:
         """Atomically persist one case result; returns the entry's path."""
-        path = self._path(config_fp, result.case.case_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(serialize_case_result(result), sort_keys=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(payload)
-        os.replace(tmp, path)
-        return path
-
-    # ------------------------------------------------------------------
-
-    def entry_count(self, config_fp: Optional[str] = None) -> int:
-        """Number of stored entries (optionally for one fingerprint only)."""
-        base = self.root / self.namespace
-        if config_fp is not None:
-            base = base / config_fp
-        if not base.exists():
-            return 0
-        return sum(1 for _ in base.rglob("*.json"))
-
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
+        return self.store.put(f"{config_fp}-{result.case.case_id}",
+                              serialize_case_result(result))
 
 
 __all__ = [
     "STORE_VERSION",
     "RunStore",
-    "config_fingerprint",
-    "corpus_fingerprint",
     "deserialize_case_result",
     "serialize_case_result",
 ]

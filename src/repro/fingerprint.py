@@ -9,6 +9,10 @@ Three caches key work by "what would this compute?":
 * the **service result cache** (:mod:`repro.service`) keys served responses
   by (request kind, source fingerprint, config fingerprint).
 
+The two persistent ones share one on-disk format, :mod:`repro.store`, whose
+entry envelope carries the format version: a fingerprint says *what* was
+computed, never how it was serialised.
+
 This module is the single home for the configuration-hashing half of that
 discipline, placed outside the evaluation layer so the service layer can key
 its cache without importing the experiment harness.  The rules:
@@ -17,9 +21,7 @@ its cache without importing the experiment harness.  The rules:
   become sorted dicts, enums their values, tuples lists);
 * **execution-only fields** — knobs that change how fast a run executes but
   never what it computes (``jobs``, ``harness_jobs``) — are
-  excluded, so a parallel run hits the entries a serial run wrote;
-* an optional **version** folds a format version into the digest, cleanly
-  invalidating old entries when a serialisation changes.
+  excluded, so a parallel run hits the entries a serial run wrote.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 #: DrFixConfig fields that change how fast a run executes but not what it
 #: computes.  ``harness_jobs`` qualifies because the harness merges its
@@ -58,20 +60,13 @@ def digest(payload: Dict[str, Any]) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=10).hexdigest()
 
 
-def config_fingerprint(config: Any, version: Optional[int] = None) -> str:
-    """A stable hash of every result-affecting configuration field.
-
-    ``version`` folds a serialisation format version into the digest (the run
-    store passes its ``STORE_VERSION`` so a format bump invalidates entries).
-    """
-    payload = {
+def config_fingerprint(config: Any) -> str:
+    """A stable hash of every result-affecting configuration field."""
+    return digest({
         name: value
         for name, value in canonical(config).items()
         if name not in EXECUTION_ONLY_FIELDS
-    }
-    if version is not None:
-        payload["__store_version__"] = version
-    return digest(payload)
+    })
 
 
 def corpus_fingerprint(corpus_config: Any) -> str:

@@ -50,6 +50,9 @@ from repro.runtime.values import (
 )
 from repro.runtime.vector_clock import SyncVar
 
+#: The failure a program ends with when it overflows its stack.
+STACK_OVERFLOW = "fatal error: stack overflow (goroutine stack exceeds the interpreter's limit)"
+
 
 # ---------------------------------------------------------------------------
 # Control-flow signals
@@ -207,6 +210,10 @@ class Interpreter:
             self.scheduler.run(main)
         except GoRuntimeError as exc:
             result.failures.append(str(exc))
+        except RecursionError:
+            # Out of Python stack is Go's goroutine stack overflow: the
+            # program dies, keeping whatever it reported before the crash.
+            result.failures.append(STACK_OVERFLOW)
         for goroutine in self.scheduler.goroutines.values():
             if goroutine.state is GoroutineState.FAILED and goroutine.failure is not None:
                 result.failures.append(

@@ -6,9 +6,9 @@ An async serving layer over the pipeline in two scales:
   through the shared executor substrate, a fingerprint-keyed result cache;
 * :class:`ShardedDrFixService` — multi-process: N supervised worker
   processes sharded by source fingerprint, crash recovery with retries,
-  a crash-loop circuit breaker, graceful drain, and a shared persistent
-  on-disk result cache (:class:`PersistentResultCache`) whose warm hits
-  survive restarts.
+  a crash-loop circuit breaker, graceful drain, and a shared result cache
+  that ``cache_dir`` writes through to an on-disk
+  :class:`~repro.store.JsonStore`, so warm hits survive restarts.
 
 Both speak the same request/response protocol and are served by the same
 stdlib-only HTTP/stdio frontends.  Fault injection for the sharded service
@@ -18,7 +18,7 @@ discipline for ``drfix serve`` lives in :mod:`repro.service.pidfile`.  See
 failure-mode table.
 """
 
-from repro.service.cache import CACHE_VERSION, PersistentResultCache, ResultCache
+from repro.service.cache import CACHE_VERSION, ResultCache
 from repro.service.core import (
     DrFixService,
     ServiceTicket,
@@ -64,7 +64,6 @@ __all__ = [
     "FaultPlan",
     "FixRequest",
     "MetricsRecorder",
-    "PersistentResultCache",
     "Pidfile",
     "REQUEST_TIMEOUT_ENV_VAR",
     "REQUEST_TIMEOUT_S",

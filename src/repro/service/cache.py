@@ -1,4 +1,4 @@
-"""Fingerprint-keyed result caches for the serving layer.
+"""Fingerprint-keyed result cache for the serving layer.
 
 :class:`ResultCache` is a bounded, thread-safe in-memory LRU mapping a
 request's cache key (source fingerprint × config fingerprint × request knobs,
@@ -8,14 +8,14 @@ proves a served payload is bit-identical to a direct invocation, so replaying
 a stored payload for an identical key cannot change any observable result —
 only its latency.
 
-:class:`PersistentResultCache` layers the evaluation run store's on-disk JSON
-discipline (:mod:`repro.evaluation.store`) underneath the LRU: every ``put``
-writes through to one versioned JSON file (atomic temp-file + ``os.replace``,
-so concurrent readers never see a torn entry), and a memory miss falls back to
-disk before declaring a true miss.  This is what makes warm hits survive a
-full service restart and lets every shard of the sharded service share one
-warm set — the master probes the cache before routing, so a payload computed
-once is never recomputed by any worker.
+With a :class:`~repro.store.JsonStore` attached (``drfix serve --cache-dir``)
+every ``put`` writes through to disk, and a memory miss falls back to the
+store before declaring a true miss, promoting a disk hit into memory.  This
+is what makes warm hits survive a full service restart and lets every shard
+of the sharded service share one warm set — the master probes the cache
+before routing, so a payload computed once is never recomputed by any worker.
+The key already folds in the config fingerprint, so one directory can be
+shared by services running different configurations.
 
 Entries are deep-copied on both ``put`` and ``get`` so callers can never
 mutate a cached payload in place (the HTTP frontend, the stdio frontend, and
@@ -25,32 +25,26 @@ programmatic clients all receive private copies).
 from __future__ import annotations
 
 import copy
-import itertools
-import json
-import os
 import threading
 from collections import OrderedDict
-from pathlib import Path
 from typing import Any, Dict, Optional
 
-#: Disambiguates concurrent temp files: the pid alone is not enough (two
-#: threads of one process replacing the same key would collide), so the temp
-#: name folds in a process-wide monotonic counter as well.
-_TMP_COUNTER = itertools.count()
+from repro.store import JsonStore
 
-#: Bump when the serialised shape of a persistent entry changes: old files
-#: stop validating and count as misses, the same invalidation discipline as
-#: the run store's ``STORE_VERSION``.
+#: The on-disk entry format version: bump when the payload shape changes, so
+#: old files stop validating and count as misses.
 CACHE_VERSION = 1
 
 
 class ResultCache:
-    """Bounded LRU of served payloads keyed by request fingerprint."""
+    """Bounded LRU of served payloads keyed by request fingerprint,
+    optionally written through to an on-disk store."""
 
-    def __init__(self, capacity: int = 256):
+    def __init__(self, capacity: int = 256, store: Optional[JsonStore] = None):
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
+        self.store = store
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self.hits = 0
@@ -62,11 +56,20 @@ class ResultCache:
         """The cached payload for ``key`` (a private copy), or ``None``."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+            else:
                 self.misses += 1
+                if self.store is None:
+                    return None
+        if entry is None:
+            # Disk I/O outside the lock; the parsed payload is private, so
+            # it can go into memory as is.
+            entry = self.store.get(key)
+            if entry is None:
                 return None
-            self._entries.move_to_end(key)
-            self.hits += 1
+            self._remember(key, entry)
         # Copy outside the lock: entries are never mutated in place (put()
         # stores a private copy), so concurrent lookups need not serialize
         # behind a potentially large deep copy.
@@ -74,7 +77,11 @@ class ResultCache:
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         """Store a payload (copied), evicting the least-recently-used entry."""
-        entry = copy.deepcopy(payload)
+        self._remember(key, copy.deepcopy(payload))
+        if self.store is not None:
+            self.store.put(key, payload)
+
+    def _remember(self, key: str, entry: Dict[str, Any]) -> None:
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -84,9 +91,11 @@ class ResultCache:
     # ------------------------------------------------------------------
 
     def hit_rate(self) -> float:
+        """Effective hit rate: a disk hit is a hit (it skipped the workers)."""
+        disk_hits = self.store.hits if self.store is not None else 0
         with self._lock:
             total = self.hits + self.misses
-            return self.hits / total if total else 0.0
+            return (self.hits + disk_hits) / total if total else 0.0
 
     def clear(self) -> None:
         with self._lock:
@@ -100,121 +109,15 @@ class ResultCache:
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
-            return {
+            stats = {
                 "memory_entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
             }
+        if self.store is not None:
+            stats.update({f"disk_{name}": count
+                          for name, count in self.store.stats().items()})
+        return stats
 
 
-class PersistentResultCache(ResultCache):
-    """LRU over a shared on-disk store: warm hits survive restarts.
-
-    Layout (two-level fan-out keeps directories small at scale)::
-
-        <root>/<key[:2]>/<key>.json
-
-    Each entry is ``{"version": CACHE_VERSION, "key": key, "payload": …}``.
-    The key already folds in the config fingerprint (the request's cache key
-    is a digest of kind × source-fp × config-fp × knobs), so one directory can
-    be shared by services running different configurations without collisions.
-    Unreadable, mismatched, or stale-version files count as misses and are
-    ignored — a corrupt entry can cost a recomputation, never a wrong answer.
-    """
-
-    def __init__(self, root: "Path | str", capacity: int = 256):
-        super().__init__(capacity)
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.disk_hits = 0
-        self.disk_misses = 0
-        self.disk_writes = 0
-
-    # ------------------------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        payload = super().get(key)
-        if payload is not None:
-            return payload
-        data = self._load_disk(key)
-        if data is None:
-            with self._lock:
-                self.disk_misses += 1
-            return None
-        with self._lock:
-            self.disk_hits += 1
-        # Promote to memory without re-writing the file we just read.
-        self._store_memory(key, data)
-        return data
-
-    def put(self, key: str, payload: Dict[str, Any]) -> None:
-        super().put(key, payload)
-        self._write_disk(key, payload)
-
-    # ------------------------------------------------------------------
-
-    def _store_memory(self, key: str, payload: Dict[str, Any]) -> None:
-        entry = copy.deepcopy(payload)
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def _load_disk(self, key: str) -> Optional[Dict[str, Any]]:
-        try:
-            data = json.loads(self._path(key).read_text())
-        except (OSError, ValueError):
-            return None
-        if (not isinstance(data, dict)
-                or data.get("version") != CACHE_VERSION
-                or data.get("key") != key
-                or not isinstance(data.get("payload"), dict)):
-            return None
-        return data["payload"]
-
-    def _write_disk(self, key: str, payload: Dict[str, Any]) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps({"version": CACHE_VERSION, "key": key,
-                           "payload": payload}, sort_keys=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{next(_TMP_COUNTER)}")
-        tmp.write_text(text)
-        os.replace(tmp, path)
-        with self._lock:
-            self.disk_writes += 1
-
-    # ------------------------------------------------------------------
-
-    def hit_rate(self) -> float:
-        """Effective hit rate: a disk hit is a hit (it skipped the workers)."""
-        with self._lock:
-            total = self.hits + self.misses
-            return (self.hits + self.disk_hits) / total if total else 0.0
-
-    def entry_count(self) -> int:
-        """Entries on disk (the set that survives a restart)."""
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.rglob("*.json"))
-
-    def flush(self) -> int:
-        """Writes are synchronous (write-through), so flushing is a fence:
-        it reports how many entries the drain leaves durable on disk."""
-        return self.entry_count()
-
-    def stats(self) -> Dict[str, int]:
-        base = super().stats()
-        with self._lock:
-            base.update({
-                "disk_hits": self.disk_hits,
-                "disk_misses": self.disk_misses,
-                "disk_writes": self.disk_writes,
-            })
-        return base
-
-
-__all__ = ["CACHE_VERSION", "PersistentResultCache", "ResultCache"]
+__all__ = ["CACHE_VERSION", "ResultCache"]

@@ -53,7 +53,7 @@ from repro.errors import ConfigError
 from repro.execution import CaseExecutor, ExecutorKind, resolve_kind
 from repro.fingerprint import config_fingerprint
 from repro.runtime.harness import GoPackage, PackageRunResult, run_package_tests
-from repro.service.cache import PersistentResultCache, ResultCache
+from repro.service.cache import CACHE_VERSION, ResultCache
 from repro.service.metrics import MetricsRecorder, ServiceMetrics
 from repro.service.requests import (
     RequestKind,
@@ -61,6 +61,7 @@ from repro.service.requests import (
     ServiceRequest,
     ServiceResponse,
 )
+from repro.store import JsonStore
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +309,8 @@ class DrFixService:
         self.executor_kind = executor
         self.batch_linger_s = batch_linger_s
         self.config_fp = config_fingerprint(self.config)
-        self.cache: ResultCache = (
-            PersistentResultCache(cache_dir, cache_capacity) if cache_dir
-            else ResultCache(cache_capacity))
+        self.cache = ResultCache(
+            cache_capacity, JsonStore(cache_dir, CACHE_VERSION) if cache_dir else None)
         self.recorder = MetricsRecorder()
         self._cond = threading.Condition()
         self._pending: "deque[_Pending]" = deque()

@@ -3,7 +3,9 @@
 A request names a Go package (files shipped inline, order-preserving — file
 order is part of the package identity) plus the detection knobs, and is keyed
 for the result cache by **source fingerprint × config fingerprint**: the same
-discipline as the evaluation run store and the runtime program cache.  Two
+keying discipline (:mod:`repro.fingerprint`) as the evaluation run store and
+the runtime program cache, and on disk the same :class:`~repro.store.JsonStore`
+format as the run store.  Two
 requests with the same key would compute bit-identical payloads (the service's
 differential test enforces this against direct invocations), which is what
 makes serving cached responses safe by construction.

@@ -31,10 +31,10 @@ with it (the master retires the pipe and the supervisor handles the death).
   worker: that worker's program cache stays hot and identical in-flight
   requests serialize instead of duplicating work;
 * **shared persistent cache** — the master probes the result cache (memory
-  LRU, optionally backed by the on-disk
-  :class:`~repro.service.cache.PersistentResultCache`) *before* routing and
-  stores every computed payload after; a warm hit never touches a worker,
-  is shared across all shards, and survives a full restart;
+  LRU, optionally written through to an on-disk
+  :class:`~repro.store.JsonStore`) *before* routing and stores every
+  computed payload after; a warm hit never touches a worker, is shared
+  across all shards, and survives a full restart;
 * **one request in flight per worker** — the master dispatches the next
   queued request only after collecting the previous response.  This is what
   makes crash recovery exact: at most one request can be lost to a worker
@@ -49,8 +49,8 @@ with it (the master retires the pipe and the supervisor handles the death).
   service's admission control;
 * **graceful drain** — :meth:`begin_drain` stops admission (``/healthz``
   turns 503), :meth:`drain` waits for every admitted request to resolve,
-  poison-pills the workers, and flushes the persistent cache.  SIGTERM in
-  ``drfix serve`` maps onto exactly this sequence.
+  then poison-pills the workers (the cache needs no flush: every write is
+  synchronous).  SIGTERM in ``drfix serve`` maps onto exactly this sequence.
 
 Failure injection for tests rides in via ``DRFIX_FAULT_PLAN``
 (:mod:`repro.service.faults`), which the worker body consults at
@@ -76,7 +76,7 @@ from repro.core.database import ExampleDatabase
 from repro.errors import ConfigError
 from repro.execution import NESTED_BUDGET_ENV_VAR, shard_worker_budget
 from repro.fingerprint import config_fingerprint, shard_for
-from repro.service.cache import PersistentResultCache, ResultCache
+from repro.service.cache import CACHE_VERSION, ResultCache
 from repro.service.core import ServiceTicket, _execute_request
 from repro.service.faults import FaultPlan
 from repro.service.metrics import MetricsRecorder, ServiceMetrics
@@ -86,6 +86,7 @@ from repro.service.supervisor import (
     WorkerState,
     WorkerSupervisor,
 )
+from repro.store import JsonStore
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +220,8 @@ class ShardedDrFixService:
         self.drain_timeout_s = drain_timeout_s
         self.config_fp = config_fingerprint(self.config)
         self.fault_plan = FaultPlan.resolve(fault_plan)
-        self.cache: ResultCache = (
-            PersistentResultCache(cache_dir, cache_capacity) if cache_dir
-            else ResultCache(cache_capacity))
+        self.cache = ResultCache(
+            cache_capacity, JsonStore(cache_dir, CACHE_VERSION) if cache_dir else None)
         self.recorder = MetricsRecorder()
         self.nested_budget = shard_worker_budget(workers)
 
@@ -348,8 +348,6 @@ class ShardedDrFixService:
                 conn.close()
             except OSError:  # pragma: no cover - double close is harmless
                 pass
-        if isinstance(self.cache, PersistentResultCache):
-            self.cache.flush()
         with self._cond:
             self._stopped = True
 

@@ -43,14 +43,6 @@ class TestExampleDatabase:
         database = ExampleDatabase(DrFixConfig())
         assert database.query_code("package p\nfunc F() {}\n") is None
 
-    def test_save_and_load_round_trip(self, small_database, tmp_path):
-        _, database = small_database
-        database.save(tmp_path / "db")
-        loaded = ExampleDatabase.load(tmp_path / "db", DrFixConfig())
-        assert len(loaded) == len(database)
-        entry = database.entries()[0]
-        assert loaded.query_code(entry.buggy_code) is not None
-
     def test_manual_entry_addition(self):
         database = ExampleDatabase(DrFixConfig())
         database.add_example(ExampleEntry(

@@ -133,13 +133,3 @@ class TestVectorStore:
 
     def test_query_on_empty_store(self):
         assert VectorStore(dimensions=2).query([1.0, 0.0]) == []
-
-    def test_save_and_load(self, tmp_path):
-        store = VectorStore(dimensions=2)
-        store.add("a", [1.0, 0.0], document="alpha", metadata={"strategy": "redeclare"})
-        path = tmp_path / "store.json"
-        store.save(path)
-        loaded = VectorStore.load(path)
-        assert len(loaded) == 1
-        assert loaded.get("a").metadata["strategy"] == "redeclare"
-        assert loaded.query([1.0, 0.0], k=1)[0].item_id == "a"

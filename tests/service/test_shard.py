@@ -5,14 +5,18 @@ tolerance), worker-budget accounting, health/metrics shapes, pidfile
 discipline, and the frontend's configurable request timeout.
 """
 
-import json
 import os
+import re
 import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.config import DrFixConfig
+from repro.core.pipeline import FixOutcome
 from repro.errors import ConfigError
+from repro.evaluation.runner import CaseResult
+from repro.evaluation.store import RunStore
 from repro.execution import NESTED_BUDGET_ENV_VAR, shard_worker_budget
 from repro.fingerprint import shard_for
 from repro.runtime.harness import GoFile, GoPackage
@@ -20,7 +24,6 @@ from repro.service import (
     CACHE_VERSION,
     DetectRequest,
     DrFixService,
-    PersistentResultCache,
     Pidfile,
     ResultCache,
     ShardedDrFixService,
@@ -29,6 +32,7 @@ from repro.service import (
 )
 from repro.service.frontend import REQUEST_TIMEOUT_ENV_VAR, REQUEST_TIMEOUT_S
 from repro.service.pidfile import pid_alive, read_pid
+from repro.store import JsonStore
 
 RACY_SOURCE = """
 package main
@@ -149,69 +153,79 @@ class TestIdenticalQueuedRequests:
 # ---------------------------------------------------------------------------
 
 
+def _persistent_cache(root, capacity: int = 256) -> ResultCache:
+    return ResultCache(capacity, JsonStore(root, CACHE_VERSION))
+
+
+def _shared_case_result(worker: int, index: int) -> CaseResult:
+    case = SimpleNamespace(case_id="shared")
+    outcome = FixOutcome(bug_hash=f"{worker}-{index}", attempts=[])
+    return CaseResult(case=case, outcome=outcome, review=None)
+
+
 class TestPersistentResultCache:
     def test_round_trip_and_restart_survival(self, tmp_path):
-        cache = PersistentResultCache(tmp_path / "cache", capacity=4)
+        cache = _persistent_cache(tmp_path / "cache", capacity=4)
         cache.put("abcd", {"x": [1, 2], "y": "z"})
         assert cache.get("abcd") == {"x": [1, 2], "y": "z"}
         # A fresh instance over the same root (a "restarted" service) hits.
-        reborn = PersistentResultCache(tmp_path / "cache", capacity=4)
+        reborn = _persistent_cache(tmp_path / "cache", capacity=4)
         assert reborn.get("abcd") == {"x": [1, 2], "y": "z"}
-        assert reborn.disk_hits == 1
+        assert reborn.store.hits == 1
         # ...and the hit was promoted to memory: no second disk read needed.
         assert reborn.get("abcd") == {"x": [1, 2], "y": "z"}
-        assert reborn.disk_hits == 1
+        assert reborn.store.hits == 1
         assert reborn.hits == 1
 
     def test_eviction_only_trims_memory_not_disk(self, tmp_path):
-        cache = PersistentResultCache(tmp_path / "cache", capacity=2)
+        cache = _persistent_cache(tmp_path / "cache", capacity=2)
         for index in range(5):
             cache.put(f"key{index}", {"value": index})
         assert len(cache) == 2                # LRU bound holds in memory
-        assert cache.entry_count() == 5       # every entry is durable
+        assert len(list((tmp_path / "cache").glob("*/*.json"))) == 5  # all durable
         assert cache.get("key0") == {"value": 0}  # served from disk
 
-    def test_corrupt_and_stale_files_count_as_misses(self, tmp_path):
-        root = tmp_path / "cache"
-        cache = PersistentResultCache(root, capacity=4)
-        cache.put("goodkey", {"ok": True})
-        path = root / "go" / "goodkey.json"
-        assert path.exists()
-        path.write_text("{not json")
-        fresh = PersistentResultCache(root, capacity=4)
-        assert fresh.get("goodkey") is None
-        path.write_text(json.dumps({
-            "version": CACHE_VERSION + 1, "key": "goodkey", "payload": {"ok": True}}))
-        assert fresh.get("goodkey") is None
-        path.write_text(json.dumps({
-            "version": CACHE_VERSION, "key": "otherkey", "payload": {"ok": True}}))
-        assert fresh.get("goodkey") is None
-        assert fresh.disk_misses == 3
-
     def test_hit_rate_counts_disk_hits(self, tmp_path):
-        cache = PersistentResultCache(tmp_path / "cache", capacity=4)
+        cache = _persistent_cache(tmp_path / "cache", capacity=4)
         cache.put("k", {"v": 1})
-        reborn = PersistentResultCache(tmp_path / "cache", capacity=4)
+        reborn = _persistent_cache(tmp_path / "cache", capacity=4)
         assert reborn.get("k") is not None
         assert reborn.get("missing") is None
         assert reborn.hit_rate() == pytest.approx(0.5)
         stats = reborn.stats()
         assert stats["disk_hits"] == 1 and stats["disk_misses"] == 1
+        assert stats["disk_writes"] == 0
 
-    def test_concurrent_writers_never_tear_an_entry(self, tmp_path):
-        cache = PersistentResultCache(tmp_path / "cache", capacity=32)
+    @pytest.mark.parametrize("kind", ["result_cache", "run_store"])
+    def test_concurrent_writers_never_tear_an_entry(self, tmp_path, kind):
+        """Threads of one process rewriting one entry never collide on a
+        temp file, and a reader always sees a whole entry."""
+        root = tmp_path / "cache"
+        if kind == "result_cache":
+            cache = _persistent_cache(root, capacity=32)
+            write = lambda worker, index: cache.put(
+                "shared", {"worker": worker, "index": index})
+            read = lambda: _persistent_cache(root).get("shared")
+            whole = lambda loaded: set(loaded) == {"worker", "index"}
+        else:
+            store = RunStore(root, namespace="t")
+            write = lambda worker, index: store.save(
+                _shared_case_result(worker, index), "fp")
+            read = lambda: RunStore(root, namespace="t").load(
+                SimpleNamespace(case_id="shared", package=None), "fp")
+            whole = lambda loaded: re.fullmatch(r"[0-7]-\d+", loaded.outcome.bug_hash)
         errors = []
 
         def writer(worker):
             try:
-                for index in range(20):
-                    cache.put("shared", {"worker": worker, "index": index})
-                    loaded = PersistentResultCache(tmp_path / "cache").get("shared")
-                    assert loaded is not None and set(loaded) == {"worker", "index"}
+                for index in range(25):
+                    write(worker, index)
+                    loaded = read()
+                    assert loaded is not None and whole(loaded)
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 
-        threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+        threads = [threading.Thread(target=writer, args=(w,)) for w in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
