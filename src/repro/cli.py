@@ -12,11 +12,10 @@ Subcommands:
 
 ``evaluate`` and ``bench`` accept ``--jobs N`` (parallel case evaluation; also
 settable via ``DRFIX_JOBS``) and ``--cache-dir DIR`` (persistent run store that
-reuses per-case results across invocations).  ``detect`` parallelises the
-per-seed interleaving runs themselves (``--jobs``, ``--fail-fast``), and
-``fix`` validates the candidate patches of each (location, scope) batch
-concurrently (``--jobs``) — all worker layers share the ``DRFIX_NESTED_BUDGET``
-budget so nesting never oversubscribes the machine.
+reuses per-case results across invocations); ``serve`` accepts ``--jobs`` and
+``--workers``.  That is the only level of parallelism: ``detect`` and ``fix``
+run one package serially (``detect --fail-fast`` stops after the first run
+that reports a race).
 """
 
 from __future__ import annotations
@@ -223,8 +222,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     result = run_package_tests(
         package,
         runs=args.runs,
-        jobs=args.jobs,
-        executor=args.executor,
         stop_on_first_race=args.fail_fast,
     )
     print(result.summary())
@@ -278,7 +275,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
         # A fresh pipeline per report (fresh generator/validator counters):
         # the same stateless-per-request semantics the serving layer uses, so
         # `drfix serve` responses stay bit-identical to this command.
-        pipeline = DrFix(package, config=config, database=database, jobs=args.jobs)
+        pipeline = DrFix(package, config=config, database=database)
         outcome = pipeline.fix_report(report, baseline_hashes=detection.race_hashes())
         if outcome.fixed and outcome.patch is not None:
             exit_code = 0
@@ -513,12 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     detect = sub.add_parser("detect", help="run the race detector over a directory of .go files")
     detect.add_argument("path")
     detect.add_argument("--runs", type=positive_int, default=12)
-    detect.add_argument("--jobs", type=jobs_count, default=1,
-                        help="parallel interleaving-run workers (negative = all CPUs)")
-    detect.add_argument("--executor", choices=["serial", "thread", "process"],
-                        default=None, help="execution backend for the runs")
     detect.add_argument("--fail-fast", action="store_true",
-                        help="cancel outstanding runs once a race is found")
+                        help="stop after the first run that reports a race")
     detect.set_defaults(func=cmd_detect)
 
     fix = sub.add_parser("fix", help="run the Dr.Fix pipeline over a directory of .go files")
@@ -528,8 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     fix.add_argument("--scale", type=float, default=0.25, help="example-database scale")
     fix.add_argument("--no-rag", action="store_true", help="disable retrieval-augmented generation")
     fix.add_argument("--write", action="store_true", help="write validated patches in place")
-    fix.add_argument("--jobs", type=jobs_count, default=None,
-                     help="concurrent candidate-validation workers (default: DRFIX_JOBS or 1)")
     fix.add_argument("--adaptive-runs", action="store_true",
                      help="derive the validator's run count from a detection-"
                           "probability bound instead of the fixed validator_runs")

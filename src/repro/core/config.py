@@ -65,16 +65,6 @@ class DrFixConfig:
     external_prefixes: Tuple[str, ...] = ("vendor/", "external/", "third_party/")
     #: Embedder settings shared by the database and query sides.
     embedder: EmbedderConfig = field(default_factory=EmbedderConfig)
-    #: Evaluation worker count: 0 resolves from ``DRFIX_JOBS`` (default 1),
-    #: negative means one worker per CPU.  Execution-only — does not change
-    #: results and is excluded from the run-store fingerprint.  Also the
-    #: worker count for concurrent candidate validation inside the pipeline
-    #: (clamped by the nested budget when the evaluation loop is parallel).
-    jobs: int = 0
-    #: Worker count for the harness's per-seed interleaving runs inside the
-    #: validator/detector (1 = serial; 0 resolves from ``DRFIX_JOBS``).
-    #: Execution-only: the harness merges run results deterministically.
-    harness_jobs: int = 1
 
     # ------------------------------------------------------------------
 
@@ -98,12 +88,6 @@ class DrFixConfig:
 
     def with_model(self, model: str) -> "DrFixConfig":
         return replace(self, model=model)
-
-    def with_jobs(self, jobs: int) -> "DrFixConfig":
-        return replace(self, jobs=jobs)
-
-    def with_harness_jobs(self, harness_jobs: int) -> "DrFixConfig":
-        return replace(self, harness_jobs=harness_jobs)
 
     def with_adaptive_runs(self, hit_rate: float = 0.55,
                            confidence: float = 0.999) -> "DrFixConfig":

@@ -7,14 +7,9 @@ re-running the package tests under the race detector.  The first validated fix
 wins; if every combination fails, a final retry at file scope feeds the
 accumulated failure messages back to the model (Section 4.4.2).
 
-With ``jobs > 1`` the candidates of one (location, scope) batch are validated
-*concurrently* (validation dominates the pipeline's wall clock — every
-candidate rebuilds and re-runs the package tests under the detector many
-times).  The batch path is constructed to be bit-identical to the serial loop:
-generation is a pure function of (item, example, feedback, salt), batch
-results are scanned in submission order so the same candidate wins, attempts
-recorded past the winner are discarded, and the model-call/validation counters
-are rolled back to the serial-equivalent counts.
+Candidates are validated one at a time, in attempt order, and the loop stops
+at the first that validates; the reproduction parallelises across races
+(cases, service requests), never inside one fix.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ from repro.core.race_info import CodeItem, RaceInfo, RaceInfoExtractor
 from repro.core.validator import FixValidator, ValidationResult
 from repro.diagnosis import Diagnosis, RaceDiagnoser
 from repro.errors import PatchError
-from repro.execution import CaseExecutor, ExecutorKind
 
 from typing import TYPE_CHECKING
 
@@ -93,8 +87,6 @@ class DrFix:
         config: Optional[DrFixConfig] = None,
         database: Optional[ExampleDatabase] = None,
         client: Optional[LLMClient] = None,
-        jobs: Optional[int] = None,
-        executor: "ExecutorKind | str | None" = None,
     ):
         self.package = package
         self.config = (config or DrFixConfig()).validated()
@@ -104,12 +96,6 @@ class DrFix:
         self.generator = FixGenerator(self.config, database=database, client=client)
         self.validator = FixValidator(self.config)
         self.patcher = Patcher(package, self.config)
-        #: Worker count for concurrent candidate validation within one
-        #: (location, scope) batch; defaults to the config's ``jobs`` knob.
-        #: The executor clamps to the nested budget when a pipeline-level
-        #: (evaluation) pool is already fanned out.
-        self.validation_jobs = jobs if jobs is not None else self.config.jobs
-        self.validation_executor = executor
 
     # ------------------------------------------------------------------
 
@@ -207,116 +193,23 @@ class DrFix:
         """Try every example for one (location, scope) item; first win stops.
 
         Returns ``(validated, consumed)`` where ``consumed`` is the number of
-        attempts a serial loop would have made (the winner's 1-based position,
-        or the full batch size on failure).  With ``jobs > 1`` the candidates
-        are validated concurrently — see :meth:`_attempt_batch` for how the
-        result is kept bit-identical to the serial loop.
+        attempts made (the winner's 1-based position, or the full batch size
+        on failure).
         """
-        pool = CaseExecutor(kind=self.validation_executor, jobs=self.validation_jobs)
-        if pool.kind is ExecutorKind.SERIAL or len(examples) <= 1:
-            for offset, example in enumerate(examples):
-                validated = self._attempt(
-                    outcome, info, item, example, feedback=feedback,
-                    salt=f"{salt_prefix}{start_index + offset + 1}",
-                )
-                if validated:
-                    return True, offset + 1
-                if failure_log is not None and outcome.attempts[-1].failure:
-                    failure_log.append(outcome.attempts[-1].failure)
-            return False, len(examples)
-        return self._attempt_batch(
-            outcome, info, item, examples, feedback, start_index, salt_prefix,
-            failure_log, pool,
-        )
-
-    def _attempt_batch(
-        self,
-        outcome: FixOutcome,
-        info: RaceInfo,
-        item: CodeItem,
-        examples: Sequence,
-        feedback: str,
-        start_index: int,
-        salt_prefix: str,
-        failure_log: Optional[List[str]],
-        pool: CaseExecutor,
-    ) -> Tuple[bool, int]:
-        """Validate one batch's candidates concurrently, first win preserved.
-
-        Generation stays serial (it is cheap and its salts are pre-assigned,
-        so each candidate is the same pure function of its inputs as in the
-        serial loop); the expensive validations fan out through ``pool``.
-        Serial equivalence on a win at position *j*: attempts recorded past
-        *j* are discarded and the model-call/validation counters are rolled
-        back to what the serial loop would have counted.
-        """
-        base_attempts = len(outcome.attempts)
-        prepared: List[Tuple[FixAttempt, GeneratedFix, Optional[Patch]]] = []
         for offset, example in enumerate(examples):
-            prepared.append(self._prepare_candidate(
-                item, example, feedback, salt=f"{salt_prefix}{start_index + offset + 1}",
-                diagnosis=outcome.diagnosis,
-            ))
-        for attempt, _, _ in prepared:
-            outcome.attempts.append(attempt)
-
-        candidates = [patch.package for _, _, patch in prepared if patch is not None]
-        validations = self.validator.validate_batch(
-            candidates, info.bug_hash,
-            baseline_hashes=getattr(self, "_baseline_hashes", []),
-            jobs=pool.jobs, executor=pool.kind,
-        )
-
-        validation_index = 0
-        for position, (attempt, generated, patch) in enumerate(prepared):
-            if patch is None:
-                # Generation no-op or patch error; never reaches validation.
-                if failure_log is not None and attempt.failure:
-                    failure_log.append(attempt.failure)
-                continue
-            validation = validations[validation_index]
-            validation_index += 1
-            if not validation.ok:
-                attempt.failure = validation.feedback()
-                if failure_log is not None and attempt.failure:
-                    failure_log.append(attempt.failure)
-                continue
-            # First win: discard the attempts a serial loop would not have
-            # made and roll the counters back to their serial-equivalent
-            # values (pre-generated candidates past the winner, validations
-            # of candidates past the winner).
-            del outcome.attempts[base_attempts + position + 1:]
-            self.generator.model_calls -= len(prepared) - (position + 1)
-            self.validator.validations += validation_index
-            self._record_win(outcome, item, attempt, generated, patch)
-            return True, position + 1
-        self.validator.validations += validation_index
-        return False, len(prepared)
+            validated = self._attempt(
+                outcome, info, item, example, feedback=feedback,
+                salt=f"{salt_prefix}{start_index + offset + 1}",
+            )
+            if validated:
+                return True, offset + 1
+            if failure_log is not None and outcome.attempts[-1].failure:
+                failure_log.append(outcome.attempts[-1].failure)
+        return False, len(examples)
 
     def _attempt(self, outcome: FixOutcome, info: RaceInfo, item: CodeItem,
                  example, feedback: str, salt: str) -> bool:
-        """One serial attempt: generate, patch, validate, record."""
-        attempt, generated, patch = self._prepare_candidate(
-            item, example, feedback, salt, diagnosis=outcome.diagnosis
-        )
-        outcome.attempts.append(attempt)
-        if patch is None:
-            return False
-        validation: ValidationResult = self.validator.validate(
-            patch.package, info.bug_hash,
-            baseline_hashes=getattr(self, "_baseline_hashes", []),
-        )
-        if not validation.ok:
-            attempt.failure = validation.feedback()
-            return False
-        self._record_win(outcome, item, attempt, generated, patch)
-        return True
-
-    def _prepare_candidate(
-        self, item: CodeItem, example, feedback: str, salt: str,
-        diagnosis: Optional[Diagnosis] = None,
-    ) -> Tuple[FixAttempt, GeneratedFix, Optional[Patch]]:
-        """Generate and patch one candidate (everything before validation)."""
+        """One attempt: generate, patch, validate, record."""
         attempt = FixAttempt(
             location=item.location.value,
             scope=item.scope.value,
@@ -324,23 +217,28 @@ class DrFix:
             example_id=example.example_id if example is not None else "",
             used_feedback=bool(feedback),
         )
+        outcome.attempts.append(attempt)
         generated: GeneratedFix = self.generator.generate(
-            item, example, feedback=feedback, attempt_salt=salt, diagnosis=diagnosis,
+            item, example, feedback=feedback, attempt_salt=salt,
+            diagnosis=outcome.diagnosis,
         )
         attempt.strategy = generated.response.strategy
         if generated.is_noop:
             attempt.failure = "; ".join(generated.response.notes) or "the model produced no change"
-            return attempt, generated, None
+            return False
         try:
             patch = self.patcher.apply(item, generated.code)
         except PatchError as exc:
             attempt.failure = str(exc)
-            return attempt, generated, None
+            return False
         attempt.patched = True
-        return attempt, generated, patch
-
-    def _record_win(self, outcome: FixOutcome, item: CodeItem, attempt: FixAttempt,
-                    generated: GeneratedFix, patch: Patch) -> None:
+        validation: ValidationResult = self.validator.validate(
+            patch.package, info.bug_hash,
+            baseline_hashes=getattr(self, "_baseline_hashes", []),
+        )
+        if not validation.ok:
+            attempt.failure = validation.feedback()
+            return False
         attempt.validated = True
         outcome.fixed = True
         outcome.patch = patch
@@ -350,6 +248,7 @@ class DrFix:
         outcome.location = item.location.value
         outcome.scope = item.scope.value
         outcome.lines_changed = patch.lines_changed(self.package)
+        return True
 
 
 def fix_package_race(

@@ -6,27 +6,19 @@ race (identified by its stable bug hash) no longer appears, and no new race is
 introduced.  On failure the validator produces the developer-readable feedback
 that Dr.Fix feeds back to the model on the retry (Section 4.4.2).
 
-Two engine features hang off this module:
-
-* **batch validation** — :meth:`FixValidator.validate_batch` validates the
-  candidate patches of one (location, scope) batch concurrently through the
-  shared executor, returning results in submission order so the pipeline's
-  first-win scan is identical to the serial loop;
-* **adaptive run count** — with :attr:`DrFixConfig.adaptive_runs` on, the
-  number of per-candidate detector runs is the smallest count meeting the
-  configured detection-probability bound
-  (:func:`~repro.runtime.scheduler.runs_for_detection_probability`) instead of
-  a fixed ``validator_runs``.
+With :attr:`DrFixConfig.adaptive_runs` on, the number of per-candidate
+detector runs is the smallest count meeting the configured
+detection-probability bound
+(:func:`~repro.runtime.scheduler.runs_for_detection_probability`) instead of
+a fixed ``validator_runs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import List, Optional, Sequence
 
 from repro.core.config import DrFixConfig
-from repro.execution import CaseExecutor, ExecutorKind
 from repro.runtime.harness import GoPackage, PackageRunResult, run_package_tests
 from repro.runtime.scheduler import runs_for_detection_probability
 
@@ -81,8 +73,7 @@ def _validate_candidate(config: DrFixConfig, bug_hash: str,
                         package: GoPackage) -> ValidationResult:
     """Validate one candidate: a pure function of its arguments.
 
-    Module-level (with picklable arguments) so batch validation can ship
-    candidates to process-pool workers; it maintains no counters.
+    It maintains no counters; :meth:`FixValidator.validate` counts.
     """
     baseline = set(baseline_hashes)
     baseline.add(bug_hash)
@@ -90,7 +81,6 @@ def _validate_candidate(config: DrFixConfig, bug_hash: str,
         package,
         runs=planned_validator_runs(config),
         seed=config.validator_seed,
-        jobs=config.harness_jobs,
     )
     if not result.built:
         return ValidationResult(
@@ -140,20 +130,12 @@ class FixValidator:
         packages: Sequence[GoPackage],
         bug_hash: str,
         baseline_hashes: Optional[List[str]] = None,
-        jobs: Optional[int] = None,
-        executor: "ExecutorKind | str | None" = None,
     ) -> List[ValidationResult]:
-        """Validate several candidate packages concurrently.
-
-        Results come back in submission order and stop at the first ``ok``
-        candidate (not-yet-started work past it is cancelled), so the returned
-        prefix is exactly what the serial first-win loop would have computed —
-        no validation is paid for and then discarded.  The ``validations``
-        counter is *not* advanced here: the caller accounts the
-        serial-equivalent number of validations.
-        """
-        worker = partial(
-            _validate_candidate, self.config, bug_hash, tuple(baseline_hashes or ())
-        )
-        pool = CaseExecutor(kind=executor, jobs=jobs)
-        return pool.map_until(worker, list(packages), stop=lambda result: result.ok)
+        """Uncounted first-win loop; kept only because ``e2e_bench/spans.py`` wraps it."""
+        results: List[ValidationResult] = []
+        for package in packages:
+            results.append(_validate_candidate(
+                self.config, bug_hash, tuple(baseline_hashes or ()), package))
+            if results[-1].ok:
+                break
+        return results

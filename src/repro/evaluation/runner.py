@@ -5,8 +5,8 @@ scale without changing any number in the paper's tables:
 
 * **pluggable execution** — cases dispatch through a
   :class:`~repro.execution.CaseExecutor` (serial, thread-pool, or
-  process-pool; worker count from an argument, ``DrFixConfig.jobs``, or the
-  ``DRFIX_JOBS`` environment variable);
+  process-pool; worker count from an argument or the ``DRFIX_JOBS``
+  environment variable); each case runs serially inside its worker;
 * **determinism** — results are collected in submission order and every case's
   randomness is a pure function of (configuration, case), so a ``--jobs 4``
   run is bit-identical to a serial one;
@@ -137,9 +137,7 @@ class EvaluationRunner:
         self.config = config
         self.database = database
         self.reviewer = reviewer if reviewer is not None else ReviewerModel()
-        self.executor = CaseExecutor(
-            kind=executor, jobs=jobs if jobs is not None else config.jobs
-        )
+        self.executor = CaseExecutor(kind=executor, jobs=jobs)
         self.store = store
 
     def run(self, cases: Sequence[RaceCase], label: str = "") -> EvaluationRun:

@@ -8,9 +8,9 @@ everything from scratch.  :class:`RunStore` caches each
 :class:`~repro.store.JsonStore` (the on-disk format the service result cache
 shares) rooted at ``<root>/<namespace>/`` and keyed by
 
-* the **configuration fingerprint** — a stable hash of every result-affecting
-  field of :class:`~repro.core.config.DrFixConfig` (execution-only knobs such
-  as ``jobs`` are excluded: they change wall-clock, not results; see
+* the **configuration fingerprint** — a stable hash of every field of
+  :class:`~repro.core.config.DrFixConfig` (worker counts are not config
+  fields, so a parallel run hits a serial run's entries; see
   :func:`repro.fingerprint.config_fingerprint`),
 * the **case id**,
 

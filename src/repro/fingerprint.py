@@ -15,13 +15,11 @@ computed, never how it was serialised.
 
 This module is the single home for the configuration-hashing half of that
 discipline, placed outside the evaluation layer so the service layer can key
-its cache without importing the experiment harness.  The rules:
-
-* a fingerprint is a stable digest of a **canonical JSON form** (dataclasses
-  become sorted dicts, enums their values, tuples lists);
-* **execution-only fields** — knobs that change how fast a run executes but
-  never what it computes (``jobs``, ``harness_jobs``) — are
-  excluded, so a parallel run hits the entries a serial run wrote.
+its cache without importing the experiment harness.  A fingerprint is a
+stable digest of a **canonical JSON form** (dataclasses
+become sorted dicts, enums their values, tuples lists).  Every configuration
+field affects results: worker counts live outside the config, so a parallel
+run hits the entries a serial run wrote.
 """
 
 from __future__ import annotations
@@ -30,13 +28,6 @@ import dataclasses
 import hashlib
 import json
 from typing import Any, Dict
-
-#: DrFixConfig fields that change how fast a run executes but not what it
-#: computes.  ``harness_jobs`` qualifies because the harness merges its
-#: per-seed run results in submission order, making the worker count invisible
-#: in the output.
-EXECUTION_ONLY_FIELDS = frozenset({"jobs", "harness_jobs"})
-
 
 def canonical(value: Any) -> Any:
     """Reduce a config value to a JSON-stable canonical form."""
@@ -61,12 +52,8 @@ def digest(payload: Dict[str, Any]) -> str:
 
 
 def config_fingerprint(config: Any) -> str:
-    """A stable hash of every result-affecting configuration field."""
-    return digest({
-        name: value
-        for name, value in canonical(config).items()
-        if name not in EXECUTION_ONLY_FIELDS
-    })
+    """A stable hash of every configuration field."""
+    return digest(canonical(config))
 
 
 def corpus_fingerprint(corpus_config: Any) -> str:
@@ -91,7 +78,6 @@ def shard_for(fingerprint: str, shards: int) -> int:
 
 
 __all__ = [
-    "EXECUTION_ONLY_FIELDS",
     "canonical",
     "config_fingerprint",
     "corpus_fingerprint",

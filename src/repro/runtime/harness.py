@@ -22,16 +22,11 @@ The harness owns the pieces Dr.Fix's validator needs (Section 4.4.1):
   in for the paper's "run the package tests 1000 times"; per-run seeds are
   hashed from (base seed, run index, policy) so distinct base seeds never
   replay each other's interleavings;
-* **parallel runs** — the per-seed runs are independent, so they dispatch
-  through the shared :class:`~repro.execution.CaseExecutor` (serial, thread,
-  or process backend; results merged in submission order, which keeps a
-  parallel run bit-identical to a serial one).  Serial and thread backends
-  share one cached build; process workers rebuild through their own per-
-  process cache (once per worker, not once per run).  The nested-parallelism
-  budget (``DRFIX_NESTED_BUDGET``) keeps harness workers from oversubscribing
-  a machine whose pipeline-level executor is already fanned out;
-* **early exit** — in detection, ``stop_on_first_race`` cancels outstanding
-  runs once a run (scanned in submission order) has produced a race;
+* **serial runs** — the plan runs in a loop on one cached build; the
+  reproduction parallelises across cases and requests, never inside one
+  harness invocation;
+* **early exit** — in detection, ``stop_on_first_race`` stops after the
+  first run, in plan order, that reports a race;
 * **race collection** — detector races are rendered as ThreadSanitizer-format
   reports and deduplicated by stable bug hash.
 """
@@ -39,11 +34,10 @@ The harness owns the pieces Dr.Fix's validator needs (Section 4.4.1):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, GoPanic, GoRuntimeError
-from repro.execution import CaseExecutor, EngineKind, ExecutorKind
+from repro.execution import EngineKind
 from repro.golang import ast_nodes as ast
 from repro.runtime.compiler import (
     PROGRAM_CACHE,
@@ -242,10 +236,7 @@ def _render_message(args: List[Any]) -> str:
 
 @dataclass
 class RunOutcome:
-    """The raw result of one (seed, policy) run, before merging.
-
-    Picklable: it crosses the process-executor boundary.
-    """
+    """The raw result of one (seed, policy) run, before merging."""
 
     reports: List[RaceReport]
     failures: List[str]
@@ -321,8 +312,6 @@ class GoTestHarness:
         seed: int = 0,
         max_steps: int = 120_000,
         policies: Sequence[SchedulerPolicy] = DEFAULT_POLICIES,
-        jobs: Optional[int] = 1,
-        executor: "ExecutorKind | str | None" = None,
         stop_on_first_race: bool = False,
         max_output_lines: int = 200,
         engine: "EngineKind | str" = EngineKind.COMPILED,
@@ -347,14 +336,8 @@ class GoTestHarness:
         #: selects the fully instrumented reference lowering.  The tree
         #: engine ignores it.
         self.slicing = slicing
-        #: Worker count for the per-seed runs (1 = the inline serial loop;
-        #: ``None``/0 resolves ``DRFIX_JOBS``).  Clamped by the nested budget
-        #: when a pipeline-level executor is already fanned out.
-        self.jobs = jobs
-        self.executor_kind = executor
-        #: Detection mode: cancel outstanding runs once a run has found a race
-        #: (scanning finished runs in submission order, so the result is the
-        #: same prefix a serial loop with ``break`` would produce).
+        #: Detection mode: stop after the first run, in plan order, that
+        #: reports a race.
         self.stop_on_first_race = stop_on_first_race
         #: Per-run cap on retained interpreter output; the excess is replaced
         #: by one truncation marker so long validation sweeps (hundreds of
@@ -386,8 +369,7 @@ class GoTestHarness:
 
         Policies rotate round-robin; each run's seed is a hash of (base seed,
         run index, policy) — see :func:`~repro.runtime.scheduler.derive_run_seed`
-        — so the schedule is a pure function of the harness configuration,
-        independent of execution order or worker count.
+        — so the schedule is a pure function of the harness configuration.
         """
         plan: List[Tuple[int, SchedulerPolicy]] = []
         for run_index in range(self.runs):
@@ -412,30 +394,10 @@ class GoTestHarness:
             # Nothing to exercise; treat as an empty, passing package.
             return result
 
-        plan = self.plan_runs()
-        pool = CaseExecutor(kind=self.executor_kind, jobs=self.jobs)
-        if pool.kind is not ExecutorKind.PROCESS:
-            # Serial and thread backends share the cached build directly:
-            # the program is lowered once and every run reuses it (the AST
-            # and compiled closures are immutable at runtime, so sharing
-            # across threads is safe).
-            runner = lambda spec: self._run_once(build, tests, entries, *spec)
-        else:
-            # Process workers can't share in-memory programs; they rebuild
-            # through their own process-wide cache, so the build is still
-            # paid once per worker rather than once per run.
-            runner = partial(
-                _execute_package_run, self.package, tuple(entries), self.max_steps,
-                self.engine.value, self.slicing,
-            )
-        if self.stop_on_first_race:
-            outcomes = pool.map_until(runner, plan, stop=lambda out: bool(out.reports))
-        else:
-            outcomes = pool.map(runner, plan)
-
         all_reports: List[RaceReport] = []
         seen_failures = set(result.test_failures)
-        for outcome in outcomes:
+        for seed, policy in self.plan_runs():
+            outcome = self._run_once(build, tests, entries, seed, policy)
             all_reports.extend(outcome.reports)
             result.scheduler_steps += outcome.steps
             # Order-preserving dedup via a seen-set (the old ``not in list``
@@ -448,6 +410,8 @@ class GoTestHarness:
             result.output.extend(kept)
             result.output_lines_truncated += dropped
             result.runs += 1
+            if self.stop_on_first_race and outcome.reports:
+                break
         result.reports = merge_reports(all_reports)
         return result
 
@@ -514,38 +478,12 @@ def _cap_output(lines: List[str], limit: int) -> Tuple[List[str], int]:
     return lines[:limit] + [f"... [{dropped} output line(s) truncated]"], dropped
 
 
-def _execute_package_run(
-    package: GoPackage,
-    entries: Tuple[str, ...],
-    max_steps: int,
-    engine: str,
-    slicing: bool,
-    spec: Tuple[int, SchedulerPolicy],
-) -> RunOutcome:
-    """Execute one (seed, policy) run in a worker.
-
-    Module-level (with picklable arguments) so it can be shipped to
-    process-pool workers; the package is rebuilt through the worker's own
-    process-wide program cache, so a worker parses and lowers each package
-    once per process instead of once per run.
-    """
-    harness = GoTestHarness(package, runs=1, max_steps=max_steps, jobs=1,
-                            engine=engine, slicing=slicing)
-    build = harness.build()
-    if build.errors:  # pragma: no cover - the dispatching harness parsed cleanly
-        return RunOutcome(reports=[], failures=list(build.errors), output=[],
-                          steps=0)
-    return harness._run_once(build, build.tests, list(entries), *spec)
-
-
 def run_package_tests(
     package: GoPackage,
     runs: int = 12,
     seed: int = 0,
     entry_functions: Optional[Sequence[str]] = None,
     max_steps: int = 120_000,
-    jobs: Optional[int] = 1,
-    executor: "ExecutorKind | str | None" = None,
     stop_on_first_race: bool = False,
     max_output_lines: int = 200,
     engine: "EngineKind | str" = EngineKind.COMPILED,
@@ -559,8 +497,6 @@ def run_package_tests(
         seed=seed,
         max_steps=max_steps,
         policies=policies,
-        jobs=jobs,
-        executor=executor,
         stop_on_first_race=stop_on_first_race,
         max_output_lines=max_output_lines,
         engine=engine,

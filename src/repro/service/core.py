@@ -9,9 +9,8 @@ reports stream in from CI, fixes stream back out — not as a one-shot script.
   ``overloaded`` response instead of growing memory or blocking the client;
 * **batch scheduling** — a scheduler thread coalesces queued requests into
   batches of at most ``max_in_flight`` and dispatches each batch through the
-  shared :class:`~repro.execution.CaseExecutor`, so the service worker pool
-  participates in the same ``DRFIX_NESTED_BUDGET`` accounting as every other
-  layer (service jobs × per-seed harness runs never oversubscribe);
+  shared :class:`~repro.execution.CaseExecutor`; each request then runs
+  serially on its worker, so ``jobs`` workers use at most ``jobs`` cores;
 * **fingerprint result cache** — responses are cached by source fingerprint ×
   config fingerprint (:mod:`repro.service.cache`); a repeated submission of an
   identical package returns the warm payload without re-running the scheduler.
@@ -171,12 +170,15 @@ def fix_outcome_payload(package: GoPackage, outcome: FixOutcome) -> Dict[str, An
 
 
 def execute_detect(request: ServiceRequest, config: DrFixConfig) -> Dict[str, Any]:
-    """Run the detector for one request: a pure function of its inputs."""
+    """Run the detector for one request: a pure function of its inputs.
+
+    ``config`` is unused; the signature matches :func:`execute_fix`, and
+    ``e2e_bench/workloads.py`` passes it.
+    """
     result = run_package_tests(
         request.package,
         runs=request.runs,
         seed=request.seed,
-        jobs=config.harness_jobs,
     )
     return normalize_addresses(detect_payload(request.package, result))
 
@@ -193,7 +195,6 @@ def execute_fix(request: ServiceRequest, config: DrFixConfig,
         request.package,
         runs=request.runs,
         seed=request.seed,
-        jobs=config.harness_jobs,
     )
     results: List[Dict[str, Any]] = []
     if detection.built:
@@ -507,8 +508,8 @@ class DrFixService:
         if not leaders:
             return
         worker = partial(_execute_request, self.config, self.database)
-        # A fresh CaseExecutor per batch matches how every other layer uses
-        # the substrate.  The default backend is ``thread``: workers share
+        # A fresh CaseExecutor per batch, as the evaluation runner uses it
+        # per arm.  The default backend is ``thread``: workers share
         # the process-wide program cache and pool startup is negligible.
         # The ``process`` backend pays pool startup + a per-worker program
         # cache warm-up on *every batch* — prefer it only for long batches

@@ -74,7 +74,6 @@ from typing import Any, Dict, List, Optional
 from repro.core.config import DrFixConfig
 from repro.core.database import ExampleDatabase
 from repro.errors import ConfigError
-from repro.execution import NESTED_BUDGET_ENV_VAR, shard_worker_budget
 from repro.fingerprint import config_fingerprint, shard_for
 from repro.service.cache import CACHE_VERSION, ResultCache
 from repro.service.core import ServiceTicket, _execute_request
@@ -102,26 +101,21 @@ def worker_main(
     heartbeat: Any,
     config: DrFixConfig,
     database: Optional[ExampleDatabase],
-    nested_budget: int,
     heartbeat_interval_s: float,
     fault_spec: str,
 ) -> None:
     """Resident worker: receive a request, execute it, respond; repeat until
     the ``None`` poison pill (or the master going away entirely).
 
-    The worker exports its share of the machine through
-    ``DRFIX_NESTED_BUDGET`` so every inner executor (harness seed runs, batch
-    validation) clamps to it — N workers each budgeted ``cpus // N`` can
-    never oversubscribe, the same accounting every other layer honors.  A
-    heartbeat thread stamps a shared value on a fixed cadence so the
-    supervisor can tell *busy* (still beating) from *wedged* (stale).
+    Each request runs serially inside the worker, so N workers use at most
+    N cores.  A heartbeat thread stamps a shared value on a fixed cadence so
+    the supervisor can tell *busy* (still beating) from *wedged* (stale).
 
     Both channels are this incarnation's private simplex pipes: responses are
     sent synchronously from this thread (no feeder thread, no shared write
     lock), so a crash at *any* instant leaves nothing behind that a sibling
     or successor could block on.
     """
-    os.environ[NESTED_BUDGET_ENV_VAR] = str(nested_budget)
     # The master owns interactive shutdown: a Ctrl-C must drain through the
     # master's signal handling, not kill workers mid-request at random.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -223,7 +217,6 @@ class ShardedDrFixService:
         self.cache = ResultCache(
             cache_capacity, JsonStore(cache_dir, CACHE_VERSION) if cache_dir else None)
         self.recorder = MetricsRecorder()
-        self.nested_budget = shard_worker_budget(workers)
 
         # ``fork`` keeps worker startup in the low milliseconds (no
         # re-import); platforms without it fall back to the default method.
@@ -462,7 +455,6 @@ class ShardedDrFixService:
                 "retries": self._retry_count,
                 "worker_failures": self._worker_failures,
                 "drops": self._drops,
-                "nested_budget": self.nested_budget,
                 "shards": [
                     {
                         "shard": sq.handle.shard,
@@ -503,11 +495,11 @@ class ShardedDrFixService:
             name=f"drfix-shard-{handle.shard}",
             args=(handle.shard, handle.incarnation, request_r, response_w,
                   handle.heartbeat, self.config,
-                  self.database, self.nested_budget,
+                  self.database,
                   self.heartbeat_interval_s, self.fault_plan.spec),
-            # Daemonic: if the master dies hard, the OS reaps the fleet.  The
-            # nested budget keeps inner layers serial/threaded, so workers
-            # never need process pools of their own.
+            # Daemonic: if the master dies hard, the OS reaps the fleet.  A
+            # request runs serially, so workers never need child processes
+            # (which a daemonic process may not have).
             daemon=True,
         )
         process.start()

@@ -125,43 +125,8 @@ class TestPipelineAblationBehaviour:
         assert first.strategy == second.strategy
 
 
-def _outcome_signature(outcome):
-    """Everything observable about a FixOutcome except wall-clock durations."""
-    return (
-        outcome.fixed, outcome.strategy, outcome.location, outcome.scope,
-        outcome.guided_by_example, outcome.example_id, outcome.lines_changed,
-        outcome.failure_reason, outcome.model_calls, outcome.validations,
-        [(a.location, a.scope, a.example_id, a.strategy, a.used_feedback,
-          a.patched, a.validated, a.failure) for a in outcome.attempts],
-    )
-
-
 class TestConcurrentCandidateValidation:
-    """The (location, scope) batch path must be bit-identical to the serial loop."""
-
-    @pytest.mark.parametrize("case_fixture", ["err_capture_case", "waitgroup_case",
-                                              "shard_map_case"])
-    def test_parallel_batch_equals_serial(self, request, case_fixture,
-                                          pipeline_config, pipeline_database):
-        case = request.getfixturevalue(case_fixture)
-        serial = DrFix(case.package, config=pipeline_config,
-                       database=pipeline_database, jobs=1).fix_case(case)
-        parallel = DrFix(case.package, config=pipeline_config,
-                         database=pipeline_database, jobs=2,
-                         executor="thread").fix_case(case)
-        assert _outcome_signature(serial) == _outcome_signature(parallel)
-
-    def test_unfixed_case_matches_serial_including_failures(self, pipeline_config,
-                                                            pipeline_database,
-                                                            shard_map_case):
-        # Without RAG this case exhausts every attempt: the batch path must
-        # replay the same failure log, counters, and failure reason.
-        config = pipeline_config.without_rag()
-        serial = DrFix(shard_map_case.package, config=config, jobs=1).fix_case(shard_map_case)
-        parallel = DrFix(shard_map_case.package, config=config, jobs=2,
-                         executor="thread").fix_case(shard_map_case)
-        assert not serial.fixed
-        assert _outcome_signature(serial) == _outcome_signature(parallel)
+    """Validator work per candidate, and the uncounted ``validate_batch`` loop."""
 
     def test_adaptive_run_count_bounds_validator_work(self, err_capture_case,
                                                       pipeline_config, pipeline_database):
@@ -187,14 +152,101 @@ class TestConcurrentCandidateValidation:
         validator = FixValidator(pipeline_config)
         racy, fixed = err_capture_case.package, err_capture_case.fixed_package
         results = validator.validate_batch(
-            [racy, fixed, racy], report.bug_hash(), jobs=3, executor="thread"
+            [racy, fixed, racy], report.bug_hash()
         )
         # Submission order is preserved and the batch stops at the first
-        # winner — the third candidate is never paid for, exactly as in the
-        # serial first-win loop.
+        # winner — the third candidate is never paid for.
         assert [r.ok for r in results] == [False, True]
-        # Batch validation leaves the serial-equivalent accounting to callers.
+        # The batch loop leaves the ``validations`` counter alone.
         assert validator.validations == 0
+
+    def test_validate_batch_without_a_winner_checks_every_candidate(
+            self, err_capture_case, pipeline_config):
+        from repro.core.validator import FixValidator
+
+        report = err_capture_case.race_report(runs=10)
+        validator = FixValidator(pipeline_config)
+        racy = err_capture_case.package
+        results = validator.validate_batch([racy, racy, racy], report.bug_hash())
+        assert [r.ok for r in results] == [False, False, False]
+        assert all(r.race_still_present for r in results)
+        assert validator.validate_batch([], report.bug_hash()) == []
+        assert validator.validations == 0
+
+    def test_validate_batch_agrees_with_validate(self, err_capture_case,
+                                                 pipeline_config):
+        from repro.core.validator import FixValidator
+
+        report = err_capture_case.race_report(runs=10)
+        racy, fixed = err_capture_case.package, err_capture_case.fixed_package
+        batch = FixValidator(pipeline_config).validate_batch(
+            [racy, fixed], report.bug_hash())
+        counted = FixValidator(pipeline_config)
+        single = [counted.validate(package, report.bug_hash())
+                  for package in (racy, fixed)]
+        assert counted.validations == 2
+        assert [(r.ok, r.race_still_present, r.new_race_hashes, r.runs)
+                for r in batch] == \
+            [(r.ok, r.race_still_present, r.new_race_hashes, r.runs)
+             for r in single]
+
+
+def _outcome_signature(outcome):
+    """Everything observable about a FixOutcome except wall-clock durations."""
+    return (
+        outcome.fixed, outcome.strategy, outcome.location, outcome.scope,
+        outcome.guided_by_example, outcome.example_id, outcome.lines_changed,
+        outcome.failure_reason, outcome.model_calls, outcome.validations,
+        [(a.location, a.scope, a.example_id, a.strategy, a.used_feedback,
+          a.patched, a.validated, a.failure) for a in outcome.attempts],
+    )
+
+
+def _assert_first_win_accounting(outcome):
+    """One model call per attempt, one validation per patched attempt, and a
+    win (if any) is the last attempt made."""
+    assert outcome.model_calls == len(outcome.attempts)
+    assert outcome.validations == sum(a.patched for a in outcome.attempts)
+    validated = [i for i, a in enumerate(outcome.attempts) if a.validated]
+    if outcome.fixed:
+        assert validated == [len(outcome.attempts) - 1]
+    else:
+        assert validated == []
+
+
+class TestSerialFirstWin:
+    """Candidates are validated one at a time and the first win stops the loop."""
+
+    @pytest.mark.parametrize("case_fixture", ["err_capture_case", "waitgroup_case",
+                                              "shard_map_case"])
+    def test_repeat_runs_are_identical(self, request, case_fixture,
+                                       pipeline_config, pipeline_database):
+        case = request.getfixturevalue(case_fixture)
+        first = DrFix(case.package, config=pipeline_config,
+                      database=pipeline_database).fix_case(case)
+        second = DrFix(case.package, config=pipeline_config,
+                       database=pipeline_database).fix_case(case)
+        assert first.fixed
+        assert _outcome_signature(first) == _outcome_signature(second)
+
+    @pytest.mark.parametrize("case_fixture", ["err_capture_case", "waitgroup_case",
+                                              "shard_map_case"])
+    def test_counters_match_the_attempts(self, request, case_fixture,
+                                         pipeline_config, pipeline_database):
+        case = request.getfixturevalue(case_fixture)
+        outcome = DrFix(case.package, config=pipeline_config,
+                        database=pipeline_database).fix_case(case)
+        assert outcome.fixed
+        _assert_first_win_accounting(outcome)
+
+    def test_unfixed_case_counts_every_attempt(self, pipeline_config, shard_map_case):
+        # Without RAG this case exhausts every attempt, the final retry
+        # included.
+        outcome = DrFix(shard_map_case.package,
+                        config=pipeline_config.without_rag()).fix_case(shard_map_case)
+        assert not outcome.fixed
+        assert outcome.failure_reason
+        _assert_first_win_accounting(outcome)
 
 
 class TestFixCaseDetection:

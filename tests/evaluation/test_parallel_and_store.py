@@ -92,49 +92,6 @@ def _square(value: int) -> int:
     return value * value
 
 
-def _nested_executor_jobs(_value: int) -> int:
-    """Worker body: how many workers would a nested executor get here?"""
-    return CaseExecutor(kind="thread", jobs=8).jobs
-
-
-class TestMapUntilAndNestedBudget:
-    @pytest.mark.parametrize("kind,jobs", [("serial", 1), ("thread", 4), ("process", 4)])
-    def test_map_until_returns_the_serial_prefix(self, kind, jobs):
-        items = list(range(12))
-        result = CaseExecutor(kind=kind, jobs=jobs).map_until(
-            _square, items, stop=lambda r: r >= 9
-        )
-        assert result == [0, 1, 4, 9]
-
-    def test_map_until_without_a_stop_hit_maps_everything(self):
-        items = list(range(6))
-        result = CaseExecutor(kind="thread", jobs=3).map_until(
-            _square, items, stop=lambda r: False
-        )
-        assert result == [i * i for i in items]
-
-    def test_nested_budget_clamps_executors_constructed_under_it(self, monkeypatch):
-        from repro.execution import NESTED_BUDGET_ENV_VAR
-
-        monkeypatch.setenv(NESTED_BUDGET_ENV_VAR, "2")
-        assert CaseExecutor(kind="thread", jobs=8).jobs == 2
-        monkeypatch.setenv(NESTED_BUDGET_ENV_VAR, "1")
-        inner = CaseExecutor(kind="thread", jobs=8)
-        assert inner.jobs == 1 and inner.kind is ExecutorKind.SERIAL
-
-    def test_outer_map_exports_the_budget_to_workers(self, monkeypatch):
-        # On an outer pool of 4 thread workers, a nested executor created
-        # inside a worker sees at most cpu/4 workers — never 8.
-        import os
-
-        outer = CaseExecutor(kind="thread", jobs=4)
-        nested_jobs = outer.map(_nested_executor_jobs, list(range(8)))
-        expected = max(1, (os.cpu_count() or 1) // 4)
-        assert set(nested_jobs) == {min(8, expected)}
-        # The budget is restored once the outer map returns.
-        assert os.environ.get("DRFIX_NESTED_BUDGET") is None
-
-
 class TestParallelDeterminism:
     def test_thread_and_process_runs_match_serial(self, context):
         serial = _run_with(context, jobs=1, executor="serial")
@@ -144,13 +101,6 @@ class TestParallelDeterminism:
         assert str(serial.fix_rate()) == str(threaded.fix_rate()) == str(forked.fix_rate())
         assert threaded.executor_label == "thread[4]"
         assert forked.executor_label == "process[4]"
-
-    def test_config_jobs_field_feeds_the_runner(self, context):
-        runner = EvaluationRunner(
-            context.base_config.with_jobs(3), context.skeleton_database, context.reviewer
-        )
-        assert runner.executor.jobs == 3
-        assert runner.executor.kind is ExecutorKind.PROCESS
 
 
 class TestRunStore:
@@ -180,8 +130,6 @@ class TestRunStore:
         runner = EvaluationRunner(changed, None, context.reviewer, store=store)
         rerun = runner.run(copy.deepcopy(context.dataset.evaluation), label="no-rag")
         assert rerun.cache_hits == 0
-        # Execution-only knobs do NOT change the fingerprint → all hits.
-        assert config_fingerprint(context.base_config.with_jobs(8)) == fp_full
 
     def test_serialization_roundtrip_preserves_outcome(self, context, tmp_path):
         run = _run_with(context, 1, "serial")

@@ -14,6 +14,7 @@ import threading
 import pytest
 
 import repro.runtime.compiler as compiler
+from repro.execution import CaseExecutor
 from repro.runtime.compiler import PROGRAM_CACHE
 from repro.runtime.harness import GoFile, GoPackage, run_package_tests
 
@@ -81,9 +82,10 @@ def test_only_called_functions_are_lowered(package):
 
 
 def test_concurrent_first_calls_match_the_serial_run(listing1_package, monkeypatch):
-    """Two runs on two threads lower the same function bodies at once."""
+    """Two harness calls on two threads (the service's thread pool) lower the
+    same function bodies at once."""
     PROGRAM_CACHE.clear()
-    serial = run_package_tests(listing1_package, runs=4, jobs=1)
+    serial = run_package_tests(listing1_package, runs=4)
     assert serial.reports
 
     PROGRAM_CACHE.clear()
@@ -107,10 +109,13 @@ def test_concurrent_first_calls_match_the_serial_run(listing1_package, monkeypat
         return real(block, code)
 
     monkeypatch.setattr(compiler, "compile_block", racing_compile_block)
-    threaded = run_package_tests(listing1_package, runs=4, jobs=2, executor="thread")
+    pool = CaseExecutor(kind="thread", jobs=2)
+    results = pool.map(lambda package: run_package_tests(package, runs=4),
+                       [listing1_package, listing1_package])
     assert not barrier.broken
     assert any(len(threads) == 2 for threads in lowered_by.values())
-    assert threaded.race_hashes() == serial.race_hashes()
-    assert threaded.output == serial.output
-    assert threaded.test_failures == serial.test_failures
+    for threaded in results:
+        assert threaded.race_hashes() == serial.race_hashes()
+        assert threaded.output == serial.output
+        assert threaded.test_failures == serial.test_failures
     PROGRAM_CACHE.clear()

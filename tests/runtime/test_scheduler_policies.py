@@ -155,32 +155,37 @@ class TestParallelHarness:
             result.output_lines_truncated,
         )
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_run_equals_serial(self, listing1_package, executor):
-        serial = run_package_tests(listing1_package, runs=8, jobs=1)
-        parallel = run_package_tests(listing1_package, runs=8, jobs=4, executor=executor)
-        assert self._signature(serial) == self._signature(parallel)
-        assert serial.reports  # the race is found either way
-
-    def test_parallel_clean_package_equals_serial(self, listing1_fixed_package):
-        serial = run_package_tests(listing1_fixed_package, runs=8, jobs=1)
-        parallel = run_package_tests(listing1_fixed_package, runs=8, jobs=4,
-                                     executor="thread")
-        assert self._signature(serial) == self._signature(parallel)
-        assert parallel.passed
-
-    @pytest.mark.parametrize("jobs,executor", [(1, None), (4, "thread")])
-    def test_stop_on_first_race_returns_the_serial_prefix(self, listing1_package,
-                                                          jobs, executor):
-        full = run_package_tests(listing1_package, runs=12, jobs=1)
-        early = run_package_tests(listing1_package, runs=12, jobs=jobs,
-                                  executor=executor, stop_on_first_race=True)
+    def test_stop_on_first_race_returns_the_serial_prefix(self, listing1_package):
+        full = run_package_tests(listing1_package, runs=12)
+        early = run_package_tests(listing1_package, runs=12, stop_on_first_race=True)
         assert early.reports
         assert early.runs <= full.runs
-        # The early-exit prefix is deterministic at any worker count.
-        serial_early = run_package_tests(listing1_package, runs=12, jobs=1,
-                                         stop_on_first_race=True)
-        assert self._signature(early) == self._signature(serial_early)
+        # The early-exit result is the prefix of the full sweep that ends at
+        # the first racy run, and it is deterministic.
+        prefix = run_package_tests(listing1_package, runs=early.runs)
+        assert self._signature(early) == self._signature(prefix)
+        assert self._signature(early) == self._signature(
+            run_package_tests(listing1_package, runs=12, stop_on_first_race=True))
+
+    @pytest.mark.parametrize("seed", [3, 5, 11])
+    def test_stop_on_first_race_stops_at_the_first_racy_run(self, listing1_package,
+                                                            seed):
+        early = run_package_tests(listing1_package, runs=12, seed=seed,
+                                  stop_on_first_race=True)
+        assert early.reports
+        # Every run before the last was race-free: one run fewer finds nothing.
+        shorter = run_package_tests(listing1_package, runs=early.runs - 1, seed=seed)
+        assert not shorter.reports
+        assert self._signature(early) == self._signature(
+            run_package_tests(listing1_package, runs=early.runs, seed=seed))
+
+    def test_stop_on_first_race_runs_a_clean_package_to_the_end(
+            self, listing1_fixed_package):
+        early = run_package_tests(listing1_fixed_package, runs=8,
+                                  stop_on_first_race=True)
+        assert early.runs == 8 and early.passed
+        assert self._signature(early) == self._signature(
+            run_package_tests(listing1_fixed_package, runs=8))
 
     def test_output_is_capped_per_run_with_marker(self):
         package = GoPackage(

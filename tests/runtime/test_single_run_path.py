@@ -19,7 +19,6 @@ from repro.core.config import DrFixConfig
 from repro.runtime.harness import (
     DEFAULT_POLICIES,
     GoTestHarness,
-    _execute_package_run,
     run_package_tests,
 )
 from repro.runtime.schedule_index import SCHEDULE_CLASS_REGISTRY
@@ -72,21 +71,6 @@ class TestRunBudget:
         for run_index, (seed, policy) in enumerate(plan):
             assert policy is DEFAULT_POLICIES[run_index % len(DEFAULT_POLICIES)]
             assert seed == derive_run_seed(3, run_index, policy)
-
-    def test_worker_run_matches_the_inline_run(self, listing1_package):
-        """A process-pool worker takes the same ``(seed, policy)`` spec as the
-        inline loop and produces the same outcome."""
-        harness = GoTestHarness(listing1_package, runs=4, seed=3)
-        build = harness.build()
-        for spec in harness.plan_runs():
-            inline = harness._run_once(build, build.tests, [], *spec)
-            worker = _execute_package_run(
-                listing1_package, (), harness.max_steps, harness.engine.value,
-                harness.slicing, spec)
-            assert [r.bug_hash() for r in worker.reports] == \
-                [r.bug_hash() for r in inline.reports]
-            assert (worker.failures, worker.output, worker.steps) == \
-                (inline.failures, inline.output, inline.steps)
 
 
 class TestPCTChangePoints:

@@ -51,13 +51,11 @@ class TestRequestModel:
         other_fp = config_fingerprint(DrFixConfig(model="o1-preview"))
         assert base.cache_key(fp) != base.cache_key(other_fp)
 
-    def test_execution_only_knobs_share_a_cache_key(self):
-        # jobs/harness_jobs do not change results, so they must not
-        # fragment the cache (same discipline as the run store).
-        base = DetectRequest(package=_package())
-        serial = config_fingerprint(DrFixConfig(harness_jobs=1))
-        parallel = config_fingerprint(DrFixConfig(harness_jobs=8, jobs=4))
-        assert base.cache_key(serial) == base.cache_key(parallel)
+    def test_config_fingerprints_are_pinned(self):
+        # Worker counts are not config fields, so the fingerprints that key
+        # both persistent stores stayed put when the worker fields went.
+        assert config_fingerprint(DrFixConfig()) == "938a1054526134207576"
+        assert config_fingerprint(DrFixConfig(model="gpt-4o")) == "fb96f636eba57fc3352a"
 
 
 class TestWireParsing:

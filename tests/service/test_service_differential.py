@@ -53,21 +53,15 @@ def representative_cases(dataset):
     return list(picks.values())
 
 
-def direct_detect(case, config):
+def direct_detect(case):
     """What ``drfix detect`` computes, rendered as the service would."""
-    result = run_package_tests(
-        case.package, runs=RUNS, seed=0,
-        jobs=config.harness_jobs,
-    )
+    result = run_package_tests(case.package, runs=RUNS, seed=0)
     return normalize_addresses(detect_payload(case.package, result))
 
 
 def direct_fix(case, config, database):
     """What ``drfix fix`` computes (fresh pipeline per report), rendered."""
-    detection = run_package_tests(
-        case.package, runs=RUNS, seed=0,
-        jobs=config.harness_jobs,
-    )
+    detection = run_package_tests(case.package, runs=RUNS, seed=0)
     results = []
     if detection.built:
         baseline = detection.race_hashes()
@@ -92,7 +86,7 @@ class TestDetectDifferential:
         assert len(cases) == 7, "expected one case per template family"
         with DrFixService(config, database=None, max_queue_depth=64) as service:
             for case in cases:
-                direct = direct_detect(case, config)
+                direct = direct_detect(case)
                 cold = service.call(DetectRequest(package=case.package, runs=RUNS),
                                     timeout=120)
                 warm = service.call(DetectRequest(package=case.package, runs=RUNS),
@@ -108,7 +102,7 @@ class TestDetectDifferential:
     def test_served_detect_equals_direct_under_concurrent_submission(
             self, dataset, config):
         cases = representative_cases(dataset)
-        expected = {case.case_id: direct_detect(case, config) for case in cases}
+        expected = {case.case_id: direct_detect(case) for case in cases}
         # Each case submitted twice, all at once, from many client threads.
         work = [(case.case_id, case) for case in cases] * 2
         responses = {}

@@ -1,7 +1,7 @@
 """Unit and integration tests for the sharded service's supporting pieces:
 
 routing, the persistent result cache (restart survival, corruption
-tolerance), worker-budget accounting, health/metrics shapes, pidfile
+tolerance), construction checks, health/metrics shapes, pidfile
 discipline, and the frontend's configurable request timeout.
 """
 
@@ -17,7 +17,6 @@ from repro.core.pipeline import FixOutcome
 from repro.errors import ConfigError
 from repro.evaluation.runner import CaseResult
 from repro.evaluation.store import RunStore
-from repro.execution import NESTED_BUDGET_ENV_VAR, shard_worker_budget
 from repro.fingerprint import shard_for
 from repro.runtime.harness import GoFile, GoPackage
 from repro.service import (
@@ -95,33 +94,14 @@ class TestShardRouting:
 
 
 # ---------------------------------------------------------------------------
-# Worker budget
+# Construction
 # ---------------------------------------------------------------------------
 
 
-class TestShardWorkerBudget:
-    def test_divides_the_nested_budget(self, monkeypatch):
-        monkeypatch.setenv(NESTED_BUDGET_ENV_VAR, "8")
-        assert shard_worker_budget(2) == 4
-        assert shard_worker_budget(3) == 2
-        assert shard_worker_budget(16) == 1  # floor at one
-
-    def test_defaults_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv(NESTED_BUDGET_ENV_VAR, raising=False)
-        assert shard_worker_budget(1) == max(1, os.cpu_count() or 1)
-
+class TestShardConstruction:
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ConfigError):
-            shard_worker_budget(0)
-
-    def test_service_exports_budget_to_workers(self, monkeypatch):
-        monkeypatch.setenv(NESTED_BUDGET_ENV_VAR, "4")
-        service = ShardedDrFixService(workers=2, heartbeat_interval_s=0.02)
-        try:
-            assert service.nested_budget == 2
-            assert service.supervisor_stats()["nested_budget"] == 2
-        finally:
-            service.shutdown()
+            ShardedDrFixService(workers=0, start=False)
 
 
 # ---------------------------------------------------------------------------

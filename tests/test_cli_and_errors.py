@@ -1,5 +1,6 @@
 """Tests for the CLI entry points and the shared error hierarchy."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -194,8 +195,6 @@ class TestArgumentValidation:
     """--jobs/--runs are validated uniformly at the argparse boundary."""
 
     @pytest.mark.parametrize("argv", [
-        ["detect", ".", "--jobs", "0"],
-        ["fix", ".", "--jobs", "0"],
         ["evaluate", "--jobs", "0"],
         ["bench", "--jobs", "0"],
         ["serve", "--jobs", "0"],
@@ -222,7 +221,7 @@ class TestArgumentValidation:
         assert "positive integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["detect", ".", "--jobs", "two"],
+        ["evaluate", "--jobs", "two"],
         ["detect", ".", "--runs", "many"],
     ])
     def test_non_integers_are_rejected(self, argv, capsys):
@@ -230,9 +229,12 @@ class TestArgumentValidation:
             main(argv)
         assert "expected an integer" in capsys.readouterr().err
 
-    def test_negative_jobs_still_means_all_cpus(self, racy_dir):
+    def test_negative_jobs_still_means_all_cpus(self):
         # Negative worker counts remain valid (one worker per CPU).
-        assert main(["detect", str(racy_dir), "--runs", "6", "--jobs", "-1"]) == 1
+        from repro.execution import resolve_jobs
+
+        args = build_parser().parse_args(["evaluate", "--jobs", "-1"])
+        assert resolve_jobs(args.jobs) == (os.cpu_count() or 1)
 
 
 class TestServeCLI:
