@@ -2,7 +2,9 @@
 
 Every node carries a :class:`~repro.golang.tokens.Position` (``pos``) pointing
 at its first token so that the race detector, the skeletonizer, and the
-patcher can all refer back to source lines.  Nodes are plain dataclasses.
+patcher can all refer back to source lines.  Nodes are plain dataclasses; a
+node built without a position (by a fix strategy or the compiler) shares the
+one frozen :data:`NO_POSITION`.
 
 Trees returned by :func:`repro.golang.parser.parse_file` are shared between
 every caller that parses the same source, so they are read-only.  Code that
@@ -13,17 +15,28 @@ it back to source; code that only rearranges a file's top-level declarations
 Nothing writes to a tree after parsing: the runtime keeps what it derives
 from a tree in its own caches, keyed by node identity.
 
-The generic walkers (:meth:`Node.children`, :func:`clone`) read each class's
-dataclass fields by name, never the instance dictionary: on CPython 3.11+
-asking for it allocates a GC-tracked dict per node visited.
+Every analysis walks trees, so the generic traversal is built for speed.
+Each node class gets its own :meth:`Node.children`, generated once when this
+module loads from the class's dataclass fields (the way ``dataclasses``
+generates ``__init__``): straight-line code that reads exactly the fields
+whose annotation names a node class or a list of one, in declaration order,
+and returns a new list.  :func:`walk` is an explicit-stack pre-order loop
+over it, so a tree of any depth walks, and :func:`clone` copies through the
+same per-class field layout.  Neither reads the instance dictionary: on
+CPython 3.11+ asking for it allocates a GC-tracked dict per node.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from repro.golang.tokens import Position
+
+#: The position of every node built without one.  Positions are frozen, so
+#: one object serves them all.
+NO_POSITION = Position()
 
 
 # ---------------------------------------------------------------------------
@@ -35,38 +48,40 @@ from repro.golang.tokens import Position
 class Node:
     """Base class for all AST nodes."""
 
-    pos: Position = field(default_factory=Position, kw_only=True)
+    pos: Position = field(default=NO_POSITION, kw_only=True)
 
-    def children(self) -> Iterator["Node"]:
-        """Yield direct child nodes (used by generic walkers)."""
-        for name in _field_names(type(self)):
-            value = getattr(self, name)
-            if isinstance(value, Node):
-                yield value
-            elif isinstance(value, list):
-                for item in value:
-                    if isinstance(item, Node):
-                        yield item
+    # Per class, its fields other than ``pos`` as ``(name, kind)`` pairs in
+    # declaration order, ``kind`` one of the ``_NODE``, ``_NODE_LIST`` and
+    # ``_SCALAR`` markers; set with ``children`` by :func:`_install`.  (Not
+    # annotated, so it is not a dataclass field.)
+    _layout = ()
 
-
-#: Per node class, its dataclass field names in declaration order, ``pos``
-#: excluded (positions are frozen leaves); filled on first use.
-_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+    def children(self) -> List["Node"]:
+        """The direct child nodes, in field order, as a new list (used by
+        the generic walkers).  Every subclass gets its own, generated by
+        :func:`_install`."""
+        return []
 
 
-def _field_names(cls: type) -> Tuple[str, ...]:
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = _FIELD_NAMES[cls] = tuple(
-            f.name for f in dataclass_fields(cls) if f.name != "pos")
-    return names
+_NODE, _NODE_LIST, _SCALAR = "node", "node list", "scalar"
 
 
 def walk(node: Node) -> Iterator[Node]:
-    """Yield ``node`` and every descendant in depth-first pre-order."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
+    """Yield ``node`` and every descendant in depth-first pre-order.
+
+    A node's children are read when the walk expands it, right after the
+    consumer has been handed that node: a consumer that rewrites the node it
+    was handed sees the walk descend into the new children, but a change to
+    a node the walk has already expanded is not seen."""
+    stack = [node]
+    pop = stack.pop
+    while stack:
+        node = pop()
+        yield node
+        children = node.children()
+        if children:
+            children.reverse()
+            stack += children
 
 
 def clone(node: Node) -> Node:
@@ -79,22 +94,17 @@ def clone(node: Node) -> Node:
     # Attributes are set in ``__init__``'s order, so the copy keeps its
     # values inline exactly like a parsed node.
     copy.pos = node.pos
-    for name in _field_names(cls):
+    for name, kind in cls._layout:
         value = getattr(node, name)
-        if isinstance(value, Node):
-            value = clone(value)
-        elif isinstance(value, list):
-            value = [_clone_value(item) for item in value]
+        if kind is _NODE:
+            if value is not None:
+                value = clone(value)
+        elif kind is _NODE_LIST:
+            value = [clone(item) for item in value]
+        elif type(value) is list:  # names
+            value = value[:]
         setattr(copy, name, value)
     return copy
-
-
-def _clone_value(value):
-    if isinstance(value, Node):
-        return clone(value)
-    if isinstance(value, list):
-        return [_clone_value(item) for item in value]
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +528,7 @@ class File(Node):
 
 def ident(name: str, pos: Position | None = None) -> Ident:
     """Construct an :class:`Ident` (convenience for fix strategies)."""
-    return Ident(name=name, pos=pos or Position())
+    return Ident(name=name, pos=pos or NO_POSITION)
 
 
 def selector(path: str) -> Expr:
@@ -571,3 +581,51 @@ def base_name(expr: Expr | None) -> str | None:
         else:
             return None
     return None
+
+
+# ---------------------------------------------------------------------------
+# Per-class child accessors
+# ---------------------------------------------------------------------------
+
+
+def _field_kind(annotation: str) -> str:
+    """``_NODE``, ``_NODE_LIST`` or ``_SCALAR`` for a field annotation such
+    as ``"Optional[Expr]"``, ``"List[Stmt]"`` or ``"List[str]"``."""
+    match = re.fullmatch(r"(List|Optional)\[(.*)\]", annotation)
+    inner = match[2] if match else annotation
+    target = globals().get(inner.strip("'\""))
+    if not (isinstance(target, type) and issubclass(target, Node)):
+        return _SCALAR
+    return _NODE_LIST if match and match[1] == "List" else _NODE
+
+
+def _install(cls: type) -> None:
+    """Give ``cls`` its field layout and its generated ``children``."""
+    cls._layout = tuple((f.name, _field_kind(f.type))
+                        for f in dataclass_fields(cls) if f.name != "pos")
+    lines = ["def children(self):", "    out = []"]
+    for name, kind in cls._layout:
+        if kind is _NODE:
+            lines += [f"    value = self.{name}",
+                      "    if value is not None:",
+                      "        out.append(value)"]
+        elif kind is _NODE_LIST:
+            lines.append(f"    out += self.{name}")
+    lines.append("    return out")
+    namespace: dict = {}
+    exec("\n".join(lines), {}, namespace)
+    children = namespace["children"]
+    children.__qualname__ = f"{cls.__qualname__}.children"
+    children.__doc__ = Node.children.__doc__
+    cls.children = children
+
+
+def _node_classes(cls: type = Node) -> Iterator[type]:
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_classes(sub)
+
+
+for _cls in _node_classes():
+    _install(_cls)
+del _cls

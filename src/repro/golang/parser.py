@@ -7,45 +7,58 @@ synthetic corpus: functions and methods, closures, goroutines, defer, channel
 operations, ``select``, ``switch``, ``for``/``range`` loops, labeled
 statements, composite literals (struct, slice, map), type declarations,
 pointers, variadic calls, and type assertions.
+
+Every pipeline stage re-parses Go source, so the token loop is kept tight.
+The cursor is the token list, ``index`` and the current token ``tok``; hot
+paths test ``tok.kind`` by identity against the token kinds bound below as
+module globals (``TokenKind.X`` is an attribute lookup through the enum
+metaclass, several times slower) and move the cursor in place.  A statement
+dispatches on its first token through :data:`_STMT_PARSERS`, and a plain
+operand (an identifier or a literal) skips the unary → primary → operand
+chain.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import GoSyntaxError
 from repro.golang import ast_nodes as ast
 from repro.golang.lexer import tokenize
 from repro.golang.tokens import ASSIGN_OPS, PRECEDENCE, Position, Token, TokenKind
 
-# Tokens that may start a type expression.
-_TYPE_START = {
-    TokenKind.IDENT,
-    TokenKind.MUL,
-    TokenKind.LBRACK,
-    TokenKind.MAP,
-    TokenKind.CHAN,
-    TokenKind.FUNC,
-    TokenKind.STRUCT,
-    TokenKind.INTERFACE,
-    TokenKind.ARROW,
-    TokenKind.ELLIPSIS,
-    TokenKind.LPAREN,
-}
+(ADD, AND, ARROW, ASSIGN, BREAK, CASE, CHAN, CHAR, COLON, COMMA, CONST, CONTINUE,
+ DEC, DEFAULT, DEFER, DEFINE, ELLIPSIS, ELSE, EOF, FALLTHROUGH, FLOAT, FOR, FUNC,
+ GO, GOTO, IDENT, IF, IMPORT, INC, INT, INTERFACE, LBRACE, LBRACK, LPAREN, MAP,
+ MUL, NOT, PACKAGE, PERIOD, RANGE, RBRACE, RBRACK, RETURN, RPAREN, SELECT,
+ SEMICOLON, STRING, STRUCT, SUB, SWITCH, TYPE, VAR, XOR) = (TokenKind[name] for name in """
+ ADD AND ARROW ASSIGN BREAK CASE CHAN CHAR COLON COMMA CONST CONTINUE
+ DEC DEFAULT DEFER DEFINE ELLIPSIS ELSE EOF FALLTHROUGH FLOAT FOR FUNC
+ GO GOTO IDENT IF IMPORT INC INT INTERFACE LBRACE LBRACK LPAREN MAP
+ MUL NOT PACKAGE PERIOD RANGE RBRACE RBRACK RETURN RPAREN SELECT
+ SEMICOLON STRING STRUCT SUB SWITCH TYPE VAR XOR""".split())
 
-# Tokens that may start an expression (superset of type starts plus literals and unary ops).
-_EXPR_START = _TYPE_START | {
-    TokenKind.INT,
-    TokenKind.FLOAT,
-    TokenKind.STRING,
-    TokenKind.CHAR,
-    TokenKind.ADD,
-    TokenKind.SUB,
-    TokenKind.NOT,
-    TokenKind.AND,
-    TokenKind.XOR,
-}
+# Tokens that may start a type expression.
+_TYPE_START = frozenset({IDENT, MUL, LBRACK, MAP, CHAN, FUNC, STRUCT, INTERFACE,
+                         ARROW, ELLIPSIS, LPAREN})
+# Tokens after a struct field's first identifier that make it a field name.
+_FIELD_NAME_FOLLOW = _TYPE_START | {COMMA}
+# Type keywords and ``[`` that start an operand (a conversion, ``make``
+# argument or composite literal type).
+_TYPE_OPERANDS = frozenset({LBRACK, MAP, CHAN, STRUCT, INTERFACE})
+_UNARY_OPS = frozenset({ADD, SUB, NOT, XOR, MUL, AND, ARROW})
+# Literal token kinds mapped to ``BasicLit.kind``.
+_LITERALS: Dict[TokenKind, str] = {INT: "INT", FLOAT: "FLOAT", STRING: "STRING", CHAR: "CHAR"}
+# Tokens that may continue a primary expression (selector, call, index,
+# composite literal).
+_POSTFIX = frozenset({PERIOD, LPAREN, LBRACK, LBRACE})
+_ASSIGN_KINDS = frozenset({DEFINE, ASSIGN, *ASSIGN_OPS})
+_DECL_KEYWORDS = frozenset({VAR, CONST, TYPE})
+# Tokens that implicitly terminate the previous statement.
+_STMT_CLOSERS = frozenset({RBRACE, RPAREN, EOF})
+# Tokens that end a switch or select clause's body.
+_CLAUSE_END = frozenset({CASE, DEFAULT, RBRACE, EOF})
 
 
 class Parser:
@@ -65,16 +78,16 @@ class Parser:
     # Token-stream helpers
     # ------------------------------------------------------------------
 
-    def peek(self, offset: int = 1) -> Token:
-        index = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[index]
-
-    def at(self, *kinds: TokenKind) -> bool:
-        return self.tok.kind in kinds
+    def peek(self) -> Token:
+        """The token after the current one (EOF stays EOF)."""
+        if self.tok.kind is EOF:
+            return self.tok
+        return self.tokens[self.index + 1]
 
     def advance(self) -> Token:
+        """Consume and return the current token; EOF is never consumed."""
         token = self.tok
-        if token.kind is not TokenKind.EOF:
+        if token.kind is not EOF:
             self.index += 1
             self.tok = self.tokens[self.index]
         return token
@@ -85,36 +98,66 @@ class Parser:
         self.tok = self.tokens[index]
 
     def accept(self, kind: TokenKind) -> Optional[Token]:
-        if self.tok.kind is kind:
-            return self.advance()
+        """Consume the current token if it is a ``kind`` (never EOF)."""
+        token = self.tok
+        if token.kind is kind:
+            self.index += 1
+            self.tok = self.tokens[self.index]
+            return token
         return None
 
     def expect(self, kind: TokenKind, context: str = "") -> Token:
-        if self.tok.kind is kind:
-            return self.advance()
+        """Consume the current token, which must be a ``kind`` (never EOF)."""
+        token = self.tok
+        if token.kind is kind:
+            self.index += 1
+            self.tok = self.tokens[self.index]
+            return token
         where = f" in {context}" if context else ""
         raise self.error(
-            f"expected {kind.value!r}, found {self.tok.kind.value!r} ({self.tok.text!r}){where}"
+            f"expected {kind.value!r}, found {token.kind.value!r} ({token.text!r}){where}"
         )
 
     def error(self, message: str) -> GoSyntaxError:
         return GoSyntaxError(message, self.filename, self.tok.line, self.tok.column)
 
     def skip_semicolons(self) -> None:
-        while self.at(TokenKind.SEMICOLON):
-            self.advance()
+        if self.tok.kind is SEMICOLON:
+            # The token list ends with EOF, so the scan stops in range.
+            tokens = self.tokens
+            index = self.index + 1
+            while tokens[index].kind is SEMICOLON:
+                index += 1
+            self.index = index
+            self.tok = tokens[index]
 
     def expect_semi(self) -> None:
         """Consume a statement terminator (semicolon/newline); ``}`` and ``)``
         implicitly terminate the previous statement."""
-        if self.at(TokenKind.SEMICOLON):
-            self.advance()
-        elif self.at(TokenKind.RBRACE, TokenKind.RPAREN, TokenKind.EOF):
-            return
-        else:
+        kind = self.tok.kind
+        if kind is SEMICOLON:
+            self.index += 1
+            self.tok = self.tokens[self.index]
+        elif kind not in _STMT_CLOSERS:
             raise self.error(
-                f"expected ';' or newline, found {self.tok.kind.value!r} ({self.tok.text!r})"
+                f"expected ';' or newline, found {kind.value!r} ({self.tok.text!r})"
             )
+
+    def _skip_type_params(self) -> None:
+        """Skip a generic type-parameter list such as ``[T any]``."""
+        depth = 0
+        while True:
+            kind = self.tok.kind
+            if kind is LBRACK:
+                depth += 1
+            elif kind is RBRACK:
+                depth -= 1
+                if depth == 0:
+                    self.advance()
+                    return
+            elif kind is EOF:
+                raise self.error("unterminated type parameter list")
+            self.advance()
 
     # ------------------------------------------------------------------
     # File / declarations
@@ -135,28 +178,28 @@ class Parser:
     def _parse_file(self) -> ast.File:
         self.skip_semicolons()
         pos = self.tok.pos
-        self.expect(TokenKind.PACKAGE, "package clause")
-        package = self.expect(TokenKind.IDENT, "package clause").text
+        self.expect(PACKAGE, "package clause")
+        package = self.expect(IDENT, "package clause").text
         self.expect_semi()
         file = ast.File(package=package, name=self.filename, pos=pos)
         self.skip_semicolons()
-        while self.at(TokenKind.IMPORT):
+        while self.tok.kind is IMPORT:
             file.imports.extend(self._parse_import_decl())
             self.skip_semicolons()
-        while not self.at(TokenKind.EOF):
+        while self.tok.kind is not EOF:
             file.decls.append(self.parse_decl())
             self.skip_semicolons()
         return file
 
     def _parse_import_decl(self) -> List[ast.ImportSpec]:
-        self.expect(TokenKind.IMPORT)
+        self.expect(IMPORT)
         specs: List[ast.ImportSpec] = []
-        if self.accept(TokenKind.LPAREN):
+        if self.accept(LPAREN):
             self.skip_semicolons()
-            while not self.at(TokenKind.RPAREN):
+            while self.tok.kind is not RPAREN:
                 specs.append(self._parse_import_spec())
                 self.skip_semicolons()
-            self.expect(TokenKind.RPAREN)
+            self.expect(RPAREN)
         else:
             specs.append(self._parse_import_spec())
         self.expect_semi()
@@ -165,95 +208,73 @@ class Parser:
     def _parse_import_spec(self) -> ast.ImportSpec:
         pos = self.tok.pos
         name = None
-        if self.at(TokenKind.IDENT, TokenKind.PERIOD):
+        if self.tok.kind is IDENT or self.tok.kind is PERIOD:
             name = self.advance().text
-        path = self.expect(TokenKind.STRING, "import spec").text
+        path = self.expect(STRING, "import spec").text
         return ast.ImportSpec(path=path, name=name, pos=pos)
 
     def parse_decl(self) -> ast.Decl:
         """Parse a top-level declaration."""
-        if self.at(TokenKind.FUNC):
+        kind = self.tok.kind
+        if kind is FUNC:
             return self._parse_func_decl()
-        if self.at(TokenKind.VAR, TokenKind.CONST, TokenKind.TYPE):
+        if kind in _DECL_KEYWORDS:
             return self._parse_gen_decl()
-        if self.at(TokenKind.IMPORT):
+        if kind is IMPORT:
             specs = self._parse_import_decl()
             return ast.GenDecl(tok="import", specs=list(specs), pos=specs[0].pos if specs else self.tok.pos)
         raise self.error(f"expected declaration, found {self.tok.text!r}")
 
     def _parse_gen_decl(self) -> ast.GenDecl:
-        pos = self.tok.pos
         tok = self.advance()
-        keyword = tok.kind.value
-        decl = ast.GenDecl(tok=keyword, pos=pos)
-        if self.accept(TokenKind.LPAREN):
+        keyword = tok.text  # a keyword token's text is its spelling
+        specs: List[ast.Node] = []
+        if self.accept(LPAREN):
             self.skip_semicolons()
-            while not self.at(TokenKind.RPAREN):
-                decl.specs.append(self._parse_spec(keyword))
+            while self.tok.kind is not RPAREN:
+                specs.append(self._parse_spec(keyword))
                 self.skip_semicolons()
-            self.expect(TokenKind.RPAREN)
+            self.expect(RPAREN)
         else:
-            decl.specs.append(self._parse_spec(keyword))
-        return decl
+            specs.append(self._parse_spec(keyword))
+        return ast.GenDecl(tok=keyword, specs=specs, pos=tok.pos)
 
     def _parse_spec(self, keyword: str) -> ast.Node:
+        pos = self.tok.pos
         if keyword == "type":
-            pos = self.tok.pos
-            name = self.expect(TokenKind.IDENT, "type declaration").text
+            name = self.expect(IDENT, "type declaration").text
             # Skip a generic type-parameter list if present, e.g. `Scanner[ROW any]`.
-            if self.at(TokenKind.LBRACK):
-                depth = 0
-                while True:
-                    if self.at(TokenKind.LBRACK):
-                        depth += 1
-                    elif self.at(TokenKind.RBRACK):
-                        depth -= 1
-                        if depth == 0:
-                            self.advance()
-                            break
-                    elif self.at(TokenKind.EOF):
-                        raise self.error("unterminated type parameter list")
-                    self.advance()
-            self.accept(TokenKind.ASSIGN)  # type alias
+            if self.tok.kind is LBRACK:
+                self._skip_type_params()
+            self.accept(ASSIGN)  # type alias
             type_ = self.parse_type()
             return ast.TypeSpec(name=name, type_=type_, pos=pos)
         # var / const
-        pos = self.tok.pos
-        names = [self.expect(TokenKind.IDENT, f"{keyword} declaration").text]
-        while self.accept(TokenKind.COMMA):
-            names.append(self.expect(TokenKind.IDENT).text)
+        names = [self.expect(IDENT, f"{keyword} declaration").text]
+        while self.accept(COMMA):
+            names.append(self.expect(IDENT).text)
         type_ = None
         values: List[ast.Expr] = []
-        if not self.at(TokenKind.ASSIGN, TokenKind.SEMICOLON, TokenKind.RPAREN, TokenKind.EOF):
+        kind = self.tok.kind
+        if not (kind is ASSIGN or kind is SEMICOLON or kind is RPAREN or kind is EOF):
             type_ = self.parse_type()
-        if self.accept(TokenKind.ASSIGN):
+        if self.accept(ASSIGN):
             values = self.parse_expr_list()
         return ast.ValueSpec(names=names, type_=type_, values=values, pos=pos)
 
     def _parse_func_decl(self) -> ast.FuncDecl:
-        pos = self.expect(TokenKind.FUNC).pos
+        pos = self.expect(FUNC).pos
         recv = None
-        if self.at(TokenKind.LPAREN):
+        if self.tok.kind is LPAREN:
             recv_fields = self._parse_param_list()
             recv = recv_fields[0] if recv_fields else None
-        name = self.expect(TokenKind.IDENT, "function declaration").text
+        name = self.expect(IDENT, "function declaration").text
         # Skip a generic type-parameter list, e.g. `func F[T any](...)`.
-        if self.at(TokenKind.LBRACK):
-            depth = 0
-            while True:
-                if self.at(TokenKind.LBRACK):
-                    depth += 1
-                elif self.at(TokenKind.RBRACK):
-                    depth -= 1
-                    if depth == 0:
-                        self.advance()
-                        break
-                elif self.at(TokenKind.EOF):
-                    raise self.error("unterminated type parameter list")
-                self.advance()
+        if self.tok.kind is LBRACK:
+            self._skip_type_params()
         type_ = self._parse_func_signature()
         body = None
-        if self.at(TokenKind.LBRACE):
+        if self.tok.kind is LBRACE:
             body = self.parse_block()
         return ast.FuncDecl(recv=recv, name=name, type_=type_, body=body, pos=pos)
 
@@ -261,17 +282,19 @@ class Parser:
         pos = self.tok.pos
         params = self._parse_param_list()
         results: List[ast.Field] = []
-        if self.at(TokenKind.LPAREN):
+        kind = self.tok.kind
+        if kind is LPAREN:
             results = self._parse_param_list()
-        elif self.tok.kind in _TYPE_START and not self.at(TokenKind.LBRACE):
-            # Single unparenthesized result type. Guard against the function
-            # body brace being misread as a struct literal.
+        elif kind in _TYPE_START:
+            # Single unparenthesized result type (the function body's `{` is
+            # not a type start, so it is never misread as a struct literal).
+            # The field's position is read after its type is parsed.
             results = [ast.Field(type_=self.parse_type(), pos=self.tok.pos)]
         return ast.FuncType(params=params, results=results, pos=pos)
 
     def _parse_param_list(self) -> List[ast.Field]:
         """Parse a parenthesized parameter/result/receiver list."""
-        self.expect(TokenKind.LPAREN, "parameter list")
+        self.expect(LPAREN, "parameter list")
         fields: List[ast.Field] = []
         pending: List[ast.Ident] = []  # identifiers that may turn out to be names
 
@@ -280,42 +303,38 @@ class Parser:
                 fields.append(ast.Field(type_=item, pos=item.pos))
             pending.clear()
 
-        while not self.at(TokenKind.RPAREN):
+        while self.tok.kind is not RPAREN:
             self.skip_semicolons()
-            if self.at(TokenKind.RPAREN):
+            tok = self.tok
+            if tok.kind is RPAREN:
                 break
-            pos = self.tok.pos
-            if self.at(TokenKind.IDENT) and self.peek().kind in (TokenKind.COMMA, TokenKind.RPAREN):
+            pos = tok.pos
+            following = self.peek().kind if tok.kind is IDENT else None
+            if following is COMMA or following is RPAREN:
                 # Could be a bare type or a name whose type appears later in the group.
                 pending.append(ast.Ident(name=self.advance().text, pos=pos))
-            elif self.at(TokenKind.IDENT) and self.peek().kind is TokenKind.PERIOD:
+            elif following is PERIOD:
                 # Qualified type such as `pkg.Type` — unambiguous bare type.
                 type_ = self.parse_type()
                 flush_pending_as_types()
                 fields.append(ast.Field(type_=type_, pos=pos))
-            elif self.at(TokenKind.IDENT) and self.peek().kind in _TYPE_START:
+            elif following in _TYPE_START:
                 # `name Type` — all pending identifiers are names of the same type.
                 name = self.advance().text
-                variadic = False
-                if self.at(TokenKind.ELLIPSIS):
-                    variadic = True
-                    self.advance()
+                variadic = self.accept(ELLIPSIS) is not None
                 type_ = self.parse_type()
                 names = [item.name for item in pending] + [name]
                 pending.clear()
                 fields.append(ast.Field(names=names, type_=type_, variadic=variadic, pos=pos))
             else:
-                variadic = False
-                if self.at(TokenKind.ELLIPSIS):
-                    variadic = True
-                    self.advance()
+                variadic = self.accept(ELLIPSIS) is not None
                 type_ = self.parse_type()
                 flush_pending_as_types()
                 fields.append(ast.Field(type_=type_, variadic=variadic, pos=pos))
-            if not self.accept(TokenKind.COMMA):
+            if not self.accept(COMMA):
                 break
         flush_pending_as_types()
-        self.expect(TokenKind.RPAREN, "parameter list")
+        self.expect(RPAREN, "parameter list")
         return fields
 
     # ------------------------------------------------------------------
@@ -326,119 +345,116 @@ class Parser:
         """Parse a type expression."""
         pos = self.tok.pos
         kind = self.tok.kind
-        if kind is TokenKind.IDENT:
+        if kind is IDENT:
             expr: ast.Expr = ast.Ident(name=self.advance().text, pos=pos)
-            while self.at(TokenKind.PERIOD):
+            while self.tok.kind is PERIOD:
                 self.advance()
-                sel = self.expect(TokenKind.IDENT, "qualified type").text
+                sel = self.expect(IDENT, "qualified type").text
                 expr = ast.SelectorExpr(x=expr, sel=sel, pos=pos)
             # Generic instantiation such as `Foo[Bar]` — record only the base type.
-            if self.at(TokenKind.LBRACK) and self.peek().kind in _TYPE_START and self.peek().kind is not TokenKind.LBRACK:
-                save = self.index
-                try:
-                    self.advance()
-                    self.parse_type()
-                    if self.at(TokenKind.RBRACK):
+            if self.tok.kind is LBRACK:
+                following = self.peek().kind
+                if following in _TYPE_START and following is not LBRACK:
+                    save = self.index
+                    try:
                         self.advance()
-                    else:
+                        self.parse_type()
+                        if not self.accept(RBRACK):
+                            self._seek(save)
+                    except GoSyntaxError:
                         self._seek(save)
-                except GoSyntaxError:
-                    self._seek(save)
             return expr
-        if kind is TokenKind.MUL:
+        if kind is MUL:
             self.advance()
             return ast.StarExpr(x=self.parse_type(), pos=pos)
-        if kind is TokenKind.LBRACK:
+        if kind is LBRACK:
             self.advance()
             length = None
-            if not self.at(TokenKind.RBRACK):
+            if self.tok.kind is not RBRACK:
                 length = self.parse_expression()
-            self.expect(TokenKind.RBRACK, "array/slice type")
+            self.expect(RBRACK, "array/slice type")
             return ast.ArrayType(elt=self.parse_type(), length=length, pos=pos)
-        if kind is TokenKind.MAP:
+        if kind is MAP:
             self.advance()
-            self.expect(TokenKind.LBRACK, "map type")
+            self.expect(LBRACK, "map type")
             key = self.parse_type()
-            self.expect(TokenKind.RBRACK, "map type")
+            self.expect(RBRACK, "map type")
             return ast.MapType(key=key, value=self.parse_type(), pos=pos)
-        if kind is TokenKind.CHAN:
+        if kind is CHAN:
             self.advance()
-            self.accept(TokenKind.ARROW)  # chan<- T
+            self.accept(ARROW)  # chan<- T
             return ast.ChanType(value=self.parse_type(), pos=pos)
-        if kind is TokenKind.ARROW:
+        if kind is ARROW:
             self.advance()
-            self.expect(TokenKind.CHAN, "receive-only channel type")
+            self.expect(CHAN, "receive-only channel type")
             return ast.ChanType(value=self.parse_type(), pos=pos)
-        if kind is TokenKind.FUNC:
+        if kind is FUNC:
             self.advance()
             return self._parse_func_signature()
-        if kind is TokenKind.STRUCT:
+        if kind is STRUCT:
             return self._parse_struct_type()
-        if kind is TokenKind.INTERFACE:
+        if kind is INTERFACE:
             return self._parse_interface_type()
-        if kind is TokenKind.ELLIPSIS:
+        if kind is ELLIPSIS:
             self.advance()
             elt = self.parse_type() if self.tok.kind in _TYPE_START else None
             return ast.Ellipsis(elt=elt, pos=pos)
-        if kind is TokenKind.LPAREN:
+        if kind is LPAREN:
             self.advance()
             inner = self.parse_type()
-            self.expect(TokenKind.RPAREN)
+            self.expect(RPAREN)
             return ast.ParenExpr(x=inner, pos=pos)
         raise self.error(f"expected type, found {self.tok.text!r}")
 
     def _parse_struct_type(self) -> ast.StructType:
-        pos = self.expect(TokenKind.STRUCT).pos
-        self.expect(TokenKind.LBRACE, "struct type")
+        pos = self.expect(STRUCT).pos
+        self.expect(LBRACE, "struct type")
         fields: List[ast.Field] = []
         self.skip_semicolons()
-        while not self.at(TokenKind.RBRACE):
+        while self.tok.kind is not RBRACE:
             fields.append(self._parse_struct_field())
             self.expect_semi()
             self.skip_semicolons()
-        self.expect(TokenKind.RBRACE, "struct type")
+        self.expect(RBRACE, "struct type")
         return ast.StructType(fields=fields, pos=pos)
 
     def _parse_struct_field(self) -> ast.Field:
         pos = self.tok.pos
-        if self.at(TokenKind.IDENT) and self.peek().kind in _TYPE_START | {TokenKind.COMMA}:
+        if self.tok.kind is IDENT and self.peek().kind in _FIELD_NAME_FOLLOW:
             # Could still be an embedded qualified type (`pkg.Type`).
-            if self.peek().kind is TokenKind.PERIOD:
+            if self.peek().kind is PERIOD:
                 return ast.Field(type_=self.parse_type(), pos=pos)
             names = [self.advance().text]
-            while self.accept(TokenKind.COMMA):
-                names.append(self.expect(TokenKind.IDENT, "struct field").text)
+            while self.accept(COMMA):
+                names.append(self.expect(IDENT, "struct field").text)
             type_ = self.parse_type()
-            # Optional struct tag.
-            if self.at(TokenKind.STRING):
-                self.advance()
+            self.accept(STRING)  # optional struct tag
             return ast.Field(names=names, type_=type_, pos=pos)
         # Embedded field (`*Base`, `sync.Mutex`, `Mutex`).
         type_ = self.parse_type()
-        if self.at(TokenKind.STRING):
-            self.advance()
+        self.accept(STRING)
         return ast.Field(type_=type_, pos=pos)
 
     def _parse_interface_type(self) -> ast.InterfaceType:
-        pos = self.expect(TokenKind.INTERFACE).pos
-        self.expect(TokenKind.LBRACE, "interface type")
+        pos = self.expect(INTERFACE).pos
+        self.expect(LBRACE, "interface type")
         methods: List[ast.Field] = []
         self.skip_semicolons()
-        while not self.at(TokenKind.RBRACE):
+        while self.tok.kind is not RBRACE:
             mpos = self.tok.pos
-            name = self.expect(TokenKind.IDENT, "interface method").text
-            if self.at(TokenKind.LPAREN):
+            name = self.expect(IDENT, "interface method").text
+            if self.tok.kind is LPAREN:
                 sig = self._parse_func_signature()
                 methods.append(ast.Field(names=[name], type_=sig, pos=mpos))
             else:
                 # Embedded interface.
                 expr: ast.Expr = ast.Ident(name=name, pos=mpos)
-                while self.accept(TokenKind.PERIOD):
-                    expr = ast.SelectorExpr(x=expr, sel=self.expect(TokenKind.IDENT).text, pos=mpos)
+                while self.accept(PERIOD):
+                    expr = ast.SelectorExpr(x=expr, sel=self.expect(IDENT).text, pos=mpos)
                 methods.append(ast.Field(type_=expr, pos=mpos))
             self.expect_semi()
             self.skip_semicolons()
-        self.expect(TokenKind.RBRACE, "interface type")
+        self.expect(RBRACE, "interface type")
         return ast.InterfaceType(methods=methods, pos=pos)
 
     # ------------------------------------------------------------------
@@ -446,83 +462,88 @@ class Parser:
     # ------------------------------------------------------------------
 
     def parse_block(self) -> ast.BlockStmt:
-        pos = self.expect(TokenKind.LBRACE, "block").pos
-        block = ast.BlockStmt(pos=pos)
+        pos = self.expect(LBRACE, "block").pos
+        stmts: List[ast.Stmt] = []
         self.skip_semicolons()
-        while not self.at(TokenKind.RBRACE, TokenKind.EOF):
-            block.stmts.append(self.parse_stmt())
+        kind = self.tok.kind
+        while kind is not RBRACE and kind is not EOF:
+            stmts.append(self.parse_stmt())
             self.skip_semicolons()
-        self.expect(TokenKind.RBRACE, "block")
-        return block
+            kind = self.tok.kind
+        self.expect(RBRACE, "block")
+        return ast.BlockStmt(stmts=stmts, pos=pos)
 
     def parse_stmt(self) -> ast.Stmt:
         """Parse a single statement (terminator consumed)."""
-        kind = self.tok.kind
-        pos = self.tok.pos
-        if kind in (TokenKind.VAR, TokenKind.CONST, TokenKind.TYPE):
-            decl = self._parse_gen_decl()
-            self.expect_semi()
-            return ast.DeclStmt(decl=decl, pos=pos)
-        if kind is TokenKind.GO:
-            self.advance()
-            call = self.parse_expression()
-            self.expect_semi()
-            return ast.GoStmt(call=_as_call(call, pos), pos=pos)
-        if kind is TokenKind.DEFER:
-            self.advance()
-            call = self.parse_expression()
-            self.expect_semi()
-            return ast.DeferStmt(call=_as_call(call, pos), pos=pos)
-        if kind is TokenKind.RETURN:
-            self.advance()
-            results: List[ast.Expr] = []
-            if not self.at(TokenKind.SEMICOLON, TokenKind.RBRACE):
-                results = self.parse_expr_list()
-            self.expect_semi()
-            return ast.ReturnStmt(results=results, pos=pos)
-        if kind in (TokenKind.BREAK, TokenKind.CONTINUE, TokenKind.GOTO, TokenKind.FALLTHROUGH):
-            self.advance()
-            label = None
-            if self.at(TokenKind.IDENT):
-                label = self.advance().text
-            self.expect_semi()
-            return ast.BranchStmt(tok=kind.value, label=label, pos=pos)
-        if kind is TokenKind.IF:
-            return self._parse_if()
-        if kind is TokenKind.FOR:
-            return self._parse_for()
-        if kind is TokenKind.SWITCH:
-            return self._parse_switch()
-        if kind is TokenKind.SELECT:
-            return self._parse_select()
-        if kind is TokenKind.LBRACE:
+        tok = self.tok
+        kind = tok.kind
+        if kind is IDENT:
+            if self.tokens[self.index + 1].kind is COLON:
+                self.index += 2  # the label and ':'
+                self.tok = self.tokens[self.index]
+                self.skip_semicolons()
+                stmt = self.parse_stmt()
+                if isinstance(stmt, (ast.ForStmt, ast.RangeStmt)):
+                    stmt.label = tok.text  # what labeled break/continue match against
+                return ast.LabeledStmt(label=tok.text, stmt=stmt, pos=tok.pos)
+        elif kind is LBRACE:
+            # Parsed here, not through the table, so that each nested block
+            # costs two stack frames.
             block = self.parse_block()
             self.expect_semi()
             return block
-        if kind is TokenKind.SEMICOLON:
-            self.advance()
-            return ast.EmptyStmt(pos=pos)
-        if kind is TokenKind.IDENT and self.peek().kind is TokenKind.COLON:
-            label = self.advance().text
-            self.advance()  # ':'
-            self.skip_semicolons()
-            stmt = self.parse_stmt()
-            if isinstance(stmt, (ast.ForStmt, ast.RangeStmt)):
-                stmt.label = label  # what labeled break/continue match against
-            return ast.LabeledStmt(label=label, stmt=stmt, pos=pos)
+        else:
+            parse = _STMT_PARSERS.get(kind)
+            if parse is not None:
+                return parse(self)
         stmt = self.parse_simple_stmt()
         self.expect_semi()
         return stmt
+
+    def _parse_decl_stmt(self) -> ast.DeclStmt:
+        pos = self.tok.pos
+        decl = self._parse_gen_decl()
+        self.expect_semi()
+        return ast.DeclStmt(decl=decl, pos=pos)
+
+    def _parse_go_or_defer(self) -> ast.Stmt:
+        tok = self.advance()
+        call = self.parse_expression()
+        self.expect_semi()
+        stmt_cls = ast.GoStmt if tok.kind is GO else ast.DeferStmt
+        return stmt_cls(call=_as_call(call, tok.pos), pos=tok.pos)
+
+    def _parse_return_stmt(self) -> ast.ReturnStmt:
+        pos = self.advance().pos
+        results: List[ast.Expr] = []
+        kind = self.tok.kind
+        if kind is not SEMICOLON and kind is not RBRACE:
+            results = self.parse_expr_list()
+        self.expect_semi()
+        return ast.ReturnStmt(results=results, pos=pos)
+
+    def _parse_branch_stmt(self) -> ast.BranchStmt:
+        tok = self.advance()
+        label = None
+        if self.tok.kind is IDENT:
+            label = self.advance().text
+        self.expect_semi()
+        return ast.BranchStmt(tok=tok.text, label=label, pos=tok.pos)
+
+    def _parse_empty_stmt(self) -> ast.EmptyStmt:
+        return ast.EmptyStmt(pos=self.advance().pos)
 
     def parse_simple_stmt(self, allow_range: bool = False) -> ast.Stmt:
         """Parse a simple statement (no terminator): expression, send,
         inc/dec, assignment, or short variable declaration."""
         pos = self.tok.pos
         lhs = self.parse_expr_list()
-        tok_kind = self.tok.kind
-        if tok_kind is TokenKind.DEFINE or tok_kind is TokenKind.ASSIGN or tok_kind in ASSIGN_OPS:
-            op_token = self.advance()
-            if allow_range and self.at(TokenKind.RANGE):
+        op_token = self.tok
+        kind = op_token.kind
+        if kind in _ASSIGN_KINDS:
+            self.index += 1
+            self.tok = self.tokens[self.index]
+            if allow_range and self.tok.kind is RANGE:
                 # Leave `range` for the caller (for-statement) to interpret.
                 self.advance()
                 x = self.parse_expression()
@@ -530,28 +551,27 @@ class Parser:
                 value = lhs[1] if len(lhs) > 1 else None
                 return ast.RangeStmt(key=key, value=value, tok=op_token.text, x=x, pos=pos)
             rhs = self.parse_expr_list()
-            tok_text = op_token.text if op_token.kind is not TokenKind.DEFINE else ":="
+            tok_text = op_token.text if kind is not DEFINE else ":="
             return ast.AssignStmt(lhs=lhs, tok=tok_text, rhs=rhs, pos=pos)
         if len(lhs) != 1:
             raise self.error("expected assignment after expression list")
         expr = lhs[0]
-        if self.at(TokenKind.ARROW):
+        if kind is ARROW:
             self.advance()
             value = self.parse_expression()
             return ast.SendStmt(chan=expr, value=value, pos=pos)
-        if self.at(TokenKind.INC, TokenKind.DEC):
+        if kind is INC or kind is DEC:
             op = self.advance().text
             return ast.IncDecStmt(x=expr, op=op, pos=pos)
         return ast.ExprStmt(x=expr, pos=pos)
 
     def _parse_if(self) -> ast.IfStmt:
-        pos = self.expect(TokenKind.IF).pos
+        pos = self.expect(IF).pos
         self._no_composite += 1
         try:
             init: Optional[ast.Stmt] = None
             stmt = self.parse_simple_stmt()
-            if self.at(TokenKind.SEMICOLON):
-                self.advance()
+            if self.accept(SEMICOLON):
                 init = stmt
                 cond = self.parse_expression()
             else:
@@ -562,53 +582,44 @@ class Parser:
             self._no_composite -= 1
         body = self.parse_block()
         else_: Optional[ast.Stmt] = None
-        if self.accept(TokenKind.ELSE):
-            if self.at(TokenKind.IF):
+        if self.accept(ELSE):
+            if self.tok.kind is IF:
                 else_ = self._parse_if()
             else:
                 else_ = self.parse_block()
-        if not self.at(TokenKind.ELSE):
+        if self.tok.kind is not ELSE:
             self.expect_semi()
         return ast.IfStmt(init=init, cond=cond, body=body, else_=else_, pos=pos)
 
     def _parse_for(self) -> ast.Stmt:
-        pos = self.expect(TokenKind.FOR).pos
+        pos = self.expect(FOR).pos
         self._no_composite += 1
         try:
-            if self.at(TokenKind.LBRACE):
-                init = cond = post = None
-                range_stmt = None
-            elif self.at(TokenKind.RANGE):
+            init = cond = post = None
+            range_stmt = None
+            if self.tok.kind is LBRACE:
+                pass
+            elif self.accept(RANGE):
                 # `for range x {`
-                self.advance()
                 x = self.parse_expression()
                 range_stmt = ast.RangeStmt(key=None, value=None, tok="", x=x, pos=pos)
-                init = cond = post = None
             else:
                 first = self.parse_simple_stmt(allow_range=True)
                 if isinstance(first, ast.RangeStmt):
                     range_stmt = first
-                    init = cond = post = None
-                elif self.at(TokenKind.SEMICOLON):
+                elif self.accept(SEMICOLON):
                     # Three-clause loop.
-                    range_stmt = None
-                    self.advance()
                     init = first
-                    cond = None
-                    if not self.at(TokenKind.SEMICOLON):
+                    if self.tok.kind is not SEMICOLON:
                         cond = self.parse_expression()
-                    self.expect(TokenKind.SEMICOLON, "for statement")
-                    post = None
-                    if not self.at(TokenKind.LBRACE):
+                    self.expect(SEMICOLON, "for statement")
+                    if self.tok.kind is not LBRACE:
                         post = self.parse_simple_stmt()
                 else:
                     # Condition-only loop.
-                    range_stmt = None
                     if not isinstance(first, ast.ExprStmt):
                         raise self.error("expected loop condition")
-                    init = None
                     cond = first.x
-                    post = None
         finally:
             self._no_composite -= 1
         body = self.parse_block()
@@ -619,17 +630,16 @@ class Parser:
         return ast.ForStmt(init=init, cond=cond, post=post, body=body, pos=pos)
 
     def _parse_switch(self) -> ast.SwitchStmt:
-        pos = self.expect(TokenKind.SWITCH).pos
+        pos = self.expect(SWITCH).pos
         init: Optional[ast.Stmt] = None
         tag: Optional[ast.Expr] = None
         self._no_composite += 1
         try:
-            if not self.at(TokenKind.LBRACE):
+            if self.tok.kind is not LBRACE:
                 stmt = self.parse_simple_stmt()
-                if self.at(TokenKind.SEMICOLON):
-                    self.advance()
+                if self.accept(SEMICOLON):
                     init = stmt
-                    if not self.at(TokenKind.LBRACE):
+                    if self.tok.kind is not LBRACE:
                         tag_stmt = self.parse_simple_stmt()
                         if isinstance(tag_stmt, ast.ExprStmt):
                             tag = tag_stmt.x
@@ -639,49 +649,48 @@ class Parser:
                     init = stmt
         finally:
             self._no_composite -= 1
-        self.expect(TokenKind.LBRACE, "switch statement")
+        self.expect(LBRACE, "switch statement")
         cases: List[ast.CaseClause] = []
         self.skip_semicolons()
-        while not self.at(TokenKind.RBRACE, TokenKind.EOF):
+        while self.tok.kind is not RBRACE and self.tok.kind is not EOF:
             cpos = self.tok.pos
             exprs: List[ast.Expr] = []
-            if self.accept(TokenKind.CASE):
+            if self.accept(CASE):
                 exprs = self.parse_expr_list()
             else:
-                self.expect(TokenKind.DEFAULT, "switch statement")
-            self.expect(TokenKind.COLON, "switch case")
-            body: List[ast.Stmt] = []
-            self.skip_semicolons()
-            while not self.at(TokenKind.CASE, TokenKind.DEFAULT, TokenKind.RBRACE, TokenKind.EOF):
-                body.append(self.parse_stmt())
-                self.skip_semicolons()
-            cases.append(ast.CaseClause(exprs=exprs, body=body, pos=cpos))
-        self.expect(TokenKind.RBRACE, "switch statement")
+                self.expect(DEFAULT, "switch statement")
+            self.expect(COLON, "switch case")
+            cases.append(ast.CaseClause(exprs=exprs, body=self._parse_clause_body(), pos=cpos))
+        self.expect(RBRACE, "switch statement")
         self.expect_semi()
         return ast.SwitchStmt(init=init, tag=tag, cases=cases, pos=pos)
 
     def _parse_select(self) -> ast.SelectStmt:
-        pos = self.expect(TokenKind.SELECT).pos
-        self.expect(TokenKind.LBRACE, "select statement")
+        pos = self.expect(SELECT).pos
+        self.expect(LBRACE, "select statement")
         cases: List[ast.CommClause] = []
         self.skip_semicolons()
-        while not self.at(TokenKind.RBRACE, TokenKind.EOF):
+        while self.tok.kind is not RBRACE and self.tok.kind is not EOF:
             cpos = self.tok.pos
             comm: Optional[ast.Stmt] = None
-            if self.accept(TokenKind.CASE):
+            if self.accept(CASE):
                 comm = self.parse_simple_stmt()
             else:
-                self.expect(TokenKind.DEFAULT, "select statement")
-            self.expect(TokenKind.COLON, "select case")
-            body: List[ast.Stmt] = []
-            self.skip_semicolons()
-            while not self.at(TokenKind.CASE, TokenKind.DEFAULT, TokenKind.RBRACE, TokenKind.EOF):
-                body.append(self.parse_stmt())
-                self.skip_semicolons()
-            cases.append(ast.CommClause(comm=comm, body=body, pos=cpos))
-        self.expect(TokenKind.RBRACE, "select statement")
+                self.expect(DEFAULT, "select statement")
+            self.expect(COLON, "select case")
+            cases.append(ast.CommClause(comm=comm, body=self._parse_clause_body(), pos=cpos))
+        self.expect(RBRACE, "select statement")
         self.expect_semi()
         return ast.SelectStmt(cases=cases, pos=pos)
+
+    def _parse_clause_body(self) -> List[ast.Stmt]:
+        """The statements of a switch or select clause, after its ``:``."""
+        body: List[ast.Stmt] = []
+        self.skip_semicolons()
+        while self.tok.kind not in _CLAUSE_END:
+            body.append(self.parse_stmt())
+            self.skip_semicolons()
+        return body
 
     # ------------------------------------------------------------------
     # Expressions
@@ -689,93 +698,107 @@ class Parser:
 
     def parse_expr_list(self) -> List[ast.Expr]:
         exprs = [self.parse_expression()]
-        while self.accept(TokenKind.COMMA):
+        while self.tok.kind is COMMA:
+            self.index += 1
+            self.tok = self.tokens[self.index]
             exprs.append(self.parse_expression())
         return exprs
 
     def parse_expression(self, min_prec: int = 1) -> ast.Expr:
         """Precedence-climbing binary expression parser."""
-        left = self.parse_unary()
-        while True:
-            prec = PRECEDENCE.get(self.tok.kind, 0)
-            if prec < min_prec:
-                return left
-            op = self.advance()
+        token = self.tok
+        kind = token.kind
+        if kind is IDENT or kind in _LITERALS:
+            # A plain operand: build it here rather than through
+            # parse_unary → parse_operand → _parse_postfix.
+            self.index += 1
+            self.tok = self.tokens[self.index]
+            if kind is IDENT:
+                left: ast.Expr = ast.Ident(name=token.text, pos=token.pos)
+            else:
+                left = ast.BasicLit(kind=_LITERALS[kind], value=token.text, pos=token.pos)
+            if self.tok.kind in _POSTFIX:
+                left = self._parse_postfix(left)
+        else:
+            left = self.parse_unary()
+        prec = PRECEDENCE.get(self.tok.kind, 0)
+        while prec >= min_prec:
+            op = self.tok
+            self.index += 1
+            self.tok = self.tokens[self.index]
             right = self.parse_expression(prec + 1)
             left = ast.BinaryExpr(x=left, op=op.text, y=right, pos=left.pos)
+            prec = PRECEDENCE.get(self.tok.kind, 0)
+        return left
 
     def parse_unary(self) -> ast.Expr:
-        pos = self.tok.pos
-        kind = self.tok.kind
-        if kind in (TokenKind.ADD, TokenKind.SUB, TokenKind.NOT, TokenKind.XOR,
-                    TokenKind.MUL, TokenKind.AND, TokenKind.ARROW):
-            op = self.advance().text
+        token = self.tok
+        if token.kind in _UNARY_OPS:
+            self.index += 1
+            self.tok = self.tokens[self.index]
             operand = self.parse_unary()
-            if op == "*":
-                return ast.StarExpr(x=operand, pos=pos)
-            return ast.UnaryExpr(op=op, x=operand, pos=pos)
-        return self.parse_primary()
+            if token.kind is MUL:
+                return ast.StarExpr(x=operand, pos=token.pos)
+            return ast.UnaryExpr(op=token.text, x=operand, pos=token.pos)
+        return self._parse_postfix(self.parse_operand())
 
-    def parse_primary(self) -> ast.Expr:
-        expr = self.parse_operand()
+    def _parse_postfix(self, expr: ast.Expr) -> ast.Expr:
+        """Selectors, calls, index and slice expressions, type assertions and
+        composite literals following the primary expression ``expr``."""
         while True:
             kind = self.tok.kind
-            if kind is TokenKind.PERIOD:
+            if kind is PERIOD:
                 self.advance()
-                if self.at(TokenKind.LPAREN):
+                if self.accept(LPAREN):
                     # Type assertion `x.(T)`.
-                    self.advance()
                     type_: Optional[ast.Expr] = None
-                    if self.at(TokenKind.TYPE):
-                        self.advance()
-                    else:
+                    if not self.accept(TYPE):
                         type_ = self.parse_type()
-                    self.expect(TokenKind.RPAREN, "type assertion")
+                    self.expect(RPAREN, "type assertion")
                     expr = ast.TypeAssertExpr(x=expr, type_=type_, pos=expr.pos)
                 else:
-                    sel = self.expect(TokenKind.IDENT, "selector").text
+                    sel = self.expect(IDENT, "selector").text
                     expr = ast.SelectorExpr(x=expr, sel=sel, pos=expr.pos)
-            elif kind is TokenKind.LPAREN:
+            elif kind is LPAREN:
                 self.advance()
                 args: List[ast.Expr] = []
                 ellipsis = False
-                self._composite_ok_scope_begin()
+                # Parentheses re-enable composite literals in a statement header.
+                saved, self._no_composite = self._no_composite, 0
                 try:
-                    while not self.at(TokenKind.RPAREN):
+                    while self.tok.kind is not RPAREN:
                         self.skip_semicolons()
-                        if self.at(TokenKind.RPAREN):
+                        if self.tok.kind is RPAREN:
                             break
                         args.append(self.parse_arg())
-                        if self.at(TokenKind.ELLIPSIS):
-                            self.advance()
+                        if self.accept(ELLIPSIS):
                             ellipsis = True
-                        if not self.accept(TokenKind.COMMA):
+                        if not self.accept(COMMA):
                             break
                         self.skip_semicolons()
                 finally:
-                    self._composite_ok_scope_end()
-                self.expect(TokenKind.RPAREN, "call expression")
+                    self._no_composite = saved
+                self.expect(RPAREN, "call expression")
                 expr = ast.CallExpr(fun=expr, args=args, ellipsis=ellipsis, pos=expr.pos)
-            elif kind is TokenKind.LBRACK:
+            elif kind is LBRACK:
                 self.advance()
-                self._composite_ok_scope_begin()
+                saved, self._no_composite = self._no_composite, 0
                 try:
                     low: Optional[ast.Expr] = None
-                    if not self.at(TokenKind.COLON):
+                    if self.tok.kind is not COLON:
                         low = self.parse_expression()
-                    if self.at(TokenKind.COLON):
-                        self.advance()
+                    if self.accept(COLON):
                         high: Optional[ast.Expr] = None
-                        if not self.at(TokenKind.RBRACK):
+                        if self.tok.kind is not RBRACK:
                             high = self.parse_expression()
-                        self.expect(TokenKind.RBRACK, "slice expression")
+                        self.expect(RBRACK, "slice expression")
                         expr = ast.SliceExpr(x=expr, low=low, high=high, pos=expr.pos)
                     else:
-                        self.expect(TokenKind.RBRACK, "index expression")
+                        self.expect(RBRACK, "index expression")
                         expr = ast.IndexExpr(x=expr, index=low, pos=expr.pos)
                 finally:
-                    self._composite_ok_scope_end()
-            elif kind is TokenKind.LBRACE and self._can_be_composite(expr):
+                    self._no_composite = saved
+            elif kind is LBRACE and self._can_be_composite(expr):
                 expr = self._parse_composite_lit(expr)
             else:
                 return expr
@@ -783,64 +806,55 @@ class Parser:
     def parse_arg(self) -> ast.Expr:
         """Parse a call argument, which may be a type expression (``make``,
         ``new``, conversions to slice/map/chan types)."""
-        if self.at(TokenKind.LBRACK, TokenKind.MAP, TokenKind.CHAN, TokenKind.STRUCT,
-                   TokenKind.INTERFACE):
+        kind = self.tok.kind
+        if kind in _TYPE_OPERANDS:
             type_expr = self.parse_type()
             # A composite literal may follow a slice/map/struct type argument.
-            if self.at(TokenKind.LBRACE):
+            if self.tok.kind is LBRACE:
                 return self._parse_composite_lit(type_expr)
             return type_expr
-        if self.at(TokenKind.FUNC) and self.peek().kind is TokenKind.LPAREN:
+        if kind is FUNC and self.peek().kind is LPAREN:
             return self._parse_func_lit_or_type()
         return self.parse_expression()
 
     def parse_operand(self) -> ast.Expr:
-        pos = self.tok.pos
-        kind = self.tok.kind
-        if kind is TokenKind.IDENT:
-            return ast.Ident(name=self.advance().text, pos=pos)
-        if kind in (TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING, TokenKind.CHAR):
-            token = self.advance()
-            return ast.BasicLit(kind=token.kind.name, value=token.text, pos=pos)
-        if kind is TokenKind.LPAREN:
+        token = self.tok
+        kind = token.kind
+        pos = token.pos
+        if kind is IDENT:
             self.advance()
-            self._composite_ok_scope_begin()
+            return ast.Ident(name=token.text, pos=pos)
+        if kind in _LITERALS:
+            self.advance()
+            return ast.BasicLit(kind=_LITERALS[kind], value=token.text, pos=pos)
+        if kind is LPAREN:
+            self.advance()
+            saved, self._no_composite = self._no_composite, 0
             try:
                 inner = self.parse_expression()
             finally:
-                self._composite_ok_scope_end()
-            self.expect(TokenKind.RPAREN, "parenthesized expression")
+                self._no_composite = saved
+            self.expect(RPAREN, "parenthesized expression")
             return ast.ParenExpr(x=inner, pos=pos)
-        if kind is TokenKind.FUNC:
+        if kind is FUNC:
             return self._parse_func_lit_or_type()
-        if kind in (TokenKind.LBRACK, TokenKind.MAP, TokenKind.CHAN, TokenKind.STRUCT,
-                    TokenKind.INTERFACE):
+        if kind in _TYPE_OPERANDS:
             type_expr = self.parse_type()
-            if self.at(TokenKind.LBRACE):
+            if self.tok.kind is LBRACE:
                 return self._parse_composite_lit(type_expr)
             return type_expr
-        raise self.error(f"expected expression, found {self.tok.kind.value!r} ({self.tok.text!r})")
+        raise self.error(f"expected expression, found {kind.value!r} ({token.text!r})")
 
     def _parse_func_lit_or_type(self) -> ast.Expr:
-        pos = self.expect(TokenKind.FUNC).pos
+        pos = self.expect(FUNC).pos
         sig = self._parse_func_signature()
-        if self.at(TokenKind.LBRACE):
+        if self.tok.kind is LBRACE:
             body = self.parse_block()
             return ast.FuncLit(type_=sig, body=body, pos=pos)
         sig.pos = pos
         return sig
 
     # -- composite literal handling ----------------------------------------------------
-
-    def _composite_ok_scope_begin(self) -> None:
-        """Entering parens/brackets re-enables composite literals even inside
-        an if/for/switch header."""
-        self._saved_levels = getattr(self, "_saved_levels", [])
-        self._saved_levels.append(self._no_composite)
-        self._no_composite = 0
-
-    def _composite_ok_scope_end(self) -> None:
-        self._no_composite = self._saved_levels.pop()
 
     def _can_be_composite(self, expr: ast.Expr) -> bool:
         if isinstance(expr, (ast.ArrayType, ast.MapType, ast.StructType)):
@@ -850,35 +864,58 @@ class Parser:
         return isinstance(expr, (ast.Ident, ast.SelectorExpr))
 
     def _parse_composite_lit(self, type_expr: Optional[ast.Expr]) -> ast.CompositeLit:
-        pos = self.expect(TokenKind.LBRACE, "composite literal").pos
-        lit = ast.CompositeLit(type_=type_expr, elts=[], pos=type_expr.pos if type_expr is not None else pos)
-        self._composite_ok_scope_begin()
+        pos = self.expect(LBRACE, "composite literal").pos
+        elts: List[ast.Expr] = []
+        # Braces re-enable composite literals in a statement header.
+        saved, self._no_composite = self._no_composite, 0
         try:
             self.skip_semicolons()
-            while not self.at(TokenKind.RBRACE, TokenKind.EOF):
-                lit.elts.append(self._parse_composite_elt())
-                if not self.accept(TokenKind.COMMA):
+            while self.tok.kind is not RBRACE and self.tok.kind is not EOF:
+                elts.append(self._parse_composite_elt())
+                if not self.accept(COMMA):
                     self.skip_semicolons()
                     break
                 self.skip_semicolons()
         finally:
-            self._composite_ok_scope_end()
-        self.expect(TokenKind.RBRACE, "composite literal")
-        return lit
+            self._no_composite = saved
+        self.expect(RBRACE, "composite literal")
+        return ast.CompositeLit(type_=type_expr, elts=elts,
+                                pos=type_expr.pos if type_expr is not None else pos)
 
     def _parse_composite_elt(self) -> ast.Expr:
         pos = self.tok.pos
-        if self.at(TokenKind.LBRACE):
+        if self.tok.kind is LBRACE:
             # Nested literal with elided type.
             return self._parse_composite_lit(None)
         value = self.parse_arg()
-        if self.accept(TokenKind.COLON):
-            if self.at(TokenKind.LBRACE):
+        if self.accept(COLON):
+            if self.tok.kind is LBRACE:
                 inner: ast.Expr = self._parse_composite_lit(None)
             else:
                 inner = self.parse_arg()
             return ast.KeyValueExpr(key=value, value=inner, pos=pos)
         return value
+
+
+#: Statement parsers by first token; :meth:`Parser.parse_stmt` handles
+#: labels, blocks and simple statements itself.
+_STMT_PARSERS: Dict[TokenKind, Callable[[Parser], ast.Stmt]] = {
+    VAR: Parser._parse_decl_stmt,
+    CONST: Parser._parse_decl_stmt,
+    TYPE: Parser._parse_decl_stmt,
+    GO: Parser._parse_go_or_defer,
+    DEFER: Parser._parse_go_or_defer,
+    RETURN: Parser._parse_return_stmt,
+    BREAK: Parser._parse_branch_stmt,
+    CONTINUE: Parser._parse_branch_stmt,
+    GOTO: Parser._parse_branch_stmt,
+    FALLTHROUGH: Parser._parse_branch_stmt,
+    IF: Parser._parse_if,
+    FOR: Parser._parse_for,
+    SWITCH: Parser._parse_switch,
+    SELECT: Parser._parse_select,
+    SEMICOLON: Parser._parse_empty_stmt,
+}
 
 
 def _as_call(expr: ast.Expr, pos: Position) -> ast.CallExpr:
@@ -917,7 +954,7 @@ def parse_expr(source: str) -> ast.Expr:
     except RecursionError:
         raise parser.error("nesting too deep") from None
     parser.skip_semicolons()
-    if not parser.at(TokenKind.EOF):
+    if parser.tok.kind is not EOF:
         raise parser.error("unexpected trailing tokens after expression")
     return expr
 

@@ -9,6 +9,11 @@ from dataclasses import dataclass
 class TokenKind(enum.Enum):
     """Every token kind produced by :class:`repro.golang.lexer.Lexer`."""
 
+    # Members are singletons compared by identity, so hash them by identity
+    # too: ``Enum.__hash__`` is a Python-level call that every kind-keyed
+    # dict lookup and kind-set membership test in the parser would pay.
+    __hash__ = object.__hash__
+
     # Special
     EOF = "EOF"
     COMMENT = "COMMENT"

@@ -260,33 +260,35 @@ class _ProgramMeta:
 
 def _bound_names_in(roots) -> Tuple[frozenset, int]:
     """Every name the subtree(s) can ever bind into an environment, and the
-    deepest level below the roots (which are level 0)."""
+    deepest level below the roots (which are level 0).
+
+    Level by level, dispatching on each node's exact type: a receiver's
+    names are those of its ``Field``, which is visited like any other."""
     bound: set = set()
-    deepest = 0
-    stack: List[Tuple[ast.Node, int]] = [(root, 0) for root in roots]
-    while stack:
-        node, depth = stack.pop()
-        if depth > deepest:
-            deepest = depth
-        if isinstance(node, ast.AssignStmt):
-            if node.tok == ":=":
-                for target in node.lhs:
-                    if isinstance(target, ast.Ident):
-                        bound.add(target.name)
-        elif isinstance(node, ast.ValueSpec):
-            bound.update(node.names)
-        elif isinstance(node, ast.RangeStmt):
-            if node.tok == ":=":
-                for target in (node.key, node.value):
-                    if isinstance(target, ast.Ident):
-                        bound.add(target.name)
-        elif isinstance(node, ast.Field):
-            bound.update(node.names)
-        elif isinstance(node, ast.FuncDecl) and node.recv is not None:
-            bound.update(node.recv.names)
-        depth += 1
-        stack.extend((child, depth) for child in node.children())
-    return frozenset(bound), deepest
+    deepest = -1
+    level = list(roots)
+    while level:
+        deepest += 1
+        below: List[ast.Node] = []
+        for node in level:
+            kind = type(node)
+            if kind in _NAMED_DECLS:
+                bound.update(node.names)
+            elif kind is ast.AssignStmt:
+                if node.tok == ":=":
+                    bound.update(t.name for t in node.lhs if type(t) is ast.Ident)
+            elif kind is ast.RangeStmt:
+                if node.tok == ":=":
+                    bound.update(t.name for t in (node.key, node.value)
+                                 if type(t) is ast.Ident)
+            below += node.children()
+        level = below
+    return frozenset(bound), max(deepest, 0)
+
+
+#: Nodes that declare every name in their ``names``: var/const specs and
+#: parameters, results, receivers and struct fields.
+_NAMED_DECLS = frozenset({ast.ValueSpec, ast.Field})
 
 
 def _meta_of(code: CodeCache) -> Optional[_ProgramMeta]:
