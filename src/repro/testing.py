@@ -38,6 +38,7 @@ def run_outcome(
     policies: Sequence[SchedulerPolicy] = ALL_POLICIES,
     runs: int = 5,
     slicing: bool = True,
+    entry_functions: Sequence[str] = (),
 ) -> Dict[str, object]:
     """One package's full observable outcome for an equivalence comparison.
 
@@ -49,7 +50,7 @@ def run_outcome(
     """
     result = run_package_tests(
         package, runs=runs, seed=seed, engine=engine, policies=policies,
-        slicing=slicing,
+        slicing=slicing, entry_functions=entry_functions,
     )
     return {
         "reports": [report.render() for report in result.reports],

@@ -1,12 +1,23 @@
 """Golden detection digests: the harness must keep every pinned observable.
 
-Each digest covers one (case, seed) sweep under all five scheduler policies:
-the race verdict, the racy variables, the bug hashes, test failures, program
-output, build errors, scheduler steps, and run/test counts (see
-:func:`repro.testing.detection_outcome`).  The fixture pins two corpora — the
-full template corpus and a 32-mutant corpus — so any change to the
-interpreter, scheduler or detector that moves a single observable on a single
-interleaving fails here, naming the case.
+Each digest covers one (case, seed) sweep under all five scheduler policies.
+Two kinds are pinned:
+
+* detection digests (slice-aware lowering): the race verdict, the racy
+  variables, the bug hashes, test failures, program output, build errors,
+  scheduler steps, and run/test counts (see
+  :func:`repro.testing.detection_outcome`), over the full template corpus
+  and a 32-mutant corpus;
+* outcome digests (fully instrumented lowering, ``slicing=False``): rendered
+  race reports with their cell addresses, failures, output, build errors and
+  run/test counts (see :func:`repro.testing.run_outcome`), over the same two
+  corpora, three harness edge cases (a build error, an entry function, an
+  overlong comma-ok assignment) and one small package per Go construct the
+  corpora never use (:data:`CONSTRUCTS`).  Cell addresses restart at the same
+  value for every (case, seed), so each digest stands alone.
+
+Any change to the interpreter, scheduler or detector that moves a single
+observable on a single interleaving fails here, naming the case.
 
 Regenerate the fixture only for a change that is *meant* to move detection:
 
@@ -15,6 +26,7 @@ Regenerate the fixture only for a change that is *meant* to move detection:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -23,7 +35,8 @@ from pathlib import Path
 import pytest
 
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
-from repro.testing import detection_outcome, reset_addresses
+from repro.runtime.harness import GoFile, GoPackage
+from repro.testing import detection_outcome, reset_addresses, run_outcome
 
 FIXTURE = Path(__file__).with_name("detection_golden.json")
 
@@ -33,7 +46,279 @@ SWEEPS = {
     "mutants": ((7, 19), 3),
 }
 
+#: outcome set name -> (seeds, runs), recorded under ``"outcomes"``
+OUTCOME_SWEEPS = {
+    "templates": ((0, 11), 5),
+    "mutants": ((7, 19), 3),
+    "harness": ((0, 11), 3),
+    "constructs": ((0, 11), 5),
+}
 
+
+def _package(name, source, file_name=None):
+    return GoPackage(name=name, files=[GoFile(file_name or f"{name}_test.go", source)])
+
+
+#: Harness edge cases: ``name -> (package, entry functions)``.
+HARNESS_CASES = {
+    "build-error": (_package("broken", "package broken\nfunc Broken( {\n", "lib.go"), ()),
+    "entry-function": (_package("entry", """package entry
+
+var total = 0
+
+func Bump() {
+\tfor i := 0; i < 3; i++ {
+\t\ttotal += i
+\t}
+\tprintln(total)
+}
+""", "main.go"), ("Bump",)),
+    # Comma-ok forms yield two values however many targets there are; the
+    # third target is declared as nil.
+    "multi-assign-padding": (_package("pad", """package pad
+
+import "testing"
+
+func TestPad(t *testing.T) {
+\tm := map[string]int{"a": 1}
+\tv, ok, extra := m["a"]
+\tprintln(v, ok, extra)
+}
+"""), ()),
+}
+
+_CONSTRUCT_HEADER = """package {name}
+
+import (
+\t"sync"
+\t"testing"
+)
+
+var _ sync.Mutex
+"""
+
+#: One small package per Go construct that neither corpus contains, each
+#: racing a goroutine against the construct where it can.
+CONSTRUCT_SOURCES = {
+    # v, ok := m[k]: the comma-ok map read, racing a writer goroutine.
+    "map-comma-ok": """
+func TestMapCommaOk(t *testing.T) {
+\tm := map[string]int{"a": 1}
+\tdone := make(chan bool)
+\tgo func() {
+\t\tm["b"] = 2
+\t\tdone <- true
+\t}()
+\tv, ok := m["a"]
+\tw, found := m["zzz"]
+\t<-done
+\tprintln(v, ok, w, found)
+}
+""",
+    # v, ok := p.m[k]: the same read through a struct field.
+    "field-map-comma-ok": """
+type registry struct {
+\tm map[string]int
+}
+
+func TestFieldMapCommaOk(t *testing.T) {
+\tr := &registry{m: map[string]int{}}
+\tvar wg sync.WaitGroup
+\twg.Add(1)
+\tgo func() {
+\t\tdefer wg.Done()
+\t\tr.m["x"] = 1
+\t}()
+\tv, ok := r.m["x"]
+\twg.Wait()
+\tw, present := r.m["x"]
+\tprintln(v+w, ok || present, len(r.m))
+}
+""",
+    # v, ok := <-ch: the comma-ok receive, open and then closed.
+    "recv-comma-ok": """
+func TestRecvCommaOk(t *testing.T) {
+\tch := make(chan int, 1)
+\tcounter := 0
+\tgo func() {
+\t\tcounter++
+\t\tch <- 7
+\t\tclose(ch)
+\t}()
+\tv, ok := <-ch
+\tw, more := <-ch
+\tcounter++
+\tprintln(v, ok, w, more, counter)
+}
+""",
+    # v, ok := x.(int): the comma-ok type assertion.
+    "assert-comma-ok": """
+func TestAssertCommaOk(t *testing.T) {
+\tvar x interface{} = 5
+\tvar y interface{}
+\tv, ok := x.(int)
+\tw, ok2 := y.(string)
+\tshared := 0
+\tgo func() {
+\t\tshared = v
+\t}()
+\tprintln(v, ok, w, ok2, shared)
+}
+""",
+    # var a, b = 1, 2: a multi-value var declaration.
+    "var-multi-values": """
+func TestVarMultiValues(t *testing.T) {
+\tvar a, b = 1, 2
+\tvar c, d int
+\tgo func() {
+\t\ta = b + c
+\t}()
+\tprintln(a, b, c, d)
+}
+""",
+    # var a, b = two(): a multi-value var declaration from one call, local
+    # and at package level.
+    "var-multi-call": """
+func two() (int, string) {
+\treturn 3, "x"
+}
+
+var g, h = two()
+
+func TestVarMultiCall(t *testing.T) {
+\tvar a, b = two()
+\tgo func() {
+\t\tg = a
+\t}()
+\tprintln(a, b, g, h)
+}
+""",
+    # select { case ch <- v: }: a select send case, ready and then full.
+    "select-send": """
+func TestSelectSend(t *testing.T) {
+\tch := make(chan int, 1)
+\tshared := 0
+\tgo func() {
+\t\tshared = 1
+\t}()
+\tselect {
+\tcase ch <- 1:
+\t\tprintln("sent")
+\tdefault:
+\t\tprintln("full")
+\t}
+\tselect {
+\tcase ch <- 2:
+\t\tprintln("sent again")
+\tdefault:
+\t\tprintln("full")
+\t}
+\tprintln(<-ch, shared)
+}
+""",
+    # switch with an init statement, a tag, a multi-value case and break.
+    "switch-tag": """
+func classify(n int) string {
+\tswitch r := n % 10; r {
+\tcase 0:
+\t\treturn "zero"
+\tcase 1, 2:
+\t\treturn "small"
+\tcase 3:
+\t\tbreak
+\tdefault:
+\t\treturn "big"
+\t}
+\treturn "three"
+}
+
+func TestSwitchTag(t *testing.T) {
+\ttotal := 0
+\tvar wg sync.WaitGroup
+\tfor i := 0; i < 4; i++ {
+\t\twg.Add(1)
+\t\tgo func(n int) {
+\t\t\tdefer wg.Done()
+\t\t\tswitch classify(n) {
+\t\t\tcase "small":
+\t\t\t\ttotal++
+\t\t\t}
+\t\t}(i)
+\t}
+\twg.Wait()
+\tprintln(classify(0), classify(2), classify(3), classify(9), total)
+}
+""",
+    # switch { case cond: }: a tagless switch.
+    "switch-tagless": """
+func sign(n int) int {
+\tswitch {
+\tcase n < 0:
+\t\treturn -1
+\tcase n == 0:
+\t\treturn 0
+\t}
+\treturn 1
+}
+
+func TestSwitchTagless(t *testing.T) {
+\tlast := 0
+\tdone := make(chan bool)
+\tgo func() {
+\t\tlast = sign(-4)
+\t\tdone <- true
+\t}()
+\tlast = sign(0) + sign(7)
+\t<-done
+\tprintln(last)
+}
+""",
+    # s[1:], s[:2], s[1:3] and a string slice.
+    "slice-expr": """
+func TestSliceExpr(t *testing.T) {
+\ts := []int{1, 2, 3, 4}
+\ttail := s[1:]
+\thead := s[:2]
+\tmid := s[1:3]
+\tword := "hello"[1:3]
+\tgo func() {
+\t\ttail[0] = 20
+\t}()
+\tprintln(len(tail), len(head), len(mid), word, s[1], mid[0])
+}
+""",
+    # &x, &T{...} and &p.f, each written through the pointer.
+    "address-of": """
+type point struct {
+\tx int
+}
+
+func TestAddressOf(t *testing.T) {
+\tx := 0
+\tp := &x
+\tq := &point{x: 1}
+\tf := &q.x
+\tdone := make(chan bool)
+\tgo func() {
+\t\t*p = 5
+\t\t*f = 9
+\t\tdone <- true
+\t}()
+\tx = 3
+\t<-done
+\tprintln(x, *p, q.x)
+}
+""",
+}
+
+CONSTRUCTS = {
+    name: _package(name.replace("-", ""),
+                   _CONSTRUCT_HEADER.format(name=name.replace("-", "")) + body)
+    for name, body in CONSTRUCT_SOURCES.items()
+}
+
+
+@functools.lru_cache(maxsize=None)
 def _cases(corpus):
     if corpus == "templates":
         dataset = CorpusGenerator(CorpusConfig()).generate()
@@ -50,6 +335,32 @@ def digest(outcome):
     }
     payload = json.dumps(canonical, sort_keys=True, default=list)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def _outcome_cases(name):
+    """``(case_id, package, entry functions)`` for every case of a set."""
+    if name == "harness":
+        return [(case_id, package, entries)
+                for case_id, (package, entries) in HARNESS_CASES.items()]
+    if name == "constructs":
+        return [(case_id, package, ()) for case_id, package in CONSTRUCTS.items()]
+    return [(case.case_id, case.package, ()) for case in _cases(name)]
+
+
+def outcome_sweep(name, engine="compiled"):
+    """``{"<case_id>@<seed>": digest}`` of :func:`run_outcome` at
+    ``slicing=False``, each (case, seed) from freshly reset addresses."""
+    seeds, runs = OUTCOME_SWEEPS[name]
+    digests = {}
+    for case_id, package, entries in _outcome_cases(name):
+        for seed in seeds:
+            key = f"{case_id}@{seed}"
+            assert key not in digests, f"duplicate case id {case_id}"
+            reset_addresses()
+            digests[key] = digest(run_outcome(
+                package, seed, engine, runs=runs, slicing=False,
+                entry_functions=entries))
+    return digests
 
 
 def sweep(corpus):
@@ -81,6 +392,34 @@ def test_detection_matches_golden(corpus, golden):
     assert not moved, f"detection moved on {len(moved)} sweeps: {moved[:10]}"
 
 
+@pytest.mark.parametrize("engine", ["compiled", "tree"])
+@pytest.mark.parametrize("name", sorted(OUTCOME_SWEEPS))
+def test_outcomes_match_golden(name, engine, golden):
+    expected = golden["outcomes"][name]
+    actual = outcome_sweep(name, engine)
+    assert sorted(actual) == sorted(expected), "case set changed"
+    moved = sorted(key for key in expected if actual[key] != expected[key])
+    assert not moved, f"outcome moved on {len(moved)} sweeps: {moved[:10]}"
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTS))
+def test_construct_builds_and_runs_clean(name):
+    outcome = run_outcome(CONSTRUCTS[name], 0, runs=1, slicing=False)
+    assert not outcome["build_errors"] and not outcome["failures"]
+    assert outcome["tests"] == 1 and outcome["output"]
+
+
+def test_harness_cases_cover_their_edge():
+    outcomes = {
+        case_id: run_outcome(package, 0, runs=2, slicing=False, entry_functions=entries)
+        for case_id, (package, entries) in HARNESS_CASES.items()
+    }
+    assert outcomes["build-error"]["build_errors"]
+    assert outcomes["entry-function"]["output"] == ["3", "3"]
+    assert outcomes["multi-assign-padding"]["output"] == ["1 true <nil>"] * 2
+    assert not outcomes["multi-assign-padding"]["failures"]
+
+
 def test_digest_ignores_set_order():
     base = {"raced": True, "racy_vars": frozenset({"err", "count"}), "runs": 5}
     reordered = dict(base, racy_vars=frozenset({"count", "err"}))
@@ -102,6 +441,9 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit("usage: test_detection_golden.py --regenerate")
     fixture = {corpus: sweep(corpus) for corpus in sorted(SWEEPS)}
+    fixture["outcomes"] = {name: outcome_sweep(name) for name in sorted(OUTCOME_SWEEPS)}
     FIXTURE.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
-    print(f"wrote {sum(map(len, fixture.values()))} digests to {FIXTURE}")
+    count = sum(len(fixture[corpus]) for corpus in SWEEPS)
+    count += sum(map(len, fixture["outcomes"].values()))
+    print(f"wrote {count} digests to {FIXTURE}")
