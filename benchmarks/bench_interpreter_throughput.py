@@ -1,4 +1,4 @@
-"""Interpreter throughput benchmark: tree vs compiled, cold vs cached builds.
+"""Interpreter throughput benchmark: both lowerings, cold vs cached builds.
 
 Measures the inner loop every other benchmark sits on top of — repeated
 ``run_package_tests`` invocations over corpus packages — and emits the
@@ -7,12 +7,12 @@ Measures the inner loop every other benchmark sits on top of — repeated
 * **build_cold_ms / build_warm_ms** — parse through a cleared
   :data:`~repro.runtime.compiler.PROGRAM_CACHE` vs a cache hit (lowering
   waits for the runs: each function body lowers on its first call);
-* **tree / compiled / sliced** — wall time and scheduler steps/sec for the
+* **compiled / sliced** — wall time and scheduler steps/sec for the
   repeated-run workload (``repeat_calls`` successive harness invocations ×
-  ``runs`` seeded runs each, the shape of a validator sweep) on each engine
-  mode; ``compiled`` keeps full instrumentation (slicing off — comparable to
-  the tree-walk and the pinned baseline), ``sliced`` is the slice-aware
-  default, and ``schedule_points`` reports the reduction slicing buys.  The
+  ``runs`` seeded runs each, the shape of a validator sweep) in each
+  lowering; ``compiled`` keeps full instrumentation (slicing off — comparable
+  to the pinned baseline), ``sliced`` is the slice-aware default, and
+  ``schedule_points`` reports the reduction slicing buys.  The
   sliced arm reports both its raw (post-elision) steps/sec and
   ``effective_steps_per_sec`` normalized to the *unsliced* step counts of
   the identical seeded sweep — raw post-elision steps/sec reads *slower*
@@ -28,8 +28,8 @@ Run standalone to (re)generate the artifact::
     PYTHONPATH=src python benchmarks/bench_interpreter_throughput.py \
         --output BENCH_interpreter.json
 
-or as a pytest smoke (used by CI) that asserts the compiled engine beats the
-tree-walk on the same workload::
+or as a pytest smoke (used by CI) that asserts slicing elides at least 30% of
+the schedule points without slowing the sweep::
 
     python -m pytest benchmarks/bench_interpreter_throughput.py -q
 """
@@ -70,7 +70,7 @@ def _representative_cases(dataset):
     return list(picks.values())
 
 
-def _time_workload(package, engine: str, trials: int = TRIALS,
+def _time_workload(package, trials: int = TRIALS,
                    slicing: bool = True) -> tuple[float, int]:
     """Best-of-``trials`` wall time for the repeated-run workload + steps."""
     best = float("inf")
@@ -79,8 +79,7 @@ def _time_workload(package, engine: str, trials: int = TRIALS,
         start = time.perf_counter()
         steps = 0
         for _call in range(REPEAT_CALLS):
-            result = run_package_tests(package, runs=RUNS_PER_CALL, engine=engine,
-                                       slicing=slicing)
+            result = run_package_tests(package, runs=RUNS_PER_CALL, slicing=slicing)
             steps += result.scheduler_steps
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
@@ -120,24 +119,16 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
         },
         "cases": {},
     }
-    totals = {"tree_s": 0.0, "compiled_s": 0.0, "tree_steps": 0, "compiled_steps": 0,
-              "sliced_s": 0.0, "sliced_steps": 0,
+    totals = {"compiled_s": 0.0, "compiled_steps": 0, "sliced_s": 0.0, "sliced_steps": 0,
               "baseline_s": 0.0, "baseline_covered_s": 0.0}
     for case in cases:
         cold_ms, warm_ms = _time_build(case.package)
-        tree_s, tree_steps = _time_workload(case.package, "tree", trials)
-        compiled_s, compiled_steps = _time_workload(
-            case.package, "compiled", trials, slicing=False)
-        sliced_s, sliced_steps = _time_workload(
-            case.package, "compiled", trials, slicing=True)
+        compiled_s, compiled_steps = _time_workload(case.package, trials, slicing=False)
+        sliced_s, sliced_steps = _time_workload(case.package, trials, slicing=True)
         entry = {
             "category": str(case.category),
             "build_cold_ms": round(cold_ms, 3),
             "build_warm_ms": round(warm_ms, 4),
-            "tree": {
-                "seconds": round(tree_s, 6),
-                "steps_per_sec": int(tree_steps / tree_s) if tree_s else 0,
-            },
             "compiled": {
                 "seconds": round(compiled_s, 6),
                 "steps_per_sec": int(compiled_steps / compiled_s) if compiled_s else 0,
@@ -156,7 +147,6 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
                 "effective_steps_per_sec": int(compiled_steps / sliced_s)
                 if sliced_s else 0,
             },
-            "compiled_over_tree": round(tree_s / compiled_s, 3) if compiled_s else None,
             "sliced_over_compiled": round(compiled_s / sliced_s, 3) if sliced_s else None,
             "schedule_points": {
                 "off": compiled_steps,
@@ -165,9 +155,7 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
                 if compiled_steps else None,
             },
         }
-        totals["tree_s"] += tree_s
         totals["compiled_s"] += compiled_s
-        totals["tree_steps"] += tree_steps
         totals["compiled_steps"] += compiled_steps
         totals["sliced_s"] += sliced_s
         totals["sliced_steps"] += sliced_steps
@@ -180,15 +168,10 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
         report["cases"][case.case_id] = entry
 
     report["totals"] = {
-        "tree_seconds": round(totals["tree_s"], 6),
         "compiled_seconds": round(totals["compiled_s"], 6),
         "sliced_seconds": round(totals["sliced_s"], 6),
-        "compiled_over_tree": round(totals["tree_s"] / totals["compiled_s"], 3)
-        if totals["compiled_s"] else None,
         "sliced_over_compiled": round(totals["compiled_s"] / totals["sliced_s"], 3)
         if totals["sliced_s"] else None,
-        "tree_steps_per_sec": int(totals["tree_steps"] / totals["tree_s"])
-        if totals["tree_s"] else 0,
         "compiled_steps_per_sec": int(totals["compiled_steps"] / totals["compiled_s"])
         if totals["compiled_s"] else 0,
         "sliced_steps_per_sec": int(totals["sliced_steps"] / totals["sliced_s"])
@@ -212,7 +195,7 @@ def run_benchmark(scale: float = 1.0, trials: int = TRIALS) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# pytest smoke (CI): compiled must beat the tree-walk on the same workload.
+# pytest smoke (CI): slicing must elide schedule points without slowing down.
 # ---------------------------------------------------------------------------
 
 
@@ -227,13 +210,9 @@ def test_bench_interpreter_throughput_smoke():
     else:
         report = run_benchmark(scale=0.05, trials=2)
     totals = report["totals"]
-    assert totals["compiled_seconds"] > 0 and totals["tree_seconds"] > 0
-    assert totals["compiled_steps_per_sec"] > 0 and totals["tree_steps_per_sec"] > 0
-    assert all("compiled_over_tree" in case for case in report["cases"].values())
-    # Gross-regression canary only: the measured margin is ~1.3×, but shared
-    # CI runners jitter small workloads, so the gate allows noise and trips
-    # only when the lowering pass has actually regressed below the tree-walk.
-    assert totals["compiled_over_tree"] > 0.8, report["totals"]
+    assert totals["compiled_seconds"] > 0 and totals["sliced_seconds"] > 0
+    assert totals["compiled_steps_per_sec"] > 0 and totals["sliced_steps_per_sec"] > 0
+    assert all("sliced_over_compiled" in case for case in report["cases"].values())
     # Slicing must elide ≥30% of schedule points on the validator-shaped
     # workload.  Step counts are seeded-deterministic, so this gate is exact.
     assert totals["schedule_point_reduction"] >= 0.30, report["totals"]
@@ -259,8 +238,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(report, indent=2) + "\n")
     totals = report["totals"]
     print(f"wrote {out}")
-    print(f"compiled over tree:     {totals['compiled_over_tree']}x "
-          f"({totals['compiled_steps_per_sec']:,} vs {totals['tree_steps_per_sec']:,} steps/s)")
+    print(f"compiled, slicing off:  {totals['compiled_steps_per_sec']:,} steps/s")
     print(f"sliced over compiled:   {totals['sliced_over_compiled']}x wall-clock "
           f"({totals['sliced_effective_steps_per_sec']:,} effective steps/s, "
           f"schedule points -{totals['schedule_point_reduction']:.1%})")

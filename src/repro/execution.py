@@ -54,21 +54,6 @@ class ExecutorKind(enum.Enum):
     PROCESS = "process"
 
 
-class EngineKind(enum.Enum):
-    """Which execution engine runs a Go program's interleavings.
-
-    ``COMPILED`` is the default: the harness lowers each package once into
-    pre-bound closures (see :mod:`repro.runtime.compiler`) and reuses the
-    compiled program across every (seed, policy) run.  ``TREE`` is the
-    reference tree-walking interpreter, kept for the corpus-wide differential
-    test; only harness-level arguments select it, so no user-facing flag,
-    environment variable or config field reaches it.
-    """
-
-    TREE = "tree"
-    COMPILED = "compiled"
-
-
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Resolve a worker count from an explicit value or the environment.
 
@@ -164,7 +149,6 @@ class CaseExecutor:
 
 __all__ = [
     "CaseExecutor",
-    "EngineKind",
     "ExecutorKind",
     "JOBS_ENV_VAR",
     "EXECUTOR_ENV_VAR",

@@ -12,14 +12,15 @@ ThreadSanitizer runtime) in the Dr.Fix pipeline.  It provides:
 * :mod:`repro.runtime.channels` / :mod:`repro.runtime.sync_primitives` — channels,
   ``select``, ``sync.Mutex``/``RWMutex``/``WaitGroup``/``Map``/``Once`` and
   ``sync/atomic``,
-* :mod:`repro.runtime.interpreter` — a tree-walking interpreter whose evaluation
-  is expressed as coroutines so the scheduler can interleave goroutines at
-  memory and synchronization operations,
 * :mod:`repro.runtime.compiler` — the compile-once execution engine: an AST
   lowering pass producing pre-bound closures, plus the process-wide program
-  cache keyed by source fingerprint (its fully instrumented lowering is
-  bit-identical to the tree-walk; the slice-aware one, which every user-facing
-  run uses, elides schedule points and so explores other interleavings),
+  cache keyed by source fingerprint (the slice-aware lowering, which every
+  user-facing run uses, elides schedule points on single-goroutine
+  accesses; the fully instrumented one is the slicer's soundness oracle),
+* :mod:`repro.runtime.interpreter` — the interpreter that runs one compiled
+  program: its evaluation is expressed as coroutines so the scheduler can
+  interleave goroutines at memory and synchronization operations, and it
+  provides the runtime services the compiled code calls back into,
 * :mod:`repro.runtime.race_report` — ThreadSanitizer-format race reports
   (rendering and parsing) plus the stable bug hash used by the validator,
 * :mod:`repro.runtime.harness` — a ``go test``-style harness that discovers
@@ -28,12 +29,7 @@ ThreadSanitizer runtime) in the Dr.Fix pipeline.  It provides:
 """
 
 from repro.runtime.race_report import RaceReport, StackFrame
-from repro.runtime.compiler import (
-    PROGRAM_CACHE,
-    CompiledInterpreter,
-    CompiledProgram,
-    ProgramCache,
-)
+from repro.runtime.compiler import PROGRAM_CACHE, CompiledProgram, ProgramCache
 from repro.runtime.harness import (
     GoFile,
     GoPackage,
@@ -51,7 +47,6 @@ from repro.runtime.scheduler import (
 
 __all__ = [
     "PROGRAM_CACHE",
-    "CompiledInterpreter",
     "CompiledProgram",
     "ProgramCache",
     "RaceReport",

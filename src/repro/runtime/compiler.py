@@ -1,14 +1,12 @@
 """Compile-once execution engine: AST lowering and the program cache.
 
-The tree-walking :class:`~repro.runtime.interpreter.Interpreter` re-decides,
-on every visit of every node, *what the node is* (``isinstance`` ladders),
-*what its constants mean* (re-parsing literal text), and *where names point*
-(builtin tables, package checks).  Those decisions depend only on the AST, so
-this module hoists them into a one-time **lowering pass**: every statement and
-expression is compiled into a pre-bound Python closure ``(interp, goroutine,
-env) -> generator`` that performs exactly the tree-walk's work — the same
-scheduling-point yields, the same detector callbacks, the same ``Cell``
-allocations in the same order — with the per-visit dispatch already resolved.
+Running a Go statement or expression means deciding *what the node is*,
+*what its constants mean* and *where its names point*.  Those decisions
+depend only on the AST, so this module makes them once, in a **lowering
+pass**: every statement and expression is compiled into a pre-bound Python
+closure ``(interp, goroutine, env) -> generator`` that performs only the
+run-time work: the scheduling-point yields, the detector callbacks and the
+``Cell`` allocations.
 
 Three layers:
 
@@ -17,28 +15,31 @@ Three layers:
   cell-read fast path, binary operators are pre-bound to their operator
   implementation, literals — and package members that whole-program analysis
   proves can never be shadowed — fold to constants at compile time); the rare
-  intricate kinds (``select``, ``switch``, declarations) lower to thin
-  wrappers over the interpreter's reference methods, whose *sub*-expressions
-  still execute compiled.
-* :class:`CompiledProgram` — the parsed files plus the shared code cache.  A
-  program is built once and reused by every run: each run constructs a fresh
-  :class:`CompiledInterpreter` (fresh detector/scheduler/heap) over the same
-  compiled code.  Building one computes only the whole-program facts
-  (:class:`_ProgramMeta`); each function body lowers on its first call and
-  each global initializer on its first evaluation, so code no run reaches is
-  never lowered and never joins the long-lived heap.
+  intricate kinds (``select``, ``switch``, declarations, slice expressions,
+  address-of, comma-ok reads) lower to thin wrappers over the
+  :class:`~repro.runtime.interpreter.Interpreter`'s runtime services, whose
+  *sub*-expressions still execute compiled.
+* :class:`CompiledProgram` — the parsed files, the whole-program facts
+  (:class:`_ProgramMeta`: declarations, bound and imported names, the
+  slicer's verdict) and the shared code cache.  A program is built once and
+  reused by every run: each run constructs a fresh
+  :class:`~repro.runtime.interpreter.Interpreter` (fresh
+  detector/scheduler/heap) over the same compiled code.  Each function body
+  lowers on its first call and each global initializer on its first
+  evaluation, so code no run reaches is never lowered and never joins the
+  long-lived heap.
 * :class:`ProgramCache` — a process-wide LRU keyed by a source fingerprint, so
   repeated harness invocations over the same package (the validator runs
   thousands of them) skip parsing *and* lowering.  Parse failures are cached
   too: rebuilding a broken candidate is a dictionary hit.
 
-With slicing off, semantics are bit-identical to the tree-walk by
-construction and enforced by the corpus-wide differential test
-(``tests/runtime/test_compiled_engine_differential.py``).  Slicing elides
-schedule points, so the production (sliced) lowering draws different seeded
-schedules; both references are test-only.  Lowering reads the
-AST and never writes to it, so the shared, read-only trees of
-:func:`~repro.golang.parser.parse_file` stay read-only.
+A program lowers in one of two modes.  The slice-aware one, which every
+user-facing run uses, drops the schedule point and detector hook on accesses
+the slicer proves single-goroutine; the fully instrumented one
+(``slicing=False``) keeps every access and is the slicer's soundness oracle
+in the tests.  ``tests/runtime/detection_golden.json`` pins both modes'
+observables.  Lowering reads the AST and never writes to it, so the shared,
+read-only trees of :func:`~repro.golang.parser.parse_file` stay read-only.
 """
 
 from __future__ import annotations
@@ -54,13 +55,17 @@ from repro.golang import ast_nodes as ast
 from repro.golang.parser import clear_parse_cache, parse_cache_info, parse_file
 from repro.golang.slicing import slice_function, package_scope_bindings
 from repro.runtime import stdlib
-from repro.runtime.goroutine import Frame, Goroutine, STEP, blocked
+from repro.runtime.goroutine import Goroutine, STEP, blocked
 from repro.runtime.interpreter import (
     _BUILTIN_HANDLERS,
-    _binary_op,
+    _NUMERIC_TYPES,
     _copy_struct,
     _literal_value,
     _map_key,
+    _receiver_type_name,
+    _struct_field_names,
+    _sync_zero,
+    _type_display,
     _values_equal,
     BoundMethod,
     BreakSignal,
@@ -71,8 +76,7 @@ from repro.runtime.interpreter import (
     Signal,
 )
 from repro.runtime.memory import Cell, Environment
-from repro.runtime.race_detector import AccessRecord, RaceDetector
-from repro.runtime.scheduler import Scheduler
+from repro.runtime.race_detector import AccessRecord
 from repro.runtime.channels import Channel
 from repro.runtime.sync_primitives import Mutex, SyncMap, WaitGroup
 from repro.runtime.values import (
@@ -116,9 +120,10 @@ def _leaf_line(node: ast.Node) -> Optional[int]:
     return line if line else None
 
 
-# Per-operator implementations mirroring ``_binary_op`` branch for branch.
-# ``==``/``!=``/``+`` keep their special cases; the numeric operators coerce
-# ``None`` to 0 exactly like the reference.
+# The one operator table: Go's binary operators (``&&``/``||`` short-circuit
+# and lower apart).  ``==``/``!=`` compare composites by identity, ``+`` also
+# concatenates strings, and the numeric operators coerce ``None`` (a zero
+# value) to 0.
 
 
 def _op_add(left: Any, right: Any) -> Any:
@@ -172,7 +177,7 @@ def _const_value_of(node: ast.Expr) -> Tuple[bool, Any]:
     Folding never changes observable behaviour: constants are primitives, so
     no :class:`Cell` is allocated either way, and a fold is only kept when the
     operator evaluates without raising (a ``1/0`` still panics at runtime, at
-    the same point the tree-walk would)."""
+    the same point as an unfolded one)."""
     if isinstance(node, ast.BasicLit):
         return True, _literal_value(node)
     if isinstance(node, ast.ParenExpr):
@@ -229,13 +234,20 @@ _LAZY_MAX_DEPTH = 64
 
 
 class _ProgramMeta:
-    """Whole-program facts the lowering pass can rely on.
+    """Whole-program facts the lowering pass and every run rely on.
 
     ``bound_names`` is every identifier the program can *ever* bind into an
     environment (``:=`` targets, var/const names, range variables,
     parameters/results/receivers).  A name outside this set provably never
     shadows a builtin or package, so its lookup chain walk folds away at
-    compile time.  ``imported_names`` mirrors ``Interpreter._imported_names``.
+    compile time.  ``imported_names`` is every name an import binds.
+
+    The declaration tables are collected once here and read by every run:
+    ``funcs`` (top-level functions by name), ``methods`` (by receiver type
+    and name), ``types`` (each run copies it, since local ``type``
+    declarations add to it), ``func_files`` (``id()`` of each function
+    declaration to its file name) and ``global_specs`` (package-level
+    var/const specs with their file names, in source order).
 
     ``elidable`` is the slicer's verdict (``id()`` of identifier nodes whose
     binding is provably single-goroutine, see :mod:`repro.golang.slicing`);
@@ -246,7 +258,8 @@ class _ProgramMeta:
     :data:`_LAZY_MAX_DEPTH`).
     """
 
-    __slots__ = ("bound_names", "imported_names", "elidable", "depth")
+    __slots__ = ("bound_names", "imported_names", "elidable", "depth", "funcs",
+                 "methods", "types", "func_files", "global_specs")
 
     def __init__(self, files: List[ast.File], elidable: frozenset = frozenset()):
         self.elidable = elidable
@@ -256,6 +269,25 @@ class _ProgramMeta:
             for file in files
             for spec in file.imports
         )
+        self.funcs: Dict[str, ast.FuncDecl] = {}
+        self.methods: Dict[Tuple[str, str], ast.FuncDecl] = {}
+        self.types: Dict[str, ast.TypeSpec] = {}
+        self.func_files: Dict[int, str] = {}
+        self.global_specs: List[Tuple[ast.ValueSpec, str]] = []
+        for file in files:
+            for decl in file.decls:
+                if isinstance(decl, ast.FuncDecl):
+                    self.func_files[id(decl)] = file.name
+                    if decl.recv is not None:
+                        self.methods[(_receiver_type_name(decl.recv), decl.name)] = decl
+                    else:
+                        self.funcs[decl.name] = decl
+                elif isinstance(decl, ast.GenDecl):
+                    for spec in decl.specs:
+                        if isinstance(spec, ast.TypeSpec):
+                            self.types[spec.name] = spec
+                        elif isinstance(spec, ast.ValueSpec) and decl.tok in ("var", "const"):
+                            self.global_specs.append((spec, file.name))
 
 
 def _bound_names_in(roots) -> Tuple[frozenset, int]:
@@ -291,9 +323,10 @@ def _bound_names_in(roots) -> Tuple[frozenset, int]:
 _NAMED_DECLS = frozenset({ast.ValueSpec, ast.Field})
 
 
-def _meta_of(code: CodeCache) -> Optional[_ProgramMeta]:
-    meta = code.get(_META_KEY)
-    return meta if isinstance(meta, _ProgramMeta) else None
+def _meta_of(code: CodeCache) -> _ProgramMeta:
+    """The facts of the program that owns ``code`` (installed before any
+    lowering by :class:`CompiledProgram`)."""
+    return code[_META_KEY]
 
 
 def _declares_inline(stmt: ast.Stmt) -> bool:
@@ -412,14 +445,15 @@ def _build_expr(node: ast.Expr, code: CodeCache) -> Code:
 def _build_ident(node: ast.Ident, code: CodeCache) -> Code:
     name = node.name
     leaf = _leaf_line(node)
-    is_static_type = name in stdlib_static_type_names()
-    is_stdlib_pkg = stdlib.is_package(name)
-    type_value = TypeValue(expr=ast.Ident(name=name), name=name)
+    is_static_type = name in _STATIC_TYPE_NAMES
     meta = _meta_of(code)
-    if meta is not None and name not in meta.bound_names:
+    # Imports are static, so whether the name is a package is known now.
+    is_package = stdlib.is_package(name) or name in meta.imported_names
+    type_value = TypeValue(expr=ast.Ident(name=name), name=name)
+    if name not in meta.bound_names:
         # Provably never a variable: skip the environment walk entirely and
-        # resolve through the funcs/types/package fallbacks (which mirror
-        # ``_eval_ident``'s order after a lookup miss).
+        # resolve through the funcs/types/package fallbacks, in the order
+        # every identifier uses after a lookup miss.
         def run_unbound(interp, goroutine, env):
             if False:  # pragma: no cover - keeps this a generator
                 yield STEP
@@ -430,13 +464,13 @@ def _build_ident(node: ast.Ident, code: CodeCache) -> Code:
                 return type_value
             if is_static_type:
                 return type_value
-            if is_stdlib_pkg or interp._is_imported(name):
+            if is_package:
                 return PackageRef(name=name)
             raise GoRuntimeError(f"undefined: {name}")
 
         return run_unbound
 
-    if meta is not None and id(node) in meta.elidable:
+    if id(node) in meta.elidable:
         # The slicer proved this binding single-goroutine (never captured,
         # never address-taken, not package-level): the cell read cannot race,
         # so the schedule point and detector hook are dropped.
@@ -457,7 +491,7 @@ def _build_ident(node: ast.Ident, code: CodeCache) -> Code:
                 return type_value
             if is_static_type:
                 return type_value
-            if is_stdlib_pkg or interp._is_imported(name):
+            if is_package:
                 return PackageRef(name=name)
             raise GoRuntimeError(f"undefined: {name}")
 
@@ -488,24 +522,16 @@ def _build_ident(node: ast.Ident, code: CodeCache) -> Code:
             return type_value
         if is_static_type:
             return type_value
-        if is_stdlib_pkg or interp._is_imported(name):
+        if is_package:
             return PackageRef(name=name)
         raise GoRuntimeError(f"undefined: {name}")
 
     return run
 
 
-_STATIC_TYPE_NAMES: Optional[frozenset] = None
-
-
-def stdlib_static_type_names() -> frozenset:
-    global _STATIC_TYPE_NAMES
-    if _STATIC_TYPE_NAMES is None:
-        from repro.runtime.interpreter import _NUMERIC_TYPES
-
-        _STATIC_TYPE_NAMES = frozenset(_NUMERIC_TYPES) | frozenset(
-            ("string", "bool", "error", "any", "float32", "float64"))
-    return _STATIC_TYPE_NAMES
+#: Predeclared type names an identifier can resolve to.
+_STATIC_TYPE_NAMES = frozenset(_NUMERIC_TYPES) | frozenset(
+    ("string", "bool", "error", "any", "float32", "float64"))
 
 
 def _build_selector(node: ast.SelectorExpr, code: CodeCache) -> Code:
@@ -544,13 +570,12 @@ def _build_selector(node: ast.SelectorExpr, code: CodeCache) -> Code:
 
     if isinstance(node.x, ast.Ident):
         x_name = node.x.name
-        x_is_stdlib = stdlib.is_package(x_name)
+        meta = _meta_of(code)
+        x_is_package = stdlib.is_package(x_name) or x_name in meta.imported_names
         qualified = TypeValue(expr=node, name=f"{x_name}.{sel}")
         # ``get_member`` is a pure table lookup; resolve it once.
         static_member = stdlib.get_member(x_name, sel)
-        meta = _meta_of(code)
-        if (meta is not None and x_name not in meta.bound_names
-                and (x_is_stdlib or x_name in meta.imported_names)):
+        if x_is_package and x_name not in meta.bound_names:
             # `pkg.Member` where `pkg` is provably never a variable: the
             # whole selector folds to a constant at lowering time.
             return _const(static_member if static_member is not None else qualified)
@@ -561,7 +586,7 @@ def _build_selector(node: ast.SelectorExpr, code: CodeCache) -> Code:
                 if x_name in scope.cells:
                     break
                 scope = scope.parent
-            if scope is None and (x_is_stdlib or interp._is_imported(x_name)):
+            if scope is None and x_is_package:
                 if static_member is not None:
                     return static_member
                 return qualified
@@ -583,8 +608,7 @@ def _build_call(node: ast.CallExpr, code: CodeCache) -> Code:
     fun = node.fun
     builtin = _BUILTIN_HANDLERS.get(fun.name) if isinstance(fun, ast.Ident) else None
     fun_name = fun.name if isinstance(fun, ast.Ident) else ""
-    meta = _meta_of(code)
-    if builtin is not None and meta is not None and fun_name not in meta.bound_names:
+    if builtin is not None and fun_name not in _meta_of(code).bound_names:
         # The program provably never binds this builtin's name, so the
         # shadowing lookup is statically None: the builtin always wins.
         def run_builtin(interp, goroutine, env):
@@ -621,8 +645,8 @@ def _build_call(node: ast.CallExpr, code: CodeCache) -> Code:
             return result
         if isinstance(callee, BoundMethod):
             # Monomorphic fast paths for the hottest sync-primitive methods,
-            # mirroring ``_mutex_call``/``_waitgroup_call`` step for step;
-            # everything else falls through to the reference dispatch.
+            # the same steps as ``_mutex_call``/``_waitgroup_call``;
+            # everything else goes through ``call_bound_method``.
             receiver = callee.receiver
             method_name = callee.name
             if type(receiver) is Mutex:
@@ -690,12 +714,12 @@ def _build_binary(node: ast.BinaryExpr, code: CodeCache) -> Code:
     impl = _OP_IMPLS.get(op)
     if impl is None:
 
-        def run_generic(interp, goroutine, env):
-            left = yield from left_code(interp, goroutine, env)
-            right = yield from right_code(interp, goroutine, env)
-            return _binary_op(op, left, right)
+        def run_unsupported(interp, goroutine, env):
+            yield from left_code(interp, goroutine, env)
+            yield from right_code(interp, goroutine, env)
+            raise GoRuntimeError(f"unsupported binary operator {op}")
 
-        return run_generic
+        return run_unsupported
 
     def run(interp, goroutine, env):
         left = yield from left_code(interp, goroutine, env)
@@ -812,7 +836,7 @@ def _build_index(node: ast.IndexExpr, code: CodeCache) -> Code:
                 AccessRecord(goroutine.gid, False, goroutine.stack_snapshot(leaf),
                              cell.name, cell.address, goroutine.creation_stack))
             return cell.value
-        # Uncommon containers, mirroring the reference branch order.
+        # Uncommon containers.
         if isinstance(container, SyncMap):
             value, _present = container.load(_map_key(key))
             return value
@@ -827,24 +851,18 @@ def _build_index(node: ast.IndexExpr, code: CodeCache) -> Code:
 
 
 def _build_composite(node: ast.CompositeLit, code: CodeCache) -> Code:
-    """Hand-lowered composite literal, mirroring ``_eval_composite``.
+    """Hand-lowered composite literal.
 
     The ``sync.*`` zero check on the literal's *written* type is a pure
     function of the node and folds at compile time; the resolved underlying
     type still comes from ``interp.types`` at run time (local ``type``
     declarations can add entries), so the array/map/struct branch is decided
     per evaluation — but with every element expression precompiled."""
-    from repro.runtime.interpreter import (
-        _struct_field_names,
-        _sync_zero,
-        _type_display,
-    )
-
     type_expr = node.type_
     static_sync = _sync_zero(type_expr)
     if static_sync is not None:
         # `sync.Mutex{}` etc.: the constructor is known statically; a fresh
-        # primitive materializes per evaluation, as in the reference.
+        # primitive materializes per evaluation.
         ctor = type(static_sync)
 
         def run_sync(interp, goroutine, env):
@@ -913,7 +931,8 @@ def _build_composite(node: ast.CompositeLit, code: CodeCache) -> Code:
 def compile_assign_target(target: ast.Expr, define: bool, code: CodeCache) -> Code:
     """Lower an assignment target to ``(interp, goroutine, env, value) -> gen``.
 
-    Mirrors :meth:`Interpreter.assign_to`, including the leading
+    Identifiers lower here; other targets go through
+    :meth:`Interpreter.assign_to`.  Every path starts with the
     ``_pass_value`` struct-copy (which allocates cells and therefore must
     happen even for discarded values, to keep addresses aligned)."""
     if isinstance(target, ast.Ident):
@@ -929,11 +948,10 @@ def compile_assign_target(target: ast.Expr, define: bool, code: CodeCache) -> Co
 
             return run_blank
 
-        meta = _meta_of(code)
-        if meta is not None and id(target) in meta.elidable:
+        if id(target) in _meta_of(code).elidable:
             # Single-goroutine binding (see ``_build_ident``): the write keeps
             # its value semantics (``_pass_value`` still allocates struct-copy
-            # cells in reference order) but drops the schedule point and
+            # cells in the same order) but drops the schedule point and
             # detector hook.
             def run_local(interp, goroutine, env, value):
                 if False:  # pragma: no cover - keeps this a generator
@@ -978,8 +996,8 @@ def compile_assign_target(target: ast.Expr, define: bool, code: CodeCache) -> Co
         inner_code = compile_assign_target(target.x, define, code)
 
         def run_paren(interp, goroutine, env, value):
-            # The reference recursion applies ``_pass_value`` at both levels;
-            # mirror it so struct-copy cell allocations stay aligned.
+            # ``_pass_value`` applies at both levels, as in
+            # ``Interpreter.assign_to``, so struct-copy allocations line up.
             value = interp._pass_value(value)
             yield from inner_code(interp, goroutine, env, value)
             return None
@@ -987,7 +1005,7 @@ def compile_assign_target(target: ast.Expr, define: bool, code: CodeCache) -> Co
         return run_paren
 
     def run_generic(interp, goroutine, env, value):
-        yield from Interpreter.assign_to(interp, goroutine, target, value, env, define)
+        yield from interp.assign_to(goroutine, target, value, env, define)
         return None
 
     return run_generic
@@ -1288,9 +1306,9 @@ def _build_stmt(node: ast.Stmt, code: CodeCache) -> Code:
         return _build_range(node, code, line)
 
     # Remaining statement kinds (decl, switch, select) lower to thin
-    # wrappers over the reference implementation; their sub-statements and
-    # sub-expressions still run compiled via the interpreter's overridden
-    # dispatch methods.
+    # wrappers over the interpreter's runtime services; their
+    # sub-statements and sub-expressions still run compiled, through the
+    # interpreter's ``exec_stmt``/``eval_expr`` dispatch.
     if isinstance(node, ast.DeclStmt):
         method = Interpreter.exec_decl_stmt
     elif isinstance(node, ast.SwitchStmt):
@@ -1317,9 +1335,9 @@ def _build_stmt(node: ast.Stmt, code: CodeCache) -> Code:
 
 
 def _build_range(node: ast.RangeStmt, code: CodeCache, line: int) -> Code:
-    """Hand-lowered ``for ... range``, mirroring ``exec_range`` exactly
-    (per-loop variable cells, ``_range_items`` iteration, write/assign order,
-    signal handling, trailing schedule point)."""
+    """Hand-lowered ``for ... range``: per-loop variable cells, iteration
+    through ``Interpreter._range_items``, key then value write, signal
+    handling, and a trailing schedule point per iteration."""
     x_code = compile_expr(node.x, code)
     body_code = compile_block(node.body, code)
     is_define = node.tok == ":="
@@ -1332,8 +1350,7 @@ def _build_range(node: ast.RangeStmt, code: CodeCache, line: int) -> Code:
             value_name = node.value.name
     key_leaf = _leaf_line(node.key) if node.key is not None else None
     value_leaf = _leaf_line(node.value) if node.value is not None else None
-    meta = _meta_of(code)
-    elidable = meta.elidable if meta is not None else frozenset()
+    elidable = _meta_of(code).elidable
     key_elided = key_name is not None and id(node.key) in elidable
     value_elided = value_name is not None and id(node.value) in elidable
     label = node.label
@@ -1421,11 +1438,9 @@ def _build_assign(node: ast.AssignStmt, code: CodeCache, line: int) -> Code:
                 stack[-1].line = line
             current = yield from lhs_code(interp, goroutine, env)
             operand = yield from rhs_code(interp, goroutine, env)
-            if impl is not None:
-                value = impl(current, operand)
-            else:
-                value = _binary_op(op, current, operand)
-            yield from target_code(interp, goroutine, env, value)
+            if impl is None:
+                raise GoRuntimeError(f"unsupported binary operator {op}")
+            yield from target_code(interp, goroutine, env, impl(current, operand))
             return None
 
         return run_augmented
@@ -1450,8 +1465,8 @@ def _build_assign(node: ast.AssignStmt, code: CodeCache, line: int) -> Code:
                 if isinstance(value, TupleValue):
                     value = value.values[0] if value.values else None
                 values.append(value)
-        # Pad unconditionally, mirroring ``_eval_rhs``: comma-ok forms return
-        # exactly two values however many targets there are.
+        # Pad unconditionally, as ``Interpreter._eval_rhs`` does: comma-ok
+        # forms return exactly two values however many targets there are.
         while len(values) < n_targets:
             values.append(None)
         for target_code, value in zip(target_codes, values):
@@ -1464,9 +1479,8 @@ def _build_assign(node: ast.AssignStmt, code: CodeCache, line: int) -> Code:
 def _build_call_plan(func_type: ast.FuncType):
     """Flatten a function type's parameter/result fields into binding lists.
 
-    Mirrors ``_bind_parameters``'s nested iteration, including its quirks
-    (unnamed params bind as ``"_"``; the variadic flag attaches to the last
-    parameter *name* by equality)."""
+    Unnamed params bind as ``"_"``, and the variadic flag attaches to the
+    last parameter *name* by equality."""
     params: List[Tuple[str, bool, Optional[ast.Expr]]] = []
     for param in func_type.params:
         names = param.names or ["_"]
@@ -1483,31 +1497,32 @@ def _build_call_plan(func_type: ast.FuncType):
 
 
 # ---------------------------------------------------------------------------
-# Compiled program + interpreter
+# Compiled program
 # ---------------------------------------------------------------------------
 
 
 class CompiledProgram:
-    """Parsed files plus the shared code cache, reused across runs.
+    """Parsed files, their whole-program facts and the shared code cache,
+    reused across runs.
 
     ``slicing`` selects the lowering mode: with it on, each function's slice
     feeds the meta's elidable set and pure-local accesses lower without
     schedule points or detector hooks.
 
-    Construction computes the whole-program facts (:class:`_ProgramMeta`)
-    and lowers nothing else: a function body lowers on its first call and a
-    global initializer on its first evaluation, through the compile-on-miss
-    paths of :class:`CompiledInterpreter`.  A program nested deeper than
-    :data:`_LAZY_MAX_DEPTH` lowers everything here instead, so a nest too
-    deep to lower raises ``RecursionError`` at build time.
+    Construction computes the whole-program facts (:class:`_ProgramMeta`,
+    also ``meta``) and lowers nothing else: a function body lowers on its
+    first call and a global initializer on its first evaluation, when an
+    :class:`~repro.runtime.interpreter.Interpreter` misses in the code cache
+    and asks for it here.  A program nested deeper than
+    :data:`_LAZY_MAX_DEPTH` lowers everything at construction instead, so a
+    nest too deep to lower raises ``RecursionError`` at build time.
 
     The code cache is therefore written at run time, possibly by several
-    threads running the same program.  That was already so for call plans,
-    and it is safe for the same reason: every lowering of a node yields an
-    equivalent closure, so a racing thread that lowers a node again and
-    overwrites the entry changes nothing observable."""
+    threads running the same program.  That is safe: every lowering of a
+    node yields an equivalent closure, so a racing thread that lowers a node
+    again and overwrites the entry changes nothing observable."""
 
-    __slots__ = ("files", "code", "slicing")
+    __slots__ = ("files", "code", "slicing", "meta")
 
     def __init__(self, files: List[ast.File], slicing: bool = False):
         self.files = list(files)
@@ -1525,7 +1540,7 @@ class CompiledProgram:
             if parts:
                 elidable = frozenset().union(*parts)
         # Static whole-program facts must be in place before lowering starts.
-        meta = self.code[_META_KEY] = _ProgramMeta(self.files, elidable)
+        meta = self.meta = self.code[_META_KEY] = _ProgramMeta(self.files, elidable)
         if meta.depth > _LAZY_MAX_DEPTH:
             self._lower_all()
 
@@ -1543,153 +1558,23 @@ class CompiledProgram:
                             for expr in spec.values:
                                 compile_expr(expr, code)
 
+    # -- lowering on a code-cache miss --------------------------------------------------
 
-class CompiledInterpreter(Interpreter):
-    """An interpreter whose statement/expression dispatch is precompiled.
+    def expr_code(self, node: ast.Expr) -> Code:
+        return compile_expr(node, self.code)
 
-    Inherits every reference method — a compiled node may delegate to them,
-    and their recursive ``self.eval_expr``/``self.exec_stmt`` calls re-enter
-    the compiled dispatch below, so mixed execution stays bit-identical."""
+    def stmt_code(self, node: ast.Stmt) -> Code:
+        return compile_stmt(node, self.code)
 
-    def __init__(
-        self,
-        program: CompiledProgram,
-        detector: Optional[RaceDetector] = None,
-        scheduler: Optional[Scheduler] = None,
-    ):
-        super().__init__(program.files, detector=detector, scheduler=scheduler)
-        self.program = program
-        self._code = program.code
+    def block_code(self, block: ast.BlockStmt) -> Code:
+        return compile_block(block, self.code)
 
-    def eval_expr(self, goroutine: Goroutine, expr: ast.Expr, env: Environment) -> Generator:
-        entry = self._code.get(id(expr))
-        if entry is None or entry[0] is not expr:
-            closure = compile_expr(expr, self._code)
-        else:
-            closure = entry[1]
-        result = yield from closure(self, goroutine, env)
-        return result
-
-    def eval_expr_multi(self, goroutine: Goroutine, expr: ast.Expr, env: Environment,
-                        n_targets: int) -> Generator:
-        if n_targets == 1:
-            result = yield from self.eval_expr(goroutine, expr, env)
-            return result
-        result = yield from Interpreter.eval_expr_multi(self, goroutine, expr, env, n_targets)
-        return result
-
-    def exec_stmt(self, goroutine: Goroutine, stmt: ast.Stmt, env: Environment) -> Generator:
-        entry = self._code.get(id(stmt))
-        if entry is None or entry[0] is not stmt:
-            closure = compile_stmt(stmt, self._code)
-        else:
-            closure = entry[1]
-        signal = yield from closure(self, goroutine, env)
-        return signal
-
-    def exec_block(self, goroutine: Goroutine, block: ast.BlockStmt,
-                   env: Environment) -> Generator:
-        entry = self._code.get(id(block))
-        if entry is None or entry[0] is not block:
-            closure = compile_block(block, self._code)
-        else:
-            closure = entry[1]
-        signal = yield from closure(self, goroutine, env)
-        return signal
-
-    def call_function(self, goroutine: Goroutine, func: FuncValue, args: List[Any],
-                      node: Optional[ast.Node]) -> Generator:
-        """The reference ``call_function`` with per-signature work precompiled.
-
-        The parameter/result binding plan is derived from the function type
-        once and cached; binding then runs one flat loop.  Every observable
-        effect — declare order (and therefore cell addresses), struct copies,
-        zero values, frame bookkeeping, deferred-call unwinding — matches the
-        reference implementation exactly."""
-        code = self._code
-        decl = func.decl
-        if decl is not None:
-            body = decl.body
-            func_type = decl.type_
-            parent_env = self.globals
-            file_name = self._func_files.get(id(decl), "<source>")
-        else:
-            lit = func.lit
-            body = lit.body
-            func_type = lit.type_
-            parent_env = func.env if func.env is not None else self.globals
-            if func.file:
-                file_name = func.file
-            else:
-                file_name = goroutine.stack[-1].file if goroutine.stack else "<source>"
-        if body is None:
-            raise GoRuntimeError(f"function {func.display_name()} has no body")
-        plan_entry = code.get(id(func_type))
-        if plan_entry is not None and plan_entry[0] is func_type:
-            params, results, flat_params = plan_entry[1]
-        else:
-            params, results, flat_params = _build_call_plan(func_type)
-            code[id(func_type)] = (func_type, (params, results, flat_params))
-
-        env = Environment(parent=parent_env)
-        if decl is not None and decl.recv is not None:
-            receiver_value = func.bound_receiver
-            for recv_name in decl.recv.names:
-                env.declare(recv_name, receiver_value)
-        if len(args) == 1 and isinstance(args[0], TupleValue) and flat_params > 1:
-            args = list(args[0].values)
-        index = 0
-        n_args = len(args)
-        for name, is_variadic, type_ in params:
-            if is_variadic:
-                rest = [_copy_struct(v) if isinstance(v, StructValue) else v
-                        for v in args[index:]]
-                env.declare(name, SliceValue(elements=[Cell(value=v) for v in rest],
-                                             name=name))
-                index = n_args
-            else:
-                value = args[index] if index < n_args else self._zero_for_type(type_)
-                # Inlined ``_pass_value``: Go's value semantics copy structs.
-                if isinstance(value, StructValue):
-                    value = _copy_struct(value)
-                env.declare(name, value)
-                index += 1
-        for result_name, result_type in results:
-            env.declare(result_name, self._zero_for_type(result_type))
-
-        entry = code.get(id(body))
-        if entry is None or entry[0] is not body:
-            block_code = compile_block(body, code)
-        else:
-            block_code = entry[1]
-        frame = Frame(func_name=func.display_name(), file=file_name, line=body.pos.line)
-        goroutine.push_frame(frame)
-        return_values: List[Any] = []
-        panic: Optional[BaseException] = None
-        try:
-            signal = yield from block_code(self, goroutine, env)
-            if isinstance(signal, ReturnSignal):
-                return_values = signal.values
-            if not return_values and func_type.results:
-                # Bare return with named results.
-                return_values = []
-                for result_name, _result_type in results:
-                    cell = env.lookup(result_name)
-                    return_values.append(cell.value if cell is not None else None)
-        except GoPanic as exc:
-            panic = exc
-        # Deferred calls run in LIFO order even when unwinding a panic.
-        if frame.deferred:
-            for deferred_func, deferred_args in reversed(frame.deferred):
-                yield from self._invoke(goroutine, deferred_func, list(deferred_args), node)
-        goroutine.pop_frame()
-        if panic is not None:
-            raise panic
-        if len(return_values) == 1:
-            return return_values[0]
-        if return_values:
-            return TupleValue(values=return_values)
-        return None
+    def call_plan(self, func_type: ast.FuncType):
+        """The parameter/result binding plan of ``func_type`` (see
+        :func:`_build_call_plan`), cached under the type node."""
+        plan = _build_call_plan(func_type)
+        self.code[id(func_type)] = (func_type, plan)
+        return plan
 
 
 # ---------------------------------------------------------------------------
@@ -1700,9 +1585,8 @@ class CompiledInterpreter(Interpreter):
 class BuiltPackage:
     """One cached build: parse results plus (lazily) the compiled programs.
 
-    The program is built when a compiled-engine run first asks for it, so a
-    tree-engine run (a test-only reference) never pays for it; parse
-    results and test discovery are shared by both engines.  Programs are kept
+    A program is built when a run first asks for it, so a package that fails
+    to build, or has nothing to run, never pays for it.  Programs are kept
     per slicing mode (the two lowerings differ)."""
 
     __slots__ = ("fingerprint", "files", "errors", "tests",
@@ -1729,10 +1613,10 @@ class BuiltPackage:
         return self._programs.get(True) or self._programs.get(False)
 
     def ensure_program(self, slicing: bool = True) -> Optional[CompiledProgram]:
-        """Build the compiled program on first compiled-engine use (thread-safe).
+        """Build the compiled program on first use (thread-safe).
 
         ``slicing`` picks the slice-aware lowering (the production one) or
-        the fully instrumented reference.  Nesting the parser accepts can
+        the fully instrumented one.  Nesting the parser accepts can
         still be too deep to lower; the build then fails with the parser's
         ``nesting too deep`` error and this returns ``None``."""
         if self.errors:

@@ -7,12 +7,12 @@ The harness owns the pieces Dr.Fix's validator needs (Section 4.4.1):
   so repeated harness invocations over the same package — the validator runs
   thousands — parse once and lower each function once, on its first call);
   syntax errors become build failures fed back to the model;
-* **one production engine** — each (seed, policy) run executes on the
-  compile-once engine with slice-aware instrumentation.  The two reference
-  lowerings (the tree-walk, ``engine="tree"``, and the fully instrumented
-  compiled lowering, ``slicing=False``) are reachable only through these
-  harness arguments, for the equivalence suites and the interpreter
-  benchmark; no config field, CLI flag or environment variable selects them;
+* **one engine** — each (seed, policy) run executes on the compile-once
+  engine with slice-aware instrumentation.  The fully instrumented lowering
+  (``slicing=False``, the slicer's soundness oracle) is reachable only
+  through the harness argument, for the equivalence suites and the
+  interpreter benchmark; no config field, CLI flag or environment variable
+  selects it;
 * **test discovery** — every top-level ``TestXxx`` function is a test;
 * **testing.T** — ``t.Run`` / ``t.Parallel`` follow Go's semantics: a parallel
   subtest pauses until its parent test function returns, then all parallel
@@ -36,15 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigError, GoPanic, GoRuntimeError
-from repro.execution import EngineKind
+from repro.errors import GoPanic, GoRuntimeError
 from repro.golang import ast_nodes as ast
-from repro.runtime.compiler import (
-    PROGRAM_CACHE,
-    BuiltPackage,
-    CompiledInterpreter,
-    discover_tests,
-)
+from repro.runtime.compiler import PROGRAM_CACHE, BuiltPackage, discover_tests
 from repro.runtime.goroutine import Goroutine, STEP, blocked
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.race_detector import RaceDetector
@@ -314,7 +308,6 @@ class GoTestHarness:
         policies: Sequence[SchedulerPolicy] = DEFAULT_POLICIES,
         stop_on_first_race: bool = False,
         max_output_lines: int = 200,
-        engine: "EngineKind | str" = EngineKind.COMPILED,
         slicing: bool = True,
     ):
         self.package = package
@@ -322,19 +315,8 @@ class GoTestHarness:
         self.seed = seed
         self.max_steps = max_steps
         self.policies = list(policies)
-        #: Which interpreter executes each run: the compile-once engine
-        #: (default — the package is lowered once via the process-wide
-        #: :data:`~repro.runtime.compiler.PROGRAM_CACHE` and reused across
-        #: every (seed, policy) run) or the reference tree-walk.  The one
-        #: place engine names are validated.
-        try:
-            self.engine = EngineKind(engine)
-        except ValueError:
-            raise ConfigError(
-                f"unknown engine {engine!r} (expected tree or compiled)") from None
-        #: Slice-aware instrumentation for compiled-engine runs; ``False``
-        #: selects the fully instrumented reference lowering.  The tree
-        #: engine ignores it.
+        #: Slice-aware instrumentation; ``False`` selects the fully
+        #: instrumented lowering.
         self.slicing = slicing
         #: Detection mode: stop after the first run, in plan order, that
         #: reports a race.
@@ -382,8 +364,7 @@ class GoTestHarness:
         build = self.build()
         tests = build.tests
         entries: List[str] = list(entry_functions) if entry_functions else []
-        if (self.engine is EngineKind.COMPILED and not build.errors
-                and (tests or entries)):
+        if not build.errors and (tests or entries):
             # Check nesting before any run: too deep to lower fails the build.
             build.ensure_program(self.slicing)
         if build.errors:
@@ -425,13 +406,8 @@ class GoTestHarness:
     ) -> RunOutcome:
         detector = RaceDetector()
         scheduler = Scheduler(seed=seed, policy=policy, max_steps=self.max_steps)
-        program = (build.ensure_program(self.slicing)
-                   if self.engine is EngineKind.COMPILED else None)
-        if program is not None:
-            interp: Interpreter = CompiledInterpreter(
-                program, detector=detector, scheduler=scheduler)
-        else:
-            interp = Interpreter(build.files, detector=detector, scheduler=scheduler)
+        interp = Interpreter(build.ensure_program(self.slicing),
+                             detector=detector, scheduler=scheduler)
         failures: List[str] = []
         roots: List[TestingT] = []
 
@@ -486,7 +462,6 @@ def run_package_tests(
     max_steps: int = 120_000,
     stop_on_first_race: bool = False,
     max_output_lines: int = 200,
-    engine: "EngineKind | str" = EngineKind.COMPILED,
     slicing: bool = True,
     policies: Sequence[SchedulerPolicy] = DEFAULT_POLICIES,
 ) -> PackageRunResult:
@@ -499,7 +474,6 @@ def run_package_tests(
         policies=policies,
         stop_on_first_race=stop_on_first_race,
         max_output_lines=max_output_lines,
-        engine=engine,
         slicing=slicing,
     )
     return harness.run(entry_functions=entry_functions)

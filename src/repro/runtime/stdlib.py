@@ -626,8 +626,8 @@ def get_member(package: str, member: str) -> Any:
 
 #: Bumped by :func:`register_package`.  Compiled programs freeze stdlib
 #: package/member lookups at lowering time, so the program cache tags every
-#: build with the generation it saw and rebuilds when it changes — keeping
-#: the compiled engine identical to the tree-walk even across late shims.
+#: build with the generation it saw and rebuilds when it changes, so a late
+#: shim is seen by every run after it.
 _GENERATION = 0
 
 

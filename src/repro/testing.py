@@ -1,11 +1,10 @@
-"""Shared helpers for the engine-equivalence test suites.
+"""Shared helpers for the suites that pin what a harness run observes.
 
-Both corpus-wide differential suites — compiled ≡ tree
-(``tests/runtime/test_compiled_engine_differential.py``) and slicing ON ≡ OFF
-(``tests/runtime/test_slicing_equivalence.py``) — sweep every template through
-the harness and compare the full observable outcome.  The sweep plumbing
-lives here so the two suites (and any future engine-mode comparison) state
-only what differs between their arms.
+The golden digests (``tests/runtime/test_detection_golden.py``), the slicing
+ON ≡ OFF suite (``tests/runtime/test_slicing_equivalence.py``) and the
+program-cache suites sweep packages through the harness and compare the
+observable outcome.  The sweep plumbing lives here so each suite states
+only what differs between its arms.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ ALL_POLICIES = tuple(SchedulerPolicy)
 def reset_addresses() -> None:
     """Reset the process-global cell-address counter.
 
-    Addresses appear in rendered race reports; comparing two engine sweeps
+    Addresses appear in rendered race reports; comparing two sweeps
     bit-for-bit requires each sweep to start from the same counter so that
     identical allocation *order* yields identical addresses.
     """
@@ -34,7 +33,6 @@ def reset_addresses() -> None:
 def run_outcome(
     package: GoPackage,
     seed: int,
-    engine: str = "compiled",
     policies: Sequence[SchedulerPolicy] = ALL_POLICIES,
     runs: int = 5,
     slicing: bool = True,
@@ -49,7 +47,7 @@ def run_outcome(
     identical.
     """
     result = run_package_tests(
-        package, runs=runs, seed=seed, engine=engine, policies=policies,
+        package, runs=runs, seed=seed, policies=policies,
         slicing=slicing, entry_functions=entry_functions,
     )
     return {
@@ -65,7 +63,6 @@ def run_outcome(
 def detection_outcome(
     package: GoPackage,
     seed: int,
-    engine: str = "compiled",
     policies: Sequence[SchedulerPolicy] = ALL_POLICIES,
     runs: int = 5,
     slicing: bool = True,
@@ -85,7 +82,7 @@ def detection_outcome(
       interleavings exactly as they vary from one seed to the next.
     """
     result = run_package_tests(
-        package, runs=runs, seed=seed, engine=engine, policies=policies,
+        package, runs=runs, seed=seed, policies=policies,
         slicing=slicing,
     )
     return {

@@ -140,15 +140,15 @@ class TestReadOnlyContract:
             DrFix(case.package, config=config, database=database).fix_case(case)
         assert audited_cache["hits"] > 0
 
-    def test_labeled_loops_run_the_same_on_both_engines(self, audited_cache):
+    def test_labeled_loops_run_the_same_in_both_lowerings(self, audited_cache):
         package = GoPackage(name="labels", files=[GoFile("labels_test.go", LABELED_SOURCE)])
         outcomes = []
-        for engine in ("compiled", "tree", "compiled"):
+        for slicing in (True, False, True):
             reset_addresses()
-            outcomes.append(run_outcome(package, seed=3, engine=engine, runs=4))
+            outcomes.append(run_outcome(package, seed=3, runs=4, slicing=slicing))
         assert outcomes[0] == outcomes[1] == outcomes[2]
         assert outcomes[0]["output"] == ["15"] * 4 and not outcomes[0]["build_errors"]
-        # Labels are parse-time fields; no engine writes one into the tree.
+        # Labels are parse-time fields; no lowering writes one into the tree.
         tree = parse_file(LABELED_SOURCE, "labels_test.go")
         assert all(not hasattr(node, "_label") for node in ast.walk(tree))
         assert [node.label for node in ast.walk(tree)

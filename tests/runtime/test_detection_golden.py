@@ -328,7 +328,8 @@ def _cases(corpus):
 
 
 def digest(outcome):
-    """A stable hex digest of one :func:`detection_outcome` result."""
+    """A stable hex digest of one :func:`detection_outcome` or
+    :func:`run_outcome` result."""
     canonical = {
         key: sorted(value) if isinstance(value, frozenset) else value
         for key, value in outcome.items()
@@ -347,7 +348,7 @@ def _outcome_cases(name):
     return [(case.case_id, case.package, ()) for case in _cases(name)]
 
 
-def outcome_sweep(name, engine="compiled"):
+def outcome_sweep(name):
     """``{"<case_id>@<seed>": digest}`` of :func:`run_outcome` at
     ``slicing=False``, each (case, seed) from freshly reset addresses."""
     seeds, runs = OUTCOME_SWEEPS[name]
@@ -358,8 +359,7 @@ def outcome_sweep(name, engine="compiled"):
             assert key not in digests, f"duplicate case id {case_id}"
             reset_addresses()
             digests[key] = digest(run_outcome(
-                package, seed, engine, runs=runs, slicing=False,
-                entry_functions=entries))
+                package, seed, runs=runs, slicing=False, entry_functions=entries))
     return digests
 
 
@@ -373,7 +373,7 @@ def sweep(corpus):
             key = f"{case.case_id}@{seed}"
             assert key not in digests, f"duplicate case id {case.case_id}"
             digests[key] = digest(detection_outcome(
-                case.package, seed, "compiled", runs=runs, slicing=True))
+                case.package, seed, runs=runs, slicing=True))
     return digests
 
 
@@ -392,11 +392,10 @@ def test_detection_matches_golden(corpus, golden):
     assert not moved, f"detection moved on {len(moved)} sweeps: {moved[:10]}"
 
 
-@pytest.mark.parametrize("engine", ["compiled", "tree"])
 @pytest.mark.parametrize("name", sorted(OUTCOME_SWEEPS))
-def test_outcomes_match_golden(name, engine, golden):
+def test_outcomes_match_golden(name, golden):
     expected = golden["outcomes"][name]
-    actual = outcome_sweep(name, engine)
+    actual = outcome_sweep(name)
     assert sorted(actual) == sorted(expected), "case set changed"
     moved = sorted(key for key in expected if actual[key] != expected[key])
     assert not moved, f"outcome moved on {len(moved)} sweeps: {moved[:10]}"

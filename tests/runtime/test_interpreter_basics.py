@@ -3,6 +3,7 @@
 import pytest
 
 from repro.golang.parser import parse_file
+from repro.runtime.compiler import CompiledProgram
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.values import ErrorValue
 
@@ -20,14 +21,14 @@ func main() {{
 {body}
 }}
 """
-    interp = Interpreter([parse_file(source, "main.go")])
+    interp = Interpreter(CompiledProgram([parse_file(source, "main.go")]))
     result = interp.run_func("main")
     assert not result.failures, result.failures
     return result, interp
 
 
 def run_expr_program(source: str, entry: str = "main"):
-    interp = Interpreter([parse_file(source, "main.go")])
+    interp = Interpreter(CompiledProgram([parse_file(source, "main.go")]))
     return interp.run_func(entry), interp
 
 

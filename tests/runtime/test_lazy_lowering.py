@@ -70,7 +70,7 @@ def _body(build, name):
 
 def test_only_called_functions_are_lowered(package):
     PROGRAM_CACHE.clear()
-    result = run_package_tests(package, runs=2, engine="compiled")
+    result = run_package_tests(package, runs=2)
     assert result.built and result.passed
     build = PROGRAM_CACHE.get_or_build(package)
     code = build.program.code

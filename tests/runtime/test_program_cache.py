@@ -104,9 +104,9 @@ class TestFullBuilds:
                 PROGRAM_CACHE.clear()
                 reset_addresses()
                 if arm == "warm":
-                    run_outcome(_package(BASE_SOURCE), 3, "compiled", runs=2)
+                    run_outcome(_package(BASE_SOURCE), 3, runs=2)
                     reset_addresses()
-                outcomes[arm] = run_outcome(_package(PATCHED_SOURCE), 3, "compiled", runs=3)
+                outcomes[arm] = run_outcome(_package(PATCHED_SOURCE), 3, runs=3)
         finally:
             PROGRAM_CACHE.clear()
         assert outcomes["cold"] == outcomes["warm"]
@@ -152,3 +152,76 @@ class TestFullBuilds:
                 stats["evictions"], stats["singleflight_waits"]) == (0, 0, 0, 0, 0)
         assert stats["parse_entries"] == 0
         assert len(cache) == 0
+
+
+class TestProgramCache:
+    def test_same_source_hits_cache(self):
+        package = GoPackage(
+            name="cached", files=[GoFile("a.go", "package cached\nfunc A() int { return 1 }\n")]
+        )
+        first = PROGRAM_CACHE.get_or_build(package)
+        second = PROGRAM_CACHE.get_or_build(
+            GoPackage(name="cached", files=[GoFile("a.go", package.files[0].source)])
+        )
+        assert first is second
+        # Lowering is lazy: only a request for the program builds it.
+        assert first.program is None
+        program = first.ensure_program()
+        assert program is not None and program.code
+        assert first.ensure_program() is program
+
+    def test_fingerprint_tracks_content_and_names(self):
+        base = GoPackage(name="p", files=[GoFile("a.go", "package p\n")])
+        same = GoPackage(name="p", files=[GoFile("a.go", "package p\n")])
+        renamed = GoPackage(name="p", files=[GoFile("b.go", "package p\n")])
+        edited = GoPackage(name="p", files=[GoFile("a.go", "package p\nvar x = 1\n")])
+        assert package_fingerprint(base) == package_fingerprint(same)
+        assert package_fingerprint(base) != package_fingerprint(renamed)
+        assert package_fingerprint(base) != package_fingerprint(edited)
+
+    def test_parse_errors_cached_as_build_failures(self):
+        package = GoPackage(
+            name="syntax", files=[GoFile("bad.go", "package syntax\nfunc ( {\n")]
+        )
+        build = PROGRAM_CACHE.get_or_build(package)
+        assert build.errors and build.program is None
+        again = PROGRAM_CACHE.get_or_build(package)
+        assert again is build
+
+    def test_stdlib_registration_invalidates_cached_builds(self):
+        """Late ``register_package`` shims must not serve stale lowerings.
+
+        Compiled closures freeze stdlib package/member lookups at lowering
+        time, so a build made before a registration would not see the new
+        package; the cache tags builds with the stdlib generation and
+        rebuilds instead."""
+        from repro.runtime import stdlib
+        from repro.runtime.compiler import ProgramCache
+
+        cache = ProgramCache(capacity=4)
+        package = GoPackage(
+            name="shimmed",
+            files=[GoFile("a.go", "package shimmed\nfunc A() int { return 1 }\n")],
+        )
+        before = cache.get_or_build(package)
+        assert cache.get_or_build(package) is before
+        stdlib.register_package("shimpkg", {"Answer": 42})
+        after = cache.get_or_build(package)
+        assert after is not before
+        assert after.stdlib_generation == stdlib.generation()
+        assert cache.get_or_build(package) is after
+
+    def test_capacity_evicts_least_recently_used(self):
+        from repro.runtime.compiler import ProgramCache
+
+        cache = ProgramCache(capacity=2)
+        packages = [
+            GoPackage(name=f"p{i}", files=[GoFile("a.go", f"package p{i}\n")])
+            for i in range(3)
+        ]
+        builds = [cache.get_or_build(p) for p in packages]
+        assert len(cache) == 2
+        # p0 was evicted; rebuilding it yields a fresh entry.
+        rebuilt = cache.get_or_build(packages[0])
+        assert rebuilt is not builds[0]
+        assert rebuilt.fingerprint == builds[0].fingerprint

@@ -106,10 +106,10 @@ class TestRemovedDedupKnobs:
     def test_drfix_dedup_env_is_ignored(self, listing1_package, monkeypatch, value):
         monkeypatch.delenv("DRFIX_DEDUP", raising=False)
         reset_addresses()
-        reference = detection_outcome(listing1_package, 3, "compiled", runs=2)
+        reference = detection_outcome(listing1_package, 3, runs=2)
         monkeypatch.setenv("DRFIX_DEDUP", value)
         reset_addresses()
-        assert detection_outcome(listing1_package, 3, "compiled", runs=2) == reference
+        assert detection_outcome(listing1_package, 3, runs=2) == reference
 
     @pytest.mark.parametrize("argv", [
         ["detect", ".", "--dedup", "on"],

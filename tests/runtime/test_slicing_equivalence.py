@@ -4,11 +4,11 @@ Slice-aware instrumentation elides schedule points (and detector hooks) on
 provably single-goroutine accesses, so an ON run draws fewer seeded scheduler
 choices than an OFF run — the two modes explore *different* interleavings for
 the same seed.  Per-seed bit-identical rendered reports are therefore
-impossible by construction (that bar is owned by the tree-vs-compiled
-differential, where slicing is forced OFF).  What slicing must preserve —
-and what this suite enforces, deterministically, across every template, the
-mutation corpus, and all five scheduler policies — is the detection contract
-the validator consumes:
+impossible by construction (that bar is held, for the OFF lowering alone,
+by the golden ``run_outcome`` digests in ``detection_golden.json``).  What
+slicing must preserve — and what this suite enforces, deterministically,
+across every template, the mutation corpus, and all five scheduler
+policies — is the detection contract the validator consumes:
 
 * per (case, seed): identical race verdict, identical set of racy variables,
   identical program output, build errors, and run/test counts;
@@ -45,7 +45,7 @@ def _sweep(cases, slicing, seeds, runs):
     reset_addresses()
     return [
         (case.case_id, seed,
-         detection_outcome(case.package, seed, "compiled", runs=runs, slicing=slicing))
+         detection_outcome(case.package, seed, runs=runs, slicing=slicing))
         for case in cases
         for seed in seeds
     ]

@@ -1,16 +1,16 @@
 """One way to run a Go program: no knob reachable by users changes results.
 
 Every user-facing run — ``drfix detect|fix|serve``, the pipeline, the
-service, the paper tables — executes on the compiled engine with slice-aware
-instrumentation.  The two reference lowerings (tree-walk, and the compiled
-engine with slicing off) stay reachable only through harness arguments, for
-the equivalence suites; no config field, CLI flag or environment variable
-selects them.
+service, the paper tables — executes on the one engine with slice-aware
+instrumentation.  The fully instrumented lowering (slicing off) stays
+reachable only through a harness argument, for the equivalence suites; no
+config field, CLI flag or environment variable selects it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -21,8 +21,8 @@ import pytest
 
 from repro.cli import build_parser
 from repro.core.config import DrFixConfig
-from repro.errors import ConfigError
 from repro.runtime.harness import GoFile, GoPackage, GoTestHarness, run_package_tests
+from repro.testing import detection_outcome, run_outcome
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -94,9 +94,11 @@ class TestNoUserFacingKnob:
         names = {field.name for field in dataclasses.fields(DrFixConfig)}
         assert not names & {"engine", "slicing"}
 
-    def test_harness_validates_engine_names(self):
+    @pytest.mark.parametrize("entry_point", [
+        GoTestHarness, run_package_tests, run_outcome, detection_outcome])
+    def test_no_entry_point_selects_an_engine(self, entry_point):
+        assert "engine" not in inspect.signature(entry_point).parameters
+
+    def test_harness_defaults_to_slicing(self):
         package = GoPackage(name="p", files=[GoFile("a.go", "package p\n")])
-        with pytest.raises(ConfigError, match=r"\(expected tree or compiled\)"):
-            run_package_tests(package, engine="jit")
-        harness = GoTestHarness(package)
-        assert harness.engine.value == "compiled" and harness.slicing is True
+        assert GoTestHarness(package).slicing is True
