@@ -373,6 +373,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print("program cache: "
           f"{cache_stats['hits']} hits / {cache_stats['misses']} misses, "
           f"{cache_stats['evictions']} evictions, "
+          f"{cache_stats['probationary']} probationary, "
+          f"{cache_stats['readmissions']} readmissions, "
           f"{cache_stats['singleflight_waits']} single-flight waits")
     return 0
 

@@ -28,10 +28,11 @@ Three layers:
   lowers on its first call and each global initializer on its first
   evaluation, so code no run reaches is never lowered and never joins the
   long-lived heap.
-* :class:`ProgramCache` — a process-wide LRU keyed by a source fingerprint, so
-  repeated harness invocations over the same package (the validator runs
+* :class:`ProgramCache` — a process-wide cache keyed by a source fingerprint,
+  so repeated harness invocations over the same package (the validator runs
   thousands of them) skip parsing *and* lowering.  Parse failures are cached
-  too: rebuilding a broken candidate is a dictionary hit.
+  too: rebuilding a broken candidate is a dictionary hit.  Its admission is
+  scan-resistant: a build requested once leaves the heap after 16 more.
 
 A program lowers in one of two modes.  The slice-aware one, which every
 user-facing run uses, drops the schedule point and detector hook on accesses
@@ -44,6 +45,7 @@ read-only trees of :func:`~repro.golang.parser.parse_file` stay read-only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import threading
@@ -449,7 +451,6 @@ def _build_ident(node: ast.Ident, code: CodeCache) -> Code:
     meta = _meta_of(code)
     # Imports are static, so whether the name is a package is known now.
     is_package = stdlib.is_package(name) or name in meta.imported_names
-    type_value = TypeValue(expr=ast.Ident(name=name), name=name)
     if name not in meta.bound_names:
         # Provably never a variable: skip the environment walk entirely and
         # resolve through the funcs/types/package fallbacks, in the order
@@ -460,10 +461,8 @@ def _build_ident(node: ast.Ident, code: CodeCache) -> Code:
             funcs = interp.funcs
             if name in funcs:
                 return FuncValue(decl=funcs[name], name=name)
-            if name in interp.types:
-                return type_value
-            if is_static_type:
-                return type_value
+            if is_static_type or name in interp.types:
+                return _type_value(name)
             if is_package:
                 return PackageRef(name=name)
             raise GoRuntimeError(f"undefined: {name}")
@@ -487,10 +486,8 @@ def _build_ident(node: ast.Ident, code: CodeCache) -> Code:
             funcs = interp.funcs
             if name in funcs:
                 return FuncValue(decl=funcs[name], name=name)
-            if name in interp.types:
-                return type_value
-            if is_static_type:
-                return type_value
+            if is_static_type or name in interp.types:
+                return _type_value(name)
             if is_package:
                 return PackageRef(name=name)
             raise GoRuntimeError(f"undefined: {name}")
@@ -518,15 +515,22 @@ def _build_ident(node: ast.Ident, code: CodeCache) -> Code:
         funcs = interp.funcs
         if name in funcs:
             return FuncValue(decl=funcs[name], name=name)
-        if name in interp.types:
-            return type_value
-        if is_static_type:
-            return type_value
+        if is_static_type or name in interp.types:
+            return _type_value(name)
         if is_package:
             return PackageRef(name=name)
         raise GoRuntimeError(f"undefined: {name}")
 
     return run
+
+
+@functools.lru_cache(maxsize=1024)
+def _type_value(name: str) -> TypeValue:
+    """The value of an identifier that names a type, shared per name.
+
+    Only the not-a-variable fallback needs it, so no lowered identifier
+    holds one."""
+    return TypeValue(expr=ast.Ident(name=name), name=name)
 
 
 #: Predeclared type names an identifier can resolve to.
@@ -1671,12 +1675,37 @@ def package_fingerprint(package) -> str:
     return digest.hexdigest()
 
 
+#: First-time builds wait in a FIFO probation segment of at most this many;
+#: a second request while a build is there promotes it to the protected LRU.
+_PROBATION_BUILDS = 16
+#: Fingerprints of builds pushed out of probation, kept per unit of capacity:
+#: a miss on one was requested before, so its rebuild skips probation.
+_GHOSTS_PER_SLOT = 4
+
+
 class ProgramCache:
-    """Process-wide LRU of :class:`BuiltPackage` keyed by source fingerprint.
+    """Process-wide cache of :class:`BuiltPackage` keyed by source fingerprint.
 
     Shared by every harness in the process (and by every thread worker);
     process-pool workers each warm their own copy, which still amortizes the
     build across the many runs of one worker's chunk.
+
+    Admission is scan-resistant, in the style of 2Q (Johnson & Shasha, VLDB
+    1994).  Most builds are never requested again (a detection sweep builds
+    hundreds of distinct packages once each), and a build that stays in the
+    heap is over a thousand objects the cyclic collector walks on every full
+    collection.  So a first-time build enters a FIFO *probation* segment of
+    at most ``_PROBATION_BUILDS``; a request that hits it there promotes it
+    to the *protected* LRU.  A build pushed out of probation leaves only its
+    fingerprint in a bounded *ghost* list (plain strings, which the
+    collector does not track); a miss on a ghost was requested before, so
+    the rebuild goes straight to the protected segment, as does the rebuild
+    of a stale entry.  ``capacity`` bounds both segments together: when the
+    cache is full, a first-time build pushes out the oldest probationary
+    build once probation is full and the least recent protected one before
+    that, so probation refills to its size.  With ``capacity`` at or below
+    ``_PROBATION_BUILDS``, probation can fill the whole cache and a scan is
+    not kept out.
 
     Builds are **single-flight**: when several threads miss on the same
     fingerprint at once (the serving layer makes this the common case — a
@@ -1688,21 +1717,34 @@ class ProgramCache:
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, BuiltPackage]" = OrderedDict()
+        #: Builds requested once, oldest first.
+        self._probation: "OrderedDict[str, BuiltPackage]" = OrderedDict()
+        #: Builds requested more than once, least recently used first.
+        self._protected: "OrderedDict[str, BuiltPackage]" = OrderedDict()
+        #: Fingerprints pushed out of probation, oldest first (values unused).
+        self._ghosts: Dict[str, None] = {}
         #: In-flight builds: fingerprint → event set when the build lands.
         self._building: dict = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.singleflight_waits = 0
+        self.readmissions = 0
 
     def get_or_build(self, package) -> BuiltPackage:
         fingerprint = package_fingerprint(package)
         while True:
             with self._lock:
-                entry = self._entries.get(fingerprint)
+                segment = self._protected
+                entry = segment.get(fingerprint)
+                if entry is None:
+                    segment = self._probation
+                    entry = segment.get(fingerprint)
                 if entry is not None and entry.stdlib_generation == stdlib.generation():
-                    self._entries.move_to_end(fingerprint)
+                    # Moves a protected build to the LRU's recent end and
+                    # promotes a probationary one.
+                    del segment[fingerprint]
+                    self._protected[fingerprint] = entry
                     self.hits += 1
                     return entry
                 pending = self._building.get(fingerprint)
@@ -1710,6 +1752,14 @@ class ProgramCache:
                     # This thread builds; racers wait on the event below.
                     self._building[fingerprint] = threading.Event()
                     self.misses += 1
+                    # A stale build or a ghost was requested before: its
+                    # rebuild is protected.
+                    ghost = fingerprint in self._ghosts
+                    if ghost:
+                        del self._ghosts[fingerprint]
+                    elif entry is not None:
+                        del segment[fingerprint]
+                    protect = ghost or entry is not None
                     break
                 self.singleflight_waits += 1
             # Another thread is building this fingerprint: wait for it to
@@ -1730,10 +1780,13 @@ class ProgramCache:
                     errors.append(str(exc))
             entry = BuiltPackage(fingerprint, files, errors, generation)
             with self._lock:
-                self._entries[fingerprint] = entry
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
+                self._make_room(protect)
+                if protect:
+                    self._protected[fingerprint] = entry
+                    if ghost:
+                        self.readmissions += 1
+                else:
+                    self._probation[fingerprint] = entry
         finally:
             with self._lock:
                 event = self._building.pop(fingerprint, None)
@@ -1741,17 +1794,42 @@ class ProgramCache:
                 event.set()
         return entry
 
+    def _make_room(self, protect: bool) -> None:
+        """Evict at most one build so that one more fits (lock held)."""
+        probation, protected = self._probation, self._protected
+        if not protect and len(probation) >= min(_PROBATION_BUILDS, self.capacity):
+            self._demote()
+        elif len(probation) + len(protected) >= self.capacity:
+            if protected:
+                protected.popitem(last=False)
+                self.evictions += 1
+            else:
+                self._demote()
+
+    def _demote(self) -> None:
+        """Drop the oldest probationary build, keeping its fingerprint."""
+        fingerprint, _ = self._probation.popitem(last=False)
+        self.evictions += 1
+        ghosts = self._ghosts
+        ghosts[fingerprint] = None
+        if len(ghosts) > _GHOSTS_PER_SLOT * self.capacity:
+            del ghosts[next(iter(ghosts))]
+
     def stats(self) -> Dict[str, int]:
         """A consistent snapshot of every cache counter (for observability)."""
         parse = parse_cache_info()
         with self._lock:
             return {
-                "entries": len(self._entries),
+                "entries": len(self._probation) + len(self._protected),
                 "capacity": self.capacity,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "singleflight_waits": self.singleflight_waits,
+                # Builds requested once so far, and misses whose fingerprint
+                # was still remembered and so went straight to protected.
+                "probationary": len(self._probation),
+                "readmissions": self.readmissions,
                 # The shared parse cache behind every ``parse_file`` call
                 # (named apart from ``hits``/``misses``, which count builds).
                 "parse_hits": parse.hits,
@@ -1760,18 +1838,21 @@ class ProgramCache:
             }
 
     def clear(self) -> None:
-        """Cold-start reset: every build and every shared parse is dropped."""
+        """Cold-start reset: every build, ghost and shared parse is dropped."""
         clear_parse_cache()
         with self._lock:
-            self._entries.clear()
+            self._probation.clear()
+            self._protected.clear()
+            self._ghosts.clear()
             self.hits = 0
             self.misses = 0
             self.evictions = 0
             self.singleflight_waits = 0
+            self.readmissions = 0
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._probation) + len(self._protected)
 
 
 #: The process-wide program cache used by the harness.

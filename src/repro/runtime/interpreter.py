@@ -219,9 +219,9 @@ class Interpreter:
             for spec, file_name in self._global_specs:
                 goroutine.stack[-1].file = file_name
                 values: List[Any] = []
-                for expr in spec.values:
-                    value = yield from self.eval_expr(goroutine, expr, self.globals)
-                    values.append(value)
+                if spec.values:
+                    values = yield from self._eval_rhs(
+                        goroutine, spec.values, len(spec.names), self.globals)
                 for index, var_name in enumerate(spec.names):
                     if index < len(values):
                         value = values[index]

@@ -225,3 +225,113 @@ class TestProgramCache:
         rebuilt = cache.get_or_build(packages[0])
         assert rebuilt is not builds[0]
         assert rebuilt.fingerprint == builds[0].fingerprint
+
+
+def _tiny(tag):
+    """A distinct one-file package per ``tag`` (cheap to build)."""
+    return GoPackage(name=f"p{tag}", files=[GoFile("a.go", f"package p{tag}\n")])
+
+
+def _scan(cache, count, prefix="scan"):
+    """Build ``count`` distinct packages once each, as a detection sweep does."""
+    for index in range(count):
+        cache.get_or_build(_tiny(f"{prefix}{index}"))
+
+
+#: Builds a scan pushes a once-requested build out after (the probation size).
+PROBATION = 16
+
+
+class TestScanResistantAdmission:
+    def test_scan_longer_than_capacity_keeps_builds_requested_twice(self):
+        cache = ProgramCache()
+        hot = [cache.get_or_build(_tiny(f"hot{i}")) for i in range(4)]
+        for index in range(4):
+            assert cache.get_or_build(_tiny(f"hot{index}")) is hot[index]
+        _scan(cache, cache.capacity + 50)
+        misses = cache.stats()["misses"]
+        for index in range(4):
+            assert cache.get_or_build(_tiny(f"hot{index}")) is hot[index]
+        stats = cache.stats()
+        assert stats["misses"] == misses
+        # The scan kept only the probation segment's worth of its builds.
+        assert stats["entries"] == 4 + PROBATION
+        assert stats["probationary"] == PROBATION
+
+    def test_re_request_while_probationary_is_a_hit_and_promotes(self):
+        cache = ProgramCache()
+        first = cache.get_or_build(_tiny("target"))
+        _scan(cache, PROBATION - 1)
+        assert cache.stats()["probationary"] == PROBATION
+        assert cache.get_or_build(_tiny("target")) is first
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (1, PROBATION)
+        assert stats["probationary"] == PROBATION - 1
+        # Promoted: a further scan no longer pushes it out.
+        _scan(cache, 3 * PROBATION, prefix="more")
+        assert cache.get_or_build(_tiny("target")) is first
+
+    def test_re_request_after_leaving_probation_is_one_miss_then_hits(self):
+        cache = ProgramCache()
+        first = cache.get_or_build(_tiny("target"))
+        _scan(cache, PROBATION)
+        assert cache.stats()["evictions"] == 1
+        rebuilt = cache.get_or_build(_tiny("target"))
+        assert rebuilt is not first
+        stats = cache.stats()
+        assert (stats["misses"], stats["readmissions"]) == (PROBATION + 2, 1)
+        # The ghost admitted the rebuild straight to the protected segment.
+        assert stats["probationary"] == PROBATION
+        _scan(cache, 3 * PROBATION, prefix="more")
+        assert cache.get_or_build(_tiny("target")) is rebuilt
+        assert cache.get_or_build(_tiny("target")) is rebuilt
+        assert cache.stats()["readmissions"] == 1
+
+    def test_stdlib_registration_invalidates_both_segments(self):
+        from repro.runtime import stdlib
+
+        cache = ProgramCache()
+        once = cache.get_or_build(_tiny("once"))
+        twice = cache.get_or_build(_tiny("twice"))
+        assert cache.get_or_build(_tiny("twice")) is twice
+        assert cache.stats()["probationary"] == 1
+        stdlib.register_package("shimpkg", {"Answer": 42})
+        fresh_once = cache.get_or_build(_tiny("once"))
+        fresh_twice = cache.get_or_build(_tiny("twice"))
+        assert fresh_once is not once and fresh_twice is not twice
+        for fresh in (fresh_once, fresh_twice):
+            assert fresh.stdlib_generation == stdlib.generation()
+        stats = cache.stats()
+        # The stale builds were replaced, not kept beside their rebuilds; both
+        # were requested before, so both rebuilds are protected.
+        assert (stats["entries"], stats["probationary"]) == (2, 0)
+        assert stats["readmissions"] == 0
+        assert cache.get_or_build(_tiny("once")) is fresh_once
+        assert cache.get_or_build(_tiny("twice")) is fresh_twice
+
+    def test_capacity_bounds_both_segments_together(self):
+        cache = ProgramCache(capacity=PROBATION + 4)
+        for index in range(10):
+            cache.get_or_build(_tiny(f"hot{index}"))
+            cache.get_or_build(_tiny(f"hot{index}"))
+        _scan(cache, 3 * cache.capacity)
+        stats = cache.stats()
+        assert len(cache) == stats["entries"] == cache.capacity
+        # Probation refills to its size; the protected LRU keeps the rest,
+        # its most recently used builds.
+        assert stats["probationary"] == PROBATION
+        misses = stats["misses"]
+        for index in range(6, 10):
+            cache.get_or_build(_tiny(f"hot{index}"))
+        assert cache.stats()["misses"] == misses
+
+    def test_clear_forgets_ghosts(self):
+        cache = ProgramCache()
+        cache.get_or_build(_tiny("target"))
+        _scan(cache, PROBATION)
+        cache.clear()
+        cache.get_or_build(_tiny("target"))
+        stats = cache.stats()
+        # A first-time build again: probationary, not readmitted.
+        assert (stats["misses"], stats["readmissions"], stats["probationary"]) == (1, 0, 1)
+        assert stats["evictions"] == 0

@@ -146,7 +146,7 @@ class TestSingleFlight:
     def test_stats_snapshot_has_every_counter(self):
         expected = {
             "entries", "capacity", "hits", "misses", "evictions",
-            "singleflight_waits",
+            "singleflight_waits", "probationary", "readmissions",
             "parse_hits", "parse_misses", "parse_entries",
         }
         assert expected == set(ProgramCache(capacity=2).stats())

@@ -166,6 +166,7 @@ class TestCLI:
         assert "determinism: all four runs report" in captured
         assert re.search(
             r"^program cache: \d+ hits / [1-9]\d* misses, \d+ evictions, "
+            r"\d+ probationary, \d+ readmissions, "
             r"\d+ single-flight waits$", captured, re.MULTILINE)
 
 
