@@ -6,8 +6,8 @@ Two kinds are pinned:
 * detection digests (slice-aware lowering): the race verdict, the racy
   variables, the bug hashes, test failures, program output, build errors,
   scheduler steps, and run/test counts (see
-  :func:`repro.testing.detection_outcome`), over the full template corpus
-  and a 32-mutant corpus;
+  :func:`repro.testing.detection_outcome`), over the full template corpus,
+  a 32-mutant corpus and the construct packages below;
 * outcome digests (fully instrumented lowering, ``slicing=False``): rendered
   race reports with their cell addresses, failures, output, build errors and
   run/test counts (see :func:`repro.testing.run_outcome`), over the same two
@@ -45,6 +45,10 @@ SWEEPS = {
     "templates": ((0, 11), 5),
     "mutants": ((7, 19), 3),
 }
+
+#: (seeds, runs) of the construct packages' detection digests, recorded
+#: under ``"constructs"``: the slice-aware lowering of every construct.
+CONSTRUCT_SWEEP = ((0, 11), 5)
 
 #: outcome set name -> (seeds, runs), recorded under ``"outcomes"``
 OUTCOME_SWEEPS = {
@@ -309,6 +313,285 @@ func TestAddressOf(t *testing.T) {
 \tprintln(x, *p, q.x)
 }
 """,
+    # select receives: v, ok := <-ch against default, open then closed; an
+    # assigned receive racing a ready bare receive; a blocking select.
+    "select-recv": """
+func source(ch chan int) chan int {
+\treturn ch
+}
+
+func TestSelectRecv(t *testing.T) {
+\tch := make(chan int, 2)
+\tshared := 0
+\tgo func() {
+\t\tshared = 1
+\t\tch <- 4
+\t\tclose(ch)
+\t}()
+\tgot := 0
+\tfor i := 0; i < 4; i++ {
+\t\tselect {
+\t\tcase v, ok := <-ch:
+\t\t\tprintln("recv", v, ok)
+\t\t\tgot += v
+\t\tdefault:
+\t\t\tprintln("empty")
+\t\t}
+\t}
+\tvar last int
+\tdone := make(chan bool, 1)
+\tdone <- true
+\tselect {
+\tcase last = <-source(ch):
+\t\tprintln("assigned", last)
+\tcase <-done:
+\t\tprintln("done")
+\t}
+\tres := make(chan int)
+\tgo func() {
+\t\tres <- 42
+\t}()
+\tfor {
+\t\tselect {
+\t\tcase r := <-res:
+\t\t\tprintln("res", r)
+\t\t\tshared = got + r
+\t\t\tprintln(shared, last)
+\t\t\treturn
+\t\t}
+\t}
+}
+""",
+    # Local type and const declarations, a grouped var, zero values of a
+    # local struct, a named scalar, an anonymous struct and sync types.
+    "local-decls": """
+func TestLocalDecls(t *testing.T) {
+\ttype pair struct {
+\t\ta int
+\t\tb string
+\t}
+\ttype counter int
+\tconst limit = 3
+\tvar (
+\t\ttotal int
+\t\tnames []string
+\t\tmu    sync.Mutex
+\t)
+\tvar q pair
+\tvar c counter = 5
+\tvar anon struct{ n int }
+\tp := pair{a: 1, b: "x"}
+\tvar wg sync.WaitGroup
+\tfor i := 0; i < limit; i++ {
+\t\twg.Add(1)
+\t\tgo func(i int) {
+\t\t\tdefer wg.Done()
+\t\t\tmu.Lock()
+\t\t\ttotal += i
+\t\t\tnames = append(names, "n")
+\t\t\tmu.Unlock()
+\t\t\tp.a = i
+\t\t\tanon.n = i
+\t\t}(i)
+\t}
+\twg.Wait()
+\tq.b = p.b
+\tprintln(total, len(names), limit, q.a, q.b, c, anon.n)
+}
+""",
+    # cap, recover, append(s, t...), copy, new, delete, close, print and a
+    # builtin name the program also binds.
+    "builtins": """
+func dup(dst, src []int) int {
+\treturn copy(dst, src)
+}
+
+func TestBuiltins(t *testing.T) {
+\ts := make([]int, 2, 8)
+\textra := []int{7, 8}
+\ts = append(s, extra...)
+\ts = append(s, 9)
+\tvar none []int
+\tnone = append(none, 1)
+\tu := make([]int, 3)
+\tn := dup(u, s)
+\tch := make(chan int, 3)
+\tch <- 1
+\tm := map[string]int{"a": 1, "b": 2}
+\tdelete(m, "a")
+\tp := new(int)
+\t*p = len(s)
+\tdefer func() {
+\t\tr := recover()
+\t\tprintln("recovered", r)
+\t}()
+\tdone := make(chan bool)
+\tgo func() {
+\t\ts[0] = cap(ch)
+\t\tdone <- true
+\t}()
+\tx := s[0]
+\t<-done
+\tclose(ch)
+\tcopy := func(a, b int) int {
+\t\treturn a + b
+\t}
+\tprintln(len(s), cap(s), cap(ch), len(ch), len(m), len(none), n, u[2], *p, x, copy(1, 2))
+\tprint("plain", len("gopher"))
+}
+""",
+    # &s[i], &T{} with a pointer method, and slices of a string variable.
+    "address-index": """
+type box struct {
+\tn int
+}
+
+func (b *box) bump() {
+\tb.n++
+}
+
+func TestAddressIndex(t *testing.T) {
+\ts := []int{1, 2, 3}
+\te := &s[1]
+\tb := &box{}
+\tword := "gopher"
+\tsub := word[2:]
+\tpre := word[:3]
+\tdone := make(chan bool)
+\tgo func() {
+\t\t*e = 20
+\t\tb.bump()
+\t\tdone <- true
+\t}()
+\ts[1] = 5
+\tb.n = 3
+\t<-done
+\tprintln(s[1], *e, b.n, sub, pre, word[1:4])
+}
+""",
+    # *p = v, m[k] = v, s[i] = v and x.f = v, racing, then the augmented,
+    # increment, nested, swapped and parenthesized forms of each.
+    "assign-targets": """
+type node struct {
+\tval  int
+\tnext *node
+\ttags map[string]int
+}
+
+func TestAssignTargets(t *testing.T) {
+\tx := 1
+\tp := &x
+\tm := map[string]int{}
+\ts := []int{0, 0, 0}
+\tn := node{tags: map[string]int{}}
+\tn.next = &node{}
+\tvar wg sync.WaitGroup
+\twg.Add(1)
+\tgo func() {
+\t\tdefer wg.Done()
+\t\t*p = 2
+\t\tm["a"] = 1
+\t\ts[0] = 3
+\t\tn.val = 4
+\t}()
+\t*p = 5
+\tm["b"] = 6
+\ts[1] = 7
+\tn.val = 8
+\twg.Wait()
+\tm["a"] += 10
+\ts[2]++
+\tn.val += 1
+\t(*p)++
+\tn.next.val = 9
+\tn.tags["k"] = 11
+\ts[0], s[1] = s[1], s[0]
+\t(x) = x + 1
+\t_ = n
+\tprintln(x, *p, m["a"], m["b"], len(m), s[0], s[1], s[2], n.val, n.next.val, n.tags["k"])
+}
+""",
+    # switch: default before later cases, case expressions evaluated in
+    # order until one matches, continue and a labeled break out of a loop,
+    # fallthrough, and a switch whose init declares the tag.
+    "switch-flow": """
+func pick(n int, seen *int) int {
+\t*seen = *seen + 1
+\treturn n
+}
+
+func TestSwitchFlow(t *testing.T) {
+\tevals := 0
+\tout := 0
+\tshared := 0
+\tgo func() {
+\t\tshared = 2
+\t}()
+Loop:
+\tfor i := 0; i < 6; i++ {
+\t\tswitch i {
+\t\tcase pick(0, &evals), pick(1, &evals):
+\t\t\tcontinue
+\t\tdefault:
+\t\t\tout += 100
+\t\tcase 2:
+\t\t\tout += 2
+\t\t\tfallthrough
+\t\tcase 3:
+\t\t\tout += 3
+\t\tcase 5:
+\t\t\tbreak Loop
+\t\t}
+\t\tout++
+\t}
+\tswitch s := shared; s {
+\tcase 0:
+\t\tprintln("unset")
+\tcase 2:
+\t\tprintln("set")
+\t}
+\tprintln(out, evals, shared)
+}
+""",
+    # Comma-ok reads of a slice, a string, a nil map and a parenthesized
+    # map index; plain assignment from comma-ok and tuple forms; package
+    # level comma-ok and struct initializers.
+    "comma-ok-forms": """
+func three() (int, string, bool) {
+\treturn 1, "two", true
+}
+
+type spot struct {
+\tx int
+}
+
+var table = map[string]int{"k": 1}
+
+var hit, present = table["k"]
+
+var home, away = spot{x: 1}, spot{}
+
+func TestCommaOkForms(t *testing.T) {
+\ts := []int{5, 6}
+\tvar nm map[string]int
+\tm := map[string]int{"a": 1}
+\tshared := 0
+\tgo func() {
+\t\tshared = 1
+\t}()
+\tv, ok := s[1]
+\tc, cok := "go"[0]
+\tz, zok := nm["x"]
+\tw, wok := (m["a"])
+\ta, b, d := three()
+\tvar e, f int
+\te, f = f, e
+\te, ok = m["missing"]
+\tplain := nm["q"]
+\tprintln(v, ok, c, cok, z, zok, w, wok, a, b, d, e, f, plain, shared)
+\tprintln(hit, present, home.x, away.x)
+}
+""",
 }
 
 CONSTRUCTS = {
@@ -364,16 +647,22 @@ def outcome_sweep(name):
 
 
 def sweep(corpus):
-    """``{"<case_id>@<seed>": digest}`` for every case and seed of ``corpus``."""
-    seeds, runs = SWEEPS[corpus]
+    """``{"<case_id>@<seed>": digest}`` for every case and seed of ``corpus``
+    (a corpus of :data:`SWEEPS` or ``"constructs"``)."""
+    if corpus == "constructs":
+        seeds, runs = CONSTRUCT_SWEEP
+        cases = list(CONSTRUCTS.items())
+    else:
+        seeds, runs = SWEEPS[corpus]
+        cases = [(case.case_id, case.package) for case in _cases(corpus)]
     reset_addresses()
     digests = {}
-    for case in _cases(corpus):
+    for case_id, package in cases:
         for seed in seeds:
-            key = f"{case.case_id}@{seed}"
-            assert key not in digests, f"duplicate case id {case.case_id}"
+            key = f"{case_id}@{seed}"
+            assert key not in digests, f"duplicate case id {case_id}"
             digests[key] = digest(detection_outcome(
-                case.package, seed, runs=runs, slicing=True))
+                package, seed, runs=runs, slicing=True))
     return digests
 
 
@@ -387,6 +676,14 @@ def test_detection_matches_golden(corpus, golden):
     expected = golden[corpus]
     actual = sweep(corpus)
     assert len(actual) >= 60
+    assert sorted(actual) == sorted(expected), "case set changed"
+    moved = sorted(key for key in expected if actual[key] != expected[key])
+    assert not moved, f"detection moved on {len(moved)} sweeps: {moved[:10]}"
+
+
+def test_construct_detection_matches_golden(golden):
+    expected = golden["constructs"]
+    actual = sweep("constructs")
     assert sorted(actual) == sorted(expected), "case set changed"
     moved = sorted(key for key in expected if actual[key] != expected[key])
     assert not moved, f"detection moved on {len(moved)} sweeps: {moved[:10]}"
@@ -439,10 +736,10 @@ def test_digest_moves_with_any_observable(key, value):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit("usage: test_detection_golden.py --regenerate")
-    fixture = {corpus: sweep(corpus) for corpus in sorted(SWEEPS)}
+    fixture = {corpus: sweep(corpus) for corpus in sorted(SWEEPS) + ["constructs"]}
     fixture["outcomes"] = {name: outcome_sweep(name) for name in sorted(OUTCOME_SWEEPS)}
     FIXTURE.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
-    count = sum(len(fixture[corpus]) for corpus in SWEEPS)
+    count = sum(len(fixture[corpus]) for corpus in sorted(SWEEPS) + ["constructs"])
     count += sum(map(len, fixture["outcomes"].values()))
     print(f"wrote {count} digests to {FIXTURE}")
