@@ -11,14 +11,18 @@ run-time work: the scheduling-point yields, the detector callbacks and the
 Three layers:
 
 * :func:`compile_expr` / :func:`compile_stmt` / :func:`compile_block` — the
-  lowering pass.  Hot node kinds are hand-lowered (identifier reads inline the
-  cell-read fast path, binary operators are pre-bound to their operator
-  implementation, literals — and package members that whole-program analysis
-  proves can never be shadowed — fold to constants at compile time); the rare
-  intricate kinds (``select``, ``switch``, declarations, slice expressions,
-  address-of, comma-ok reads) lower to thin wrappers over the
-  :class:`~repro.runtime.interpreter.Interpreter`'s runtime services, whose
-  *sub*-expressions still execute compiled.
+  lowering pass, the one implementation of the Go subset's semantics.  Every
+  node kind lowers here, builtins included: each call of a builtin lowers to
+  code that runs its precompiled arguments.  Hot kinds are specialised
+  (identifier reads inline the cell-read fast path, binary operators are
+  pre-bound to their operator implementation, literals — and package members
+  that whole-program analysis proves can never be shadowed — fold to
+  constants at compile time).  One right-hand-side lowering
+  (:func:`compile_rhs`) serves ``=``, ``:=`` and local and package-level
+  ``var``.  The closures call the
+  :class:`~repro.runtime.interpreter.Interpreter` only for runtime services
+  (memory accesses, calls, goroutines, channels, sync, conversions, zero
+  values), never to evaluate an AST.
 * :class:`CompiledProgram` — the parsed files, the whole-program facts
   (:class:`_ProgramMeta`: declarations, bound and imported names, the
   slicer's verdict) and the shared code cache.  A program is built once and
@@ -59,16 +63,11 @@ from repro.golang.slicing import slice_function, package_scope_bindings
 from repro.runtime import stdlib
 from repro.runtime.goroutine import Goroutine, STEP, blocked
 from repro.runtime.interpreter import (
-    _BUILTIN_HANDLERS,
     _NUMERIC_TYPES,
     _copy_struct,
-    _literal_value,
     _map_key,
-    _receiver_type_name,
-    _struct_field_names,
     _sync_zero,
     _type_display,
-    _values_equal,
     BoundMethod,
     BreakSignal,
     ContinueSignal,
@@ -80,9 +79,10 @@ from repro.runtime.interpreter import (
 from repro.runtime.memory import Cell, Environment
 from repro.runtime.race_detector import AccessRecord
 from repro.runtime.channels import Channel
-from repro.runtime.sync_primitives import Mutex, SyncMap, WaitGroup
+from repro.runtime.sync_primitives import Mutex, Once, RWMutex, SyncMap, WaitGroup
 from repro.runtime.values import (
     BuiltinFunc,
+    ErrorValue,
     FuncValue,
     MapValue,
     PointerValue,
@@ -92,6 +92,7 @@ from repro.runtime.values import (
     TypeValue,
     format_value,
     is_truthy,
+    zero_value,
 )
 
 #: A compiled expression/statement: ``(interp, goroutine, env) -> generator``.
@@ -116,10 +117,64 @@ def _const(value: Any) -> Code:
     return run
 
 
+def _fail(message: str) -> Code:
+    """Code that raises ``GoRuntimeError(message)`` when it runs."""
+
+    def run(interp, goroutine, env):
+        if False:  # pragma: no cover - keeps this a generator
+            yield STEP
+        raise GoRuntimeError(message)
+
+    return run
+
+
 def _leaf_line(node: ast.Node) -> Optional[int]:
     """The line recorded for a memory access at ``node`` (see ``_record_access``)."""
     line = node.pos.line
     return line if line else None
+
+
+def _literal_value(lit: ast.BasicLit) -> Any:
+    if lit.kind == "INT":
+        text = lit.value.replace("_", "")
+        if text.lower().startswith("0x"):
+            return int(text, 16)
+        return int(text)
+    if lit.kind == "FLOAT":
+        return float(lit.value)
+    return lit.value
+
+
+def _values_equal(left: Any, right: Any) -> bool:
+    if isinstance(left, (StructValue, MapValue, SliceValue)) or isinstance(
+        right, (StructValue, MapValue, SliceValue)
+    ):
+        return left is right
+    return left == right
+
+
+def _as_struct(value: Any) -> Optional[StructValue]:
+    if isinstance(value, StructValue):
+        return value
+    if isinstance(value, PointerValue):
+        return value.target_struct()
+    return None
+
+
+def _receiver_type_name(recv: ast.Field) -> str:
+    type_expr = recv.type_
+    if isinstance(type_expr, ast.StarExpr):
+        type_expr = type_expr.x
+    return _type_display(type_expr)
+
+
+def _struct_field_names(type_expr: ast.Expr | None) -> List[str]:
+    if isinstance(type_expr, ast.StructType):
+        names: List[str] = []
+        for field_decl in type_expr.fields:
+            names.extend(field_decl.names)
+        return names
+    return []
 
 
 # The one operator table: Go's binary operators (``&&``/``||`` short-circuit
@@ -407,12 +462,7 @@ def _build_expr(node: ast.Expr, code: CodeCache) -> Code:
     if isinstance(node, ast.CompositeLit):
         return _build_composite(node, code)
     if isinstance(node, ast.SliceExpr):
-
-        def run_slice(interp, goroutine, env):
-            result = yield from interp._eval_slice_expr(goroutine, node, env)
-            return result
-
-        return run_slice
+        return _build_slice(node, code)
     if isinstance(node, ast.FuncLit):
         # The body lowers on the closure's first call (``call_function``).
 
@@ -435,13 +485,7 @@ def _build_expr(node: ast.Expr, code: CodeCache) -> Code:
         return _const(TypeValue(expr=node))
     if isinstance(node, ast.KeyValueExpr):
         return compile_expr(node.value, code)
-
-    def run_unsupported(interp, goroutine, env):
-        if False:  # pragma: no cover - keeps this a generator
-            yield STEP
-        raise GoRuntimeError(f"unsupported expression: {type(node).__name__}")
-
-    return run_unsupported
+    return _fail(f"unsupported expression: {type(node).__name__}")
 
 
 def _build_ident(node: ast.Ident, code: CodeCache) -> Code:
@@ -533,6 +577,17 @@ def _type_value(name: str) -> TypeValue:
     return TypeValue(expr=ast.Ident(name=name), name=name)
 
 
+def _const_handler(value: Any):
+    """A :class:`BuiltinFunc` handler that returns ``value``."""
+
+    def handler(interp, goroutine, args, node):
+        if False:  # pragma: no cover - keeps this a generator
+            yield STEP
+        return value
+
+    return handler
+
+
 #: Predeclared type names an identifier can resolve to.
 _STATIC_TYPE_NAMES = frozenset(_NUMERIC_TYPES) | frozenset(
     ("string", "bool", "error", "any", "float32", "float64"))
@@ -545,7 +600,8 @@ def _build_selector(node: ast.SelectorExpr, code: CodeCache) -> Code:
     leaf = _leaf_line(node)
 
     def select(interp, goroutine, base):
-        """Inlined ``_select_from``: pointer unwrap + the hot struct path."""
+        """Select ``sel`` from ``base``: pointer unwrap, the hot struct path,
+        then packages, runtime objects and errors."""
         if isinstance(base, PointerValue):
             target = base.target_struct()
             if target is None and base.cell is not None:
@@ -569,8 +625,22 @@ def _build_selector(node: ast.SelectorExpr, code: CodeCache) -> Code:
                 AccessRecord(goroutine.gid, False, goroutine.stack_snapshot(leaf),
                              cell.name, cell.address, goroutine.creation_stack))
             return cell.value
-        result = yield from interp._select_from_value(goroutine, base, node)
-        return result
+        if isinstance(base, PackageRef):
+            member = stdlib.get_member(base.name, sel)
+            if member is not None:
+                return member
+            return TypeValue(expr=node, name=f"{base.name}.{sel}")
+        if isinstance(base, (Mutex, RWMutex, WaitGroup, SyncMap, Once, Channel)):
+            return BoundMethod(receiver=base, name=sel)
+        if isinstance(base, ErrorValue):
+            if sel == "Error":
+                return BuiltinFunc(name="Error", handler=_const_handler(base.message))
+            return BoundMethod(receiver=base, name=sel)
+        if hasattr(base, "go_call"):
+            return BoundMethod(receiver=base, name=sel)
+        if base is None:
+            raise GoPanic(f"invalid memory address or nil pointer dereference (selecting .{sel})")
+        raise GoRuntimeError(f"cannot select .{sel} from {format_value(base)}")
 
     if isinstance(node.x, ast.Ident):
         x_name = node.x.name
@@ -610,16 +680,13 @@ def _build_selector(node: ast.SelectorExpr, code: CodeCache) -> Code:
 
 def _build_call(node: ast.CallExpr, code: CodeCache) -> Code:
     fun = node.fun
-    builtin = _BUILTIN_HANDLERS.get(fun.name) if isinstance(fun, ast.Ident) else None
     fun_name = fun.name if isinstance(fun, ast.Ident) else ""
+    lower_builtin = _BUILTINS.get(fun_name)
+    builtin = lower_builtin(node, code) if lower_builtin is not None else None
     if builtin is not None and fun_name not in _meta_of(code).bound_names:
         # The program provably never binds this builtin's name, so the
         # shadowing lookup is statically None: the builtin always wins.
-        def run_builtin(interp, goroutine, env):
-            result = yield from builtin(interp, goroutine, node, env)
-            return result
-
-        return run_builtin
+        return builtin
     fun_code = compile_expr(fun, code)
     arg_codes = tuple(compile_expr(arg, code) for arg in node.args)
     single_arg = len(node.args) == 1
@@ -627,7 +694,7 @@ def _build_call(node: ast.CallExpr, code: CodeCache) -> Code:
 
     def run(interp, goroutine, env):
         if builtin is not None and env.lookup(fun_name) is None:
-            result = yield from builtin(interp, goroutine, node, env)
+            result = yield from builtin(interp, goroutine, env)
             return result
         callee = yield from fun_code(interp, goroutine, env)
         args: List[Any] = []
@@ -689,6 +756,212 @@ def _build_call(node: ast.CallExpr, code: CodeCache) -> Code:
         raise GoRuntimeError(f"cannot call value of type {type(callee).__name__}")
 
     return run
+
+
+# Built-in functions.  Each lowers one call to code that evaluates exactly
+# the arguments the builtin reads, in order; a missing argument fails when
+# the call runs, not when it lowers.
+
+
+def _arg_codes(node: ast.CallExpr, code: CodeCache) -> Tuple[Code, ...]:
+    return tuple(compile_expr(arg, code) for arg in node.args)
+
+
+def _lower_make(node: ast.CallExpr, code: CodeCache) -> Code:
+    if not node.args:
+        return _fail("missing argument to make")
+    type_arg = node.args[0]
+    size_code = compile_expr(node.args[1], code) if len(node.args) > 1 else None
+    named = type_arg if isinstance(type_arg, (ast.ArrayType, ast.MapType, ast.ChanType,
+                                              ast.Ident, ast.SelectorExpr)) else None
+    display = _type_display(type_arg)
+
+    def run(interp, goroutine, env):
+        size = 0
+        if size_code is not None:
+            size_value = yield from size_code(interp, goroutine, env)
+            size = int(size_value or 0)
+        resolved = interp._resolve_type(named)
+        target = resolved if resolved is not None else type_arg
+        if isinstance(target, ast.ChanType):
+            return Channel(capacity=size, name=display)
+        if isinstance(target, ast.MapType):
+            return MapValue(name=display)
+        if isinstance(target, ast.ArrayType):
+            elements = [Cell(value=zero_value(target.elt)) for _ in range(size)]
+            return SliceValue(elements=elements, name=display)
+        raise GoRuntimeError(f"cannot make {display}")
+
+    return run
+
+
+def _lower_new(node: ast.CallExpr, code: CodeCache) -> Code:
+    type_arg = node.args[0] if node.args else None
+
+    def run(interp, goroutine, env):
+        if False:  # pragma: no cover - keeps this a generator
+            yield STEP
+        value = interp._zero_for_type(type_arg)
+        if isinstance(value, StructValue):
+            return PointerValue(struct=value)
+        return PointerValue(cell=Cell(value=value, name="new"))
+
+    return run
+
+
+def _lower_len(node: ast.CallExpr, code: CodeCache) -> Code:
+    arg_codes = _arg_codes(node, code)
+
+    def run(interp, goroutine, env):
+        value = yield from arg_codes[0](interp, goroutine, env)
+        if isinstance(value, SliceValue):
+            return len(value.elements)
+        if isinstance(value, MapValue):
+            return len(value.entries)
+        if isinstance(value, Channel):
+            return len(value.buffer)
+        if isinstance(value, str):
+            return len(value)
+        if value is None:
+            return 0
+        raise GoRuntimeError(f"invalid argument to len: {format_value(value)}")
+
+    return run
+
+
+def _lower_cap(node: ast.CallExpr, code: CodeCache) -> Code:
+    arg_codes = _arg_codes(node, code)
+
+    def run(interp, goroutine, env):
+        value = yield from arg_codes[0](interp, goroutine, env)
+        if isinstance(value, SliceValue):
+            return len(value.elements)
+        if isinstance(value, Channel):
+            return value.capacity
+        if isinstance(value, int):
+            return value
+        return 0
+
+    return run
+
+
+def _lower_append(node: ast.CallExpr, code: CodeCache) -> Code:
+    arg_codes = _arg_codes(node, code)
+    spread_last = bool(node.ellipsis)
+    last = len(arg_codes) - 2
+
+    def run(interp, goroutine, env):
+        base = yield from arg_codes[0](interp, goroutine, env)
+        if base is None:
+            base = SliceValue()
+        if not isinstance(base, SliceValue):
+            raise GoRuntimeError("first argument to append must be a slice")
+        new_elements = list(base.elements)
+        for index, arg_code in enumerate(arg_codes[1:]):
+            value = yield from arg_code(interp, goroutine, env)
+            if spread_last and index == last and isinstance(value, SliceValue):
+                new_elements.extend(Cell(value=cell.value) for cell in value.elements)
+            else:
+                new_elements.append(Cell(value=interp._pass_value(value)))
+        return SliceValue(elements=new_elements, name=base.name)
+
+    return run
+
+
+def _lower_delete(node: ast.CallExpr, code: CodeCache) -> Code:
+    arg_codes = _arg_codes(node, code)
+
+    def run(interp, goroutine, env):
+        container = yield from arg_codes[0](interp, goroutine, env)
+        key = yield from arg_codes[1](interp, goroutine, env)
+        if isinstance(container, MapValue):
+            yield from interp.write_cell(goroutine, container.location,
+                                         len(container.entries), node)
+            container.entries.pop(_map_key(key), None)
+            return None
+        if isinstance(container, SyncMap):
+            container.delete(_map_key(key))
+            return None
+        if container is None:
+            return None
+        raise GoRuntimeError("delete expects a map")
+
+    return run
+
+
+def _lower_close(node: ast.CallExpr, code: CodeCache) -> Code:
+    arg_codes = _arg_codes(node, code)
+
+    def run(interp, goroutine, env):
+        channel = yield from arg_codes[0](interp, goroutine, env)
+        if not isinstance(channel, Channel):
+            raise GoPanic("close of nil channel")
+        interp.detector.on_release(goroutine.gid, channel.sync)
+        channel.close()
+        return None
+
+    return run
+
+
+def _lower_panic(node: ast.CallExpr, code: CodeCache) -> Code:
+    value_code = compile_expr(node.args[0], code) if node.args else _const(None)
+
+    def run(interp, goroutine, env):
+        value = yield from value_code(interp, goroutine, env)
+        raise GoPanic(f"panic: {format_value(value)}")
+
+    return run
+
+
+def _lower_copy(node: ast.CallExpr, code: CodeCache) -> Code:
+    arg_codes = _arg_codes(node, code)
+
+    def run(interp, goroutine, env):
+        dst = yield from arg_codes[0](interp, goroutine, env)
+        src = yield from arg_codes[1](interp, goroutine, env)
+        if not isinstance(dst, SliceValue) or not isinstance(src, SliceValue):
+            return 0
+        count = min(len(dst.elements), len(src.elements))
+        for index in range(count):
+            value = yield from interp.read_cell(goroutine, src.elements[index], node)
+            yield from interp.write_cell(goroutine, dst.elements[index], value, node)
+        return count
+
+    return run
+
+
+def _lower_recover(node: ast.CallExpr, code: CodeCache) -> Code:
+    return _const(None)
+
+
+def _lower_println(node: ast.CallExpr, code: CodeCache) -> Code:
+    arg_codes = _arg_codes(node, code)
+
+    def run(interp, goroutine, env):
+        parts = []
+        for arg_code in arg_codes:
+            value = yield from arg_code(interp, goroutine, env)
+            parts.append(format_value(value))
+        interp.output.append(" ".join(parts))
+        return None
+
+    return run
+
+
+_BUILTINS: Dict[str, Callable[[ast.CallExpr, CodeCache], Code]] = {
+    "make": _lower_make,
+    "new": _lower_new,
+    "len": _lower_len,
+    "cap": _lower_cap,
+    "append": _lower_append,
+    "delete": _lower_delete,
+    "close": _lower_close,
+    "panic": _lower_panic,
+    "copy": _lower_copy,
+    "recover": _lower_recover,
+    "println": _lower_println,
+    "print": _lower_println,
+}
 
 
 def _build_binary(node: ast.BinaryExpr, code: CodeCache) -> Code:
@@ -755,12 +1028,7 @@ def _build_unary(node: ast.UnaryExpr, code: CodeCache) -> Code:
 
         return run_recv
     if op == "&":
-
-        def run_addr(interp, goroutine, env):
-            result = yield from interp._eval_address_of(goroutine, node.x, env)
-            return result
-
-        return run_addr
+        return _build_address_of(node.x, code)
     operand_code = compile_expr(node.x, code)
     if op == "-":
         compute = lambda operand: -(operand or 0)
@@ -810,7 +1078,9 @@ def _build_deref(node: ast.StarExpr, code: CodeCache) -> Code:
     return run
 
 
-def _build_index(node: ast.IndexExpr, code: CodeCache) -> Code:
+def _build_index(node: ast.IndexExpr, code: CodeCache, comma_ok: bool = False) -> Code:
+    """``x[i]`` of a map, slice, ``sync.Map`` or string; with ``comma_ok``,
+    ``v, ok := x[i]``, which returns ``[value, present]``."""
     x_code = compile_expr(node.x, code)
     index_code = compile_expr(node.index, code)
     leaf = _leaf_line(node)
@@ -825,7 +1095,9 @@ def _build_index(node: ast.IndexExpr, code: CodeCache) -> Code:
                 goroutine.gid, location,
                 AccessRecord(goroutine.gid, False, goroutine.stack_snapshot(leaf),
                              location.name, location.address, goroutine.creation_stack))
-            return container.entries.get(_map_key(key))
+            key = _map_key(key)
+            value = container.entries.get(key)
+            return [value, key in container.entries] if comma_ok else value
         if isinstance(container, SliceValue):
             index = int(key)
             elements = container.elements
@@ -839,19 +1111,102 @@ def _build_index(node: ast.IndexExpr, code: CodeCache) -> Code:
                 goroutine.gid, cell,
                 AccessRecord(goroutine.gid, False, goroutine.stack_snapshot(leaf),
                              cell.name, cell.address, goroutine.creation_stack))
-            return cell.value
+            return [cell.value, True] if comma_ok else cell.value
         # Uncommon containers.
         if isinstance(container, SyncMap):
-            value, _present = container.load(_map_key(key))
-            return value
+            value, present = container.load(_map_key(key))
+            return [value, present] if comma_ok else value
         if isinstance(container, str):
-            return container[int(key)]
+            value = container[int(key)]
+            return [value, True] if comma_ok else value
         if container is None:
             # Reading from a nil map yields the zero value.
-            return None
+            return [None, False] if comma_ok else None
         raise GoRuntimeError(f"cannot index {format_value(container)}")
 
     return run
+
+
+def _build_slice(node: ast.SliceExpr, code: CodeCache) -> Code:
+    """``x[low:high]`` of a slice (sharing its elements) or a string; the
+    high bound is evaluated only once ``x`` is known to be sliceable."""
+    x_code = compile_expr(node.x, code)
+    low_code = compile_expr(node.low, code) if node.low is not None else None
+    high_code = compile_expr(node.high, code) if node.high is not None else None
+
+    def run(interp, goroutine, env):
+        container = yield from x_code(interp, goroutine, env)
+        low = 0
+        if low_code is not None:
+            low_value = yield from low_code(interp, goroutine, env)
+            low = int(low_value)
+        is_slice = isinstance(container, SliceValue)
+        if not is_slice and not isinstance(container, str):
+            raise GoRuntimeError(f"cannot slice {format_value(container)}")
+        high = len(container)
+        if high_code is not None:
+            high_value = yield from high_code(interp, goroutine, env)
+            high = int(high_value)
+        if is_slice:
+            return SliceValue(elements=container.elements[low:high], name=container.name)
+        return container[low:high]
+
+    return run
+
+
+def _build_address_of(target: ast.Expr, code: CodeCache) -> Code:
+    """``&target``: a variable's own cell (after a schedule point), a
+    field's or a slice element's cell, a composite literal's struct, or
+    else a fresh cell holding the operand's value."""
+    if isinstance(target, ast.Ident):
+        name = target.name
+
+        def run_var(interp, goroutine, env):
+            cell = env.lookup(name)
+            if cell is None:
+                raise GoRuntimeError(f"undefined: {name}")
+            yield STEP
+            return PointerValue(cell=cell)
+
+        return run_var
+    if isinstance(target, ast.SelectorExpr):
+        x_code = compile_expr(target.x, code)
+        sel = target.sel
+        owner_static = ast.base_name(target)
+
+        def run_field(interp, goroutine, env):
+            base = yield from x_code(interp, goroutine, env)
+            struct = _as_struct(base)
+            if struct is None:
+                raise GoRuntimeError(f"cannot take address of field {sel}")
+            owner = owner_static or struct.type_name
+            return PointerValue(cell=struct.field_cell(sel, owner_name=owner))
+
+        return run_field
+    if isinstance(target, ast.IndexExpr):
+        x_code = compile_expr(target.x, code)
+        index_code = compile_expr(target.index, code)
+
+        def run_element(interp, goroutine, env):
+            container = yield from x_code(interp, goroutine, env)
+            key = yield from index_code(interp, goroutine, env)
+            if isinstance(container, SliceValue):
+                return PointerValue(cell=container.elements[int(key)])
+            raise GoRuntimeError("cannot take address of map element")
+
+        return run_element
+    value_code = compile_expr(target, code)
+    is_literal = isinstance(target, ast.CompositeLit)
+
+    def run_value(interp, goroutine, env):
+        value = yield from value_code(interp, goroutine, env)
+        if is_literal:
+            if isinstance(value, StructValue):
+                return PointerValue(struct=value)
+            return PointerValue(cell=Cell(value=value, name="composite"))
+        return PointerValue(cell=Cell(value=value, name="temp"))
+
+    return run_value
 
 
 def _build_composite(node: ast.CompositeLit, code: CodeCache) -> Code:
@@ -935,10 +1290,16 @@ def _build_composite(node: ast.CompositeLit, code: CodeCache) -> Code:
 def compile_assign_target(target: ast.Expr, define: bool, code: CodeCache) -> Code:
     """Lower an assignment target to ``(interp, goroutine, env, value) -> gen``.
 
-    Identifiers lower here; other targets go through
-    :meth:`Interpreter.assign_to`.  Every path starts with the
-    ``_pass_value`` struct-copy (which allocates cells and therefore must
-    happen even for discarded values, to keep addresses aligned)."""
+    Every path starts with the ``_pass_value`` struct-copy (which allocates
+    cells and therefore must happen even for discarded values, to keep
+    addresses aligned), before any part of the target is evaluated."""
+    return _lower_target(target, define, code, _meta_of(code).elidable)
+
+
+def _lower_target(target: ast.Expr, define: bool, code: CodeCache,
+                  elidable: frozenset) -> Code:
+    """:func:`compile_assign_target` with the set of identifier nodes whose
+    writes may skip the detector (``select`` receives pass an empty one)."""
     if isinstance(target, ast.Ident):
         name = target.name
         leaf = _leaf_line(target)
@@ -952,7 +1313,7 @@ def compile_assign_target(target: ast.Expr, define: bool, code: CodeCache) -> Co
 
             return run_blank
 
-        if id(target) in _meta_of(code).elidable:
+        if id(target) in elidable:
             # Single-goroutine binding (see ``_build_ident``): the write keeps
             # its value semantics (``_pass_value`` still allocates struct-copy
             # cells in the same order) but drops the schedule point and
@@ -997,22 +1358,87 @@ def compile_assign_target(target: ast.Expr, define: bool, code: CodeCache) -> Co
         return run_ident
 
     if isinstance(target, ast.ParenExpr):
-        inner_code = compile_assign_target(target.x, define, code)
+        inner_code = _lower_target(target.x, define, code, elidable)
 
         def run_paren(interp, goroutine, env, value):
-            # ``_pass_value`` applies at both levels, as in
-            # ``Interpreter.assign_to``, so struct-copy allocations line up.
+            # ``_pass_value`` applies at both levels, so struct-copy
+            # allocations happen once per level.
             value = interp._pass_value(value)
             yield from inner_code(interp, goroutine, env, value)
             return None
 
         return run_paren
 
-    def run_generic(interp, goroutine, env, value):
-        yield from interp.assign_to(goroutine, target, value, env, define)
-        return None
+    if isinstance(target, ast.SelectorExpr):
+        x_code = compile_expr(target.x, code)
+        sel = target.sel
+        owner_static = ast.base_name(target)
 
-    return run_generic
+        def run_field(interp, goroutine, env, value):
+            value = interp._pass_value(value)
+            base = yield from x_code(interp, goroutine, env)
+            struct = _as_struct(base)
+            if struct is None:
+                raise GoRuntimeError(
+                    f"cannot assign to field {sel} of {format_value(base)}")
+            cell = struct.field_cell(sel, owner_name=owner_static or struct.type_name)
+            yield from interp.write_cell(goroutine, cell, value, target)
+            return None
+
+        return run_field
+
+    if isinstance(target, ast.IndexExpr):
+        x_code = compile_expr(target.x, code)
+        index_code = compile_expr(target.index, code)
+
+        def run_element(interp, goroutine, env, value):
+            value = interp._pass_value(value)
+            container = yield from x_code(interp, goroutine, env)
+            key = yield from index_code(interp, goroutine, env)
+            if isinstance(container, MapValue):
+                yield from interp.write_cell(goroutine, container.location,
+                                             len(container.entries), target)
+                container.entries[_map_key(key)] = value
+                return None
+            if isinstance(container, SyncMap):
+                container.store(_map_key(key), value)
+                return None
+            if isinstance(container, SliceValue):
+                index = int(key)
+                elements = container.elements
+                if index >= len(elements) or index < 0:
+                    raise GoPanic(f"runtime error: index out of range [{index}] "
+                                  f"with length {len(elements)}")
+                yield from interp.write_cell(goroutine, elements[index], value, target)
+                return None
+            if container is None:
+                raise GoPanic("assignment to entry in nil map")
+            raise GoRuntimeError(f"cannot index into {format_value(container)}")
+
+        return run_element
+
+    if isinstance(target, ast.StarExpr):
+        x_code = compile_expr(target.x, code)
+
+        def run_deref(interp, goroutine, env, value):
+            value = interp._pass_value(value)
+            pointer = yield from x_code(interp, goroutine, env)
+            if not isinstance(pointer, PointerValue) or pointer.cell is None:
+                raise GoPanic("invalid memory address or nil pointer dereference")
+            yield from interp.write_cell(goroutine, pointer.cell, value, target)
+            return None
+
+        return run_deref
+
+    message = f"cannot assign to {type(target).__name__}"
+
+    def run_unassignable(interp, goroutine, env, value):
+        if False:  # pragma: no cover - keeps this a generator
+            yield STEP
+        interp._pass_value(value)
+        raise GoRuntimeError(message)
+
+    return run_unassignable
 
 
 # ---------------------------------------------------------------------------
@@ -1309,33 +1735,200 @@ def _build_stmt(node: ast.Stmt, code: CodeCache) -> Code:
     if isinstance(node, ast.RangeStmt):
         return _build_range(node, code, line)
 
-    # Remaining statement kinds (decl, switch, select) lower to thin
-    # wrappers over the interpreter's runtime services; their
-    # sub-statements and sub-expressions still run compiled, through the
-    # interpreter's ``exec_stmt``/``eval_expr`` dispatch.
     if isinstance(node, ast.DeclStmt):
-        method = Interpreter.exec_decl_stmt
-    elif isinstance(node, ast.SwitchStmt):
-        method = Interpreter.exec_switch
-    elif isinstance(node, ast.SelectStmt):
-        method = Interpreter.exec_select
-    else:
+        return _build_decl(node, code, line)
+    if isinstance(node, ast.SwitchStmt):
+        return _build_switch(node, code, line)
+    if isinstance(node, ast.SelectStmt):
+        return _build_select(node, code, line)
+    return _fail(f"unsupported statement: {type(node).__name__}")
 
-        def run_unsupported(interp, goroutine, env):
+
+def _build_decl(node: ast.DeclStmt, code: CodeCache, line: int) -> Code:
+    """A local declaration.  ``type`` specs join the run's type table;
+    ``var``/``const`` specs declare one cell per name, holding the
+    right-hand side's value (struct-copied) or else the type's zero."""
+    decl = node.decl
+    if decl.tok == "type":
+        type_specs = tuple(spec for spec in decl.specs if isinstance(spec, ast.TypeSpec))
+
+        def run_type(interp, goroutine, env):
             if False:  # pragma: no cover - keeps this a generator
                 yield STEP
-            raise GoRuntimeError(f"unsupported statement: {type(node).__name__}")
+            stack = goroutine.stack
+            if stack and line:
+                stack[-1].line = line
+            for spec in type_specs:
+                interp.types[spec.name] = spec
+            return None
 
-        return run_unsupported
+        return run_type
+    specs = tuple(
+        (spec.names, spec.type_,
+         compile_rhs(spec.values, len(spec.names), code) if spec.values else None)
+        for spec in decl.specs if isinstance(spec, ast.ValueSpec))
 
-    def run_wrapped(interp, goroutine, env, method=method):
+    def run(interp, goroutine, env):
         stack = goroutine.stack
         if stack and line:
             stack[-1].line = line
-        signal = yield from method(interp, goroutine, node, env)
+        for names, type_, rhs_code in specs:
+            if rhs_code is not None:
+                values = yield from rhs_code(interp, goroutine, env)
+                for name, value in zip(names, values):
+                    cell = env.declare(name, interp._pass_value(value))
+                    cell.name = name
+            else:
+                for name in names:
+                    cell = env.declare(name, interp._zero_for_type(type_))
+                    cell.name = name
+        return None
+
+    return run
+
+
+def _run_clause(interp, goroutine, scope, stmt_codes) -> Generator:
+    """Run a ``switch`` or ``select`` clause body; an unlabeled ``break``
+    ends the statement."""
+    for stmt_code in stmt_codes:
+        signal = yield from stmt_code(interp, goroutine, scope)
+        if isinstance(signal, BreakSignal) and signal.label is None:
+            return None
+        if isinstance(signal, Signal):
+            return signal
+    return None
+
+
+def _build_switch(node: ast.SwitchStmt, code: CodeCache, line: int) -> Code:
+    """An expression ``switch``: the cases' expressions are evaluated in
+    order until one equals the tag (or, tagless, is true); the chosen body,
+    or the ``default`` one, runs in the switch's own scope."""
+    init_code = compile_stmt(node.init, code) if node.init is not None else None
+    tagged = node.tag is not None
+    tag_code = compile_expr(node.tag, code) if tagged else None
+    cases = []
+    default_body = None
+    for case in node.cases:
+        body = tuple(compile_stmt(stmt, code) for stmt in case.body)
+        if case.exprs:
+            cases.append((tuple(compile_expr(expr, code) for expr in case.exprs), body))
+        else:
+            default_body = body
+
+    def run(interp, goroutine, env):
+        stack = goroutine.stack
+        if stack and line:
+            stack[-1].line = line
+        scope = Environment(parent=env)
+        if init_code is not None:
+            yield from init_code(interp, goroutine, scope)
+        tag: Any = True
+        if tagged:
+            tag = yield from tag_code(interp, goroutine, scope)
+        for expr_codes, body in cases:
+            for expr_code in expr_codes:
+                value = yield from expr_code(interp, goroutine, scope)
+                if _values_equal(tag, value) if tagged else is_truthy(value):
+                    signal = yield from _run_clause(interp, goroutine, scope, body)
+                    return signal
+        if default_body is None:
+            return None
+        signal = yield from _run_clause(interp, goroutine, scope, default_body)
         return signal
 
-    return run_wrapped
+    return run
+
+
+def _select_comm_parts(comm: ast.Stmt) -> Optional[Tuple[bool, ast.Expr, Optional[ast.Expr]]]:
+    """Decompose a select case's communication statement into
+    ``(is_receive, channel_expr, sent_value_expr)``, or ``None`` if it is
+    not one."""
+    if isinstance(comm, ast.SendStmt):
+        return False, comm.chan, comm.value
+    if isinstance(comm, ast.ExprStmt) and isinstance(comm.x, ast.UnaryExpr) and comm.x.op == "<-":
+        return True, comm.x.x, None
+    if isinstance(comm, ast.AssignStmt) and comm.rhs:
+        rhs = comm.rhs[0]
+        if isinstance(rhs, ast.UnaryExpr) and rhs.op == "<-":
+            return True, rhs.x, None
+        if isinstance(rhs, ast.CallExpr):
+            # `case <-func() chan struct{} { ... }():` — evaluate the call to get the channel.
+            return True, rhs, None
+    if isinstance(comm, ast.ExprStmt) and isinstance(comm.x, ast.CallExpr):
+        return True, comm.x, None
+    return None
+
+
+def _build_select(node: ast.SelectStmt, code: CodeCache, line: int) -> Code:
+    """``select``: every case's channel is evaluated once, in order; then a
+    ready case is picked at random (the scheduler's generator), else
+    ``default`` runs, else the goroutine blocks until a case is ready.  A
+    receive binds ``v[, ok]`` with detector-visible writes, and a send
+    evaluates its value only once its case is chosen."""
+    comms = []  # (is_receive, channel code, sent value code, bind targets, body)
+    default_body = None
+    for case in node.cases:
+        body = tuple(compile_stmt(stmt, code) for stmt in case.body)
+        comm = case.comm
+        if comm is None:
+            default_body = body
+            continue
+        parts = _select_comm_parts(comm)
+        if parts is None:
+            comms.append((True, _fail(f"unsupported select case: {type(comm).__name__}"),
+                          None, (), body))
+            continue
+        is_receive, chan_expr, value_expr = parts
+        targets = ()
+        if is_receive and isinstance(comm, ast.AssignStmt):
+            define = comm.tok == ":="
+            targets = tuple(_lower_target(target, define, code, frozenset())
+                            for target in comm.lhs)
+        comms.append((is_receive, compile_expr(chan_expr, code),
+                      compile_expr(value_expr, code) if value_expr is not None else None,
+                      targets, body))
+
+    def run(interp, goroutine, env):
+        stack = goroutine.stack
+        if stack and line:
+            stack[-1].line = line
+        scope = Environment(parent=env)
+        channels = []
+        for _is_receive, chan_code, _value_code, _targets, _body in comms:
+            channel = yield from chan_code(interp, goroutine, scope)
+            channels.append(channel)
+
+        def ready_cases() -> List[int]:
+            ready = []
+            for index, channel in enumerate(channels):
+                if not isinstance(channel, Channel):
+                    continue
+                if channel.can_recv() if comms[index][0] else channel.can_send():
+                    ready.append(index)
+            return ready
+
+        while True:
+            ready = ready_cases()
+            if ready:
+                choice = ready[interp.scheduler.random.randrange(len(ready))]
+                is_receive, _chan_code, value_code, targets, body = comms[choice]
+                channel = channels[choice]
+                if is_receive:
+                    value, ok = yield from interp.channel_recv(goroutine, channel)
+                    for target_code, bound in zip(targets, (value, ok)):
+                        yield from target_code(interp, goroutine, scope, bound)
+                else:
+                    sent = yield from value_code(interp, goroutine, scope)
+                    yield from interp.channel_send(goroutine, channel, sent)
+                break
+            if default_body is not None:
+                body = default_body
+                break
+            yield blocked(lambda: bool(ready_cases()), "select with no ready case")
+        signal = yield from _run_clause(interp, goroutine, scope, body)
+        return signal
+
+    return run
 
 
 def _build_range(node: ast.RangeStmt, code: CodeCache, line: int) -> Code:
@@ -1450,34 +2043,89 @@ def _build_assign(node: ast.AssignStmt, code: CodeCache, line: int) -> Code:
         return run_augmented
 
     define = tok == ":="
-    n_targets = len(node.lhs)
     target_codes = tuple(compile_assign_target(t, define, code) for t in node.lhs)
-    rhs_codes = tuple(compile_expr(r, code) for r in node.rhs)
-    spread_rhs = len(node.rhs) == 1 and n_targets > 1
-    spread_expr = node.rhs[0] if spread_rhs else None
+    rhs_code = compile_rhs(node.rhs, len(node.lhs), code)
 
     def run(interp, goroutine, env):
         stack = goroutine.stack
         if stack and line:
             stack[-1].line = line
-        if spread_rhs:
-            values = yield from interp.eval_expr_multi(goroutine, spread_expr, env, n_targets)
-        else:
-            values = []
-            for rhs_code in rhs_codes:
-                value = yield from rhs_code(interp, goroutine, env)
-                if isinstance(value, TupleValue):
-                    value = value.values[0] if value.values else None
-                values.append(value)
-        # Pad unconditionally, as ``Interpreter._eval_rhs`` does: comma-ok
-        # forms return exactly two values however many targets there are.
-        while len(values) < n_targets:
-            values.append(None)
+        values = yield from rhs_code(interp, goroutine, env)
         for target_code, value in zip(target_codes, values):
             yield from target_code(interp, goroutine, env, value)
         return None
 
     return run
+
+
+def compile_rhs(exprs: List[ast.Expr], n_targets: int, code: CodeCache) -> Code:
+    """Lower the right-hand side of an ``n_targets``-target ``=``, ``:=`` or
+    ``var`` (local or package-level) to code returning a list of at least
+    ``n_targets`` values, padded with ``None``.
+
+    Several expressions give one value each (a call's first result).  One
+    expression for several targets is spread: the comma-ok forms (map,
+    slice or string index, receive, type assertion) give a value and a flag,
+    and anything else gives its tuple's values, or itself."""
+    if len(exprs) == 1 and n_targets > 1:
+        spread_code = _build_spread(exprs[0], code)
+
+        def run_spread(interp, goroutine, env):
+            values = yield from spread_code(interp, goroutine, env)
+            while len(values) < n_targets:
+                values.append(None)
+            return values
+
+        return run_spread
+    value_codes = tuple(compile_expr(expr, code) for expr in exprs)
+
+    def run(interp, goroutine, env):
+        values = []
+        for value_code in value_codes:
+            value = yield from value_code(interp, goroutine, env)
+            if isinstance(value, TupleValue):
+                value = value.values[0] if value.values else None
+            values.append(value)
+        while len(values) < n_targets:
+            values.append(None)
+        return values
+
+    return run
+
+
+def _build_spread(expr: ast.Expr, code: CodeCache) -> Code:
+    """One right-hand side spread over several targets (see
+    :func:`compile_rhs`), as code returning a fresh list."""
+    while isinstance(expr, ast.ParenExpr):
+        expr = expr.x
+    if isinstance(expr, ast.IndexExpr):
+        return _build_index(expr, code, comma_ok=True)
+    if isinstance(expr, ast.UnaryExpr) and expr.op == "<-":
+        chan_code = compile_expr(expr.x, code)
+
+        def run_recv(interp, goroutine, env):
+            channel = yield from chan_code(interp, goroutine, env)
+            value, ok = yield from interp.channel_recv(goroutine, channel)
+            return [value, ok]
+
+        return run_recv
+    if isinstance(expr, ast.TypeAssertExpr):
+        inner_code = compile_expr(expr.x, code)
+
+        def run_assert(interp, goroutine, env):
+            inner = yield from inner_code(interp, goroutine, env)
+            return [inner, inner is not None]
+
+        return run_assert
+    value_code = compile_expr(expr, code)
+
+    def run_values(interp, goroutine, env):
+        value = yield from value_code(interp, goroutine, env)
+        if isinstance(value, TupleValue):
+            return list(value.values)
+        return [value]
+
+    return run_values
 
 
 def _build_call_plan(func_type: ast.FuncType):
@@ -1558,20 +2206,23 @@ class CompiledProgram:
                         compile_block(decl.body, code)
                 elif isinstance(decl, ast.GenDecl):
                     for spec in decl.specs:
-                        if isinstance(spec, ast.ValueSpec):
-                            for expr in spec.values:
-                                compile_expr(expr, code)
+                        if isinstance(spec, ast.ValueSpec) and spec.values:
+                            self.values_code(spec)
 
     # -- lowering on a code-cache miss --------------------------------------------------
 
-    def expr_code(self, node: ast.Expr) -> Code:
-        return compile_expr(node, self.code)
-
-    def stmt_code(self, node: ast.Stmt) -> Code:
-        return compile_stmt(node, self.code)
-
     def block_code(self, block: ast.BlockStmt) -> Code:
         return compile_block(block, self.code)
+
+    def values_code(self, spec: ast.ValueSpec) -> Code:
+        """The right-hand side of a package-level ``var``/``const`` spec
+        (see :func:`compile_rhs`), cached under the spec."""
+        entry = self.code.get(id(spec))
+        if entry is not None and entry[0] is spec:
+            return entry[1]
+        rhs_code = compile_rhs(spec.values, len(spec.names), self.code)
+        self.code[id(spec)] = (spec, rhs_code)
+        return rhs_code
 
     def call_plan(self, func_type: ast.FuncType):
         """The parameter/result binding plan of ``func_type`` (see

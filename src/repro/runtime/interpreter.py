@@ -3,10 +3,13 @@
 An :class:`Interpreter` runs a :class:`~repro.runtime.compiler.CompiledProgram`
 once: it owns the run's heap, goroutines, race detector and scheduler, and
 executes the program's lowered closures (see :mod:`repro.runtime.compiler`),
-lowering each function body on its first call.  The closures call back into
-the interpreter for the runtime services: memory accesses, calls and
-goroutine spawns, channels, ``select``, ``switch``, declarations, the
-``sync``/``sync/atomic`` primitives and the builtins.
+lowering each function body on its first call and each package-level
+initializer on its first evaluation.  It evaluates no AST itself: every Go
+statement and expression, builtins included, runs as lowered code, and the
+closures call back into the interpreter only for runtime services — memory
+accesses and their detector records, function calls and goroutine spawns,
+channels, the ``sync``/``sync/atomic`` primitives, conversions and zero
+values.
 
 Every evaluation is a Python generator: goroutines yield
 :class:`~repro.runtime.goroutine.SchedulePoint` objects at memory accesses and
@@ -33,7 +36,6 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence
 
 from repro.errors import GoPanic, GoRuntimeError
 from repro.golang import ast_nodes as ast
-from repro.runtime import stdlib
 from repro.runtime.channels import Channel
 from repro.runtime.goroutine import Frame, Goroutine, GoroutineState, STEP, blocked
 from repro.runtime.memory import Cell, Environment
@@ -42,7 +44,6 @@ from repro.runtime.scheduler import Scheduler
 from repro.runtime.sync_primitives import Mutex, Once, RWMutex, SyncMap, WaitGroup
 from repro.runtime.values import (
     BuiltinFunc,
-    ErrorValue,
     FuncValue,
     MapValue,
     PointerValue,
@@ -210,7 +211,8 @@ class Interpreter:
         return result
 
     def init_globals(self, goroutine: Goroutine) -> Generator:
-        """Evaluate package-level variable initializers."""
+        """Evaluate package-level variable initializers, each lowered on its
+        first evaluation (see :meth:`CompiledProgram.values_code`)."""
         if self._globals_initialized:
             return
         self._globals_initialized = True
@@ -220,8 +222,8 @@ class Interpreter:
                 goroutine.stack[-1].file = file_name
                 values: List[Any] = []
                 if spec.values:
-                    values = yield from self._eval_rhs(
-                        goroutine, spec.values, len(spec.names), self.globals)
+                    values = yield from self.program.values_code(spec)(
+                        self, goroutine, self.globals)
                 for index, var_name in enumerate(spec.names):
                     if index < len(values):
                         value = values[index]
@@ -231,73 +233,6 @@ class Interpreter:
                     cell.name = var_name
         finally:
             goroutine.pop_frame()
-
-    # ------------------------------------------------------------------
-    # Dispatch into the compiled code
-    # ------------------------------------------------------------------
-
-    def eval_expr(self, goroutine: Goroutine, expr: ast.Expr, env: Environment) -> Generator:
-        entry = self._code.get(id(expr))
-        if entry is None or entry[0] is not expr:
-            closure = self.program.expr_code(expr)
-        else:
-            closure = entry[1]
-        result = yield from closure(self, goroutine, env)
-        return result
-
-    def exec_stmt(self, goroutine: Goroutine, stmt: ast.Stmt, env: Environment) -> Generator:
-        entry = self._code.get(id(stmt))
-        if entry is None or entry[0] is not stmt:
-            closure = self.program.stmt_code(stmt)
-        else:
-            closure = entry[1]
-        signal = yield from closure(self, goroutine, env)
-        return signal
-
-    def eval_expr_multi(self, goroutine: Goroutine, expr: ast.Expr, env: Environment,
-                        n_targets: int) -> Generator:
-        """Evaluate the one right-hand side of an ``n_targets``-target
-        assignment or declaration to a list of values.
-
-        The comma-ok forms (map or slice index, receive, type assertion)
-        yield a value and a flag; anything else yields its tuple's values,
-        or itself.  The caller pads the list to ``n_targets``."""
-        while isinstance(expr, ast.ParenExpr):
-            expr = expr.x
-        if isinstance(expr, ast.IndexExpr):
-            container = yield from self.eval_expr(goroutine, expr.x, env)
-            key = yield from self.eval_expr(goroutine, expr.index, env)
-            if isinstance(container, MapValue):
-                yield from self.read_cell(goroutine, container.location, expr)
-                key = _map_key(key)
-                return [container.entries.get(key), key in container.entries]
-            if isinstance(container, SyncMap):
-                return list(container.load(_map_key(key)))
-            if isinstance(container, SliceValue):
-                index = int(key)
-                if index < 0 or index >= len(container.elements):
-                    raise GoPanic(
-                        f"runtime error: index out of range [{index}] with length "
-                        f"{len(container.elements)}")
-                value = yield from self.read_cell(goroutine, container.elements[index], expr)
-                return [value, True]
-            if isinstance(container, str):
-                return [container[int(key)], True]
-            if container is None:
-                # Reading from a nil map yields the zero value.
-                return [None, False]
-            raise GoRuntimeError(f"cannot index {format_value(container)}")
-        if isinstance(expr, ast.UnaryExpr) and expr.op == "<-":
-            channel = yield from self.eval_expr(goroutine, expr.x, env)
-            value, ok = yield from self.channel_recv(goroutine, channel, expr)
-            return [value, ok]
-        if isinstance(expr, ast.TypeAssertExpr):
-            inner = yield from self.eval_expr(goroutine, expr.x, env)
-            return [inner, inner is not None]
-        value = yield from self.eval_expr(goroutine, expr, env)
-        if isinstance(value, TupleValue):
-            return list(value.values)
-        return [value]
 
     def call_function(self, goroutine: Goroutine, func: FuncValue, args: List[Any],
                       node: Optional[ast.Node]) -> Generator:
@@ -467,113 +402,10 @@ class Interpreter:
         return child
 
     # ------------------------------------------------------------------
-    # Statements the compiled code delegates
+    # Channels and ranges
     # ------------------------------------------------------------------
 
-    # -- assignments --------------------------------------------------------------------
-
-    def _eval_rhs(self, goroutine: Goroutine, rhs: List[ast.Expr], n_targets: int,
-                  env: Environment) -> Generator:
-        values: List[Any] = []
-        if len(rhs) == 1 and n_targets > 1:
-            value = yield from self.eval_expr_multi(goroutine, rhs[0], env, n_targets)
-            values = value
-        else:
-            for expr in rhs:
-                value = yield from self.eval_expr(goroutine, expr, env)
-                if isinstance(value, TupleValue):
-                    value = value.values[0] if value.values else None
-                values.append(value)
-        while len(values) < n_targets:
-            values.append(None)
-        return values
-
-    def assign_to(self, goroutine: Goroutine, target: ast.Expr, value: Any,
-                  env: Environment, define: bool) -> Generator:
-        value = self._pass_value(value)
-        if isinstance(target, ast.Ident):
-            if target.name == "_":
-                return
-            if define:
-                if env.is_local(target.name):
-                    cell = env.cells[target.name]
-                else:
-                    cell = env.declare(target.name)
-                    cell.name = target.name
-                yield from self.write_cell(goroutine, cell, value, target)
-                return
-            cell = env.lookup(target.name)
-            if cell is None:
-                raise GoRuntimeError(f"undefined: {target.name}")
-            yield from self.write_cell(goroutine, cell, value, target)
-            return
-        if isinstance(target, ast.SelectorExpr):
-            base = yield from self.eval_expr(goroutine, target.x, env)
-            struct = _as_struct(base)
-            if struct is None:
-                raise GoRuntimeError(
-                    f"cannot assign to field {target.sel} of {format_value(base)}"
-                )
-            owner = ast.base_name(target) or struct.type_name
-            cell = struct.field_cell(target.sel, owner_name=owner)
-            yield from self.write_cell(goroutine, cell, value, target)
-            return
-        if isinstance(target, ast.IndexExpr):
-            container = yield from self.eval_expr(goroutine, target.x, env)
-            key = yield from self.eval_expr(goroutine, target.index, env)
-            if isinstance(container, MapValue):
-                yield from self.write_cell(goroutine, container.location, len(container.entries), target)
-                container.entries[_map_key(key)] = value
-                return
-            if isinstance(container, SyncMap):
-                container.store(_map_key(key), value)
-                return
-            if isinstance(container, SliceValue):
-                index = int(key)
-                if index >= len(container.elements) or index < 0:
-                    raise GoPanic(f"runtime error: index out of range [{index}] with length {len(container.elements)}")
-                yield from self.write_cell(goroutine, container.elements[index], value, target)
-                return
-            if container is None:
-                raise GoPanic("assignment to entry in nil map")
-            raise GoRuntimeError(f"cannot index into {format_value(container)}")
-        if isinstance(target, ast.StarExpr):
-            pointer = yield from self.eval_expr(goroutine, target.x, env)
-            if not isinstance(pointer, PointerValue) or pointer.cell is None:
-                raise GoPanic("invalid memory address or nil pointer dereference")
-            yield from self.write_cell(goroutine, pointer.cell, value, target)
-            return
-        if isinstance(target, ast.ParenExpr):
-            yield from self.assign_to(goroutine, target.x, value, env, define)
-            return
-        raise GoRuntimeError(f"cannot assign to {type(target).__name__}")
-
-    def exec_decl_stmt(self, goroutine: Goroutine, stmt: ast.DeclStmt,
-                       env: Environment) -> Generator:
-        decl = stmt.decl
-        if decl.tok == "type":
-            for spec in decl.specs:
-                if isinstance(spec, ast.TypeSpec):
-                    self.types[spec.name] = spec
-            return
-        for spec in decl.specs:
-            if not isinstance(spec, ast.ValueSpec):
-                continue
-            values: List[Any] = []
-            if spec.values:
-                values = yield from self._eval_rhs(goroutine, spec.values, len(spec.names), env)
-            for index, name in enumerate(spec.names):
-                if index < len(values) and spec.values:
-                    value = self._pass_value(values[index])
-                else:
-                    value = self._zero_for_type(spec.type_)
-                cell = env.declare(name, value)
-                cell.name = name
-
-    # -- concurrency statements ----------------------------------------------------------
-
-    def channel_send(self, goroutine: Goroutine, channel: Any, value: Any,
-                     node: Optional[ast.Node]) -> Generator:
+    def channel_send(self, goroutine: Goroutine, channel: Any, value: Any) -> Generator:
         if not isinstance(channel, Channel):
             raise GoPanic("send on nil channel" if channel is None else "send on non-channel value")
         while not channel.can_send():
@@ -582,8 +414,7 @@ class Interpreter:
         channel.send(self._pass_value(value))
         yield STEP
 
-    def channel_recv(self, goroutine: Goroutine, channel: Any,
-                     node: Optional[ast.Node]) -> Generator:
+    def channel_recv(self, goroutine: Goroutine, channel: Any) -> Generator:
         if not isinstance(channel, Channel):
             if channel is None:
                 yield blocked(lambda: False, "receive on nil channel")
@@ -595,8 +426,6 @@ class Interpreter:
         self.detector.on_acquire(goroutine.gid, channel.sync)
         yield STEP
         return value, ok
-
-    # -- structured statements -----------------------------------------------------------
 
     def _range_items(self, goroutine: Goroutine, container: Any,
                      stmt: ast.RangeStmt) -> Generator:
@@ -616,7 +445,7 @@ class Interpreter:
             while True:
                 if not container.can_recv() and container.closed:
                     break
-                value, ok = yield from self.channel_recv(goroutine, container, stmt)
+                value, ok = yield from self.channel_recv(goroutine, container)
                 if not ok:
                     break
                 items.append((len(items), value))
@@ -629,183 +458,9 @@ class Interpreter:
             return []
         raise GoRuntimeError(f"cannot range over {format_value(container)}")
 
-    def exec_switch(self, goroutine: Goroutine, stmt: ast.SwitchStmt,
-                    env: Environment) -> Generator:
-        scope = env.child()
-        if stmt.init is not None:
-            yield from self.exec_stmt(goroutine, stmt.init, scope)
-        tag: Any = True
-        if stmt.tag is not None:
-            tag = yield from self.eval_expr(goroutine, stmt.tag, scope)
-        chosen: Optional[ast.CaseClause] = None
-        default: Optional[ast.CaseClause] = None
-        for case in stmt.cases:
-            if not case.exprs:
-                default = case
-                continue
-            for expr in case.exprs:
-                value = yield from self.eval_expr(goroutine, expr, scope)
-                matches = _values_equal(tag, value) if stmt.tag is not None else is_truthy(value)
-                if matches:
-                    chosen = case
-                    break
-            if chosen is not None:
-                break
-        target = chosen if chosen is not None else default
-        if target is None:
-            return None
-        for inner in target.body:
-            signal = yield from self.exec_stmt(goroutine, inner, scope)
-            if isinstance(signal, BreakSignal) and signal.label is None:
-                return None
-            if isinstance(signal, Signal):
-                return signal
-        return None
-
-    def exec_select(self, goroutine: Goroutine, stmt: ast.SelectStmt,
-                    env: Environment) -> Generator:
-        scope = env.child()
-        # Pre-evaluate the channel expressions of each case once.
-        cases: List[Tuple[ast.CommClause, Optional[Channel], str, Any]] = []
-        default_case: Optional[ast.CommClause] = None
-        for case in stmt.cases:
-            if case.comm is None:
-                default_case = case
-                continue
-            direction, channel_expr, value_expr = _select_comm_parts(case.comm)
-            channel = yield from self.eval_expr(goroutine, channel_expr, scope)
-            cases.append((case, channel, direction, value_expr))
-
-        def ready_cases() -> List[int]:
-            ready = []
-            for index, (_, channel, direction, _) in enumerate(cases):
-                if not isinstance(channel, Channel):
-                    continue
-                if direction == "recv" and channel.can_recv():
-                    ready.append(index)
-                elif direction == "send" and channel.can_send():
-                    ready.append(index)
-            return ready
-
-        while True:
-            ready = ready_cases()
-            if ready:
-                choice = ready[self.scheduler.random.randrange(len(ready))]
-                case, channel, direction, value_expr = cases[choice]
-                if direction == "recv":
-                    value, ok = yield from self.channel_recv(goroutine, channel, case)
-                    yield from self._bind_select_recv(goroutine, case.comm, value, ok, scope)
-                else:
-                    send_value = yield from self.eval_expr(goroutine, value_expr, scope)
-                    yield from self.channel_send(goroutine, channel, send_value, case)
-                break
-            if default_case is not None:
-                case = default_case
-                break
-            yield blocked(lambda: bool(ready_cases()), "select with no ready case")
-        for inner in case.body:
-            signal = yield from self.exec_stmt(goroutine, inner, scope)
-            if isinstance(signal, BreakSignal) and signal.label is None:
-                return None
-            if isinstance(signal, Signal):
-                return signal
-        return None
-
-    def _bind_select_recv(self, goroutine: Goroutine, comm: ast.Stmt, value: Any, ok: bool,
-                          scope: Environment) -> Generator:
-        if isinstance(comm, ast.AssignStmt):
-            targets = comm.lhs
-            values = [value, ok][: len(targets)]
-            for target, bound in zip(targets, values):
-                yield from self.assign_to(goroutine, target, bound, scope, define=comm.tok == ":=")
-        return None
-
     # ------------------------------------------------------------------
-    # Expressions the compiled code delegates
+    # Closures, types and zero values
     # ------------------------------------------------------------------
-
-    def _select_from_value(self, goroutine: Goroutine, base: Any,
-                           expr: ast.SelectorExpr) -> Generator:
-        """Select ``expr.sel`` from an already pointer-unwrapped base value."""
-        sel = expr.sel
-        if isinstance(base, PackageRef):
-            member = stdlib.get_member(base.name, sel)
-            if member is not None:
-                return member
-            return TypeValue(expr=expr, name=f"{base.name}.{sel}")
-        if isinstance(base, StructValue):
-            method = self.methods.get((base.type_name, sel))
-            if method is not None and sel not in base.fields:
-                receiver: Any = base
-                if method.recv is not None and isinstance(method.recv.type_, ast.StarExpr):
-                    receiver = PointerValue(struct=base)
-                return FuncValue(decl=method, name=f"{base.type_name}.{sel}",
-                                 bound_receiver=receiver)
-            owner = ast.base_name(expr) or base.type_name
-            cell = base.field_cell(sel, owner_name=owner)
-            value = yield from self.read_cell(goroutine, cell, expr)
-            return value
-        if isinstance(base, (Mutex, RWMutex, WaitGroup, SyncMap, Once, Channel)):
-            return BoundMethod(receiver=base, name=sel)
-        if isinstance(base, ErrorValue):
-            if sel == "Error":
-                return BuiltinFunc(name="Error", handler=_make_const_handler(base.message))
-            return BoundMethod(receiver=base, name=sel)
-        if hasattr(base, "go_call"):
-            return BoundMethod(receiver=base, name=sel)
-        if base is None:
-            raise GoPanic(f"invalid memory address or nil pointer dereference (selecting .{sel})")
-        raise GoRuntimeError(f"cannot select .{sel} from {format_value(base)}")
-
-    def _eval_address_of(self, goroutine: Goroutine, target: ast.Expr,
-                         env: Environment) -> Generator:
-        if isinstance(target, ast.Ident):
-            cell = env.lookup(target.name)
-            if cell is None:
-                raise GoRuntimeError(f"undefined: {target.name}")
-            yield STEP
-            return PointerValue(cell=cell)
-        if isinstance(target, ast.SelectorExpr):
-            base = yield from self.eval_expr(goroutine, target.x, env)
-            struct = _as_struct(base)
-            if struct is None:
-                raise GoRuntimeError(f"cannot take address of field {target.sel}")
-            owner = ast.base_name(target) or struct.type_name
-            return PointerValue(cell=struct.field_cell(target.sel, owner_name=owner))
-        if isinstance(target, ast.CompositeLit):
-            value = yield from self.eval_expr(goroutine, target, env)
-            if isinstance(value, StructValue):
-                return PointerValue(struct=value)
-            return PointerValue(cell=Cell(value=value, name="composite"))
-        if isinstance(target, ast.IndexExpr):
-            container = yield from self.eval_expr(goroutine, target.x, env)
-            key = yield from self.eval_expr(goroutine, target.index, env)
-            if isinstance(container, SliceValue):
-                return PointerValue(cell=container.elements[int(key)])
-            raise GoRuntimeError("cannot take address of map element")
-        value = yield from self.eval_expr(goroutine, target, env)
-        return PointerValue(cell=Cell(value=value, name="temp"))
-
-    def _eval_slice_expr(self, goroutine: Goroutine, expr: ast.SliceExpr,
-                         env: Environment) -> Generator:
-        container = yield from self.eval_expr(goroutine, expr.x, env)
-        low = 0
-        if expr.low is not None:
-            low_value = yield from self.eval_expr(goroutine, expr.low, env)
-            low = int(low_value)
-        if isinstance(container, SliceValue):
-            high = len(container.elements)
-            if expr.high is not None:
-                high_value = yield from self.eval_expr(goroutine, expr.high, env)
-                high = int(high_value)
-            return SliceValue(elements=container.elements[low:high], name=container.name)
-        if isinstance(container, str):
-            high = len(container)
-            if expr.high is not None:
-                high_value = yield from self.eval_expr(goroutine, expr.high, env)
-                high = int(high_value)
-            return container[low:high]
-        raise GoRuntimeError(f"cannot slice {format_value(container)}")
 
     def _make_closure(self, goroutine: Goroutine, expr: ast.FuncLit, env: Environment) -> FuncValue:
         enclosing = goroutine.stack[-1].func_name if goroutine.stack else "main"
@@ -813,8 +468,6 @@ class Interpreter:
         counter = self._closure_counters.get(enclosing, 0) + 1
         self._closure_counters[enclosing] = counter
         return FuncValue(lit=expr, env=env, name=f"{enclosing}.func{counter}", file=file_name)
-
-    # -- types and zero values -----------------------------------------------------------
 
     def _resolve_type(self, type_expr: ast.Expr | None) -> ast.Expr | None:
         """Follow named types to their underlying definition (one level deep chains)."""
@@ -1071,176 +724,8 @@ class Interpreter:
 
 
 # ---------------------------------------------------------------------------
-# Built-in functions (len, cap, make, new, append, delete, close, panic, copy)
-# ---------------------------------------------------------------------------
-
-
-def _builtin_make(interp: Interpreter, goroutine: Goroutine, expr: ast.CallExpr,
-                  env: Environment) -> Generator:
-    if not expr.args:
-        raise GoRuntimeError("missing argument to make")
-    type_arg = expr.args[0]
-    size = 0
-    if len(expr.args) > 1:
-        size_value = yield from interp.eval_expr(goroutine, expr.args[1], env)
-        size = int(size_value or 0)
-    resolved = interp._resolve_type(type_arg if isinstance(type_arg, (ast.ArrayType, ast.MapType, ast.ChanType, ast.Ident, ast.SelectorExpr)) else None)
-    target = resolved if resolved is not None else type_arg
-    if isinstance(target, ast.ChanType):
-        return Channel(capacity=size, name=_type_display(type_arg))
-    if isinstance(target, ast.MapType):
-        return MapValue(name=_type_display(type_arg))
-    if isinstance(target, ast.ArrayType):
-        elements = [Cell(value=zero_value(target.elt)) for _ in range(size)]
-        return SliceValue(elements=elements, name=_type_display(type_arg))
-    raise GoRuntimeError(f"cannot make {_type_display(type_arg)}")
-
-
-def _builtin_new(interp: Interpreter, goroutine: Goroutine, expr: ast.CallExpr,
-                 env: Environment) -> Generator:
-    if False:  # pragma: no cover - keeps this a generator
-        yield STEP
-    type_arg = expr.args[0] if expr.args else None
-    value = interp._zero_for_type(type_arg)
-    if isinstance(value, StructValue):
-        return PointerValue(struct=value)
-    return PointerValue(cell=Cell(value=value, name="new"))
-
-
-def _builtin_len(interp: Interpreter, goroutine: Goroutine, expr: ast.CallExpr,
-                 env: Environment) -> Generator:
-    value = yield from interp.eval_expr(goroutine, expr.args[0], env)
-    if isinstance(value, SliceValue):
-        return len(value.elements)
-    if isinstance(value, MapValue):
-        return len(value.entries)
-    if isinstance(value, Channel):
-        return len(value.buffer)
-    if isinstance(value, str):
-        return len(value)
-    if value is None:
-        return 0
-    raise GoRuntimeError(f"invalid argument to len: {format_value(value)}")
-
-
-def _builtin_cap(interp: Interpreter, goroutine: Goroutine, expr: ast.CallExpr,
-                 env: Environment) -> Generator:
-    value = yield from interp.eval_expr(goroutine, expr.args[0], env)
-    if isinstance(value, SliceValue):
-        return len(value.elements)
-    if isinstance(value, Channel):
-        return value.capacity
-    if isinstance(value, (int,)):
-        return value
-    return 0
-
-
-def _builtin_append(interp: Interpreter, goroutine: Goroutine, expr: ast.CallExpr,
-                    env: Environment) -> Generator:
-    base = yield from interp.eval_expr(goroutine, expr.args[0], env)
-    if base is None:
-        base = SliceValue()
-    if not isinstance(base, SliceValue):
-        raise GoRuntimeError("first argument to append must be a slice")
-    new_elements = list(base.elements)
-    rest = expr.args[1:]
-    for index, arg in enumerate(rest):
-        value = yield from interp.eval_expr(goroutine, arg, env)
-        if expr.ellipsis and index == len(rest) - 1 and isinstance(value, SliceValue):
-            new_elements.extend(Cell(value=cell.value) for cell in value.elements)
-        else:
-            new_elements.append(Cell(value=interp._pass_value(value)))
-    return SliceValue(elements=new_elements, name=base.name)
-
-
-def _builtin_delete(interp: Interpreter, goroutine: Goroutine, expr: ast.CallExpr,
-                    env: Environment) -> Generator:
-    container = yield from interp.eval_expr(goroutine, expr.args[0], env)
-    key = yield from interp.eval_expr(goroutine, expr.args[1], env)
-    if isinstance(container, MapValue):
-        yield from interp.write_cell(goroutine, container.location, len(container.entries), expr)
-        container.entries.pop(_map_key(key), None)
-        return None
-    if isinstance(container, SyncMap):
-        container.delete(_map_key(key))
-        return None
-    if container is None:
-        return None
-    raise GoRuntimeError("delete expects a map")
-
-
-def _builtin_close(interp: Interpreter, goroutine: Goroutine, expr: ast.CallExpr,
-                   env: Environment) -> Generator:
-    channel = yield from interp.eval_expr(goroutine, expr.args[0], env)
-    if not isinstance(channel, Channel):
-        raise GoPanic("close of nil channel")
-    interp.detector.on_release(goroutine.gid, channel.sync)
-    channel.close()
-    return None
-
-
-def _builtin_panic(interp: Interpreter, goroutine: Goroutine, expr: ast.CallExpr,
-                   env: Environment) -> Generator:
-    value = yield from interp.eval_expr(goroutine, expr.args[0], env) if expr.args else None
-    raise GoPanic(f"panic: {format_value(value)}")
-
-
-def _builtin_copy(interp: Interpreter, goroutine: Goroutine, expr: ast.CallExpr,
-                  env: Environment) -> Generator:
-    dst = yield from interp.eval_expr(goroutine, expr.args[0], env)
-    src = yield from interp.eval_expr(goroutine, expr.args[1], env)
-    if not isinstance(dst, SliceValue) or not isinstance(src, SliceValue):
-        return 0
-    count = min(len(dst.elements), len(src.elements))
-    for index in range(count):
-        value = yield from interp.read_cell(goroutine, src.elements[index], expr)
-        yield from interp.write_cell(goroutine, dst.elements[index], value, expr)
-    return count
-
-
-def _builtin_recover(interp: Interpreter, goroutine: Goroutine, expr: ast.CallExpr,
-                     env: Environment) -> Generator:
-    if False:  # pragma: no cover - keeps this a generator
-        yield STEP
-    return None
-
-
-def _builtin_println(interp: Interpreter, goroutine: Goroutine, expr: ast.CallExpr,
-                     env: Environment) -> Generator:
-    parts = []
-    for arg in expr.args:
-        value = yield from interp.eval_expr(goroutine, arg, env)
-        parts.append(format_value(value))
-    interp.output.append(" ".join(parts))
-    return None
-
-
-_BUILTIN_HANDLERS = {
-    "make": _builtin_make,
-    "new": _builtin_new,
-    "len": _builtin_len,
-    "cap": _builtin_cap,
-    "append": _builtin_append,
-    "delete": _builtin_delete,
-    "close": _builtin_close,
-    "panic": _builtin_panic,
-    "copy": _builtin_copy,
-    "recover": _builtin_recover,
-    "println": _builtin_println,
-    "print": _builtin_println,
-}
-
-
-# ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-
-
-def _receiver_type_name(recv: ast.Field) -> str:
-    type_expr = recv.type_
-    if isinstance(type_expr, ast.StarExpr):
-        type_expr = type_expr.x
-    return _type_display(type_expr)
 
 
 def _type_display(type_expr: ast.Expr | None) -> str:
@@ -1256,15 +741,6 @@ def _type_display(type_expr: ast.Expr | None) -> str:
     from repro.golang.printer import print_node
 
     return print_node(type_expr)
-
-
-def _struct_field_names(type_expr: ast.Expr | None) -> List[str]:
-    if isinstance(type_expr, ast.StructType):
-        names: List[str] = []
-        for field_decl in type_expr.fields:
-            names.extend(field_decl.names)
-        return names
-    return []
 
 
 def _sync_zero(type_expr: ast.Expr | None) -> Any:
@@ -1296,69 +772,9 @@ def _copy_struct(value: StructValue) -> StructValue:
     return clone
 
 
-def _as_struct(value: Any) -> Optional[StructValue]:
-    if isinstance(value, StructValue):
-        return value
-    if isinstance(value, PointerValue):
-        return value.target_struct()
-    return None
-
-
 def _map_key(key: Any) -> Any:
     if isinstance(key, (str, int, float, bool)) or key is None:
         return key
     if isinstance(key, StructValue):
         return tuple(sorted((name, _map_key(cell.value)) for name, cell in key.fields.items()))
     return id(key)
-
-
-def _literal_value(lit: ast.BasicLit) -> Any:
-    if lit.kind == "INT":
-        text = lit.value.replace("_", "")
-        if text.lower().startswith("0x"):
-            return int(text, 16)
-        return int(text)
-    if lit.kind == "FLOAT":
-        return float(lit.value)
-    if lit.kind == "CHAR":
-        return lit.value
-    return lit.value
-
-
-def _values_equal(left: Any, right: Any) -> bool:
-    if isinstance(left, (StructValue, MapValue, SliceValue)) or isinstance(
-        right, (StructValue, MapValue, SliceValue)
-    ):
-        return left is right
-    return left == right
-
-
-def _make_const_handler(value: Any):
-    def handler(interp, goroutine, args, node):
-        if False:  # pragma: no cover - keeps this a generator
-            yield STEP
-        return value
-
-    return handler
-
-
-def _select_comm_parts(comm: ast.Stmt) -> Tuple[str, ast.Expr, Optional[ast.Expr]]:
-    """Decompose a select case's communication statement.
-
-    Returns ``(direction, channel_expr, value_expr)`` where ``direction`` is
-    ``"recv"`` or ``"send"``.
-    """
-    if isinstance(comm, ast.SendStmt):
-        return "send", comm.chan, comm.value
-    if isinstance(comm, ast.ExprStmt) and isinstance(comm.x, ast.UnaryExpr) and comm.x.op == "<-":
-        return "recv", comm.x.x, None
-    if isinstance(comm, ast.AssignStmt) and comm.rhs:
-        rhs = comm.rhs[0]
-        if isinstance(rhs, ast.UnaryExpr) and rhs.op == "<-":
-            return "recv", rhs.x, None
-        if isinstance(rhs, ast.CallExpr):
-            # `case <-func() chan struct{} { ... }():` — evaluate the call to get the channel.
-            return "recv", rhs, None
-    if isinstance(comm, ast.ExprStmt) and isinstance(comm.x, ast.CallExpr):
-        return "recv", comm.x, None
-    raise GoRuntimeError(f"unsupported select case: {type(comm).__name__}")
