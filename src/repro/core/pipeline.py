@@ -249,14 +249,3 @@ class DrFix:
         outcome.scope = item.scope.value
         outcome.lines_changed = patch.lines_changed(self.package)
         return True
-
-
-def fix_package_race(
-    package: GoPackage,
-    report: RaceReport,
-    config: Optional[DrFixConfig] = None,
-    database: Optional[ExampleDatabase] = None,
-    client: Optional[LLMClient] = None,
-) -> FixOutcome:
-    """One-shot helper: run Dr.Fix for a single report."""
-    return DrFix(package, config=config, database=database, client=client).fix_report(report)

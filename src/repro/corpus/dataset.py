@@ -79,10 +79,6 @@ class Dataset:
                     stats.concurrency_lines += lines
         return stats
 
-    def human_fix_locs(self, cases: Optional[List[RaceCase]] = None) -> List[int]:
-        cases = cases if cases is not None else self.evaluation
-        return [case.human_fix_loc() for case in cases]
-
 
 def _mentions_concurrency(source: str) -> bool:
     markers = ("go func", "sync.", "chan ", "<-", "atomic.", "t.Parallel")

@@ -126,8 +126,3 @@ def noise_struct(vocab: Vocabulary, field_count: int = 4) -> str:
         fields.append(f"\t{field} {type_name}")
     body = "\n".join(fields)
     return f"type {name} struct {{\n{body}\n}}"
-
-
-def noise_comment(vocab: Vocabulary) -> str:
-    """A plausible doc comment line."""
-    return f"// {vocab.func_name()} adjusts {vocab.noun()} {vocab.rng.choice(_FIELD_NOUNS).lower()} before dispatch."

@@ -103,15 +103,6 @@ def category_fix_rates(results: "Sequence[CaseResult]") -> Dict[RaceCategory, Fi
     return rates
 
 
-def pattern_fix_counts(results: "Sequence[CaseResult]") -> Dict[str, int]:
-    """How many validated fixes each fix pattern produced."""
-    counts: Dict[str, int] = {}
-    for result in results:
-        if result.fixed and result.outcome.strategy:
-            counts[result.outcome.strategy] = counts.get(result.outcome.strategy, 0) + 1
-    return counts
-
-
 def diagnosis_agreement(results: "Sequence[CaseResult]") -> FixRate:
     """How often the diagnosis layer's category matches the ground truth.
 

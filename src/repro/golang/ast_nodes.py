@@ -546,21 +546,8 @@ def call(fun: str | Expr, *args: Expr) -> CallExpr:
     return CallExpr(fun=fun_expr, args=list(args))
 
 
-def string_lit(value: str) -> BasicLit:
-    return BasicLit(kind="STRING", value=value)
-
-
 def int_lit(value: int) -> BasicLit:
     return BasicLit(kind="INT", value=str(value))
-
-
-def expr_to_string(expr: Expr | None) -> str:
-    """Render an expression to compact source text (used for diagnostics)."""
-    from repro.golang.printer import print_node
-
-    if expr is None:
-        return ""
-    return print_node(expr)
 
 
 def base_name(expr: Expr | None) -> str | None:

@@ -223,14 +223,5 @@ class Token:
     def column(self) -> int:
         return self.pos.column
 
-    def is_literal(self) -> bool:
-        return self.kind in (
-            TokenKind.IDENT,
-            TokenKind.INT,
-            TokenKind.FLOAT,
-            TokenKind.STRING,
-            TokenKind.CHAR,
-        )
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.kind.name}({self.text!r})@{self.pos}"

@@ -14,7 +14,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.golang import ast_nodes as ast
 from repro.golang.parser import parse_file
-from repro.golang.printer import print_file, print_node
+from repro.golang.printer import print_file
 from repro.llm.prompt_parser import FixTask
 
 _WRAPPER_PACKAGE = "drfixscope"
@@ -86,10 +86,6 @@ class FixStrategy:
     @staticmethod
     def expr_names(node: ast.Node) -> set[str]:
         return {n.name for n in ast.walk(node) if isinstance(n, ast.Ident)}
-
-    @staticmethod
-    def selector_fields(node: ast.Node) -> set[str]:
-        return {n.sel for n in ast.walk(node) if isinstance(n, ast.SelectorExpr)}
 
     @staticmethod
     def references_name(node: ast.Node, name: str) -> bool:
@@ -194,10 +190,6 @@ class FixStrategy:
         return None
 
     @staticmethod
-    def make_call_stmt(path: str, *args: ast.Expr) -> ast.ExprStmt:
-        return ast.ExprStmt(x=ast.call(path, *args))
-
-    @staticmethod
     def make_lock_pair(receiver: str, mutex_field: str) -> Tuple[ast.ExprStmt, ast.ExprStmt]:
         lock = ast.ExprStmt(x=ast.call(f"{receiver}.{mutex_field}.Lock"))
         unlock = ast.ExprStmt(x=ast.call(f"{receiver}.{mutex_field}.Unlock"))
@@ -219,7 +211,3 @@ class FixStrategy:
                     and node.fun.sel == method:
                 return True
         return False
-
-    @staticmethod
-    def render_node(node: ast.Node) -> str:
-        return print_node(node)

@@ -69,12 +69,6 @@ class Environment:
             env = env.parent
         return None
 
-    def lookup_or_declare(self, name: str) -> Cell:
-        cell = self.lookup(name)
-        if cell is None:
-            cell = self.declare(name)
-        return cell
-
     def is_local(self, name: str) -> bool:
         return name in self.cells
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.runtime.memory import Cell
-from repro.runtime.vector_clock import Epoch, SyncVar, VectorClock
+from repro.runtime.vector_clock import SyncVar, VectorClock
 
 
 @dataclass(slots=True)
@@ -99,14 +99,6 @@ class _LocationState:
         self.read_record: Optional[AccessRecord] = None
         self.read_clocks: Optional[Dict[int, int]] = None
         self.read_records: Optional[Dict[int, AccessRecord]] = None
-
-    # -- compatibility views (diagnostics/tests; not used on hot paths) ----------------
-
-    @property
-    def write_epoch(self) -> Optional[Epoch]:
-        if self.write_tid < 0:
-            return None
-        return Epoch(self.write_tid, self.write_clock)
 
 
 class RaceDetector:
@@ -173,13 +165,6 @@ class RaceDetector:
     # ------------------------------------------------------------------
     # Memory accesses
     # ------------------------------------------------------------------
-
-    def _state_for(self, cell: Cell) -> _LocationState:
-        state = self._locations.get(cell.address)
-        if state is None:
-            state = _LocationState()
-            self._locations[cell.address] = state
-        return state
 
     def _record(self, race: RaceRecord) -> None:
         key = race.key()

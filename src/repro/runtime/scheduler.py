@@ -156,9 +156,6 @@ class Scheduler:
         if goroutine.state in (GoroutineState.RUNNABLE, GoroutineState.BLOCKED):
             self._live.append(goroutine)
 
-    def live_goroutines(self) -> List[Goroutine]:
-        return [g for g in self.goroutines.values() if g.is_live]
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------

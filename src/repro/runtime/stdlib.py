@@ -35,17 +35,6 @@ from repro.runtime.values import (
 )
 
 
-def _generatorize(func):
-    """Wrap a plain function as a generator handler."""
-
-    def handler(interp, goroutine, args, node):
-        if False:  # pragma: no cover - keeps this a generator
-            yield STEP
-        return func(interp, goroutine, args, node)
-
-    return handler
-
-
 # ---------------------------------------------------------------------------
 # fmt
 # ---------------------------------------------------------------------------

@@ -113,24 +113,6 @@ class MapValue(GoValue):
 
 
 @dataclass(slots=True)
-class ChannelValue(GoValue):
-    """Declared channel value; runtime behaviour lives in ``channels.py``."""
-
-    capacity: int = 0
-    name: str = ""
-    buffer: List[Any] = field(default_factory=list)
-    closed: bool = False
-
-    def __post_init__(self) -> None:
-        # Unbuffered channels are modelled with capacity one.  The
-        # happens-before edge from send to receive is preserved; only the
-        # "send blocks until a receiver is ready" back-pressure is relaxed,
-        # which no corpus program relies on.  Documented in docs/architecture.md §Design choices.
-        if self.capacity <= 0:
-            self.capacity = 1
-
-
-@dataclass(slots=True)
 class FuncValue(GoValue):
     """A callable: a named function, a method bound to a receiver, or a closure."""
 
