@@ -6,7 +6,7 @@ transformer.  The contract that matters for Dr.Fix is:
 * similar concurrency structure → nearby vectors,
 * business-logic identifier noise perturbs raw-code embeddings much more than
   skeleton embeddings (because the skeletonizer removed / canonicalized it),
-* deterministic and dependency-free.
+* deterministic, with no model weights to download.
 
 A hashed bag-of-tokens (with bigrams and concurrency-token boosting), L2
 normalized into ``d`` dimensions, has exactly these properties.
