@@ -786,7 +786,7 @@ def _lower_make(node: ast.CallExpr, code: CodeCache) -> Code:
         if isinstance(target, ast.ChanType):
             return Channel(capacity=size, name=display)
         if isinstance(target, ast.MapType):
-            return MapValue(name=display)
+            return MapValue(name=display, value_type=target.value)
         if isinstance(target, ast.ArrayType):
             elements = [Cell(value=zero_value(target.elt)) for _ in range(size)]
             return SliceValue(elements=elements, name=display)
@@ -1096,8 +1096,12 @@ def _build_index(node: ast.IndexExpr, code: CodeCache, comma_ok: bool = False) -
                 AccessRecord(goroutine.gid, False, goroutine.stack_snapshot(leaf),
                              location.name, location.address, goroutine.creation_stack))
             key = _map_key(key)
-            value = container.entries.get(key)
-            return [value, key in container.entries] if comma_ok else value
+            entries = container.entries
+            if key in entries:
+                value = entries[key]
+                return [value, True] if comma_ok else value
+            value = interp._zero_for_type(container.value_type)
+            return [value, False] if comma_ok else value
         if isinstance(container, SliceValue):
             index = int(key)
             elements = container.elements
@@ -1256,7 +1260,7 @@ def _build_composite(node: ast.CompositeLit, code: CodeCache) -> Code:
                 cells.append(Cell(value=interp._pass_value(value)))
             return SliceValue(elements=cells, name=display)
         if isinstance(resolved, ast.MapType):
-            result = MapValue(name=display)
+            result = MapValue(name=display, value_type=resolved.value)
             for is_kv, _key_name, key_code, value_code in elements:
                 if is_kv:
                     key = yield from key_code(interp, goroutine, env)

@@ -98,11 +98,15 @@ class SliceValue(GoValue):
 
 @dataclass(slots=True)
 class MapValue(GoValue):
-    """A Go built-in map — not safe for concurrent use."""
+    """A Go built-in map — not safe for concurrent use.
+
+    ``value_type`` is the declared value type, whose zero value a read of a
+    missing key returns."""
 
     entries: Dict[Any, Any] = field(default_factory=dict)
     location: Cell = field(default_factory=lambda: Cell(name="map"))
     name: str = ""
+    value_type: Optional[ast.Expr] = None
 
     def __post_init__(self) -> None:
         if self.name:

@@ -316,6 +316,24 @@ class TestBuiltins:
         )
         assert result.output == ["1 true false 0"]
 
+    def test_missing_map_key_reads_the_value_types_zero(self):
+        result, _ = run_main(
+            '\ttype pair struct {\n\t\tn int\n\t}\n'
+            '\tcounts := map[string]int{"a": 1}\n\tnames := make(map[int]string)\n'
+            '\tpairs := map[string]pair{}\n\tptrs := map[string]*pair{}\n'
+            '\tvar none map[string]int\n'
+            '\tc, ok := counts["q"]\n\tn := names[3]\n\tz, _ := none["q"]\n'
+            '\tfmt.Println(counts["q"] == 0, c, ok, n == "", pairs["q"].n, ptrs["q"] == nil, z)'
+        )
+        assert result.output == ["true 0 false true 0 true <nil>"]
+
+    def test_missing_map_key_reads_a_fresh_struct(self):
+        result, _ = run_main(
+            '\ttype pair struct {\n\t\tn int\n\t}\n\tpairs := map[string]pair{}\n'
+            '\tp := pairs["q"]\n\tp.n = 5\n\tfmt.Println(pairs["q"].n, p.n, len(pairs))'
+        )
+        assert result.output == ["0 5 0"]
+
     def test_make_slice_and_copy(self):
         result, _ = run_main(
             "\tdst := make([]int, 2)\n\tsrc := []int{7, 8, 9}\n\tn := copy(dst, src)\n\tfmt.Println(n, dst[0], dst[1])"
