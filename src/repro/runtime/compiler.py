@@ -161,6 +161,16 @@ def _as_struct(value: Any) -> Optional[StructValue]:
     return None
 
 
+def _element(container: SliceValue, key: Any) -> Cell:
+    """The cell of ``container[key]``, or Go's index-out-of-range panic."""
+    index = int(key)
+    elements = container.elements
+    if index < 0 or index >= len(elements):
+        raise GoPanic(
+            f"runtime error: index out of range [{index}] with length {len(elements)}")
+    return elements[index]
+
+
 def _receiver_type_name(recv: ast.Field) -> str:
     type_expr = recv.type_
     if isinstance(type_expr, ast.StarExpr):
@@ -681,8 +691,13 @@ def _build_selector(node: ast.SelectorExpr, code: CodeCache) -> Code:
 def _build_call(node: ast.CallExpr, code: CodeCache) -> Code:
     fun = node.fun
     fun_name = fun.name if isinstance(fun, ast.Ident) else ""
-    lower_builtin = _BUILTINS.get(fun_name)
-    builtin = lower_builtin(node, code) if lower_builtin is not None else None
+    builtin = None
+    if fun_name in _BUILTINS:
+        lower_builtin, min_args = _BUILTINS[fun_name]
+        if len(node.args) >= min_args:
+            builtin = lower_builtin(node, code)
+        else:
+            builtin = _fail(f"missing argument to {fun_name}")
     if builtin is not None and fun_name not in _meta_of(code).bound_names:
         # The program provably never binds this builtin's name, so the
         # shadowing lookup is statically None: the builtin always wins.
@@ -758,18 +773,12 @@ def _build_call(node: ast.CallExpr, code: CodeCache) -> Code:
     return run
 
 
-# Built-in functions.  Each lowers one call to code that evaluates exactly
-# the arguments the builtin reads, in order; a missing argument fails when
-# the call runs, not when it lowers.
-
-
-def _arg_codes(node: ast.CallExpr, code: CodeCache) -> Tuple[Code, ...]:
-    return tuple(compile_expr(arg, code) for arg in node.args)
+# Built-in functions.  Each lowers one call, with at least as many arguments
+# as ``_BUILTINS`` requires, to code that evaluates the arguments the
+# builtin reads, in order.
 
 
 def _lower_make(node: ast.CallExpr, code: CodeCache) -> Code:
-    if not node.args:
-        return _fail("missing argument to make")
     type_arg = node.args[0]
     size_code = compile_expr(node.args[1], code) if len(node.args) > 1 else None
     named = type_arg if isinstance(type_arg, (ast.ArrayType, ast.MapType, ast.ChanType,
@@ -810,10 +819,10 @@ def _lower_new(node: ast.CallExpr, code: CodeCache) -> Code:
 
 
 def _lower_len(node: ast.CallExpr, code: CodeCache) -> Code:
-    arg_codes = _arg_codes(node, code)
+    value_code = compile_expr(node.args[0], code)
 
     def run(interp, goroutine, env):
-        value = yield from arg_codes[0](interp, goroutine, env)
+        value = yield from value_code(interp, goroutine, env)
         if isinstance(value, SliceValue):
             return len(value.elements)
         if isinstance(value, MapValue):
@@ -830,10 +839,10 @@ def _lower_len(node: ast.CallExpr, code: CodeCache) -> Code:
 
 
 def _lower_cap(node: ast.CallExpr, code: CodeCache) -> Code:
-    arg_codes = _arg_codes(node, code)
+    value_code = compile_expr(node.args[0], code)
 
     def run(interp, goroutine, env):
-        value = yield from arg_codes[0](interp, goroutine, env)
+        value = yield from value_code(interp, goroutine, env)
         if isinstance(value, SliceValue):
             return len(value.elements)
         if isinstance(value, Channel):
@@ -846,19 +855,20 @@ def _lower_cap(node: ast.CallExpr, code: CodeCache) -> Code:
 
 
 def _lower_append(node: ast.CallExpr, code: CodeCache) -> Code:
-    arg_codes = _arg_codes(node, code)
+    base_code = compile_expr(node.args[0], code)
+    value_codes = tuple(compile_expr(arg, code) for arg in node.args[1:])
     spread_last = bool(node.ellipsis)
-    last = len(arg_codes) - 2
+    last = len(value_codes) - 1
 
     def run(interp, goroutine, env):
-        base = yield from arg_codes[0](interp, goroutine, env)
+        base = yield from base_code(interp, goroutine, env)
         if base is None:
             base = SliceValue()
         if not isinstance(base, SliceValue):
             raise GoRuntimeError("first argument to append must be a slice")
         new_elements = list(base.elements)
-        for index, arg_code in enumerate(arg_codes[1:]):
-            value = yield from arg_code(interp, goroutine, env)
+        for index, value_code in enumerate(value_codes):
+            value = yield from value_code(interp, goroutine, env)
             if spread_last and index == last and isinstance(value, SliceValue):
                 new_elements.extend(Cell(value=cell.value) for cell in value.elements)
             else:
@@ -869,11 +879,12 @@ def _lower_append(node: ast.CallExpr, code: CodeCache) -> Code:
 
 
 def _lower_delete(node: ast.CallExpr, code: CodeCache) -> Code:
-    arg_codes = _arg_codes(node, code)
+    map_code = compile_expr(node.args[0], code)
+    key_code = compile_expr(node.args[1], code)
 
     def run(interp, goroutine, env):
-        container = yield from arg_codes[0](interp, goroutine, env)
-        key = yield from arg_codes[1](interp, goroutine, env)
+        container = yield from map_code(interp, goroutine, env)
+        key = yield from key_code(interp, goroutine, env)
         if isinstance(container, MapValue):
             yield from interp.write_cell(goroutine, container.location,
                                          len(container.entries), node)
@@ -890,10 +901,10 @@ def _lower_delete(node: ast.CallExpr, code: CodeCache) -> Code:
 
 
 def _lower_close(node: ast.CallExpr, code: CodeCache) -> Code:
-    arg_codes = _arg_codes(node, code)
+    chan_code = compile_expr(node.args[0], code)
 
     def run(interp, goroutine, env):
-        channel = yield from arg_codes[0](interp, goroutine, env)
+        channel = yield from chan_code(interp, goroutine, env)
         if not isinstance(channel, Channel):
             raise GoPanic("close of nil channel")
         interp.detector.on_release(goroutine.gid, channel.sync)
@@ -904,7 +915,7 @@ def _lower_close(node: ast.CallExpr, code: CodeCache) -> Code:
 
 
 def _lower_panic(node: ast.CallExpr, code: CodeCache) -> Code:
-    value_code = compile_expr(node.args[0], code) if node.args else _const(None)
+    value_code = compile_expr(node.args[0], code)
 
     def run(interp, goroutine, env):
         value = yield from value_code(interp, goroutine, env)
@@ -914,11 +925,12 @@ def _lower_panic(node: ast.CallExpr, code: CodeCache) -> Code:
 
 
 def _lower_copy(node: ast.CallExpr, code: CodeCache) -> Code:
-    arg_codes = _arg_codes(node, code)
+    dst_code = compile_expr(node.args[0], code)
+    src_code = compile_expr(node.args[1], code)
 
     def run(interp, goroutine, env):
-        dst = yield from arg_codes[0](interp, goroutine, env)
-        src = yield from arg_codes[1](interp, goroutine, env)
+        dst = yield from dst_code(interp, goroutine, env)
+        src = yield from src_code(interp, goroutine, env)
         if not isinstance(dst, SliceValue) or not isinstance(src, SliceValue):
             return 0
         count = min(len(dst.elements), len(src.elements))
@@ -930,12 +942,8 @@ def _lower_copy(node: ast.CallExpr, code: CodeCache) -> Code:
     return run
 
 
-def _lower_recover(node: ast.CallExpr, code: CodeCache) -> Code:
-    return _const(None)
-
-
 def _lower_println(node: ast.CallExpr, code: CodeCache) -> Code:
-    arg_codes = _arg_codes(node, code)
+    arg_codes = tuple(compile_expr(arg, code) for arg in node.args)
 
     def run(interp, goroutine, env):
         parts = []
@@ -948,19 +956,21 @@ def _lower_println(node: ast.CallExpr, code: CodeCache) -> Code:
     return run
 
 
-_BUILTINS: Dict[str, Callable[[ast.CallExpr, CodeCache], Code]] = {
-    "make": _lower_make,
-    "new": _lower_new,
-    "len": _lower_len,
-    "cap": _lower_cap,
-    "append": _lower_append,
-    "delete": _lower_delete,
-    "close": _lower_close,
-    "panic": _lower_panic,
-    "copy": _lower_copy,
-    "recover": _lower_recover,
-    "println": _lower_println,
-    "print": _lower_println,
+#: Builtin name -> (lowering, fewest arguments).  A call with fewer fails
+#: with ``missing argument to <name>`` when it runs.
+_BUILTINS: Dict[str, Tuple[Callable[[ast.CallExpr, CodeCache], Code], int]] = {
+    "make": (_lower_make, 1),
+    "new": (_lower_new, 0),
+    "len": (_lower_len, 1),
+    "cap": (_lower_cap, 1),
+    "append": (_lower_append, 1),
+    "delete": (_lower_delete, 2),
+    "close": (_lower_close, 1),
+    "panic": (_lower_panic, 1),
+    "copy": (_lower_copy, 2),
+    "recover": (lambda node, code: _const(None), 0),
+    "println": (_lower_println, 0),
+    "print": (_lower_println, 0),
 }
 
 
@@ -1103,13 +1113,7 @@ def _build_index(node: ast.IndexExpr, code: CodeCache, comma_ok: bool = False) -
             value = interp._zero_for_type(container.value_type)
             return [value, False] if comma_ok else value
         if isinstance(container, SliceValue):
-            index = int(key)
-            elements = container.elements
-            if index < 0 or index >= len(elements):
-                raise GoPanic(
-                    f"runtime error: index out of range [{index}] with length {len(elements)}"
-                )
-            cell = elements[index]
+            cell = _element(container, key)
             yield STEP
             interp.detector.on_read(
                 goroutine.gid, cell,
@@ -1195,7 +1199,7 @@ def _build_address_of(target: ast.Expr, code: CodeCache) -> Code:
             container = yield from x_code(interp, goroutine, env)
             key = yield from index_code(interp, goroutine, env)
             if isinstance(container, SliceValue):
-                return PointerValue(cell=container.elements[int(key)])
+                return PointerValue(cell=_element(container, key))
             raise GoRuntimeError("cannot take address of map element")
 
         return run_element
@@ -1408,12 +1412,7 @@ def _lower_target(target: ast.Expr, define: bool, code: CodeCache,
                 container.store(_map_key(key), value)
                 return None
             if isinstance(container, SliceValue):
-                index = int(key)
-                elements = container.elements
-                if index >= len(elements) or index < 0:
-                    raise GoPanic(f"runtime error: index out of range [{index}] "
-                                  f"with length {len(elements)}")
-                yield from interp.write_cell(goroutine, elements[index], value, target)
+                yield from interp.write_cell(goroutine, _element(container, key), value, target)
                 return None
             if container is None:
                 raise GoPanic("assignment to entry in nil map")

@@ -352,6 +352,36 @@ func main() {
         result, _ = run_expr_program(source)
         assert result.failures and "index out of range" in result.failures[0]
 
+    @pytest.mark.parametrize("call", ["len()", "cap()", "append()", "close()",
+                                      "delete(m)", "copy(s)", "panic()"])
+    def test_builtin_call_missing_an_argument_fails_the_run(self, call):
+        source = f"""
+package main
+
+func main() {{
+	m := map[string]int{{}}
+	s := []int{{1}}
+	_, _ = m, s
+	{call}
+}}
+"""
+        result, _ = run_expr_program(source)
+        name = call.split("(")[0]
+        assert result.failures == [f"goroutine 1 (main): missing argument to {name}"]
+
+    def test_address_of_an_out_of_range_element_panics(self):
+        source = """
+package main
+
+func main() {
+	s := []int{1}
+	p := &s[5]
+	_ = p
+}
+"""
+        result, _ = run_expr_program(source)
+        assert result.failures and "index out of range [5] with length 1" in result.failures[0]
+
     def test_nil_map_write_panics(self):
         source = """
 package main
