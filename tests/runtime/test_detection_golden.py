@@ -553,6 +553,34 @@ Loop:
 \tprintln(out, evals, shared)
 }
 """,
+    # Struct values: var declarations copy them, and a promoted field's
+    # cell, which the literal did not create, is named after the variable.
+    "struct-values": """
+type base struct {
+\tid int
+}
+
+type wrapped struct {
+\tbase
+\tname string
+}
+
+func TestStructValues(t *testing.T) {
+\tw := wrapped{name: "w"}
+\tvar copied = w
+\tvar first, second = w, copied
+\tcopied.name = "c"
+\tfirst.name = "f"
+\tdone := make(chan bool)
+\tgo func() {
+\t\tw.id = 4
+\t\tdone <- true
+\t}()
+\tw.id = 3
+\t<-done
+\tprintln(w.name, copied.name, first.name, second.name, w.id)
+}
+""",
     # Comma-ok reads of a slice, a string, a nil map and a parenthesized
     # map index; plain assignment from comma-ok and tuple forms; package
     # level comma-ok and struct initializers.
