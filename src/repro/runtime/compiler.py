@@ -1128,7 +1128,7 @@ def _build_index(node: ast.IndexExpr, code: CodeCache, comma_ok: bool = False) -
             value = container[int(key)]
             return [value, True] if comma_ok else value
         if container is None:
-            # Reading from a nil map yields the zero value.
+            # A nil map, whose value type is not known here, reads nil.
             return [None, False] if comma_ok else None
         raise GoRuntimeError(f"cannot index {format_value(container)}")
 
@@ -1751,31 +1751,19 @@ def _build_decl(node: ast.DeclStmt, code: CodeCache, line: int) -> Code:
     """A local declaration.  ``type`` specs join the run's type table;
     ``var``/``const`` specs declare one cell per name, holding the
     right-hand side's value (struct-copied) or else the type's zero."""
-    decl = node.decl
-    if decl.tok == "type":
-        type_specs = tuple(spec for spec in decl.specs if isinstance(spec, ast.TypeSpec))
-
-        def run_type(interp, goroutine, env):
-            if False:  # pragma: no cover - keeps this a generator
-                yield STEP
-            stack = goroutine.stack
-            if stack and line:
-                stack[-1].line = line
-            for spec in type_specs:
-                interp.types[spec.name] = spec
-            return None
-
-        return run_type
-    specs = tuple(
+    type_specs = tuple(spec for spec in node.decl.specs if isinstance(spec, ast.TypeSpec))
+    value_specs = tuple(
         (spec.names, spec.type_,
          compile_rhs(spec.values, len(spec.names), code) if spec.values else None)
-        for spec in decl.specs if isinstance(spec, ast.ValueSpec))
+        for spec in node.decl.specs if isinstance(spec, ast.ValueSpec))
 
     def run(interp, goroutine, env):
         stack = goroutine.stack
         if stack and line:
             stack[-1].line = line
-        for names, type_, rhs_code in specs:
+        for spec in type_specs:
+            interp.types[spec.name] = spec
+        for names, type_, rhs_code in value_specs:
             if rhs_code is not None:
                 values = yield from rhs_code(interp, goroutine, env)
                 for name, value in zip(names, values):
