@@ -1819,7 +1819,8 @@ def _build_switch(node: ast.SwitchStmt, code: CodeCache, line: int) -> Code:
         for expr_codes, body in cases:
             for expr_code in expr_codes:
                 value = yield from expr_code(interp, goroutine, scope)
-                if _values_equal(tag, value) if tagged else is_truthy(value):
+                matched = _values_equal(tag, value) if tagged else is_truthy(value)
+                if matched:
                     signal = yield from _run_clause(interp, goroutine, scope, body)
                     return signal
         if default_body is None:
