@@ -44,7 +44,6 @@ class FixGenerator:
         self.client = client if client is not None else make_client(self.config.model)
         #: Exposed counters used by the evaluation reports.
         self.model_calls = 0
-        self.retrievals = 0
 
     # ------------------------------------------------------------------
 
@@ -59,9 +58,6 @@ class FixGenerator:
         if self.config.use_rag and self.database is not None and len(self.database) > 0:
             entry = self.database.best_example(item)
             if entry is not None:
-                # Count only successful retrievals: an empty query result is
-                # not a retrieval the evaluation reports should bill for.
-                self.retrievals += 1
                 examples.append(entry)
         if self.config.include_empty_example or not examples:
             examples.append(None)

@@ -107,6 +107,8 @@ class DrFix:
         diagnosis = self.diagnoser.diagnose(report)
         outcome = FixOutcome(bug_hash=info.bug_hash, diagnosis=diagnosis)
         self._baseline_hashes = list(baseline_hashes or [])
+        # A verdict is reused only among this report's candidates.
+        self.validator.forget()
         failure_log: List[str] = []
 
         items = info.ordered_items(self.config)
@@ -116,8 +118,11 @@ class DrFix:
             return outcome
 
         attempt_index = 0
+        # Each item's examples, reused by the final retry.
+        examples_of: List[Sequence] = []
         for item in items:
             examples = self.generator.candidate_examples(item)
+            examples_of.append(examples)
             validated, consumed = self._attempt_item(
                 outcome, info, item, examples, feedback="",
                 start_index=attempt_index, salt_prefix="a", failure_log=failure_log,
@@ -141,9 +146,10 @@ class DrFix:
                     f"{failure_text} | diagnosed as {diagnosis.category.value}; "
                     f"consider the {hints} repair patterns"
                 )
-            retry_items = [i for i in items if i.scope is FixScope.FILE] or items
-            for item in retry_items:
-                examples = self.generator.candidate_examples(item)
+            tried = list(zip(items, examples_of))
+            retry = [(item, examples) for item, examples in tried
+                     if item.scope is FixScope.FILE] or tried
+            for item, examples in retry:
                 # The retry loop does not feed failure_log: the final
                 # failure_reason reports the main loop's last failure.
                 validated, consumed = self._attempt_item(

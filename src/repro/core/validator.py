@@ -11,14 +11,20 @@ detector runs is the smallest count meeting the configured
 detection-probability bound
 (:func:`~repro.runtime.scheduler.runs_for_detection_probability`) instead of
 a fixed ``validator_runs``.
+
+Within one fix, the model often proposes a candidate it already proposed
+(the same patched package for the same race).  :class:`FixValidator`
+remembers each verdict until :meth:`FixValidator.forget`, so each distinct
+candidate runs the harness once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import DrFixConfig
+from repro.runtime.compiler import package_fingerprint
 from repro.runtime.harness import GoPackage, PackageRunResult, run_package_tests
 from repro.runtime.scheduler import runs_for_detection_probability
 
@@ -109,8 +115,12 @@ class FixValidator:
 
     def __init__(self, config: Optional[DrFixConfig] = None):
         self.config = (config or DrFixConfig()).validated()
-        #: Number of validations performed (exposed for evaluation statistics).
+        #: Number of validations requested, repeats included (exposed for
+        #: evaluation statistics).
         self.validations = 0
+        #: Verdicts by (package fingerprint, bug hash, baseline) since the
+        #: last :meth:`forget`.
+        self._verdicts: Dict[Tuple[str, str, Tuple[str, ...]], ValidationResult] = {}
 
     def validate(self, package: GoPackage, bug_hash: str,
                  baseline_hashes: Optional[List[str]] = None) -> ValidationResult:
@@ -118,12 +128,22 @@ class FixValidator:
 
         ``baseline_hashes`` are races already present before the patch (other,
         untargeted races in the same package do not fail validation — the
-        paper distinguishes the targeted race via the stable hash).
+        paper distinguishes the targeted race via the stable hash).  A repeat
+        of a remembered candidate returns its verdict without running the
+        harness; it still counts in :attr:`validations`.
         """
         self.validations += 1
-        return _validate_candidate(
-            self.config, bug_hash, tuple(baseline_hashes or ()), package
-        )
+        baseline = tuple(baseline_hashes or ())
+        key = (package_fingerprint(package), bug_hash, baseline)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = _validate_candidate(self.config, bug_hash, baseline, package)
+            self._verdicts[key] = verdict
+        return verdict
+
+    def forget(self) -> None:
+        """Drop every remembered verdict (one fix's candidates)."""
+        self._verdicts.clear()
 
     def validate_batch(
         self,

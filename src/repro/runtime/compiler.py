@@ -71,13 +71,13 @@ from repro.runtime.interpreter import (
     BoundMethod,
     BreakSignal,
     ContinueSignal,
+    FallthroughSignal,
     Interpreter,
     PackageRef,
     ReturnSignal,
     Signal,
 )
 from repro.runtime.memory import Cell, Environment
-from repro.runtime.race_detector import AccessRecord
 from repro.runtime.channels import Channel
 from repro.runtime.sync_primitives import Mutex, Once, RWMutex, SyncMap, WaitGroup
 from repro.runtime.values import (
@@ -562,9 +562,7 @@ def _build_ident(node: ast.Ident, code: CodeCache) -> Code:
             yield STEP
             gid = goroutine.gid
             interp.detector.on_read(
-                gid, cell,
-                AccessRecord(gid, False, goroutine.stack_snapshot(leaf),
-                             cell.name, cell.address, goroutine.creation_stack))
+                gid, cell, goroutine.stack_snapshot(leaf), goroutine.creation_stack)
             return cell.value
         funcs = interp.funcs
         if name in funcs:
@@ -631,9 +629,7 @@ def _build_selector(node: ast.SelectorExpr, code: CodeCache) -> Code:
             cell = base.field_cell(sel, owner_name=owner_static or base.type_name)
             yield STEP
             interp.detector.on_read(
-                goroutine.gid, cell,
-                AccessRecord(goroutine.gid, False, goroutine.stack_snapshot(leaf),
-                             cell.name, cell.address, goroutine.creation_stack))
+                goroutine.gid, cell, goroutine.stack_snapshot(leaf), goroutine.creation_stack)
             return cell.value
         if isinstance(base, PackageRef):
             member = stdlib.get_member(base.name, sel)
@@ -1074,9 +1070,7 @@ def _build_deref(node: ast.StarExpr, code: CodeCache) -> Code:
             if cell is not None:
                 yield STEP
                 interp.detector.on_read(
-                    goroutine.gid, cell,
-                    AccessRecord(goroutine.gid, False, goroutine.stack_snapshot(leaf),
-                                 cell.name, cell.address, goroutine.creation_stack))
+                    goroutine.gid, cell, goroutine.stack_snapshot(leaf), goroutine.creation_stack)
                 return cell.value
             if pointer.struct is not None:
                 return pointer.struct
@@ -1102,9 +1096,7 @@ def _build_index(node: ast.IndexExpr, code: CodeCache, comma_ok: bool = False) -
             location = container.location
             yield STEP
             interp.detector.on_read(
-                goroutine.gid, location,
-                AccessRecord(goroutine.gid, False, goroutine.stack_snapshot(leaf),
-                             location.name, location.address, goroutine.creation_stack))
+                goroutine.gid, location, goroutine.stack_snapshot(leaf), goroutine.creation_stack)
             key = _map_key(key)
             entries = container.entries
             if key in entries:
@@ -1116,9 +1108,7 @@ def _build_index(node: ast.IndexExpr, code: CodeCache, comma_ok: bool = False) -
             cell = _element(container, key)
             yield STEP
             interp.detector.on_read(
-                goroutine.gid, cell,
-                AccessRecord(goroutine.gid, False, goroutine.stack_snapshot(leaf),
-                             cell.name, cell.address, goroutine.creation_stack))
+                goroutine.gid, cell, goroutine.stack_snapshot(leaf), goroutine.creation_stack)
             return [cell.value, True] if comma_ok else cell.value
         # Uncommon containers.
         if isinstance(container, SyncMap):
@@ -1357,9 +1347,7 @@ def _lower_target(target: ast.Expr, define: bool, code: CodeCache,
                     raise GoRuntimeError(f"undefined: {name}")
             yield STEP
             interp.detector.on_write(
-                goroutine.gid, cell,
-                AccessRecord(goroutine.gid, True, goroutine.stack_snapshot(leaf),
-                             cell.name, cell.address, goroutine.creation_stack))
+                goroutine.gid, cell, goroutine.stack_snapshot(leaf), goroutine.creation_stack)
             cell.value = value
             return None
 
@@ -1549,7 +1537,7 @@ def _build_stmt(node: ast.Stmt, code: CodeCache) -> Code:
         elif tok == "continue":
             signal = ContinueSignal(label=node.label)
         elif tok == "fallthrough":
-            signal = None
+            signal = FallthroughSignal()
         else:
 
             def run_bad_branch(interp, goroutine, env):
@@ -1780,7 +1768,8 @@ def _build_decl(node: ast.DeclStmt, code: CodeCache, line: int) -> Code:
 
 def _run_clause(interp, goroutine, scope, stmt_codes) -> Generator:
     """Run a ``switch`` or ``select`` clause body; an unlabeled ``break``
-    ends the statement."""
+    ends the statement, and any other signal (``fallthrough`` included) is
+    returned."""
     for stmt_code in stmt_codes:
         signal = yield from stmt_code(interp, goroutine, scope)
         if isinstance(signal, BreakSignal) and signal.label is None:
@@ -1793,18 +1782,19 @@ def _run_clause(interp, goroutine, scope, stmt_codes) -> Generator:
 def _build_switch(node: ast.SwitchStmt, code: CodeCache, line: int) -> Code:
     """An expression ``switch``: the cases' expressions are evaluated in
     order until one equals the tag (or, tagless, is true); the chosen body,
-    or the ``default`` one, runs in the switch's own scope."""
+    or the ``default`` one, runs in the switch's own scope.  A ``fallthrough``
+    runs the next clause's body in source order, ``default`` included,
+    without testing that clause's expressions."""
     init_code = compile_stmt(node.init, code) if node.init is not None else None
     tagged = node.tag is not None
     tag_code = compile_expr(node.tag, code) if tagged else None
-    cases = []
-    default_body = None
-    for case in node.cases:
-        body = tuple(compile_stmt(stmt, code) for stmt in case.body)
-        if case.exprs:
-            cases.append((tuple(compile_expr(expr, code) for expr in case.exprs), body))
-        else:
-            default_body = body
+    # (case expressions, or None for ``default``; body), in source order.
+    clauses = tuple(
+        (tuple(compile_expr(expr, code) for expr in case.exprs) if case.exprs else None,
+         tuple(compile_stmt(stmt, code) for stmt in case.body))
+        for case in node.cases)
+    default_index = next((index for index, (exprs, _body) in enumerate(clauses)
+                          if exprs is None), None)
 
     def run(interp, goroutine, env):
         stack = goroutine.stack
@@ -1816,17 +1806,24 @@ def _build_switch(node: ast.SwitchStmt, code: CodeCache, line: int) -> Code:
         tag: Any = True
         if tagged:
             tag = yield from tag_code(interp, goroutine, scope)
-        for expr_codes, body in cases:
-            for expr_code in expr_codes:
+        chosen = default_index
+        for index, (expr_codes, _body) in enumerate(clauses):
+            matched = False
+            for expr_code in expr_codes or ():
                 value = yield from expr_code(interp, goroutine, scope)
                 matched = _values_equal(tag, value) if tagged else is_truthy(value)
                 if matched:
-                    signal = yield from _run_clause(interp, goroutine, scope, body)
-                    return signal
-        if default_body is None:
+                    break
+            if matched:
+                chosen = index
+                break
+        if chosen is None:
             return None
-        signal = yield from _run_clause(interp, goroutine, scope, default_body)
-        return signal
+        for _exprs, body in clauses[chosen:]:
+            signal = yield from _run_clause(interp, goroutine, scope, body)
+            if not isinstance(signal, FallthroughSignal):
+                return signal
+        return None
 
     return run
 
@@ -1973,10 +1970,8 @@ def _build_range(node: ast.RangeStmt, code: CodeCache, line: int) -> Code:
                         # Inlined ``write_cell`` on the per-loop key cell.
                         yield STEP
                         detector.on_write(
-                            gid, key_cell,
-                            AccessRecord(gid, True, goroutine.stack_snapshot(key_leaf),
-                                         key_cell.name, key_cell.address,
-                                         goroutine.creation_stack))
+                            gid, key_cell, goroutine.stack_snapshot(key_leaf),
+                            goroutine.creation_stack)
                         key_cell.value = key
                 if value_cell is not None:
                     passed = interp._pass_value(value)
@@ -1985,10 +1980,8 @@ def _build_range(node: ast.RangeStmt, code: CodeCache, line: int) -> Code:
                     else:
                         yield STEP
                         detector.on_write(
-                            gid, value_cell,
-                            AccessRecord(gid, True, goroutine.stack_snapshot(value_leaf),
-                                         value_cell.name, value_cell.address,
-                                         goroutine.creation_stack))
+                            gid, value_cell, goroutine.stack_snapshot(value_leaf),
+                            goroutine.creation_stack)
                         value_cell.value = passed
             else:
                 if key_target is not None:

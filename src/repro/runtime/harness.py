@@ -27,8 +27,9 @@ The harness owns the pieces Dr.Fix's validator needs (Section 4.4.1):
   harness invocation;
 * **early exit** — in detection, ``stop_on_first_race`` stops after the
   first run, in plan order, that reports a race;
-* **race collection** — detector races are rendered as ThreadSanitizer-format
-  reports and deduplicated by stable bug hash.
+* **race collection** — each run returns the detector's raw race records;
+  the plan keeps the first record per stable bug hash, in run order, and
+  renders only those as ThreadSanitizer-format reports.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from repro.golang import ast_nodes as ast
 from repro.runtime.compiler import PROGRAM_CACHE, BuiltPackage, discover_tests
 from repro.runtime.goroutine import Goroutine, STEP, blocked
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.race_detector import RaceDetector
-from repro.runtime.race_report import RaceReport, merge_reports, report_from_race
+from repro.runtime.race_detector import RaceDetector, RaceRecord
+from repro.runtime.race_report import RaceReport, race_hash, report_from_race
 from repro.runtime.scheduler import Scheduler, SchedulerPolicy, derive_run_seed
 from repro.runtime.values import FuncValue
 
@@ -232,7 +233,7 @@ def _render_message(args: List[Any]) -> str:
 class RunOutcome:
     """The raw result of one (seed, policy) run, before merging."""
 
-    reports: List[RaceReport]
+    races: List[RaceRecord]
     failures: List[str]
     output: List[str]
     steps: int
@@ -375,11 +376,16 @@ class GoTestHarness:
             # Nothing to exercise; treat as an empty, passing package.
             return result
 
-        all_reports: List[RaceReport] = []
+        reports: dict[str, RaceReport] = {}
         seen_failures = set(result.test_failures)
         for seed, policy in self.plan_runs():
             outcome = self._run_once(build, tests, entries, seed, policy)
-            all_reports.extend(outcome.reports)
+            # One report per bug hash, first seen in plan order: a race that
+            # recurs in later runs is hashed, never rendered again.
+            for race in outcome.races:
+                bug_hash = race_hash(race)
+                if bug_hash not in reports:
+                    reports[bug_hash] = report_from_race(race, package=self.package.name)
             result.scheduler_steps += outcome.steps
             # Order-preserving dedup via a seen-set (the old ``not in list``
             # scan was quadratic over thousands of runs).
@@ -391,9 +397,9 @@ class GoTestHarness:
             result.output.extend(kept)
             result.output_lines_truncated += dropped
             result.runs += 1
-            if self.stop_on_first_race and outcome.reports:
+            if self.stop_on_first_race and outcome.races:
                 break
-        result.reports = merge_reports(all_reports)
+        result.reports = list(reports.values())
         return result
 
     def _run_once(
@@ -440,9 +446,7 @@ class GoTestHarness:
         failures.extend(program.failures)
         for root in roots:
             failures.extend(root.collect_failures())
-        reports = [report_from_race(r, package=self.package.name)
-                   for r in program.races]
-        return RunOutcome(reports=reports, failures=failures,
+        return RunOutcome(races=program.races, failures=failures,
                           output=program.output, steps=program.steps)
 
 

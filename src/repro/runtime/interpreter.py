@@ -39,7 +39,7 @@ from repro.golang import ast_nodes as ast
 from repro.runtime.channels import Channel
 from repro.runtime.goroutine import Frame, Goroutine, GoroutineState, STEP, blocked
 from repro.runtime.memory import Cell, Environment
-from repro.runtime.race_detector import AccessRecord, RaceDetector
+from repro.runtime.race_detector import RaceDetector
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.sync_primitives import Mutex, Once, RWMutex, SyncMap, WaitGroup
 from repro.runtime.values import (
@@ -88,6 +88,12 @@ class BreakSignal(Signal):
 @dataclass(slots=True)
 class ContinueSignal(Signal):
     label: Optional[str] = None
+
+
+class FallthroughSignal(Signal):
+    """``fallthrough``: the enclosing ``switch`` runs the next clause's body."""
+
+    __slots__ = ()
 
 
 @dataclass(slots=True)
@@ -333,18 +339,9 @@ class Interpreter:
     def _record_access(self, goroutine: Goroutine, cell: Cell, is_write: bool,
                        node: Optional[ast.Node]) -> None:
         line = node.pos.line if node is not None and node.pos.line else None
-        record = AccessRecord(
-            goroutine_id=goroutine.gid,
-            is_write=is_write,
-            stack=goroutine.stack_snapshot(leaf_line=line),
-            variable=cell.name,
-            address=cell.address,
-            creation_stack=goroutine.creation_stack,
-        )
-        if is_write:
-            self.detector.on_write(goroutine.gid, cell, record)
-        else:
-            self.detector.on_read(goroutine.gid, cell, record)
+        access = self.detector.on_write if is_write else self.detector.on_read
+        access(goroutine.gid, cell, goroutine.stack_snapshot(leaf_line=line),
+               goroutine.creation_stack)
 
     def read_cell(self, goroutine: Goroutine, cell: Cell, node: Optional[ast.Node]) -> Generator:
         yield STEP

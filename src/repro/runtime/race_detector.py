@@ -17,15 +17,19 @@ at the granularity the interpreter needs:
 Fast paths mirror FastTrack's: a repeated read by the owning goroutine updates
 the read epoch in place (no dict or clock allocation), and a write updates the
 write epoch in place (no ``Epoch``/``VectorClock`` objects are allocated per
-access, and clearing the read state never copies records).  One deliberate
-deviation from the letter of the paper keeps reports unchanged from the
-pre-FastTrack detector: access *records* (stack snapshots used for
-ThreadSanitizer-style reports) are refreshed even on same-epoch accesses,
-because a later race must report the most recent conflicting source line.
+access, and clearing the read state never copies anything).  Each access
+passes its call stack and its goroutine's creation stack, both memoised
+tuples the goroutine already holds, and the cell's state keeps them by
+reference.  One deliberate deviation from the letter of the paper keeps
+reports unchanged from the pre-FastTrack detector: those stack references are
+refreshed even on same-epoch accesses, because a later race must report the
+most recent conflicting source line.
 
-On detecting a race the detector records a :class:`RaceRecord` with both
-access snapshots (goroutine id, read/write, call stack) which the harness then
-renders as a ThreadSanitizer-format report.
+Nothing is built for an access that does not race.  A race is first checked
+against the run's reported keys (:func:`race_key`: the variable plus both
+leaf frames); only a new key builds the two :class:`AccessRecord` snapshots
+(goroutine id, read/write, call stack) and the :class:`RaceRecord` the
+harness renders as a ThreadSanitizer-format report.
 """
 
 from __future__ import annotations
@@ -36,17 +40,20 @@ from typing import Dict, List, Optional, Tuple
 from repro.runtime.memory import Cell
 from repro.runtime.vector_clock import SyncVar, VectorClock
 
+#: A call stack: ``(function, file, line)`` frames, leaf first.
+Stack = Tuple[Tuple[str, str, int], ...]
+
 
 @dataclass(slots=True)
 class AccessRecord:
-    """A snapshot of one memory access, retained for race reporting."""
+    """A snapshot of one racing memory access, retained for race reporting."""
 
     goroutine_id: int
     is_write: bool
-    stack: Tuple[Tuple[str, str, int], ...]  # (function, file, line) frames, leaf first
+    stack: Stack
     variable: str
     address: int
-    creation_stack: Tuple[Tuple[str, str, int], ...] = ()
+    creation_stack: Stack = ()
 
 
 @dataclass
@@ -60,45 +67,50 @@ class RaceRecord:
     def variable(self) -> str:
         return self.current.variable or self.previous.variable
 
-    def key(self) -> Tuple[str, ...]:
-        """A coarse dedup key: the leaf frames of both stacks plus the variable."""
-        cur = self.current.stack[0] if self.current.stack else ("?", "?", 0)
-        prev = self.previous.stack[0] if self.previous.stack else ("?", "?", 0)
-        frames = sorted([f"{cur[0]}:{cur[2]}", f"{prev[0]}:{prev[2]}"])
-        return (self.variable, *frames)
+
+def race_key(variable: str, current: Stack, previous: Stack) -> Tuple:
+    """A run's coarse dedup key for a race: the variable plus the leaf
+    frames' ``(function, line)`` of both stacks, in either order."""
+    cur = (current[0][0], current[0][2]) if current else ("?", 0)
+    prev = (previous[0][0], previous[0][2]) if previous else ("?", 0)
+    return (variable, cur, prev) if cur <= prev else (variable, prev, cur)
 
 
 #: ``read_tid`` sentinel: no reads since the last write.
 _NO_READER = -1
 #: ``read_tid`` sentinel: concurrent readers — the read state is the
-#: ``read_clocks``/``read_records`` maps (FastTrack's read-shared mode).
+#: ``read_clocks``/``read_stacks`` maps (FastTrack's read-shared mode).
 _SHARED = -2
 
 
 class _LocationState:
     """Per-cell detector metadata in FastTrack form.
 
-    The write state is a bare epoch (two ints plus the report record).  The
-    read state is adaptive: ``read_tid >= 0`` means a single goroutine has
-    read since the last write and its epoch lives inline; ``_SHARED`` means
-    concurrent readers promoted the state to per-goroutine maps.
+    The write state is a bare epoch (two ints) plus the writer's stack and
+    creation stack.  The read state is adaptive: ``read_tid >= 0`` means a
+    single goroutine has read since the last write and its epoch and stacks
+    live inline (they are stale otherwise); ``_SHARED`` means concurrent
+    readers promoted the state to per-goroutine maps (``read_stacks`` holds
+    ``(stack, creation_stack)``).
     """
 
     __slots__ = (
-        "write_tid", "write_clock", "write_record",
-        "read_tid", "read_clock", "read_record",
-        "read_clocks", "read_records",
+        "write_tid", "write_clock", "write_stack", "write_creation",
+        "read_tid", "read_clock", "read_stack", "read_creation",
+        "read_clocks", "read_stacks",
     )
 
     def __init__(self) -> None:
         self.write_tid = _NO_READER
         self.write_clock = 0
-        self.write_record: Optional[AccessRecord] = None
+        self.write_stack: Stack = ()
+        self.write_creation: Stack = ()
         self.read_tid = _NO_READER
         self.read_clock = 0
-        self.read_record: Optional[AccessRecord] = None
+        self.read_stack: Stack = ()
+        self.read_creation: Stack = ()
         self.read_clocks: Optional[Dict[int, int]] = None
-        self.read_records: Optional[Dict[int, AccessRecord]] = None
+        self.read_stacks: Optional[Dict[int, Tuple[Stack, Stack]]] = None
 
 
 class RaceDetector:
@@ -113,7 +125,7 @@ class RaceDetector:
         self.races: List[RaceRecord] = []
         self._thread_clocks: Dict[int, VectorClock] = {}
         self._locations: Dict[int, _LocationState] = {}
-        self._reported_keys: set[Tuple[str, ...]] = set()
+        self._reported_keys: set[Tuple] = set()
 
     # ------------------------------------------------------------------
     # Goroutine lifecycle
@@ -166,14 +178,23 @@ class RaceDetector:
     # Memory accesses
     # ------------------------------------------------------------------
 
-    def _record(self, race: RaceRecord) -> None:
-        key = race.key()
+    def _record(self, cell: Cell, tid: int, is_write: bool, stack: Stack,
+                creation: Stack, prev_tid: int, prev_is_write: bool,
+                prev_stack: Stack, prev_creation: Stack) -> None:
+        """Record a race unless its key was already reported in this run."""
+        name = cell.name
+        key = race_key(name, stack, prev_stack)
         if key in self._reported_keys:
             return
         self._reported_keys.add(key)
-        self.races.append(race)
+        address = cell.address
+        self.races.append(RaceRecord(
+            current=AccessRecord(tid, is_write, stack, name, address, creation),
+            previous=AccessRecord(prev_tid, prev_is_write, prev_stack, name, address,
+                                  prev_creation),
+        ))
 
-    def on_read(self, tid: int, cell: Cell, record: AccessRecord) -> None:
+    def on_read(self, tid: int, cell: Cell, stack: Stack, creation: Stack) -> None:
         if not self.enabled or cell.synchronized:
             return
         clock = self._thread_clocks.get(tid)
@@ -189,31 +210,31 @@ class RaceDetector:
             # Write-read conflict check: the stored write epoch must be
             # ordered before this goroutine's clock.
             if state.write_clock > clocks.get(write_tid, 0):
-                self._record(RaceRecord(current=record, previous=state.write_record))
+                self._record(cell, tid, False, stack, creation,
+                             write_tid, True, state.write_stack, state.write_creation)
         own = clocks.get(tid, 0)
         read_tid = state.read_tid
-        if read_tid == tid:
-            # Same-reader fast path: refresh the inline read epoch in place.
-            state.read_clock = own
-            state.read_record = record
-        elif read_tid == _NO_READER:
-            # Read-exclusive: this goroutine becomes the sole tracked reader.
+        if read_tid == tid or read_tid == _NO_READER:
+            # Same-reader fast path (refresh the inline read epoch and stacks
+            # in place), or read-exclusive: this goroutine becomes the sole
+            # tracked reader.
             state.read_tid = tid
             state.read_clock = own
-            state.read_record = record
+            state.read_stack = stack
+            state.read_creation = creation
         elif read_tid == _SHARED:
             state.read_clocks[tid] = own
-            state.read_records[tid] = record
+            state.read_stacks[tid] = (stack, creation)
         else:
             # Second distinct reader since the last write: promote to the
             # read-shared maps (insertion order: prior reader first, which
             # preserves report ordering on a later racing write).
             state.read_clocks = {read_tid: state.read_clock, tid: own}
-            state.read_records = {read_tid: state.read_record, tid: record}
+            state.read_stacks = {read_tid: (state.read_stack, state.read_creation),
+                                 tid: (stack, creation)}
             state.read_tid = _SHARED
-            state.read_record = None
 
-    def on_write(self, tid: int, cell: Cell, record: AccessRecord) -> None:
+    def on_write(self, tid: int, cell: Cell, stack: Stack, creation: Stack) -> None:
         if not self.enabled or cell.synchronized:
             return
         clock = self._thread_clocks.get(tid)
@@ -227,7 +248,8 @@ class RaceDetector:
         write_tid = state.write_tid
         if write_tid >= 0 and write_tid != tid:
             if state.write_clock > clocks.get(write_tid, 0):
-                self._record(RaceRecord(current=record, previous=state.write_record))
+                self._record(cell, tid, True, stack, creation,
+                             write_tid, True, state.write_stack, state.write_creation)
         read_tid = state.read_tid
         if read_tid != _NO_READER:
             if read_tid == _SHARED:
@@ -235,24 +257,26 @@ class RaceDetector:
                 # before this write.  Iterate in place (insertion order) —
                 # the maps are dropped right after, so no defensive copy.
                 read_clocks = state.read_clocks
-                for reader_tid, read_record in state.read_records.items():
+                for reader_tid, (read_stack, read_creation) in state.read_stacks.items():
                     if reader_tid == tid:
                         continue
                     if read_clocks[reader_tid] > clocks.get(reader_tid, 0):
-                        self._record(RaceRecord(current=record, previous=read_record))
+                        self._record(cell, tid, True, stack, creation,
+                                     reader_tid, False, read_stack, read_creation)
                 state.read_clocks = None
-                state.read_records = None
+                state.read_stacks = None
             elif read_tid != tid:
                 if state.read_clock > clocks.get(read_tid, 0):
-                    self._record(RaceRecord(current=record, previous=state.read_record))
+                    self._record(cell, tid, True, stack, creation,
+                                 read_tid, False, state.read_stack, state.read_creation)
             # Demote to read-free (FastTrack's write-exclusive state).
             state.read_tid = _NO_READER
-            state.read_record = None
-        # Same-epoch write fast path: only the report record refreshes; the
+        # Same-epoch write fast path: only the stack references refresh; the
         # epoch ints are written in place, no Epoch/VectorClock allocation.
         state.write_tid = tid
         state.write_clock = clocks.get(tid, 0)
-        state.write_record = record
+        state.write_stack = stack
+        state.write_creation = creation
 
     # ------------------------------------------------------------------
     # Results

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.runtime.race_detector import AccessRecord, RaceRecord
 
@@ -81,14 +81,9 @@ class RaceReport:
         racing functions present) still maps to the same bug, and reports for
         the same root cause observed in different runs coincide.
         """
-        names = sorted(
-            [
-                "|".join(frame.function for frame in self.first.frames),
-                "|".join(frame.function for frame in self.second.frames),
-            ]
-        )
-        digest = hashlib.sha256(("\n".join(names) + "\n" + self.variable).encode("utf-8"))
-        return digest.hexdigest()[:16]
+        return stacks_hash([frame.function for frame in self.first.frames],
+                           [frame.function for frame in self.second.frames],
+                           self.variable)
 
     def involved_functions(self) -> List[str]:
         seen: List[str] = []
@@ -140,6 +135,21 @@ class RaceReport:
 # ---------------------------------------------------------------------------
 # Construction from detector records
 # ---------------------------------------------------------------------------
+
+
+def stacks_hash(first: Iterable[str], second: Iterable[str], variable: str) -> str:
+    """The stable bug hash of two stacks' function names (either order) and
+    the racing variable; see :meth:`RaceReport.bug_hash`."""
+    names = sorted(["|".join(first), "|".join(second)])
+    digest = hashlib.sha256(("\n".join(names) + "\n" + variable).encode("utf-8"))
+    return digest.hexdigest()[:16]
+
+
+def race_hash(record: RaceRecord) -> str:
+    """The bug hash of ``report_from_race(record)``, without rendering it."""
+    return stacks_hash([frame[0] for frame in record.previous.stack],
+                       [frame[0] for frame in record.current.stack],
+                       record.variable)
 
 
 def _trace_from_record(record: AccessRecord) -> GoroutineTrace:
@@ -238,14 +248,6 @@ def parse_report(text: str) -> RaceReport:
     # reconstruct the original (first=previous, second=current) order.
     second, first = traces[0], traces[1]
     return RaceReport(first=first, second=second, address=address)
-
-
-def merge_reports(reports: Sequence[RaceReport]) -> List[RaceReport]:
-    """Deduplicate reports by bug hash, preserving first occurrence order."""
-    seen: dict[str, RaceReport] = {}
-    for report in reports:
-        seen.setdefault(report.bug_hash(), report)
-    return list(seen.values())
 
 
 def call_paths(report: RaceReport) -> Tuple[List[str], List[str]]:

@@ -35,8 +35,9 @@ from pathlib import Path
 import pytest
 
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
-from repro.runtime.harness import GoFile, GoPackage
-from repro.testing import detection_outcome, reset_addresses, run_outcome
+from repro.runtime.harness import GoFile, GoPackage, GoTestHarness
+from repro.runtime.race_report import race_hash, report_from_race
+from repro.testing import ALL_POLICIES, detection_outcome, reset_addresses, run_outcome
 
 FIXTURE = Path(__file__).with_name("detection_golden.json")
 
@@ -674,15 +675,19 @@ def outcome_sweep(name):
     return digests
 
 
+def _sweep_cases(corpus):
+    """``(seeds, runs, [(case_id, package)])`` of a corpus of :data:`SWEEPS`
+    or ``"constructs"``."""
+    if corpus == "constructs":
+        return (*CONSTRUCT_SWEEP, list(CONSTRUCTS.items()))
+    seeds, runs = SWEEPS[corpus]
+    return seeds, runs, [(case.case_id, case.package) for case in _cases(corpus)]
+
+
 def sweep(corpus):
     """``{"<case_id>@<seed>": digest}`` for every case and seed of ``corpus``
     (a corpus of :data:`SWEEPS` or ``"constructs"``)."""
-    if corpus == "constructs":
-        seeds, runs = CONSTRUCT_SWEEP
-        cases = list(CONSTRUCTS.items())
-    else:
-        seeds, runs = SWEEPS[corpus]
-        cases = [(case.case_id, case.package) for case in _cases(corpus)]
+    seeds, runs, cases = _sweep_cases(corpus)
     reset_addresses()
     digests = {}
     for case_id, package in cases:
@@ -715,6 +720,26 @@ def test_construct_detection_matches_golden(golden):
     assert sorted(actual) == sorted(expected), "case set changed"
     moved = sorted(key for key in expected if actual[key] != expected[key])
     assert not moved, f"detection moved on {len(moved)} sweeps: {moved[:10]}"
+
+
+@pytest.mark.parametrize("corpus", sorted(SWEEPS) + ["constructs"])
+def test_record_hash_is_the_report_bug_hash(corpus):
+    """The harness keeps one report per bug hash by hashing raw race records;
+    on every race of every run of the detection sweeps, that hash is the
+    rendered report's."""
+    seeds, runs, cases = _sweep_cases(corpus)
+    races = 0
+    for _case_id, package in cases:
+        for seed in seeds:
+            harness = GoTestHarness(package, runs=runs, seed=seed, policies=ALL_POLICIES)
+            build = harness.build()
+            if build.errors:
+                continue
+            for run_seed, policy in harness.plan_runs():
+                for race in harness._run_once(build, build.tests, [], run_seed, policy).races:
+                    races += 1
+                    assert race_hash(race) == report_from_race(race).bug_hash()
+    assert races
 
 
 @pytest.mark.parametrize("name", sorted(OUTCOME_SWEEPS))

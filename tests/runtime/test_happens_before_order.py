@@ -21,7 +21,7 @@ import pytest
 
 from repro.runtime.harness import GoFile, GoPackage, run_package_tests
 from repro.runtime.memory import Cell
-from repro.runtime.race_detector import AccessRecord, RaceDetector
+from repro.runtime.race_detector import RaceDetector, race_key
 from repro.runtime.scheduler import SchedulerPolicy
 from repro.runtime.vector_clock import SyncVar, VectorClock
 
@@ -37,18 +37,16 @@ def _detector_with_forks() -> RaceDetector:
     return detector
 
 
-def _access(tid: int, write: bool, variable: str = "x") -> AccessRecord:
-    return AccessRecord(goroutine_id=tid, is_write=write,
-                        stack=((f"worker{tid}", "w.go", 10 + tid),),
-                        variable=variable, address=0)
+def _stack(tid: int) -> tuple:
+    return ((f"worker{tid}", "w.go", 10 + tid),)
 
 
 def _write(detector: RaceDetector, tid: int, cell: Cell) -> None:
-    detector.on_write(tid, cell, _access(tid, True, cell.name))
+    detector.on_write(tid, cell, _stack(tid), ())
 
 
 def _read(detector: RaceDetector, tid: int, cell: Cell) -> None:
-    detector.on_read(tid, cell, _access(tid, False, cell.name))
+    detector.on_read(tid, cell, _stack(tid), ())
 
 
 def _clocks(detector: RaceDetector):
@@ -61,7 +59,8 @@ def _write_epochs(detector: RaceDetector, *cells: Cell):
 
 
 def _race_keys(detector: RaceDetector):
-    return [race.key() for race in detector.races]
+    return [race_key(race.variable, race.current.stack, race.previous.stack)
+            for race in detector.races]
 
 
 class TestCommutingPermutations:
@@ -249,7 +248,7 @@ class TestAccessOrder:
         (wr,), (rw,) = write_first.races, read_first.races
         assert (wr.current.is_write, wr.previous.is_write) == (False, True)
         assert (rw.current.is_write, rw.previous.is_write) == (True, False)
-        assert wr.key() == rw.key()
+        assert _race_keys(write_first) == _race_keys(read_first)
 
     @pytest.mark.parametrize("first_writes,second_writes,races", [
         (False, False, False),

@@ -2,7 +2,9 @@
 
 from repro.golang.parser import parse_file
 from repro.runtime.harness import GoFile, GoPackage, GoTestHarness, run_package_tests
-from repro.runtime.race_report import RaceReport, call_paths, merge_reports, parse_report
+from repro.runtime.race_report import (
+    RaceReport, call_paths, parse_report, race_hash, report_from_race,
+)
 
 
 class TestGoPackage:
@@ -159,9 +161,31 @@ class TestRaceReports:
         assert "SomeFunction" in " ".join(report.involved_functions())
         assert "service.go" in report.involved_files()
 
-    def test_merge_reports_deduplicates_by_hash(self, listing1_package):
-        report = self._report(listing1_package)
-        assert len(merge_reports([report, report])) == 1
+    def test_harness_deduplicates_reports_by_hash(self, listing1_package):
+        """A race that recurs across runs yields one report per bug hash, in
+        the order the plan's runs first saw each hash."""
+        harness = GoTestHarness(listing1_package, runs=8, seed=0)
+        build = harness.build()
+        first_seen, recurrences = [], 0
+        for seed, policy in harness.plan_runs():
+            races = harness._run_once(build, build.tests, [], seed, policy).races
+            for bug_hash in dict.fromkeys(race_hash(race) for race in races):
+                if bug_hash in first_seen:
+                    recurrences += 1
+                else:
+                    first_seen.append(bug_hash)
+        assert recurrences, "the race must recur across runs"
+        result = harness.run()
+        assert result.race_hashes() == first_seen
+
+    def test_race_hash_is_the_reports_bug_hash(self, listing1_package):
+        harness = GoTestHarness(listing1_package, runs=4, seed=0)
+        build = harness.build()
+        races = [race for seed, policy in harness.plan_runs()
+                 for race in harness._run_once(build, build.tests, [], seed, policy).races]
+        assert races
+        for race in races:
+            assert race_hash(race) == report_from_race(race).bug_hash()
 
     def test_call_paths_are_root_first(self, listing1_package):
         report = self._report(listing1_package)

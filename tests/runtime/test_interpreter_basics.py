@@ -97,6 +97,37 @@ class TestControlFlow:
         )
         assert result.output == ["two"]
 
+    @pytest.mark.parametrize("n,expected", [
+        (1, ["one", "two", "many", "four", "0"]),
+        (2, ["two", "many", "four", "1"]),
+        (3, ["many", "four", "2"]),
+        (4, ["four", "2"]),
+    ])
+    def test_fallthrough_runs_the_next_clause_in_source_order(self, n, expected):
+        """``fallthrough`` enters the next clause, ``default`` included,
+        without evaluating its expressions (``probe`` counts evaluations)."""
+        body = f"""\tevals := 0
+\tprobe := func(v int) int {{
+\t\tevals++
+\t\treturn v
+\t}}
+\tswitch n := {n}; n {{
+\tcase 1:
+\t\tfmt.Println("one")
+\t\tfallthrough
+\tcase probe(2):
+\t\tfmt.Println("two")
+\t\tfallthrough
+\tdefault:
+\t\tfmt.Println("many")
+\t\tfallthrough
+\tcase probe(4):
+\t\tfmt.Println("four")
+\t}}
+\tfmt.Println(evals)"""
+        result, _ = run_main(body)
+        assert result.output == expected
+
     def test_labeled_break(self):
         result, _ = run_main(
             "\tcount := 0\nLoop:\n\tfor i := 0; i < 3; i++ {\n\t\tfor j := 0; j < 3; j++ {\n"

@@ -3,13 +3,16 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.runtime.memory import Cell
-from repro.runtime.race_detector import AccessRecord, RaceDetector
+from repro.runtime.race_detector import RaceDetector
 from repro.runtime.vector_clock import Epoch, SyncVar, VectorClock
 
+#: A stack for accesses whose source line no assertion reads.
+STACK = (("F", "f.go", 1),)
 
-def record(tid: int, write: bool = True) -> AccessRecord:
-    return AccessRecord(goroutine_id=tid, is_write=write,
-                        stack=(("F", "f.go", 1),), variable="x", address=1)
+
+def stack(line: int) -> tuple:
+    """A fresh one-frame stack tuple at ``line``."""
+    return (("F", "f.go", line),)
 
 
 class TestVectorClock:
@@ -81,17 +84,17 @@ class TestRaceDetector:
         cell = Cell(name="x")
         detector.register_goroutine(1)
         detector.register_goroutine(2)
-        detector.on_write(1, cell, record(1))
-        detector.on_write(2, cell, record(2))
+        detector.on_write(1, cell, STACK, ())
+        detector.on_write(2, cell, STACK, ())
         assert detector.has_races()
 
     def test_fork_edge_orders_parent_before_child(self):
         detector = RaceDetector()
         cell = Cell(name="x")
         detector.register_goroutine(1)
-        detector.on_write(1, cell, record(1))
+        detector.on_write(1, cell, STACK, ())
         detector.on_fork(1, 2)
-        detector.on_write(2, cell, record(2))
+        detector.on_write(2, cell, STACK, ())
         assert not detector.has_races()
 
     def test_child_write_after_fork_races_with_parent_later_write(self):
@@ -99,8 +102,8 @@ class TestRaceDetector:
         cell = Cell(name="x")
         detector.register_goroutine(1)
         detector.on_fork(1, 2)
-        detector.on_write(2, cell, record(2))
-        detector.on_write(1, cell, record(1))
+        detector.on_write(2, cell, STACK, ())
+        detector.on_write(1, cell, STACK, ())
         assert detector.has_races()
 
     def test_lock_release_acquire_orders_accesses(self):
@@ -111,10 +114,10 @@ class TestRaceDetector:
         detector.register_goroutine(2)
         detector.on_fork(1, 2)
         detector.on_acquire(1, mutex)
-        detector.on_write(1, cell, record(1))
+        detector.on_write(1, cell, STACK, ())
         detector.on_release(1, mutex)
         detector.on_acquire(2, mutex)
-        detector.on_write(2, cell, record(2))
+        detector.on_write(2, cell, STACK, ())
         detector.on_release(2, mutex)
         assert not detector.has_races()
 
@@ -123,8 +126,8 @@ class TestRaceDetector:
         cell = Cell(name="x")
         detector.register_goroutine(1)
         detector.register_goroutine(2)
-        detector.on_read(1, cell, record(1, write=False))
-        detector.on_read(2, cell, record(2, write=False))
+        detector.on_read(1, cell, STACK, ())
+        detector.on_read(2, cell, STACK, ())
         assert not detector.has_races()
 
     def test_unordered_read_then_write_is_a_race(self):
@@ -132,40 +135,40 @@ class TestRaceDetector:
         cell = Cell(name="x")
         detector.register_goroutine(1)
         detector.register_goroutine(2)
-        detector.on_read(1, cell, record(1, write=False))
-        detector.on_write(2, cell, record(2))
+        detector.on_read(1, cell, STACK, ())
+        detector.on_write(2, cell, STACK, ())
         assert detector.has_races()
 
     def test_synchronized_cells_are_ignored(self):
         detector = RaceDetector()
         cell = Cell(name="internal", synchronized=True)
-        detector.on_write(1, cell, record(1))
-        detector.on_write(2, cell, record(2))
+        detector.on_write(1, cell, STACK, ())
+        detector.on_write(2, cell, STACK, ())
         assert not detector.has_races()
 
     def test_duplicate_races_are_deduplicated(self):
         detector = RaceDetector()
         cell = Cell(name="x")
-        detector.on_write(1, cell, record(1))
-        detector.on_write(2, cell, record(2))
-        detector.on_write(1, cell, record(1))
-        detector.on_write(2, cell, record(2))
+        detector.on_write(1, cell, STACK, ())
+        detector.on_write(2, cell, STACK, ())
+        detector.on_write(1, cell, STACK, ())
+        detector.on_write(2, cell, STACK, ())
         assert len(detector.races) == 1
 
     def test_join_edge_clears_race(self):
         detector = RaceDetector()
         cell = Cell(name="x")
         detector.on_fork(1, 2)
-        detector.on_write(2, cell, record(2))
+        detector.on_write(2, cell, STACK, ())
         detector.on_join(1, 2)
-        detector.on_write(1, cell, record(1))
+        detector.on_write(1, cell, STACK, ())
         assert not detector.has_races()
 
     def test_reset_clears_state(self):
         detector = RaceDetector()
         cell = Cell(name="x")
-        detector.on_write(1, cell, record(1))
-        detector.on_write(2, cell, record(2))
+        detector.on_write(1, cell, STACK, ())
+        detector.on_write(2, cell, STACK, ())
         detector.reset()
         assert not detector.has_races()
 
@@ -180,64 +183,62 @@ class TestFastTrackStateMachine:
         detector = RaceDetector()
         cell = Cell(name="x")
         detector.register_goroutine(1)
-        detector.on_read(1, cell, record(1, write=False))
+        detector.on_read(1, cell, STACK, ())
         state = self._state(detector, cell)
         assert state.read_tid == 1
-        assert state.read_clocks is None and state.read_records is None
+        assert state.read_clocks is None and state.read_stacks is None
 
-    def test_same_epoch_read_updates_in_place_and_refreshes_record(self):
+    def test_same_epoch_read_updates_in_place_and_refreshes_stack(self):
         detector = RaceDetector()
         cell = Cell(name="x")
         detector.register_goroutine(1)
-        first = record(1, write=False)
-        second = record(1, write=False)
-        detector.on_read(1, cell, first)
-        detector.on_read(1, cell, second)
+        first, second = stack(1), stack(2)
+        detector.on_read(1, cell, first, ())
+        detector.on_read(1, cell, second, ())
         state = self._state(detector, cell)
-        # Still read-exclusive: no promotion, and the report record tracks the
+        # Still read-exclusive: no promotion, and the stored stack tracks the
         # most recent read (the bit-identity deviation from textbook
         # FastTrack, which would skip the update entirely).
         assert state.read_tid == 1
-        assert state.read_record is second
+        assert state.read_stack is second
         assert state.read_clocks is None
 
     def test_concurrent_readers_promote_to_shared_maps(self):
         detector = RaceDetector()
         cell = Cell(name="x")
         detector.on_fork(1, 2)
-        detector.on_read(1, cell, record(1, write=False))
-        detector.on_read(2, cell, record(2, write=False))
+        detector.on_read(1, cell, STACK, ())
+        detector.on_read(2, cell, STACK, ())
         state = self._state(detector, cell)
         assert state.read_tid == -2  # shared mode
-        assert list(state.read_records) == [1, 2]  # promotion preserves order
+        assert list(state.read_stacks) == [1, 2]  # promotion preserves order
         assert state.read_clocks is not None and len(state.read_clocks) == 2
 
     def test_write_demotes_read_state_and_stores_epoch_inline(self):
         detector = RaceDetector()
         cell = Cell(name="x")
         detector.on_fork(1, 2)
-        detector.on_read(1, cell, record(1, write=False))
-        detector.on_read(2, cell, record(2, write=False))
-        write = record(1)
-        detector.on_write(1, cell, write)
+        detector.on_read(1, cell, STACK, ())
+        detector.on_read(2, cell, STACK, ())
+        write = stack(9)
+        detector.on_write(1, cell, write, ())
         state = self._state(detector, cell)
-        assert state.read_tid == -1 and state.read_records is None
+        assert state.read_tid == -1 and state.read_stacks is None
         assert state.write_tid == 1
         assert state.write_clock == detector.clock_of(1).get(1)
-        assert state.write_record is write
+        assert state.write_stack is write
 
-    def test_same_epoch_write_only_refreshes_record(self):
+    def test_same_epoch_write_only_refreshes_stack(self):
         detector = RaceDetector()
         cell = Cell(name="x")
         detector.register_goroutine(1)
-        first = record(1)
-        second = record(1)
-        detector.on_write(1, cell, first)
+        first, second = stack(1), stack(2)
+        detector.on_write(1, cell, first, ())
         clock_before = self._state(detector, cell).write_clock
-        detector.on_write(1, cell, second)
+        detector.on_write(1, cell, second, ())
         state = self._state(detector, cell)
         assert state.write_clock == clock_before
-        assert state.write_record is second
+        assert state.write_stack is second
         assert not detector.has_races()
 
     def test_write_write_race_reported_from_epochs(self):
@@ -245,8 +246,8 @@ class TestFastTrackStateMachine:
         cell = Cell(name="x")
         detector.register_goroutine(1)
         detector.register_goroutine(2)
-        detector.on_write(1, cell, record(1))
-        detector.on_write(2, cell, record(2))
+        detector.on_write(1, cell, STACK, ())
+        detector.on_write(2, cell, STACK, ())
         assert detector.has_races()
 
     def test_shared_read_then_unordered_write_reports_each_reader(self):
@@ -254,23 +255,33 @@ class TestFastTrackStateMachine:
         cell = Cell(name="y")
         detector.on_fork(1, 2)
         detector.on_fork(1, 3)
-        reader2 = AccessRecord(goroutine_id=2, is_write=False,
-                               stack=(("R2", "f.go", 2),), variable="y", address=2)
-        reader3 = AccessRecord(goroutine_id=3, is_write=False,
-                               stack=(("R3", "f.go", 3),), variable="y", address=2)
-        detector.on_read(2, cell, reader2)
-        detector.on_read(3, cell, reader3)
-        writer = AccessRecord(goroutine_id=1, is_write=True,
-                              stack=(("W", "f.go", 9),), variable="y", address=2)
-        detector.on_write(1, cell, writer)
+        detector.on_read(2, cell, (("R2", "f.go", 2),), ())
+        detector.on_read(3, cell, (("R3", "f.go", 3),), ())
+        detector.on_write(1, cell, (("W", "f.go", 9),), ())
         assert len(detector.races) == 2
         assert [race.previous.goroutine_id for race in detector.races] == [2, 3]
+
+    def test_race_records_are_built_from_both_accesses_stacks(self):
+        detector = RaceDetector()
+        cell = Cell(name="y")
+        detector.on_fork(1, 2)
+        reader, writer = (("R", "f.go", 2),), (("W", "f.go", 9),)
+        creation = (("Test", "f_test.go", 4),)
+        detector.on_read(2, cell, reader, creation)
+        detector.on_write(1, cell, writer, ())
+        (race,) = detector.races
+        assert (race.previous.goroutine_id, race.previous.is_write) == (2, False)
+        assert race.previous.stack is reader and race.previous.creation_stack is creation
+        assert (race.current.goroutine_id, race.current.is_write) == (1, True)
+        assert race.current.stack is writer and race.current.creation_stack == ()
+        assert race.variable == "y"
+        assert race.current.address == race.previous.address == cell.address
 
     def test_fork_ordered_reads_do_not_race_with_parent_write(self):
         detector = RaceDetector()
         cell = Cell(name="z")
         detector.register_goroutine(1)
-        detector.on_write(1, cell, record(1))
+        detector.on_write(1, cell, STACK, ())
         detector.on_fork(1, 2)
-        detector.on_read(2, cell, record(2, write=False))
+        detector.on_read(2, cell, STACK, ())
         assert not detector.has_races()
