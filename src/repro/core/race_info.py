@@ -20,9 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import DrFixConfig, FixLocation, FixScope
 from repro.diagnosis import clean_variable_name
-from repro.errors import GoSyntaxError
 from repro.golang import ast_nodes as ast
-from repro.golang.parser import parse_file
+from repro.golang.analysis import parse_package_file
 from repro.golang.printer import print_node
 from repro.runtime.harness import GoPackage
 from repro.runtime.race_report import RaceReport, StackFrame
@@ -85,15 +84,6 @@ class RaceInfoExtractor:
         self.config = (config or DrFixConfig()).validated()
 
     # ------------------------------------------------------------------
-
-    def _parse(self, file_name: str) -> Optional[ast.File]:
-        file = self.package.file(file_name)
-        if file is None:
-            return None
-        try:
-            return parse_file(file.source, file_name)
-        except GoSyntaxError:
-            return None
 
     def _is_external(self, file_name: str) -> bool:
         return any(file_name.startswith(prefix) for prefix in self.config.external_prefixes)
@@ -159,7 +149,7 @@ class RaceInfoExtractor:
             for frame in frames:
                 by_file.setdefault(frame.file, []).append(frame)
             for file_name, file_frames in by_file.items():
-                parsed = self._parse(file_name)
+                parsed = parse_package_file(self.package, file_name)
                 source_file = self.package.file(file_name)
                 if parsed is None or source_file is None:
                     continue
@@ -220,17 +210,11 @@ class RaceInfoExtractor:
 
 
 def resolve_function(parsed: ast.File, qualified: str) -> Optional[ast.FuncDecl]:
-    """Map a report frame name (``Func``, ``Type.Method``, ``Func.func1``) to a declaration."""
-    base = qualified.split(".func")[0]
-    parts = base.split(".")
-    candidates = [parts[-1], base]
-    if len(parts) > 1:
-        candidates.append(parts[-1])
+    """Map a report frame name (``Func``, ``Type.Method``, ``Func.func1``) to
+    the first declaration named by its last segment (closures resolve to the
+    enclosing function)."""
+    name = qualified.split(".func")[0].split(".")[-1]
     for decl in parsed.func_decls():
-        if decl.name in candidates:
-            return decl
-    # Method frames are "Type.Method": match by method name as a fallback.
-    for decl in parsed.func_decls():
-        if parts and decl.name == parts[-1]:
+        if decl.name == name:
             return decl
     return None

@@ -31,6 +31,8 @@ from repro.golang.analysis import (
     SYNC_PACKAGES,
     UNIVERSE_NAMES,
     find_enclosing_function,
+    ident_names,
+    mentions_concurrency,
     names_on_lines,
     node_line_span,
     stmt_is_concurrency,
@@ -102,7 +104,7 @@ class Skeletonizer:
                 racy_vars.update(self.infer_racy_variables(decl, racy_lines))
         if not target_decls:
             for decl in file.func_decls():
-                if decl.body is not None and _decl_mentions_concurrency(decl):
+                if decl.body is not None and mentions_concurrency(decl.body, receives=False):
                     target_decls.append(decl)
         if not target_decls:
             target_decls = [d for d in file.func_decls() if d.body is not None]
@@ -217,7 +219,7 @@ class Skeletonizer:
                 kept.append(stmt)
         referenced = set()
         for stmt in kept:
-            referenced.update(_referenced_names(stmt))
+            referenced.update(ident_names(stmt))
         # Second pass: keep declarations of variables referenced by kept statements.
         final: List[ast.Stmt] = []
         for stmt in block.stmts:
@@ -232,13 +234,13 @@ class Skeletonizer:
 
     def _prune_stmt(self, stmt: ast.Stmt, racy_vars: Set[str]) -> bool:
         """Return True when ``stmt`` should be kept (pruning nested blocks in place)."""
-        relevant = stmt_is_concurrency(stmt) or bool(_referenced_names(stmt) & racy_vars)
+        relevant = stmt_is_concurrency(stmt) or bool(ident_names(stmt) & racy_vars)
         if isinstance(stmt, ast.BlockStmt):
             inner = self._prune_block(stmt, racy_vars)
             return inner or relevant
         if isinstance(stmt, ast.IfStmt):
-            cond_relevant = bool(_expr_names(stmt.cond) & racy_vars) or (
-                stmt.init is not None and bool(_referenced_names(stmt.init) & racy_vars)
+            cond_relevant = bool(ident_names(stmt.cond) & racy_vars) or (
+                stmt.init is not None and bool(ident_names(stmt.init) & racy_vars)
             )
             body_kept = self._prune_block(stmt.body, racy_vars) if stmt.body else False
             else_kept = False
@@ -253,7 +255,7 @@ class Skeletonizer:
             return body_kept or else_kept or cond_relevant or stmt_is_concurrency(stmt)
         if isinstance(stmt, (ast.ForStmt, ast.RangeStmt)):
             body_kept = self._prune_block(stmt.body, racy_vars) if stmt.body else False
-            header_relevant = bool(_referenced_names(stmt) & racy_vars) or stmt_is_concurrency(stmt)
+            header_relevant = bool(ident_names(stmt) & racy_vars) or stmt_is_concurrency(stmt)
             return body_kept or header_relevant
         if isinstance(stmt, ast.SwitchStmt):
             any_kept = False
@@ -264,7 +266,7 @@ class Skeletonizer:
                         case_kept.append(inner)
                 case.body = case_kept
                 any_kept = any_kept or bool(case_kept)
-            tag_relevant = stmt.tag is not None and bool(_expr_names(stmt.tag) & racy_vars)
+            tag_relevant = stmt.tag is not None and bool(ident_names(stmt.tag) & racy_vars)
             return any_kept or tag_relevant
         if isinstance(stmt, ast.SelectStmt):
             return True  # select is inherently a concurrency construct
@@ -285,7 +287,7 @@ class Skeletonizer:
                     closure_kept = self._prune_block(node.body, racy_vars) or closure_kept
             return relevant or closure_kept
         if isinstance(stmt, ast.ReturnStmt):
-            return bool(_referenced_names(stmt) & racy_vars)
+            return bool(ident_names(stmt) & racy_vars)
         return relevant
 
 
@@ -495,20 +497,6 @@ class _Renamer:
 # ---------------------------------------------------------------------------
 
 
-def _expr_names(expr: ast.Expr | None) -> Set[str]:
-    if expr is None:
-        return set()
-    return {node.name for node in ast.walk(expr) if isinstance(node, ast.Ident)}
-
-
-def _referenced_names(stmt: ast.Stmt) -> Set[str]:
-    names: Set[str] = set()
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Ident):
-            names.add(node.name)
-    return names
-
-
 def _declared_by(stmt: ast.Stmt) -> Set[str]:
     declared: Set[str] = set()
     if isinstance(stmt, ast.AssignStmt) and stmt.tok == ":=":
@@ -520,21 +508,6 @@ def _declared_by(stmt: ast.Stmt) -> Set[str]:
             if isinstance(spec, ast.ValueSpec):
                 declared.update(spec.names)
     return declared
-
-
-def _decl_mentions_concurrency(decl: ast.FuncDecl) -> bool:
-    if decl.body is None:
-        return False
-    for stmt in decl.body.stmts:
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.GoStmt, ast.SendStmt, ast.SelectStmt, ast.ChanType)):
-                return True
-            if isinstance(node, ast.SelectorExpr) and ast.base_name(node) in SYNC_PACKAGES:
-                return True
-            if isinstance(node, ast.CallExpr) and isinstance(node.fun, ast.SelectorExpr) \
-                    and node.fun.sel in SYNC_METHOD_NAMES:
-                return True
-    return False
 
 
 def skeletonize_source(source: str, racy_lines: Sequence[int] = (),

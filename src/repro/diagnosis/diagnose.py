@@ -17,13 +17,24 @@ the CLI) can explain the diagnosis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.diagnosis.categories import RaceCategory
 from repro.diagnosis.registry import patterns_for_category
-from repro.errors import GoSyntaxError
 from repro.golang import ast_nodes as ast
-from repro.golang.parser import parse_file
+from repro.golang.analysis import (
+    calls_method,
+    declared_names,
+    go_closures,
+    ident_names,
+    is_nil_check,
+    is_sync_type,
+    methods_of,
+    package_level_var,
+    parse_package_file,
+    receiver_name,
+    writes_selector,
+)
 from repro.runtime.harness import GoPackage
 from repro.runtime.race_report import RaceReport
 
@@ -113,7 +124,8 @@ class RaceDiagnoser:
     def _classify(
         self, report: RaceReport, raw: str, cleaned: str, scopes: List[str]
     ) -> Tuple[RaceCategory, float, str]:
-        parsed = [p for p in (self._parse(name) for name in scopes) if p is not None]
+        parsed = [p for p in (parse_package_file(self.package, name) for name in scopes)
+                  if p is not None]
 
         # 1. wg.Add issued inside the goroutine body: the canonical
         # mis-synchronization of Listing 6 — it leaves the parent's continuation
@@ -151,7 +163,7 @@ class RaceDiagnoser:
         # without value-level synchronization: the map's own operations are
         # safe, but the entries it hands out are not (sync.Map misuse).
         if cleaned and any(
-            self._has_syncmap_field(file) and self._writes_field_of_syncmap_value(file, cleaned)
+            self._has_syncmap_field(file) and self._syncmap_value_field_written(file, cleaned)
             for file in parsed
         ):
             return (
@@ -204,7 +216,7 @@ class RaceDiagnoser:
                     f"`{cleaned}` is mutated through a struct pointer shared across calls",
                 )
         # 10. Package-level state written by involved functions.
-        if cleaned and any(self._is_package_level_var(file, cleaned) for file in parsed):
+        if cleaned and any(package_level_var(file, cleaned) for file in parsed):
             return (
                 RaceCategory.MISSING_SYNCHRONIZATION,
                 0.7,
@@ -216,28 +228,11 @@ class RaceDiagnoser:
             "shared state accessed without an ordering edge (no more specific shape found)",
         )
 
-    # -- parsing --------------------------------------------------------------------
-
-    def _parse(self, file_name: str) -> Optional[ast.File]:
-        file = self.package.file(file_name)
-        if file is None:
-            return None
-        try:
-            return parse_file(file.source, file_name)
-        except GoSyntaxError:
-            return None
-
     # -- rule predicates ------------------------------------------------------------
 
     @staticmethod
     def _has_add_inside_goroutine(file: ast.File) -> bool:
-        for node in ast.walk(file):
-            if isinstance(node, ast.GoStmt) and isinstance(node.call.fun, ast.FuncLit):
-                for inner in ast.walk(node.call.fun.body):
-                    if isinstance(inner, ast.CallExpr) and isinstance(inner.fun, ast.SelectorExpr) \
-                            and inner.fun.sel == "Add":
-                        return True
-        return False
+        return any(calls_method(closure.body, "Add") for _, closure in go_closures(file))
 
     def _test_scope_is_parallel(self, scopes: List[str]) -> bool:
         for name in scopes:
@@ -272,15 +267,13 @@ class RaceDiagnoser:
             }
             if cleaned not in loop_vars:
                 continue
-            for inner in ast.walk(node.body):
-                if isinstance(inner, ast.GoStmt) and isinstance(inner.call.fun, ast.FuncLit):
-                    closure = inner.call.fun
-                    params = {n for f in closure.type_.params for n in f.names}
-                    args = {a.name for a in inner.call.args if isinstance(a, ast.Ident)}
-                    if cleaned in params or cleaned in args:
-                        continue
-                    if _references(closure.body, cleaned):
-                        return True
+            for go_stmt, closure in go_closures(node.body):
+                params = {n for f in closure.type_.params for n in f.names}
+                args = {a.name for a in go_stmt.call.args if isinstance(a, ast.Ident)}
+                if cleaned in params or cleaned in args:
+                    continue
+                if cleaned in ident_names(closure.body):
+                    return True
         return False
 
     @staticmethod
@@ -293,7 +286,7 @@ class RaceDiagnoser:
                 continue
             if not any(isinstance(n, ast.GoStmt) for n in ast.walk(decl.body)):
                 continue
-            declared = _declared_names(decl)
+            declared = declared_names(decl, ranges=True)
             for node in ast.walk(decl.body):
                 if not isinstance(node, ast.FuncLit):
                     continue
@@ -315,18 +308,8 @@ class RaceDiagnoser:
 
     @staticmethod
     def _method_writes_field(file: ast.File, type_name: str, cleaned: str) -> bool:
-        for decl in file.func_decls():
-            if decl.recv is None or decl.body is None:
-                continue
-            recv_type = decl.recv.type_
-            if isinstance(recv_type, ast.StarExpr):
-                recv_type = recv_type.x
-            if not (isinstance(recv_type, ast.Ident) and recv_type.name == type_name):
-                continue
-            receiver = decl.recv.names[0] if decl.recv.names else ""
-            if _writes_selector(decl.body, receiver, cleaned):
-                return True
-        return False
+        return any(writes_selector(decl.body, receiver_name(decl), cleaned)
+                   for decl in methods_of(file, type_name))
 
     @staticmethod
     def _function_writes_param_field(file: ast.File, cleaned: str) -> bool:
@@ -335,7 +318,7 @@ class RaceDiagnoser:
                 continue
             params = {n for f in decl.type_.params for n in f.names}
             for name in params:
-                if _writes_selector(decl.body, name, cleaned):
+                if writes_selector(decl.body, name, cleaned):
                     return True
         return False
 
@@ -343,15 +326,12 @@ class RaceDiagnoser:
     def _has_syncmap_field(file: ast.File) -> bool:
         for spec in file.type_decls():
             if isinstance(spec.type_, ast.StructType):
-                for struct_field in spec.type_.fields:
-                    type_ = struct_field.type_
-                    if isinstance(type_, ast.SelectorExpr) and type_.sel == "Map" \
-                            and isinstance(type_.x, ast.Ident) and type_.x.name == "sync":
-                        return True
+                if any(is_sync_type(f.type_, "Map") for f in spec.type_.fields):
+                    return True
         return False
 
     @staticmethod
-    def _writes_field_of_syncmap_value(file: ast.File, cleaned: str) -> bool:
+    def _syncmap_value_field_written(file: ast.File, cleaned: str) -> bool:
         """Some function loads a value out of a map (``Load``/``LoadOrStore``)
         and then writes ``cleaned`` on it (possibly through aliases)."""
         for decl in file.func_decls():
@@ -361,13 +341,7 @@ class RaceDiagnoser:
             for node in ast.walk(decl.body):
                 if not (isinstance(node, ast.AssignStmt) and node.tok == ":="):
                     continue
-                from_load = any(
-                    isinstance(inner, ast.CallExpr)
-                    and isinstance(inner.fun, ast.SelectorExpr)
-                    and inner.fun.sel in ("Load", "LoadOrStore")
-                    for value in node.rhs
-                    for inner in ast.walk(value)
-                )
+                from_load = any(calls_method(value, "Load", "LoadOrStore") for value in node.rhs)
                 aliases = any(
                     isinstance(inner, ast.Ident) and inner.name in loaded
                     for value in node.rhs
@@ -378,7 +352,7 @@ class RaceDiagnoser:
                         if isinstance(target, ast.Ident) and target.name != "_":
                             loaded.add(target.name)
             for name in loaded:
-                if _writes_selector(decl.body, name, cleaned):
+                if writes_selector(decl.body, name, cleaned):
                     return True
         return False
 
@@ -386,37 +360,13 @@ class RaceDiagnoser:
     def _double_checked_field(file: ast.File, type_name: str, cleaned: str) -> bool:
         """A method of ``type_name`` nil-checks ``recv.cleaned`` outside the
         lock and assigns it inside a locked region within that check."""
-        for decl in file.func_decls():
-            if decl.recv is None or decl.body is None:
-                continue
-            recv_type = decl.recv.type_
-            if isinstance(recv_type, ast.StarExpr):
-                recv_type = recv_type.x
-            if not (isinstance(recv_type, ast.Ident) and recv_type.name == type_name):
-                continue
-            receiver = decl.recv.names[0] if decl.recv.names else ""
+        for decl in methods_of(file, type_name):
+            receiver = receiver_name(decl)
             for node in ast.walk(decl.body):
-                if not isinstance(node, ast.IfStmt):
-                    continue
-                if not _is_nil_check(node.cond, receiver, cleaned):
-                    continue
-                has_lock = any(
-                    isinstance(inner, ast.CallExpr)
-                    and isinstance(inner.fun, ast.SelectorExpr)
-                    and inner.fun.sel == "Lock"
-                    for inner in ast.walk(node.body)
-                )
-                if has_lock and _writes_selector(node.body, receiver, cleaned):
+                if isinstance(node, ast.IfStmt) and is_nil_check(node.cond, receiver, cleaned) \
+                        and calls_method(node.body, "Lock") \
+                        and writes_selector(node.body, receiver, cleaned):
                     return True
-        return False
-
-    @staticmethod
-    def _is_package_level_var(file: ast.File, cleaned: str) -> bool:
-        for decl in file.decls:
-            if isinstance(decl, ast.GenDecl) and decl.tok == "var":
-                for spec in decl.specs:
-                    if isinstance(spec, ast.ValueSpec) and cleaned in spec.names:
-                        return True
         return False
 
 
@@ -425,63 +375,8 @@ class RaceDiagnoser:
 # ---------------------------------------------------------------------------
 
 
-def _is_nil_check(cond: ast.Expr, receiver: str, field_name: str) -> bool:
-    return (
-        isinstance(cond, ast.BinaryExpr)
-        and cond.op == "=="
-        and isinstance(cond.x, ast.SelectorExpr)
-        and cond.x.sel == field_name
-        and ast.base_name(cond.x) == receiver
-        and isinstance(cond.y, ast.Ident)
-        and cond.y.name == "nil"
-    )
-
-
 def _access_pattern(report: RaceReport) -> str:
     kinds = sorted(
         ("write" if trace.is_write else "read") for trace in (report.first, report.second)
     )
     return "-".join(kinds)
-
-
-def _references(node: ast.Node, name: str) -> bool:
-    for inner in ast.walk(node):
-        if isinstance(inner, ast.Ident) and inner.name == name:
-            return True
-    return False
-
-
-def _declared_names(decl: ast.FuncDecl) -> set:
-    names = set()
-    for param in decl.type_.params:
-        names.update(param.names)
-    for node in ast.walk(decl.body):
-        if isinstance(node, ast.AssignStmt) and node.tok == ":=":
-            for target in node.lhs:
-                if isinstance(target, ast.Ident):
-                    names.add(target.name)
-        elif isinstance(node, ast.DeclStmt):
-            for spec in node.decl.specs:
-                if isinstance(spec, ast.ValueSpec):
-                    names.update(spec.names)
-        elif isinstance(node, ast.RangeStmt):
-            for expr in (node.key, node.value):
-                if isinstance(expr, ast.Ident):
-                    names.add(expr.name)
-    return names
-
-
-def _writes_selector(body: ast.BlockStmt, base: str, field_name: str) -> bool:
-    if not base:
-        return False
-    for node in ast.walk(body):
-        targets: List[ast.Expr] = []
-        if isinstance(node, ast.AssignStmt):
-            targets = node.lhs
-        elif isinstance(node, ast.IncDecStmt):
-            targets = [node.x]
-        for target in targets:
-            if isinstance(target, ast.SelectorExpr) and target.sel == field_name \
-                    and ast.base_name(target) == base:
-                return True
-    return False

@@ -1,9 +1,15 @@
 """Concurrency-oriented static analysis over the Go-subset AST.
 
-Helpers used by the skeletonizer (Section 4.3), the race-info extractor
-(Section 4.2), and several fix strategies:
+The one home of the questions that the skeletonizer (Section 4.3), the
+race-info extractor (Section 4.2), the race diagnoser and the fix strategies
+ask of the same Go trees:
 
-* find concurrency constructs (``go``, channels, ``sync.*``, ``atomic.*``);
+* find concurrency constructs (``go``, channels, ``sync.*``, ``atomic.*``,
+  calls of a named method, goroutine closures);
+* names: the identifiers under a node, the names a function declares,
+  package-level variables;
+* receivers and fields: the methods of a type, ``recv.field`` selectors and
+  writes to them, nil checks, ``sync.*``-typed struct fields;
 * collect the variable names referenced on given source lines (the racy
   variables of interest);
 * locate the function declaration or closure that encloses a source line.
@@ -12,9 +18,11 @@ Helpers used by the skeletonizer (Section 4.3), the race-info extractor
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
+from repro.errors import GoSyntaxError
 from repro.golang import ast_nodes as ast
+from repro.golang.parser import parse_file
 
 #: Identifiers predeclared in Go's universe scope.
 UNIVERSE_NAMES = {
@@ -40,38 +48,41 @@ SYNC_METHOD_NAMES = {
     "Do",
 }
 
-#: Type names (right-hand side of a selector on ``sync``) considered concurrency types.
-SYNC_TYPE_NAMES = {"Mutex", "RWMutex", "WaitGroup", "Map", "Once", "Cond", "Pool"}
-
 
 # ---------------------------------------------------------------------------
 # Concurrency construct detection
 # ---------------------------------------------------------------------------
 
 
-def expr_mentions_sync(expr: ast.Expr | None) -> bool:
-    """Return True if the expression mentions a synchronization construct."""
-    if expr is None:
+def _is_method_call(node: ast.Node, methods) -> bool:
+    return isinstance(node, ast.CallExpr) and isinstance(node.fun, ast.SelectorExpr) \
+        and node.fun.sel in methods
+
+
+def calls_method(node: ast.Node, *methods: str) -> bool:
+    """Return True if some call under ``node`` has the selector ``.M`` for
+    one of ``methods`` (``mu.Lock()``, ``t.Run(...)``, ...)."""
+    return any(_is_method_call(inner, methods) for inner in ast.walk(node))
+
+
+def _is_concurrency_node(node: ast.Node, receives: bool) -> bool:
+    if isinstance(node, (ast.GoStmt, ast.SendStmt, ast.SelectStmt, ast.ChanType)):
+        return True
+    if isinstance(node, ast.UnaryExpr):
+        return receives and node.op == "<-"
+    if isinstance(node, ast.SelectorExpr):
+        return ast.base_name(node) in SYNC_PACKAGES
+    return _is_method_call(node, SYNC_METHOD_NAMES)
+
+
+def mentions_concurrency(node: ast.Node | None, receives: bool = True) -> bool:
+    """Return True if ``node`` or a descendant is a concurrency construct: a
+    ``go``, send or ``select`` statement (closures included), a channel type,
+    a receive (unless ``receives`` is False), a selector on ``sync``/``atomic``,
+    or a call of a synchronization method."""
+    if node is None:
         return False
-    for node in ast.walk(expr):
-        if isinstance(node, ast.SelectorExpr):
-            root = ast.base_name(node)
-            if root in SYNC_PACKAGES:
-                return True
-            if node.sel in SYNC_TYPE_NAMES and isinstance(node.x, ast.Ident) and node.x.name == "sync":
-                return True
-        if isinstance(node, ast.CallExpr):
-            fun = node.fun
-            if isinstance(fun, ast.SelectorExpr) and fun.sel in SYNC_METHOD_NAMES:
-                return True
-        if isinstance(node, (ast.ChanType,)):
-            return True
-        if isinstance(node, ast.UnaryExpr) and node.op == "<-":
-            return True
-        if isinstance(node, ast.FuncLit):
-            if block_mentions_concurrency(node.body):
-                return True
-    return False
+    return any(_is_concurrency_node(inner, receives) for inner in ast.walk(node))
 
 
 def stmt_is_concurrency(stmt: ast.Stmt) -> bool:
@@ -79,36 +90,175 @@ def stmt_is_concurrency(stmt: ast.Stmt) -> bool:
     if isinstance(stmt, (ast.GoStmt, ast.SendStmt, ast.SelectStmt)):
         return True
     if isinstance(stmt, ast.DeferStmt):
-        return expr_mentions_sync(stmt.call)
+        return mentions_concurrency(stmt.call)
     if isinstance(stmt, ast.ExprStmt):
-        return expr_mentions_sync(stmt.x)
+        return mentions_concurrency(stmt.x)
     if isinstance(stmt, ast.AssignStmt):
-        return any(expr_mentions_sync(e) for e in stmt.lhs + stmt.rhs)
+        return any(mentions_concurrency(e) for e in stmt.lhs + stmt.rhs)
     if isinstance(stmt, ast.DeclStmt):
         for spec in stmt.decl.specs:
             if isinstance(spec, ast.ValueSpec):
-                if spec.type_ is not None and expr_mentions_sync(spec.type_):
+                if mentions_concurrency(spec.type_):
                     return True
-                if any(expr_mentions_sync(v) for v in spec.values):
+                if any(mentions_concurrency(v) for v in spec.values):
                     return True
     return False
 
 
-def block_mentions_concurrency(block: ast.BlockStmt | None) -> bool:
-    if block is None:
-        return False
-    for stmt in block.stmts:
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.GoStmt, ast.SendStmt, ast.SelectStmt, ast.ChanType)):
-                return True
-            if isinstance(node, ast.UnaryExpr) and node.op == "<-":
-                return True
-            if isinstance(node, ast.SelectorExpr) and ast.base_name(node) in SYNC_PACKAGES:
-                return True
-            if isinstance(node, ast.CallExpr) and isinstance(node.fun, ast.SelectorExpr) \
-                    and node.fun.sel in SYNC_METHOD_NAMES:
-                return True
+def go_closures(node: ast.Node) -> List[Tuple[ast.GoStmt, ast.FuncLit]]:
+    """(``go`` statement, closure) pairs for every ``go func() {...}()``
+    under ``node``."""
+    return [
+        (inner, inner.call.fun)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.GoStmt) and isinstance(inner.call.fun, ast.FuncLit)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Names and declarations
+# ---------------------------------------------------------------------------
+
+
+def ident_names(node: ast.Node | None) -> Set[str]:
+    """The names of every identifier under ``node``."""
+    if node is None:
+        return set()
+    return {inner.name for inner in ast.walk(node) if isinstance(inner, ast.Ident)}
+
+
+def declared_names(func: ast.FuncDecl, ranges: bool = False) -> Set[str]:
+    """The parameters of ``func`` and the names its body declares with
+    ``:=`` or ``var``; with ``ranges``, also its range variables.  Empty for
+    a declaration without a body."""
+    if func.body is None:
+        return set()
+    names = {name for param in func.type_.params for name in param.names}
+    for node in ast.walk(func.body):
+        if isinstance(node, ast.AssignStmt) and node.tok == ":=":
+            names.update(target.name for target in node.lhs if isinstance(target, ast.Ident))
+        elif isinstance(node, ast.DeclStmt):
+            for spec in node.decl.specs:
+                if isinstance(spec, ast.ValueSpec):
+                    names.update(spec.names)
+        elif ranges and isinstance(node, ast.RangeStmt):
+            names.update(expr.name for expr in (node.key, node.value)
+                         if isinstance(expr, ast.Ident))
+    return names
+
+
+def package_level_var(file: ast.File, name: str) -> bool:
+    """Return True if ``file`` declares ``name`` with a top-level ``var``."""
+    for decl in file.decls:
+        if isinstance(decl, ast.GenDecl) and decl.tok == "var":
+            for spec in decl.specs:
+                if isinstance(spec, ast.ValueSpec) and name in spec.names:
+                    return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Receivers and fields
+# ---------------------------------------------------------------------------
+
+
+def methods_of(file: ast.File, type_name: str) -> List[ast.FuncDecl]:
+    """The methods with a body whose receiver is ``type_name`` or
+    ``*type_name``."""
+    result = []
+    for decl in file.func_decls():
+        if decl.recv is None or decl.body is None:
+            continue
+        recv_type = decl.recv.type_
+        if isinstance(recv_type, ast.StarExpr):
+            recv_type = recv_type.x
+        if isinstance(recv_type, ast.Ident) and recv_type.name == type_name:
+            result.append(decl)
+    return result
+
+
+def receiver_name(decl: ast.FuncDecl) -> str:
+    """The receiver's name; empty for functions and unnamed receivers."""
+    if decl.recv is not None and decl.recv.names:
+        return decl.recv.names[0]
+    return ""
+
+
+def is_field_selector(expr: ast.Expr, receiver: str, field_name: str) -> bool:
+    """Return True if ``expr`` selects ``field_name`` on a value rooted at
+    ``receiver`` (``recv.field``, ``recv.inner.field``, ...)."""
+    return (
+        isinstance(expr, ast.SelectorExpr)
+        and expr.sel == field_name
+        and ast.base_name(expr) == receiver
+    )
+
+
+def mentions_field(node: ast.Node, receiver: str, field_name: str) -> bool:
+    """Return True if ``receiver.field`` appears under ``node``."""
+    return any(is_field_selector(inner, receiver, field_name) for inner in ast.walk(node))
+
+
+def writes_selector(body: ast.Node, base: str, field_name: Optional[str] = None) -> bool:
+    """``base.field = ...`` (or ``++``/``--``) anywhere in ``body``; any field
+    counts when ``field_name`` is None."""
+    for node in ast.walk(body):
+        targets: List[ast.Expr] = []
+        if isinstance(node, ast.AssignStmt):
+            targets = node.lhs
+        elif isinstance(node, ast.IncDecStmt):
+            targets = [node.x]
+        for target in targets:
+            if isinstance(target, ast.SelectorExpr) and ast.base_name(target) == base:
+                if field_name is None or target.sel == field_name:
+                    return True
+    return False
+
+
+def is_nil_check(cond: ast.Expr, receiver: str, field_name: str) -> bool:
+    """Return True if ``cond`` is ``receiver.field == nil``."""
+    return (
+        isinstance(cond, ast.BinaryExpr)
+        and cond.op == "=="
+        and is_field_selector(cond.x, receiver, field_name)
+        and isinstance(cond.y, ast.Ident)
+        and cond.y.name == "nil"
+    )
+
+
+def is_sync_type(type_expr: ast.Expr | None, *kinds: str) -> bool:
+    """Return True if ``type_expr`` is ``sync.K`` for one of ``kinds``."""
+    return isinstance(type_expr, ast.SelectorExpr) and isinstance(type_expr.x, ast.Ident) \
+        and type_expr.x.name == "sync" and type_expr.sel in kinds
+
+
+def sync_field(spec: ast.TypeSpec, *kinds: str) -> Optional[str]:
+    """Name of the struct's first named field of type ``sync.K`` for one of
+    ``kinds`` (``sync_field(spec, "Mutex", "RWMutex")``), if any."""
+    if not isinstance(spec.type_, ast.StructType):
+        return None
+    for struct_field in spec.type_.fields:
+        if is_sync_type(struct_field.type_, *kinds) and struct_field.names:
+            return struct_field.names[0]
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Package files
+# ---------------------------------------------------------------------------
+
+
+def parse_package_file(package, file_name: str) -> Optional[ast.File]:
+    """The parsed tree of the file ``file_name`` of ``package`` (a
+    :class:`~repro.runtime.harness.GoPackage`); None when the package has no
+    such file or it does not parse."""
+    file = package.file(file_name)
+    if file is None:
+        return None
+    try:
+        return parse_file(file.source, file_name)
+    except GoSyntaxError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +293,7 @@ def names_on_lines(func: ast.FuncDecl | ast.FuncLit, lines: Iterable[int]) -> Se
             # Only leaf-ish statements contribute names; compound statements
             # would pull in their whole bodies.
             continue
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.Ident):
-                names.add(inner.name)
+        names |= ident_names(node)
     return names
 
 

@@ -15,6 +15,16 @@ from repro.diagnosis import examples
 from repro.diagnosis.categories import RaceCategory
 from repro.diagnosis.registry import fix_pattern
 from repro.golang import ast_nodes as ast
+from repro.golang.analysis import (
+    calls_method,
+    is_field_selector,
+    mentions_field,
+    methods_of,
+    package_level_var,
+    receiver_name,
+    sync_field,
+    writes_selector,
+)
 from repro.llm.prompt_parser import FixTask
 from repro.llm.strategies.base import FixStrategy, ScopeCode, StrategyPlan
 
@@ -38,7 +48,7 @@ class AtomicCounterStrategy(FixStrategy):
         if not target:
             return None
         spec = self.find_struct(scope, target)
-        if spec is None or self.has_mutex_field(spec) is not None:
+        if spec is None or sync_field(spec, "Mutex", "RWMutex") is not None:
             return None
         # atomic.AddInt64/LoadInt64 take *int64: a counter of any other
         # declared type would produce a patch that real Go rejects.
@@ -46,8 +56,8 @@ class AtomicCounterStrategy(FixStrategy):
             return None
         methods = []
         incrementers = 0
-        for decl in self.methods_of(scope, spec.name):
-            receiver = self.receiver_name(decl)
+        for decl in methods_of(scope.file, spec.name):
+            receiver = receiver_name(decl)
             increments = _find_increments(decl.body, receiver, target)
             reads = _reads_field(decl.body, receiver, target)
             if increments:
@@ -65,10 +75,10 @@ class AtomicCounterStrategy(FixStrategy):
         clone = self.clone_scope(scope)
         field_name = plan.data["field"]
         changed = False
-        for decl in self.methods_of(clone, plan.data["type"]):
+        for decl in methods_of(clone.file, plan.data["type"]):
             if decl.name not in plan.data["methods"]:
                 continue
-            receiver = self.receiver_name(decl)
+            receiver = receiver_name(decl)
             if _rewrite_atomic_block(decl.body, receiver, field_name):
                 changed = True
         if not changed:
@@ -98,17 +108,17 @@ class RWMutexReadLockStrategy(FixStrategy):
         spec = self.find_struct(scope, target)
         if spec is None:
             return None
-        rw_field = _rwmutex_field(spec)
+        rw_field = sync_field(spec, "RWMutex")
         if rw_field is None:
             return None
         readers: List[str] = []
-        for decl in self.methods_of(scope, spec.name):
-            receiver = self.receiver_name(decl)
+        for decl in methods_of(scope.file, spec.name):
+            receiver = receiver_name(decl)
             if not _reads_field(decl.body, receiver, target):
                 continue
-            if _writes_field(decl.body, receiver, target):
+            if writes_selector(decl.body, receiver, target):
                 continue
-            if _uses_lock(decl.body):
+            if calls_method(decl.body, "Lock", "RLock"):
                 continue
             readers.append(decl.name)
         if not readers:
@@ -122,10 +132,10 @@ class RWMutexReadLockStrategy(FixStrategy):
         clone = self.clone_scope(scope)
         mutex_field = plan.data["mutex"]
         changed = False
-        for decl in self.methods_of(clone, plan.data["type"]):
+        for decl in methods_of(clone.file, plan.data["type"]):
             if decl.name not in plan.data["methods"]:
                 continue
-            receiver = self.receiver_name(decl)
+            receiver = receiver_name(decl)
             rlock = ast.ExprStmt(x=ast.call(f"{receiver}.{mutex_field}.RLock"))
             runlock = ast.DeferStmt(call=ast.call(f"{receiver}.{mutex_field}.RUnlock"))
             decl.body.stmts.insert(0, runlock)
@@ -161,7 +171,7 @@ class OnceLazyInitStrategy(FixStrategy):
                     continue
                 if target and variable != target:
                     continue
-                if not _package_level_var(scope.file, variable):
+                if not package_level_var(scope.file, variable):
                     continue
                 if not _assigns_var(stmt.body, variable):
                     continue
@@ -203,23 +213,15 @@ def _field_is_int64(spec: ast.TypeSpec, field_name: str) -> bool:
     return False
 
 
-def _is_field_selector(expr: ast.Expr, receiver: str, field_name: str) -> bool:
-    return (
-        isinstance(expr, ast.SelectorExpr)
-        and expr.sel == field_name
-        and ast.base_name(expr) == receiver
-    )
-
-
 def _find_increments(body: ast.BlockStmt, receiver: str,
                      field_name: str) -> List[ast.Stmt]:
     """Increment/decrement statements of ``receiver.field`` under ``body``."""
     found: List[ast.Stmt] = []
     for node in ast.walk(body):
-        if isinstance(node, ast.IncDecStmt) and _is_field_selector(node.x, receiver, field_name):
+        if isinstance(node, ast.IncDecStmt) and is_field_selector(node.x, receiver, field_name):
             found.append(node)
         elif isinstance(node, ast.AssignStmt) and len(node.lhs) == 1 \
-                and _is_field_selector(node.lhs[0], receiver, field_name):
+                and is_field_selector(node.lhs[0], receiver, field_name):
             if node.tok in ("+=", "-="):
                 found.append(node)
             elif node.tok == "=" and _self_add_delta(node, receiver, field_name) is not None:
@@ -236,9 +238,9 @@ def _self_add_delta(stmt: ast.AssignStmt, receiver: str,
     expr = stmt.rhs[0]
     if expr.op not in ("+", "-"):
         return None
-    if _is_field_selector(expr.x, receiver, field_name):
+    if is_field_selector(expr.x, receiver, field_name):
         return expr.y, expr.op
-    if expr.op == "+" and _is_field_selector(expr.y, receiver, field_name):
+    if expr.op == "+" and is_field_selector(expr.y, receiver, field_name):
         return expr.x, expr.op
     return None
 
@@ -249,28 +251,8 @@ def _reads_field(body: ast.BlockStmt, receiver: str, field_name: str) -> bool:
     for node in ast.walk(body):
         if id(node) in increments:
             continue
-        if isinstance(node, (ast.ReturnStmt, ast.IfStmt, ast.BinaryExpr, ast.CallExpr)):
-            for inner in ast.walk(node):
-                if _is_field_selector(inner, receiver, field_name):
-                    return True
-    return False
-
-
-def _writes_field(body: ast.BlockStmt, receiver: str, field_name: str) -> bool:
-    for node in ast.walk(body):
-        if isinstance(node, ast.IncDecStmt) and _is_field_selector(node.x, receiver, field_name):
-            return True
-        if isinstance(node, ast.AssignStmt):
-            for target in node.lhs:
-                if _is_field_selector(target, receiver, field_name):
-                    return True
-    return False
-
-
-def _uses_lock(body: ast.BlockStmt) -> bool:
-    for node in ast.walk(body):
-        if isinstance(node, ast.CallExpr) and isinstance(node.fun, ast.SelectorExpr) \
-                and node.fun.sel in ("Lock", "RLock"):
+        if isinstance(node, (ast.ReturnStmt, ast.IfStmt, ast.BinaryExpr, ast.CallExpr)) \
+                and mentions_field(node, receiver, field_name):
             return True
     return False
 
@@ -310,12 +292,12 @@ def _rewrite_atomic_block(block: ast.BlockStmt, receiver: str, field_name: str) 
 
 def _atomic_increment_for(stmt: ast.Stmt, receiver: str,
                           field_name: str) -> Optional[ast.Stmt]:
-    if isinstance(stmt, ast.IncDecStmt) and _is_field_selector(stmt.x, receiver, field_name):
+    if isinstance(stmt, ast.IncDecStmt) and is_field_selector(stmt.x, receiver, field_name):
         delta: ast.Expr = ast.int_lit(1)
         return _atomic_add_call(receiver, field_name, delta,
                                 "-" if stmt.op == "--" else "+")
     if isinstance(stmt, ast.AssignStmt) and len(stmt.lhs) == 1 \
-            and _is_field_selector(stmt.lhs[0], receiver, field_name):
+            and is_field_selector(stmt.lhs[0], receiver, field_name):
         if stmt.tok in ("+=", "-=") and len(stmt.rhs) == 1:
             return _atomic_add_call(receiver, field_name, stmt.rhs[0],
                                     "-" if stmt.tok == "-=" else "+")
@@ -331,7 +313,7 @@ def _rewrite_reads_in_stmt(stmt: ast.Stmt, receiver: str, field_name: str) -> bo
     """Replace value reads of the field inside ``stmt`` with atomic loads."""
 
     def replace(expr: ast.Expr) -> Tuple[ast.Expr, bool]:
-        if _is_field_selector(expr, receiver, field_name):
+        if is_field_selector(expr, receiver, field_name):
             return _atomic_load_call(receiver, field_name), True
         changed = False
         for attr in ("x", "y"):
@@ -375,19 +357,6 @@ def _rewrite_reads_in_stmt(stmt: ast.Stmt, receiver: str, field_name: str) -> bo
     return changed
 
 
-def _rwmutex_field(spec: ast.TypeSpec) -> Optional[str]:
-    """Name of a ``sync.RWMutex`` field, if any (plain Mutex does not count)."""
-    if not isinstance(spec.type_, ast.StructType):
-        return None
-    for struct_field in spec.type_.fields:
-        type_expr = struct_field.type_
-        if isinstance(type_expr, ast.SelectorExpr) and isinstance(type_expr.x, ast.Ident) \
-                and type_expr.x.name == "sync" and type_expr.sel == "RWMutex":
-            if struct_field.names:
-                return struct_field.names[0]
-    return None
-
-
 def _nil_checked_var(cond: ast.Expr) -> Optional[str]:
     if not isinstance(cond, ast.BinaryExpr) or cond.op != "==":
         return None
@@ -398,15 +367,6 @@ def _nil_checked_var(cond: ast.Expr) -> Optional[str]:
         if left.name == "nil" and right.name != "nil":
             return right.name
     return None
-
-
-def _package_level_var(file: ast.File, variable: str) -> bool:
-    for decl in file.decls:
-        if isinstance(decl, ast.GenDecl) and decl.tok == "var":
-            for spec in decl.specs:
-                if isinstance(spec, ast.ValueSpec) and variable in spec.names:
-                    return True
-    return False
 
 
 def _assigns_var(body: ast.BlockStmt, variable: str) -> bool:
@@ -420,7 +380,7 @@ def _assigns_var(body: ast.BlockStmt, variable: str) -> bool:
 
 def _declare_once_var(file: ast.File, variable: str, once_name: str) -> bool:
     """Insert ``var <once_name> sync.Once`` after ``variable``'s declaration."""
-    if _package_level_var(file, once_name):
+    if package_level_var(file, once_name):
         return True  # Already declared (idempotent re-application).
     once_decl = ast.GenDecl(
         tok="var",

@@ -1,10 +1,12 @@
-"""Strategy framework and shared AST helpers.
+"""Strategy framework and the AST helpers only strategies use.
 
 A *fix strategy* is one concurrency-repair recipe (privatize the shared value,
 move ``wg.Add``, convert a map to ``sync.Map``, ...).  Each strategy knows how
 to *detect* whether it applies to a :class:`~repro.llm.prompt_parser.FixTask`
 and how to *apply* itself as a genuine AST transformation that returns the
-entire revised code — the response format Dr.Fix's prompt demands.
+entire revised code — the response format Dr.Fix's prompt demands.  The
+Go-AST queries strategies share with the diagnoser and the skeletonizer live
+in :mod:`repro.golang.analysis`.
 """
 
 from __future__ import annotations
@@ -84,10 +86,6 @@ class FixStrategy:
         return [d for d in scope.file.func_decls() if d.body is not None]
 
     @staticmethod
-    def expr_names(node: ast.Node) -> set[str]:
-        return {n.name for n in ast.walk(node) if isinstance(n, ast.Ident)}
-
-    @staticmethod
     def references_name(node: ast.Node, name: str) -> bool:
         for inner in ast.walk(node):
             if isinstance(inner, ast.Ident) and inner.name == name:
@@ -95,17 +93,6 @@ class FixStrategy:
             if isinstance(inner, ast.SelectorExpr) and inner.sel == name:
                 return True
         return False
-
-    @staticmethod
-    def go_closures(func: ast.FuncDecl) -> List[Tuple[ast.GoStmt, ast.FuncLit]]:
-        """(go statement, closure) pairs inside ``func``."""
-        result = []
-        if func.body is None:
-            return result
-        for node in ast.walk(func.body):
-            if isinstance(node, ast.GoStmt) and isinstance(node.call.fun, ast.FuncLit):
-                result.append((node, node.call.fun))
-        return result
 
     @staticmethod
     def closure_assigns(closure: ast.FuncLit, name: str) -> List[ast.AssignStmt]:
@@ -118,24 +105,6 @@ class FixStrategy:
                         matches.append(node)
                         break
         return matches
-
-    @staticmethod
-    def declared_in_function(func: ast.FuncDecl, name: str) -> bool:
-        if func.body is None:
-            return False
-        for node in ast.walk(func.body):
-            if isinstance(node, ast.AssignStmt) and node.tok == ":=":
-                for target in node.lhs:
-                    if isinstance(target, ast.Ident) and target.name == name:
-                        return True
-            if isinstance(node, ast.DeclStmt):
-                for spec in node.decl.specs:
-                    if isinstance(spec, ast.ValueSpec) and name in spec.names:
-                        return True
-        for param in func.type_.params:
-            if name in param.names:
-                return True
-        return False
 
     @staticmethod
     def rename_in_node(node: ast.Node, old: str, new: str) -> int:
@@ -158,38 +127,6 @@ class FixStrategy:
         return None
 
     @staticmethod
-    def methods_of(scope: ScopeCode, type_name: str) -> List[ast.FuncDecl]:
-        result = []
-        for decl in scope.file.func_decls():
-            if decl.recv is None or decl.body is None:
-                continue
-            recv_type = decl.recv.type_
-            if isinstance(recv_type, ast.StarExpr):
-                recv_type = recv_type.x
-            if isinstance(recv_type, ast.Ident) and recv_type.name == type_name:
-                result.append(decl)
-        return result
-
-    @staticmethod
-    def receiver_name(decl: ast.FuncDecl) -> str:
-        if decl.recv is not None and decl.recv.names:
-            return decl.recv.names[0]
-        return ""
-
-    @staticmethod
-    def has_mutex_field(spec: ast.TypeSpec) -> Optional[str]:
-        """Name of a ``sync.Mutex``/``sync.RWMutex`` field, if any."""
-        if not isinstance(spec.type_, ast.StructType):
-            return None
-        for struct_field in spec.type_.fields:
-            type_expr = struct_field.type_
-            if isinstance(type_expr, ast.SelectorExpr) and isinstance(type_expr.x, ast.Ident) \
-                    and type_expr.x.name == "sync" and type_expr.sel in ("Mutex", "RWMutex"):
-                if struct_field.names:
-                    return struct_field.names[0]
-        return None
-
-    @staticmethod
     def make_lock_pair(receiver: str, mutex_field: str) -> Tuple[ast.ExprStmt, ast.ExprStmt]:
         lock = ast.ExprStmt(x=ast.call(f"{receiver}.{mutex_field}.Lock"))
         unlock = ast.ExprStmt(x=ast.call(f"{receiver}.{mutex_field}.Unlock"))
@@ -203,11 +140,3 @@ class FixStrategy:
             if spec.path == path:
                 return
         scope.file.imports.append(ast.ImportSpec(path=path))
-
-    @staticmethod
-    def stmt_contains_call(stmt: ast.Stmt, method: str) -> bool:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.CallExpr) and isinstance(node.fun, ast.SelectorExpr) \
-                    and node.fun.sel == method:
-                return True
-        return False

@@ -16,6 +16,14 @@ from repro.diagnosis import examples
 from repro.diagnosis.categories import RaceCategory
 from repro.diagnosis.registry import fix_pattern
 from repro.golang import ast_nodes as ast
+from repro.golang.analysis import (
+    calls_method,
+    go_closures,
+    is_nil_check,
+    receiver_name,
+    sync_field,
+    writes_selector,
+)
 from repro.llm.prompt_parser import FixTask
 from repro.llm.strategies.base import FixStrategy, ScopeCode, StrategyPlan
 
@@ -30,42 +38,6 @@ def _is_false_literal(expr: ast.Expr) -> bool:
     if isinstance(expr, ast.Ident):
         return expr.name == "false"
     return isinstance(expr, ast.BasicLit) and expr.value == "false"
-
-
-def _is_nil_check(cond: ast.Expr, receiver: str, field_name: str) -> bool:
-    return (
-        isinstance(cond, ast.BinaryExpr)
-        and cond.op == "=="
-        and isinstance(cond.x, ast.SelectorExpr)
-        and cond.x.sel == field_name
-        and ast.base_name(cond.x) == receiver
-        and isinstance(cond.y, ast.Ident)
-        and cond.y.name == "nil"
-    )
-
-
-def _calls_method(node: ast.Node, method: str) -> bool:
-    for inner in ast.walk(node):
-        if isinstance(inner, ast.CallExpr) and isinstance(inner.fun, ast.SelectorExpr) \
-                and inner.fun.sel == method:
-            return True
-    return False
-
-
-def _writes_selector(body: ast.Node, base: str, field_name: Optional[str] = None) -> bool:
-    """``base.field = ...`` (or ``++``/``--``) anywhere in ``body``; any field
-    counts when ``field_name`` is None."""
-    for node in ast.walk(body):
-        targets: List[ast.Expr] = []
-        if isinstance(node, ast.AssignStmt):
-            targets = node.lhs
-        elif isinstance(node, ast.IncDecStmt):
-            targets = [node.x]
-        for target in targets:
-            if isinstance(target, ast.SelectorExpr) and ast.base_name(target) == base:
-                if field_name is None or target.sel == field_name:
-                    return True
-    return False
 
 
 def _replace_in_blocks(root: ast.Node, target: ast.Stmt,
@@ -129,7 +101,7 @@ class DoubleCheckedLockingStrategy(FixStrategy):
     ) -> Optional[Tuple[ast.IfStmt, str]]:
         if func.recv is None or func.body is None:
             return None
-        receiver = func.recv.names[0] if func.recv.names else ""
+        receiver = receiver_name(func)
         for node in ast.walk(func.body):
             if not isinstance(node, ast.IfStmt):
                 continue
@@ -137,10 +109,10 @@ class DoubleCheckedLockingStrategy(FixStrategy):
             if not isinstance(cond, ast.BinaryExpr) or not isinstance(cond.x, ast.SelectorExpr):
                 continue
             field_name = cond.x.sel
-            if not _is_nil_check(cond, receiver, field_name):
+            if not is_nil_check(cond, receiver, field_name):
                 continue
-            if _calls_method(node.body, "Lock") and _calls_method(node.body, "Unlock") \
-                    and _writes_selector(node.body, receiver, field_name):
+            if calls_method(node.body, "Lock") and calls_method(node.body, "Unlock") \
+                    and writes_selector(node.body, receiver, field_name):
                 return node, field_name
         return None
 
@@ -207,7 +179,7 @@ class ChannelCloseSignalStrategy(FixStrategy):
     def _find_shape(self, func: ast.FuncDecl, target: str) -> Optional[Tuple[str, str]]:
         if func.body is None:
             return None
-        for _, closure in self.go_closures(func):
+        for _, closure in go_closures(func.body):
             for stmt in closure.body.stmts:
                 if not (isinstance(stmt, ast.AssignStmt) and stmt.tok == "="
                         and len(stmt.lhs) == 1 and isinstance(stmt.lhs[0], ast.Ident)
@@ -225,7 +197,7 @@ class ChannelCloseSignalStrategy(FixStrategy):
     def _collect_parts(self, func: ast.FuncDecl, flag: str):
         """(flag declaration, in-closure setter, that closure, bare reader)."""
         decl = setter = closure_found = reader = None
-        closures = self.go_closures(func)
+        closures = go_closures(func.body)
         closure_nodes = [c for _, c in closures]
         for _, closure in closures:
             for stmt in closure.body.stmts:
@@ -301,10 +273,7 @@ class BulkWaitGroupAddStrategy(FixStrategy):
             bound = self._counted_bound(node)
             if bound is None:
                 continue
-            for inner in ast.walk(node.body):
-                if not (isinstance(inner, ast.GoStmt) and isinstance(inner.call.fun, ast.FuncLit)):
-                    continue
-                closure = inner.call.fun
+            for _, closure in go_closures(node.body):
                 for stmt in closure.body.stmts:
                     if isinstance(stmt, ast.ExprStmt) and isinstance(stmt.x, ast.CallExpr):
                         fun = stmt.x.fun
@@ -352,7 +321,7 @@ class SyncMapValueLockStrategy(FixStrategy):
                 continue
             _, var, type_name = found
             spec = self._struct_named(scope, type_name)
-            if spec is None or self.has_mutex_field(spec) is not None:
+            if spec is None or sync_field(spec, "Mutex", "RWMutex") is not None:
                 continue
             return StrategyPlan(
                 strategy=self.name,
@@ -391,14 +360,7 @@ class SyncMapValueLockStrategy(FixStrategy):
         for node in ast.walk(func.body):
             if not (isinstance(node, ast.AssignStmt) and node.tok == ":="):
                 continue
-            from_load = any(
-                isinstance(inner, ast.CallExpr)
-                and isinstance(inner.fun, ast.SelectorExpr)
-                and inner.fun.sel in ("Load", "LoadOrStore")
-                for value in node.rhs
-                for inner in ast.walk(value)
-            )
-            if from_load:
+            if any(calls_method(value, "Load", "LoadOrStore") for value in node.rhs):
                 for target in node.lhs:
                     if isinstance(target, ast.Ident) and target.name != "_":
                         loaded.add(target.name)
@@ -410,7 +372,7 @@ class SyncMapValueLockStrategy(FixStrategy):
                         and isinstance(assertion.type_, ast.StarExpr) \
                         and isinstance(assertion.type_.x, ast.Ident):
                     var = node.lhs[0].name
-                    if _writes_selector(func.body, var):
+                    if writes_selector(func.body, var):
                         return node, var, assertion.type_.x.name
         return None
 

@@ -9,6 +9,16 @@ from repro.diagnosis import examples
 from repro.diagnosis.categories import RaceCategory
 from repro.diagnosis.registry import fix_pattern
 from repro.golang import ast_nodes as ast
+from repro.golang.analysis import (
+    calls_method,
+    declared_names,
+    go_closures,
+    is_field_selector,
+    mentions_field,
+    methods_of,
+    receiver_name,
+    sync_field,
+)
 from repro.llm.prompt_parser import FixTask
 from repro.llm.strategies.base import FixStrategy, ScopeCode, StrategyPlan
 
@@ -43,10 +53,10 @@ class MutexGuardStrategy(FixStrategy):
         target = task.racy_variable
         if target:
             spec = self.find_struct(scope, target)
-            if spec is not None and self.has_mutex_field(spec) is None:
+            if spec is not None and sync_field(spec, "Mutex", "RWMutex") is None:
                 methods = [
                     decl.name
-                    for decl in self.methods_of(scope, spec.name)
+                    for decl in methods_of(scope.file, spec.name)
                     if self._method_touches_field(decl, target)
                 ]
                 if methods:
@@ -63,22 +73,19 @@ class MutexGuardStrategy(FixStrategy):
     # -- detection helpers ---------------------------------------------------------------
 
     def _method_touches_field(self, decl: ast.FuncDecl, field_name: str) -> bool:
-        receiver = self.receiver_name(decl)
+        receiver = receiver_name(decl)
         if not receiver or decl.body is None:
             return False
-        for node in ast.walk(decl.body):
-            if isinstance(node, ast.SelectorExpr) and node.sel == field_name \
-                    and ast.base_name(node) == receiver:
-                return True
-        return False
+        return mentions_field(decl.body, receiver, field_name)
 
     def _find_local_candidate(self, scope: ScopeCode, target: str) -> Optional[StrategyPlan]:
         for func in self.functions(scope):
-            closures = self.go_closures(func)
+            closures = go_closures(func.body)
             if not closures:
                 continue
+            declared = declared_names(func)
             names: List[str] = []
-            if target and self.declared_in_function(func, target):
+            if target and target in declared:
                 names.append(target)
             for _, closure in closures:
                 for node in ast.walk(closure.body):
@@ -86,7 +93,7 @@ class MutexGuardStrategy(FixStrategy):
                         targets = node.lhs if isinstance(node, ast.AssignStmt) else [node.x]
                         for expr in targets:
                             base = ast.base_name(expr)
-                            if base and self.declared_in_function(func, base) and base not in names:
+                            if base and base in declared and base not in names:
                                 # Only guard container/variable writes, not
                                 # writes the closure owns outright.
                                 if isinstance(expr, (ast.IndexExpr, ast.Ident)):
@@ -123,10 +130,10 @@ class MutexGuardStrategy(FixStrategy):
         spec.type_.fields.insert(
             0, ast.Field(names=[mutex_name], type_=ast.selector("sync.Mutex"))
         )
-        for decl in self.methods_of(clone, type_name):
+        for decl in methods_of(clone.file, type_name):
             if not self._method_touches_field(decl, field_name):
                 continue
-            receiver = self.receiver_name(decl)
+            receiver = receiver_name(decl)
             lock, _ = self.make_lock_pair(receiver, mutex_name)
             unlock_defer = ast.DeferStmt(call=ast.call(f"{receiver}.{mutex_name}.Unlock"))
             decl.body.stmts.insert(0, unlock_defer)
@@ -142,16 +149,16 @@ class MutexGuardStrategy(FixStrategy):
         for func in self.functions(clone):
             if func.name != plan.data["function"]:
                 continue
-            if self._declares_name(func, mutex_name):
+            if mutex_name in declared_names(func):
                 mutex_name = variable + "Mu"
             declared = self._insert_mutex_decl(func, variable, mutex_name)
             if not declared:
                 continue
-            for _, closure in self.go_closures(func):
+            for _, closure in go_closures(func.body):
                 new_stmts: List[ast.Stmt] = []
                 for stmt in closure.body.stmts:
                     if isinstance(stmt, ast.DeferStmt) or not self.references_name(stmt, variable) \
-                            or self.stmt_contains_call(stmt, "Lock"):
+                            or calls_method(stmt, "Lock"):
                         new_stmts.append(stmt)
                         continue
                     lock = ast.ExprStmt(x=ast.call(f"{mutex_name}.Lock"))
@@ -161,9 +168,6 @@ class MutexGuardStrategy(FixStrategy):
                 closure.body.stmts = new_stmts
         self.ensure_import(clone, "sync")
         return clone.render() if changed else None
-
-    def _declares_name(self, func: ast.FuncDecl, name: str) -> bool:
-        return self.declared_in_function(func, name)
 
     def _insert_mutex_decl(self, func: ast.FuncDecl, after_variable: str,
                            mutex_name: str) -> bool:
@@ -211,11 +215,11 @@ class CompleteLockingStrategy(FixStrategy):
         spec = self.find_struct(scope, target)
         if spec is None:
             return None
-        mutex_field = self.has_mutex_field(spec)
+        mutex_field = sync_field(spec, "Mutex", "RWMutex")
         if mutex_field is None:
             return None
         unguarded = []
-        for decl in self.methods_of(scope, spec.name):
+        for decl in methods_of(scope.file, spec.name):
             if self._touches_unguarded(decl, target, mutex_field):
                 unguarded.append(decl.name)
         if not unguarded:
@@ -227,7 +231,7 @@ class CompleteLockingStrategy(FixStrategy):
         )
 
     def _touches_unguarded(self, decl: ast.FuncDecl, field_name: str, mutex_field: str) -> bool:
-        receiver = self.receiver_name(decl)
+        receiver = receiver_name(decl)
         if not receiver or decl.body is None:
             return False
         return bool(self._unguarded_statements(decl, field_name, mutex_field))
@@ -236,7 +240,7 @@ class CompleteLockingStrategy(FixStrategy):
                               mutex_field: str) -> List[ast.Stmt]:
         """Top-level statements of ``decl`` that touch the field while the
         method's mutex is not held (tracked linearly through Lock/Unlock calls)."""
-        receiver = self.receiver_name(decl)
+        receiver = receiver_name(decl)
         unguarded: List[ast.Stmt] = []
         lock_held = False
         for stmt in decl.body.stmts:
@@ -246,14 +250,9 @@ class CompleteLockingStrategy(FixStrategy):
             if self._is_lock_call(stmt, receiver, mutex_field, "Unlock"):
                 lock_held = False
                 continue
-            if isinstance(stmt, ast.DeferStmt) and self.stmt_contains_call(stmt, "Unlock"):
+            if isinstance(stmt, ast.DeferStmt) and calls_method(stmt, "Unlock"):
                 continue
-            touches = any(
-                isinstance(node, ast.SelectorExpr) and node.sel == field_name
-                and ast.base_name(node) == receiver
-                for node in ast.walk(stmt)
-            )
-            if not touches or lock_held:
+            if lock_held or not mentions_field(stmt, receiver, field_name):
                 continue
             if isinstance(stmt, ast.IfStmt):
                 cond_touch = any(
@@ -263,7 +262,7 @@ class CompleteLockingStrategy(FixStrategy):
                 if cond_touch:
                     unguarded.append(stmt)
                 continue
-            if self.stmt_contains_call(stmt, "Lock"):
+            if calls_method(stmt, "Lock"):
                 continue
             unguarded.append(stmt)
         return unguarded
@@ -273,30 +272,25 @@ class CompleteLockingStrategy(FixStrategy):
         if not isinstance(stmt, ast.ExprStmt) or not isinstance(stmt.x, ast.CallExpr):
             return False
         fun = stmt.x.fun
-        return (
-            isinstance(fun, ast.SelectorExpr)
-            and fun.sel == method
-            and isinstance(fun.x, ast.SelectorExpr)
-            and fun.x.sel == mutex_field
-            and ast.base_name(fun.x) == receiver
-        )
+        return isinstance(fun, ast.SelectorExpr) and fun.sel == method \
+            and is_field_selector(fun.x, receiver, mutex_field)
 
     def apply(self, task: FixTask, scope: ScopeCode, plan: StrategyPlan) -> Optional[str]:
         clone = self.clone_scope(scope)
         field_name = plan.data["field"]
         mutex_field = plan.data["mutex"]
         changed = False
-        for decl in self.methods_of(clone, plan.data["type"]):
+        for decl in methods_of(clone.file, plan.data["type"]):
             if decl.name not in plan.data["methods"]:
                 continue
-            receiver = self.receiver_name(decl)
+            receiver = receiver_name(decl)
             targets = set(map(id, self._unguarded_statements(decl, field_name, mutex_field)))
             new_stmts: List[ast.Stmt] = []
             for stmt in decl.body.stmts:
                 if id(stmt) not in targets:
                     new_stmts.append(stmt)
                     continue
-                if isinstance(stmt, ast.IfStmt) and self._cond_reads_field(stmt, receiver, field_name):
+                if isinstance(stmt, ast.IfStmt) and mentions_field(stmt.cond, receiver, field_name):
                     local_name = field_name + "Snapshot"
                     lock, unlock = self.make_lock_pair(receiver, mutex_field)
                     snapshot = ast.AssignStmt(
@@ -314,28 +308,14 @@ class CompleteLockingStrategy(FixStrategy):
             decl.body.stmts = new_stmts
         return clone.render() if changed else None
 
-    def _cond_reads_field(self, stmt: ast.IfStmt, receiver: str, field_name: str) -> bool:
-        return any(
-            isinstance(node, ast.SelectorExpr) and node.sel == field_name
-            and ast.base_name(node) == receiver
-            for node in ast.walk(stmt.cond)
-        )
-
     def _replace_cond_field(self, stmt: ast.IfStmt, receiver: str, field_name: str,
                             local_name: str) -> None:
-        def replace(expr: ast.Expr) -> ast.Expr:
-            if isinstance(expr, ast.SelectorExpr) and expr.sel == field_name \
-                    and ast.base_name(expr) == receiver:
-                return ast.ident(local_name)
-            return expr
-
         cond = stmt.cond
         if isinstance(cond, ast.SelectorExpr):
-            stmt.cond = replace(cond)
+            if is_field_selector(cond, receiver, field_name):
+                stmt.cond = ast.ident(local_name)
             return
         for node in ast.walk(cond):
             for attr in ("x", "y"):
-                child = getattr(node, attr, None)
-                if isinstance(child, ast.SelectorExpr) and child.sel == field_name \
-                        and ast.base_name(child) == receiver:
+                if is_field_selector(getattr(node, attr, None), receiver, field_name):
                     setattr(node, attr, ast.ident(local_name))

@@ -9,6 +9,7 @@ from repro.diagnosis import examples
 from repro.diagnosis.categories import RaceCategory
 from repro.diagnosis.registry import fix_pattern
 from repro.golang import ast_nodes as ast
+from repro.golang.analysis import calls_method, ident_names
 from repro.llm.prompt_parser import FixTask
 from repro.llm.strategies.base import FixStrategy, ScopeCode, StrategyPlan
 
@@ -385,7 +386,7 @@ class ParallelTestIsolationStrategy(FixStrategy):
         for func in self.functions(scope):
             if not func.name.startswith("Test"):
                 continue
-            if not self._has_parallel_run(func):
+            if not (calls_method(func.body, "Run") and calls_method(func.body, "Parallel")):
                 continue
             shared = self._shared_fixture(func, task.racy_variable)
             if shared is not None:
@@ -395,17 +396,6 @@ class ParallelTestIsolationStrategy(FixStrategy):
                     data={"function": func.name, "variable": name, "kind": kind},
                 )
         return None
-
-    def _has_parallel_run(self, func: ast.FuncDecl) -> bool:
-        has_run = False
-        has_parallel = False
-        for node in ast.walk(func.body):
-            if isinstance(node, ast.CallExpr) and isinstance(node.fun, ast.SelectorExpr):
-                if node.fun.sel == "Run":
-                    has_run = True
-                if node.fun.sel == "Parallel":
-                    has_parallel = True
-        return has_run and has_parallel
 
     def _shared_fixture(self, func: ast.FuncDecl, target: str) -> Optional[Tuple[str, str]]:
         """Find a variable declared before the subtest loop that subtests share.
@@ -425,13 +415,12 @@ class ParallelTestIsolationStrategy(FixStrategy):
         closure_names: set[str] = set()
         for node in ast.walk(func.body):
             if isinstance(node, ast.CompositeLit):
-                for name in self.expr_names(node):
-                    table_names.add(name)
+                table_names |= ident_names(node)
             if isinstance(node, ast.CallExpr) and isinstance(node.fun, ast.SelectorExpr) \
                     and node.fun.sel == "Run":
                 for arg in node.args:
                     if isinstance(arg, ast.FuncLit):
-                        closure_names.update(self.expr_names(arg.body))
+                        closure_names |= ident_names(arg.body)
         candidates: List[Tuple[str, str]] = []
         for name, stmt in declared.items():
             if name in ("tests", "cases", "tt", "tc"):

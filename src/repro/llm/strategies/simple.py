@@ -9,6 +9,7 @@ from repro.diagnosis import examples
 from repro.diagnosis.categories import RaceCategory
 from repro.diagnosis.registry import fix_pattern
 from repro.golang import ast_nodes as ast
+from repro.golang.analysis import declared_names, go_closures
 from repro.llm.prompt_parser import FixTask
 from repro.llm.strategies.base import FixStrategy, ScopeCode, StrategyPlan
 
@@ -33,7 +34,7 @@ class RedeclareStrategy(FixStrategy):
     def detect(self, task: FixTask, scope: ScopeCode) -> Optional[StrategyPlan]:
         target = task.racy_variable
         for func in self.functions(scope):
-            for _, closure in self.go_closures(func):
+            for _, closure in go_closures(func.body):
                 candidates = self._candidate_vars(func, closure, target)
                 for name in candidates:
                     assigns = self.closure_assigns(closure, name)
@@ -51,7 +52,7 @@ class RedeclareStrategy(FixStrategy):
         for func in self.functions(clone):
             if func.name != plan.data["function"]:
                 continue
-            for _, closure in self.go_closures(func):
+            for _, closure in go_closures(func.body):
                 assigns = self.closure_assigns(closure, name)
                 simple = [a for a in assigns if all(isinstance(t, ast.Ident) for t in a.lhs)]
                 if simple:
@@ -62,14 +63,14 @@ class RedeclareStrategy(FixStrategy):
     def _candidate_vars(self, func: ast.FuncDecl, closure: ast.FuncLit,
                         target: str) -> List[str]:
         names: List[str] = []
-        if target and self.declared_in_function(func, target) \
-                and self.closure_assigns(closure, target):
+        declared = declared_names(func)
+        if target and target in declared and self.closure_assigns(closure, target):
             names.append(target)
         if not names:
             for node in ast.walk(closure.body):
                 if isinstance(node, ast.AssignStmt) and node.tok != ":=":
                     for expr in node.lhs:
-                        if isinstance(expr, ast.Ident) and self.declared_in_function(func, expr.name):
+                        if isinstance(expr, ast.Ident) and expr.name in declared:
                             names.append(expr.name)
         return names
 
@@ -148,18 +149,16 @@ class LoopVarCopyStrategy(FixStrategy):
 
     def _captured_loop_vars(self, node: ast.RangeStmt, loop_vars: List[str]) -> List[str]:
         captured: List[str] = []
-        for inner in ast.walk(node.body):
-            if isinstance(inner, ast.GoStmt) and isinstance(inner.call.fun, ast.FuncLit):
-                closure = inner.call.fun
-                params = {name for field in closure.type_.params for name in field.names}
-                arg_names = {
-                    arg.name for arg in inner.call.args if isinstance(arg, ast.Ident)
-                }
-                for name in loop_vars:
-                    if name in params or name in arg_names:
-                        continue  # already passed as a parameter
-                    if self.references_name(closure.body, name):
-                        captured.append(name)
+        for go_stmt, closure in go_closures(node.body):
+            params = {name for field in closure.type_.params for name in field.names}
+            arg_names = {
+                arg.name for arg in go_stmt.call.args if isinstance(arg, ast.Ident)
+            }
+            for name in loop_vars:
+                if name in params or name in arg_names:
+                    continue  # already passed as a parameter
+                if self.references_name(closure.body, name):
+                    captured.append(name)
         return captured
 
 
@@ -178,7 +177,7 @@ class PrivatizeLocalCopyStrategy(FixStrategy):
     def detect(self, task: FixTask, scope: ScopeCode) -> Optional[StrategyPlan]:
         target = task.racy_variable
         for func in self.functions(scope):
-            closures = self.go_closures(func)
+            closures = go_closures(func.body)
             if not closures:
                 continue
             candidates = self._candidates(func, closures, target)
@@ -192,12 +191,13 @@ class PrivatizeLocalCopyStrategy(FixStrategy):
     def _candidates(self, func, closures, target: str) -> List[str]:
         names: List[str] = []
         writable: List[str] = []
+        declared = declared_names(func)
         for _, closure in closures:
             for node in ast.walk(closure.body):
                 if isinstance(node, ast.AssignStmt) and node.tok != ":=":
                     for expr in node.lhs:
                         base = ast.base_name(expr)
-                        if base and self.declared_in_function(func, base):
+                        if base and base in declared:
                             writable.append(base)
         for name in writable:
             shared_readers = 0
@@ -216,7 +216,7 @@ class PrivatizeLocalCopyStrategy(FixStrategy):
                 for node in ast.walk(closure.body):
                     if isinstance(node, ast.SelectorExpr) and node.sel == target:
                         base = ast.base_name(node)
-                        if base and self.declared_in_function(func, base) and base not in names:
+                        if base and base in declared and base not in names:
                             names.insert(0, base)
         return names
 
@@ -228,7 +228,7 @@ class PrivatizeLocalCopyStrategy(FixStrategy):
         for func in self.functions(clone):
             if func.name != plan.data["function"]:
                 continue
-            for _, closure in self.go_closures(func):
+            for _, closure in go_closures(func.body):
                 if not self.references_name(closure.body, variable):
                     continue
                 self.rename_in_node(closure.body, variable, local_name)
@@ -260,7 +260,7 @@ class MoveWaitGroupAddStrategy(FixStrategy):
 
     def detect(self, task: FixTask, scope: ScopeCode) -> Optional[StrategyPlan]:
         for func in self.functions(scope):
-            for go_stmt, closure in self.go_closures(func):
+            for go_stmt, closure in go_closures(func.body):
                 add_stmt = self._find_add(closure)
                 if add_stmt is not None:
                     return StrategyPlan(
@@ -274,7 +274,7 @@ class MoveWaitGroupAddStrategy(FixStrategy):
         for func in self.functions(clone):
             if func.name != plan.data["function"]:
                 continue
-            for go_stmt, closure in self.go_closures(func):
+            for go_stmt, closure in go_closures(func.body):
                 add_stmt = self._find_add(closure)
                 if add_stmt is None:
                     continue
@@ -318,7 +318,7 @@ class RandPerRequestStrategy(FixStrategy):
             for node in ast.walk(func.body):
                 if isinstance(node, ast.CallExpr) and self._is_rand_new(node):
                     arg = node.args[0] if node.args else None
-                    if isinstance(arg, ast.Ident) and not self.declared_in_function(func, arg.name):
+                    if isinstance(arg, ast.Ident) and arg.name not in declared_names(func):
                         return StrategyPlan(
                             strategy=self.name,
                             data={"function": func.name, "source": arg.name},
