@@ -1,10 +1,11 @@
 """Fix validation: build and repeatedly run package tests under the detector
 (Section 4.4.1).
 
-Validation succeeds when the package builds, every test passes, the targeted
-race (identified by its stable bug hash) no longer appears, and no new race is
-introduced.  On failure the validator produces the developer-readable feedback
-that Dr.Fix feeds back to the model on the retry (Section 4.4.2).
+Validation succeeds when the package builds, runs at least one test, every
+test passes, the targeted race (identified by its stable bug hash) no longer
+appears, and no new race is introduced.  On failure the validator produces
+the developer-readable feedback that Dr.Fix feeds back to the model on the
+retry (Section 4.4.2).
 
 With :attr:`DrFixConfig.adaptive_runs` on, the number of per-candidate
 detector runs is the smallest count meeting the configured
@@ -38,6 +39,9 @@ class ValidationResult:
     test_failures: List[str] = field(default_factory=list)
     race_still_present: bool = False
     new_race_hashes: List[str] = field(default_factory=list)
+    #: The package built but discovered no test (a patch that deleted them):
+    #: nothing was run, so the race cannot be checked.
+    no_tests: bool = False
     runs: int = 0
     raw: Optional[PackageRunResult] = None
 
@@ -48,6 +52,8 @@ class ValidationResult:
         parts: List[str] = []
         if self.build_errors:
             parts.append("build failed: " + "; ".join(self.build_errors[:2]))
+        if self.no_tests:
+            parts.append("the changed package runs no test, so the race cannot be checked")
         if self.race_still_present:
             parts.append("the data race is still reported by the race detector after the change")
         if self.new_race_hashes:
@@ -95,16 +101,19 @@ def _validate_candidate(config: DrFixConfig, bug_hash: str,
     observed = result.race_hashes()
     race_still_present = bug_hash in observed
     new_races = [h for h in observed if h not in baseline]
+    no_tests = result.tests_discovered == 0
     ok = (
         not race_still_present
         and not new_races
         and not result.test_failures
+        and not no_tests
     )
     return ValidationResult(
         ok=ok,
         test_failures=list(result.test_failures),
         race_still_present=race_still_present,
         new_race_hashes=new_races,
+        no_tests=no_tests,
         runs=result.runs,
         raw=result,
     )

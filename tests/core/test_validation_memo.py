@@ -122,3 +122,27 @@ def test_one_package_against_two_bug_hashes_runs_twice(listing1_package, config,
     untargeted = validator.validate(listing1_package, other.bug_hash())
     assert len(harness_runs) == 2
     assert targeted.race_still_present and not untargeted.race_still_present
+
+
+def test_a_patch_that_deletes_every_test_is_not_a_fix(listing1_package, report):
+    """Product code answered for the test file's file-scope item replaces
+    ``service_test.go``: the package still builds but runs no test, so the
+    race cannot show and the candidate must not validate."""
+    config = DrFixConfig(validator_runs=4, detection_runs=6).without_rag()
+    drfix = DrFix(listing1_package, config=config, client=ScriptedClient(LISTING1_SOURCE))
+    outcome = drfix.fix_report(report)
+    assert not outcome.fixed
+    assert any("no test" in failure for failure in _failures(outcome))
+
+
+def test_zero_tests_fail_validation_with_their_own_feedback(listing1_package, report):
+    validator = FixValidator(DrFixConfig(validator_runs=4))
+    untested = listing1_package.replace_file("service_test.go", LISTING1_SOURCE)
+    verdict = validator.validate(untested, report.bug_hash())
+    assert verdict.raw.built and verdict.raw.tests_discovered == 0
+    assert not verdict.ok
+    assert verdict.feedback() == "the changed package runs no test, so the race cannot be checked"
+    # Every other failure keeps its text.
+    racy = validator.validate(listing1_package, report.bug_hash())
+    assert racy.feedback() == (
+        "the data race is still reported by the race detector after the change")
