@@ -110,13 +110,6 @@ class TestConcurrencyAnalysis:
         for source in ("make(chan int)", "run(func() { go work() })", "wg.Wait()"):
             assert mentions_concurrency(parse_expr(source), receives=False), source
 
-    def test_closure_arguments_are_concurrency(self):
-        receive, spawn, plain = parse_stmts(
-            "run(func() { <-ch })\ndefer run(func() { go work() })\nrun(func() { f() })")
-        assert stmt_is_concurrency(receive)
-        assert stmt_is_concurrency(spawn)
-        assert not stmt_is_concurrency(plain)
-
     def test_calls_method_matches_any_of_several_names(self):
         body = parse_file(RECEIVER_SOURCE).find_func("Inc").body
         assert calls_method(body, "Lock")
