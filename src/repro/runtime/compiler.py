@@ -601,85 +601,116 @@ _STATIC_TYPE_NAMES = frozenset(_NUMERIC_TYPES) | frozenset(
     ("string", "bool", "error", "any", "float32", "float64"))
 
 
+#: Runtime objects whose methods run natively (see
+#: :meth:`~repro.runtime.interpreter.Interpreter.call_native_method`).
+_SYNC_RECEIVERS = (Mutex, RWMutex, WaitGroup, SyncMap, Once, Channel)
+
+#: :func:`_static_member`'s answer for a selector that is not a constant.
+_NOT_STATIC = object()
+
+
+def _names_package(x: ast.Expr, meta: _ProgramMeta) -> bool:
+    """Is ``x`` an identifier that names a package (imports are static)?"""
+    return isinstance(x, ast.Ident) and (
+        stdlib.is_package(x.name) or x.name in meta.imported_names)
+
+
+def _package_member(node: ast.SelectorExpr) -> Any:
+    """The value of ``pkg.Member`` (``get_member`` is a pure table lookup)."""
+    member = stdlib.get_member(node.x.name, node.sel)
+    return member if member is not None else TypeValue(
+        expr=node, name=f"{node.x.name}.{node.sel}")
+
+
+def _static_member(node: ast.SelectorExpr, meta: _ProgramMeta) -> Any:
+    """The value of ``pkg.Member`` when ``pkg`` is a package name the
+    program provably never binds as a variable (the whole selector folds to
+    a constant at lowering time), else :data:`_NOT_STATIC`."""
+    if _names_package(node.x, meta) and node.x.name not in meta.bound_names:
+        return _package_member(node)
+    return _NOT_STATIC
+
+
+def _pointee(pointer: PointerValue) -> Any:
+    """What a selector reaches through ``pointer``, or Go's nil panic."""
+    target = pointer.target_struct()
+    if target is None and pointer.cell is not None:
+        target = pointer.cell.value
+    if target is None:
+        raise GoPanic("invalid memory address or nil pointer dereference")
+    return target
+
+
+def _method_receiver(method: ast.FuncDecl, struct: StructValue) -> Any:
+    """The receiver ``method`` binds when called on ``struct``."""
+    if isinstance(method.recv.type_, ast.StarExpr):
+        return PointerValue(struct=struct)
+    return struct
+
+
+def _select_value(base: Any, node: ast.SelectorExpr) -> Any:
+    """``base.sel`` for a ``base`` that is no struct: a package member, a
+    method value of a runtime object or an error, or a panic."""
+    sel = node.sel
+    if isinstance(base, PackageRef):
+        member = stdlib.get_member(base.name, sel)
+        if member is not None:
+            return member
+        return TypeValue(expr=node, name=f"{base.name}.{sel}")
+    if isinstance(base, _SYNC_RECEIVERS):
+        return BoundMethod(receiver=base, name=sel)
+    if isinstance(base, ErrorValue):
+        if sel == "Error":
+            return BuiltinFunc(name="Error", handler=_const_handler(base.message))
+        return BoundMethod(receiver=base, name=sel)
+    if hasattr(base, "go_call"):
+        return BoundMethod(receiver=base, name=sel)
+    if base is None:
+        raise GoPanic(f"invalid memory address or nil pointer dereference (selecting .{sel})")
+    raise GoRuntimeError(f"cannot select .{sel} from {format_value(base)}")
+
+
 def _build_selector(node: ast.SelectorExpr, code: CodeCache) -> Code:
+    meta = _meta_of(code)
+    static = _static_member(node, meta)
+    if static is not _NOT_STATIC:
+        return _const(static)
     sel = node.sel
     x_code = compile_expr(node.x, code)
     owner_static = ast.base_name(node)
     leaf = _leaf_line(node)
-
-    def select(interp, goroutine, base):
-        """Select ``sel`` from ``base``: pointer unwrap, the hot struct path,
-        then packages, runtime objects and errors."""
-        if isinstance(base, PointerValue):
-            target = base.target_struct()
-            if target is None and base.cell is not None:
-                base = base.cell.value
-            else:
-                base = target
-            if base is None:
-                raise GoPanic("invalid memory address or nil pointer dereference")
-        if isinstance(base, StructValue):
-            method = interp.methods.get((base.type_name, sel))
-            if method is not None and sel not in base.fields:
-                receiver: Any = base
-                if method.recv is not None and isinstance(method.recv.type_, ast.StarExpr):
-                    receiver = PointerValue(struct=base)
-                return FuncValue(decl=method, name=f"{base.type_name}.{sel}",
-                                 bound_receiver=receiver)
-            cell = base.field_cell(sel, owner_name=owner_static or base.type_name)
-            yield STEP
-            interp.detector.on_read(
-                goroutine.gid, cell, goroutine.stack_snapshot(leaf), goroutine.creation_stack)
-            return cell.value
-        if isinstance(base, PackageRef):
-            member = stdlib.get_member(base.name, sel)
-            if member is not None:
-                return member
-            return TypeValue(expr=node, name=f"{base.name}.{sel}")
-        if isinstance(base, (Mutex, RWMutex, WaitGroup, SyncMap, Once, Channel)):
-            return BoundMethod(receiver=base, name=sel)
-        if isinstance(base, ErrorValue):
-            if sel == "Error":
-                return BuiltinFunc(name="Error", handler=_const_handler(base.message))
-            return BoundMethod(receiver=base, name=sel)
-        if hasattr(base, "go_call"):
-            return BoundMethod(receiver=base, name=sel)
-        if base is None:
-            raise GoPanic(f"invalid memory address or nil pointer dereference (selecting .{sel})")
-        raise GoRuntimeError(f"cannot select .{sel} from {format_value(base)}")
-
-    if isinstance(node.x, ast.Ident):
+    # ``pkg.Member`` where the package name is also bound somewhere: the
+    # package wins wherever no variable of that name is in scope.
+    shadowable = _names_package(node.x, meta)
+    if shadowable:
         x_name = node.x.name
-        meta = _meta_of(code)
-        x_is_package = stdlib.is_package(x_name) or x_name in meta.imported_names
-        qualified = TypeValue(expr=node, name=f"{x_name}.{sel}")
-        # ``get_member`` is a pure table lookup; resolve it once.
-        static_member = stdlib.get_member(x_name, sel)
-        if x_is_package and x_name not in meta.bound_names:
-            # `pkg.Member` where `pkg` is provably never a variable: the
-            # whole selector folds to a constant at lowering time.
-            return _const(static_member if static_member is not None else qualified)
+        package_value = _package_member(node)
 
-        def run_qualified(interp, goroutine, env):
+    def run(interp, goroutine, env):
+        """Select ``sel``: pointer unwrap, the hot struct path (a field read
+        or a method value), then everything else."""
+        if shadowable:
             scope = env
             while scope is not None:
                 if x_name in scope.cells:
                     break
                 scope = scope.parent
-            if scope is None and x_is_package:
-                if static_member is not None:
-                    return static_member
-                return qualified
-            base = yield from x_code(interp, goroutine, env)
-            result = yield from select(interp, goroutine, base)
-            return result
-
-        return run_qualified
-
-    def run(interp, goroutine, env):
+            if scope is None:
+                return package_value
         base = yield from x_code(interp, goroutine, env)
-        result = yield from select(interp, goroutine, base)
-        return result
+        if isinstance(base, PointerValue):
+            base = _pointee(base)
+        if isinstance(base, StructValue):
+            method = interp.methods.get((base.type_name, sel))
+            if method is not None and sel not in base.fields:
+                return FuncValue(decl=method, name=f"{base.type_name}.{sel}",
+                                 bound_receiver=_method_receiver(method, base))
+            cell = base.field_cell(sel, owner_name=owner_static or base.type_name)
+            yield STEP
+            interp.detector.on_read(
+                goroutine.gid, cell, goroutine.stack_snapshot(leaf), goroutine.creation_stack)
+            return cell.value
+        return _select_value(base, node)
 
     return run
 
@@ -694,20 +725,51 @@ def _build_call(node: ast.CallExpr, code: CodeCache) -> Code:
             builtin = lower_builtin(node, code)
         else:
             builtin = _fail(f"missing argument to {fun_name}")
-    if builtin is not None and fun_name not in _meta_of(code).bound_names:
+    meta = _meta_of(code)
+    if builtin is not None and fun_name not in meta.bound_names:
         # The program provably never binds this builtin's name, so the
         # shadowing lookup is statically None: the builtin always wins.
         return builtin
-    fun_code = compile_expr(fun, code)
     arg_codes = tuple(compile_expr(arg, code) for arg in node.args)
     single_arg = len(node.args) == 1
     has_ellipsis = bool(node.ellipsis)
+    if builtin is None and fun_name in meta.funcs and fun_name not in meta.bound_names:
+        # A call of a top-level function by a name no variable can shadow:
+        # the call site enters it without building a function value.
+        decl = meta.funcs[fun_name]
+
+        def run_direct(interp, goroutine, env):
+            args: List[Any] = []
+            for arg_code in arg_codes:
+                value = yield from arg_code(interp, goroutine, env)
+                if isinstance(value, TupleValue) and single_arg:
+                    args.extend(value.values)
+                else:
+                    args.append(value)
+            if has_ellipsis and args and isinstance(args[-1], SliceValue):
+                spread = args.pop()
+                args.extend(cell.value for cell in spread.elements)
+            result = yield from interp.call_decl(goroutine, decl, None, args, node)
+            return result
+
+        return run_direct
+    static = _NOT_STATIC
+    if isinstance(fun, ast.SelectorExpr):
+        if not _names_package(fun.x, meta):
+            return _build_method_call(node, arg_codes, code)
+        static = _static_member(fun, meta)
+    # A package member no variable can shadow is called without evaluating
+    # the selector.
+    fun_code = compile_expr(fun, code) if static is _NOT_STATIC else None
 
     def run(interp, goroutine, env):
         if builtin is not None and env.lookup(fun_name) is None:
             result = yield from builtin(interp, goroutine, env)
             return result
-        callee = yield from fun_code(interp, goroutine, env)
+        if fun_code is None:
+            callee = static
+        else:
+            callee = yield from fun_code(interp, goroutine, env)
         args: List[Any] = []
         for arg_code in arg_codes:
             value = yield from arg_code(interp, goroutine, env)
@@ -726,45 +788,105 @@ def _build_call(node: ast.CallExpr, code: CodeCache) -> Code:
             result = yield from callee.handler(interp, goroutine, args, node)
             return result
         if isinstance(callee, BoundMethod):
-            # Monomorphic fast paths for the hottest sync-primitive methods,
-            # the same steps as ``_mutex_call``/``_waitgroup_call``;
-            # everything else goes through ``call_bound_method``.
-            receiver = callee.receiver
-            method_name = callee.name
-            if type(receiver) is Mutex:
-                if method_name == "Lock":
-                    while not receiver.can_lock():
-                        yield blocked(receiver.can_lock, "sync.Mutex.Lock")
-                    receiver.lock(goroutine.gid)
-                    interp.detector.on_acquire(goroutine.gid, receiver.sync)
-                    yield STEP
-                    return None
-                if method_name == "Unlock":
-                    interp.detector.on_release(goroutine.gid, receiver.sync)
-                    receiver.unlock()
-                    yield STEP
-                    return None
-            elif type(receiver) is WaitGroup:
-                if method_name == "Add":
-                    receiver.add(int(args[0]) if args else 1)
-                    yield STEP
-                    return None
-                if method_name == "Done":
-                    interp.detector.on_release(goroutine.gid, receiver.sync)
-                    receiver.done()
-                    yield STEP
-                    return None
-                if method_name == "Wait":
-                    while not receiver.ready():
-                        yield blocked(receiver.ready, "sync.WaitGroup.Wait")
-                    interp.detector.on_acquire(goroutine.gid, receiver.sync)
-                    yield STEP
-                    return None
-            result = yield from interp.call_bound_method(goroutine, callee, args, node)
+            result = yield from interp.call_native_method(
+                goroutine, callee.receiver, callee.name, args, node)
             return result
         if isinstance(callee, TypeValue):
             return interp._convert(callee, args)
         raise GoRuntimeError(f"cannot call value of type {type(callee).__name__}")
+
+    return run
+
+
+def _build_method_call(node: ast.CallExpr, arg_codes: Tuple[Code, ...],
+                       code: CodeCache) -> Code:
+    """A call ``x.m(...)`` whose ``x`` is no package name: it dispatches at
+    the call site, so neither a struct method nor a runtime object's method
+    builds a method value.
+
+    The receiver is selected before the arguments run, as the selector would
+    be; a field holding a function, an error's ``Error`` and anything else
+    go through the selector's ordinary value."""
+    fun = node.fun
+    sel = fun.sel
+    x_code = compile_expr(fun.x, code)
+    owner_static = ast.base_name(fun)
+    leaf = _leaf_line(fun)
+    single_arg = len(node.args) == 1
+    has_ellipsis = bool(node.ellipsis)
+
+    def run(interp, goroutine, env):
+        base = yield from x_code(interp, goroutine, env)
+        if isinstance(base, PointerValue):
+            base = _pointee(base)
+        method = native = None
+        callee: Any = None
+        if isinstance(base, StructValue):
+            method = interp.methods.get((base.type_name, sel))
+            if method is not None and sel not in base.fields:
+                receiver = _method_receiver(method, base)
+            else:
+                method = None
+                cell = base.field_cell(sel, owner_name=owner_static or base.type_name)
+                yield STEP
+                interp.detector.on_read(
+                    goroutine.gid, cell, goroutine.stack_snapshot(leaf), goroutine.creation_stack)
+                callee = cell.value
+        elif isinstance(base, _SYNC_RECEIVERS) or hasattr(base, "go_call"):
+            native = base
+        else:
+            callee = _select_value(base, fun)
+        args: List[Any] = []
+        for arg_code in arg_codes:
+            value = yield from arg_code(interp, goroutine, env)
+            if isinstance(value, TupleValue) and single_arg:
+                args.extend(value.values)
+            else:
+                args.append(value)
+        if has_ellipsis and args and isinstance(args[-1], SliceValue):
+            spread = args.pop()
+            args.extend(cell.value for cell in spread.elements)
+        if method is not None:
+            result = yield from interp.call_decl(goroutine, method, receiver, args, node)
+            return result
+        if native is None:
+            result = yield from interp._invoke(goroutine, callee, args, node)
+            return result
+        # Monomorphic fast paths for the hottest sync-primitive methods, the
+        # same steps as ``_mutex_call``/``_waitgroup_call``; everything else
+        # goes through ``call_native_method``.
+        kind = type(native)
+        if kind is Mutex:
+            if sel == "Lock":
+                while not native.can_lock():
+                    yield blocked(native.can_lock, "sync.Mutex.Lock")
+                native.lock(goroutine.gid)
+                interp.detector.on_acquire(goroutine.gid, native.sync)
+                yield STEP
+                return None
+            if sel == "Unlock":
+                interp.detector.on_release(goroutine.gid, native.sync)
+                native.unlock()
+                yield STEP
+                return None
+        elif kind is WaitGroup:
+            if sel == "Add":
+                native.add(int(args[0]) if args else 1)
+                yield STEP
+                return None
+            if sel == "Done":
+                interp.detector.on_release(goroutine.gid, native.sync)
+                native.done()
+                yield STEP
+                return None
+            if sel == "Wait":
+                while not native.ready():
+                    yield blocked(native.ready, "sync.WaitGroup.Wait")
+                interp.detector.on_acquire(goroutine.gid, native.sync)
+                yield STEP
+                return None
+        result = yield from interp.call_native_method(goroutine, native, sel, args, node)
+        return result
 
     return run
 
@@ -1290,7 +1412,8 @@ def compile_assign_target(target: ast.Expr, define: bool, code: CodeCache) -> Co
 
     Every path starts with the ``_pass_value`` struct-copy (which allocates
     cells and therefore must happen even for discarded values, to keep
-    addresses aligned), before any part of the target is evaluated."""
+    addresses aligned), before any part of the target is evaluated.  The
+    paths inline it, and the cell writes inline ``write_cell``."""
     return _lower_target(target, define, code, _meta_of(code).elidable)
 
 
@@ -1306,7 +1429,8 @@ def _lower_target(target: ast.Expr, define: bool, code: CodeCache,
             def run_blank(interp, goroutine, env, value):
                 if False:  # pragma: no cover - keeps this a generator
                     yield STEP
-                interp._pass_value(value)
+                if isinstance(value, StructValue):
+                    _copy_struct(value)
                 return None
 
             return run_blank
@@ -1319,12 +1443,12 @@ def _lower_target(target: ast.Expr, define: bool, code: CodeCache,
             def run_local(interp, goroutine, env, value):
                 if False:  # pragma: no cover - keeps this a generator
                     yield STEP
-                value = interp._pass_value(value)
+                if isinstance(value, StructValue):
+                    value = _copy_struct(value)
                 if define:
                     cell = env.cells.get(name)
                     if cell is None:
-                        cell = env.declare(name)
-                        cell.name = name
+                        cell = env.cells[name] = Cell(None, name)
                 else:
                     cell = env.lookup(name)
                     if cell is None:
@@ -1335,12 +1459,12 @@ def _lower_target(target: ast.Expr, define: bool, code: CodeCache,
             return run_local
 
         def run_ident(interp, goroutine, env, value):
-            value = interp._pass_value(value)
+            if isinstance(value, StructValue):
+                value = _copy_struct(value)
             if define:
                 cell = env.cells.get(name)
                 if cell is None:
-                    cell = env.declare(name)
-                    cell.name = name
+                    cell = env.cells[name] = Cell(None, name)
             else:
                 cell = env.lookup(name)
                 if cell is None:
@@ -1359,7 +1483,8 @@ def _lower_target(target: ast.Expr, define: bool, code: CodeCache,
         def run_paren(interp, goroutine, env, value):
             # ``_pass_value`` applies at both levels, so struct-copy
             # allocations happen once per level.
-            value = interp._pass_value(value)
+            if isinstance(value, StructValue):
+                value = _copy_struct(value)
             yield from inner_code(interp, goroutine, env, value)
             return None
 
@@ -1369,16 +1494,21 @@ def _lower_target(target: ast.Expr, define: bool, code: CodeCache,
         x_code = compile_expr(target.x, code)
         sel = target.sel
         owner_static = ast.base_name(target)
+        leaf = _leaf_line(target)
 
         def run_field(interp, goroutine, env, value):
-            value = interp._pass_value(value)
+            if isinstance(value, StructValue):
+                value = _copy_struct(value)
             base = yield from x_code(interp, goroutine, env)
             struct = _as_struct(base)
             if struct is None:
                 raise GoRuntimeError(
                     f"cannot assign to field {sel} of {format_value(base)}")
             cell = struct.field_cell(sel, owner_name=owner_static or struct.type_name)
-            yield from interp.write_cell(goroutine, cell, value, target)
+            yield STEP
+            interp.detector.on_write(
+                goroutine.gid, cell, goroutine.stack_snapshot(leaf), goroutine.creation_stack)
+            cell.value = value
             return None
 
         return run_field
@@ -1386,21 +1516,31 @@ def _lower_target(target: ast.Expr, define: bool, code: CodeCache,
     if isinstance(target, ast.IndexExpr):
         x_code = compile_expr(target.x, code)
         index_code = compile_expr(target.index, code)
+        leaf = _leaf_line(target)
 
         def run_element(interp, goroutine, env, value):
-            value = interp._pass_value(value)
+            if isinstance(value, StructValue):
+                value = _copy_struct(value)
             container = yield from x_code(interp, goroutine, env)
             key = yield from index_code(interp, goroutine, env)
             if isinstance(container, MapValue):
-                yield from interp.write_cell(goroutine, container.location,
-                                             len(container.entries), target)
+                cell = container.location
+                size = len(container.entries)
+                yield STEP
+                interp.detector.on_write(
+                    goroutine.gid, cell, goroutine.stack_snapshot(leaf), goroutine.creation_stack)
+                cell.value = size
                 container.entries[_map_key(key)] = value
                 return None
             if isinstance(container, SyncMap):
                 container.store(_map_key(key), value)
                 return None
             if isinstance(container, SliceValue):
-                yield from interp.write_cell(goroutine, _element(container, key), value, target)
+                cell = _element(container, key)
+                yield STEP
+                interp.detector.on_write(
+                    goroutine.gid, cell, goroutine.stack_snapshot(leaf), goroutine.creation_stack)
+                cell.value = value
                 return None
             if container is None:
                 raise GoPanic("assignment to entry in nil map")
@@ -1411,12 +1551,19 @@ def _lower_target(target: ast.Expr, define: bool, code: CodeCache,
     if isinstance(target, ast.StarExpr):
         x_code = compile_expr(target.x, code)
 
+        leaf = _leaf_line(target)
+
         def run_deref(interp, goroutine, env, value):
-            value = interp._pass_value(value)
+            if isinstance(value, StructValue):
+                value = _copy_struct(value)
             pointer = yield from x_code(interp, goroutine, env)
             if not isinstance(pointer, PointerValue) or pointer.cell is None:
                 raise GoPanic("invalid memory address or nil pointer dereference")
-            yield from interp.write_cell(goroutine, pointer.cell, value, target)
+            cell = pointer.cell
+            yield STEP
+            interp.detector.on_write(
+                goroutine.gid, cell, goroutine.stack_snapshot(leaf), goroutine.creation_stack)
+            cell.value = value
             return None
 
         return run_deref
@@ -1426,7 +1573,8 @@ def _lower_target(target: ast.Expr, define: bool, code: CodeCache,
     def run_unassignable(interp, goroutine, env, value):
         if False:  # pragma: no cover - keeps this a generator
             yield STEP
-        interp._pass_value(value)
+        if isinstance(value, StructValue):
+            _copy_struct(value)
         raise GoRuntimeError(message)
 
     return run_unassignable
@@ -1447,13 +1595,18 @@ def compile_stmt(node: ast.Stmt, code: CodeCache) -> Code:
     return closure
 
 
+def _block_parts(block: ast.BlockStmt, code: CodeCache) -> Tuple[Tuple[Code, ...], bool]:
+    """A block's statement codes, and whether it needs a scope of its own."""
+    return (tuple(compile_stmt(stmt, code) for stmt in block.stmts),
+            any(_declares_inline(stmt) for stmt in block.stmts))
+
+
 def compile_block(block: ast.BlockStmt, code: CodeCache) -> Code:
     key = id(block)
     entry = code.get(key)
     if entry is not None and entry[0] is block:
         return entry[1]
-    stmt_codes = tuple(compile_stmt(stmt, code) for stmt in block.stmts)
-    needs_scope = any(_declares_inline(stmt) for stmt in block.stmts)
+    stmt_codes, needs_scope = _block_parts(block, code)
 
     if needs_scope:
 
@@ -2183,21 +2336,17 @@ class CompiledProgram:
 
     def _lower_all(self) -> None:
         """Lower every function body and global initializer."""
-        code = self.code
         for file in self.files:
             for decl in file.decls:
                 if isinstance(decl, ast.FuncDecl):
                     if decl.body is not None:
-                        compile_block(decl.body, code)
+                        self.callable_entry(decl)
                 elif isinstance(decl, ast.GenDecl):
                     for spec in decl.specs:
                         if isinstance(spec, ast.ValueSpec) and spec.values:
                             self.values_code(spec)
 
     # -- lowering on a code-cache miss --------------------------------------------------
-
-    def block_code(self, block: ast.BlockStmt) -> Code:
-        return compile_block(block, self.code)
 
     def values_code(self, spec: ast.ValueSpec) -> Code:
         """The right-hand side of a package-level ``var``/``const`` spec
@@ -2209,12 +2358,38 @@ class CompiledProgram:
         self.code[id(spec)] = (spec, rhs_code)
         return rhs_code
 
-    def call_plan(self, func_type: ast.FuncType):
-        """The parameter/result binding plan of ``func_type`` (see
-        :func:`_build_call_plan`), cached under the type node."""
-        plan = _build_call_plan(func_type)
-        self.code[id(func_type)] = (func_type, plan)
-        return plan
+    def callable_entry(self, func: ast.FuncDecl | ast.FuncLit) -> tuple:
+        """Everything a call of ``func`` needs that the AST fixes, built on
+        its first call and cached under its body block:
+        ``(body, needs scope, params, results, flat params, line, file, name,
+        receiver names)``.
+
+        ``body`` and ``needs scope`` are the body block's parts (see
+        :func:`_block_parts`): the call runs the statements itself, one
+        generator level fewer than running the block's code.
+        ``params``/``results``/``flat params`` are the binding plan (see
+        :func:`_build_call_plan`); ``line`` is the body's first line.  For a
+        declaration, ``file`` is its file and ``name`` is ``T.m`` for a
+        method of ``T``, else its own name; a literal's file and name come
+        from its closure value.  A bodiless function gets ``None`` for
+        ``body``, and its calls fail."""
+        body = func.body
+        params, results, flat_params = _build_call_plan(func.type_)
+        file_name = name = None
+        recv_names: Tuple[str, ...] = ()
+        if isinstance(func, ast.FuncDecl):
+            file_name = self.meta.func_files.get(id(func), "<source>")
+            name = func.name
+            if func.recv is not None:
+                recv_names = tuple(func.recv.names)
+                name = f"{_receiver_type_name(func.recv)}.{func.name}"
+        stmt_codes, needs_scope = (_block_parts(body, self.code) if body is not None
+                                   else (None, False))
+        entry = (stmt_codes, needs_scope, params, results, flat_params,
+                 body.pos.line if body is not None else 0, file_name, name, recv_names)
+        if body is not None:
+            self.code[id(body)] = (body, entry)
+        return entry
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ class Frame:
     #: ``defer`` — most frames never defer, so the list is lazy (see
     #: :meth:`push_deferred`).
     deferred: Optional[List[Any]] = None
-
-    def snapshot(self) -> StackFrameTuple:
-        return (self.func_name, self.file, self.line)
+    #: The snapshots of every frame below this one, caller first, taken by
+    #: :meth:`Goroutine.push_frame` (see :meth:`Goroutine.stack_snapshot`).
+    parents: Tuple[StackFrameTuple, ...] = ()
 
     def push_deferred(self, entry: Any) -> None:
         if self.deferred is None:
@@ -60,29 +60,23 @@ def blocked(predicate: Callable[[], bool], reason: str) -> SchedulePoint:
     return SchedulePoint(kind="block", predicate=predicate, reason=reason)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Goroutine:
-    """One logical Go thread of execution."""
+    """One logical Go thread of execution.  Compared by identity: the
+    scheduler removes finished goroutines from its live list, which would
+    otherwise compare every field of each goroutine ahead of the one removed."""
 
     gid: int
     name: str = "main"
-    parent_gid: Optional[int] = None
     creation_stack: Tuple[StackFrameTuple, ...] = ()
     state: GoroutineState = GoroutineState.RUNNABLE
     generator: Optional[Generator[SchedulePoint, None, Any]] = None
     stack: List[Frame] = field(default_factory=list)
     block_point: Optional[SchedulePoint] = None
     failure: Optional[BaseException] = None
-    result: Any = None
-    steps: int = 0
-    #: Memoized snapshots (see :meth:`stack_snapshot`).  ``_parents`` caches
-    #: the snapshot tuples of every non-leaf frame — those frames' lines are
-    #: frozen while a call is in flight, so the cache is invalidated only by
-    #: :meth:`push_frame`/:meth:`pop_frame`.  ``_snap``/``_snap_line`` cache
-    #: the full snapshot for repeated accesses at the same leaf line (the
-    #: common case: consecutive memory accesses of one statement).
-    _parents: Optional[Tuple[StackFrameTuple, ...]] = field(
-        default=None, repr=False, compare=False)
+    #: The last snapshot (see :meth:`stack_snapshot`), kept for repeated
+    #: accesses at the same leaf line (the common case: consecutive memory
+    #: accesses of one statement) and dropped by every push and pop.
     _snap: Optional[Tuple[StackFrameTuple, ...]] = field(
         default=None, repr=False, compare=False)
     _snap_line: int = field(default=-1, repr=False, compare=False)
@@ -91,32 +85,36 @@ class Goroutine:
     # -- call-stack maintenance -----------------------------------------------------------
 
     def push_frame(self, frame: Frame) -> None:
-        self.stack.append(frame)
-        self._parents = None
+        """Push ``frame``, saving on it the snapshots of the frames below.
+
+        Only the leaf frame's line or file ever changes, and a caller stays
+        below the leaf until its callee returns, so the caller's snapshot
+        taken here holds for as long as ``frame`` is on the stack."""
+        stack = self.stack
+        if stack:
+            caller = stack[-1]
+            frame.parents = ((caller.func_name, caller.file, caller.line),) + caller.parents
+        stack.append(frame)
         self._snap = None
 
     def pop_frame(self) -> Frame:
         frame = self.stack.pop()
-        self._parents = None
         self._snap = None
         return frame
 
     def stack_snapshot(self, leaf_line: int | None = None) -> Tuple[StackFrameTuple, ...]:
-        """Return the current call stack, leaf frame first."""
+        """Return the current call stack, leaf frame first: the leaf at
+        ``leaf_line`` (its own line when none is given) on top of the
+        parents tuple saved at its push."""
         stack = self.stack
         if not stack:
             return ()
         leaf = stack[-1]
         line = leaf_line if leaf_line else leaf.line
-        parents = self._parents
-        if (parents is not None and self._snap is not None
-                and self._snap_line == line and self._snap_file == leaf.file):
-            return self._snap
-        if parents is None:
-            parents = tuple(frame.snapshot() for frame in stack[-2::-1])
-            self._parents = parents
-        snap = ((leaf.func_name, leaf.file, line),) + parents
-        self._snap = snap
+        snap = self._snap
+        if snap is not None and self._snap_line == line and self._snap_file == leaf.file:
+            return snap
+        snap = self._snap = ((leaf.func_name, leaf.file, line),) + leaf.parents
         self._snap_line = line
         self._snap_file = leaf.file
         return snap

@@ -377,13 +377,18 @@ class GoTestHarness:
             return result
 
         reports: dict[str, RaceReport] = {}
+        #: (variable, previous stack, current stack) -> bug hash: a race
+        #: that recurs in later runs is hashed once, never rendered again.
+        hashes: dict[tuple, str] = {}
         seen_failures = set(result.test_failures)
         for seed, policy in self.plan_runs():
             outcome = self._run_once(build, tests, entries, seed, policy)
-            # One report per bug hash, first seen in plan order: a race that
-            # recurs in later runs is hashed, never rendered again.
+            # One report per bug hash, first seen in plan order.
             for race in outcome.races:
-                bug_hash = race_hash(race)
+                key = (race.variable, race.previous.stack, race.current.stack)
+                bug_hash = hashes.get(key)
+                if bug_hash is None:
+                    bug_hash = hashes[key] = race_hash(race)
                 if bug_hash not in reports:
                     reports[bug_hash] = report_from_race(race, package=self.package.name)
             result.scheduler_steps += outcome.steps

@@ -156,7 +156,6 @@ class Interpreter:
         self.methods: Dict[Tuple[str, str], ast.FuncDecl] = meta.methods
         self.types: Dict[str, ast.TypeSpec] = dict(meta.types)
         self.package = program.files[0].package if program.files else "main"
-        self._func_files: Dict[int, str] = meta.func_files
         self._global_specs: List[Tuple[ast.ValueSpec, str]] = meta.global_specs
         self._closure_counters: Dict[str, int] = {}
         self._atomic_syncs: Dict[int, SyncVar] = {}
@@ -171,7 +170,6 @@ class Interpreter:
         goroutine = Goroutine(
             gid=gid,
             name=name,
-            parent_gid=parent.gid if parent is not None else None,
             creation_stack=parent.stack_snapshot() if parent is not None else (),
         )
         self.detector.register_goroutine(gid)
@@ -242,76 +240,102 @@ class Interpreter:
 
     def call_function(self, goroutine: Goroutine, func: FuncValue, args: List[Any],
                       node: Optional[ast.Node]) -> Generator:
-        """Call a user-defined function or closure and return its value.
+        """Call a user-defined function or closure; the returned generator
+        yields its schedule points and returns its value.
 
-        The parameter/result binding plan is derived from the function type
-        once per program (see :func:`repro.runtime.compiler._build_call_plan`);
-        binding then runs one flat loop.  Declare order fixes cell
-        addresses, so it follows the parameter list exactly."""
-        code = self._code
+        A plain function handing back :meth:`_call`'s generator, so a call
+        costs one generator, not two."""
         decl = func.decl
         if decl is not None:
             body = decl.body
-            func_type = decl.type_
-            parent_env = self.globals
-            file_name = self._func_files.get(id(decl), "<source>")
+            entry = self._code.get(id(body))
+            entry = (entry[1] if entry is not None and entry[0] is body
+                     else self.program.callable_entry(decl))
+            return self._call(goroutine, entry, self.globals, entry[6],
+                              func.name or decl.name, func.bound_receiver, args, node)
+        lit = func.lit
+        body = lit.body
+        entry = self._code.get(id(body))
+        entry = (entry[1] if entry is not None and entry[0] is body
+                 else self.program.callable_entry(lit))
+        if func.file:
+            file_name = func.file
         else:
-            lit = func.lit
-            body = lit.body
-            func_type = lit.type_
-            parent_env = func.env if func.env is not None else self.globals
-            if func.file:
-                file_name = func.file
-            else:
-                file_name = goroutine.stack[-1].file if goroutine.stack else "<source>"
-        if body is None:
-            raise GoRuntimeError(f"function {func.display_name()} has no body")
-        plan_entry = code.get(id(func_type))
-        if plan_entry is not None and plan_entry[0] is func_type:
-            params, results, flat_params = plan_entry[1]
-        else:
-            params, results, flat_params = self.program.call_plan(func_type)
+            file_name = goroutine.stack[-1].file if goroutine.stack else "<source>"
+        return self._call(goroutine, entry,
+                          func.env if func.env is not None else self.globals,
+                          file_name, func.name or "func literal", None, args, node)
 
-        env = Environment(parent=parent_env)
-        if decl is not None and decl.recv is not None:
-            receiver_value = func.bound_receiver
-            for recv_name in decl.recv.names:
-                env.declare(recv_name, receiver_value)
-        if len(args) == 1 and isinstance(args[0], TupleValue) and flat_params > 1:
+    def call_decl(self, goroutine: Goroutine, decl: ast.FuncDecl, receiver: Any,
+                  args: List[Any], node: Optional[ast.Node]) -> Generator:
+        """Call the declared function ``decl`` (a method of ``receiver``, if
+        it has one) from a call site that names it: no function or method
+        value is built."""
+        body = decl.body
+        entry = self._code.get(id(body))
+        entry = (entry[1] if entry is not None and entry[0] is body
+                 else self.program.callable_entry(decl))
+        return self._call(goroutine, entry, self.globals, entry[6], entry[7],
+                          receiver, args, node)
+
+    def _call(self, goroutine: Goroutine, entry: tuple, parent_env: Environment,
+              file_name: str, name: str, receiver: Any, args: List[Any],
+              node: Optional[ast.Node]) -> Generator:
+        """Run one call of a callable (see
+        :meth:`~repro.runtime.compiler.CompiledProgram.callable_entry`).
+
+        Binding runs one flat loop over the entry's plan.  Declare order
+        fixes cell addresses, so it follows the parameter list exactly."""
+        stmt_codes, needs_scope, params, results, flat_params, line, _file, _name, \
+            recv_names = entry
+        if stmt_codes is None:
+            raise GoRuntimeError(f"function {name} has no body")
+        env = Environment(parent_env)
+        cells = env.cells
+        # Inlined ``Environment.declare`` throughout.
+        for recv_name in recv_names:
+            cell = Cell(receiver, recv_name)
+            if recv_name != "_":
+                cells[recv_name] = cell
+        if len(args) == 1 and flat_params > 1 and isinstance(args[0], TupleValue):
             args = list(args[0].values)
         index = 0
         n_args = len(args)
-        for name, is_variadic, type_ in params:
+        for param_name, is_variadic, type_ in params:
             if is_variadic:
                 rest = [_copy_struct(v) if isinstance(v, StructValue) else v
                         for v in args[index:]]
-                env.declare(name, SliceValue(elements=[Cell(value=v) for v in rest],
-                                             name=name))
+                value = SliceValue(elements=[Cell(value=v) for v in rest], name=param_name)
                 index = n_args
             else:
                 value = args[index] if index < n_args else self._zero_for_type(type_)
                 # Inlined ``_pass_value``: Go's value semantics copy structs.
                 if isinstance(value, StructValue):
                     value = _copy_struct(value)
-                env.declare(name, value)
                 index += 1
+            cell = Cell(value, param_name)
+            if param_name != "_":
+                cells[param_name] = cell
         for result_name, result_type in results:
-            env.declare(result_name, self._zero_for_type(result_type))
+            cell = Cell(self._zero_for_type(result_type), result_name)
+            if result_name != "_":
+                cells[result_name] = cell
 
-        entry = code.get(id(body))
-        if entry is None or entry[0] is not body:
-            block_code = self.program.block_code(body)
-        else:
-            block_code = entry[1]
-        frame = Frame(func_name=func.display_name(), file=file_name, line=body.pos.line)
+        frame = Frame(name, file_name, line)
         goroutine.push_frame(frame)
         return_values: List[Any] = []
         panic: Optional[BaseException] = None
         try:
-            signal = yield from block_code(self, goroutine, env)
+            # The body block's statements, run in place.
+            scope = Environment(env) if needs_scope else env
+            signal = None
+            for stmt_code in stmt_codes:
+                signal = yield from stmt_code(self, goroutine, scope)
+                if signal is not None:
+                    break
             if isinstance(signal, ReturnSignal):
                 return_values = signal.values
-            if not return_values and func_type.results:
+            if not return_values and results:
                 # Bare return with named results.
                 return_values = []
                 for result_name, _result_type in results:
@@ -367,18 +391,16 @@ class Interpreter:
 
     def _invoke(self, goroutine: Goroutine, callee: Any, args: List[Any],
                 node: Optional[ast.Node]) -> Generator:
-        """Invoke any callable runtime value."""
+        """Invoke any callable runtime value: the generator of the call,
+        with no generator level of its own."""
         if isinstance(callee, FuncValue):
-            result = yield from self.call_function(goroutine, callee, args, node)
-            return result
+            return self.call_function(goroutine, callee, args, node)
         if isinstance(callee, BuiltinFunc):
-            result = yield from callee.handler(self, goroutine, args, node)
-            return result
+            return callee.handler(self, goroutine, args, node)
         if isinstance(callee, BoundMethod):
-            result = yield from self.call_bound_method(goroutine, callee, args, node)
-            return result
+            return self.call_native_method(goroutine, callee.receiver, callee.name, args, node)
         if isinstance(callee, TypeValue):
-            return self._convert(callee, args)
+            return _returning(self._convert(callee, args))
         raise GoRuntimeError(f"cannot call value of type {type(callee).__name__}")
 
     # ------------------------------------------------------------------
@@ -511,28 +533,23 @@ class Interpreter:
     # Methods of runtime objects
     # ------------------------------------------------------------------
 
-    def call_bound_method(self, goroutine: Goroutine, bound: BoundMethod, args: List[Any],
-                          node: Optional[ast.Node]) -> Generator:
-        receiver = bound.receiver
-        name = bound.name
+    def call_native_method(self, goroutine: Goroutine, receiver: Any, name: str,
+                           args: List[Any], node: Optional[ast.Node]) -> Generator:
+        """Call method ``name`` of a runtime object (a ``sync`` primitive or
+        a value with ``go_call``): the generator of the call, with no
+        generator level of its own."""
         if isinstance(receiver, Mutex):
-            result = yield from self._mutex_call(goroutine, receiver, name)
-            return result
+            return self._mutex_call(goroutine, receiver, name)
         if isinstance(receiver, RWMutex):
-            result = yield from self._rwmutex_call(goroutine, receiver, name)
-            return result
+            return self._rwmutex_call(goroutine, receiver, name)
         if isinstance(receiver, WaitGroup):
-            result = yield from self._waitgroup_call(goroutine, receiver, name, args)
-            return result
+            return self._waitgroup_call(goroutine, receiver, name, args)
         if isinstance(receiver, SyncMap):
-            result = yield from self._syncmap_call(goroutine, receiver, name, args, node)
-            return result
+            return self._syncmap_call(goroutine, receiver, name, args, node)
         if isinstance(receiver, Once):
-            result = yield from self._once_call(goroutine, receiver, name, args, node)
-            return result
+            return self._once_call(goroutine, receiver, name, args, node)
         if hasattr(receiver, "go_call"):
-            result = yield from receiver.go_call(self, goroutine, name, args, node)
-            return result
+            return receiver.go_call(self, goroutine, name, args, node)
         raise GoRuntimeError(
             f"unsupported method {name} on {type(receiver).__name__}"
         )
@@ -757,6 +774,13 @@ def _sync_zero(type_expr: ast.Expr | None) -> Any:
     if name == "Once":
         return Once()
     return None
+
+
+def _returning(value: Any) -> Generator:
+    """A generator that yields nothing and returns ``value``."""
+    if False:  # pragma: no cover - keeps this a generator
+        yield STEP
+    return value
 
 
 def _copy_struct(value: StructValue) -> StructValue:

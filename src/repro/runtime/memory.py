@@ -11,26 +11,34 @@ both in reports and by the skeletonizer's notion of "racy variable".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+#: Where the next cell's address comes from.  Read at every allocation, so
+#: rebinding it (see :func:`repro.testing.reset_addresses`) restarts the
+#: numbering.
 _address_counter = itertools.count(0xC000000000, 0x10)
 
 
-def _next_address() -> int:
-    return next(_address_counter)
-
-
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Cell:
     """A single addressable storage slot."""
 
-    value: Any = None
-    name: str = ""
-    address: int = field(default_factory=_next_address)
+    value: Any
+    name: str
+    address: int
     #: When True the cell belongs to an internally synchronized object
     #: (e.g. ``sync.Map`` buckets) and accesses are never reported as races.
-    synchronized: bool = False
+    synchronized: bool
+
+    def __init__(self, value: Any = None, name: str = "", address: Optional[int] = None,
+                 synchronized: bool = False):
+        # Hand-written so the address comes from the counter without a
+        # default-factory call per cell.
+        self.value = value
+        self.name = name
+        self.address = next(_address_counter) if address is None else address
+        self.synchronized = synchronized
 
     def describe(self) -> str:
         return self.name or f"0x{self.address:012x}"

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import DeadlockError, GoRuntimeError
 from repro.execution import stable_seed
-from repro.runtime.goroutine import Goroutine, GoroutineState, SchedulePoint
+from repro.runtime.goroutine import STEP, Goroutine, GoroutineState, SchedulePoint
 
 
 class SchedulerPolicy(enum.Enum):
@@ -88,8 +88,6 @@ _BY_GID = operator.attrgetter("gid")
 @dataclass
 class SchedulerStats:
     steps: int = 0
-    context_switches: int = 0
-    max_live_goroutines: int = 0
 
 
 class Scheduler:
@@ -200,9 +198,10 @@ class Scheduler:
             self.register(main)
         # The per-step bookkeeping below is the inlined equivalent of
         # ``_runnable`` + ``_pick`` + ``_advance`` with loop-invariant
-        # lookups hoisted; scheduling decisions (and random draws) are
-        # identical to the method-by-method reference path.
-        stats = self.stats
+        # lookups hoisted and the step count kept in a local; scheduling
+        # decisions (and random draws) are identical to the method-by-method
+        # reference path.  Only round-robin reads ``_last_gid``, so only it
+        # pays for writing it.
         live = self._live
         max_steps = self.max_steps
         policy = self.policy
@@ -210,142 +209,140 @@ class Scheduler:
         is_random = policy is SchedulerPolicy.RANDOM
         is_newest = policy is SchedulerPolicy.NEWEST_FIRST
         is_oldest = policy is SchedulerPolicy.OLDEST_FIRST
+        is_round_robin = policy is SchedulerPolicy.ROUND_ROBIN
         rand = self.random.random
         choice = self.random.choice
-        pick = self._pick
+        failures = self.failures
         RUNNABLE = GoroutineState.RUNNABLE
         BLOCKED = GoroutineState.BLOCKED
-        while True:
-            if not live:
-                return
-            if len(live) > stats.max_live_goroutines:
-                stats.max_live_goroutines = len(live)
-            if len(live) == 1 and live[0].state is RUNNABLE:
-                # Single-goroutine fast path (program prologues/epilogues):
-                # the scan and pick below would trivially select it.  The
-                # advance/PCT tail is deliberately duplicated from the
-                # general path below — a shared helper would reintroduce the
-                # per-step call overhead this loop exists to remove; keep the
-                # two copies in lockstep when changing either.
-                if stats.steps >= max_steps:
-                    raise GoRuntimeError(
-                        f"scheduler step budget exhausted after {stats.steps} steps"
+        steps = self.stats.steps
+        try:
+            while live:
+                if len(live) == 1 and live[0].state is RUNNABLE:
+                    # Single-goroutine fast path (program prologues/epilogues):
+                    # the scan and pick below would trivially select it.  The
+                    # advance/PCT tail is deliberately duplicated from the
+                    # general path below — a shared helper would reintroduce
+                    # the per-step call overhead this loop exists to remove;
+                    # keep the two copies in lockstep when changing either.
+                    if steps >= max_steps:
+                        raise GoRuntimeError(
+                            f"scheduler step budget exhausted after {steps} steps"
+                        )
+                    goroutine = live[0]
+                    if is_round_robin:
+                        self._last_gid = goroutine.gid
+                    steps += 1
+                    goroutine.block_point = None
+                    try:
+                        point = next(goroutine.generator)
+                    except StopIteration:
+                        goroutine.state = GoroutineState.DONE
+                        live.remove(goroutine)
+                        point = None
+                    except GoRuntimeError as exc:
+                        goroutine.state = GoroutineState.FAILED
+                        goroutine.failure = exc
+                        failures.append(exc)
+                        live.remove(goroutine)
+                        point = None
+                    if point is not STEP and isinstance(point, SchedulePoint) \
+                            and point.kind == "block":
+                        goroutine.state = BLOCKED
+                        goroutine.block_point = point
+                    if is_pct:
+                        offset = steps - self._pct_window_start
+                        if offset in self._pct_change_points:
+                            self._pct_low -= 1.0
+                            self._pct_priorities[goroutine.gid] = self._pct_low
+                        if offset >= self.pct_horizon:
+                            self._pct_window_start += self.pct_horizon
+                            self._pct_change_points = self._sample_change_points()
+                    continue
+                runnable = []
+                for g in live:
+                    state = g.state
+                    if state is RUNNABLE:
+                        runnable.append(g)
+                    elif state is BLOCKED:
+                        point = g.block_point
+                        if point is not None:
+                            predicate = point.predicate
+                            if predicate is None or predicate():
+                                runnable.append(g)
+                if not runnable:
+                    if main.state in (GoroutineState.DONE, GoroutineState.FAILED):
+                        # The program's entry goroutine finished; remaining
+                        # blocked goroutines are abandoned, as when a Go
+                        # process exits.
+                        return
+                    reasons = "; ".join(
+                        f"goroutine {g.gid} ({g.name}): "
+                        f"{g.block_point.reason if g.block_point else '?'}"
+                        for g in live
                     )
-                goroutine = live[0]
-                if goroutine.gid != self._last_gid:
-                    stats.context_switches += 1
-                self._last_gid = goroutine.gid
-                stats.steps += 1
-                goroutine.steps += 1
+                    raise DeadlockError(f"all goroutines are blocked: {reasons}")
+                if steps >= max_steps:
+                    raise GoRuntimeError(
+                        f"scheduler step budget exhausted after {steps} steps"
+                    )
+                if len(runnable) == 1:
+                    goroutine = runnable[0]
+                elif is_random:
+                    goroutine = choice(runnable)
+                elif is_newest:
+                    goroutine = max(runnable, key=_BY_GID) if rand() < 0.7 else choice(runnable)
+                elif is_oldest:
+                    goroutine = min(runnable, key=_BY_GID) if rand() < 0.85 else choice(runnable)
+                elif is_pct:
+                    # Inlined PCT pick: same priority-assignment draw order
+                    # and the same (priority, -gid) max with first-wins ties
+                    # as the reference ``_pick``.
+                    priorities = self._pct_priorities
+                    goroutine = None
+                    best_key = None
+                    for g in runnable:
+                        priority = priorities.get(g.gid)
+                        if priority is None:
+                            priority = 1.0 + rand()
+                            priorities[g.gid] = priority
+                        key = (priority, -g.gid)
+                        if best_key is None or key > best_key:
+                            goroutine = g
+                            best_key = key
+                else:
+                    goroutine = self._pick(runnable)
+                if is_round_robin:
+                    self._last_gid = goroutine.gid
+                # -- inlined ``_advance`` ---------------------------------------------
+                steps += 1
+                goroutine.state = RUNNABLE
                 goroutine.block_point = None
                 try:
                     point = next(goroutine.generator)
-                except StopIteration as stop:
+                except StopIteration:
                     goroutine.state = GoroutineState.DONE
-                    goroutine.result = stop.value
                     live.remove(goroutine)
                     point = None
                 except GoRuntimeError as exc:
                     goroutine.state = GoroutineState.FAILED
                     goroutine.failure = exc
-                    self.failures.append(exc)
+                    failures.append(exc)
                     live.remove(goroutine)
                     point = None
-                if isinstance(point, SchedulePoint) and point.kind == "block":
+                if point is not STEP and isinstance(point, SchedulePoint) \
+                        and point.kind == "block":
                     goroutine.state = BLOCKED
                     goroutine.block_point = point
                 if is_pct:
-                    offset = stats.steps - self._pct_window_start
+                    offset = steps - self._pct_window_start
                     if offset in self._pct_change_points:
+                        # Change point: drop the running goroutine below every
+                        # priority handed out so far, forcing a preemption here.
                         self._pct_low -= 1.0
                         self._pct_priorities[goroutine.gid] = self._pct_low
                     if offset >= self.pct_horizon:
                         self._pct_window_start += self.pct_horizon
                         self._pct_change_points = self._sample_change_points()
-                continue
-            runnable = []
-            for g in live:
-                state = g.state
-                if state is RUNNABLE:
-                    runnable.append(g)
-                elif state is BLOCKED:
-                    point = g.block_point
-                    if point is not None:
-                        predicate = point.predicate
-                        if predicate is None or predicate():
-                            runnable.append(g)
-            if not runnable:
-                if main.state in (GoroutineState.DONE, GoroutineState.FAILED):
-                    # The program's entry goroutine finished; remaining blocked
-                    # goroutines are abandoned, as when a Go process exits.
-                    return
-                reasons = "; ".join(
-                    f"goroutine {g.gid} ({g.name}): {g.block_point.reason if g.block_point else '?'}"
-                    for g in live
-                )
-                raise DeadlockError(f"all goroutines are blocked: {reasons}")
-            if stats.steps >= max_steps:
-                raise GoRuntimeError(
-                    f"scheduler step budget exhausted after {stats.steps} steps"
-                )
-            if len(runnable) == 1:
-                goroutine = runnable[0]
-            elif is_random:
-                goroutine = choice(runnable)
-            elif is_newest:
-                goroutine = max(runnable, key=_BY_GID) if rand() < 0.7 else choice(runnable)
-            elif is_oldest:
-                goroutine = min(runnable, key=_BY_GID) if rand() < 0.85 else choice(runnable)
-            elif is_pct:
-                # Inlined PCT pick: same priority-assignment draw order and
-                # the same (priority, -gid) max with first-wins ties as the
-                # reference ``_pick``.
-                priorities = self._pct_priorities
-                goroutine = None
-                best_key = None
-                for g in runnable:
-                    priority = priorities.get(g.gid)
-                    if priority is None:
-                        priority = 1.0 + rand()
-                        priorities[g.gid] = priority
-                    key = (priority, -g.gid)
-                    if best_key is None or key > best_key:
-                        goroutine = g
-                        best_key = key
-            else:
-                goroutine = pick(runnable)
-            if goroutine.gid != self._last_gid:
-                stats.context_switches += 1
-            self._last_gid = goroutine.gid
-            # -- inlined ``_advance`` -------------------------------------------------
-            stats.steps += 1
-            goroutine.steps += 1
-            goroutine.state = RUNNABLE
-            goroutine.block_point = None
-            try:
-                point = next(goroutine.generator)
-            except StopIteration as stop:
-                goroutine.state = GoroutineState.DONE
-                goroutine.result = stop.value
-                live.remove(goroutine)
-                point = None
-            except GoRuntimeError as exc:
-                goroutine.state = GoroutineState.FAILED
-                goroutine.failure = exc
-                self.failures.append(exc)
-                live.remove(goroutine)
-                point = None
-            if isinstance(point, SchedulePoint) and point.kind == "block":
-                goroutine.state = BLOCKED
-                goroutine.block_point = point
-            if is_pct:
-                offset = stats.steps - self._pct_window_start
-                if offset in self._pct_change_points:
-                    # Change point: drop the running goroutine below every
-                    # priority handed out so far, forcing a preemption here.
-                    self._pct_low -= 1.0
-                    self._pct_priorities[goroutine.gid] = self._pct_low
-                if offset >= self.pct_horizon:
-                    self._pct_window_start += self.pct_horizon
-                    self._pct_change_points = self._sample_change_points()
-
+        finally:
+            self.stats.steps = steps
