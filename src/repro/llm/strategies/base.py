@@ -52,6 +52,22 @@ def parse_scope(code: str) -> Optional[ScopeCode]:
     return ScopeCode(file=file, wrapped=wrapped)
 
 
+def replace_stmt(root: ast.Node, target: ast.Stmt, replacement: List[ast.Stmt]) -> bool:
+    """Splice ``replacement`` in place of ``target`` in whichever block (or
+    select/switch clause body) under ``root`` holds it."""
+    for container in ast.walk(root):
+        stmts = None
+        if isinstance(container, ast.BlockStmt):
+            stmts = container.stmts
+        elif isinstance(container, (ast.CaseClause, ast.CommClause)):
+            stmts = container.body
+        if stmts is not None and target in stmts:
+            index = stmts.index(target)
+            stmts[index:index + 1] = replacement
+            return True
+    return False
+
+
 @dataclass
 class StrategyPlan:
     """What a strategy decided to do (opaque payload interpreted by apply)."""

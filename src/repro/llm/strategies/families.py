@@ -10,7 +10,7 @@ model profile automatically.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.diagnosis import examples
 from repro.diagnosis.categories import RaceCategory
@@ -25,7 +25,7 @@ from repro.golang.analysis import (
     writes_selector,
 )
 from repro.llm.prompt_parser import FixTask
-from repro.llm.strategies.base import FixStrategy, ScopeCode, StrategyPlan
+from repro.llm.strategies.base import FixStrategy, ScopeCode, StrategyPlan, replace_stmt
 
 
 def _is_true_literal(expr: ast.Expr) -> bool:
@@ -38,23 +38,6 @@ def _is_false_literal(expr: ast.Expr) -> bool:
     if isinstance(expr, ast.Ident):
         return expr.name == "false"
     return isinstance(expr, ast.BasicLit) and expr.value == "false"
-
-
-def _replace_in_blocks(root: ast.Node, target: ast.Stmt,
-                       replacement: List[ast.Stmt]) -> bool:
-    """Splice ``replacement`` in place of ``target`` in whichever block (or
-    select/switch clause body) holds it."""
-    for container in ast.walk(root):
-        stmts = None
-        if isinstance(container, ast.BlockStmt):
-            stmts = container.stmts
-        elif isinstance(container, (ast.CaseClause, ast.CommClause)):
-            stmts = container.body
-        if stmts is not None and target in stmts:
-            index = stmts.index(target)
-            stmts[index:index + 1] = replacement
-            return True
-    return False
 
 
 @fix_pattern(
@@ -92,7 +75,7 @@ class DoubleCheckedLockingStrategy(FixStrategy):
             outer, _ = found
             # The outer body is the complete locked slow path; executing it
             # unconditionally removes the unsynchronized check.
-            if _replace_in_blocks(func.body, outer, list(outer.body.stmts)):
+            if replace_stmt(func.body, outer, list(outer.body.stmts)):
                 return clone.render()
         return None
 
@@ -156,7 +139,7 @@ class ChannelCloseSignalStrategy(FixStrategy):
             decl.rhs = [ast.call("make", ast.ChanType(value=ast.ident("bool")))]
             # 2. ``flag = true`` inside the goroutine  →  ``close(flag)``
             close_stmt = ast.ExprStmt(x=ast.call("close", ast.ident(flag)))
-            if not _replace_in_blocks(closure.body, setter, [close_stmt]):
+            if not replace_stmt(closure.body, setter, [close_stmt]):
                 return None
             # 3. ``x := flag``  →  ``x := false`` + non-blocking select.
             reader_name = plan.data["reader"]
@@ -171,7 +154,7 @@ class ChannelCloseSignalStrategy(FixStrategy):
                 ast.CommClause(comm=recv, body=[mark]),
                 ast.CommClause(comm=None, body=[]),
             ])
-            if not _replace_in_blocks(func.body, reader, [init, select]):
+            if not replace_stmt(func.body, reader, [init, select]):
                 return None
             return clone.render()
         return None
@@ -260,7 +243,7 @@ class BulkWaitGroupAddStrategy(FixStrategy):
             loop, closure, add_stmt, wg_name, bound = found
             closure.body.stmts = [s for s in closure.body.stmts if s is not add_stmt]
             bulk = ast.ExprStmt(x=ast.call(f"{wg_name}.Add", ast.ident(bound)))
-            if _replace_in_blocks(func.body, loop, [bulk, loop]):
+            if replace_stmt(func.body, loop, [bulk, loop]):
                 return clone.render()
         return None
 
@@ -346,7 +329,7 @@ class SyncMapValueLockStrategy(FixStrategy):
             decl, var, _ = found
             lock, unlock = self.make_lock_pair(var, "mu")
             deferred = ast.DeferStmt(call=unlock.x)
-            if _replace_in_blocks(func.body, decl, [decl, lock, deferred]):
+            if replace_stmt(func.body, decl, [decl, lock, deferred]):
                 self.ensure_import(clone, "sync")
                 return clone.render()
         return None

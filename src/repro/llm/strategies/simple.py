@@ -11,7 +11,7 @@ from repro.diagnosis.registry import fix_pattern
 from repro.golang import ast_nodes as ast
 from repro.golang.analysis import declared_names, go_closures
 from repro.llm.prompt_parser import FixTask
-from repro.llm.strategies.base import FixStrategy, ScopeCode, StrategyPlan
+from repro.llm.strategies.base import FixStrategy, ScopeCode, StrategyPlan, replace_stmt
 
 
 @fix_pattern(
@@ -279,7 +279,7 @@ class MoveWaitGroupAddStrategy(FixStrategy):
                 if add_stmt is None:
                     continue
                 closure.body.stmts = [s for s in closure.body.stmts if s is not add_stmt]
-                if self._insert_before(func.body, go_stmt, add_stmt):
+                if replace_stmt(func.body, go_stmt, [add_stmt, go_stmt]):
                     changed = True
         return clone.render() if changed else None
 
@@ -290,15 +290,6 @@ class MoveWaitGroupAddStrategy(FixStrategy):
                 if isinstance(fun, ast.SelectorExpr) and fun.sel == "Add":
                     return stmt
         return None
-
-    def _insert_before(self, block: ast.BlockStmt, target: ast.Stmt,
-                       new_stmt: ast.Stmt) -> bool:
-        for container in ast.walk(block):
-            if isinstance(container, ast.BlockStmt) and target in container.stmts:
-                index = container.stmts.index(target)
-                container.stmts.insert(index, new_stmt)
-                return True
-        return False
 
 
 @fix_pattern(

@@ -108,6 +108,39 @@ class TestIndividualStrategies:
         assert add_index < go_index
         assert validates(case, revised)
 
+    @pytest.mark.parametrize("clause", ["case <-ch:", "case 1:"])
+    def test_move_wg_add_reaches_a_go_in_a_clause_body(self, clause):
+        header = "select {" if clause.startswith("case <-") else "switch n {"
+        source = f"""package p
+
+import "sync"
+
+func Run(ch chan int, n int) {{
+\tvar wg sync.WaitGroup
+\tgo func() {{
+\t\twg.Add(1)
+\t\tdefer wg.Done()
+\t}}()
+\t{header}
+\t{clause}
+\t\tgo func() {{
+\t\t\twg.Add(1)
+\t\t\tdefer wg.Done()
+\t\t}}()
+\t}}
+\twg.Wait()
+}}
+"""
+        task = FixTask(code=source, scope="file", file_name="p.go",
+                       racy_variable="wg", racy_functions=["p.Run"])
+        scope = parse_scope(source)
+        strategy = STRATEGY_REGISTRY["move_wg_add"]
+        revised = strategy.apply(task, scope, strategy.detect(task, scope))
+        assert revised.count("wg.Add(1)") == 2
+        clause_body = revised[revised.index(clause):]
+        assert clause_body.index("wg.Add(1)") < clause_body.index("go func(")
+        assert revised.index("wg.Add(1)") < revised.index("go func(")
+
     def test_mutex_guard_adds_field_and_locks_methods(self):
         case = make_counter_case(25, 0)
         revised = apply_strategy(case, "mutex_guard")
