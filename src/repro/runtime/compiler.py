@@ -733,33 +733,15 @@ def _build_call(node: ast.CallExpr, code: CodeCache) -> Code:
     arg_codes = tuple(compile_expr(arg, code) for arg in node.args)
     single_arg = len(node.args) == 1
     has_ellipsis = bool(node.ellipsis)
-    if builtin is None and fun_name in meta.funcs and fun_name not in meta.bound_names:
-        # A call of a top-level function by a name no variable can shadow:
-        # the call site enters it without building a function value.
-        decl = meta.funcs[fun_name]
-
-        def run_direct(interp, goroutine, env):
-            args: List[Any] = []
-            for arg_code in arg_codes:
-                value = yield from arg_code(interp, goroutine, env)
-                if isinstance(value, TupleValue) and single_arg:
-                    args.extend(value.values)
-                else:
-                    args.append(value)
-            if has_ellipsis and args and isinstance(args[-1], SliceValue):
-                spread = args.pop()
-                args.extend(cell.value for cell in spread.elements)
-            result = yield from interp.call_decl(goroutine, decl, None, args, node)
-            return result
-
-        return run_direct
     static = _NOT_STATIC
     if isinstance(fun, ast.SelectorExpr):
         if not _names_package(fun.x, meta):
             return _build_method_call(node, arg_codes, code)
         static = _static_member(fun, meta)
-    # A package member no variable can shadow is called without evaluating
-    # the selector.
+    elif builtin is None and fun_name in meta.funcs and fun_name not in meta.bound_names:
+        static = FuncValue(decl=meta.funcs[fun_name], name=fun_name)
+    # A package member or top-level function that no variable can shadow is
+    # a constant callee: the call builds no value and evaluates no callee.
     fun_code = compile_expr(fun, code) if static is _NOT_STATIC else None
 
     def run(interp, goroutine, env):
@@ -847,7 +829,7 @@ def _build_method_call(node: ast.CallExpr, arg_codes: Tuple[Code, ...],
             spread = args.pop()
             args.extend(cell.value for cell in spread.elements)
         if method is not None:
-            result = yield from interp.call_decl(goroutine, method, receiver, args, node)
+            result = yield from interp.call_method(goroutine, method, receiver, args, node)
             return result
         if native is None:
             result = yield from interp._invoke(goroutine, callee, args, node)

@@ -266,11 +266,10 @@ class Interpreter:
                           func.env if func.env is not None else self.globals,
                           file_name, func.name or "func literal", None, args, node)
 
-    def call_decl(self, goroutine: Goroutine, decl: ast.FuncDecl, receiver: Any,
-                  args: List[Any], node: Optional[ast.Node]) -> Generator:
-        """Call the declared function ``decl`` (a method of ``receiver``, if
-        it has one) from a call site that names it: no function or method
-        value is built."""
+    def call_method(self, goroutine: Goroutine, decl: ast.FuncDecl, receiver: Any,
+                    args: List[Any], node: Optional[ast.Node]) -> Generator:
+        """Call the struct method ``decl`` on ``receiver``, as a method call
+        ``x.m(...)`` does: no method value is built."""
         body = decl.body
         entry = self._code.get(id(body))
         entry = (entry[1] if entry is not None and entry[0] is body
