@@ -210,7 +210,7 @@ class Interpreter:
                 )
         result.races = list(self.detector.races)
         result.output = list(self.output)
-        result.steps = self.scheduler.stats.steps
+        result.steps = self.scheduler.steps
         result.goroutines = len(self.scheduler.goroutines)
         return result
 

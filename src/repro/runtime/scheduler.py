@@ -14,7 +14,6 @@ import enum
 import math
 import operator
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import DeadlockError, GoRuntimeError
@@ -85,11 +84,6 @@ def runs_for_detection_probability(
 _BY_GID = operator.attrgetter("gid")
 
 
-@dataclass
-class SchedulerStats:
-    steps: int = 0
-
-
 class Scheduler:
     """Drives a set of goroutine coroutines to completion."""
 
@@ -111,7 +105,8 @@ class Scheduler:
         #: the full goroutine table.  Same contents and order as filtering
         #: ``goroutines.values()`` on liveness.
         self._live: List[Goroutine] = []
-        self.stats = SchedulerStats()
+        #: Steps taken so far (written back when :meth:`run` returns).
+        self.steps = 0
         self._next_gid = 1
         self._last_gid: Optional[int] = None
         self.failures: List[BaseException] = []
@@ -215,7 +210,7 @@ class Scheduler:
         failures = self.failures
         RUNNABLE = GoroutineState.RUNNABLE
         BLOCKED = GoroutineState.BLOCKED
-        steps = self.stats.steps
+        steps = self.steps
         try:
             while live:
                 if len(live) == 1 and live[0].state is RUNNABLE:
@@ -345,4 +340,4 @@ class Scheduler:
                         self._pct_window_start += self.pct_horizon
                         self._pct_change_points = self._sample_change_points()
         finally:
-            self.stats.steps = steps
+            self.steps = steps
