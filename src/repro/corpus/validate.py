@@ -12,8 +12,9 @@ metamorphic contract its label promises:
 
 The harness is reusable: :func:`validate_case` checks one case,
 :func:`validate_corpus` sweeps a whole corpus and aggregates the failures.
-``tests/corpus/test_mutation_metamorphic.py`` drives it over sampled mutant
-corpora; ``benchmarks/bench_corpus_scale.py`` reports its pass rate at scale.
+``tests/corpus/test_mutation_metamorphic.py`` drives it over a sampled mutant
+corpus, and ``drfix corpus generate --validate-sample N`` over a sample of a
+generated one.
 """
 
 from __future__ import annotations

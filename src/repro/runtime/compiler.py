@@ -59,6 +59,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from repro.errors import GoPanic, GoRuntimeError, GoSyntaxError
 from repro.golang import ast_nodes as ast
 from repro.golang.parser import clear_parse_cache, parse_cache_info, parse_file
+from repro.golang.printer import print_node
 from repro.golang.slicing import slice_function, package_scope_bindings
 from repro.runtime import stdlib
 from repro.runtime.goroutine import Goroutine, STEP, blocked
@@ -624,11 +625,47 @@ def _package_member(node: ast.SelectorExpr) -> Any:
 
 def _static_member(node: ast.SelectorExpr, meta: _ProgramMeta) -> Any:
     """The value of ``pkg.Member`` when ``pkg`` is a package name the
-    program provably never binds as a variable (the whole selector folds to
-    a constant at lowering time), else :data:`_NOT_STATIC`."""
+    program provably never binds as a variable, or of a method expression
+    (the whole selector folds to a constant at lowering time), else
+    :data:`_NOT_STATIC`."""
     if _names_package(node.x, meta) and node.x.name not in meta.bound_names:
         return _package_member(node)
-    return _NOT_STATIC
+    return _method_expression(node, meta)
+
+
+def _method_expression(node: ast.SelectorExpr, meta: _ProgramMeta) -> Any:
+    """The function value of the method expression ``T.m`` or ``(*T).m``,
+    whose first parameter is the receiver, else :data:`_NOT_STATIC`.
+
+    ``T`` must be a declared type the program never binds as a variable.
+    ``T.m`` needs a value receiver, as in Go; a form this leaves out reaches
+    :func:`_select_value` at run time, which names it."""
+    x = node.x
+    through_pointer = type(x) is ast.ParenExpr and type(x.x) is ast.StarExpr
+    if through_pointer:
+        x = x.x.x
+    if type(x) is not ast.Ident or x.name not in meta.types or x.name in meta.bound_names:
+        return _NOT_STATIC
+    method = meta.methods.get((x.name, node.sel))
+    if method is None:
+        return _NOT_STATIC
+    pointer_receiver = isinstance(method.recv.type_, ast.StarExpr)
+    if pointer_receiver and not through_pointer:
+        return _NOT_STATIC
+    name = f"{x.name}.{node.sel}"
+
+    def handler(interp, goroutine, args, call):
+        if not args:
+            raise GoRuntimeError(f"not enough arguments in call to {name}")
+        receiver = args[0]
+        if not pointer_receiver:
+            # A value receiver is an ordinary argument: Go copies it.
+            if through_pointer:
+                receiver = _pointee(receiver)
+            receiver = _copy_struct(receiver)
+        return interp.call_method(goroutine, method, receiver, args[1:], call)
+
+    return BuiltinFunc(name=name, handler=handler)
 
 
 def _pointee(pointer: PointerValue) -> Any:
@@ -667,6 +704,8 @@ def _select_value(base: Any, node: ast.SelectorExpr) -> Any:
         return BoundMethod(receiver=base, name=sel)
     if base is None:
         raise GoPanic(f"invalid memory address or nil pointer dereference (selecting .{sel})")
+    if isinstance(base, TypeValue):
+        raise GoRuntimeError(f"unsupported method expression {print_node(node)}")
     raise GoRuntimeError(f"cannot select .{sel} from {format_value(base)}")
 
 
@@ -735,9 +774,9 @@ def _build_call(node: ast.CallExpr, code: CodeCache) -> Code:
     has_ellipsis = bool(node.ellipsis)
     static = _NOT_STATIC
     if isinstance(fun, ast.SelectorExpr):
-        if not _names_package(fun.x, meta):
-            return _build_method_call(node, arg_codes, code)
         static = _static_member(fun, meta)
+        if static is _NOT_STATIC and not _names_package(fun.x, meta):
+            return _build_method_call(node, arg_codes, code)
     elif builtin is None and fun_name in meta.funcs and fun_name not in meta.bound_names:
         static = FuncValue(decl=meta.funcs[fun_name], name=fun_name)
     # A package member or top-level function that no variable can shadow is
@@ -2386,21 +2425,13 @@ class BuiltPackage:
     to build, or has nothing to run, never pays for it.  Programs are kept
     per slicing mode (the two lowerings differ)."""
 
-    __slots__ = ("fingerprint", "files", "errors", "tests",
-                 "stdlib_generation", "_programs", "_lock")
+    __slots__ = ("fingerprint", "files", "errors", "tests", "_programs", "_lock")
 
-    def __init__(self, fingerprint: str, files: List[ast.File], errors: List[str],
-                 stdlib_generation: int):
+    def __init__(self, fingerprint: str, files: List[ast.File], errors: List[str]):
         self.fingerprint = fingerprint
         self.files = files
         self.errors = errors
         self.tests = discover_tests(files)
-        #: Stdlib-registry generation this build's lowerings captured; a
-        #: later :func:`repro.runtime.stdlib.register_package` invalidates it.
-        #: Sampled by the builder *before* parsing/lowering so a registration
-        #: racing the build can only make the entry look stale (a rebuild),
-        #: never fresh.
-        self.stdlib_generation = stdlib_generation
         self._programs: Dict[bool, CompiledProgram] = {}
         self._lock = threading.Lock()
 
@@ -2492,13 +2523,12 @@ class ProgramCache:
     to the *protected* LRU.  A build pushed out of probation leaves only its
     fingerprint in a bounded *ghost* list (plain strings, which the
     collector does not track); a miss on a ghost was requested before, so
-    the rebuild goes straight to the protected segment, as does the rebuild
-    of a stale entry.  ``capacity`` bounds both segments together: when the
-    cache is full, a first-time build pushes out the oldest probationary
-    build once probation is full and the least recent protected one before
-    that, so probation refills to its size.  With ``capacity`` at or below
-    ``_PROBATION_BUILDS``, probation can fill the whole cache and a scan is
-    not kept out.
+    the rebuild goes straight to the protected segment.  ``capacity`` bounds
+    both segments together: when the cache is full, a first-time build
+    pushes out the oldest probationary build once probation is full and the
+    least recent protected one before that, so probation refills to its
+    size.  With ``capacity`` at or below ``_PROBATION_BUILDS``, probation
+    can fill the whole cache and a scan is not kept out.
 
     Builds are **single-flight**: when several threads miss on the same
     fingerprint at once (the serving layer makes this the common case — a
@@ -2528,15 +2558,12 @@ class ProgramCache:
         fingerprint = package_fingerprint(package)
         while True:
             with self._lock:
-                segment = self._protected
-                entry = segment.get(fingerprint)
+                entry = self._protected.pop(fingerprint, None)
                 if entry is None:
-                    segment = self._probation
-                    entry = segment.get(fingerprint)
-                if entry is not None and entry.stdlib_generation == stdlib.generation():
+                    entry = self._probation.pop(fingerprint, None)
+                if entry is not None:
                     # Moves a protected build to the LRU's recent end and
                     # promotes a probationary one.
-                    del segment[fingerprint]
                     self._protected[fingerprint] = entry
                     self.hits += 1
                     return entry
@@ -2545,25 +2572,16 @@ class ProgramCache:
                     # This thread builds; racers wait on the event below.
                     self._building[fingerprint] = threading.Event()
                     self.misses += 1
-                    # A stale build or a ghost was requested before: its
-                    # rebuild is protected.
+                    # A ghost was requested before: its rebuild is protected.
                     ghost = fingerprint in self._ghosts
                     if ghost:
                         del self._ghosts[fingerprint]
-                    elif entry is not None:
-                        del segment[fingerprint]
-                    protect = ghost or entry is not None
                     break
                 self.singleflight_waits += 1
             # Another thread is building this fingerprint: wait for it to
-            # land, then loop back to take the hit (or rebuild if a stdlib
-            # registration invalidated the fresh entry in the meantime).
+            # land, then loop back to take the hit.
             pending.wait()
         try:
-            # Sample the stdlib generation before lowering: closures freeze
-            # member lookups, so a registration racing this build must
-            # invalidate the entry, not be masked by a post-build read.
-            generation = stdlib.generation()
             files: List[ast.File] = []
             errors: List[str] = []
             for file in package.files:
@@ -2571,13 +2589,12 @@ class ProgramCache:
                     files.append(parse_file(file.source, file.name))
                 except GoSyntaxError as exc:
                     errors.append(str(exc))
-            entry = BuiltPackage(fingerprint, files, errors, generation)
+            entry = BuiltPackage(fingerprint, files, errors)
             with self._lock:
-                self._make_room(protect)
-                if protect:
+                self._make_room(ghost)
+                if ghost:
                     self._protected[fingerprint] = entry
-                    if ghost:
-                        self.readmissions += 1
+                    self.readmissions += 1
                 else:
                     self._probation[fingerprint] = entry
         finally:

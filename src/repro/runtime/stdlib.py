@@ -611,22 +611,3 @@ def get_member(package: str, member: str) -> Any:
     if callable(value):
         return BuiltinFunc(name=f"{package}.{member}", handler=value)
     return value
-
-
-#: Bumped by :func:`register_package`.  Compiled programs freeze stdlib
-#: package/member lookups at lowering time, so the program cache tags every
-#: build with the generation it saw and rebuilds when it changes, so a late
-#: shim is seen by every run after it.
-_GENERATION = 0
-
-
-def generation() -> int:
-    """The current stdlib-registry generation (see :func:`register_package`)."""
-    return _GENERATION
-
-
-def register_package(name: str, members: Dict[str, Any]) -> None:
-    """Register or extend a package (used by tests and the corpus for shims)."""
-    global _GENERATION
-    _PACKAGES.setdefault(name, {}).update(members)
-    _GENERATION += 1

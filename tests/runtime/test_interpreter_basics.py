@@ -222,6 +222,65 @@ func main() {
         result, _ = run_expr_program(source)
         assert result.output == ["7"]
 
+    def test_method_expressions_take_the_receiver_first(self):
+        source = """
+package main
+
+import "fmt"
+
+type T struct {
+	n int
+}
+
+func (t T) get() int { return t.n }
+
+func (t T) set() { t.n = 9 }
+
+func (t *T) inc(d int) { t.n = t.n + d }
+
+func main() {
+	fmt.Println(T.get(T{n: 2}))
+	f := T.get
+	fmt.Println(f(T{n: 1}))
+	v := T{n: 5}
+	g := (*T).inc
+	g(&v, 3)
+	(*T).inc(&v, 1)
+	T.set(v)
+	fmt.Println(v.n, (*T).get(&v))
+}
+"""
+        result, _ = run_expr_program(source)
+        assert not result.failures, result.failures
+        # What `go run` prints.
+        assert result.output == ["2", "1", "9 9"]
+
+    @pytest.mark.parametrize("statement, failure", [
+        ("f := T.inc", "unsupported method expression T.inc"),
+        ("f := T.missing", "unsupported method expression T.missing"),
+        ("f := (*T).missing", "unsupported method expression (*T).missing"),
+        ("f := T.get()", "not enough arguments in call to T.get"),
+    ])
+    def test_bad_method_expression_fails_with_a_go_message(self, statement, failure):
+        source = f"""
+package main
+
+type T struct {{
+	n int
+}}
+
+func (t T) get() int {{ return t.n }}
+
+func (t *T) inc() {{ t.n++ }}
+
+func main() {{
+	{statement}
+	_ = f
+}}
+"""
+        result, _ = run_expr_program(source)
+        assert result.failures == [f"goroutine 1 (main): {failure}"]
+
     def test_struct_assignment_copies_value(self):
         source = """
 package main

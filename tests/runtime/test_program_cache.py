@@ -188,29 +188,6 @@ class TestProgramCache:
         again = PROGRAM_CACHE.get_or_build(package)
         assert again is build
 
-    def test_stdlib_registration_invalidates_cached_builds(self):
-        """Late ``register_package`` shims must not serve stale lowerings.
-
-        Compiled closures freeze stdlib package/member lookups at lowering
-        time, so a build made before a registration would not see the new
-        package; the cache tags builds with the stdlib generation and
-        rebuilds instead."""
-        from repro.runtime import stdlib
-        from repro.runtime.compiler import ProgramCache
-
-        cache = ProgramCache(capacity=4)
-        package = GoPackage(
-            name="shimmed",
-            files=[GoFile("a.go", "package shimmed\nfunc A() int { return 1 }\n")],
-        )
-        before = cache.get_or_build(package)
-        assert cache.get_or_build(package) is before
-        stdlib.register_package("shimpkg", {"Answer": 42})
-        after = cache.get_or_build(package)
-        assert after is not before
-        assert after.stdlib_generation == stdlib.generation()
-        assert cache.get_or_build(package) is after
-
     def test_capacity_evicts_least_recently_used(self):
         from repro.runtime.compiler import ProgramCache
 
@@ -286,28 +263,6 @@ class TestScanResistantAdmission:
         assert cache.get_or_build(_tiny("target")) is rebuilt
         assert cache.get_or_build(_tiny("target")) is rebuilt
         assert cache.stats()["readmissions"] == 1
-
-    def test_stdlib_registration_invalidates_both_segments(self):
-        from repro.runtime import stdlib
-
-        cache = ProgramCache()
-        once = cache.get_or_build(_tiny("once"))
-        twice = cache.get_or_build(_tiny("twice"))
-        assert cache.get_or_build(_tiny("twice")) is twice
-        assert cache.stats()["probationary"] == 1
-        stdlib.register_package("shimpkg", {"Answer": 42})
-        fresh_once = cache.get_or_build(_tiny("once"))
-        fresh_twice = cache.get_or_build(_tiny("twice"))
-        assert fresh_once is not once and fresh_twice is not twice
-        for fresh in (fresh_once, fresh_twice):
-            assert fresh.stdlib_generation == stdlib.generation()
-        stats = cache.stats()
-        # The stale builds were replaced, not kept beside their rebuilds; both
-        # were requested before, so both rebuilds are protected.
-        assert (stats["entries"], stats["probationary"]) == (2, 0)
-        assert stats["readmissions"] == 0
-        assert cache.get_or_build(_tiny("once")) is fresh_once
-        assert cache.get_or_build(_tiny("twice")) is fresh_twice
 
     def test_capacity_bounds_both_segments_together(self):
         cache = ProgramCache(capacity=PROBATION + 4)

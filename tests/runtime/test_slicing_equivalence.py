@@ -93,10 +93,12 @@ class TestSlicingDetectionEquivalence:
         _assert_detection_equivalent(cases, (7, 19), runs=3)
 
     def test_slicing_reduces_schedule_points(self, dataset):
-        """The point of the exercise: strictly fewer schedule points ON."""
+        """The point of the exercise: slicing elides at least 30% of the
+        schedule points.  Step counts are seeded, so this is exact (these
+        cases elide 41%: 2,757 steps OFF, 1,629 ON)."""
         cases = (dataset.evaluation + dataset.db_examples)[:12]
         off_rows = _sweep(cases, False, (0,), runs=3)
         on_rows = _sweep(cases, True, (0,), runs=3)
         off_steps = sum(row[2]["steps"] for row in off_rows)
         on_steps = sum(row[2]["steps"] for row in on_rows)
-        assert on_steps < off_steps
+        assert 10 * on_steps <= 7 * off_steps, (off_steps, on_steps)
