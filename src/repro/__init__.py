@@ -31,38 +31,4 @@ Quick start::
 
 __version__ = "1.5.0"
 
-from repro.core.config import DrFixConfig, FixLocation, FixScope
-from repro.core.database import ExampleDatabase
-from repro.core.pipeline import DrFix, FixOutcome
-from repro.corpus.generator import CorpusConfig, CorpusGenerator
-from repro.evaluation.runner import EvaluationRunner, ExperimentContext
-from repro.runtime.harness import GoFile, GoPackage, run_package_tests
-from repro.service import (
-    DetectRequest,
-    DrFixService,
-    FixRequest,
-    ServiceMetrics,
-    ServiceResponse,
-)
-
-__all__ = [
-    "__version__",
-    "DrFix",
-    "DrFixConfig",
-    "FixLocation",
-    "FixScope",
-    "FixOutcome",
-    "ExampleDatabase",
-    "CorpusConfig",
-    "CorpusGenerator",
-    "EvaluationRunner",
-    "ExperimentContext",
-    "GoFile",
-    "GoPackage",
-    "run_package_tests",
-    "DetectRequest",
-    "DrFixService",
-    "FixRequest",
-    "ServiceMetrics",
-    "ServiceResponse",
-]
+__all__ = ["__version__"]

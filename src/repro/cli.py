@@ -29,31 +29,14 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.core.config import DrFixConfig
 from repro.errors import ConfigError
-from repro.core.database import ExampleDatabase
-from repro.core.pipeline import DrFix
-from repro.corpus.generator import CorpusConfig, CorpusGenerator
-from repro.diagnosis import RaceDiagnoser, all_patterns, category_from_value
-from repro.execution import JOBS_ENV_VAR, resolve_jobs
-from repro.evaluation.experiments import all_experiment_tables
-from repro.evaluation.reporting import render_report
-from repro.evaluation.runner import EvaluationRunner, ExperimentContext
-from repro.evaluation.store import RunStore
-from repro.fingerprint import corpus_fingerprint
-from repro.runtime.compiler import PROGRAM_CACHE
-from repro.runtime.harness import GoFile, GoPackage, run_package_tests
-from repro.service import (
-    DrFixService,
-    Pidfile,
-    ServiceHTTPServer,
-    ShardedDrFixService,
-    resolve_request_timeout,
-    serve_stdio,
-    stop_daemon,
-)
+
+if TYPE_CHECKING:
+    from repro.core.database import ExampleDatabase
+    from repro.corpus.generator import CorpusConfig
+    from repro.runtime.harness import GoPackage
 
 
 def drfix_version() -> str:
@@ -71,6 +54,19 @@ def drfix_version() -> str:
         from repro import __version__
 
         return __version__
+
+
+class _VersionAction(argparse.Action):
+    """``--version``: looks the version up only when the flag is given, so
+    building the parser reads no package metadata."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS, help=None):
+        super().__init__(option_strings, dest=dest, default=argparse.SUPPRESS,
+                         nargs=0, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"drfix {drfix_version()}")
+        parser.exit()
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +117,8 @@ def jobs_count(text: str) -> int:
 
 
 def _load_package(directory: str) -> GoPackage:
+    from repro.runtime.harness import GoFile, GoPackage
+
     root = Path(directory)
     files: List[GoFile] = []
     for path in sorted(root.rglob("*.go")):
@@ -131,12 +129,16 @@ def _load_package(directory: str) -> GoPackage:
 
 
 def _corpus_config(args: argparse.Namespace) -> CorpusConfig:
+    from repro.corpus.generator import CorpusConfig
+
     return CorpusConfig().scaled(args.scale)
 
 
 def cmd_corpus_generate(args: argparse.Namespace) -> int:
     """Generate a labeled mutant corpus (template bases + derived mutants)."""
     import json
+
+    from repro.corpus.generator import CorpusConfig, CorpusGenerator
 
     config = CorpusConfig(seed=args.seed, noise_level=args.noise_level)
     generator = CorpusGenerator(config)
@@ -195,6 +197,8 @@ def cmd_corpus_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
+    from repro.corpus.generator import CorpusGenerator
+
     dataset = CorpusGenerator(_corpus_config(args)).generate()
     stats = dataset.statistics()
     print(f"vector-database examples: {len(dataset.db_examples)}")
@@ -218,6 +222,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    from repro.diagnosis import RaceDiagnoser
+    from repro.runtime.harness import run_package_tests
+
     package = _load_package(args.path)
     result = run_package_tests(
         package,
@@ -236,6 +243,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_patterns(args: argparse.Namespace) -> int:
     """Introspect the fix-pattern registry (detection order)."""
+    from repro.diagnosis import all_patterns, category_from_value
+
     category = None
     if args.category:
         category = category_from_value(args.category)
@@ -257,6 +266,12 @@ def cmd_patterns(args: argparse.Namespace) -> int:
 
 
 def cmd_fix(args: argparse.Namespace) -> int:
+    from repro.core.config import DrFixConfig
+    from repro.core.database import ExampleDatabase
+    from repro.core.pipeline import DrFix
+    from repro.corpus.generator import CorpusConfig, CorpusGenerator
+    from repro.runtime.harness import run_package_tests
+
     package = _load_package(args.path)
     config = DrFixConfig(model=args.model)
     if args.adaptive_runs:
@@ -293,6 +308,11 @@ def cmd_fix(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.core.config import DrFixConfig
+    from repro.evaluation.experiments import all_experiment_tables
+    from repro.evaluation.reporting import render_report
+    from repro.evaluation.runner import ExperimentContext
+
     context = ExperimentContext(
         corpus_config=_corpus_config(args),
         base_config=DrFixConfig(model=args.model),
@@ -321,6 +341,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cases (so per-case detection caches cannot leak between phases), and
     checks that every phase produces identical metrics.
     """
+    from repro.core.config import DrFixConfig
+    from repro.evaluation.runner import EvaluationRunner, ExperimentContext
+    from repro.evaluation.store import RunStore
+    from repro.execution import JOBS_ENV_VAR, resolve_jobs
+    from repro.fingerprint import corpus_fingerprint
+    from repro.runtime.compiler import PROGRAM_CACHE
+
     # Benchmarking parallelism with one worker would be meaningless, so with
     # no --jobs and no DRFIX_JOBS the parallel phase uses every CPU.
     explicit = args.jobs is not None or os.environ.get(JOBS_ENV_VAR, "").strip()
@@ -396,6 +423,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     in-flight requests, remove the pidfile (cache writes are synchronous:
     nothing to flush).
     """
+    from repro.core.config import DrFixConfig
+    from repro.core.database import ExampleDatabase
+    from repro.corpus.generator import CorpusConfig, CorpusGenerator
+    from repro.service.core import DrFixService
+    from repro.service.frontend import (
+        ServiceHTTPServer,
+        resolve_request_timeout,
+        serve_stdio,
+    )
+    from repro.service.pidfile import Pidfile, stop_daemon
+    from repro.service.shard import ShardedDrFixService
+
     if args.stop:
         if not args.pidfile:
             raise ConfigError("--stop needs --pidfile to locate the daemon")
@@ -474,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="drfix",
         description="Reproduction of Dr.Fix: Automatically Fixing Data Races at Industry Scale",
     )
-    parser.add_argument("--version", action="version",
-                        version=f"drfix {drfix_version()}")
+    parser.add_argument("--version", action=_VersionAction,
+                        help="print the installed version and exit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     corpus = sub.add_parser("corpus", help="generate the synthetic corpus")

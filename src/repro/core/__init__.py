@@ -3,7 +3,6 @@
 The pipeline (Fig. 1 / Listing 13 of the paper) is assembled from:
 
 * :mod:`repro.core.config` — :class:`DrFixConfig` with every knob the ablations toggle;
-* :mod:`repro.diagnosis.categories` — the race-category taxonomy of Tables 3 and 5;
 * :mod:`repro.core.race_info` — race-report ingestion and fix-location extraction
   (leaf / test / LCA functions, function / file scopes);
 * :mod:`repro.core.skeleton` — concurrency skeleton creation via AST slicing;
@@ -17,7 +16,6 @@ The pipeline (Fig. 1 / Listing 13 of the paper) is assembled from:
 """
 
 from repro.core.config import DrFixConfig, FixLocation, FixScope
-from repro.diagnosis.categories import RaceCategory
 from repro.core.pipeline import DrFix, FixAttempt, FixOutcome
 from repro.core.race_info import RaceInfo, RaceInfoExtractor, CodeItem
 from repro.core.skeleton import Skeletonizer, skeletonize_source
@@ -29,7 +27,6 @@ __all__ = [
     "DrFixConfig",
     "FixLocation",
     "FixScope",
-    "RaceCategory",
     "DrFix",
     "FixAttempt",
     "FixOutcome",

@@ -11,10 +11,9 @@
 * :mod:`repro.evaluation.reporting`  — plain-text/markdown table rendering.
 
 The serial/thread/process case executors (``--jobs`` / ``DRFIX_JOBS``) live in
-:mod:`repro.execution` and are re-exported here.
+:mod:`repro.execution`, and the fingerprints in :mod:`repro.fingerprint`.
 """
 
-from repro.execution import CaseExecutor, ExecutorKind, resolve_jobs
 from repro.evaluation.metrics import FixRate, percentile
 from repro.evaluation.runner import (
     CaseResult,
@@ -25,12 +24,8 @@ from repro.evaluation.runner import (
 )
 from repro.evaluation.reporting import Table, format_table
 from repro.evaluation.store import RunStore
-from repro.fingerprint import config_fingerprint, corpus_fingerprint
 
 __all__ = [
-    "CaseExecutor",
-    "ExecutorKind",
-    "resolve_jobs",
     "FixRate",
     "percentile",
     "CaseResult",
@@ -41,6 +36,4 @@ __all__ = [
     "Table",
     "format_table",
     "RunStore",
-    "config_fingerprint",
-    "corpus_fingerprint",
 ]

@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigError
@@ -130,11 +129,15 @@ class CaseExecutor:
             return [fn(item) for item in items]
         workers = min(self.jobs, len(items))
         if self.kind is ExecutorKind.THREAD:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(fn, items))
         # Process pool: chunk to amortise pickling of fn's captured state
         # (config + example database) across cases.
         chunksize = max(1, len(items) // (workers * 4))
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items, chunksize=chunksize))
 

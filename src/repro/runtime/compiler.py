@@ -312,10 +312,12 @@ class _ProgramMeta:
 
     The declaration tables are collected once here and read by every run:
     ``funcs`` (top-level functions by name), ``methods`` (by receiver type
-    and name), ``types`` (each run copies it, since local ``type``
-    declarations add to it), ``func_files`` (``id()`` of each function
-    declaration to its file name) and ``global_specs`` (package-level
-    var/const specs with their file names, in source order).
+    and name, each with the function that makes its receiver from the
+    struct it is called on; see :func:`_receiver_maker`), ``types`` (each
+    run copies it, since local ``type`` declarations add to it),
+    ``func_files`` (``id()`` of each function declaration to its file name)
+    and ``global_specs`` (package-level var/const specs with their file
+    names, in source order).
 
     ``elidable`` is the slicer's verdict (``id()`` of identifier nodes whose
     binding is provably single-goroutine, see :mod:`repro.golang.slicing`);
@@ -338,7 +340,7 @@ class _ProgramMeta:
             for spec in file.imports
         )
         self.funcs: Dict[str, ast.FuncDecl] = {}
-        self.methods: Dict[Tuple[str, str], ast.FuncDecl] = {}
+        self.methods: Dict[Tuple[str, str], Tuple[ast.FuncDecl, Callable]] = {}
         self.types: Dict[str, ast.TypeSpec] = {}
         self.func_files: Dict[int, str] = {}
         self.global_specs: List[Tuple[ast.ValueSpec, str]] = []
@@ -347,7 +349,8 @@ class _ProgramMeta:
                 if isinstance(decl, ast.FuncDecl):
                     self.func_files[id(decl)] = file.name
                     if decl.recv is not None:
-                        self.methods[(_receiver_type_name(decl.recv), decl.name)] = decl
+                        self.methods[(_receiver_type_name(decl.recv), decl.name)] = (
+                            decl, _receiver_maker(decl))
                     else:
                         self.funcs[decl.name] = decl
                 elif isinstance(decl, ast.GenDecl):
@@ -646,9 +649,10 @@ def _method_expression(node: ast.SelectorExpr, meta: _ProgramMeta) -> Any:
         x = x.x.x
     if type(x) is not ast.Ident or x.name not in meta.types or x.name in meta.bound_names:
         return _NOT_STATIC
-    method = meta.methods.get((x.name, node.sel))
-    if method is None:
+    entry = meta.methods.get((x.name, node.sel))
+    if entry is None:
         return _NOT_STATIC
+    method = entry[0]
     pointer_receiver = isinstance(method.recv.type_, ast.StarExpr)
     if pointer_receiver and not through_pointer:
         return _NOT_STATIC
@@ -678,11 +682,17 @@ def _pointee(pointer: PointerValue) -> Any:
     return target
 
 
-def _method_receiver(method: ast.FuncDecl, struct: StructValue) -> Any:
-    """The receiver ``method`` binds when called on ``struct``."""
+def _pointer_receiver(struct: StructValue) -> PointerValue:
+    return PointerValue(struct=struct)
+
+
+def _receiver_maker(method: ast.FuncDecl) -> Callable[[StructValue], Any]:
+    """What makes the receiver ``method`` binds when called on a struct: a
+    pointer to it, or for a value receiver a copy, as Go passes one, made at
+    the call or when the method value is evaluated."""
     if isinstance(method.recv.type_, ast.StarExpr):
-        return PointerValue(struct=struct)
-    return struct
+        return _pointer_receiver
+    return _copy_struct
 
 
 def _select_value(base: Any, node: ast.SelectorExpr) -> Any:
@@ -740,10 +750,11 @@ def _build_selector(node: ast.SelectorExpr, code: CodeCache) -> Code:
         if isinstance(base, PointerValue):
             base = _pointee(base)
         if isinstance(base, StructValue):
-            method = interp.methods.get((base.type_name, sel))
-            if method is not None and sel not in base.fields:
+            entry = interp.methods.get((base.type_name, sel))
+            if entry is not None and sel not in base.fields:
+                method, make_receiver = entry
                 return FuncValue(decl=method, name=f"{base.type_name}.{sel}",
-                                 bound_receiver=_method_receiver(method, base))
+                                 bound_receiver=make_receiver(base))
             cell = base.field_cell(sel, owner_name=owner_static or base.type_name)
             yield STEP
             interp.detector.on_read(
@@ -843,11 +854,11 @@ def _build_method_call(node: ast.CallExpr, arg_codes: Tuple[Code, ...],
         method = native = None
         callee: Any = None
         if isinstance(base, StructValue):
-            method = interp.methods.get((base.type_name, sel))
-            if method is not None and sel not in base.fields:
-                receiver = _method_receiver(method, base)
+            entry = interp.methods.get((base.type_name, sel))
+            if entry is not None and sel not in base.fields:
+                method, make_receiver = entry
+                receiver = make_receiver(base)
             else:
-                method = None
                 cell = base.field_cell(sel, owner_name=owner_static or base.type_name)
                 yield STEP
                 interp.detector.on_read(

@@ -153,7 +153,7 @@ class Interpreter:
         self.globals = Environment()
         self.output: List[str] = []
         self.funcs: Dict[str, ast.FuncDecl] = meta.funcs
-        self.methods: Dict[Tuple[str, str], ast.FuncDecl] = meta.methods
+        self.methods: Dict[Tuple[str, str], Tuple[ast.FuncDecl, Any]] = meta.methods
         self.types: Dict[str, ast.TypeSpec] = dict(meta.types)
         self.package = program.files[0].package if program.files else "main"
         self._global_specs: List[Tuple[ast.ValueSpec, str]] = meta.global_specs

@@ -255,6 +255,41 @@ func main() {
         # What `go run` prints.
         assert result.output == ["2", "1", "9 9"]
 
+    def test_value_receiver_works_on_a_copy(self):
+        source = """
+package main
+
+import "fmt"
+
+type T struct {
+	n int
+}
+
+func (t T) get() int { return t.n }
+
+func (t T) set() { t.n = 9 }
+
+func (t *T) inc() { t.n++ }
+
+func main() {
+	v := T{n: 1}
+	v.set()
+	fmt.Println(v.n)
+	f := v.get
+	v.n = 5
+	fmt.Println(f())
+	p := &v
+	p.set()
+	g := p.get
+	p.inc()
+	fmt.Println(v.n, g(), p.get())
+}
+"""
+        result, _ = run_expr_program(source)
+        assert not result.failures, result.failures
+        # What `go run` prints: the call and the method value each copy `v`.
+        assert result.output == ["1", "1", "6 5 6"]
+
     @pytest.mark.parametrize("statement, failure", [
         ("f := T.inc", "unsupported method expression T.inc"),
         ("f := T.missing", "unsupported method expression T.missing"),

@@ -14,7 +14,8 @@ from repro.cli import main
 from repro.golang import ast_nodes as ast
 from repro.runtime.harness import GoFile, GoPackage, GoTestHarness, run_package_tests
 from repro.runtime.interpreter import STACK_OVERFLOW
-from repro.service import DetectRequest, DrFixService, ResponseStatus
+from repro.service import DetectRequest, DrFixService
+from repro.service.requests import ResponseStatus
 
 DOWN_SOURCE = """package deep
 

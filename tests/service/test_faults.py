@@ -31,14 +31,11 @@ from repro.core.config import DrFixConfig
 from repro.errors import ConfigError
 from repro.fingerprint import shard_for
 from repro.runtime.harness import GoFile, GoPackage
-from repro.service import (
-    DetectRequest,
-    FaultPlan,
-    ResponseStatus,
-    ShardedDrFixService,
-)
+from repro.service import DetectRequest
 from repro.service.core import _execute_request
-from repro.service.faults import CRASH_EXIT_CODE, KILL_EXIT_CODE
+from repro.service.faults import CRASH_EXIT_CODE, KILL_EXIT_CODE, FaultPlan
+from repro.service.requests import ResponseStatus
+from repro.service.shard import ShardedDrFixService
 
 RACY_SOURCE = """
 package main

@@ -12,8 +12,8 @@ import json
 import pytest
 
 from repro.core.config import DrFixConfig
-from repro.service import DrFixService, ServiceHTTPServer, serve_stdio
-from repro.service.frontend import handle_stdio_line
+from repro.service import DrFixService
+from repro.service.frontend import ServiceHTTPServer, handle_stdio_line, serve_stdio
 
 RACY_SOURCE = """
 package demo

@@ -6,15 +6,14 @@ from repro.core.config import DrFixConfig
 from repro.errors import ConfigError
 from repro.fingerprint import config_fingerprint
 from repro.runtime.harness import GoFile, GoPackage
-from repro.service import (
+from repro.service.cache import ResultCache
+from repro.service.metrics import MetricsRecorder, latency_percentile
+from repro.service.requests import (
     DetectRequest,
     FixRequest,
-    MetricsRecorder,
     RequestKind,
-    ResultCache,
-    ServiceResponse,
     ResponseStatus,
-    latency_percentile,
+    ServiceResponse,
     package_from_payload,
     request_from_payload,
 )

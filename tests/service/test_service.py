@@ -9,12 +9,8 @@ import pytest
 import repro.service.core as service_core
 from repro.core.config import DrFixConfig
 from repro.runtime.harness import GoFile, GoPackage
-from repro.service import (
-    DetectRequest,
-    DrFixService,
-    FixRequest,
-    ResponseStatus,
-)
+from repro.service import DetectRequest, DrFixService, FixRequest
+from repro.service.requests import ResponseStatus
 
 RACY_SOURCE = """
 package demo

@@ -19,18 +19,15 @@ from repro.evaluation.runner import CaseResult
 from repro.evaluation.store import RunStore
 from repro.fingerprint import shard_for
 from repro.runtime.harness import GoFile, GoPackage
-from repro.service import (
-    CACHE_VERSION,
-    DetectRequest,
-    DrFixService,
-    Pidfile,
-    ResultCache,
-    ShardedDrFixService,
+from repro.service import DetectRequest, DrFixService
+from repro.service.cache import CACHE_VERSION, ResultCache
+from repro.service.frontend import (
+    REQUEST_TIMEOUT_ENV_VAR,
+    REQUEST_TIMEOUT_S,
     resolve_request_timeout,
-    stop_daemon,
 )
-from repro.service.frontend import REQUEST_TIMEOUT_ENV_VAR, REQUEST_TIMEOUT_S
-from repro.service.pidfile import pid_alive, read_pid
+from repro.service.pidfile import Pidfile, pid_alive, read_pid, stop_daemon
+from repro.service.shard import ShardedDrFixService
 from repro.store import JsonStore
 
 RACY_SOURCE = """

@@ -19,7 +19,7 @@ from repro.core.pipeline import DrFix
 from repro.evaluation.runner import EvaluationRunner
 from repro.execution import CaseExecutor
 from repro.runtime.harness import GoFile, GoPackage, GoTestHarness
-from repro.service import ShardedDrFixService
+from repro.service.shard import ShardedDrFixService
 
 
 class TestOuterPool:
