@@ -682,17 +682,33 @@ def _pointee(pointer: PointerValue) -> Any:
     return target
 
 
-def _pointer_receiver(struct: StructValue) -> PointerValue:
+def _pointer_receiver(struct: StructValue, interp, goroutine, leaf: Optional[int]) -> PointerValue:
     return PointerValue(struct=struct)
 
 
-def _receiver_maker(method: ast.FuncDecl) -> Callable[[StructValue], Any]:
+def _value_receiver(struct: StructValue, interp, goroutine, leaf: Optional[int]) -> StructValue:
+    """A copy of ``struct``, as Go passes a value receiver.  Go's copy reads
+    every field, so each of the caller's cells records a read here: the
+    method body reads the copy's fresh cells, which no other goroutine sees."""
+    _record_struct_read(interp, goroutine, struct, goroutine.stack_snapshot(leaf))
+    return _copy_struct(struct)
+
+
+def _record_struct_read(interp, goroutine, struct: StructValue, stack) -> None:
+    for cell in struct.fields.values():
+        interp.detector.on_read(goroutine.gid, cell, stack, goroutine.creation_stack)
+        if isinstance(cell.value, StructValue):
+            _record_struct_read(interp, goroutine, cell.value, stack)
+
+
+def _receiver_maker(method: ast.FuncDecl) -> Callable[..., Any]:
     """What makes the receiver ``method`` binds when called on a struct: a
     pointer to it, or for a value receiver a copy, as Go passes one, made at
-    the call or when the method value is evaluated."""
+    the call or when the method value is evaluated.  Either takes the struct
+    and the ``interp``, ``goroutine`` and source line of the access."""
     if isinstance(method.recv.type_, ast.StarExpr):
         return _pointer_receiver
-    return _copy_struct
+    return _value_receiver
 
 
 def _select_value(base: Any, node: ast.SelectorExpr) -> Any:
@@ -754,7 +770,7 @@ def _build_selector(node: ast.SelectorExpr, code: CodeCache) -> Code:
             if entry is not None and sel not in base.fields:
                 method, make_receiver = entry
                 return FuncValue(decl=method, name=f"{base.type_name}.{sel}",
-                                 bound_receiver=make_receiver(base))
+                                 bound_receiver=make_receiver(base, interp, goroutine, leaf))
             cell = base.field_cell(sel, owner_name=owner_static or base.type_name)
             yield STEP
             interp.detector.on_read(
@@ -857,7 +873,7 @@ def _build_method_call(node: ast.CallExpr, arg_codes: Tuple[Code, ...],
             entry = interp.methods.get((base.type_name, sel))
             if entry is not None and sel not in base.fields:
                 method, make_receiver = entry
-                receiver = make_receiver(base)
+                receiver = make_receiver(base, interp, goroutine, leaf)
             else:
                 cell = base.field_cell(sel, owner_name=owner_static or base.type_name)
                 yield STEP

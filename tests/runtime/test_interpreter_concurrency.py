@@ -344,6 +344,53 @@ func main() {
             races += len(result.races)
         assert races > 0
 
+    @pytest.mark.parametrize("writer, reader, races", [
+        ("v.n = 1", "_ = v.get()", True),
+        ("v.n = 1", "f := v.get\n\t_ = f()", True),
+        ("v.n = 1", "p := &v\n\t_ = p.get()", True),
+        ("w.t.n = 1", "_ = w.get()", True),
+        ("mu.Lock()\n\t\tv.n = 1\n\t\tmu.Unlock()",
+         "mu.Lock()\n\t_ = v.get()\n\tmu.Unlock()", False),
+    ], ids=["call", "method-value", "through-pointer", "nested-field", "locked"])
+    def test_value_receiver_copy_reads_the_callers_fields(self, writer, reader, races):
+        # Go copies a value receiver at the call (or when the method value
+        # is evaluated), and the copy reads every field: `go test -race`
+        # reports a concurrent write to any of them.
+        source = """
+package main
+
+import "sync"
+
+type T struct {
+	n int
+}
+
+type W struct {
+	t T
+}
+
+func (t T) get() int { return t.n }
+
+func (w W) get() int { return 0 }
+
+func main() {
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	v := T{}
+	w := W{}
+	_ = w
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		WRITER
+	}()
+	READER
+	wg.Wait()
+}
+""".replace("WRITER", writer).replace("READER", reader)
+        found = sum(len(run_source(source, seed=seed).races) for seed in range(4))
+        assert (found > 0) is races
+
     def test_scheduler_seed_changes_interleavings(self):
         source = """
 package main
