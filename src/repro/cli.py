@@ -6,11 +6,10 @@ Subcommands:
 * ``drfix detect``     — run the race detector over a directory of ``.go`` files;
 * ``drfix fix``        — run the full pipeline on a directory of ``.go`` files;
 * ``drfix evaluate``   — regenerate every table and figure of the paper;
-* ``drfix bench``      — measure the parallel/cached evaluation engine's speedup;
 * ``drfix serve``      — run Dr.Fix as a service (JSON over HTTP or stdio);
 * ``drfix version``    — report the installed package version (also ``--version``).
 
-``evaluate`` and ``bench`` accept ``--jobs N`` (parallel case evaluation; also
+``evaluate`` accepts ``--jobs N`` (parallel case evaluation; also
 settable via ``DRFIX_JOBS``) and ``--cache-dir DIR`` (persistent run store that
 reuses per-case results across invocations); ``serve`` accepts ``--jobs`` and
 ``--workers``.  That is the only level of parallelism: ``detect`` and ``fix``
@@ -21,11 +20,9 @@ that reports a race).
 from __future__ import annotations
 
 import argparse
-import copy
 import os
 import signal
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
@@ -274,8 +271,6 @@ def cmd_fix(args: argparse.Namespace) -> int:
 
     package = _load_package(args.path)
     config = DrFixConfig(model=args.model)
-    if args.adaptive_runs:
-        config = config.with_adaptive_runs()
     detection = run_package_tests(package, runs=args.runs)
     if not detection.reports:
         print("no data race detected; nothing to fix")
@@ -330,79 +325,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         markdown = "\n\n".join(table.render_markdown() for table in tables)
         Path(args.output).write_text(markdown)
         print(f"wrote {args.output}")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Measure the evaluation engine: parallel speedup and cache speedup.
-
-    Builds one corpus + database, then times the same arm four ways — serial
-    cold, parallel cold, store-cold, store-warm — on independent copies of the
-    cases (so per-case detection caches cannot leak between phases), and
-    checks that every phase produces identical metrics.
-    """
-    from repro.core.config import DrFixConfig
-    from repro.evaluation.runner import EvaluationRunner, ExperimentContext
-    from repro.evaluation.store import RunStore
-    from repro.execution import JOBS_ENV_VAR, resolve_jobs
-    from repro.fingerprint import corpus_fingerprint
-    from repro.runtime.compiler import PROGRAM_CACHE
-
-    # Benchmarking parallelism with one worker would be meaningless, so with
-    # no --jobs and no DRFIX_JOBS the parallel phase uses every CPU.
-    explicit = args.jobs is not None or os.environ.get(JOBS_ENV_VAR, "").strip()
-    jobs = resolve_jobs(args.jobs) if explicit else resolve_jobs(-1)
-    context = ExperimentContext(
-        corpus_config=_corpus_config(args),
-        base_config=DrFixConfig(model=args.model),
-    )
-    cases = context.dataset.evaluation
-    print(f"corpus: {len(cases)} evaluation cases (scale {args.scale})")
-
-    def timed_run(label, jobs_, executor, store=None):
-        runner = EvaluationRunner(
-            context.base_config, context.skeleton_database, context.reviewer,
-            jobs=jobs_, executor=executor, store=store,
-        )
-        fresh = copy.deepcopy(cases)
-        start = time.perf_counter()
-        run = runner.run(fresh, label=label)
-        elapsed = time.perf_counter() - start
-        return run, elapsed
-
-    serial_run, serial_s = timed_run("serial", 1, "serial")
-    print(f"serial          {serial_s:8.2f}s   {serial_run.fix_rate()}")
-
-    parallel_run, parallel_s = timed_run("parallel", jobs, args.executor or "process")
-    print(f"{parallel_run.executor_label:<15} {parallel_s:8.2f}s   "
-          f"{parallel_run.fix_rate()}   speedup ×{serial_s / max(parallel_s, 1e-9):.2f}")
-
-    cache_root = args.cache_dir or tempfile.mkdtemp(prefix="drfix-bench-")
-    store = RunStore(cache_root, namespace=corpus_fingerprint(context.corpus_config))
-    cold_run, cold_s = timed_run("store-cold", 1, "serial", store=store)
-    warm_run, warm_s = timed_run("store-warm", 1, "serial", store=store)
-    print(f"store cold      {cold_s:8.2f}s   ({cold_run.cache_misses} misses)")
-    print(f"store warm      {warm_s:8.2f}s   ({warm_run.cache_hits} hits)   "
-          f"speedup ×{cold_s / max(warm_s, 1e-9):.2f}")
-
-    rates = {str(run.fix_rate()) for run in (serial_run, parallel_run, cold_run, warm_run)}
-    if len(rates) != 1:
-        print(f"DETERMINISM MISMATCH: {sorted(rates)}")
-        return 1
-    fixed = serial_run.fix_rate().fixed
-    best_s = min(parallel_s, warm_s)
-    print(f"fix throughput: serial {fixed / max(serial_s, 1e-9):.2f} fixes/s, "
-          f"{parallel_run.executor_label} {fixed / max(parallel_s, 1e-9):.2f}, "
-          f"store-warm {fixed / max(warm_s, 1e-9):.2f} "
-          f"(best ×{serial_s / max(best_s, 1e-9):.1f} vs serial)")
-    print(f"determinism: all four runs report {serial_run.fix_rate()}")
-    cache_stats = PROGRAM_CACHE.stats()
-    print("program cache: "
-          f"{cache_stats['hits']} hits / {cache_stats['misses']} misses, "
-          f"{cache_stats['evictions']} evictions, "
-          f"{cache_stats['probationary']} probationary, "
-          f"{cache_stats['readmissions']} readmissions, "
-          f"{cache_stats['singleflight_waits']} single-flight waits")
     return 0
 
 
@@ -562,9 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     fix.add_argument("--scale", type=float, default=0.25, help="example-database scale")
     fix.add_argument("--no-rag", action="store_true", help="disable retrieval-augmented generation")
     fix.add_argument("--write", action="store_true", help="write validated patches in place")
-    fix.add_argument("--adaptive-runs", action="store_true",
-                     help="derive the validator's run count from a detection-"
-                          "probability bound instead of the fixed validator_runs")
     fix.set_defaults(func=cmd_fix)
 
     patterns = sub.add_parser(
@@ -580,17 +499,16 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--scale", type=float, default=0.25)
     evaluate.add_argument("--model", default="gpt-4o")
     evaluate.add_argument("--output", help="write a Markdown report to this path")
-    _add_engine_flags(evaluate)
+    evaluate.add_argument("--jobs", type=jobs_count, default=None,
+                          help="parallel case-evaluation workers "
+                               "(default: DRFIX_JOBS or 1; negative = all CPUs)")
+    evaluate.add_argument("--executor", choices=["serial", "thread", "process"],
+                          default=None,
+                          help="execution backend (default: process when --jobs > 1)")
+    evaluate.add_argument("--cache-dir",
+                          help="persistent run-store directory; per-case results are "
+                               "cached there and reused across invocations")
     evaluate.set_defaults(func=cmd_evaluate)
-
-    bench = sub.add_parser(
-        "bench", help="benchmark the evaluation engine (parallel and cache speedup)"
-    )
-    bench.add_argument("--scale", type=float, default=0.12,
-                       help="fraction of the full corpus size (default 0.12)")
-    bench.add_argument("--model", default="gpt-4o")
-    _add_engine_flags(bench)
-    bench.set_defaults(func=cmd_bench)
 
     serve = sub.add_parser(
         "serve", help="run Dr.Fix as a service (JSON over HTTP, or stdio)"
@@ -652,23 +570,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=jobs_count, default=None,
-                        help="parallel case-evaluation workers "
-                             "(default: DRFIX_JOBS or 1; negative = all CPUs)")
-    parser.add_argument("--executor", choices=["serial", "thread", "process"],
-                        default=None,
-                        help="execution backend (default: process when --jobs > 1)")
-    parser.add_argument("--cache-dir",
-                        help="persistent run-store directory; per-case results are "
-                             "cached there and reused across invocations")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout (``drfix detect … | head``).  Point stdout
+        # at devnull so the interpreter's final flush cannot fail again, and
+        # exit as a process killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + signal.SIGPIPE
     except (ConfigError, OSError) as exc:
         print(f"drfix: error: {exc}", file=sys.stderr)
         return 2

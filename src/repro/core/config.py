@@ -49,14 +49,6 @@ class DrFixConfig:
     #: to re-expose these races — see docs/architecture.md §Design choices).
     validator_runs: int = 10
     validator_seed: int = 0
-    #: Adaptive run count: derive the number of validation runs from a
-    #: detection-probability bound instead of always using ``validator_runs``.
-    #: With per-run hit rate ``adaptive_hit_rate`` the validator stops at the
-    #: smallest run count that exposes a surviving race with probability
-    #: ``adaptive_confidence`` (never more than ``validator_runs``).
-    adaptive_runs: bool = False
-    adaptive_hit_rate: float = 0.55
-    adaptive_confidence: float = 0.999
     #: Number of detection runs when reproducing a race from a report.
     detection_runs: int = 10
     #: Patches may touch at most this many files (the paper's 2-file limit).
@@ -78,21 +70,12 @@ class DrFixConfig:
             raise ConfigError("validator_runs must be positive")
         if self.max_files_changed <= 0:
             raise ConfigError("max_files_changed must be positive")
-        if not 0.0 < self.adaptive_hit_rate <= 1.0:
-            raise ConfigError("adaptive_hit_rate must be in (0, 1]")
-        if not 0.0 < self.adaptive_confidence < 1.0:
-            raise ConfigError("adaptive_confidence must be in (0, 1)")
         return self
 
     # -- experiment-arm constructors (used by the ablation harness) ----------------------
 
     def with_model(self, model: str) -> "DrFixConfig":
         return replace(self, model=model)
-
-    def with_adaptive_runs(self, hit_rate: float = 0.55,
-                           confidence: float = 0.999) -> "DrFixConfig":
-        return replace(self, adaptive_runs=True, adaptive_hit_rate=hit_rate,
-                       adaptive_confidence=confidence)
 
     def without_rag(self) -> "DrFixConfig":
         return replace(self, use_rag=False)

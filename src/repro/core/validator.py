@@ -7,12 +7,6 @@ appears, and no new race is introduced.  On failure the validator produces
 the developer-readable feedback that Dr.Fix feeds back to the model on the
 retry (Section 4.4.2).
 
-With :attr:`DrFixConfig.adaptive_runs` on, the number of per-candidate
-detector runs is the smallest count meeting the configured
-detection-probability bound
-(:func:`~repro.runtime.scheduler.runs_for_detection_probability`) instead of
-a fixed ``validator_runs``.
-
 Within one fix, the model often proposes a candidate it already proposed
 (the same patched package for the same race).  :class:`FixValidator`
 remembers each verdict until :meth:`FixValidator.forget`, so each distinct
@@ -27,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import DrFixConfig
 from repro.runtime.compiler import package_fingerprint
 from repro.runtime.harness import GoPackage, PackageRunResult, run_package_tests
-from repro.runtime.scheduler import runs_for_detection_probability
 
 
 @dataclass
@@ -65,21 +58,6 @@ class ValidationResult:
         return " | ".join(parts) if parts else "validation failed"
 
 
-def planned_validator_runs(config: DrFixConfig) -> int:
-    """The per-candidate run count: fixed, or bounded by detection probability.
-
-    With ``adaptive_runs`` on, re-running a candidate stops once the chance of
-    having missed a surviving race (per-run hit rate ``adaptive_hit_rate``)
-    drops below ``1 - adaptive_confidence`` — typically well under the fixed
-    ``validator_runs`` budget.
-    """
-    if not config.adaptive_runs:
-        return config.validator_runs
-    return runs_for_detection_probability(
-        config.adaptive_hit_rate, config.adaptive_confidence, config.validator_runs
-    )
-
-
 def _validate_candidate(config: DrFixConfig, bug_hash: str,
                         baseline_hashes: Sequence[str],
                         package: GoPackage) -> ValidationResult:
@@ -91,7 +69,7 @@ def _validate_candidate(config: DrFixConfig, bug_hash: str,
     baseline.add(bug_hash)
     result = run_package_tests(
         package,
-        runs=planned_validator_runs(config),
+        runs=config.validator_runs,
         seed=config.validator_seed,
     )
     if not result.built:

@@ -66,8 +66,6 @@ class EvaluationRun:
     #: How many results came from the run store vs were computed this run.
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Backend description, e.g. ``serial`` or ``process[4]``.
-    executor_label: str = "serial"
 
     def fix_rate(self) -> FixRate:
         return FixRate(
@@ -143,11 +141,7 @@ class EvaluationRunner:
     def run(self, cases: Sequence[RaceCase], label: str = "") -> EvaluationRun:
         start = time.time()
         cases = list(cases)
-        run = EvaluationRun(
-            label=label or self.config.model,
-            config=self.config,
-            executor_label=self.executor.describe(),
-        )
+        run = EvaluationRun(label=label or self.config.model, config=self.config)
 
         results: List[Optional[CaseResult]] = [None] * len(cases)
         pending: List[int] = list(range(len(cases)))

@@ -141,14 +141,6 @@ class CaseExecutor:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items, chunksize=chunksize))
 
-    # ------------------------------------------------------------------
-
-    def describe(self) -> str:
-        """Human-readable backend summary (used by ``drfix bench``)."""
-        if self.kind is ExecutorKind.SERIAL:
-            return "serial"
-        return f"{self.kind.value}[{self.jobs}]"
-
 
 __all__ = [
     "CaseExecutor",

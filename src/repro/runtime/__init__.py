@@ -42,7 +42,6 @@ from repro.runtime.scheduler import (
     Scheduler,
     SchedulerPolicy,
     derive_run_seed,
-    runs_for_detection_probability,
 )
 
 __all__ = [
@@ -61,5 +60,4 @@ __all__ = [
     "Scheduler",
     "SchedulerPolicy",
     "derive_run_seed",
-    "runs_for_detection_probability",
 ]

@@ -11,7 +11,6 @@ the stand-in for running a test "1000 times" under the Go race detector.
 from __future__ import annotations
 
 import enum
-import math
 import operator
 import random
 from typing import Dict, List, Optional
@@ -52,31 +51,6 @@ def derive_run_seed(base_seed: int, run_index: int, policy: "SchedulerPolicy") -
     the base seed, the run index, or the policy yields an unrelated seed.
     """
     return stable_seed(base_seed, run_index, policy.value)
-
-
-def runs_for_detection_probability(
-    per_run_probability: float, confidence: float, max_runs: int
-) -> int:
-    """How many independent runs meet a detection-probability bound.
-
-    The smallest ``r`` such that a race exposed with probability
-    ``per_run_probability`` per run is seen at least once with probability
-    ``confidence``: ``1 - (1 - p)^r ≥ confidence``.  Clamped to
-    ``[1, max_runs]``; degenerate probabilities fall back to ``max_runs``
-    (p ≤ 0: no bound can be met) or ``1`` (p ≥ 1: the first run suffices).
-    Used by the validator's adaptive run count — re-running a candidate past
-    this bound buys almost no additional detection probability.
-    """
-    if max_runs <= 1:
-        return max(1, max_runs)
-    if per_run_probability >= 1.0:
-        return 1
-    if per_run_probability <= 0.0 or not 0.0 < confidence < 1.0:
-        return max_runs
-    needed = math.ceil(
-        math.log(1.0 - confidence) / math.log(1.0 - per_run_probability)
-    )
-    return max(1, min(max_runs, needed))
 
 
 #: C-level gid key for the newest/oldest picks (same ordering, same

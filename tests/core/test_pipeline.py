@@ -128,22 +128,6 @@ class TestPipelineAblationBehaviour:
 class TestConcurrentCandidateValidation:
     """Validator work per candidate, and the uncounted ``validate_batch`` loop."""
 
-    def test_adaptive_run_count_bounds_validator_work(self, err_capture_case,
-                                                      pipeline_config, pipeline_database):
-        from repro.core.validator import planned_validator_runs
-
-        adaptive = pipeline_config.with_adaptive_runs(hit_rate=0.8, confidence=0.999)
-        # 1 - (1 - 0.8)^5 > 0.999: five runs meet the bound, well under the
-        # fixed validator_runs budget of eight.
-        assert planned_validator_runs(adaptive) == 5
-        assert planned_validator_runs(pipeline_config) == 8
-        outcome = DrFix(err_capture_case.package, config=adaptive,
-                        database=pipeline_database).fix_case(err_capture_case)
-        assert outcome.fixed
-        # The validated patch still eliminates the race under the full budget.
-        result = run_package_tests(outcome.patch.package, runs=10)
-        assert not result.has_race(outcome.bug_hash)
-
     def test_validate_batch_preserves_submission_order(self, err_capture_case,
                                                        pipeline_config):
         from repro.core.validator import FixValidator

@@ -1,6 +1,6 @@
 """Tests for the parallel evaluation engine and the persistent run store:
 executor resolution, parallel-equals-serial determinism, cache hit/invalidation
-semantics, serialisation round-trips, and the CLI ``--jobs`` / ``bench`` paths.
+semantics, serialisation round-trips, and the CLI ``--jobs`` path.
 """
 
 from __future__ import annotations
@@ -37,12 +37,16 @@ def context():
     return ExperimentContext(corpus_config=SMALL_CORPUS)
 
 
-def _run_with(context, jobs, executor, store=None):
-    """Run the full arm on an independent copy of the evaluation cases."""
-    runner = EvaluationRunner(
+def _runner(context, jobs, executor, store=None):
+    return EvaluationRunner(
         context.base_config, context.skeleton_database, context.reviewer,
         jobs=jobs, executor=executor, store=store,
     )
+
+
+def _run_with(context, jobs, executor, store=None):
+    """Run the full arm on an independent copy of the evaluation cases."""
+    runner = _runner(context, jobs, executor, store)
     return runner.run(copy.deepcopy(context.dataset.evaluation), label="full")
 
 
@@ -99,8 +103,9 @@ class TestParallelDeterminism:
         forked = _run_with(context, jobs=4, executor="process")
         assert _signature(serial) == _signature(threaded) == _signature(forked)
         assert str(serial.fix_rate()) == str(threaded.fix_rate()) == str(forked.fix_rate())
-        assert threaded.executor_label == "thread[4]"
-        assert forked.executor_label == "process[4]"
+        for kind in (ExecutorKind.THREAD, ExecutorKind.PROCESS):
+            executor = _runner(context, jobs=4, executor=kind.value).executor
+            assert (executor.kind, executor.jobs) == (kind, 4)
 
 
 class TestRunStore:
@@ -169,10 +174,3 @@ class TestCLI:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "run store:" in out and "Table 7" in out
-
-    def test_bench_reports_speedup(self, tmp_path, capsys):
-        args = ["bench", "--scale", "0.05", "--jobs", "2",
-                "--cache-dir", str(tmp_path)]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "store warm" in out and "determinism: all four runs report" in out

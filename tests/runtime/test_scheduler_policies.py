@@ -1,5 +1,5 @@
-"""Tests for scheduler policies (incl. PCT), per-run seed derivation, the
-adaptive run-count bound, and the parallel go-test harness."""
+"""Tests for scheduler policies (incl. PCT), per-run seed derivation, and the
+parallel go-test harness."""
 
 from __future__ import annotations
 
@@ -7,12 +7,7 @@ import pytest
 
 from repro.runtime.goroutine import Goroutine, STEP
 from repro.runtime.harness import DEFAULT_POLICIES, GoFile, GoPackage, GoTestHarness, run_package_tests
-from repro.runtime.scheduler import (
-    Scheduler,
-    SchedulerPolicy,
-    derive_run_seed,
-    runs_for_detection_probability,
-)
+from repro.runtime.scheduler import Scheduler, SchedulerPolicy, derive_run_seed
 
 ALL_POLICIES = list(SchedulerPolicy)
 
@@ -129,19 +124,6 @@ class TestRunSeedDerivation:
         assert len(plan) == 4
         assert [policy for _, policy in plan] == list(DEFAULT_POLICIES)
         assert len({seed for seed, _ in plan}) == 4
-
-
-class TestAdaptiveRunBound:
-    def test_bound_matches_the_closed_form(self):
-        # 1 - (1 - 0.5)^r >= 0.999  =>  r >= 10
-        assert runs_for_detection_probability(0.5, 0.999, 20) == 10
-        assert runs_for_detection_probability(0.55, 0.999, 10) == 9
-
-    def test_bound_is_clamped_and_degenerate_cases(self):
-        assert runs_for_detection_probability(0.1, 0.9999, 10) == 10  # clamp to max
-        assert runs_for_detection_probability(1.0, 0.999, 10) == 1
-        assert runs_for_detection_probability(0.0, 0.999, 10) == 10
-        assert runs_for_detection_probability(0.5, 0.999, 1) == 1
 
 
 class TestParallelHarness:

@@ -51,10 +51,11 @@ class TestRequestModel:
         assert base.cache_key(fp) != base.cache_key(other_fp)
 
     def test_config_fingerprints_are_pinned(self):
-        # Worker counts are not config fields, so the fingerprints that key
-        # both persistent stores stayed put when the worker fields went.
-        assert config_fingerprint(DrFixConfig()) == "938a1054526134207576"
-        assert config_fingerprint(DrFixConfig(model="gpt-4o")) == "fb96f636eba57fc3352a"
+        # The fingerprints that key both persistent stores hash every config
+        # field: they move only when a field is added, removed or re-defaulted,
+        # and an old on-disk entry then becomes a miss, never a wrong answer.
+        assert config_fingerprint(DrFixConfig()) == "c4e86812112cd8c89853"
+        assert config_fingerprint(DrFixConfig(model="gpt-4o")) == "621bba35d865e4a9d528"
 
 
 class TestWireParsing:

@@ -1,6 +1,6 @@
 """One level of parallelism: workers fan out over cases and requests only.
 
-``drfix evaluate|bench --jobs`` and ``drfix serve --jobs/--workers`` are the
+``drfix evaluate --jobs`` and ``drfix serve --jobs/--workers`` are the
 only parallelism settings.  Inside one case or request the pipeline
 validates candidates one at a time and the harness runs its (seed, policy)
 plan in a loop, so no config field or ``detect``/``fix`` flag sets a worker
@@ -17,7 +17,7 @@ from repro.cli import build_parser
 from repro.core.config import DrFixConfig
 from repro.core.pipeline import DrFix
 from repro.evaluation.runner import EvaluationRunner
-from repro.execution import CaseExecutor
+from repro.execution import CaseExecutor, ExecutorKind
 from repro.runtime.harness import GoFile, GoPackage, GoTestHarness
 from repro.service.shard import ShardedDrFixService
 
@@ -26,12 +26,13 @@ class TestOuterPool:
     def test_stray_nested_budget_does_not_serialise_the_runner(self, monkeypatch):
         monkeypatch.setenv("DRFIX_NESTED_BUDGET", "1")
         runner = EvaluationRunner(DrFixConfig(), None, jobs=4, executor="process")
-        assert runner.executor.describe() == "process[4]"
+        assert (runner.executor.kind, runner.executor.jobs) == (ExecutorKind.PROCESS, 4)
 
     @pytest.mark.parametrize("kind", ["thread", "process"])
     def test_stray_nested_budget_does_not_clamp_an_executor(self, monkeypatch, kind):
         monkeypatch.setenv("DRFIX_NESTED_BUDGET", "1")
-        assert CaseExecutor(kind=kind, jobs=3).describe() == f"{kind}[3]"
+        executor = CaseExecutor(kind=kind, jobs=3)
+        assert (executor.kind.value, executor.jobs) == (kind, 3)
 
     def test_sharded_service_reports_no_worker_budget(self):
         service = ShardedDrFixService(workers=2, start=False)
