@@ -87,6 +87,18 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """Argparse type for counts where 0 means "none" (``serve --workers``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value}")
+    return value
+
+
 def positive_float(text: str) -> float:
     """Argparse type for durations that must be > 0 (timeouts)."""
     try:
@@ -336,14 +348,15 @@ def cmd_version(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run Dr.Fix as a service: JSON over HTTP, or line-delimited JSON stdio.
 
-    With ``--workers N`` the service is the multi-process
-    :class:`~repro.service.shard.ShardedDrFixService` (supervised worker
-    processes, crash recovery, shared persistent cache); without it, the
-    in-process :class:`DrFixService`.  ``--pidfile`` makes the server a
-    well-behaved daemon (no double start, ``--stop`` to drain it), and
-    SIGTERM always triggers a graceful drain: stop admitting, finish
-    in-flight requests, remove the pidfile (cache writes are synchronous:
-    nothing to flush).
+    One :class:`DrFixService` in both modes: ``--workers N`` runs requests
+    in N supervised worker processes (crash recovery, retries, a circuit
+    breaker), and the default ``--workers 0`` runs them in this process.
+    Either way the master probes the result cache and folds identical
+    requests at submit, and ``--max-queue`` bounds each lane's queue.
+    ``--pidfile`` makes the server a well-behaved daemon (no double start,
+    ``--stop`` to drain it), and SIGTERM always triggers a graceful drain:
+    stop admitting, finish in-flight requests, remove the pidfile (cache
+    writes are synchronous: nothing to flush).
     """
     from repro.core.config import DrFixConfig
     from repro.core.database import ExampleDatabase
@@ -355,7 +368,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         serve_stdio,
     )
     from repro.service.pidfile import Pidfile, stop_daemon
-    from repro.service.shard import ShardedDrFixService
 
     if args.stop:
         if not args.pidfile:
@@ -369,26 +381,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if not args.no_rag:
         corpus = CorpusGenerator(CorpusConfig().scaled(args.scale)).generate()
         database = ExampleDatabase.from_cases(corpus.db_examples, config)
-    if args.workers is not None:
-        service = ShardedDrFixService(
-            config,
-            database=database,
-            workers=args.workers,
-            shard_queue_depth=args.shard_queue_depth,
-            cache_capacity=args.cache_capacity,
-            cache_dir=args.cache_dir,
-        )
-    else:
-        service = DrFixService(
-            config,
-            database=database,
-            max_queue_depth=args.max_queue,
-            max_in_flight=args.max_in_flight,
-            jobs=args.jobs,
-            executor=args.executor,
-            cache_capacity=args.cache_capacity,
-            cache_dir=args.cache_dir,
-        )
+    service = DrFixService(
+        config,
+        database=database,
+        workers=args.workers,
+        max_queue_depth=args.max_queue,
+        max_in_flight=args.max_in_flight,
+        jobs=args.jobs,
+        executor=args.executor,
+        cache_capacity=args.cache_capacity,
+        cache_dir=args.cache_dir,
+    )
     pidfile = Pidfile(args.pidfile).acquire() if args.pidfile else None
     try:
         if args.mode == "stdio":
@@ -421,11 +424,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
             print(f"\ndrfix serve: {service.metrics().render()}")
         finally:
-            service.shutdown(wait=True)
+            service.shutdown()
             server.server_close()
         return 0
     finally:
-        service.shutdown(wait=True)
+        service.shutdown()
         if pidfile is not None:
             pidfile.release()
 
@@ -527,16 +530,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--runs", type=positive_int, default=10,
                        help="default detection runs per request")
     serve.add_argument("--jobs", type=jobs_count, default=None,
-                       help="batch worker count (default: DRFIX_JOBS or 1; "
-                            "negative = all CPUs)")
+                       help="in-process batch worker count (default: "
+                            "DRFIX_JOBS or 1; negative = all CPUs)")
     serve.add_argument("--executor", choices=["serial", "thread", "process"],
-                       default="thread", help="batch execution backend")
-    serve.add_argument("--workers", type=positive_int, default=None,
+                       default="thread", help="in-process batch execution backend")
+    serve.add_argument("--workers", type=non_negative_int, default=0,
                        help="serve from N supervised worker processes sharded "
-                            "by source fingerprint (default: in-process)")
-    serve.add_argument("--shard-queue-depth", type=positive_int, default=16,
-                       help="per-shard queue bound with --workers (default 16); "
-                            "overflow gets a structured 'overloaded' response")
+                            "by source fingerprint (default 0: in this process)")
     serve.add_argument("--request-timeout", type=positive_float, default=None,
                        help="seconds a frontend waits for one response "
                             "(default: DRFIX_REQUEST_TIMEOUT or 600)")
@@ -553,11 +553,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds --stop waits for the daemon to exit "
                             "(default 30)")
     serve.add_argument("--max-queue", type=positive_int, default=64,
-                       help="admission-control queue bound (default 64); "
-                            "submissions past it get a structured 'overloaded' "
-                            "response")
+                       help="admission-control bound on each lane's queue "
+                            "(default 64); submissions past it get a "
+                            "structured 'overloaded' response")
     serve.add_argument("--max-in-flight", type=positive_int, default=4,
-                       help="max requests dispatched per batch (default 4)")
+                       help="max requests dispatched per in-process batch "
+                            "(default 4)")
     serve.add_argument("--cache-capacity", type=positive_int, default=256,
                        help="fingerprint result-cache entries (default 256)")
     serve.add_argument("--verbose", action="store_true",

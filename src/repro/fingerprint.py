@@ -64,10 +64,9 @@ def corpus_fingerprint(corpus_config: Any) -> str:
 def shard_for(fingerprint: str, shards: int) -> int:
     """Route a fingerprint to one of ``shards`` buckets, stably.
 
-    The sharded service routes requests by *source* fingerprint, so every
-    request for one package lands on the same worker process — that worker's
-    program cache stays hot for the package, and two concurrent requests for
-    the same package serialize on one shard instead of computing twice.
+    With worker processes the service routes requests by *source*
+    fingerprint, so every request for one package lands on the same worker
+    process and that worker's program cache stays hot for the package.
     Hashing the fingerprint (rather than truncating it) keeps the buckets
     balanced even if the fingerprint encoding ever becomes non-uniform.
     """

@@ -11,9 +11,9 @@ only its latency.
 With a :class:`~repro.store.JsonStore` attached (``drfix serve --cache-dir``)
 every ``put`` writes through to disk, and a memory miss falls back to the
 store before declaring a true miss, promoting a disk hit into memory.  This
-is what makes warm hits survive a full service restart and lets every shard
-of the sharded service share one warm set — the master probes the cache
-before routing, so a payload computed once is never recomputed by any worker.
+is what makes warm hits survive a full service restart and lets every worker
+process share one warm set — the service probes the cache at submit, so a
+payload computed once is never recomputed by any worker.
 The key already folds in the config fingerprint, so one directory can be
 shared by services running different configurations.
 

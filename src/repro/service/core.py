@@ -1,27 +1,36 @@
-"""Dr.Fix as a service: async batch serving over the executor substrate.
+"""Dr.Fix as a service: one master, two lanes.
 
 The paper's system is consumed as a continuously running service — race
 reports stream in from CI, fixes stream back out — not as a one-shot script.
-:class:`DrFixService` is that serving layer, in-process and stdlib-only:
+:class:`DrFixService` is that serving layer, stdlib-only.  Its master holds
+the ticket sequence, admission and drain state, the result cache and the
+metrics, and :meth:`DrFixService.submit` decides every request in one place:
 
-* **admission control** — a bounded request queue (``max_queue_depth``); a
-  submission past the bound resolves *immediately* with a structured
-  ``overloaded`` response instead of growing memory or blocking the client;
-* **batch scheduling** — a scheduler thread coalesces queued requests into
-  batches of at most ``max_in_flight`` and dispatches each batch through the
-  shared :class:`~repro.execution.CaseExecutor`; each request then runs
-  serially on its worker, so ``jobs`` workers use at most ``jobs`` cores;
 * **fingerprint result cache** — responses are cached by source fingerprint ×
-  config fingerprint (:mod:`repro.service.cache`); a repeated submission of an
-  identical package returns the warm payload without re-running the scheduler.
-  Identical requests *within* one batch are also deduplicated: the work runs
-  once and fans out to every waiting ticket;
+  config fingerprint (:mod:`repro.service.cache`); a submission whose key is
+  cached is answered at once, without queueing;
+* **single flight** — a submission identical to a request that is already
+  queued or running follows it and receives a private copy of its payload or
+  error (the table follows Go's ``golang.org/x/sync/singleflight``);
+* **admission control** — any other request leads on its lane, whose queue
+  is bounded by ``max_queue_depth``; a submission past the bound resolves
+  *immediately* with a structured ``overloaded`` response instead of growing
+  memory or blocking the client;
 * **stateless per-request execution** — every request builds a fresh
   :class:`~repro.core.pipeline.DrFix`/harness invocation, so served responses
   are bit-identical to direct calls (enforced by the differential test), which
   is what makes the cache safe by construction;
 * **metrics** — a :class:`~repro.service.metrics.ServiceMetrics` snapshot
   (served counts, cache hit rate, queue depth, p50/p95 latency, throughput).
+
+Only dispatch differs between the two lanes.  With ``workers=0`` (the
+default) one scheduler thread runs up to ``max_in_flight`` leaders at a time
+through the shared :class:`~repro.execution.CaseExecutor`; each request runs
+serially on its executor worker, so ``jobs`` workers use at most ``jobs``
+cores.  With ``workers=N`` leaders route by source fingerprint to N
+supervised worker processes (:mod:`repro.service.shard`, imported only then).
+Both lanes hand a finished leader to one completion method, which fills the
+cache and answers the leader and its followers.
 
 Clients interact through tickets::
 
@@ -40,9 +49,9 @@ import re
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.config import DrFixConfig
 from repro.core.database import ExampleDatabase
@@ -50,7 +59,7 @@ from repro.core.pipeline import DrFix, FixOutcome
 from repro.diagnosis import RaceDiagnoser
 from repro.errors import ConfigError
 from repro.execution import CaseExecutor, ExecutorKind, resolve_kind
-from repro.fingerprint import config_fingerprint
+from repro.fingerprint import config_fingerprint, shard_for
 from repro.runtime.harness import GoPackage, PackageRunResult, run_package_tests
 from repro.service.cache import CACHE_VERSION, ResultCache
 from repro.service.metrics import MetricsRecorder, ServiceMetrics
@@ -61,6 +70,9 @@ from repro.service.requests import (
     ServiceResponse,
 )
 from repro.store import JsonStore
+
+if TYPE_CHECKING:
+    from repro.service.shard import ProcessLanes
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +231,9 @@ def _execute_request(config: DrFixConfig, database: Optional[ExampleDatabase],
                      request: ServiceRequest) -> Tuple[Optional[Dict[str, Any]], str]:
     """Worker body: (payload, "") on success, (None, detail) on failure.
 
-    Module-level with picklable arguments so batches can dispatch through the
-    process backend too; exceptions are folded into structured ``error``
-    responses — a worker must never take the batch (or the service) down.
+    Module-level with picklable arguments so it runs in an executor worker
+    or a worker process alike; exceptions are folded into structured
+    ``error`` responses — a worker must never take the service down.
     """
     try:
         if request.kind is RequestKind.DETECT:
@@ -232,7 +244,7 @@ def _execute_request(config: DrFixConfig, database: Optional[ExampleDatabase],
 
 
 # ---------------------------------------------------------------------------
-# Tickets and queue entries
+# Tickets and flights
 # ---------------------------------------------------------------------------
 
 
@@ -262,14 +274,19 @@ class ServiceTicket:
         return self._response
 
 
-@dataclass
+@dataclass(eq=False)
 class _Pending:
-    """One admitted request waiting in (or popped from) the queue."""
+    """One admitted request.  A *leader* is queued on a lane and runs; a
+    *follower* rides on the leader with the same key and shares its answer."""
 
     ticket: ServiceTicket
     request: ServiceRequest
     key: str
+    lane: int
     submitted_at: float
+    #: Worker deaths while this leader was in flight (process lane only).
+    retries: int = 0
+    followers: List["_Pending"] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +295,14 @@ class _Pending:
 
 
 class DrFixService:
-    """In-process async batch server over the Dr.Fix pipeline."""
+    """Dr.Fix as a service: one master over an in-process or a process lane."""
 
     def __init__(
         self,
         config: Optional[DrFixConfig] = None,
         database: Optional[ExampleDatabase] = None,
         *,
+        workers: int = 0,
         max_queue_depth: int = 64,
         max_in_flight: int = 4,
         jobs: Optional[int] = None,
@@ -292,14 +310,27 @@ class DrFixService:
         cache_capacity: int = 256,
         cache_dir: Optional[str] = None,
         batch_linger_s: float = 0.0,
+        max_retries: int = 2,
+        heartbeat_interval_s: float = 0.1,
+        liveness_deadline_s: float = 30.0,
+        restart_backoff_s: float = 0.05,
+        restart_backoff_cap_s: float = 2.0,
+        breaker_threshold: int = 4,
+        drain_timeout_s: float = 60.0,
+        fault_plan: Optional[str] = None,
         start: bool = True,
     ):
+        if workers < 0:
+            raise ConfigError("workers must be non-negative")
         if max_queue_depth <= 0:
             raise ConfigError("max_queue_depth must be positive")
         if max_in_flight <= 0:
             raise ConfigError("max_in_flight must be positive")
+        if max_retries < 0:
+            raise ConfigError("max_retries must be non-negative")
         self.config = (config or DrFixConfig(model="gpt-4o")).validated()
         self.database = database
+        self.workers = workers
         self.max_queue_depth = max_queue_depth
         self.max_in_flight = max_in_flight
         self.jobs = jobs
@@ -309,20 +340,44 @@ class DrFixService:
             resolve_kind(executor)
         self.executor_kind = executor
         self.batch_linger_s = batch_linger_s
+        self.drain_timeout_s = drain_timeout_s
         self.config_fp = config_fingerprint(self.config)
         self.cache = ResultCache(
             cache_capacity, JsonStore(cache_dir, CACHE_VERSION) if cache_dir else None)
         self.recorder = MetricsRecorder()
         self._cond = threading.Condition()
-        self._pending: "deque[_Pending]" = deque()
-        self._in_flight = 0
+        #: One queue of leaders per lane: lane ``shard_for(fp, workers)`` of
+        #: the worker processes, or the single in-process lane 0.
+        self._lanes: "List[deque[_Pending]]" = [deque() for _ in range(max(1, workers))]
+        #: The single-flight table: every leader that is queued or running,
+        #: by cache key.
+        self._flights: Dict[str, _Pending] = {}
         self._sequence = 0
-        #: Admission gate: True from construction until shutdown, so requests
-        #: may be queued before :meth:`start` spins the scheduler up (tests
-        #: use this to fill the queue deterministically).
+        #: Admission gate: open from construction until drain, so requests
+        #: may be queued before :meth:`start` (tests use this to fill a lane
+        #: deterministically).
         self._accepting = True
-        self._running = False
-        self._thread: Optional[threading.Thread] = None
+        self._started = False
+        self._stopped = False
+        self._worker_failures = 0
+        self._drops = 0
+        self._scheduler: Optional[threading.Thread] = None
+        self._pool: "Optional[ProcessLanes]" = None
+        if workers:
+            # Imported here so the in-process service never loads
+            # multiprocessing or the supervisor.
+            from repro.service.shard import ProcessLanes
+
+            self._pool = ProcessLanes(
+                self,
+                max_retries=max_retries,
+                heartbeat_interval_s=heartbeat_interval_s,
+                liveness_deadline_s=liveness_deadline_s,
+                restart_backoff_s=restart_backoff_s,
+                restart_backoff_cap_s=restart_backoff_cap_s,
+                breaker_threshold=breaker_threshold,
+                fault_plan=fault_plan,
+            )
         if start:
             self.start()
 
@@ -330,87 +385,120 @@ class DrFixService:
 
     def start(self) -> None:
         with self._cond:
-            if self._running:
+            if self._started or self._stopped:
                 return
-            self._accepting = True
-            self._running = True
-            self._thread = threading.Thread(
-                target=self._scheduler_loop, name="drfix-service-scheduler", daemon=True
-            )
-            self._thread.start()
+            self._started = True
+        if self._pool is not None:
+            self._pool.start()
+            return
+        self._scheduler = threading.Thread(
+            target=self._scheduler_loop, name="drfix-service-scheduler", daemon=True)
+        self._scheduler.start()
 
     def begin_drain(self) -> None:
-        """Stop admitting new requests; the scheduler keeps serving admitted
-        ones.  The graceful half of :meth:`shutdown` — ``drfix serve`` calls
-        this from its SIGTERM handler before waiting out the in-flight work."""
+        """Stop admitting new requests; admitted ones keep being served.  The
+        graceful half of :meth:`shutdown` — ``drfix serve`` calls this from
+        its SIGTERM handler before waiting out the in-flight work."""
         with self._cond:
             self._accepting = False
             self._cond.notify_all()
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop admitting; the scheduler drains already-admitted requests.
+    def shutdown(self) -> None:
+        """Drain and stop: serve every admitted request, then stop the lane.
 
-        If the scheduler was never started (``start=False``), admitted
-        requests cannot be served — they are resolved with ``overloaded``
-        here rather than left to hang their tickets forever.
+        Admitted requests are never dropped while the lane can serve them
+        (in worker mode the supervisor keeps restarting crashed workers
+        during the drain).  Only the ``drain_timeout_s`` deadline resolves
+        leftovers, as ``worker_failed``; a service that was never started
+        resolves its queue as ``overloaded``.  Nothing ever hangs.
         """
         with self._cond:
+            if self._stopped:
+                return
+            self._stopped = True
             self._accepting = False
-            self._running = False
-            stranded: List[_Pending] = []
-            if self._thread is None:
-                stranded = list(self._pending)
-                self._pending.clear()
+            deadline = time.monotonic() + self.drain_timeout_s
+            while self._started and self._flights:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._cond.wait(remaining)
+            leftovers = list(self._flights.values())
+            self._flights.clear()
+            for queue in self._lanes:
+                queue.clear()
+            self._drops += sum(1 + len(leader.followers) for leader in leftovers)
             self._cond.notify_all()
-        for entry in stranded:
-            self.recorder.on_drop()
-            entry.ticket.resolve(ServiceResponse(
-                request_id=entry.ticket.request_id, kind=entry.ticket.kind,
-                status=ResponseStatus.OVERLOADED,
-                detail="service shut down before it was started",
-            ))
-        if wait and self._thread is not None:
-            self._thread.join()
-            self._thread = None
+        if self._started:
+            status, detail = (ResponseStatus.WORKER_FAILED,
+                              "request abandoned at drain deadline")
+        else:
+            status, detail = (ResponseStatus.OVERLOADED,
+                              "service shut down before it was started")
+        for leader in leftovers:
+            for entry in (leader, *leader.followers):
+                self._resolve(entry, status, detail=detail, dropped=True)
+        if self._scheduler is not None:
+            self._scheduler.join()
+            self._scheduler = None
+        if self._pool is not None:
+            self._pool.stop()
 
     def __enter__(self) -> "DrFixService":
         self.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.shutdown(wait=True)
+        self.shutdown()
 
     # -- submission ----------------------------------------------------
 
     def submit(self, request: ServiceRequest) -> ServiceTicket:
-        """Admit (or reject) one request; never blocks on the queue."""
+        """Answer, fold or queue one request; never blocks on a queue.
+
+        Every request is decided here, under the lock, and so is every
+        counter it moves: a request identical to a queued or running one
+        follows it (single flight); a cache hit is answered at once (with
+        ``cache_dir``, a memory miss reads the disk under the lock); anything
+        else leads, on its lane, against ``max_queue_depth``.
+        """
         request = request.validated()
-        now = time.monotonic()
+        key = request.cache_key(self.config_fp)
+        lane = shard_for(request.source_fingerprint(), self.workers) if self.workers else 0
         with self._cond:
             self._sequence += 1
-            ticket = ServiceTicket(f"r{self._sequence:06d}", request.kind.value)
+            entry = _Pending(
+                ticket=ServiceTicket(f"r{self._sequence:06d}", request.kind.value),
+                request=request, key=key, lane=lane, submitted_at=time.monotonic())
+            queue = self._lanes[lane]
+            leader = self._flights.get(key)
             if not self._accepting:
-                detail = "service is shut down"
-            elif len(self._pending) >= self.max_queue_depth:
-                detail = (
-                    f"queue full ({len(self._pending)}/{self.max_queue_depth} "
-                    f"queued, {self._in_flight} in flight)"
-                )
+                self._reject(entry, "service is shut down" if self._stopped
+                             else "service is draining")
+            elif leader is not None:
+                self.recorder.on_submit()
+                leader.followers.append(entry)
+            elif (payload := self.cache.get(key)) is not None:
+                self.recorder.on_submit()
+                self._resolve(entry, ResponseStatus.OK, payload=payload, cached=True)
+            elif (self._pool is not None
+                  and (broken := self._pool.broken_detail_locked(lane))):
+                self.recorder.on_submit()
+                self._worker_failures += 1
+                self._resolve(entry, ResponseStatus.WORKER_FAILED, detail=broken)
+            elif len(queue) >= self.max_queue_depth:
+                in_flight = self._load_locked()[1]
+                shard = f"shard {lane} " if self.workers else ""
+                self._reject(entry, f"{shard}queue full ({len(queue)}/"
+                             f"{self.max_queue_depth} queued, {in_flight} in flight)")
             else:
                 self.recorder.on_submit()
-                self._pending.append(
-                    _Pending(ticket=ticket, request=request,
-                             key=request.cache_key(self.config_fp), submitted_at=now)
-                )
-                self._cond.notify()
-                return ticket
-        # Structured backpressure: resolve immediately, outside the lock.
-        self.recorder.on_reject()
-        ticket.resolve(ServiceResponse(
-            request_id=ticket.request_id, kind=ticket.kind,
-            status=ResponseStatus.OVERLOADED, detail=detail,
-        ))
-        return ticket
+                queue.append(entry)
+                self._flights[key] = entry
+                if self._pool is not None:
+                    self._pool.dispatch_locked(lane)
+                self._cond.notify_all()
+        return entry.ticket
 
     def call(self, request: ServiceRequest,
              timeout: Optional[float] = None) -> ServiceResponse:
@@ -421,122 +509,137 @@ class DrFixService:
 
     def metrics(self) -> ServiceMetrics:
         with self._cond:
-            depth, in_flight = len(self._pending), self._in_flight
-        return self.recorder.snapshot(queue_depth=depth, in_flight=in_flight)
+            depth, in_flight = self._load_locked()
+        return self.recorder.snapshot(queue_depth=depth, in_flight=in_flight,
+                                      supervisor=self.supervisor_stats())
 
     def queue_depth(self) -> int:
         with self._cond:
-            return len(self._pending)
+            return self._load_locked()[0]
 
     def health(self) -> Dict[str, Any]:
-        """The ``GET /healthz`` body (same shape as the sharded service's,
-        minus the per-worker blocks — the in-process service has none)."""
+        """The ``GET /healthz`` body; ``workers`` is empty in process."""
         with self._cond:
             draining = not self._accepting
-            depth, in_flight = len(self._pending), self._in_flight
+            depth, in_flight = self._load_locked()
+        workers = self.worker_status()
+        broken = sum(1 for block in workers if block["state"] == "broken")
         return {
-            "status": "draining" if draining else "ok",
-            "workers": [],
-            "broken_shards": 0,
+            "status": "draining" if draining else "degraded" if broken else "ok",
+            "workers": workers,
+            "broken_shards": broken,
             "queue_depth": depth,
             "in_flight": in_flight,
             "cache_entries": len(self.cache),
         }
 
-    # -- the batch scheduler -------------------------------------------
+    def worker_status(self) -> List[Dict[str, Any]]:
+        """One block per worker process (none in process)."""
+        with self._cond:
+            return self._pool.status_locked() if self._pool is not None else []
+
+    def supervisor_stats(self) -> Dict[str, Any]:
+        """Restart, retry and failure counters (empty in process)."""
+        with self._cond:
+            if self._pool is None:
+                return {}
+            stats = self._pool.stats_locked()
+            stats.update(worker_failures=self._worker_failures, drops=self._drops)
+            return stats
+
+    def _load_locked(self) -> Tuple[int, int]:
+        """(queued, in flight): a leader in flight has left its lane."""
+        depth = sum(len(queue) for queue in self._lanes)
+        return depth, len(self._flights) - depth
+
+    # -- the in-process lane -------------------------------------------
 
     def _scheduler_loop(self) -> None:
+        """Run up to ``max_in_flight`` leaders at a time through the shared
+        :class:`~repro.execution.CaseExecutor`, until shutdown drains lane 0."""
+        queue = self._lanes[0]
         while True:
             with self._cond:
                 # Event-driven: submit() and shutdown() both notify, so the
                 # idle wait needs no timeout (no polling wakeups).
-                while self._running and not self._pending:
+                while not (queue or self._stopped):
                     self._cond.wait()
-                if not self._pending:
-                    if not self._running:
-                        return
-                    continue
-                if (self.batch_linger_s > 0
-                        and len(self._pending) < self.max_in_flight
-                        and self._running):
+                if not queue:
+                    return
+                if (self.batch_linger_s > 0 and len(queue) < self.max_in_flight
+                        and not self._stopped):
                     # Give a burst a moment to coalesce into one batch.
                     self._cond.wait(self.batch_linger_s)
-                batch: List[_Pending] = []
-                while self._pending and len(batch) < self.max_in_flight:
-                    batch.append(self._pending.popleft())
-                self._in_flight = len(batch)
-            try:
-                self._serve_batch(batch)
-            except Exception as exc:  # noqa: BLE001 - the scheduler must survive
-                # A failure in the batch path itself (not a worker — those are
-                # guarded in _execute_request) must not kill the scheduler
-                # thread and strand every future ticket: resolve whatever the
-                # batch left unresolved and keep serving.
-                detail = f"internal batch failure: {type(exc).__name__}: {exc}"
-                for entry in batch:
-                    if not entry.ticket.done():
-                        self._finish(entry, ResponseStatus.ERROR, detail=detail)
-            finally:
-                with self._cond:
-                    self._in_flight = 0
-
-    def _serve_batch(self, batch: List[_Pending]) -> None:
-        self.recorder.on_batch(len(batch))
-        # Group identical requests up front, so the cache is probed once per
-        # *unique* key: the ResultCache counters stay per-unique-key while
-        # the MetricsRecorder counts per-request (followers of an in-batch
-        # duplicate count as hits — their work was shared), keeping the two
-        # hit rates consistent in meaning.
-        groups: "Dict[str, List[_Pending]]" = {}
-        for entry in batch:
-            groups.setdefault(entry.key, []).append(entry)
-        # Warm pass: anything already cached resolves without touching a worker.
-        leaders: List[_Pending] = []
-        for key, entries in groups.items():
-            payload = self.cache.get(key)
-            if payload is not None:
-                # cache.get returned one private copy; duplicates in the
-                # group each get their own so no two responses alias.
-                for index, entry in enumerate(entries):
-                    self._finish(entry, ResponseStatus.OK,
-                                 payload=payload if index == 0
-                                 else copy.deepcopy(payload),
-                                 cached=True)
-            else:
-                # Deduplicated miss: the leader computes, followers share.
-                leaders.append(entries[0])
-        if not leaders:
-            return
-        worker = partial(_execute_request, self.config, self.database)
-        # A fresh CaseExecutor per batch, as the evaluation runner uses it
-        # per arm.  The default backend is ``thread``: workers share
-        # the process-wide program cache and pool startup is negligible.
-        # The ``process`` backend pays pool startup + a per-worker program
-        # cache warm-up on *every batch* — prefer it only for long batches
-        # of genuinely cold, CPU-bound work.
-        pool = CaseExecutor(kind=self.executor_kind, jobs=self.jobs)
-        outcomes = pool.map(worker, [leader.request for leader in leaders])
-        for leader, (payload, detail) in zip(leaders, outcomes):
-            followers = groups[leader.key]
-            if payload is None:
-                for entry in followers:
-                    self._finish(entry, ResponseStatus.ERROR, detail=detail)
+                batch = [queue.popleft()
+                         for _ in range(min(len(queue), self.max_in_flight))]
+            if not batch:
                 continue
-            self.cache.put(leader.key, payload)
-            for index, entry in enumerate(followers):
-                # The leader computed; followers shared the computation but
-                # receive private copies (responses must never alias).
-                self._finish(entry, ResponseStatus.OK,
-                             payload=payload if index == 0
-                             else copy.deepcopy(payload),
-                             cached=index > 0)
+            self.recorder.on_batch(len(batch))
+            try:
+                # A fresh CaseExecutor per batch, as the evaluation runner
+                # uses one per arm.  The ``process`` backend pays pool
+                # start-up and a cold program cache on every batch; worker
+                # mode keeps resident processes instead.
+                pool = CaseExecutor(kind=self.executor_kind, jobs=self.jobs)
+                outcomes = pool.map(partial(_execute_request, self.config, self.database),
+                                    [leader.request for leader in batch])
+            except Exception as exc:  # noqa: BLE001 - the scheduler must survive
+                # A failure in the batch machinery itself (worker bodies are
+                # guarded in _execute_request) must not kill the scheduler
+                # thread and strand every later ticket.
+                detail = f"internal batch failure: {type(exc).__name__}: {exc}"
+                outcomes = [(None, detail)] * len(batch)
+            for leader, (payload, detail) in zip(batch, outcomes):
+                self._complete(leader, payload, detail)
 
-    def _finish(self, entry: _Pending, status: ResponseStatus, *,
-                payload: Optional[Dict[str, Any]] = None, cached: bool = False,
-                detail: str = "") -> None:
+    # -- completion ----------------------------------------------------
+
+    def _complete(self, leader: _Pending, payload: Optional[Dict[str, Any]],
+                  detail: str, failure: ResponseStatus = ResponseStatus.ERROR) -> None:
+        """A leader finished on either lane: cache its payload, then answer it
+        and its followers (``failure`` when ``payload`` is ``None``).
+
+        The cache is filled before the leader leaves the single-flight
+        table, so an identical submission always finds one or the other.
+        A leader no longer in the table (a late duplicate response, or one
+        dropped at the drain deadline) is ignored; one still queued for a
+        retry leaves its lane.  Safe with or without the lock held (it is
+        re-entrant; the supervisor's callbacks hold it).
+        """
+        if payload is not None:
+            self.cache.put(leader.key, payload)
+        with self._cond:
+            if self._flights.get(leader.key) is not leader:
+                return
+            del self._flights[leader.key]
+            queue = self._lanes[leader.lane]
+            if leader in queue:
+                # Answered while queued for a retry: a dead worker's late reply.
+                queue.remove(leader)
+            if payload is None and failure is ResponseStatus.WORKER_FAILED:
+                self._worker_failures += 1 + len(leader.followers)
+            self._cond.notify_all()
+        if payload is None:
+            for entry in (leader, *leader.followers):
+                self._resolve(entry, failure, detail=detail)
+            return
+        self._resolve(leader, ResponseStatus.OK, payload=payload)
+        for follower in leader.followers:
+            # Followers shared the computation but get private copies:
+            # responses never alias.
+            self._resolve(follower, ResponseStatus.OK,
+                          payload=copy.deepcopy(payload), cached=True)
+
+    def _resolve(self, entry: _Pending, status: ResponseStatus, *,
+                 payload: Optional[Dict[str, Any]] = None, cached: bool = False,
+                 detail: str = "", dropped: bool = False) -> None:
+        """Answer one admitted request (``dropped``: it never ran)."""
         latency_ms = (time.monotonic() - entry.submitted_at) * 1000.0
-        self.recorder.on_served(latency_ms, cached=cached,
-                                error=status is ResponseStatus.ERROR)
+        if dropped:
+            self.recorder.on_drop()
+        else:
+            self.recorder.on_served(latency_ms, cached=cached,
+                                    error=status is not ResponseStatus.OK)
         entry.ticket.resolve(ServiceResponse(
             request_id=entry.ticket.request_id,
             kind=entry.ticket.kind,
@@ -545,6 +648,14 @@ class DrFixService:
             cached=cached,
             detail=detail,
             duration_ms=latency_ms,
+        ))
+
+    def _reject(self, entry: _Pending, detail: str) -> None:
+        """Structured backpressure for a request that was never admitted."""
+        self.recorder.on_reject()
+        entry.ticket.resolve(ServiceResponse(
+            request_id=entry.ticket.request_id, kind=entry.ticket.kind,
+            status=ResponseStatus.OVERLOADED, detail=detail,
         ))
 
 

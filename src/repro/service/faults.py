@@ -1,10 +1,10 @@
-"""Deterministic fault injection for the sharded serving layer.
+"""Deterministic fault injection for the service's worker processes.
 
 Every failure mode the supervisor must survive — a worker dying mid-request,
 a crash loop, a wedged process that stops heartbeating, a slow shard — is
 exercised in tests through one deterministic hook: a **fault plan** parsed
 from the ``DRFIX_FAULT_PLAN`` environment variable (or passed directly to
-:class:`~repro.service.shard.ShardedDrFixService`).  Faults fire on *request
+``DrFixService(workers=N, fault_plan=...)``).  Faults fire on *request
 counts*, never on wall-clock, so a plan replays identically run after run.
 
 Grammar — clauses separated by ``;``, fields by ``:``::

@@ -165,12 +165,11 @@ class _Handler(BaseHTTPRequestHandler):
 class ServiceHTTPServer(ThreadingHTTPServer):
     """A threaded HTTP frontend bound to one service.
 
-    ``service`` is either the in-process :class:`DrFixService` or the
-    multi-process :class:`~repro.service.shard.ShardedDrFixService` — the two
-    share the submit/call/metrics/health protocol, so the frontend is
-    transport only.  Threaded so that slow cold requests never
-    head-of-line-block the ``/metrics`` and ``/healthz`` probes; actual work
-    still funnels through the service's bounded queues, so concurrency stays
+    ``service`` is a :class:`DrFixService` with or without worker
+    processes; the frontend only carries its submit/call/metrics/health
+    protocol.  Threaded so that slow cold requests never head-of-line-block
+    the ``/metrics`` and ``/healthz`` probes; actual work still funnels
+    through the service's bounded lanes, so concurrency stays
     admission-controlled.
     """
 

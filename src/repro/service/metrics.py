@@ -13,7 +13,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 
 def latency_percentile(samples: Sequence[float], fraction: float) -> float:
@@ -49,12 +49,16 @@ class ServiceMetrics:
     p95_latency_ms: float = 0.0
     throughput_rps: float = 0.0
     uptime_seconds: float = 0.0
-    #: Snapshot of the interpreter's two-level program cache (entry hits and
-    #: misses, single-flight waits, full vs derived builds, per-function unit
-    #: reuse) — :meth:`repro.runtime.compiler.ProgramCache.stats`.
+    #: This process's program cache, as
+    #: :meth:`repro.runtime.compiler.ProgramCache.stats` returns it: build
+    #: ``entries``/``capacity``, ``hits``/``misses``, ``evictions``,
+    #: ``singleflight_waits``, ``probationary`` builds and ``readmissions``,
+    #: and the shared parse cache's ``parse_hits``/``parse_misses``/
+    #: ``parse_entries``.  With ``workers > 0`` it is the master's own cache,
+    #: not the worker processes' (which do the builds).
     program_cache: Dict[str, int] = field(default_factory=dict)
-    #: Sharded-service supervision counters (restarts, retries, breaker trips,
-    #: per-shard queue depth) — empty for the in-process service.
+    #: Worker-process supervision counters (restarts, retries, breaker trips,
+    #: per-shard queue depth) — empty with ``workers=0``.
     supervisor: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -151,7 +155,8 @@ class MetricsRecorder:
 
     # ------------------------------------------------------------------
 
-    def snapshot(self, queue_depth: int = 0, in_flight: int = 0) -> ServiceMetrics:
+    def snapshot(self, queue_depth: int = 0, in_flight: int = 0,
+                 supervisor: Optional[Dict[str, Any]] = None) -> ServiceMetrics:
         # Imported lazily: the metrics module must stay importable without
         # pulling the whole runtime stack in (and vice versa).
         from repro.runtime.compiler import PROGRAM_CACHE
@@ -176,6 +181,7 @@ class MetricsRecorder:
                 throughput_rps=self.served / uptime if uptime > 0 else 0.0,
                 uptime_seconds=uptime,
                 program_cache=program_cache,
+                supervisor=supervisor or {},
             )
 
 

@@ -43,11 +43,11 @@ class ResponseStatus(enum.Enum):
     #: exception — admission control is part of the protocol.
     OVERLOADED = "overloaded"
     ERROR = "error"
-    #: Structured crash report from the sharded service: the worker process
-    #: serving this request died more times than the retry budget allows (or
-    #: its shard's circuit breaker is open).  Like ``overloaded``, this is
-    #: protocol, not an exception — a supervised crash must never become a
-    #: hung client.
+    #: Structured crash report: the worker process serving this request died
+    #: more times than the retry budget allows, its shard's circuit breaker
+    #: is open, or the drain deadline passed first.  Like ``overloaded``,
+    #: this is protocol, not an exception — a supervised crash must never
+    #: become a hung client.
     WORKER_FAILED = "worker_failed"
 
 

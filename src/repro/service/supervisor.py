@@ -1,8 +1,8 @@
-"""Worker supervision for the sharded serving layer.
+"""Worker supervision for the service's worker processes.
 
 :class:`WorkerSupervisor` owns the *lifecycle* of the shard worker processes:
 it watches them, restarts them, and decides when to stop trying.  The routing
-of requests onto workers stays in :class:`~repro.service.shard.ShardedDrFixService`;
+of requests onto workers stays in :class:`~repro.service.shard.ProcessLanes`;
 the split keeps each half testable on its own.
 
 Supervision policy (the paper's deployment story is a service that must keep
@@ -63,7 +63,7 @@ class WorkerHandle:
     process: Optional[Any] = None  # multiprocessing.Process
     state: WorkerState = WorkerState.RESTARTING
     incarnation: int = -1          # bumped to 0 by the first spawn
-    in_flight_id: Optional[str] = None
+    in_flight_id: Optional[str] = None  # cache key of the leader it runs
     served: int = 0                # responses collected, across incarnations
     restarts: int = 0              # respawns after the initial start
     consecutive_failures: int = 0

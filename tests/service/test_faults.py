@@ -31,11 +31,10 @@ from repro.core.config import DrFixConfig
 from repro.errors import ConfigError
 from repro.fingerprint import shard_for
 from repro.runtime.harness import GoFile, GoPackage
-from repro.service import DetectRequest
+from repro.service import DetectRequest, DrFixService
 from repro.service.core import _execute_request
 from repro.service.faults import CRASH_EXIT_CODE, KILL_EXIT_CODE, FaultPlan
 from repro.service.requests import ResponseStatus
-from repro.service.shard import ShardedDrFixService
 
 RACY_SOURCE = """
 package main
@@ -80,7 +79,7 @@ def direct_payload(package: GoPackage) -> dict:
     return payload
 
 
-def fast_service(**overrides) -> ShardedDrFixService:
+def fast_service(**overrides) -> DrFixService:
     defaults = dict(
         config=CONFIG,
         workers=2,
@@ -90,7 +89,7 @@ def fast_service(**overrides) -> ShardedDrFixService:
         drain_timeout_s=30.0,
     )
     defaults.update(overrides)
-    return ShardedDrFixService(**defaults)
+    return DrFixService(**defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +302,7 @@ class TestCircuitBreaker:
 
 class TestDrainAndBackpressure:
     def test_drain_never_drops_an_admitted_request(self):
-        service = fast_service(workers=2, shard_queue_depth=32)
+        service = fast_service(workers=2, max_queue_depth=32)
         tickets = []
         try:
             for tag in range(6):
@@ -329,12 +328,25 @@ class TestDrainAndBackpressure:
         assert response.status is ResponseStatus.OK
         assert response.payload == direct_payload(package)
 
+    def test_drain_deadline_answers_leftovers_and_counts_them_once(self):
+        package = package_for_shard(0, 2)
+        service = fast_service(fault_plan="delay:worker=0:after=1:ms=1000",
+                               drain_timeout_s=0.2)
+        ticket = service.submit(DetectRequest(package=package, runs=RUNS, seed=1))
+        service.shutdown()
+        response = ticket.result(timeout=5)
+        assert response.status is ResponseStatus.WORKER_FAILED
+        assert "drain deadline" in response.detail
+        metrics = service.metrics()
+        assert (metrics.submitted, metrics.served, metrics.rejected) == (1, 0, 1)
+        assert service.supervisor_stats()["drops"] == 1
+
     def test_flood_under_a_dead_shard_answers_overloaded_not_deadlock(self):
         workers = 2
         dead_pkg = package_for_shard(0, workers)
         service = fast_service(
             workers=workers,
-            shard_queue_depth=3,
+            max_queue_depth=3,
             fault_plan="kill:worker=0:incarnation=any:after=1",
             max_retries=1,
             breaker_threshold=1000,
@@ -343,11 +355,17 @@ class TestDrainAndBackpressure:
             tickets = [service.submit(
                 DetectRequest(package=dead_pkg, runs=RUNS, seed=seed))
                 for seed in range(1, 13)]
-            statuses = [t.result(timeout=60).status for t in tickets]
+            responses = [t.result(timeout=60) for t in tickets]
+            statuses = [r.status for r in responses]
             assert ResponseStatus.OVERLOADED in statuses
             assert ResponseStatus.OK not in statuses
             assert all(s in (ResponseStatus.OVERLOADED, ResponseStatus.WORKER_FAILED)
                        for s in statuses)
+            # Every answer says why, and each request is counted exactly once.
+            assert all(r.detail for r in responses)
+            metrics = service.metrics()
+            assert metrics.submitted == 12
+            assert metrics.submitted == metrics.served + metrics.rejected
         finally:
             service.shutdown()
 

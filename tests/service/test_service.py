@@ -271,7 +271,7 @@ class TestAdmissionControl:
         service = DrFixService(config, database=None, start=False)
         tickets = [service.submit(DetectRequest(package=clean_package(str(i)), runs=4))
                    for i in range(3)]
-        service.shutdown(wait=True)
+        service.shutdown()
         for ticket in tickets:
             assert ticket.done()
             response = ticket.result(timeout=0)
@@ -279,6 +279,24 @@ class TestAdmissionControl:
             assert "before it was started" in response.detail
         metrics = service.metrics()
         assert metrics.submitted == 3 and metrics.rejected == 3
+
+    def test_drain_deadline_answers_leftovers(self, config, monkeypatch):
+        def slow(cfg, database, request):
+            time.sleep(0.3)
+            return {"ok": True}, ""
+
+        monkeypatch.setattr(service_core, "_execute_request", slow)
+        service = DrFixService(config, database=None, max_in_flight=1,
+                               drain_timeout_s=0.05)
+        tickets = [service.submit(DetectRequest(package=clean_package(str(i)), runs=4))
+                   for i in range(2)]
+        service.shutdown()
+        for ticket in tickets:
+            response = ticket.result(timeout=0)
+            assert response.status is ResponseStatus.WORKER_FAILED
+            assert "drain deadline" in response.detail
+        metrics = service.metrics()
+        assert (metrics.submitted, metrics.served, metrics.rejected) == (2, 0, 2)
 
     def test_duplicate_responses_never_alias(self, config):
         # Leader/follower and warm-hit fan-outs must hand out private
@@ -310,7 +328,7 @@ class TestAdmissionControl:
         tickets = [service.submit(DetectRequest(package=clean_package(str(i)), runs=4))
                    for i in range(3)]
         service.start()
-        service.shutdown(wait=True)  # must serve what it admitted
+        service.shutdown()  # must serve what it admitted
         assert all(t.done() for t in tickets)
         assert all(t.result(timeout=0).ok for t in tickets)
 

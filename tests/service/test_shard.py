@@ -12,7 +12,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.config import DrFixConfig
 from repro.core.pipeline import FixOutcome
 from repro.errors import ConfigError
 from repro.evaluation.runner import CaseResult
@@ -27,7 +26,6 @@ from repro.service.frontend import (
     resolve_request_timeout,
 )
 from repro.service.pidfile import Pidfile, pid_alive, read_pid, stop_daemon
-from repro.service.shard import ShardedDrFixService
 from repro.store import JsonStore
 
 RACY_SOURCE = """
@@ -78,7 +76,7 @@ class TestShardRouting:
 
     def test_same_package_always_lands_on_one_worker(self):
         package = make_package(7)
-        service = ShardedDrFixService(workers=2, heartbeat_interval_s=0.02)
+        service = DrFixService(workers=2, heartbeat_interval_s=0.02)
         try:
             for seed in (1, 2, 3):
                 response = service.call(
@@ -96,9 +94,9 @@ class TestShardRouting:
 
 
 class TestShardConstruction:
-    def test_rejects_nonpositive_workers(self):
+    def test_rejects_negative_workers(self):
         with pytest.raises(ConfigError):
-            ShardedDrFixService(workers=0, start=False)
+            DrFixService(workers=-1, start=False)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +108,8 @@ class TestIdenticalQueuedRequests:
     def test_queued_duplicate_is_answered_from_the_first_result(self):
         # The delay holds the first request on the worker long enough for
         # the identical second one to queue behind it on the same shard.
-        service = ShardedDrFixService(workers=1, heartbeat_interval_s=0.02,
-                                      fault_plan="delay:worker=0:ms=300")
+        service = DrFixService(workers=1, heartbeat_interval_s=0.02,
+                               fault_plan="delay:worker=0:ms=300")
         try:
             first = service.submit(DetectRequest(package=make_package(11), runs=2))
             second = service.submit(DetectRequest(package=make_package(11), runs=2))
@@ -222,15 +220,15 @@ class TestPersistentResultCache:
     def test_sharded_warm_hits_survive_a_full_restart(self, tmp_path):
         package = make_package(5)
         request = DetectRequest(package=package, runs=2, seed=1)
-        first = ShardedDrFixService(workers=2, cache_dir=str(tmp_path / "cache"),
-                                    heartbeat_interval_s=0.02)
+        first = DrFixService(workers=2, cache_dir=str(tmp_path / "cache"),
+                             heartbeat_interval_s=0.02)
         try:
             cold = first.call(request, timeout=60)
             assert cold.ok and not cold.cached
         finally:
             first.shutdown()
-        second = ShardedDrFixService(workers=2, cache_dir=str(tmp_path / "cache"),
-                                     heartbeat_interval_s=0.02)
+        second = DrFixService(workers=2, cache_dir=str(tmp_path / "cache"),
+                              heartbeat_interval_s=0.02)
         try:
             warm = second.call(request, timeout=60)
             assert warm.ok and warm.cached
@@ -248,7 +246,7 @@ class TestPersistentResultCache:
 
 class TestObservability:
     def test_sharded_health_reports_every_worker(self):
-        service = ShardedDrFixService(workers=3, heartbeat_interval_s=0.02)
+        service = DrFixService(workers=3, heartbeat_interval_s=0.02)
         try:
             health = service.health()
             assert health["status"] == "ok"
@@ -263,7 +261,7 @@ class TestObservability:
             service.shutdown()
 
     def test_sharded_metrics_include_supervisor_counters(self):
-        service = ShardedDrFixService(workers=2, heartbeat_interval_s=0.02)
+        service = DrFixService(workers=2, heartbeat_interval_s=0.02)
         try:
             response = service.call(
                 DetectRequest(package=make_package(1), runs=2), timeout=60)
@@ -279,13 +277,6 @@ class TestObservability:
             assert rendered["served"] == 1
         finally:
             service.shutdown()
-
-    def test_in_process_health_has_the_same_shape(self):
-        with DrFixService() as service:
-            health = service.health()
-            assert health["status"] == "ok"
-            assert health["workers"] == []
-        assert service.health()["status"] == "draining"
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +376,14 @@ class TestRequestTimeout:
 
 class TestConstruction:
     @pytest.mark.parametrize("kwargs", [
-        {"workers": 0},
-        {"shard_queue_depth": 0},
+        {"workers": -1},
+        {"max_queue_depth": 0},
         {"max_retries": -1},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigError):
-            ShardedDrFixService(start=False, **kwargs)
+            DrFixService(start=False, **kwargs)
 
     def test_cache_capacity_still_validated(self):
         with pytest.raises(ValueError):
             ResultCache(0)
-
-    def test_config_fingerprint_matches_in_process_service(self):
-        config = DrFixConfig(model="gpt-4o")
-        sharded = ShardedDrFixService(config, start=False)
-        in_process = DrFixService(config, start=False)
-        try:
-            # Same keying discipline: a payload cached by one service form is
-            # a warm hit for the other against a shared --cache-dir.
-            assert sharded.config_fp == in_process.config_fp
-        finally:
-            in_process.shutdown()

@@ -256,6 +256,17 @@ class TestArgumentValidation:
 
 
 class TestServeCLI:
+    def test_workers_zero_is_the_in_process_default(self, capsys):
+        assert build_parser().parse_args(["serve"]).workers == 0
+        assert build_parser().parse_args(["serve", "--workers", "0"]).workers == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--workers", "-1"])
+        assert excinfo.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+        # One queue bound for both modes: --max-queue bounds each lane.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--shard-queue-depth", "4"])
+
     def test_serve_stdio_session(self, monkeypatch, capsys):
         import io
         import json

@@ -108,5 +108,6 @@ def test_introspection_imports_no_numpy(argv):
 def test_service_package_imports_no_frontend_or_shards():
     modules, _ = modules_after("from repro.service import DrFixService")
     assert "repro.service.core" in modules
-    assert not {"http.server", "repro.service.shard", "repro.service.frontend",
-                "repro.service.supervisor"} & modules
+    assert not {"http.server", "multiprocessing", "repro.service.shard",
+                "repro.service.frontend", "repro.service.supervisor",
+                "repro.service.faults"} & modules

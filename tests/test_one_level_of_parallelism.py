@@ -19,7 +19,7 @@ from repro.core.pipeline import DrFix
 from repro.evaluation.runner import EvaluationRunner
 from repro.execution import CaseExecutor, ExecutorKind
 from repro.runtime.harness import GoFile, GoPackage, GoTestHarness
-from repro.service.shard import ShardedDrFixService
+from repro.service import DrFixService
 
 
 class TestOuterPool:
@@ -35,7 +35,7 @@ class TestOuterPool:
         assert (executor.kind.value, executor.jobs) == (kind, 3)
 
     def test_sharded_service_reports_no_worker_budget(self):
-        service = ShardedDrFixService(workers=2, start=False)
+        service = DrFixService(workers=2, start=False)
         try:
             assert "nested_budget" not in service.supervisor_stats()
         finally:
