@@ -17,9 +17,9 @@ three execution backends:
 * **process** — a :class:`~concurrent.futures.ProcessPoolExecutor`; the right
   choice for the CPU-bound pure-Python interpreter, sidestepping the GIL.
 
-All backends preserve *submission order* in their results (``CaseExecutor.map``
-has the ordering contract of the built-in ``map``), which is what keeps a
-parallel run bit-identical to a serial one.
+All backends preserve *submission order* in their results (``CaseExecutor.imap``
+has the ordering contract of the built-in ``map``, and ``CaseExecutor.map`` is
+its list), which is what keeps a parallel run bit-identical to a serial one.
 
 Worker count resolution (first match wins): an explicit ``jobs`` argument, the
 ``DRFIX_JOBS`` environment variable, and finally ``1`` (serial).  ``jobs=0``
@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import os
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigError
 
@@ -122,24 +122,32 @@ class CaseExecutor:
 
     # ------------------------------------------------------------------
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item, returning results in submission order."""
+    def imap(self, fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
+        """Apply ``fn`` to every item, yielding each result in submission
+        order as soon as it and every earlier one have finished.  A pool is
+        shut down when the iterator is exhausted or closed."""
         items = list(items)
         if not items or self.jobs == 1 or self.kind is ExecutorKind.SERIAL:
-            return [fn(item) for item in items]
+            yield from map(fn, items)
+            return
         workers = min(self.jobs, len(items))
         if self.kind is ExecutorKind.THREAD:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, items))
+                yield from pool.map(fn, items)
+            return
         # Process pool: chunk to amortise pickling of fn's captured state
         # (config + example database) across cases.
         chunksize = max(1, len(items) // (workers * 4))
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
+            yield from pool.map(fn, items, chunksize=chunksize)
+
+    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
+        """Apply ``fn`` to every item, returning results in submission order."""
+        return list(self.imap(fn, items))
 
 
 __all__ = [

@@ -10,11 +10,20 @@ of ``) ] }``.
 
 Scanning is one compiled master regular expression: each match is optional
 blanks followed by exactly one token, and ``m.lastindex`` names the
-alternative that matched.  Letters and digits are what ``str.isalpha`` and
-``str.isdigit`` say they are; an ASCII source uses the pattern with ASCII
-classes, any other source a pattern built once with the Unicode classes.
-Token positions are interned :class:`Position` objects, shared between
-tokens and AST nodes, which is safe only because positions are immutable.
+alternative that matched.  The alternatives are ordered by how often they
+match (identifiers, operators, newlines), with lookaheads where an earlier
+alternative would take a later one's prefix.  Letters and digits are what
+``str.isalpha`` and ``str.isdigit`` say they are; an ASCII source uses the
+pattern with ASCII classes, any other source a pattern built once with the
+Unicode classes.
+
+:meth:`Lexer.tokenize` returns three parallel lists (kinds, texts and
+positions) rather than one object per token: the kinds are enum members and
+the positions interned :class:`Position` objects, so a scan allocates no
+container the cyclic collector tracks per token.  Positions are shared
+between tokens and AST nodes, which is safe only because they are
+immutable.  The module-level :func:`tokenize` wraps the lists in
+:class:`Token` views for tests and tools.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import GoSyntaxError
 from repro.golang.tokens import KEYWORDS, Position, Token, TokenKind
@@ -64,6 +73,8 @@ _OPS: Dict[str, Tuple[TokenKind, bool]] = {
     text: (TokenKind(text), TokenKind(text) in _ASI_KINDS) for text in _OPERATORS
 }
 _IDENTIFIER = (TokenKind.IDENT, True)
+_SEMICOLON, _COMMENT, _INT_KIND, _FLOAT_KIND = (
+    TokenKind.SEMICOLON, TokenKind.COMMENT, TokenKind.INT, TokenKind.FLOAT)
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"', "'": "'", "0": "\0"}
 _ESCAPE = re.compile(r"\\(.)", re.S)
@@ -73,18 +84,20 @@ def _unescape(match: re.Match) -> str:
     return _ESCAPES.get(match[1], match[1])
 
 
-# Master-pattern alternatives, numbered by capture group.  The
-# unexpected-character alternative never matches a blank, and ``\Z`` ends the
-# scan after trailing blanks: a match can never give blanks back and retry,
-# which on trailing blanks would make the scan quadratic.
-(_NEWLINE, _LINE_COMMENT, _BLOCK_COMMENT, _IDENT, _FLOAT, _INT, _STRING, _RAW_STRING,
- _RUNE, _UNTERMINATED, _OPERATOR, _UNEXPECTED, _END) = range(1, 14)
+# Master-pattern alternatives, numbered by capture group and ordered by how
+# often they match.  The unexpected-character alternative never matches a
+# blank, and ``\Z`` ends the scan after trailing blanks: a match can never
+# give blanks back and retry, which on trailing blanks would make the scan
+# quadratic.
+(_IDENT, _OPERATOR, _NEWLINE, _LINE_COMMENT, _BLOCK_COMMENT, _FLOAT, _INT, _STRING,
+ _RAW_STRING, _RUNE, _UNTERMINATED, _UNEXPECTED, _END) = range(1, 14)
 
 _MASTER_TEMPLATE = r"""[ \t\r]*(?:
-    (\n)
+    ([{L}]\w*)
+  | ({OPS})
+  | (\n)
   | (//[^\n]*)
   | (/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
-  | ([{L}]\w*)
   | ((?:[{D}][{D}_]*)?\.[{D}]+(?:[eE](?:[+-][{D}]*|[{D}]+))?
      | [{D}][{D}_]*[eE](?:[+-][{D}]*|[{D}]+))
   | (0[xX][0-9a-fA-F_]*|[{D}][{D}_]*)
@@ -92,14 +105,21 @@ _MASTER_TEMPLATE = r"""[ \t\r]*(?:
   | (`[^`]*`)
   | ('(?:\\.|[^\\])')
   | (["'`]|/\*)
-  | ({OPS})
   | ([^ \t\r])
   | (\Z)
 )"""
 
+#: One-character delimiters that start no longer operator: most operator
+#: matches, tried first as one character class.
+_DELIMITERS = "{}()[],;"
+
 
 def _compile_master(letters: str, digits: str) -> re.Pattern:
-    ops = "|".join(re.escape(op) for op in _OPERATORS)
+    # Operators come before comments and numbers: "/" must leave a comment
+    # its match, and "." a float.
+    lookaheads = {"/": "(?![/*])", ".": f"(?![{digits}])"}
+    ops = "|".join([f"[{re.escape(_DELIMITERS)}]"] + [
+        re.escape(op) + lookaheads.get(op, "") for op in _OPERATORS if op not in _DELIMITERS])
     return re.compile(_MASTER_TEMPLATE.format(L=letters, D=digits, OPS=ops), re.S | re.X)
 
 
@@ -141,65 +161,86 @@ def _unicode_master() -> re.Pattern:
     return _compile_master(_char_class(sorted(letters)), _char_class(sorted(digits)))
 
 
-#: Interned positions, shared by every token at the same (line, column).
-#: Bounded so that hostile input cannot grow it without limit.
-_POSITIONS: Dict[Tuple[int, int], Position] = {}
+#: Interned positions by line and then column, shared by every token at the
+#: same place.  A scan looks a line's row up once, so a token's lookup is by
+#: column alone.  Bounded so that hostile input cannot grow it without
+#: limit: a row is made only for a new position, and past ``_POSITIONS_MAX``
+#: positions the table starts over (a scan still holding a dropped row gets
+#: equal, unshared positions from it).
+_POSITIONS: Dict[int, Dict[int, Position]] = {}
 _POSITIONS_MAX = 1 << 14
+_interned = 0
+#: The row of a line that has no interned position yet (never written).
+_NO_ROW: Dict[int, Position] = {}
 
 
 def _position(line: int, column: int) -> Position:
-    key = (line, column)
-    pos = _POSITIONS.get(key)
+    global _interned
+    row = _POSITIONS.setdefault(line, {})
+    pos = row.get(column)
     if pos is None:
-        if len(_POSITIONS) >= _POSITIONS_MAX:
+        if _interned >= _POSITIONS_MAX:
             _POSITIONS.clear()
-        pos = _POSITIONS[key] = Position(line, column)
+            _interned = 0
+            row = _POSITIONS.setdefault(line, {})
+        pos = row[column] = Position(line, column)
+        _interned += 1
     return pos
 
 
 class Lexer:
-    """Convert Go source text into a list of :class:`Token` objects."""
+    """Convert Go source text into parallel lists of token kinds, texts and
+    positions."""
 
     def __init__(self, source: str, filename: str = "<source>"):
         self.source = source
         self.filename = filename
 
-    def tokenize(self, keep_comments: bool = False) -> List[Token]:
-        """Scan the full source and return the token list (ending with EOF)."""
+    def tokenize(self, keep_comments: bool = False
+                 ) -> Tuple[List[TokenKind], List[str], List[Position]]:
+        """Scan the full source into ``(kinds, texts, positions)``, one entry
+        per token in each list, ending with EOF."""
         source = self.source
         master = _ASCII_MASTER if source.isascii() else _unicode_master()
-        positions = _POSITIONS
-        tokens: List[Token] = []
-        append = tokens.append
+        kinds: List[TokenKind] = []
+        texts: List[str] = []
+        positions: List[Position] = []
+        add_kind, add_text, add_pos = kinds.append, texts.append, positions.append
+        rows = _POSITIONS
         line, line_start = 1, 0
+        row = rows.get(1, _NO_ROW)
         # Whether the last non-comment token lets a newline insert a semicolon.
         asi = False
         for m in master.finditer(source):
             group = m.lastindex
             if group == _NEWLINE:
-                start = m.end() - 1
+                end = m.end()
                 if asi:
-                    pos = _position(line, start - line_start + 1)
-                    append(Token(TokenKind.SEMICOLON, "\n", pos))
+                    add_kind(_SEMICOLON)
+                    add_text("\n")
+                    add_pos(_position(line, end - line_start))
                     asi = False
                 line += 1
-                line_start = start + 1
+                line_start = end
+                row = rows.get(line, _NO_ROW)
                 continue
-            start, end = m.span(group)
-            text = source[start:end]
+            start = m.start(group)
+            text = m[group]
             column = start - line_start + 1
-            pos = positions.get((line, column)) or _position(line, column)
+            pos = row.get(column) or _position(line, column)
             if group == _IDENT:
                 kind, asi = _WORDS.get(text, _IDENTIFIER)
             elif group == _OPERATOR:
                 kind, asi = _OPS[text]
             elif group == _INT:
-                kind, asi = TokenKind.INT, True
+                kind, asi = _INT_KIND, True
             elif group == _FLOAT:
-                kind, asi = TokenKind.FLOAT, True
+                kind, asi = _FLOAT_KIND, True
             elif group == _LINE_COMMENT:
                 if keep_comments:
-                    append(Token(TokenKind.COMMENT, text, pos))
+                    add_kind(_COMMENT)
+                    add_text(text)
+                    add_pos(pos)
                 continue
             elif group == _UNTERMINATED or group == _UNEXPECTED:
                 raise self._error(text, start)
@@ -209,13 +250,17 @@ class Lexer:
                 if "\n" in text:
                     line += text.count("\n")
                     line_start = start + text.rindex("\n") + 1
+                    row = rows.get(line, _NO_ROW)
                 if group == _BLOCK_COMMENT:
                     if keep_comments:
-                        append(Token(TokenKind.COMMENT, text, pos))
+                        add_kind(_COMMENT)
+                        add_text(text)
+                        add_pos(pos)
                     if asi and "\n" in text:
                         # A block comment containing a newline acts like a newline.
-                        end_pos = _position(line, end - line_start + 1)
-                        append(Token(TokenKind.SEMICOLON, "\n", end_pos))
+                        add_kind(_SEMICOLON)
+                        add_text("\n")
+                        add_pos(_position(line, start + len(text) - line_start + 1))
                         asi = False
                     continue
                 asi = True
@@ -227,12 +272,18 @@ class Lexer:
                     kind, text = TokenKind.STRING, text[1:-1]
                     if group == _STRING and "\\" in text:
                         text = _ESCAPE.sub(_unescape, text)
-            append(Token(kind, text, pos))
+            add_kind(kind)
+            add_text(text)
+            add_pos(pos)
         eof = _position(line, len(source) - line_start + 1)
         if asi:
-            append(Token(TokenKind.SEMICOLON, "\n", eof))
-        append(Token(TokenKind.EOF, "", eof))
-        return tokens
+            add_kind(_SEMICOLON)
+            add_text("\n")
+            add_pos(eof)
+        add_kind(TokenKind.EOF)
+        add_text("")
+        add_pos(eof)
+        return kinds, texts, positions
 
     def _error(self, text: str, offset: int) -> GoSyntaxError:
         """The error for the match ``text`` at ``offset``: an unterminated
@@ -254,10 +305,6 @@ class Lexer:
 
 
 def tokenize(source: str, filename: str = "<source>", keep_comments: bool = False) -> List[Token]:
-    """Tokenize ``source`` and return the token list."""
-    return Lexer(source, filename).tokenize(keep_comments=keep_comments)
-
-
-def iter_tokens(source: str, filename: str = "<source>") -> Iterator[Token]:
-    """Yield tokens one at a time (convenience wrapper around :func:`tokenize`)."""
-    yield from tokenize(source, filename)
+    """Tokenize ``source`` into :class:`Token` views, for tests and tools (the
+    parser reads :meth:`Lexer.tokenize`'s lists)."""
+    return list(map(Token, *Lexer(source, filename).tokenize(keep_comments)))

@@ -9,10 +9,13 @@ statements, composite literals (struct, slice, map), type declarations,
 pointers, variadic calls, and type assertions.
 
 Every pipeline stage re-parses Go source, so the token loop is kept tight.
-The cursor is the token list, ``index`` and the current token ``tok``; hot
-paths test ``tok.kind`` by identity against the token kinds bound below as
-module globals (``TokenKind.X`` is an attribute lookup through the enum
-metaclass, several times slower) and move the cursor in place.  A statement
+The lexer hands over three parallel lists (``kinds``, ``texts`` and
+``positions``); the cursor is ``index`` into them and the current token's
+kind ``kind``.  The cursor helpers return the index of the token they
+consume, and callers read its text or position from the lists.  Hot paths
+test ``kind`` by identity against the token kinds bound below as module
+globals (``TokenKind.X`` is an attribute lookup through the enum metaclass,
+several times slower) and move the cursor in place.  A statement
 dispatches on its first token through :data:`_STMT_PARSERS`, and a plain
 operand (an identifier or a literal) skips the unary → primary → operand
 chain.
@@ -25,8 +28,8 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import GoSyntaxError
 from repro.golang import ast_nodes as ast
-from repro.golang.lexer import tokenize
-from repro.golang.tokens import ASSIGN_OPS, PRECEDENCE, Position, Token, TokenKind
+from repro.golang.lexer import Lexer
+from repro.golang.tokens import ASSIGN_OPS, PRECEDENCE, Position, TokenKind
 
 (ADD, AND, ARROW, ASSIGN, BREAK, CASE, CHAN, CHAR, COLON, COMMA, CONST, CONTINUE,
  DEC, DEFAULT, DEFER, DEFINE, ELLIPSIS, ELSE, EOF, FALLTHROUGH, FLOAT, FOR, FUNC,
@@ -66,10 +69,10 @@ class Parser:
 
     def __init__(self, source: str, filename: str = "<source>"):
         self.filename = filename
-        self.tokens = tokenize(source, filename)
+        self.kinds, self.texts, self.positions = Lexer(source, filename).tokenize()
         self.index = 0
-        #: The current token, ``tokens[index]``; :meth:`advance` moves both.
-        self.tok: Token = self.tokens[0]
+        #: The current token's kind, ``kinds[index]``; :meth:`advance` moves both.
+        self.kind: TokenKind = self.kinds[0]
         # When > 0, a bare `{` following an identifier is NOT treated as a
         # composite literal (mirrors Go's rule for if/for/switch headers).
         self._no_composite = 0
@@ -78,76 +81,78 @@ class Parser:
     # Token-stream helpers
     # ------------------------------------------------------------------
 
-    def peek(self) -> Token:
-        """The token after the current one (EOF stays EOF)."""
-        if self.tok.kind is EOF:
-            return self.tok
-        return self.tokens[self.index + 1]
+    def peek(self) -> TokenKind:
+        """The kind of the token after the current one (EOF stays EOF)."""
+        if self.kind is EOF:
+            return EOF
+        return self.kinds[self.index + 1]
 
-    def advance(self) -> Token:
-        """Consume and return the current token; EOF is never consumed."""
-        token = self.tok
-        if token.kind is not EOF:
-            self.index += 1
-            self.tok = self.tokens[self.index]
-        return token
+    def advance(self) -> int:
+        """Consume the current token and return its index; EOF is never
+        consumed."""
+        index = self.index
+        if self.kind is not EOF:
+            self.index = index + 1
+            self.kind = self.kinds[index + 1]
+        return index
 
     def _seek(self, index: int) -> None:
         """Move the cursor back to ``index`` (for backtracking)."""
         self.index = index
-        self.tok = self.tokens[index]
+        self.kind = self.kinds[index]
 
-    def accept(self, kind: TokenKind) -> Optional[Token]:
+    def accept(self, kind: TokenKind) -> bool:
         """Consume the current token if it is a ``kind`` (never EOF)."""
-        token = self.tok
-        if token.kind is kind:
+        if self.kind is kind:
             self.index += 1
-            self.tok = self.tokens[self.index]
-            return token
-        return None
+            self.kind = self.kinds[self.index]
+            return True
+        return False
 
-    def expect(self, kind: TokenKind, context: str = "") -> Token:
-        """Consume the current token, which must be a ``kind`` (never EOF)."""
-        token = self.tok
-        if token.kind is kind:
-            self.index += 1
-            self.tok = self.tokens[self.index]
-            return token
+    def expect(self, kind: TokenKind, context: str = "") -> int:
+        """Consume the current token, which must be a ``kind`` (never EOF),
+        and return its index."""
+        index = self.index
+        if self.kind is kind:
+            self.index = index + 1
+            self.kind = self.kinds[index + 1]
+            return index
         where = f" in {context}" if context else ""
         raise self.error(
-            f"expected {kind.value!r}, found {token.kind.value!r} ({token.text!r}){where}"
+            f"expected {kind.value!r}, found {self.kind.value!r} ({self.texts[index]!r}){where}"
         )
 
     def error(self, message: str) -> GoSyntaxError:
-        return GoSyntaxError(message, self.filename, self.tok.line, self.tok.column)
+        pos = self.positions[self.index]
+        return GoSyntaxError(message, self.filename, pos.line, pos.column)
 
     def skip_semicolons(self) -> None:
-        if self.tok.kind is SEMICOLON:
+        if self.kind is SEMICOLON:
             # The token list ends with EOF, so the scan stops in range.
-            tokens = self.tokens
+            kinds = self.kinds
             index = self.index + 1
-            while tokens[index].kind is SEMICOLON:
+            while kinds[index] is SEMICOLON:
                 index += 1
             self.index = index
-            self.tok = tokens[index]
+            self.kind = kinds[index]
 
     def expect_semi(self) -> None:
         """Consume a statement terminator (semicolon/newline); ``}`` and ``)``
         implicitly terminate the previous statement."""
-        kind = self.tok.kind
+        kind = self.kind
         if kind is SEMICOLON:
             self.index += 1
-            self.tok = self.tokens[self.index]
+            self.kind = self.kinds[self.index]
         elif kind not in _STMT_CLOSERS:
             raise self.error(
-                f"expected ';' or newline, found {kind.value!r} ({self.tok.text!r})"
+                f"expected ';' or newline, found {kind.value!r} ({self.texts[self.index]!r})"
             )
 
     def _skip_type_params(self) -> None:
         """Skip a generic type-parameter list such as ``[T any]``."""
         depth = 0
         while True:
-            kind = self.tok.kind
+            kind = self.kind
             if kind is LBRACK:
                 depth += 1
             elif kind is RBRACK:
@@ -177,16 +182,16 @@ class Parser:
 
     def _parse_file(self) -> ast.File:
         self.skip_semicolons()
-        pos = self.tok.pos
+        pos = self.positions[self.index]
         self.expect(PACKAGE, "package clause")
-        package = self.expect(IDENT, "package clause").text
+        package = self.texts[self.expect(IDENT, "package clause")]
         self.expect_semi()
         file = ast.File(package=package, name=self.filename, pos=pos)
         self.skip_semicolons()
-        while self.tok.kind is IMPORT:
+        while self.kind is IMPORT:
             file.imports.extend(self._parse_import_decl())
             self.skip_semicolons()
-        while self.tok.kind is not EOF:
+        while self.kind is not EOF:
             file.decls.append(self.parse_decl())
             self.skip_semicolons()
         return file
@@ -196,7 +201,7 @@ class Parser:
         specs: List[ast.ImportSpec] = []
         if self.accept(LPAREN):
             self.skip_semicolons()
-            while self.tok.kind is not RPAREN:
+            while self.kind is not RPAREN:
                 specs.append(self._parse_import_spec())
                 self.skip_semicolons()
             self.expect(RPAREN)
@@ -206,56 +211,57 @@ class Parser:
         return specs
 
     def _parse_import_spec(self) -> ast.ImportSpec:
-        pos = self.tok.pos
+        pos = self.positions[self.index]
         name = None
-        if self.tok.kind is IDENT or self.tok.kind is PERIOD:
-            name = self.advance().text
-        path = self.expect(STRING, "import spec").text
+        if self.kind is IDENT or self.kind is PERIOD:
+            name = self.texts[self.advance()]
+        path = self.texts[self.expect(STRING, "import spec")]
         return ast.ImportSpec(path=path, name=name, pos=pos)
 
     def parse_decl(self) -> ast.Decl:
         """Parse a top-level declaration."""
-        kind = self.tok.kind
+        kind = self.kind
         if kind is FUNC:
             return self._parse_func_decl()
         if kind in _DECL_KEYWORDS:
             return self._parse_gen_decl()
         if kind is IMPORT:
             specs = self._parse_import_decl()
-            return ast.GenDecl(tok="import", specs=list(specs), pos=specs[0].pos if specs else self.tok.pos)
-        raise self.error(f"expected declaration, found {self.tok.text!r}")
+            pos = specs[0].pos if specs else self.positions[self.index]
+            return ast.GenDecl(tok="import", specs=list(specs), pos=pos)
+        raise self.error(f"expected declaration, found {self.texts[self.index]!r}")
 
     def _parse_gen_decl(self) -> ast.GenDecl:
-        tok = self.advance()
-        keyword = tok.text  # a keyword token's text is its spelling
+        index = self.advance()
+        keyword = self.texts[index]  # a keyword token's text is its spelling
         specs: List[ast.Node] = []
         if self.accept(LPAREN):
             self.skip_semicolons()
-            while self.tok.kind is not RPAREN:
+            while self.kind is not RPAREN:
                 specs.append(self._parse_spec(keyword))
                 self.skip_semicolons()
             self.expect(RPAREN)
         else:
             specs.append(self._parse_spec(keyword))
-        return ast.GenDecl(tok=keyword, specs=specs, pos=tok.pos)
+        return ast.GenDecl(tok=keyword, specs=specs, pos=self.positions[index])
 
     def _parse_spec(self, keyword: str) -> ast.Node:
-        pos = self.tok.pos
+        pos = self.positions[self.index]
         if keyword == "type":
-            name = self.expect(IDENT, "type declaration").text
+            name = self.texts[self.expect(IDENT, "type declaration")]
             # Skip a generic type-parameter list if present, e.g. `Scanner[ROW any]`.
-            if self.tok.kind is LBRACK:
+            if self.kind is LBRACK:
                 self._skip_type_params()
             self.accept(ASSIGN)  # type alias
             type_ = self.parse_type()
             return ast.TypeSpec(name=name, type_=type_, pos=pos)
         # var / const
-        names = [self.expect(IDENT, f"{keyword} declaration").text]
+        names = [self.texts[self.expect(IDENT, f"{keyword} declaration")]]
         while self.accept(COMMA):
-            names.append(self.expect(IDENT).text)
+            names.append(self.texts[self.expect(IDENT)])
         type_ = None
         values: List[ast.Expr] = []
-        kind = self.tok.kind
+        kind = self.kind
         if not (kind is ASSIGN or kind is SEMICOLON or kind is RPAREN or kind is EOF):
             type_ = self.parse_type()
         if self.accept(ASSIGN):
@@ -263,33 +269,33 @@ class Parser:
         return ast.ValueSpec(names=names, type_=type_, values=values, pos=pos)
 
     def _parse_func_decl(self) -> ast.FuncDecl:
-        pos = self.expect(FUNC).pos
+        pos = self.positions[self.expect(FUNC)]
         recv = None
-        if self.tok.kind is LPAREN:
+        if self.kind is LPAREN:
             recv_fields = self._parse_param_list()
             recv = recv_fields[0] if recv_fields else None
-        name = self.expect(IDENT, "function declaration").text
+        name = self.texts[self.expect(IDENT, "function declaration")]
         # Skip a generic type-parameter list, e.g. `func F[T any](...)`.
-        if self.tok.kind is LBRACK:
+        if self.kind is LBRACK:
             self._skip_type_params()
         type_ = self._parse_func_signature()
         body = None
-        if self.tok.kind is LBRACE:
+        if self.kind is LBRACE:
             body = self.parse_block()
         return ast.FuncDecl(recv=recv, name=name, type_=type_, body=body, pos=pos)
 
     def _parse_func_signature(self) -> ast.FuncType:
-        pos = self.tok.pos
+        pos = self.positions[self.index]
         params = self._parse_param_list()
         results: List[ast.Field] = []
-        kind = self.tok.kind
+        kind = self.kind
         if kind is LPAREN:
             results = self._parse_param_list()
         elif kind in _TYPE_START:
             # Single unparenthesized result type (the function body's `{` is
             # not a type start, so it is never misread as a struct literal).
             # The field's position is read after its type is parsed.
-            results = [ast.Field(type_=self.parse_type(), pos=self.tok.pos)]
+            results = [ast.Field(type_=self.parse_type(), pos=self.positions[self.index])]
         return ast.FuncType(params=params, results=results, pos=pos)
 
     def _parse_param_list(self) -> List[ast.Field]:
@@ -303,16 +309,16 @@ class Parser:
                 fields.append(ast.Field(type_=item, pos=item.pos))
             pending.clear()
 
-        while self.tok.kind is not RPAREN:
+        while self.kind is not RPAREN:
             self.skip_semicolons()
-            tok = self.tok
-            if tok.kind is RPAREN:
+            kind = self.kind
+            if kind is RPAREN:
                 break
-            pos = tok.pos
-            following = self.peek().kind if tok.kind is IDENT else None
+            pos = self.positions[self.index]
+            following = self.peek() if kind is IDENT else None
             if following is COMMA or following is RPAREN:
                 # Could be a bare type or a name whose type appears later in the group.
-                pending.append(ast.Ident(name=self.advance().text, pos=pos))
+                pending.append(ast.Ident(name=self.texts[self.advance()], pos=pos))
             elif following is PERIOD:
                 # Qualified type such as `pkg.Type` — unambiguous bare type.
                 type_ = self.parse_type()
@@ -320,14 +326,14 @@ class Parser:
                 fields.append(ast.Field(type_=type_, pos=pos))
             elif following in _TYPE_START:
                 # `name Type` — all pending identifiers are names of the same type.
-                name = self.advance().text
-                variadic = self.accept(ELLIPSIS) is not None
+                name = self.texts[self.advance()]
+                variadic = self.accept(ELLIPSIS)
                 type_ = self.parse_type()
                 names = [item.name for item in pending] + [name]
                 pending.clear()
                 fields.append(ast.Field(names=names, type_=type_, variadic=variadic, pos=pos))
             else:
-                variadic = self.accept(ELLIPSIS) is not None
+                variadic = self.accept(ELLIPSIS)
                 type_ = self.parse_type()
                 flush_pending_as_types()
                 fields.append(ast.Field(type_=type_, variadic=variadic, pos=pos))
@@ -343,17 +349,17 @@ class Parser:
 
     def parse_type(self) -> ast.Expr:
         """Parse a type expression."""
-        pos = self.tok.pos
-        kind = self.tok.kind
+        pos = self.positions[self.index]
+        kind = self.kind
         if kind is IDENT:
-            expr: ast.Expr = ast.Ident(name=self.advance().text, pos=pos)
-            while self.tok.kind is PERIOD:
+            expr: ast.Expr = ast.Ident(name=self.texts[self.advance()], pos=pos)
+            while self.kind is PERIOD:
                 self.advance()
-                sel = self.expect(IDENT, "qualified type").text
+                sel = self.texts[self.expect(IDENT, "qualified type")]
                 expr = ast.SelectorExpr(x=expr, sel=sel, pos=pos)
             # Generic instantiation such as `Foo[Bar]` — record only the base type.
-            if self.tok.kind is LBRACK:
-                following = self.peek().kind
+            if self.kind is LBRACK:
+                following = self.peek()
                 if following in _TYPE_START and following is not LBRACK:
                     save = self.index
                     try:
@@ -370,7 +376,7 @@ class Parser:
         if kind is LBRACK:
             self.advance()
             length = None
-            if self.tok.kind is not RBRACK:
+            if self.kind is not RBRACK:
                 length = self.parse_expression()
             self.expect(RBRACK, "array/slice type")
             return ast.ArrayType(elt=self.parse_type(), length=length, pos=pos)
@@ -397,21 +403,21 @@ class Parser:
             return self._parse_interface_type()
         if kind is ELLIPSIS:
             self.advance()
-            elt = self.parse_type() if self.tok.kind in _TYPE_START else None
+            elt = self.parse_type() if self.kind in _TYPE_START else None
             return ast.Ellipsis(elt=elt, pos=pos)
         if kind is LPAREN:
             self.advance()
             inner = self.parse_type()
             self.expect(RPAREN)
             return ast.ParenExpr(x=inner, pos=pos)
-        raise self.error(f"expected type, found {self.tok.text!r}")
+        raise self.error(f"expected type, found {self.texts[self.index]!r}")
 
     def _parse_struct_type(self) -> ast.StructType:
-        pos = self.expect(STRUCT).pos
+        pos = self.positions[self.expect(STRUCT)]
         self.expect(LBRACE, "struct type")
         fields: List[ast.Field] = []
         self.skip_semicolons()
-        while self.tok.kind is not RBRACE:
+        while self.kind is not RBRACE:
             fields.append(self._parse_struct_field())
             self.expect_semi()
             self.skip_semicolons()
@@ -419,14 +425,14 @@ class Parser:
         return ast.StructType(fields=fields, pos=pos)
 
     def _parse_struct_field(self) -> ast.Field:
-        pos = self.tok.pos
-        if self.tok.kind is IDENT and self.peek().kind in _FIELD_NAME_FOLLOW:
+        pos = self.positions[self.index]
+        if self.kind is IDENT and self.peek() in _FIELD_NAME_FOLLOW:
             # Could still be an embedded qualified type (`pkg.Type`).
-            if self.peek().kind is PERIOD:
+            if self.peek() is PERIOD:
                 return ast.Field(type_=self.parse_type(), pos=pos)
-            names = [self.advance().text]
+            names = [self.texts[self.advance()]]
             while self.accept(COMMA):
-                names.append(self.expect(IDENT, "struct field").text)
+                names.append(self.texts[self.expect(IDENT, "struct field")])
             type_ = self.parse_type()
             self.accept(STRING)  # optional struct tag
             return ast.Field(names=names, type_=type_, pos=pos)
@@ -436,21 +442,21 @@ class Parser:
         return ast.Field(type_=type_, pos=pos)
 
     def _parse_interface_type(self) -> ast.InterfaceType:
-        pos = self.expect(INTERFACE).pos
+        pos = self.positions[self.expect(INTERFACE)]
         self.expect(LBRACE, "interface type")
         methods: List[ast.Field] = []
         self.skip_semicolons()
-        while self.tok.kind is not RBRACE:
-            mpos = self.tok.pos
-            name = self.expect(IDENT, "interface method").text
-            if self.tok.kind is LPAREN:
+        while self.kind is not RBRACE:
+            mpos = self.positions[self.index]
+            name = self.texts[self.expect(IDENT, "interface method")]
+            if self.kind is LPAREN:
                 sig = self._parse_func_signature()
                 methods.append(ast.Field(names=[name], type_=sig, pos=mpos))
             else:
                 # Embedded interface.
                 expr: ast.Expr = ast.Ident(name=name, pos=mpos)
                 while self.accept(PERIOD):
-                    expr = ast.SelectorExpr(x=expr, sel=self.expect(IDENT).text, pos=mpos)
+                    expr = ast.SelectorExpr(x=expr, sel=self.texts[self.expect(IDENT)], pos=mpos)
                 methods.append(ast.Field(type_=expr, pos=mpos))
             self.expect_semi()
             self.skip_semicolons()
@@ -462,30 +468,31 @@ class Parser:
     # ------------------------------------------------------------------
 
     def parse_block(self) -> ast.BlockStmt:
-        pos = self.expect(LBRACE, "block").pos
+        pos = self.positions[self.expect(LBRACE, "block")]
         stmts: List[ast.Stmt] = []
         self.skip_semicolons()
-        kind = self.tok.kind
+        kind = self.kind
         while kind is not RBRACE and kind is not EOF:
             stmts.append(self.parse_stmt())
             self.skip_semicolons()
-            kind = self.tok.kind
+            kind = self.kind
         self.expect(RBRACE, "block")
         return ast.BlockStmt(stmts=stmts, pos=pos)
 
     def parse_stmt(self) -> ast.Stmt:
         """Parse a single statement (terminator consumed)."""
-        tok = self.tok
-        kind = tok.kind
+        kind = self.kind
         if kind is IDENT:
-            if self.tokens[self.index + 1].kind is COLON:
-                self.index += 2  # the label and ':'
-                self.tok = self.tokens[self.index]
+            index = self.index
+            if self.kinds[index + 1] is COLON:
+                self.index = index + 2  # the label and ':'
+                self.kind = self.kinds[index + 2]
                 self.skip_semicolons()
                 stmt = self.parse_stmt()
+                label = self.texts[index]
                 if isinstance(stmt, (ast.ForStmt, ast.RangeStmt)):
-                    stmt.label = tok.text  # what labeled break/continue match against
-                return ast.LabeledStmt(label=tok.text, stmt=stmt, pos=tok.pos)
+                    stmt.label = label  # what labeled break/continue match against
+                return ast.LabeledStmt(label=label, stmt=stmt, pos=self.positions[index])
         elif kind is LBRACE:
             # Parsed here, not through the table, so that each nested block
             # costs two stack frames.
@@ -501,58 +508,57 @@ class Parser:
         return stmt
 
     def _parse_decl_stmt(self) -> ast.DeclStmt:
-        pos = self.tok.pos
+        pos = self.positions[self.index]
         decl = self._parse_gen_decl()
         self.expect_semi()
         return ast.DeclStmt(decl=decl, pos=pos)
 
     def _parse_go_or_defer(self) -> ast.Stmt:
-        tok = self.advance()
+        stmt_cls = ast.GoStmt if self.kind is GO else ast.DeferStmt
+        pos = self.positions[self.advance()]
         call = self.parse_expression()
         self.expect_semi()
-        stmt_cls = ast.GoStmt if tok.kind is GO else ast.DeferStmt
-        return stmt_cls(call=_as_call(call, tok.pos), pos=tok.pos)
+        return stmt_cls(call=_as_call(call, pos), pos=pos)
 
     def _parse_return_stmt(self) -> ast.ReturnStmt:
-        pos = self.advance().pos
+        pos = self.positions[self.advance()]
         results: List[ast.Expr] = []
-        kind = self.tok.kind
+        kind = self.kind
         if kind is not SEMICOLON and kind is not RBRACE:
             results = self.parse_expr_list()
         self.expect_semi()
         return ast.ReturnStmt(results=results, pos=pos)
 
     def _parse_branch_stmt(self) -> ast.BranchStmt:
-        tok = self.advance()
+        index = self.advance()
         label = None
-        if self.tok.kind is IDENT:
-            label = self.advance().text
+        if self.kind is IDENT:
+            label = self.texts[self.advance()]
         self.expect_semi()
-        return ast.BranchStmt(tok=tok.text, label=label, pos=tok.pos)
+        return ast.BranchStmt(tok=self.texts[index], label=label, pos=self.positions[index])
 
     def _parse_empty_stmt(self) -> ast.EmptyStmt:
-        return ast.EmptyStmt(pos=self.advance().pos)
+        return ast.EmptyStmt(pos=self.positions[self.advance()])
 
     def parse_simple_stmt(self, allow_range: bool = False) -> ast.Stmt:
         """Parse a simple statement (no terminator): expression, send,
         inc/dec, assignment, or short variable declaration."""
-        pos = self.tok.pos
+        pos = self.positions[self.index]
         lhs = self.parse_expr_list()
-        op_token = self.tok
-        kind = op_token.kind
+        kind = self.kind
         if kind in _ASSIGN_KINDS:
+            op_text = self.texts[self.index]
             self.index += 1
-            self.tok = self.tokens[self.index]
-            if allow_range and self.tok.kind is RANGE:
+            self.kind = self.kinds[self.index]
+            if allow_range and self.kind is RANGE:
                 # Leave `range` for the caller (for-statement) to interpret.
                 self.advance()
                 x = self.parse_expression()
                 key = lhs[0] if lhs else None
                 value = lhs[1] if len(lhs) > 1 else None
-                return ast.RangeStmt(key=key, value=value, tok=op_token.text, x=x, pos=pos)
+                return ast.RangeStmt(key=key, value=value, tok=op_text, x=x, pos=pos)
             rhs = self.parse_expr_list()
-            tok_text = op_token.text if kind is not DEFINE else ":="
-            return ast.AssignStmt(lhs=lhs, tok=tok_text, rhs=rhs, pos=pos)
+            return ast.AssignStmt(lhs=lhs, tok=op_text, rhs=rhs, pos=pos)
         if len(lhs) != 1:
             raise self.error("expected assignment after expression list")
         expr = lhs[0]
@@ -561,12 +567,12 @@ class Parser:
             value = self.parse_expression()
             return ast.SendStmt(chan=expr, value=value, pos=pos)
         if kind is INC or kind is DEC:
-            op = self.advance().text
+            op = self.texts[self.advance()]
             return ast.IncDecStmt(x=expr, op=op, pos=pos)
         return ast.ExprStmt(x=expr, pos=pos)
 
     def _parse_if(self) -> ast.IfStmt:
-        pos = self.expect(IF).pos
+        pos = self.positions[self.expect(IF)]
         self._no_composite += 1
         try:
             init: Optional[ast.Stmt] = None
@@ -583,21 +589,21 @@ class Parser:
         body = self.parse_block()
         else_: Optional[ast.Stmt] = None
         if self.accept(ELSE):
-            if self.tok.kind is IF:
+            if self.kind is IF:
                 else_ = self._parse_if()
             else:
                 else_ = self.parse_block()
-        if self.tok.kind is not ELSE:
+        if self.kind is not ELSE:
             self.expect_semi()
         return ast.IfStmt(init=init, cond=cond, body=body, else_=else_, pos=pos)
 
     def _parse_for(self) -> ast.Stmt:
-        pos = self.expect(FOR).pos
+        pos = self.positions[self.expect(FOR)]
         self._no_composite += 1
         try:
             init = cond = post = None
             range_stmt = None
-            if self.tok.kind is LBRACE:
+            if self.kind is LBRACE:
                 pass
             elif self.accept(RANGE):
                 # `for range x {`
@@ -610,10 +616,10 @@ class Parser:
                 elif self.accept(SEMICOLON):
                     # Three-clause loop.
                     init = first
-                    if self.tok.kind is not SEMICOLON:
+                    if self.kind is not SEMICOLON:
                         cond = self.parse_expression()
                     self.expect(SEMICOLON, "for statement")
-                    if self.tok.kind is not LBRACE:
+                    if self.kind is not LBRACE:
                         post = self.parse_simple_stmt()
                 else:
                     # Condition-only loop.
@@ -630,16 +636,16 @@ class Parser:
         return ast.ForStmt(init=init, cond=cond, post=post, body=body, pos=pos)
 
     def _parse_switch(self) -> ast.SwitchStmt:
-        pos = self.expect(SWITCH).pos
+        pos = self.positions[self.expect(SWITCH)]
         init: Optional[ast.Stmt] = None
         tag: Optional[ast.Expr] = None
         self._no_composite += 1
         try:
-            if self.tok.kind is not LBRACE:
+            if self.kind is not LBRACE:
                 stmt = self.parse_simple_stmt()
                 if self.accept(SEMICOLON):
                     init = stmt
-                    if self.tok.kind is not LBRACE:
+                    if self.kind is not LBRACE:
                         tag_stmt = self.parse_simple_stmt()
                         if isinstance(tag_stmt, ast.ExprStmt):
                             tag = tag_stmt.x
@@ -652,8 +658,8 @@ class Parser:
         self.expect(LBRACE, "switch statement")
         cases: List[ast.CaseClause] = []
         self.skip_semicolons()
-        while self.tok.kind is not RBRACE and self.tok.kind is not EOF:
-            cpos = self.tok.pos
+        while self.kind is not RBRACE and self.kind is not EOF:
+            cpos = self.positions[self.index]
             exprs: List[ast.Expr] = []
             if self.accept(CASE):
                 exprs = self.parse_expr_list()
@@ -666,12 +672,12 @@ class Parser:
         return ast.SwitchStmt(init=init, tag=tag, cases=cases, pos=pos)
 
     def _parse_select(self) -> ast.SelectStmt:
-        pos = self.expect(SELECT).pos
+        pos = self.positions[self.expect(SELECT)]
         self.expect(LBRACE, "select statement")
         cases: List[ast.CommClause] = []
         self.skip_semicolons()
-        while self.tok.kind is not RBRACE and self.tok.kind is not EOF:
-            cpos = self.tok.pos
+        while self.kind is not RBRACE and self.kind is not EOF:
+            cpos = self.positions[self.index]
             comm: Optional[ast.Stmt] = None
             if self.accept(CASE):
                 comm = self.parse_simple_stmt()
@@ -687,7 +693,7 @@ class Parser:
         """The statements of a switch or select clause, after its ``:``."""
         body: List[ast.Stmt] = []
         self.skip_semicolons()
-        while self.tok.kind not in _CLAUSE_END:
+        while self.kind not in _CLAUSE_END:
             body.append(self.parse_stmt())
             self.skip_semicolons()
         return body
@@ -698,55 +704,57 @@ class Parser:
 
     def parse_expr_list(self) -> List[ast.Expr]:
         exprs = [self.parse_expression()]
-        while self.tok.kind is COMMA:
+        while self.kind is COMMA:
             self.index += 1
-            self.tok = self.tokens[self.index]
+            self.kind = self.kinds[self.index]
             exprs.append(self.parse_expression())
         return exprs
 
     def parse_expression(self, min_prec: int = 1) -> ast.Expr:
         """Precedence-climbing binary expression parser."""
-        token = self.tok
-        kind = token.kind
+        kind = self.kind
         if kind is IDENT or kind in _LITERALS:
             # A plain operand: build it here rather than through
             # parse_unary → parse_operand → _parse_postfix.
-            self.index += 1
-            self.tok = self.tokens[self.index]
+            index = self.index
+            self.index = index + 1
+            self.kind = self.kinds[index + 1]
             if kind is IDENT:
-                left: ast.Expr = ast.Ident(name=token.text, pos=token.pos)
+                left: ast.Expr = ast.Ident(name=self.texts[index], pos=self.positions[index])
             else:
-                left = ast.BasicLit(kind=_LITERALS[kind], value=token.text, pos=token.pos)
-            if self.tok.kind in _POSTFIX:
+                left = ast.BasicLit(kind=_LITERALS[kind], value=self.texts[index],
+                                    pos=self.positions[index])
+            if self.kind in _POSTFIX:
                 left = self._parse_postfix(left)
         else:
             left = self.parse_unary()
-        prec = PRECEDENCE.get(self.tok.kind, 0)
+        prec = PRECEDENCE.get(self.kind, 0)
         while prec >= min_prec:
-            op = self.tok
+            op = self.texts[self.index]
             self.index += 1
-            self.tok = self.tokens[self.index]
+            self.kind = self.kinds[self.index]
             right = self.parse_expression(prec + 1)
-            left = ast.BinaryExpr(x=left, op=op.text, y=right, pos=left.pos)
-            prec = PRECEDENCE.get(self.tok.kind, 0)
+            left = ast.BinaryExpr(x=left, op=op, y=right, pos=left.pos)
+            prec = PRECEDENCE.get(self.kind, 0)
         return left
 
     def parse_unary(self) -> ast.Expr:
-        token = self.tok
-        if token.kind in _UNARY_OPS:
-            self.index += 1
-            self.tok = self.tokens[self.index]
+        kind = self.kind
+        if kind in _UNARY_OPS:
+            index = self.index
+            self.index = index + 1
+            self.kind = self.kinds[index + 1]
             operand = self.parse_unary()
-            if token.kind is MUL:
-                return ast.StarExpr(x=operand, pos=token.pos)
-            return ast.UnaryExpr(op=token.text, x=operand, pos=token.pos)
+            if kind is MUL:
+                return ast.StarExpr(x=operand, pos=self.positions[index])
+            return ast.UnaryExpr(op=self.texts[index], x=operand, pos=self.positions[index])
         return self._parse_postfix(self.parse_operand())
 
     def _parse_postfix(self, expr: ast.Expr) -> ast.Expr:
         """Selectors, calls, index and slice expressions, type assertions and
         composite literals following the primary expression ``expr``."""
         while True:
-            kind = self.tok.kind
+            kind = self.kind
             if kind is PERIOD:
                 self.advance()
                 if self.accept(LPAREN):
@@ -757,7 +765,7 @@ class Parser:
                     self.expect(RPAREN, "type assertion")
                     expr = ast.TypeAssertExpr(x=expr, type_=type_, pos=expr.pos)
                 else:
-                    sel = self.expect(IDENT, "selector").text
+                    sel = self.texts[self.expect(IDENT, "selector")]
                     expr = ast.SelectorExpr(x=expr, sel=sel, pos=expr.pos)
             elif kind is LPAREN:
                 self.advance()
@@ -766,9 +774,9 @@ class Parser:
                 # Parentheses re-enable composite literals in a statement header.
                 saved, self._no_composite = self._no_composite, 0
                 try:
-                    while self.tok.kind is not RPAREN:
+                    while self.kind is not RPAREN:
                         self.skip_semicolons()
-                        if self.tok.kind is RPAREN:
+                        if self.kind is RPAREN:
                             break
                         args.append(self.parse_arg())
                         if self.accept(ELLIPSIS):
@@ -785,11 +793,11 @@ class Parser:
                 saved, self._no_composite = self._no_composite, 0
                 try:
                     low: Optional[ast.Expr] = None
-                    if self.tok.kind is not COLON:
+                    if self.kind is not COLON:
                         low = self.parse_expression()
                     if self.accept(COLON):
                         high: Optional[ast.Expr] = None
-                        if self.tok.kind is not RBRACK:
+                        if self.kind is not RBRACK:
                             high = self.parse_expression()
                         self.expect(RBRACK, "slice expression")
                         expr = ast.SliceExpr(x=expr, low=low, high=high, pos=expr.pos)
@@ -806,27 +814,27 @@ class Parser:
     def parse_arg(self) -> ast.Expr:
         """Parse a call argument, which may be a type expression (``make``,
         ``new``, conversions to slice/map/chan types)."""
-        kind = self.tok.kind
+        kind = self.kind
         if kind in _TYPE_OPERANDS:
             type_expr = self.parse_type()
             # A composite literal may follow a slice/map/struct type argument.
-            if self.tok.kind is LBRACE:
+            if self.kind is LBRACE:
                 return self._parse_composite_lit(type_expr)
             return type_expr
-        if kind is FUNC and self.peek().kind is LPAREN:
+        if kind is FUNC and self.peek() is LPAREN:
             return self._parse_func_lit_or_type()
         return self.parse_expression()
 
     def parse_operand(self) -> ast.Expr:
-        token = self.tok
-        kind = token.kind
-        pos = token.pos
+        kind = self.kind
+        index = self.index
+        pos = self.positions[index]
         if kind is IDENT:
             self.advance()
-            return ast.Ident(name=token.text, pos=pos)
+            return ast.Ident(name=self.texts[index], pos=pos)
         if kind in _LITERALS:
             self.advance()
-            return ast.BasicLit(kind=_LITERALS[kind], value=token.text, pos=pos)
+            return ast.BasicLit(kind=_LITERALS[kind], value=self.texts[index], pos=pos)
         if kind is LPAREN:
             self.advance()
             saved, self._no_composite = self._no_composite, 0
@@ -840,15 +848,15 @@ class Parser:
             return self._parse_func_lit_or_type()
         if kind in _TYPE_OPERANDS:
             type_expr = self.parse_type()
-            if self.tok.kind is LBRACE:
+            if self.kind is LBRACE:
                 return self._parse_composite_lit(type_expr)
             return type_expr
-        raise self.error(f"expected expression, found {kind.value!r} ({token.text!r})")
+        raise self.error(f"expected expression, found {kind.value!r} ({self.texts[index]!r})")
 
     def _parse_func_lit_or_type(self) -> ast.Expr:
-        pos = self.expect(FUNC).pos
+        pos = self.positions[self.expect(FUNC)]
         sig = self._parse_func_signature()
-        if self.tok.kind is LBRACE:
+        if self.kind is LBRACE:
             body = self.parse_block()
             return ast.FuncLit(type_=sig, body=body, pos=pos)
         sig.pos = pos
@@ -864,13 +872,13 @@ class Parser:
         return isinstance(expr, (ast.Ident, ast.SelectorExpr))
 
     def _parse_composite_lit(self, type_expr: Optional[ast.Expr]) -> ast.CompositeLit:
-        pos = self.expect(LBRACE, "composite literal").pos
+        pos = self.positions[self.expect(LBRACE, "composite literal")]
         elts: List[ast.Expr] = []
         # Braces re-enable composite literals in a statement header.
         saved, self._no_composite = self._no_composite, 0
         try:
             self.skip_semicolons()
-            while self.tok.kind is not RBRACE and self.tok.kind is not EOF:
+            while self.kind is not RBRACE and self.kind is not EOF:
                 elts.append(self._parse_composite_elt())
                 if not self.accept(COMMA):
                     self.skip_semicolons()
@@ -883,13 +891,13 @@ class Parser:
                                 pos=type_expr.pos if type_expr is not None else pos)
 
     def _parse_composite_elt(self) -> ast.Expr:
-        pos = self.tok.pos
-        if self.tok.kind is LBRACE:
+        pos = self.positions[self.index]
+        if self.kind is LBRACE:
             # Nested literal with elided type.
             return self._parse_composite_lit(None)
         value = self.parse_arg()
         if self.accept(COLON):
-            if self.tok.kind is LBRACE:
+            if self.kind is LBRACE:
                 inner: ast.Expr = self._parse_composite_lit(None)
             else:
                 inner = self.parse_arg()
@@ -954,7 +962,7 @@ def parse_expr(source: str) -> ast.Expr:
     except RecursionError:
         raise parser.error("nesting too deep") from None
     parser.skip_semicolons()
-    if parser.tok.kind is not EOF:
+    if parser.kind is not EOF:
         raise parser.error("unexpected trailing tokens after expression")
     return expr
 

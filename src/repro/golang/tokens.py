@@ -1,4 +1,4 @@
-"""Token kinds and the :class:`Token` value object for the Go-subset lexer."""
+"""Token kinds, positions and the :class:`Token` view for the Go-subset lexer."""
 
 from __future__ import annotations
 
@@ -195,10 +195,9 @@ class Position:
 
 @dataclass(slots=True)
 class Token:
-    """A single lexical token.
-
-    Not frozen: a frozen dataclass costs several times more to build, and
-    the lexer builds one per token.  Tokens are not shared between parsers.
+    """A view of one lexical token, built by :func:`repro.golang.lexer.tokenize`
+    for tests and tools.  The lexer itself returns parallel lists of kinds,
+    texts and positions, and the parser reads those.
 
     Attributes
     ----------

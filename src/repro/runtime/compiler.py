@@ -54,7 +54,7 @@ import hashlib
 import math
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import AbstractSet, Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.errors import GoPanic, GoRuntimeError, GoSyntaxError
 from repro.golang import ast_nodes as ast
@@ -322,7 +322,10 @@ class _ProgramMeta:
     ``elidable`` is the slicer's verdict (``id()`` of identifier nodes whose
     binding is provably single-goroutine, see :mod:`repro.golang.slicing`);
     the lowering pass drops the schedule point and detector hook on those
-    accesses.  Empty when slicing is off.
+    accesses.  It grows as declarations lower: each declaration's slice is
+    added when :meth:`CompiledProgram.callable_entry` first lowers it, before
+    any of its nodes, and its nodes are the only ones its verdict names.
+    Empty when slicing is off.
 
     ``depth`` is the deepest AST level in the program (see
     :data:`_LAZY_MAX_DEPTH`).
@@ -331,8 +334,8 @@ class _ProgramMeta:
     __slots__ = ("bound_names", "imported_names", "elidable", "depth", "funcs",
                  "methods", "types", "func_files", "global_specs")
 
-    def __init__(self, files: List[ast.File], elidable: frozenset = frozenset()):
-        self.elidable = elidable
+    def __init__(self, files: List[ast.File]):
+        self.elidable: Set[int] = set()
         self.bound_names, self.depth = _bound_names_in(files)
         self.imported_names = frozenset(
             spec.name or spec.path.split("/")[-1]
@@ -1466,7 +1469,7 @@ def compile_assign_target(target: ast.Expr, define: bool, code: CodeCache) -> Co
 
 
 def _lower_target(target: ast.Expr, define: bool, code: CodeCache,
-                  elidable: frozenset) -> Code:
+                  elidable: AbstractSet[int]) -> Code:
     """:func:`compile_assign_target` with the set of identifier nodes whose
     writes may skip the detector (``select`` receives pass an empty one)."""
     if isinstance(target, ast.Ident):
@@ -2343,9 +2346,10 @@ class CompiledProgram:
     """Parsed files, their whole-program facts and the shared code cache,
     reused across runs.
 
-    ``slicing`` selects the lowering mode: with it on, each function's slice
-    feeds the meta's elidable set and pure-local accesses lower without
-    schedule points or detector hooks.
+    ``slicing`` selects the lowering mode: with it on, each function
+    declaration is sliced when it first lowers, its slice feeds the meta's
+    elidable set, and pure-local accesses lower without schedule points or
+    detector hooks.  A declaration that is never called is never sliced.
 
     Construction computes the whole-program facts (:class:`_ProgramMeta`,
     also ``meta``) and lowers nothing else: a function body lowers on its
@@ -2360,25 +2364,16 @@ class CompiledProgram:
     node yields an equivalent closure, so a racing thread that lowers a node
     again and overwrites the entry changes nothing observable."""
 
-    __slots__ = ("files", "code", "slicing", "meta")
+    __slots__ = ("files", "code", "slicing", "meta", "_package_scope")
 
     def __init__(self, files: List[ast.File], slicing: bool = False):
         self.files = list(files)
         self.slicing = slicing
         self.code: CodeCache = {}
-        elidable: frozenset = frozenset()
-        if slicing:
-            package_scope = package_scope_bindings(self.files)
-            parts = [
-                slice_function(decl, file.name, package_scope).elidable
-                for file in self.files
-                for decl in file.func_decls()
-                if decl.body is not None
-            ]
-            if parts:
-                elidable = frozenset().union(*parts)
+        #: The package-level bindings every slice resolves against.
+        self._package_scope = package_scope_bindings(self.files) if slicing else None
         # Static whole-program facts must be in place before lowering starts.
-        meta = self.meta = self.code[_META_KEY] = _ProgramMeta(self.files, elidable)
+        meta = self.meta = self.code[_META_KEY] = _ProgramMeta(self.files)
         if meta.depth > _LAZY_MAX_DEPTH:
             self._lower_all()
 
@@ -2412,6 +2407,9 @@ class CompiledProgram:
         ``(body, needs scope, params, results, flat params, line, file, name,
         receiver names)``.
 
+        A declaration's slice joins the elidable set here, before its body
+        lowers (slicing on).
+
         ``body`` and ``needs scope`` are the body block's parts (see
         :func:`_block_parts`): the call runs the statements itself, one
         generator level fewer than running the block's code.
@@ -2431,6 +2429,10 @@ class CompiledProgram:
             if func.recv is not None:
                 recv_names = tuple(func.recv.names)
                 name = f"{_receiver_type_name(func.recv)}.{func.name}"
+            if body is not None and self._package_scope is not None:
+                # A racing thread may slice it again; the verdict is the same.
+                self.meta.elidable.update(
+                    slice_function(func, file_name, self._package_scope).elidable)
         stmt_codes, needs_scope = (_block_parts(body, self.code) if body is not None
                                    else (None, False))
         entry = (stmt_codes, needs_scope, params, results, flat_params,

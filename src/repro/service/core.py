@@ -25,10 +25,12 @@ metrics, and :meth:`DrFixService.submit` decides every request in one place:
 
 Only dispatch differs between the two lanes.  With ``workers=0`` (the
 default) one scheduler thread runs up to ``max_in_flight`` leaders at a time
-through the shared :class:`~repro.execution.CaseExecutor`; each request runs
-serially on its executor worker, so ``jobs`` workers use at most ``jobs``
-cores.  With ``workers=N`` leaders route by source fingerprint to N
-supervised worker processes (:mod:`repro.service.shard`, imported only then).
+through the shared :class:`~repro.execution.CaseExecutor`, and answers each
+in batch order as soon as it and the leaders before it have run; each
+request runs serially on its executor worker, so ``jobs`` workers use at
+most ``jobs`` cores.  With ``workers=N`` leaders route by source fingerprint
+to N supervised worker processes (:mod:`repro.service.shard`, imported only
+then).
 Both lanes hand a finished leader to one completion method, which fills the
 cache and answers the leader and its followers.
 
@@ -49,6 +51,7 @@ import re
 import threading
 import time
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -510,8 +513,11 @@ class DrFixService:
     def metrics(self) -> ServiceMetrics:
         with self._cond:
             depth, in_flight = self._load_locked()
+            program_cache = (self._pool.program_cache_locked()
+                             if self._pool is not None else None)
         return self.recorder.snapshot(queue_depth=depth, in_flight=in_flight,
-                                      supervisor=self.supervisor_stats())
+                                      supervisor=self.supervisor_stats(),
+                                      program_cache=program_cache)
 
     def queue_depth(self) -> int:
         with self._cond:
@@ -556,7 +562,9 @@ class DrFixService:
 
     def _scheduler_loop(self) -> None:
         """Run up to ``max_in_flight`` leaders at a time through the shared
-        :class:`~repro.execution.CaseExecutor`, until shutdown drains lane 0."""
+        :class:`~repro.execution.CaseExecutor`, until shutdown drains lane 0.
+        A leader is answered when its own run ends (in batch order), not
+        when the whole batch has."""
         queue = self._lanes[0]
         while True:
             with self._cond:
@@ -575,22 +583,26 @@ class DrFixService:
             if not batch:
                 continue
             self.recorder.on_batch(len(batch))
+            answered = 0
             try:
                 # A fresh CaseExecutor per batch, as the evaluation runner
                 # uses one per arm.  The ``process`` backend pays pool
                 # start-up and a cold program cache on every batch; worker
                 # mode keeps resident processes instead.
                 pool = CaseExecutor(kind=self.executor_kind, jobs=self.jobs)
-                outcomes = pool.map(partial(_execute_request, self.config, self.database),
-                                    [leader.request for leader in batch])
+                outcomes = pool.imap(partial(_execute_request, self.config, self.database),
+                                     [leader.request for leader in batch])
+                with closing(outcomes):
+                    for leader, (payload, detail) in zip(batch, outcomes):
+                        self._complete(leader, payload, detail)
+                        answered += 1
             except Exception as exc:  # noqa: BLE001 - the scheduler must survive
                 # A failure in the batch machinery itself (worker bodies are
                 # guarded in _execute_request) must not kill the scheduler
                 # thread and strand every later ticket.
                 detail = f"internal batch failure: {type(exc).__name__}: {exc}"
-                outcomes = [(None, detail)] * len(batch)
-            for leader, (payload, detail) in zip(batch, outcomes):
-                self._complete(leader, payload, detail)
+                for leader in batch[answered:]:
+                    self._complete(leader, None, detail)
 
     # -- completion ----------------------------------------------------
 

@@ -54,8 +54,8 @@ class ServiceMetrics:
     #: ``entries``/``capacity``, ``hits``/``misses``, ``evictions``,
     #: ``singleflight_waits``, ``probationary`` builds and ``readmissions``,
     #: and the shared parse cache's ``parse_hits``/``parse_misses``/
-    #: ``parse_entries``.  With ``workers > 0`` it is the master's own cache,
-    #: not the worker processes' (which do the builds).
+    #: ``parse_entries``.  With ``workers > 0`` it is the sum over the live
+    #: worker processes, which do the builds, of what each last reported.
     program_cache: Dict[str, int] = field(default_factory=dict)
     #: Worker-process supervision counters (restarts, retries, breaker trips,
     #: per-shard queue depth) — empty with ``workers=0``.
@@ -156,12 +156,15 @@ class MetricsRecorder:
     # ------------------------------------------------------------------
 
     def snapshot(self, queue_depth: int = 0, in_flight: int = 0,
-                 supervisor: Optional[Dict[str, Any]] = None) -> ServiceMetrics:
-        # Imported lazily: the metrics module must stay importable without
-        # pulling the whole runtime stack in (and vice versa).
-        from repro.runtime.compiler import PROGRAM_CACHE
+                 supervisor: Optional[Dict[str, Any]] = None,
+                 program_cache: Optional[Dict[str, int]] = None) -> ServiceMetrics:
+        """A snapshot; ``program_cache`` defaults to this process's cache."""
+        if program_cache is None:
+            # Imported lazily: the metrics module must stay importable without
+            # pulling the whole runtime stack in (and vice versa).
+            from repro.runtime.compiler import PROGRAM_CACHE
 
-        program_cache = PROGRAM_CACHE.stats()
+            program_cache = PROGRAM_CACHE.stats()
         with self._lock:
             latencies: List[float] = list(self._latencies_ms)
             uptime = time.monotonic() - self.started_at

@@ -58,6 +58,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.config import DrFixConfig
 from repro.core.database import ExampleDatabase
+from repro.runtime.compiler import PROGRAM_CACHE
 from repro.service.core import _execute_request
 from repro.service.faults import FaultPlan
 from repro.service.requests import ResponseStatus
@@ -99,10 +100,15 @@ def worker_main(
     sent synchronously from this thread (no feeder thread, no shared write
     lock), so a crash at *any* instant leaves nothing behind that a sibling
     or successor could block on.
+
+    Every result carries this process's program-cache counters, which the
+    master sums for ``/metrics``.  The cache starts cold, so that a fork
+    of a master that built before counts only its own builds.
     """
     # The master owns interactive shutdown: a Ctrl-C must drain through the
     # master's signal handling, not kill workers mid-request at random.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    PROGRAM_CACHE.clear()
     injector = FaultPlan.parse(fault_spec).injector(shard, incarnation)
     stop_beat = threading.Event()
     wedged = threading.Event()
@@ -123,7 +129,7 @@ def worker_main(
         if item is None:
             stop_beat.set()
             try:
-                response_conn.send(("bye", shard, incarnation, None, None, None))
+                response_conn.send(("bye", shard, incarnation, None, None, None, None))
             except (BrokenPipeError, OSError):
                 pass
             return
@@ -133,7 +139,7 @@ def worker_main(
         payload, detail = _execute_request(config, database, request)
         injector.fire("respond", received, wedged)
         response_conn.send(
-            ("result", shard, incarnation, key, payload, detail))
+            ("result", shard, incarnation, key, payload, detail, PROGRAM_CACHE.stats()))
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +273,15 @@ class ProcessLanes:
         })
         return stats
 
+    def program_cache_locked(self) -> Dict[str, int]:
+        """The live incarnations' program-cache counters, summed key by key
+        (empty until a worker has answered)."""
+        total: Dict[str, int] = {}
+        for handle in self.handles:
+            for name, value in handle.program_cache.items():
+                total[name] = total.get(name, 0) + value
+        return total
+
     def dispatch_locked(self, lane: int) -> None:
         """Send the lane's next leader to its worker, if that is idle."""
         handle = self.handles[lane]
@@ -327,6 +342,7 @@ class ProcessLanes:
 
     def _on_worker_death(self, handle: WorkerHandle) -> None:
         """Retry (or structurally fail) the leader the dead worker held."""
+        handle.program_cache = {}
         key, handle.in_flight_id = handle.in_flight_id, None
         leader = self.service._flights.get(key) if key is not None else None
         if leader is None:
@@ -396,19 +412,22 @@ class ProcessLanes:
             pass
 
     def _collect_message(self, message: Any) -> None:
-        kind, shard, incarnation, key, payload, detail = message
+        kind, shard, incarnation, key, payload, detail, program_cache = message
         if kind != "result":
             return
         with self._cond:
             handle = self.handles[shard]
             handle.served += 1
             self.supervisor.note_success(handle)
-            # Only the live incarnation's answer frees the worker: a late
-            # duplicate from a dead one must not mark a busy successor idle.
-            if handle.incarnation == incarnation and handle.in_flight_id == key:
-                handle.in_flight_id = None
-                if handle.state is WorkerState.BUSY:
-                    handle.state = WorkerState.READY
+            # Only the live incarnation's answer frees the worker, or counts
+            # as its cache: a late duplicate from a dead one must not mark a
+            # busy successor idle.
+            if handle.incarnation == incarnation:
+                handle.program_cache = program_cache
+                if handle.in_flight_id == key:
+                    handle.in_flight_id = None
+                    if handle.state is WorkerState.BUSY:
+                        handle.state = WorkerState.READY
             # A duplicate response (the leader was retried and both
             # incarnations answered) finds no leader: payloads are
             # deterministic, so whichever answered first was correct.

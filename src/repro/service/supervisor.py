@@ -69,6 +69,8 @@ class WorkerHandle:
     consecutive_failures: int = 0
     restart_at: float = 0.0        # monotonic deadline for the next respawn
     last_exit_code: Optional[int] = None
+    #: The live incarnation's program-cache counters, as it last reported them.
+    program_cache: Dict[str, int] = field(default_factory=dict)
 
     def pid(self) -> Optional[int]:
         return self.process.pid if self.process is not None else None

@@ -1,11 +1,14 @@
 """Tests for the Go-subset lexer."""
 
+import gc
 import time
 
 import pytest
 
+from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.errors import GoSyntaxError
-from repro.golang.lexer import tokenize
+from repro.golang import lexer
+from repro.golang.lexer import Lexer, tokenize
 from repro.golang.tokens import TokenKind
 
 
@@ -147,8 +150,58 @@ class TestHostileInput:
             pass
         assert time.perf_counter() - start < 2.0
 
+    def test_position_table_stays_bounded(self):
+        tokenize("x\n" * 20_000 + "\n" * 100_000 + "y")
+        assert len(lexer._POSITIONS) <= lexer._POSITIONS_MAX
+        assert sum(map(len, lexer._POSITIONS.values())) <= lexer._POSITIONS_MAX
+
     def test_positions_are_shared_and_immutable(self):
         first, second = tokenize("a"), tokenize("a")
         assert first[0].pos is second[0].pos
         with pytest.raises(AttributeError):
             first[0].pos.line = 2
+
+
+class TestAllocation:
+    def test_tokenizing_the_corpus_starts_no_collection(self, monkeypatch):
+        """A scan allocates its result (three lists in a tuple) and no object
+        per token that the cyclic collector tracks, so scans that keep their
+        results start no young collection.  A young collection between
+        windows of files stands in for the rest of a pass: a window's
+        results stay well under the threshold, while one ``Token`` per token
+        crossed it about every two files."""
+        cases = CorpusGenerator(CorpusConfig(seed=11)).generate_mutant_corpus(200)
+        sources = sorted({file.source for case in cases
+                          for package in (case.package, case.fixed_package)
+                          for file in package.files})
+        for source in sources:
+            Lexer(source).tokenize()  # intern every position first
+        scanning = []
+        real = Lexer.tokenize
+
+        def flagged(self, *args, **kwargs):
+            scanning.append(True)
+            try:
+                return real(self, *args, **kwargs)
+            finally:
+                scanning.pop()
+
+        collections = []
+
+        def on_gc(phase, info):
+            if phase == "start" and scanning:
+                collections.append(info["generation"])
+
+        monkeypatch.setattr(Lexer, "tokenize", flagged)
+        window = gc.get_threshold()[0] // 8
+        kept = []
+        gc.callbacks.append(on_gc)
+        try:
+            for index, source in enumerate(sources):
+                if index % window == 0:
+                    gc.collect(0)
+                kept.append(Lexer(source).tokenize())
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert len(sources) > 2 * window
+        assert collections == []

@@ -26,6 +26,9 @@ def _scan(lexer_class, source: str, keep_comments: bool):
         tokens = lexer_class(source, "f.go").tokenize(keep_comments=keep_comments)
     except GoSyntaxError as error:
         return ("error", error.message, error.line, error.column)
+    if lexer_class is Lexer:
+        # Parallel lists of kinds, texts and positions.
+        return list(zip(*tokens))
     return [(token.kind, token.text, token.pos) for token in tokens]
 
 

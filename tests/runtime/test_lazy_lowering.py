@@ -3,8 +3,9 @@
 A :class:`~repro.runtime.compiler.CompiledProgram` computes its whole-program
 facts up front and lowers each function body on the first call into it.
 These tests pin what that must not change: code no run reaches is never
-lowered, and two threads making the first call into the same function at
-once see exactly what a serial run sees.
+lowered or sliced, lowering everything slices every declaration, and two
+threads making the first call into the same function at once see exactly
+what a serial run sees.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ import pytest
 
 import repro.runtime.compiler as compiler
 from repro.execution import CaseExecutor
-from repro.runtime.compiler import PROGRAM_CACHE
+from repro.golang.parser import parse_file
+from repro.golang.slicing import package_scope_bindings, slice_function
+from repro.runtime.compiler import PROGRAM_CACHE, CompiledProgram
 from repro.runtime.harness import GoFile, GoPackage, run_package_tests
+from tests.runtime.test_detection_golden import CONSTRUCTS
 
 LIB_SOURCE = """package lazy
 
@@ -79,6 +83,37 @@ def test_only_called_functions_are_lowered(package):
     assert id(uncalled) not in code
     assert not any(id(stmt) in code for stmt in uncalled.stmts)
     PROGRAM_CACHE.clear()
+
+
+def test_only_called_declarations_are_sliced(package, monkeypatch):
+    sliced = []
+    real = compiler.slice_function
+
+    def counting(decl, file_name, package_scope):
+        sliced.append(decl.name)
+        return real(decl, file_name, package_scope)
+
+    monkeypatch.setattr(compiler, "slice_function", counting)
+    PROGRAM_CACHE.clear()
+    result = run_package_tests(package, runs=2)
+    assert result.built and result.passed
+    assert sorted(sliced) == ["Called", "TestCalled"]
+    PROGRAM_CACHE.clear()
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTS))
+def test_lowering_everything_slices_every_declaration(name):
+    files = [parse_file(file.source, file.name) for file in CONSTRUCTS[name].files]
+    program = CompiledProgram(files, slicing=True)
+    assert not program.meta.elidable
+    program._lower_all()
+    scope = package_scope_bindings(files)
+    expected = set()
+    for file in files:
+        for decl in file.func_decls():
+            if decl.body is not None:
+                expected |= slice_function(decl, file.name, scope).elidable
+    assert program.meta.elidable == expected
 
 
 def test_concurrent_first_calls_match_the_serial_run(listing1_package, monkeypatch):

@@ -131,6 +131,32 @@ class TestServing:
         assert all(p == payloads[0] for p in payloads)
         assert sum(1 for r in responses[:5] if not r.cached) == 1
 
+    def test_each_leader_is_answered_when_its_own_run_ends(self, config, monkeypatch):
+        # A batch of [fast, slow] on two threads: the fast leader is answered
+        # while the slow one still runs, not when the whole batch has.
+        release = threading.Event()
+        slow_request = DetectRequest(package=racy_package("slow"), runs=2)
+
+        def fake(cfg, database, request):
+            if request is slow_request:
+                release.wait(60)
+            return {"package": request.package.name}, ""
+
+        monkeypatch.setattr(service_core, "_execute_request", fake)
+        service = DrFixService(config, database=None, max_in_flight=2, jobs=2,
+                               executor="thread", start=False)
+        try:
+            fast = service.submit(DetectRequest(package=clean_package("fast"), runs=2))
+            slow = service.submit(slow_request)
+            service.start()
+            assert fast.result(timeout=10).ok
+            assert not slow.done()
+        finally:
+            release.set()
+            service.shutdown()
+        assert slow.result(timeout=10).ok
+        assert service.metrics().batches == 1
+
     def test_error_is_folded_into_a_structured_response(self, config, monkeypatch):
         def boom(request, cfg):
             raise RuntimeError("worker exploded")
@@ -170,8 +196,8 @@ class TestServing:
                     raise RuntimeError("pool construction failed")
                 self._real = real_executor(*args, **kwargs)
 
-            def map(self, fn, items):
-                return self._real.map(fn, items)
+            def imap(self, fn, items):
+                return self._real.imap(fn, items)
 
         monkeypatch.setattr(service_core, "CaseExecutor", ExplodingExecutor)
         with DrFixService(config, database=None) as service:

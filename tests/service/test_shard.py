@@ -278,6 +278,20 @@ class TestObservability:
         finally:
             service.shutdown()
 
+    def test_sharded_metrics_sum_the_workers_program_caches(self):
+        # The workers do the builds: each reports its own program cache with
+        # every result, and the master sums them, wherever the two cold
+        # detects were routed.
+        service = DrFixService(workers=2, heartbeat_interval_s=0.02)
+        try:
+            for tag in (21, 22):
+                response = service.call(
+                    DetectRequest(package=make_package(tag), runs=2), timeout=60)
+                assert response.ok and not response.cached
+            assert service.metrics().program_cache["misses"] == 2
+        finally:
+            service.shutdown()
+
 
 # ---------------------------------------------------------------------------
 # Pidfile discipline
