@@ -20,6 +20,7 @@ that reports a race).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import signal
 import sys
@@ -99,15 +100,31 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def positive_float(text: str) -> float:
-    """Argparse type for durations that must be > 0 (timeouts)."""
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """Argparse type for finite values that must be > 0 (timeouts, scales)."""
+    value = _finite_float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(
             f"expected a positive number, got {value}")
+    return value
+
+
+def fraction(text: str) -> float:
+    """Argparse type for shares between 0 and 1 inclusive."""
+    value = _finite_float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a fraction between 0 and 1, got {value}")
     return value
 
 
@@ -443,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     corpus = sub.add_parser("corpus", help="generate the synthetic corpus")
-    corpus.add_argument("--scale", type=float, default=0.25,
+    corpus.add_argument("--scale", type=positive_float, default=0.25,
                         help="fraction of the full corpus size (default 0.25)")
     corpus.add_argument("--output", help="directory to write the corpus packages to")
     corpus.set_defaults(func=cmd_corpus)
@@ -457,14 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
                                       "byte-identical for a given seed")
     corpus_generate.add_argument("--count", type=positive_int, default=300,
                                  help="number of labeled cases to emit (default 300)")
-    corpus_generate.add_argument("--mutants-per-base", type=int, default=3,
+    corpus_generate.add_argument("--mutants-per-base", type=non_negative_int, default=3,
                                  help="mutants derived per template base (default 3)")
-    corpus_generate.add_argument("--flip-fraction", type=float, default=0.2,
+    corpus_generate.add_argument("--flip-fraction", type=fraction, default=0.2,
                                  help="fraction of mutants sync-injected into "
                                       "race-free negatives (default 0.2)")
-    corpus_generate.add_argument("--noise-level", type=int, default=2,
+    corpus_generate.add_argument("--noise-level", type=non_negative_int, default=2,
                                  help="business-logic noise level 0..3 (default 2)")
-    corpus_generate.add_argument("--validate-sample", type=int, default=0,
+    corpus_generate.add_argument("--validate-sample", type=non_negative_int, default=0,
                                  help="run the metamorphic validator on N evenly "
                                       "sampled cases (0 = skip)")
     corpus_generate.add_argument("--runs", type=positive_int, default=10,
@@ -484,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     fix.add_argument("path")
     fix.add_argument("--model", default="gpt-4o", help="model profile to use")
     fix.add_argument("--runs", type=positive_int, default=12, help="detection runs")
-    fix.add_argument("--scale", type=float, default=0.25, help="example-database scale")
+    fix.add_argument("--scale", type=positive_float, default=0.25,
+                     help="example-database scale")
     fix.add_argument("--no-rag", action="store_true", help="disable retrieval-augmented generation")
     fix.add_argument("--write", action="store_true", help="write validated patches in place")
     fix.set_defaults(func=cmd_fix)
@@ -499,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     patterns.set_defaults(func=cmd_patterns)
 
     evaluate = sub.add_parser("evaluate", help="regenerate every table and figure of the paper")
-    evaluate.add_argument("--scale", type=float, default=0.25)
+    evaluate.add_argument("--scale", type=positive_float, default=0.25)
     evaluate.add_argument("--model", default="gpt-4o")
     evaluate.add_argument("--output", help="write a Markdown report to this path")
     evaluate.add_argument("--jobs", type=jobs_count, default=None,
@@ -523,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8765,
                        help="HTTP port (0 picks a free port)")
     serve.add_argument("--model", default="gpt-4o", help="model profile to serve with")
-    serve.add_argument("--scale", type=float, default=0.25,
+    serve.add_argument("--scale", type=positive_float, default=0.25,
                        help="example-database scale (ignored with --no-rag)")
     serve.add_argument("--no-rag", action="store_true",
                        help="serve without the retrieval database")

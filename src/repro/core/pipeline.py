@@ -23,7 +23,7 @@ from repro.core.database import ExampleDatabase
 from repro.core.fix_generator import FixGenerator, GeneratedFix
 from repro.core.patcher import Patch, Patcher
 from repro.core.race_info import CodeItem, RaceInfo, RaceInfoExtractor
-from repro.core.validator import FixValidator, ValidationResult
+from repro.core.validator import FixValidator, ValidationResult, Verdicts
 from repro.diagnosis import Diagnosis, RaceDiagnoser
 from repro.errors import PatchError
 
@@ -87,6 +87,7 @@ class DrFix:
         config: Optional[DrFixConfig] = None,
         database: Optional[ExampleDatabase] = None,
         client: Optional[LLMClient] = None,
+        verdicts: Optional[Verdicts] = None,
     ):
         self.package = package
         self.config = (config or DrFixConfig()).validated()
@@ -94,7 +95,7 @@ class DrFix:
         self.extractor = RaceInfoExtractor(package, self.config)
         self.diagnoser = RaceDiagnoser(package)
         self.generator = FixGenerator(self.config, database=database, client=client)
-        self.validator = FixValidator(self.config)
+        self.validator = FixValidator(self.config, verdicts)
         self.patcher = Patcher(package, self.config)
 
     # ------------------------------------------------------------------
@@ -107,8 +108,6 @@ class DrFix:
         diagnosis = self.diagnoser.diagnose(report)
         outcome = FixOutcome(bug_hash=info.bug_hash, diagnosis=diagnosis)
         self._baseline_hashes = list(baseline_hashes or [])
-        # A verdict is reused only among this report's candidates.
-        self.validator.forget()
         failure_log: List[str] = []
 
         items = info.ordered_items(self.config)

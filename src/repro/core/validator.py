@@ -7,10 +7,15 @@ appears, and no new race is introduced.  On failure the validator produces
 the developer-readable feedback that Dr.Fix feeds back to the model on the
 retry (Section 4.4.2).
 
-Within one fix, the model often proposes a candidate it already proposed
-(the same patched package for the same race).  :class:`FixValidator`
-remembers each verdict until :meth:`FixValidator.forget`, so each distinct
-candidate runs the harness once.
+The model often proposes a candidate it already proposed: within one fix,
+and, across the evaluation's table arms, the same patched package for the
+same race.  A verdict is a pure function of (validator runs, validator seed,
+patched package, targeted race, baseline), so :class:`FixValidator` keeps
+each one in a verdict memo under that key and each distinct candidate runs
+the harness once.  A validator's memo lives as long as the validator (one
+case) unless its caller passes a dict to share: an
+:class:`~repro.evaluation.runner.ExperimentContext` shares one across every
+arm of an evaluation.
 """
 
 from __future__ import annotations
@@ -97,17 +102,22 @@ def _validate_candidate(config: DrFixConfig, bug_hash: str,
     )
 
 
+#: A verdict memo, keyed by (validator runs, validator seed, package
+#: fingerprint, bug hash, baseline hashes).
+Verdicts = Dict[Tuple[int, int, str, str, Tuple[str, ...]], ValidationResult]
+
+
 class FixValidator:
     """Run a patched package's tests many times under the race detector."""
 
-    def __init__(self, config: Optional[DrFixConfig] = None):
+    def __init__(self, config: Optional[DrFixConfig] = None,
+                 verdicts: Optional[Verdicts] = None):
         self.config = (config or DrFixConfig()).validated()
         #: Number of validations requested, repeats included (exposed for
         #: evaluation statistics).
         self.validations = 0
-        #: Verdicts by (package fingerprint, bug hash, baseline) since the
-        #: last :meth:`forget`.
-        self._verdicts: Dict[Tuple[str, str, Tuple[str, ...]], ValidationResult] = {}
+        #: The verdict memo: this validator's own, or one its caller shares.
+        self._verdicts: Verdicts = verdicts if verdicts is not None else {}
 
     def validate(self, package: GoPackage, bug_hash: str,
                  baseline_hashes: Optional[List[str]] = None) -> ValidationResult:
@@ -121,16 +131,14 @@ class FixValidator:
         """
         self.validations += 1
         baseline = tuple(baseline_hashes or ())
-        key = (package_fingerprint(package), bug_hash, baseline)
+        config = self.config
+        key = (config.validator_runs, config.validator_seed,
+               package_fingerprint(package), bug_hash, baseline)
         verdict = self._verdicts.get(key)
         if verdict is None:
-            verdict = _validate_candidate(self.config, bug_hash, baseline, package)
+            verdict = _validate_candidate(config, bug_hash, baseline, package)
             self._verdicts[key] = verdict
         return verdict
-
-    def forget(self) -> None:
-        """Drop every remembered verdict (one fix's candidates)."""
-        self._verdicts.clear()
 
     def validate_batch(
         self,

@@ -10,6 +10,10 @@ scale without changing any number in the paper's tables:
 * **determinism** — results are collected in submission order and every case's
   randomness is a pure function of (configuration, case), so a ``--jobs 4``
   run is bit-identical to a serial one;
+* **one verdict per candidate** — an :class:`ExperimentContext` hands every
+  arm's validators one verdict memo, so a candidate that several arms
+  propose for the same race runs the harness once per evaluation (serial and
+  thread executors; each process-pool worker keeps per-case memos);
 * **persistent caching** — when a :class:`~repro.evaluation.store.RunStore` is
   attached, finished :class:`CaseResult`s are written to disk keyed by
   (case id, configuration fingerprint), in the versioned JSON format of
@@ -28,6 +32,7 @@ from repro.core.config import DrFixConfig
 from repro.core.database import ExampleDatabase
 from repro.core.pipeline import DrFix, FixOutcome
 from repro.core.review import ReviewDecision, ReviewerModel
+from repro.core.validator import Verdicts
 from repro.corpus.dataset import Dataset
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.corpus.ground_truth import RaceCase
@@ -94,14 +99,16 @@ def evaluate_single_case(
     config: DrFixConfig,
     database: Optional[ExampleDatabase],
     reviewer: Optional[ReviewerModel] = None,
+    verdicts: Optional[Verdicts] = None,
 ) -> CaseResult:
     """Evaluate one case: detect, fix, review.
 
     Module-level (and with picklable arguments) so it can be shipped to
-    process-pool workers.
+    process-pool workers.  ``verdicts`` is a validation memo to share with
+    other cases; without one, the case's validator keeps its own.
     """
     reviewer = reviewer if reviewer is not None else ReviewerModel()
-    pipeline = DrFix(case.package, config=config, database=database)
+    pipeline = DrFix(case.package, config=config, database=database, verdicts=verdicts)
     outcome = pipeline.fix_case(case)
     review = None
     if outcome.fixed:
@@ -115,9 +122,10 @@ def evaluate_single_case(
 
 
 def _evaluate_for_pool(config: DrFixConfig, database: Optional[ExampleDatabase],
-                       reviewer: ReviewerModel, case: RaceCase) -> CaseResult:
+                       reviewer: ReviewerModel, verdicts: Optional[Verdicts],
+                       case: RaceCase) -> CaseResult:
     """Positional-argument shim: ``partial`` of this is pickled once per chunk."""
-    return evaluate_single_case(case, config, database, reviewer)
+    return evaluate_single_case(case, config, database, reviewer, verdicts)
 
 
 class EvaluationRunner:
@@ -131,12 +139,16 @@ class EvaluationRunner:
         jobs: Optional[int] = None,
         executor: "ExecutorKind | str | None" = None,
         store: Optional[RunStore] = None,
+        verdicts: Optional[Verdicts] = None,
     ):
         self.config = config
         self.database = database
         self.reviewer = reviewer if reviewer is not None else ReviewerModel()
         self.executor = CaseExecutor(kind=executor, jobs=jobs)
         self.store = store
+        # A process-pool worker would get a copy of the memo with every
+        # chunk and send nothing back, so only in-process workers share it.
+        self.verdicts = None if self.executor.kind is ExecutorKind.PROCESS else verdicts
 
     def run(self, cases: Sequence[RaceCase], label: str = "") -> EvaluationRun:
         start = time.time()
@@ -158,7 +170,8 @@ class EvaluationRunner:
 
         if pending:
             worker = partial(
-                _evaluate_for_pool, self.config, self.database, self.reviewer
+                _evaluate_for_pool, self.config, self.database, self.reviewer,
+                self.verdicts,
             )
             computed = self.executor.map(worker, [cases[i] for i in pending])
             for index, result in zip(pending, computed):
@@ -183,7 +196,8 @@ class ExperimentContext:
     run within a session) and — when ``cache_dir`` is given — on disk through a
     :class:`~repro.evaluation.store.RunStore` namespaced by the corpus
     fingerprint (so repeated sessions and different tables reuse per-case work
-    across processes).
+    across processes).  One validation verdict memo serves every arm, so a
+    candidate proposed again by another arm does not re-run the harness.
     """
 
     def __init__(
@@ -212,6 +226,7 @@ class ExperimentContext:
         )
         self.reviewer = ReviewerModel()
         self._runs: Dict[str, EvaluationRun] = {}
+        self.verdicts: Verdicts = {}
 
     # ------------------------------------------------------------------
 
@@ -229,6 +244,7 @@ class ExperimentContext:
             jobs=self.jobs,
             executor=self.executor,
             store=self.store,
+            verdicts=self.verdicts,
         )
 
     def run_arm(self, label: str, config: DrFixConfig,

@@ -35,8 +35,8 @@ Three layers:
 * :class:`ProgramCache` — a process-wide cache keyed by a source fingerprint,
   so repeated harness invocations over the same package (the validator runs
   thousands of them) skip parsing *and* lowering.  Parse failures are cached
-  too: rebuilding a broken candidate is a dictionary hit.  Its admission is
-  scan-resistant: a build requested once leaves the heap after 16 more.
+  too: rebuilding a broken candidate is a dictionary hit.  It keeps the 16
+  most recently requested builds.
 
 A program lowers in one of two modes.  The slice-aware one, which every
 user-facing run uses, drops the schedule point and detector hook on accesses
@@ -2528,147 +2528,68 @@ def package_fingerprint(package) -> str:
     return digest.hexdigest()
 
 
-#: First-time builds wait in a FIFO probation segment of at most this many;
-#: a second request while a build is there promotes it to the protected LRU.
-_PROBATION_BUILDS = 16
-#: Fingerprints of builds pushed out of probation, kept per unit of capacity:
-#: a miss on one was requested before, so its rebuild skips probation.
-_GHOSTS_PER_SLOT = 4
-
-
 class ProgramCache:
-    """Process-wide cache of :class:`BuiltPackage` keyed by source fingerprint.
+    """Process-wide LRU of :class:`BuiltPackage` keyed by source fingerprint.
 
     Shared by every harness in the process (and by every thread worker);
-    process-pool workers each warm their own copy, which still amortizes the
-    build across the many runs of one worker's chunk.
+    process-pool workers each warm their own copy.  It holds the 16 most
+    recently requested builds: a build that stays in the heap is over a
+    thousand objects the cyclic collector walks on every full collection,
+    and most builds are never requested again (a detection sweep builds
+    hundreds of distinct packages once each).  The repeats that matter are a
+    fix's candidates re-run by another table arm, and
+    :class:`~repro.core.validator.FixValidator` answers those from its
+    verdict memo before they reach the harness.
 
-    Admission is scan-resistant, in the style of 2Q (Johnson & Shasha, VLDB
-    1994).  Most builds are never requested again (a detection sweep builds
-    hundreds of distinct packages once each), and a build that stays in the
-    heap is over a thousand objects the cyclic collector walks on every full
-    collection.  So a first-time build enters a FIFO *probation* segment of
-    at most ``_PROBATION_BUILDS``; a request that hits it there promotes it
-    to the *protected* LRU.  A build pushed out of probation leaves only its
-    fingerprint in a bounded *ghost* list (plain strings, which the
-    collector does not track); a miss on a ghost was requested before, so
-    the rebuild goes straight to the protected segment.  ``capacity`` bounds
-    both segments together: when the cache is full, a first-time build
-    pushes out the oldest probationary build once probation is full and the
-    least recent protected one before that, so probation refills to its
-    size.  With ``capacity`` at or below ``_PROBATION_BUILDS``, probation
-    can fill the whole cache and a scan is not kept out.
+    The lock guards the entries and counters only; a build runs outside it,
+    so two threads that miss on one fingerprint at once both build it and
+    the later insert wins."""
 
-    Builds are **single-flight**: when several threads miss on the same
-    fingerprint at once (the serving layer makes this the common case — a
-    warm-up burst of identical packages lands on every worker simultaneously),
-    exactly one thread parses and lowers while the others wait on a
-    per-fingerprint event and then take the cache hit.  Without this, N racing
-    threads would each pay the full build and the last insert would win."""
+    capacity = 16
 
-    def __init__(self, capacity: int = 256):
-        self.capacity = capacity
+    def __init__(self):
         self._lock = threading.Lock()
-        #: Builds requested once, oldest first.
-        self._probation: "OrderedDict[str, BuiltPackage]" = OrderedDict()
-        #: Builds requested more than once, least recently used first.
-        self._protected: "OrderedDict[str, BuiltPackage]" = OrderedDict()
-        #: Fingerprints pushed out of probation, oldest first (values unused).
-        self._ghosts: Dict[str, None] = {}
-        #: In-flight builds: fingerprint → event set when the build lands.
-        self._building: dict = {}
+        #: Builds, least recently used first.
+        self._builds: "OrderedDict[str, BuiltPackage]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.singleflight_waits = 0
-        self.readmissions = 0
 
     def get_or_build(self, package) -> BuiltPackage:
         fingerprint = package_fingerprint(package)
-        while True:
-            with self._lock:
-                entry = self._protected.pop(fingerprint, None)
-                if entry is None:
-                    entry = self._probation.pop(fingerprint, None)
-                if entry is not None:
-                    # Moves a protected build to the LRU's recent end and
-                    # promotes a probationary one.
-                    self._protected[fingerprint] = entry
-                    self.hits += 1
-                    return entry
-                pending = self._building.get(fingerprint)
-                if pending is None:
-                    # This thread builds; racers wait on the event below.
-                    self._building[fingerprint] = threading.Event()
-                    self.misses += 1
-                    # A ghost was requested before: its rebuild is protected.
-                    ghost = fingerprint in self._ghosts
-                    if ghost:
-                        del self._ghosts[fingerprint]
-                    break
-                self.singleflight_waits += 1
-            # Another thread is building this fingerprint: wait for it to
-            # land, then loop back to take the hit.
-            pending.wait()
-        try:
-            files: List[ast.File] = []
-            errors: List[str] = []
-            for file in package.files:
-                try:
-                    files.append(parse_file(file.source, file.name))
-                except GoSyntaxError as exc:
-                    errors.append(str(exc))
-            entry = BuiltPackage(fingerprint, files, errors)
-            with self._lock:
-                self._make_room(ghost)
-                if ghost:
-                    self._protected[fingerprint] = entry
-                    self.readmissions += 1
-                else:
-                    self._probation[fingerprint] = entry
-        finally:
-            with self._lock:
-                event = self._building.pop(fingerprint, None)
-            if event is not None:
-                event.set()
-        return entry
-
-    def _make_room(self, protect: bool) -> None:
-        """Evict at most one build so that one more fits (lock held)."""
-        probation, protected = self._probation, self._protected
-        if not protect and len(probation) >= min(_PROBATION_BUILDS, self.capacity):
-            self._demote()
-        elif len(probation) + len(protected) >= self.capacity:
-            if protected:
-                protected.popitem(last=False)
+        with self._lock:
+            entry = self._builds.get(fingerprint)
+            if entry is not None:
+                self._builds.move_to_end(fingerprint)
+                self.hits += 1
+                return entry
+            self.misses += 1
+        files: List[ast.File] = []
+        errors: List[str] = []
+        for file in package.files:
+            try:
+                files.append(parse_file(file.source, file.name))
+            except GoSyntaxError as exc:
+                errors.append(str(exc))
+        entry = BuiltPackage(fingerprint, files, errors)
+        with self._lock:
+            self._builds[fingerprint] = entry
+            self._builds.move_to_end(fingerprint)
+            if len(self._builds) > self.capacity:
+                self._builds.popitem(last=False)
                 self.evictions += 1
-            else:
-                self._demote()
-
-    def _demote(self) -> None:
-        """Drop the oldest probationary build, keeping its fingerprint."""
-        fingerprint, _ = self._probation.popitem(last=False)
-        self.evictions += 1
-        ghosts = self._ghosts
-        ghosts[fingerprint] = None
-        if len(ghosts) > _GHOSTS_PER_SLOT * self.capacity:
-            del ghosts[next(iter(ghosts))]
+        return entry
 
     def stats(self) -> Dict[str, int]:
         """A consistent snapshot of every cache counter (for observability)."""
         parse = parse_cache_info()
         with self._lock:
             return {
-                "entries": len(self._probation) + len(self._protected),
+                "entries": len(self._builds),
                 "capacity": self.capacity,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "singleflight_waits": self.singleflight_waits,
-                # Builds requested once so far, and misses whose fingerprint
-                # was still remembered and so went straight to protected.
-                "probationary": len(self._probation),
-                "readmissions": self.readmissions,
                 # The shared parse cache behind every ``parse_file`` call
                 # (named apart from ``hits``/``misses``, which count builds).
                 "parse_hits": parse.hits,
@@ -2677,21 +2598,17 @@ class ProgramCache:
             }
 
     def clear(self) -> None:
-        """Cold-start reset: every build, ghost and shared parse is dropped."""
+        """Cold-start reset: every build and shared parse is dropped."""
         clear_parse_cache()
         with self._lock:
-            self._probation.clear()
-            self._protected.clear()
-            self._ghosts.clear()
+            self._builds.clear()
             self.hits = 0
             self.misses = 0
             self.evictions = 0
-            self.singleflight_waits = 0
-            self.readmissions = 0
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._probation) + len(self._protected)
+            return len(self._builds)
 
 
 #: The process-wide program cache used by the harness.

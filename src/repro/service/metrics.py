@@ -51,9 +51,8 @@ class ServiceMetrics:
     uptime_seconds: float = 0.0
     #: This process's program cache, as
     #: :meth:`repro.runtime.compiler.ProgramCache.stats` returns it: build
-    #: ``entries``/``capacity``, ``hits``/``misses``, ``evictions``,
-    #: ``singleflight_waits``, ``probationary`` builds and ``readmissions``,
-    #: and the shared parse cache's ``parse_hits``/``parse_misses``/
+    #: ``entries``/``capacity``, ``hits``/``misses`` and ``evictions``, and
+    #: the shared parse cache's ``parse_hits``/``parse_misses``/
     #: ``parse_entries``.  With ``workers > 0`` it is the sum over the live
     #: worker processes, which do the builds, of what each last reported.
     program_cache: Dict[str, int] = field(default_factory=dict)

@@ -1,6 +1,8 @@
-"""One validation per distinct candidate: within one ``fix_report``, a patched
-package proposed again for the same race reuses its verdict instead of
-re-running the harness, and nothing a caller sees changes."""
+"""One validation per distinct candidate: a patched package proposed again
+for the same race reuses its verdict instead of re-running the harness, and
+nothing a caller sees changes.  A validator's memo lives as long as the
+validator (one case); an :class:`ExperimentContext` shares one across every
+arm of an evaluation, and nothing shares one across evaluations."""
 
 from dataclasses import replace
 
@@ -10,6 +12,8 @@ from repro.core import validator as validator_module
 from repro.core.config import DrFixConfig, FixScope
 from repro.core.pipeline import DrFix
 from repro.core.validator import FixValidator
+from repro.corpus.generator import CorpusConfig
+from repro.evaluation.runner import EvaluationRunner, ExperimentContext, evaluate_single_case
 from repro.llm.base import ModelResponse
 from repro.runtime.compiler import package_fingerprint
 from repro.runtime.harness import run_package_tests
@@ -32,7 +36,7 @@ class UnmemoisedValidator(FixValidator):
     """The reference arm: every validation runs the harness."""
 
     def validate(self, package, bug_hash, baseline_hashes=None):
-        self.forget()
+        self._verdicts = {}
         return super().validate(package, bug_hash, baseline_hashes)
 
 
@@ -48,6 +52,21 @@ def harness_runs(monkeypatch):
 
     monkeypatch.setattr(validator_module, "run_package_tests", counting)
     return runs
+
+
+@pytest.fixture
+def harness_keys(monkeypatch):
+    """The (runs, seed, candidate, target, baseline) of every harness run."""
+    keys = []
+    real = validator_module._validate_candidate
+
+    def recording(config, bug_hash, baseline_hashes, package):
+        keys.append((config.validator_runs, config.validator_seed,
+                     package_fingerprint(package), bug_hash, tuple(baseline_hashes)))
+        return real(config, bug_hash, baseline_hashes, package)
+
+    monkeypatch.setattr(validator_module, "_validate_candidate", recording)
+    return keys
 
 
 @pytest.fixture
@@ -106,12 +125,28 @@ def test_reports_with_different_bug_hashes_never_share_a_verdict(
     assert any("new data race" in failure for failure in _failures(second))
 
 
-def test_the_memo_lives_for_one_fix_report(listing1_package, config, report, harness_runs):
+def test_the_memo_lives_as_long_as_the_validator(listing1_package, config, report,
+                                                 harness_runs):
     drfix = _drfix(listing1_package, config)
-    drfix.fix_report(report)
+    first = drfix.fix_report(report)
     first_runs = len(harness_runs)
-    drfix.fix_report(report)
+    second = drfix.fix_report(report)
+    assert first_runs > 0 and len(harness_runs) == first_runs
+    assert _failures(second) == _failures(first)
+    # A new validator starts with an empty memo.
+    _drfix(listing1_package, config).fix_report(report)
     assert len(harness_runs) == 2 * first_runs
+
+
+def test_a_shared_memo_keys_on_the_validator_runs_and_seed(listing1_package, config,
+                                                          report, harness_keys):
+    verdicts = {}
+    FixValidator(config, verdicts).validate(listing1_package, report.bug_hash())
+    FixValidator(config, verdicts).validate(listing1_package, report.bug_hash())
+    assert len(harness_keys) == 1
+    for other in (replace(config, validator_runs=5), replace(config, validator_seed=7)):
+        FixValidator(other, verdicts).validate(listing1_package, report.bug_hash())
+    assert len(harness_keys) == len(set(harness_keys)) == 3
 
 
 def test_one_package_against_two_bug_hashes_runs_twice(listing1_package, config, report,
@@ -146,3 +181,58 @@ def test_zero_tests_fail_validation_with_their_own_feedback(listing1_package, re
     racy = validator.validate(listing1_package, report.bug_hash())
     assert racy.feedback() == (
         "the data race is still reported by the race detector after the change")
+
+
+#: A small evaluation: few enough cases to run four arms in a test.
+SMALL_CORPUS = CorpusConfig(db_examples=8, eval_fixable=6, eval_unfixable=2, seed=8)
+
+
+@pytest.fixture(scope="module")
+def context():
+    return ExperimentContext(corpus_config=SMALL_CORPUS)
+
+
+def _signature(run):
+    return [(r.case.case_id, r.fixed, r.outcome.strategy, r.outcome.failure_reason,
+             r.outcome.validations, [a.failure for a in r.outcome.attempts])
+            for r in run.results]
+
+
+def test_one_evaluation_runs_each_distinct_candidate_once(context, harness_keys):
+    arms = [("full", context.base_config),
+            ("without-lca", context.base_config.without_lca())]
+    cases = context.dataset.evaluation
+    # Reference: each case's validator keeps only its own memo.
+    unshared = [
+        EvaluationRunner(config, context.database_for(config), context.reviewer)
+        .run(cases, label=label)
+        for label, config in arms
+    ]
+    unshared_keys = list(harness_keys)
+    harness_keys.clear()
+    shared = [context.run_arm(label, config) for label, config in arms]
+    assert [_signature(run) for run in shared] == [_signature(run) for run in unshared]
+    # The second arm proposes candidates the first already validated.
+    assert len(unshared_keys) > len(set(unshared_keys))
+    assert len(harness_keys) == len(set(harness_keys))
+    assert set(harness_keys) == set(unshared_keys)
+
+
+def test_separate_evaluations_of_one_case_each_run_the_harness(context, harness_keys):
+    case = context.dataset.evaluation[0]
+    config = context.base_config
+    first = evaluate_single_case(case, config, context.skeleton_database)
+    first_runs = len(harness_keys)
+    assert first_runs > 0
+    second = evaluate_single_case(case, config, context.skeleton_database)
+    assert harness_keys[first_runs:] == harness_keys[:first_runs]
+    assert second.outcome.validations == first.outcome.validations
+
+
+@pytest.mark.parametrize("executor, shared", [("serial", True), ("thread", True),
+                                              ("process", False)])
+def test_only_in_process_workers_share_the_memo(executor, shared):
+    verdicts = {}
+    runner = EvaluationRunner(DrFixConfig(), None, jobs=2, executor=executor,
+                              verdicts=verdicts)
+    assert (runner.verdicts is verdicts) is shared

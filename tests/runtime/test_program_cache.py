@@ -73,7 +73,7 @@ class TestFingerprint:
 
 class TestFullBuilds:
     def test_identical_package_is_a_hit_on_the_same_entry(self):
-        cache = ProgramCache(capacity=8)
+        cache = ProgramCache()
         first = cache.get_or_build(_package(BASE_SOURCE))
         second = cache.get_or_build(_package(BASE_SOURCE))
         assert second is first
@@ -81,7 +81,7 @@ class TestFullBuilds:
         assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 1, 1)
 
     def test_single_function_patch_is_a_new_full_build(self):
-        cache = ProgramCache(capacity=8)
+        cache = ProgramCache()
         base = cache.get_or_build(_package(BASE_SOURCE))
         base_program = base.ensure_program()
         patched = cache.get_or_build(_package(PATCHED_SOURCE))
@@ -112,7 +112,7 @@ class TestFullBuilds:
         assert outcomes["cold"] == outcomes["warm"]
 
     def test_adding_a_function_builds_and_lowers_a_new_entry(self):
-        cache = ProgramCache(capacity=8)
+        cache = ProgramCache()
         cache.get_or_build(_package(BASE_SOURCE)).ensure_program()
         grown = BASE_SOURCE + "\nfunc Extra() int {\n\treturn 9\n}\n"
         entry = cache.get_or_build(_package(grown))
@@ -121,7 +121,7 @@ class TestFullBuilds:
         assert cache.stats()["misses"] == 2
 
     def test_parse_error_patch_is_a_build_error_that_leaves_the_base_cached(self):
-        cache = ProgramCache(capacity=8)
+        cache = ProgramCache()
         base = cache.get_or_build(_package(BASE_SOURCE))
         broken = BASE_SOURCE.replace("\tshared++\n", "\tshared++ ++\n")
         entry = cache.get_or_build(_package(broken))
@@ -132,24 +132,24 @@ class TestFullBuilds:
         assert (stats["hits"], stats["misses"]) == (1, 2)
 
     def test_rebuild_after_eviction_is_a_miss(self):
-        cache = ProgramCache(capacity=1)
+        cache = ProgramCache()
         first = cache.get_or_build(_package(BASE_SOURCE))
-        other = GoPackage(name="other", files=[GoFile("a.go", "package other\n")])
-        cache.get_or_build(other)  # evicts the "inc" entry
+        _scan(cache, cache.capacity)  # the last one evicts the "inc" entry
         assert cache.stats()["evictions"] == 1
         again = cache.get_or_build(_package(BASE_SOURCE))
         assert again is not first
         stats = cache.stats()
-        assert (stats["hits"], stats["misses"], stats["entries"]) == (0, 3, 1)
+        assert (stats["hits"], stats["misses"]) == (0, cache.capacity + 2)
+        assert stats["entries"] == cache.capacity
 
     def test_clear_drops_entries_and_counters(self):
-        cache = ProgramCache(capacity=8)
+        cache = ProgramCache()
         cache.get_or_build(_package(BASE_SOURCE))
         cache.get_or_build(_package(BASE_SOURCE))
         cache.clear()
         stats = cache.stats()
         assert (stats["entries"], stats["hits"], stats["misses"],
-                stats["evictions"], stats["singleflight_waits"]) == (0, 0, 0, 0, 0)
+                stats["evictions"]) == (0, 0, 0, 0)
         assert stats["parse_entries"] == 0
         assert len(cache) == 0
 
@@ -188,20 +188,6 @@ class TestProgramCache:
         again = PROGRAM_CACHE.get_or_build(package)
         assert again is build
 
-    def test_capacity_evicts_least_recently_used(self):
-        from repro.runtime.compiler import ProgramCache
-
-        cache = ProgramCache(capacity=2)
-        packages = [
-            GoPackage(name=f"p{i}", files=[GoFile("a.go", f"package p{i}\n")])
-            for i in range(3)
-        ]
-        builds = [cache.get_or_build(p) for p in packages]
-        assert len(cache) == 2
-        # p0 was evicted; rebuilding it yields a fresh entry.
-        rebuilt = cache.get_or_build(packages[0])
-        assert rebuilt is not builds[0]
-        assert rebuilt.fingerprint == builds[0].fingerprint
 
 
 def _tiny(tag):
@@ -215,78 +201,34 @@ def _scan(cache, count, prefix="scan"):
         cache.get_or_build(_tiny(f"{prefix}{index}"))
 
 
-#: Builds a scan pushes a once-requested build out after (the probation size).
-PROBATION = 16
-
-
-class TestScanResistantAdmission:
-    def test_scan_longer_than_capacity_keeps_builds_requested_twice(self):
+class TestLeastRecentlyUsed:
+    def test_holds_sixteen_builds(self):
         cache = ProgramCache()
-        hot = [cache.get_or_build(_tiny(f"hot{i}")) for i in range(4)]
-        for index in range(4):
-            assert cache.get_or_build(_tiny(f"hot{index}")) is hot[index]
-        _scan(cache, cache.capacity + 50)
-        misses = cache.stats()["misses"]
-        for index in range(4):
-            assert cache.get_or_build(_tiny(f"hot{index}")) is hot[index]
-        stats = cache.stats()
-        assert stats["misses"] == misses
-        # The scan kept only the probation segment's worth of its builds.
-        assert stats["entries"] == 4 + PROBATION
-        assert stats["probationary"] == PROBATION
-
-    def test_re_request_while_probationary_is_a_hit_and_promotes(self):
-        cache = ProgramCache()
-        first = cache.get_or_build(_tiny("target"))
-        _scan(cache, PROBATION - 1)
-        assert cache.stats()["probationary"] == PROBATION
-        assert cache.get_or_build(_tiny("target")) is first
-        stats = cache.stats()
-        assert (stats["hits"], stats["misses"]) == (1, PROBATION)
-        assert stats["probationary"] == PROBATION - 1
-        # Promoted: a further scan no longer pushes it out.
-        _scan(cache, 3 * PROBATION, prefix="more")
-        assert cache.get_or_build(_tiny("target")) is first
-
-    def test_re_request_after_leaving_probation_is_one_miss_then_hits(self):
-        cache = ProgramCache()
-        first = cache.get_or_build(_tiny("target"))
-        _scan(cache, PROBATION)
-        assert cache.stats()["evictions"] == 1
-        rebuilt = cache.get_or_build(_tiny("target"))
-        assert rebuilt is not first
-        stats = cache.stats()
-        assert (stats["misses"], stats["readmissions"]) == (PROBATION + 2, 1)
-        # The ghost admitted the rebuild straight to the protected segment.
-        assert stats["probationary"] == PROBATION
-        _scan(cache, 3 * PROBATION, prefix="more")
-        assert cache.get_or_build(_tiny("target")) is rebuilt
-        assert cache.get_or_build(_tiny("target")) is rebuilt
-        assert cache.stats()["readmissions"] == 1
-
-    def test_capacity_bounds_both_segments_together(self):
-        cache = ProgramCache(capacity=PROBATION + 4)
-        for index in range(10):
-            cache.get_or_build(_tiny(f"hot{index}"))
-            cache.get_or_build(_tiny(f"hot{index}"))
+        assert cache.capacity == cache.stats()["capacity"] == 16
         _scan(cache, 3 * cache.capacity)
         stats = cache.stats()
         assert len(cache) == stats["entries"] == cache.capacity
-        # Probation refills to its size; the protected LRU keeps the rest,
-        # its most recently used builds.
-        assert stats["probationary"] == PROBATION
-        misses = stats["misses"]
-        for index in range(6, 10):
-            cache.get_or_build(_tiny(f"hot{index}"))
-        assert cache.stats()["misses"] == misses
+        assert stats["evictions"] == 2 * cache.capacity
 
-    def test_clear_forgets_ghosts(self):
+    def test_capacity_evicts_least_recently_used(self):
         cache = ProgramCache()
-        cache.get_or_build(_tiny("target"))
-        _scan(cache, PROBATION)
-        cache.clear()
-        cache.get_or_build(_tiny("target"))
+        builds = [cache.get_or_build(_tiny(i)) for i in range(cache.capacity + 1)]
+        assert len(cache) == cache.capacity
+        # p0 was evicted; rebuilding it yields a fresh entry.
+        rebuilt = cache.get_or_build(_tiny(0))
+        assert rebuilt is not builds[0]
+        assert rebuilt.fingerprint == builds[0].fingerprint
+        # p1 went out to make room for it; p2 is still held.
+        assert cache.get_or_build(_tiny(2)) is builds[2]
+        assert cache.stats()["evictions"] == 2
+
+    def test_a_hit_makes_a_build_the_most_recently_used(self):
+        cache = ProgramCache()
+        target = cache.get_or_build(_tiny("target"))
+        _scan(cache, cache.capacity - 1)
+        assert cache.get_or_build(_tiny("target")) is target
+        # Fifteen more builds push out the scan's builds, not the target.
+        _scan(cache, cache.capacity - 1, prefix="more")
+        assert cache.get_or_build(_tiny("target")) is target
         stats = cache.stats()
-        # A first-time build again: probationary, not readmitted.
-        assert (stats["misses"], stats["readmissions"], stats["probationary"]) == (1, 0, 1)
-        assert stats["evictions"] == 0
+        assert (stats["hits"], stats["misses"]) == (2, 2 * cache.capacity - 1)

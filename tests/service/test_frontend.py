@@ -118,8 +118,9 @@ class TestHTTP:
         # The interpreter's program cache is surfaced alongside the service
         # counters: running the racy package compiled it at least once.
         program_cache = metrics["program_cache"]
-        assert set(program_cache) >= {
-            "hits", "misses", "evictions", "singleflight_waits",
+        assert set(program_cache) == {
+            "entries", "capacity", "hits", "misses", "evictions",
+            "parse_hits", "parse_misses", "parse_entries",
         }
         assert program_cache["misses"] >= 1
 

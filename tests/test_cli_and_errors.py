@@ -247,6 +247,29 @@ class TestArgumentValidation:
             main(argv)
         assert "expected an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--scale", "nan"],
+        ["evaluate", "--scale", "inf"],
+        ["evaluate", "--scale", "0"],
+        ["evaluate", "--scale", "-1"],
+        ["corpus", "--scale", "-2"],
+        ["fix", ".", "--scale", "nan"],
+        ["serve", "--scale", "-inf"],
+        ["corpus", "generate", "--mutants-per-base", "-1"],
+        ["corpus", "generate", "--flip-fraction", "5"],
+        ["corpus", "generate", "--flip-fraction", "nan"],
+        ["corpus", "generate", "--noise-level", "-3"],
+        ["corpus", "generate", "--validate-sample", "-5"],
+    ])
+    def test_out_of_range_numbers_are_one_error_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if ": error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("drfix")
+        assert f"argument {argv[-2]}:" in errors[0]
+
     def test_negative_jobs_still_means_all_cpus(self):
         # Negative worker counts remain valid (one worker per CPU).
         from repro.execution import resolve_jobs
